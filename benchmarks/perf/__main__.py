@@ -1,9 +1,11 @@
 """CLI entry point: ``python -m benchmarks.perf``.
 
-Runs the executor benchmark suite and writes ``BENCH_PR6.json``
-(executor speedups plus the cold-vs-warm compile-cache split).  With
-``--check`` the thresholds guard is evaluated and a miss exits 1 —
-this is what the CI perf-smoke job runs.  ``--cache-dir`` points the
+Runs the executor benchmark suite and writes the result document
+(executor speedups plus the cold-vs-warm compile-cache split) to
+``--out`` — by default the git-ignored ``BENCH_local.json``, so a bare
+run never overwrites a committed ``BENCH_PR<N>.json`` record; name one
+explicitly (as the CI perf-smoke job does) to produce a record.  With
+``--check`` the thresholds guard is evaluated and a miss exits 1.  ``--cache-dir`` points the
 Figure 8 cold/warm measurement at a persistent directory instead of a
 throwaway one.
 
@@ -31,9 +33,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m benchmarks.perf",
         description="Benchmark the fast-path executor against the "
-                    "reference interpreter and emit BENCH_PR6.json.")
-    parser.add_argument("--out", type=Path, default=Path("BENCH_PR6.json"),
-                        help="output path (default: ./BENCH_PR6.json)")
+                    "reference interpreter and write the result "
+                    "document to --out.")
+    parser.add_argument("--out", type=Path, default=Path("BENCH_local.json"),
+                        help="output path (default: ./BENCH_local.json, "
+                             "git-ignored; pass BENCH_PR<N>.json to write "
+                             "a record for the committed series)")
     parser.add_argument("--history", action="store_true",
                         help="render the committed BENCH_PR*.json trend "
                              "table instead of benchmarking; with --check, "

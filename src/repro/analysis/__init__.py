@@ -22,8 +22,11 @@ from .regions import Region, is_region, region_blocks, smallest_region_containin
 from .loops import Loop, LoopInfo, compute_loop_info
 from .divergence import (
     DivergenceInfo,
+    FunctionAnalyses,
+    analyze_function,
     cached_divergence,
     compute_divergence,
+    function_analyses,
     invalidate_divergence,
 )
 from .latency import DEFAULT_LATENCY_MODEL, LatencyModel
@@ -57,6 +60,7 @@ __all__ = [
     "Loop", "LoopInfo", "compute_loop_info",
     "DivergenceInfo", "compute_divergence",
     "cached_divergence", "invalidate_divergence",
+    "FunctionAnalyses", "analyze_function", "function_analyses",
     "DEFAULT_LATENCY_MODEL", "LatencyModel",
     "FORWARD", "BACKWARD", "DataflowAnalysis", "DataflowResult",
     "SparseSolver", "run_dataflow", "live_variables",

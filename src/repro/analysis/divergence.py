@@ -28,8 +28,8 @@ divergent branch.
 
 from __future__ import annotations
 
-import weakref
-from typing import Dict, Iterable, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
@@ -38,14 +38,16 @@ from repro.ir.instructions import (
     Call,
     Instruction,
     IntrinsicName,
-    Load,
-    Phi,
-    Store,
 )
 from repro.ir.values import Argument, Value
 
-from .cfg import reachable_from
-from .dominators import compute_postdominator_tree, immediate_postdominator
+from .cfg import reachable_from, reverse_postorder
+from .dominators import (
+    DominatorTree,
+    compute_postdominator_tree,
+    immediate_postdominator,
+)
+from .loops import Loop, LoopInfo, compute_loop_info
 
 
 class DivergenceInfo:
@@ -76,6 +78,20 @@ class DivergenceInfo:
         return set(self._divergent)
 
 
+@dataclass
+class FunctionAnalyses:
+    """What is known about one CFG state of a function.
+
+    The three results are computed together because divergence needs the
+    other two, and consumers that want divergence (CFM, lint) want the
+    post-dominator tree of the same CFG next: each is built exactly once
+    per CFG state."""
+
+    divergence: DivergenceInfo
+    postdominators: DominatorTree
+    loops: LoopInfo
+
+
 def compute_divergence(
     function: Function,
     divergent_args: Optional[Iterable[Argument]] = None,
@@ -85,56 +101,70 @@ def compute_divergence(
     ``divergent_args`` lets callers mark arguments as divergence sources
     (kernel arguments are uniform by default, matching GPU semantics).
     """
-    divergent: Set[Value] = set(divergent_args or [])
-    divergent_branch_blocks: Set[BasicBlock] = set()
-    # Blocks whose join sets were already applied, so the worklist pass
-    # does not recompute reachability every round.
-    processed_branches: Set[BasicBlock] = set()
+    return analyze_function(function, divergent_args).divergence
 
+
+def analyze_function(
+    function: Function,
+    divergent_args: Optional[Iterable[Argument]] = None,
+) -> FunctionAnalyses:
+    """Divergence of ``function`` plus the CFG analyses it was derived from.
+
+    The taint fixpoint is sparse: a value is visited once, when it turns
+    divergent, and pushes only its users.  The CFG is immutable
+    meanwhile, so the post-dominator tree, the loop forest, each
+    branch's join set and each loop's live-outs are computed once.
+    """
+    order = reverse_postorder(function)
+    pdt = compute_postdominator_tree(function, order)
+    loops = compute_loop_info(function, order)
+    exited_loops: Dict[BasicBlock, List[Loop]] = {}
+    for loop in loops:
+        for block in loop.exiting_blocks:
+            exited_loops.setdefault(block, []).append(loop)
+
+    divergent: Set[Value] = set(divergent_args or ())
+    divergent_branch_blocks: Set[BasicBlock] = set()
     # Seed: thread-id intrinsics.
     for instr in function.instructions():
         if isinstance(instr, Call) and instr.callee in IntrinsicName.THREAD_ID_SOURCES:
             divergent.add(instr)
+    work: List[Value] = list(divergent)
+    temporal_headers: Set[BasicBlock] = set()
 
-    # The CFG is immutable during the fixpoint; share one PDT across
-    # every branch's join computation.
-    pdt = compute_postdominator_tree(function)
+    def taint(values: Iterable[Value]) -> None:
+        for value in values:
+            if value not in divergent:
+                divergent.add(value)
+                work.append(value)
 
-    changed = True
-    while changed:
-        changed = False
-        # Data-dependence propagation.
-        for instr in function.instructions():
-            if instr in divergent:
+    while work:
+        for user, _ in work.pop()._uses:
+            if (not isinstance(user, Instruction) or user.parent is None
+                    or user in divergent):
                 continue
-            if instr.type.is_void:
+            if not isinstance(user, Branch):
+                # Data dependence (a load's only operand is its address).
+                if not user.type.is_void:
+                    taint((user,))
                 continue
-            if _has_divergent_operand(instr, divergent):
-                divergent.add(instr)
-                changed = True
-        # Branch classification + sync dependence.
-        for block in function.blocks:
-            term = block.terminator
-            if not isinstance(term, Branch) or not term.is_conditional:
-                continue
-            if term.condition not in divergent:
-                continue
-            if block not in divergent_branch_blocks:
-                divergent_branch_blocks.add(block)
-                changed = True
-            if block in processed_branches:
-                continue
-            processed_branches.add(block)
+            # A divergent condition: classify the branch, then taint what
+            # depends on *which way* each thread went.
+            block = user.parent
+            divergent_branch_blocks.add(block)
+            # Sync dependence: φs at the branch's join points.
             for join in _join_blocks(block, pdt):
-                for phi in join.phis:
-                    if phi not in divergent:
-                        divergent.add(phi)
-                        changed = True
-        # Temporal divergence: loop live-outs of divergently-exiting loops.
-        if _mark_temporal_divergence(function, divergent, divergent_branch_blocks):
-            changed = True
+                taint(join.phis)
+            # Temporal divergence: threads leave a loop at different
+            # iterations, so its live-outs differ between them.
+            for loop in exited_loops.get(block, ()):
+                if loop.header not in temporal_headers:
+                    temporal_headers.add(loop.header)
+                    taint(_live_outs(loop))
 
-    return DivergenceInfo(function, divergent, divergent_branch_blocks)
+    return FunctionAnalyses(
+        DivergenceInfo(function, divergent, divergent_branch_blocks),
+        pdt, loops)
 
 
 # ---------------------------------------------------------------------------
@@ -142,21 +172,32 @@ def compute_divergence(
 #
 # The fixpoint is the most expensive analysis in the repo and at least
 # three consumers want the same answer for the same IR: the CFM pass, the
-# lint rules, and facade callers (``repro.analyze``).  The cache is keyed
-# weakly on the Function (no lifetime coupling) and guarded by a cheap
-# structural fingerprint so an *unchanged* function hits while any pass
-# that adds/removes blocks or instructions naturally misses.  The
-# fingerprint cannot see in-place operand rewrites, so mutating callers
-# (PassPipeline between passes, CFM after each meld) must also call
-# :func:`invalidate_divergence` explicitly.
+# lint rules, and facade callers (``repro.analyze``).  The bundle lives
+# on the Function itself (``Function.memo``), so it dies with the
+# function — a module-level table, even a weak-keyed one, would keep
+# every analysed function alive through ``DivergenceInfo.function``.  It
+# is guarded by a cheap structural fingerprint so an *unchanged* function
+# hits while any pass that adds/removes blocks or instructions naturally
+# misses.  The fingerprint cannot see in-place operand rewrites, so
+# mutating callers (PassPipeline between passes, CFM after each meld)
+# must also call :func:`invalidate_divergence` explicitly.
 
-_divergence_cache: "weakref.WeakKeyDictionary[Function, Tuple[tuple, DivergenceInfo]]" = (
-    weakref.WeakKeyDictionary()
-)
+_MEMO_KEY = "analysis"
 
 
 def _fingerprint(function: Function) -> tuple:
     return tuple((id(block), len(block)) for block in function.blocks)
+
+
+def function_analyses(function: Function) -> FunctionAnalyses:
+    """Memoized :func:`analyze_function` (default ``divergent_args``)."""
+    token = _fingerprint(function)
+    hit: Optional[Tuple[tuple, FunctionAnalyses]] = function.memo.get(_MEMO_KEY)
+    if hit is not None and hit[0] == token:
+        return hit[1]
+    analyses = analyze_function(function)
+    function.memo[_MEMO_KEY] = (token, analyses)
+    return analyses
 
 
 def cached_divergence(function: Function) -> DivergenceInfo:
@@ -166,45 +207,21 @@ def cached_divergence(function: Function) -> DivergenceInfo:
     facade's ``repro.analyze``) go through here so one compile runs the
     fixpoint once, not once per consumer.
     """
-    token = _fingerprint(function)
-    hit = _divergence_cache.get(function)
-    if hit is not None and hit[0] == token:
-        return hit[1]
-    info = compute_divergence(function)
-    _divergence_cache[function] = (token, info)
-    return info
+    return function_analyses(function).divergence
 
 
 def invalidate_divergence(function: Function) -> None:
-    """Drop the cached analysis for ``function`` (call after mutating it)."""
-    _divergence_cache.pop(function, None)
+    """Drop the cached analyses of ``function`` (call after mutating it)."""
+    function.memo.pop(_MEMO_KEY, None)
 
 
-def _mark_temporal_divergence(function: Function, divergent: Set[Value],
-                              divergent_branch_blocks: Set[BasicBlock]) -> bool:
-    from .loops import compute_loop_info  # local import: loops -> dominators
-
-    changed = False
-    loop_info = compute_loop_info(function)
-    for loop in loop_info:
-        if not any(b in divergent_branch_blocks for b in loop.exiting_blocks):
-            continue
-        for block in loop.blocks:
-            for instr in block:
-                if instr in divergent or instr.type.is_void:
-                    continue
-                for user in instr.users:
-                    if isinstance(user, Instruction) and user.parent not in loop.blocks:
-                        divergent.add(instr)
-                        changed = True
-                        break
-    return changed
-
-
-def _has_divergent_operand(instr: Instruction, divergent: Set[Value]) -> bool:
-    if isinstance(instr, Load):
-        return instr.pointer in divergent
-    return any(op in divergent for op in instr.operands)
+def _live_outs(loop: Loop) -> List[Instruction]:
+    """Values defined inside ``loop`` and used outside it."""
+    return [instr for block in loop.blocks for instr in block
+            if not instr.type.is_void
+            and any(isinstance(user, Instruction)
+                    and user.parent not in loop.blocks
+                    for user, _ in instr._uses)]
 
 
 def _join_blocks(branch_block: BasicBlock,

@@ -154,8 +154,11 @@ def _compute_idoms(
     return {b: d for b, d in idom.items() if d is not None}
 
 
-def compute_dominator_tree(function: Function) -> DominatorTree:
-    nodes = reverse_postorder(function)
+def compute_dominator_tree(function: Function,
+                           order: Optional[List[BasicBlock]] = None) -> DominatorTree:
+    """Dominator tree; ``order`` is :func:`reverse_postorder` of the
+    current CFG when the caller already has it."""
+    nodes = order if order is not None else reverse_postorder(function)
     idom = _compute_idoms(nodes, lambda b: b.preds, function.entry)
     return DominatorTree(idom, function.entry, is_post=False)
 
@@ -170,11 +173,14 @@ class _VirtualExit:
         return "<virtual exit>"
 
 
-def compute_postdominator_tree(function: Function) -> DominatorTree:
+def compute_postdominator_tree(function: Function,
+                               order: Optional[List[BasicBlock]] = None) -> DominatorTree:
     """Post-dominator tree.  If the function has a single ``ret`` block the
     tree is rooted there; otherwise a virtual exit is used and remains the
-    root (callers see ``idom(block) is None`` only at the root)."""
-    reachable = reverse_postorder(function)
+    root (callers see ``idom(block) is None`` only at the root).
+    ``order`` is :func:`reverse_postorder` of the current CFG when the
+    caller already has it."""
+    reachable = order if order is not None else reverse_postorder(function)
     exits = [b for b in reachable if isinstance(b.terminator, Ret)]
 
     if len(exits) == 1:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.analysis.divergence import compute_divergence
-from repro.analysis.dominators import compute_postdominator_tree
+from repro.analysis.divergence import analyze_function
+from repro.core.instr_align import align_mapping
 from repro.core.meldable import find_meldable_region, subgraphs_meldable
 from repro.core.melder import Melder
 from repro.core.profitability import subgraph_profitability
@@ -42,16 +42,17 @@ def fuse_branches(function: Function, profitability_threshold: float = 0.0,
 
 
 def _fuse_one(function: Function, threshold: float) -> bool:
-    divergence = compute_divergence(function)
-    pdt = compute_postdominator_tree(function)
+    analyses = analyze_function(function)
     for block in function.blocks:
-        region = find_meldable_region(block, divergence, pdt)
+        region = find_meldable_region(block, analyses.divergence,
+                                      analyses.postdominators)
         if region is None:
             continue
         pair = _diamond_pair(region)
         if pair is None or pair.profitability <= threshold:
             continue
-        result = Melder(function, region, pair).meld()
+        result = Melder(function, region, pair,
+                        align_mapping(pair.mapping)).meld()
         remove_unreachable_blocks(function)
         repair_ssa(function)
         unpredicate(function, result)

@@ -41,7 +41,12 @@ from .subgraph_align import (
     candidate_pair,
     most_profitable_pair,
 )
-from .instr_align import InstructionPair, align_instructions, alignment_saved_cycles
+from .instr_align import (
+    InstructionPair,
+    align_instructions,
+    align_mapping,
+    alignment_saved_cycles,
+)
 from .melder import MeldResult, Melder, Side
 from .unpredication import unpredicate
 from .pass_ import CFMConfig, CFMPass, CFMStats, MeldRecord, run_cfm
@@ -57,7 +62,8 @@ __all__ = [
     "subgraph_isomorphism", "subgraphs_meldable",
     "SubgraphPair", "align_subgraphs", "candidate_pair",
     "most_profitable_pair",
-    "InstructionPair", "align_instructions", "alignment_saved_cycles",
+    "InstructionPair", "align_instructions", "align_mapping",
+    "alignment_saved_cycles",
     "MeldResult", "Melder", "Side",
     "unpredicate",
     "CFMConfig", "CFMPass", "CFMStats", "MeldRecord", "run_cfm",

@@ -82,31 +82,27 @@ def needleman_wunsch(
     Y = [[NEG_INF] * (m + 1) for _ in range(n + 1)]
     M[0][0] = 0.0
 
+    # Cells default to NEG_INF, so only reachable states are written.
     for i in range(n + 1):
+        row_m, row_x, row_y = M[i], X[i], Y[i]
+        if i:
+            a = seq_a[i - 1]
+            up_m, up_x, up_y = M[i - 1], X[i - 1], Y[i - 1]
         for j in range(m + 1):
-            if i == 0 and j == 0:
-                continue
-            if i > 0 and j > 0:
-                pair_score = score(seq_a[i - 1], seq_b[j - 1])
+            if i and j:
+                pair_score = score(a, seq_b[j - 1])
                 if pair_score >= min_match_score:
-                    best_prev = max(M[i - 1][j - 1], X[i - 1][j - 1], Y[i - 1][j - 1])
-                    M[i][j] = (best_prev + pair_score) if best_prev > NEG_INF else NEG_INF
-                else:
-                    M[i][j] = NEG_INF
-            else:
-                M[i][j] = NEG_INF
-            if i > 0:
-                X[i][j] = max(M[i - 1][j] - gap_open,
-                              X[i - 1][j] - gap_extend,
-                              Y[i - 1][j] - gap_open)
-            else:
-                X[i][j] = NEG_INF
-            if j > 0:
-                Y[i][j] = max(M[i][j - 1] - gap_open,
-                              X[i][j - 1] - gap_open,
-                              Y[i][j - 1] - gap_extend)
-            else:
-                Y[i][j] = NEG_INF
+                    best_prev = max(up_m[j - 1], up_x[j - 1], up_y[j - 1])
+                    if best_prev > NEG_INF:
+                        row_m[j] = best_prev + pair_score
+            if i:
+                row_x[j] = max(up_m[j] - gap_open,
+                               up_x[j] - gap_extend,
+                               up_y[j] - gap_open)
+            if j:
+                row_y[j] = max(row_m[j - 1] - gap_open,
+                               row_x[j - 1] - gap_open,
+                               row_y[j - 1] - gap_extend)
 
     # Traceback.
     pairs: List[AlignedPair] = []

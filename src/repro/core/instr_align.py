@@ -9,16 +9,16 @@ independent of the run's length.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.latency import DEFAULT_LATENCY_MODEL, LatencyModel
 from repro.ir.block import BasicBlock
-from repro.ir.instructions import Instruction
+from repro.ir.instructions import Call, Instruction
 
 from .alignment import needleman_wunsch
 from .profitability import (
+    estimated_selects,
     instruction_profitability,
-    instructions_match,
     meldable_instructions,
 )
 
@@ -49,25 +49,55 @@ class InstructionPair:
         return self.true_instr is not None
 
 
+def _match_rows(block: BasicBlock, latency: LatencyModel
+                ) -> List[Tuple[Instruction, Optional[Tuple], int]]:
+    """``(instruction, match key, latency)`` per meldable instruction.
+
+    The key is the operand signature (``None`` for barriers, which never
+    match); taking it and the latency once per block keeps both out of
+    the O(n·m) score cells."""
+    return [(instr,
+             None if isinstance(instr, Call) and instr.is_barrier
+             else instr.operand_signature(),
+             latency.latency(instr))
+            for instr in meldable_instructions(block)]
+
+
 def align_instructions(
     true_block: BasicBlock,
     false_block: BasicBlock,
     latency: LatencyModel = DEFAULT_LATENCY_MODEL,
 ) -> List[InstructionPair]:
     """Optimal I-I / I-G alignment of two corresponding blocks."""
-    true_instrs = meldable_instructions(true_block)
-    false_instrs = meldable_instructions(false_block)
+    select_latency = latency.select_latency
 
-    def score(a: Instruction, b: Instruction) -> float:
-        if not instructions_match(a, b):
+    def score(a, b) -> float:
+        # ``instructions_match`` and ``FP_I`` over the precomputed rows.
+        if a[1] is None or a[1] != b[1] or a[0] is b[0]:
             return _FORBIDDEN
-        return instruction_profitability(a, b, latency)
+        return a[2] - estimated_selects(a[0], b[0]) * select_latency
 
     gap = 2.0 * latency.branch_latency
-    result = needleman_wunsch(true_instrs, false_instrs, score,
+    result = needleman_wunsch(_match_rows(true_block, latency),
+                              _match_rows(false_block, latency), score,
                               gap_open=gap, gap_extend=0.0,
                               min_match_score=-1e17)
-    return [InstructionPair(p.left, p.right) for p in result.pairs]
+    return [InstructionPair(None if p.left is None else p.left[0],
+                            None if p.right is None else p.right[0])
+            for p in result.pairs]
+
+
+def align_mapping(
+    mapping: Sequence[Tuple[Optional[BasicBlock], Optional[BasicBlock]]],
+    latency: LatencyModel = DEFAULT_LATENCY_MODEL,
+) -> List[Optional[List[InstructionPair]]]:
+    """The instruction alignment of every block pair of a subgraph pair's
+    mapping, in mapping order (``None`` for the unmatched rows of a
+    case-② mapping).  Computed once per chosen pair: the pass scores
+    ``FP_I`` from it and the melder clones from it."""
+    return [align_instructions(bt, bf, latency)
+            if bt is not None and bf is not None else None
+            for bt, bf in mapping]
 
 
 def alignment_saved_cycles(pairs: List[InstructionPair],

@@ -29,13 +29,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.latency import DEFAULT_LATENCY_MODEL, LatencyModel
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
 from repro.ir.instructions import Branch, Instruction, Phi, Select
 from repro.ir.values import Constant, Undef, Value, const_bool
 
-from .instr_align import InstructionPair, align_instructions
+from .instr_align import InstructionPair
 from .meldable import MeldableRegion
 from .sese import SESESubgraph
 from .subgraph_align import SubgraphPair
@@ -83,12 +82,14 @@ class Melder:
         function: Function,
         region: MeldableRegion,
         pair: SubgraphPair,
-        latency: LatencyModel = DEFAULT_LATENCY_MODEL,
+        alignments: List[Optional[List[InstructionPair]]],
     ) -> None:
+        """``alignments`` is :func:`~repro.core.instr_align.align_mapping`
+        of ``pair.mapping`` — the caller has usually scored it already."""
         self.function = function
         self.region = region
         self.pair = pair
-        self.latency = latency
+        self.alignments = alignments
         self.condition = region.condition
         self.operand_map: Dict[Value, Value] = {}
         self.block_map: Dict[BasicBlock, BasicBlock] = {}
@@ -120,9 +121,9 @@ class Melder:
                 self.block_map[bf] = melded
 
         # Phase 1: clone φs and aligned instructions (operands unresolved).
-        for bt, bf in mapping:
+        for (bt, bf), alignment in zip(mapping, self.alignments):
             self._clone_phis(bt, bf, s_t, s_f)
-            self._clone_instructions(bt, bf)
+            self._clone_instructions(bt, bf, alignment)
         for bt, bf in mapping:
             self._build_terminator(bt, bf, s_t, s_f)
 
@@ -173,9 +174,10 @@ class Melder:
             self._phi_clones.append((clone, phi, own, other))
 
     def _clone_instructions(self, bt: Optional[BasicBlock],
-                            bf: Optional[BasicBlock]) -> None:
+                            bf: Optional[BasicBlock],
+                            alignment: Optional[List[InstructionPair]]) -> None:
         melded = self.block_map[bt if bt is not None else bf]
-        if bt is None or bf is None:
+        if alignment is None:
             # Partial meld: the unmatched structure block's instructions
             # all become gaps of their own side (guarded by unpredication
             # when they have side effects).
@@ -191,7 +193,7 @@ class Melder:
                 self.sides[clone] = side
                 self._ig_pairs.append((clone, original))
             return
-        for pair in align_instructions(bt, bf, self.latency):
+        for pair in alignment:
             if pair.is_match:
                 clone = pair.true_instr.clone()
                 clone.name = pair.true_instr.name

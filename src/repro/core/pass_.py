@@ -6,6 +6,12 @@ most profitable meldable subgraph pair, and meld it if the profitability
 clears the threshold.  Melding invalidates every control-flow analysis,
 so the pass recomputes them and repeats until no profitable meld remains.
 
+An iteration costs one meld, not one function: each analysis is built
+once per CFG state (divergence hands over the post-dominator tree it was
+computed from; the chosen pair's instruction alignment is computed once
+and shared by scoring and code generation), and SSA repair looks only at
+the blocks whose definitions the rewrite can have displaced.
+
 Each meld is followed by SSA repair (``PreProcess``/Figure 4),
 unpredication (§IV-E) and the post-optimizations of §IV-F (redundant
 branch folding, trivial-φ removal, unreachable-block cleanup, DCE).
@@ -17,9 +23,10 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.analysis.divergence import cached_divergence, invalidate_divergence
+from repro.analysis.divergence import function_analyses, invalidate_divergence
 from repro.analysis.dominators import compute_postdominator_tree
 from repro.analysis.latency import DEFAULT_LATENCY_MODEL, LatencyModel
+from repro.analysis.regions import region_blocks
 from repro.analysis.validate import MeldValidation, RegionCapture
 from repro.ir.function import Function
 from repro.obs import (
@@ -40,10 +47,10 @@ from repro.transforms.simplifycfg import (
 from repro.transforms.pass_manager import Pass, PassResult
 from repro.transforms.ssa_repair import repair_ssa
 
-from .instr_align import align_instructions
+from .instr_align import InstructionPair, align_mapping, alignment_saved_cycles
 from .meldable import MeldableRegion, find_meldable_region
 from .melder import Melder, MeldResult
-from .profitability import block_profitability, instruction_profitability
+from .profitability import block_profitability
 from .sese import path_subgraphs, simplify_path_subgraphs
 from .subgraph_align import (
     SubgraphPair,
@@ -173,11 +180,15 @@ def _meld_one(function: Function, config: CFMConfig, stats: CFMStats) -> bool:
     was passed over.
     """
     # Shared memo: a lint / facade analyze() of the same unchanged IR
-    # reuses this fixpoint instead of re-running it.
-    divergence = cached_divergence(function)
-    pdt = compute_postdominator_tree(function)
+    # reuses this fixpoint instead of re-running it — and the fixpoint's
+    # own post-dominator tree is the one this CFG state needs.
+    analyses = function_analyses(function)
+    divergence = analyses.divergence
+    pdt = analyses.postdominators
 
     for block in function.blocks:
+        if pdt is None:
+            pdt = compute_postdominator_tree(function)
         region = find_meldable_region(block, divergence, pdt)
         if region is None:
             continue
@@ -198,8 +209,10 @@ def _meld_one(function: Function, config: CFMConfig, stats: CFMStats) -> bool:
             invalidate_divergence(function)
             # Region simplification only inserts forwarding exit blocks;
             # the subgraph descriptors were updated in place and the
-            # melder does not consult the stale post-dominator tree.
-            pdt = compute_postdominator_tree(function)
+            # melder does not consult the stale post-dominator tree.  It
+            # is rebuilt only if this region ends up not melding and the
+            # scan moves on to the next block.
+            pdt = None
 
         pair = _choose_pair(true_subs, false_subs, config)
         if pair is None:
@@ -210,7 +223,9 @@ def _meld_one(function: Function, config: CFMConfig, stats: CFMStats) -> bool:
                        "pair exists across the two paths",
                 threshold=config.profitability_threshold))
             continue
-        decision = _score_pair(stats.iterations, region, pair, config)
+        alignments = align_mapping(pair.mapping, config.latency)
+        decision = _score_pair(stats.iterations, region, pair, alignments,
+                               config)
         # Stamped from the analysis (not from region selection), so the
         # lint meld-legality audit has an independent fact to check.
         decision.branch_divergent = divergence.has_divergent_branch(region.entry)
@@ -234,9 +249,11 @@ def _meld_one(function: Function, config: CFMConfig, stats: CFMStats) -> bool:
                                     region.condition)
             capture_seconds = time.perf_counter() - v_start
 
-        result = Melder(function, region, pair, config.latency).meld()
+        result = Melder(function, region, pair, alignments).meld()
         remove_unreachable_blocks(function)
-        repair_ssa(function)
+        # The meld rewired only the inside of the divergent region, so
+        # only definitions inside it can have lost dominance.
+        repair_ssa(function, region_blocks(region.entry, region.exit))
         unpredicated = False
         if config.unpredication:
             unpredicated = unpredicate(function, result,
@@ -285,14 +302,15 @@ def _meld_one(function: Function, config: CFMConfig, stats: CFMStats) -> bool:
 
 
 def _score_pair(iteration: int, region: MeldableRegion, pair: SubgraphPair,
+                alignments: List[Optional[List[InstructionPair]]],
                 config: CFMConfig) -> MeldingDecision:
     """Score a chosen pair *before* melding mutates its blocks: per-pair
     ``FP_B`` over the alignment and the summed instruction-level ``FP_I``
     (estimated cycles saved) of every fully-mapped block pair."""
     block_scores = []
     fp_i_total = 0.0
-    for bt, bf in pair.mapping:
-        if bt is None or bf is None:
+    for (bt, bf), alignment in zip(pair.mapping, alignments):
+        if alignment is None:
             block_scores.append(BlockPairScore(
                 true_block=bt.name if bt is not None else None,
                 false_block=bf.name if bf is not None else None,
@@ -301,10 +319,7 @@ def _score_pair(iteration: int, region: MeldableRegion, pair: SubgraphPair,
         block_scores.append(BlockPairScore(
             true_block=bt.name, false_block=bf.name,
             fp_b=block_profitability(bt, bf, config.latency)))
-        for ip in align_instructions(bt, bf, config.latency):
-            if ip.is_match:
-                fp_i_total += instruction_profitability(
-                    ip.true_instr, ip.false_instr, config.latency)
+        fp_i_total += alignment_saved_cycles(alignment, config.latency)
     return MeldingDecision(
         iteration=iteration,
         region_entry=region.entry.name,
@@ -337,12 +352,14 @@ def _choose_pair(true_subs, false_subs, config: CFMConfig) -> Optional[SubgraphP
 
 def _post_optimize(function: Function) -> None:
     """§IV-F post-optimizations (kept local: full SimplifyCFG runs later
-    in the driver pipeline)."""
+    in the driver pipeline).  None of the three cleanups can disconnect
+    a block — they fold duplicate edges, drop φs and bypass forwarding
+    blocks — so the unreachable-block sweep right after the meld is the
+    only one an iteration needs."""
     changed = True
     while changed:
         changed = False
         changed |= fold_redundant_branches(function)
         changed |= remove_trivial_phis(function)
         changed |= remove_forwarding_blocks(function)
-        changed |= remove_unreachable_blocks(function)
     eliminate_dead_code(function)

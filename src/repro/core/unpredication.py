@@ -19,7 +19,7 @@ shows.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
@@ -33,12 +33,15 @@ from .melder import MeldResult, Side
 def unpredicate(function: Function, result: MeldResult,
                 split_pure_runs: bool = True) -> bool:
     """Split gap runs out of the melded blocks.  Returns True if changed."""
-    changed = False
+    guarded: Set[BasicBlock] = set()
     for block in list(result.melded_blocks):
-        changed |= _unpredicate_block(function, block, result, split_pure_runs)
-    if changed:
-        repair_ssa(function)
-    return changed
+        guarded.update(
+            _unpredicate_block(function, block, result, split_pure_runs))
+    if guarded:
+        # Only a run moved behind a guard can have stopped dominating
+        # its uses; everything else still sits above its block's tail.
+        repair_ssa(function, guarded)
+    return bool(guarded)
 
 
 def _runs(block: BasicBlock, sides: Dict[Instruction, Side]
@@ -65,13 +68,11 @@ def _should_split(side: Side, instrs: List[Instruction], split_pure: bool) -> bo
 
 
 def _unpredicate_block(function: Function, block: BasicBlock,
-                       result: MeldResult, split_pure: bool) -> bool:
+                       result: MeldResult, split_pure: bool
+                       ) -> List[BasicBlock]:
+    """Split ``block``'s gap runs out; returns the guarded blocks made."""
     runs = _runs(block, result.sides)
-    pending = [(side, instrs) for side, instrs in runs
-               if _should_split(side, instrs, split_pure)]
-    if not pending:
-        return False
-
+    guarded_blocks: List[BasicBlock] = []
     condition = result.condition
     current = block
     for side, instrs in runs:
@@ -82,6 +83,7 @@ def _unpredicate_block(function: Function, block: BasicBlock,
         tail = _split_after(function, current, instrs[-1],
                             f"{block.name}.tail")
         guarded = function.add_block(f"{block.name}.{side.value}", after=current)
+        guarded_blocks.append(guarded)
         if any(not i.is_speculatable for i in instrs):
             result.guarded_side_effect_blocks.append(guarded.name)
         for instr in instrs:
@@ -97,7 +99,7 @@ def _unpredicate_block(function: Function, block: BasicBlock,
             current.replace_terminator(Branch([tail, guarded], condition))
         result.melded_blocks.append(tail)
         current = tail
-    return True
+    return guarded_blocks
 
 
 def _split_after(function: Function, block: BasicBlock, instr: Instruction,

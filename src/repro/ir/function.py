@@ -54,6 +54,12 @@ class Function:
         self._name_counter = itertools.count()
         self._taken_names: Dict[str, int] = {}
         self.module: Optional["Module"] = None
+        #: results derived from this function and memoized by the layer
+        #: that computes them (``repro.analysis``: the analysis bundle,
+        #: ``repro.simt.lowering``: lowered programs), each under its own
+        #: key with its own staleness guard.  Held here rather than in
+        #: module-level tables so they are freed with the function.
+        self.memo: Dict[str, object] = {}
 
     # ---- blocks -------------------------------------------------------------
 

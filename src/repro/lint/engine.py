@@ -19,14 +19,17 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
 from repro.analysis.cfg import reachable_blocks
-from repro.analysis.divergence import DivergenceInfo, cached_divergence
+from repro.analysis.divergence import (
+    DivergenceInfo,
+    FunctionAnalyses,
+    function_analyses,
+)
 from repro.analysis.dominators import (
     DominatorTree,
     compute_dominator_tree,
-    compute_postdominator_tree,
     postdominance_frontier,
 )
-from repro.analysis.loops import LoopInfo, compute_loop_info
+from repro.analysis.loops import LoopInfo
 from repro.analysis.ranges import ValueRanges, compute_ranges
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
@@ -56,11 +59,9 @@ class LintContext:
         #: (:class:`repro.obs.MeldingDecision` records; consumed by the
         #: meld-legality audit)
         self.decisions: List[object] = list(decisions or [])
-        self._divergence: Optional[DivergenceInfo] = None
+        self._analyses: Optional[FunctionAnalyses] = None
         self._dominators: Optional[DominatorTree] = None
-        self._postdominators: Optional[DominatorTree] = None
         self._pdf: Optional[Dict[BasicBlock, Set[BasicBlock]]] = None
-        self._loops: Optional[LoopInfo] = None
         self._reachable: Optional[Set[BasicBlock]] = None
         self._divergent_deps: Dict[BasicBlock, bool] = {}
         self._ranges: Optional[ValueRanges] = None
@@ -69,10 +70,17 @@ class LintContext:
     # ---- memoized analyses ------------------------------------------------
 
     @property
+    def analyses(self) -> FunctionAnalyses:
+        """The function's shared analysis bundle: divergence plus the
+        post-dominator tree and loop forest it was computed from (one
+        fixpoint and one tree per compile, whoever asks first)."""
+        if self._analyses is None:
+            self._analyses = function_analyses(self.function)
+        return self._analyses
+
+    @property
     def divergence(self) -> DivergenceInfo:
-        if self._divergence is None:
-            self._divergence = cached_divergence(self.function)
-        return self._divergence
+        return self.analyses.divergence
 
     @property
     def dominators(self) -> DominatorTree:
@@ -82,9 +90,7 @@ class LintContext:
 
     @property
     def postdominators(self) -> DominatorTree:
-        if self._postdominators is None:
-            self._postdominators = compute_postdominator_tree(self.function)
-        return self._postdominators
+        return self.analyses.postdominators
 
     @property
     def control_dependence(self) -> Dict[BasicBlock, Set[BasicBlock]]:
@@ -97,9 +103,7 @@ class LintContext:
 
     @property
     def loops(self) -> LoopInfo:
-        if self._loops is None:
-            self._loops = compute_loop_info(self.function)
-        return self._loops
+        return self.analyses.loops
 
     @property
     def reachable(self) -> Set[BasicBlock]:

@@ -19,7 +19,8 @@ time:
   CFG edge (parallel read-then-write pairs), and IPDOM reconvergence
   points are resolved to block indices once.
 
-Programs are cached per function behind the same memo pattern as
+Programs are cached on the function itself (``Function.memo``, so they
+are freed with it) behind the same memo pattern as
 :func:`repro.analysis.cached_divergence`, with two refinements: the
 cache key is the machine's **program token**
 (:meth:`repro.simt.MachineConfig.program_token` — latency model plus
@@ -61,7 +62,6 @@ from __future__ import annotations
 
 import json
 import operator
-import weakref
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.dominators import (
@@ -711,16 +711,30 @@ def lower_function(function: Function, latency: LatencyModel) -> LoweredProgram:
 
 
 # ---------------------------------------------------------------------------
-# memoization — same shape as analysis.cached_divergence, but keyed on
-# MachineConfig.program_token() (latencies are baked into µops, and the
-# reconvergence policy keys defensively so per-policy lowering state can
-# never alias) and fingerprinted down to operand identity (operand
+# memoization — same shape as analysis.function_analyses (the entries
+# live on the Function, in ``Function.memo``, so they are freed with it:
+# µop closures reference their function, and a module-level table, even
+# a weak-keyed one, would keep every launched function alive), but keyed
+# on MachineConfig.program_token() (latencies are baked into µops, and
+# the reconvergence policy keys defensively so per-policy lowering state
+# can never alias) and fingerprinted down to operand identity (operand
 # rewrites must miss).  latency_token/latency_token_key now live in
 # repro.analysis.latency and are re-imported above for compatibility.
 
-_program_cache: "weakref.WeakKeyDictionary[Function, Dict[tuple, Tuple[tuple, LoweredProgram]]]" = (
-    weakref.WeakKeyDictionary()
-)
+_MEMO_KEY = "lowering"
+
+#: bumped by :func:`clear_lowering_memo`; every entry is stamped with the
+#: epoch it was stored in and misses once the epoch has moved on
+_memo_epoch = 0
+
+
+def _programs(function: Function) -> Dict[tuple, Tuple[tuple, LoweredProgram]]:
+    """``function``'s program-token → (fingerprint, program) table of the
+    current epoch (a table left over from an earlier epoch is dropped)."""
+    entry = function.memo.get(_MEMO_KEY)
+    if entry is None or entry[0] != _memo_epoch:
+        entry = function.memo[_MEMO_KEY] = (_memo_epoch, {})
+    return entry[1]
 
 
 def function_fingerprint(function: Function) -> tuple:
@@ -761,16 +775,12 @@ def get_program(function: Function, machine) -> LoweredProgram:
     """
     token = machine.program_token()
     fingerprint = function_fingerprint(function)
-    per_function = _program_cache.get(function)
-    if per_function is not None:
-        hit = per_function.get(token)
-        if hit is not None and hit[0] == fingerprint:
-            return hit[1]
-    else:
-        per_function = {}
-        _program_cache[function] = per_function
+    programs = _programs(function)
+    hit = programs.get(token)
+    if hit is not None and hit[0] == fingerprint:
+        return hit[1]
     program = lower_function(function, machine.latency)
-    per_function[token] = (fingerprint, program)
+    programs[token] = (fingerprint, program)
     return program
 
 
@@ -785,19 +795,15 @@ def seed_program(function: Function, machine,
     lowering — if the function mutates before launch, the seed simply
     misses and lowering runs normally.
     """
-    token = machine.program_token()
-    per_function = _program_cache.get(function)
-    if per_function is None:
-        per_function = {}
-        _program_cache[function] = per_function
-    per_function[token] = (function_fingerprint(function), program)
+    _programs(function)[machine.program_token()] = (
+        function_fingerprint(function), program)
 
 
 def invalidate_lowering(function: Function) -> None:
     """Drop cached programs for ``function`` (operand-identity
     fingerprinting makes this rarely necessary; provided for symmetry
     with :func:`repro.analysis.invalidate_divergence`)."""
-    _program_cache.pop(function, None)
+    function.memo.pop(_MEMO_KEY, None)
 
 
 def clear_lowering_memo() -> None:
@@ -811,6 +817,9 @@ def clear_lowering_memo() -> None:
     poisoned entry from a legitimate one.  ``repro.scheduler`` workers
     call this after any task failure so the retry (in this worker or a
     replacement) always re-lowers from the IR instead of trusting
-    whatever the crashed attempt left in the memo.
+    whatever the crashed attempt left in the memo.  The memo lives on
+    the functions themselves, so "drop" is an epoch bump: every entry
+    stored before it misses from now on.
     """
-    _program_cache.clear()
+    global _memo_epoch
+    _memo_epoch += 1

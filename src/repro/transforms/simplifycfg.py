@@ -146,7 +146,8 @@ def merge_straightline_blocks(function: Function) -> bool:
 
 
 def remove_forwarding_blocks(function: Function) -> bool:
-    """Remove blocks that contain only an unconditional branch."""
+    """Remove every block that contains only an unconditional branch."""
+    changed = False
     for block in function.blocks:
         if block is function.entry or len(block) != 1:
             continue
@@ -171,8 +172,8 @@ def remove_forwarding_blocks(function: Function) -> bool:
         for pred in preds:
             pred.terminator.replace_successor(block, succ)
         function._remove_block(block)
-        return True
-    return False
+        changed = True
+    return changed
 
 
 def _can_forward(block: BasicBlock, succ: BasicBlock) -> bool:

@@ -15,7 +15,7 @@ and doubles as a utility for any transform that displaces definitions.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Collection, Dict, Optional, Set
 
 from repro.analysis.dominators import (
     DominatorTree,
@@ -28,17 +28,32 @@ from repro.ir.instructions import Instruction, Phi
 from repro.ir.values import Undef, Value
 
 
-def repair_ssa(function: Function) -> bool:
-    """Fix all def-use dominance violations.  Returns True if changed."""
+def repair_ssa(function: Function,
+               scope: Optional[Collection[BasicBlock]] = None) -> bool:
+    """Fix def-use dominance violations.  Returns True if changed.
+
+    ``scope`` names the blocks whose definitions may have lost dominance
+    (default: every block).  A transform that displaced definitions only
+    inside a single-entry region passes that region's blocks: dominance
+    between blocks outside it is untouched, and a definition outside it
+    either dominates the region's entry — hence still everything inside
+    — or reaches no use inside at all.  Definitions are visited in
+    function order either way, so a scope that covers every violation
+    yields the same IR as no scope.
+    """
     changed = False
     # Recompute analyses once; φ insertion does not change the CFG.
     dt = compute_dominator_tree(function)
-    frontier = dominance_frontier(function, dt)
+    frontier = None
     for block in function.blocks:
+        if scope is not None and block not in scope:
+            continue
         for instr in block.instructions:
             if instr.type.is_void or not instr.is_used:
                 continue
             if _has_violation(dt, instr):
+                if frontier is None:
+                    frontier = dominance_frontier(function, dt)
                 _repair_definition(function, dt, frontier, instr)
                 changed = True
     return changed

@@ -5,7 +5,8 @@ from repro.analysis import (
     compute_divergence,
     invalidate_divergence,
 )
-from repro.analysis.divergence import _join_blocks, _mark_temporal_divergence
+from repro.analysis import compute_loop_info
+from repro.analysis.divergence import _join_blocks, _live_outs
 from repro.ir import Call, IntrinsicName, Load
 
 from tests.support import build_diamond, parse
@@ -320,34 +321,38 @@ exit:
 
 
 class TestTemporalDivergenceUnit:
-    """Direct tests of _mark_temporal_divergence, isolated from the
-    surrounding fixpoint."""
+    """The temporal-divergence step in isolation: ``_live_outs`` names
+    what a divergently-exiting loop taints, and the fixpoint applies it
+    to such loops only."""
 
     def test_live_out_of_divergently_exiting_loop(self):
         f = parse(LOOP_LIVE_OUT)
-        h = f.block_by_name("h")
-        phi, ni = h.instructions[:2]
-        divergent = set()
-        # Pretend the fixpoint classified the exiting branch divergent.
-        assert _mark_temporal_divergence(f, divergent, {h}) is True
+        phi, ni = f.block_by_name("h").instructions[:2]
+        (loop,) = compute_loop_info(f).loops
         # Only the value USED outside the loop is temporally divergent;
         # the phi never escapes and stays as-is.
-        assert ni in divergent
-        assert phi not in divergent
+        assert _live_outs(loop) == [ni]
+        info = compute_divergence(f)
+        assert info.is_divergent(ni)
+        assert phi in info.divergent_values  # via data dependence on %ni
 
     def test_no_divergent_exit_no_marking(self):
-        f = parse(LOOP_LIVE_OUT)
-        divergent = set()
-        assert _mark_temporal_divergence(f, divergent, set()) is False
-        assert divergent == set()
+        # The same loop leaving on a uniform condition: nothing to mark.
+        f = parse(LOOP_LIVE_OUT.replace("%ni, %tid", "%ni, 8"))
+        h = f.block_by_name("h")
+        info = compute_divergence(f)
+        assert not info.has_divergent_branch(h)
+        assert info.is_uniform(h.instructions[1])
 
     def test_idempotent_second_call(self):
+        from tests.analysis.reference_divergence import mark_temporal_divergence
+
         f = parse(LOOP_LIVE_OUT)
-        h = f.block_by_name("h")
-        divergent = set()
-        assert _mark_temporal_divergence(f, divergent, {h}) is True
-        # Fixpoint discipline: nothing new on the second sweep.
-        assert _mark_temporal_divergence(f, divergent, {h}) is False
+        info = compute_divergence(f)
+        # Fixpoint discipline: the reference's temporal sweep finds
+        # nothing new in the sparse analysis' result.
+        assert mark_temporal_divergence(
+            f, info.divergent_values, info.divergent_branch_blocks) is False
 
 
 class TestDivergenceMemo:
@@ -371,3 +376,17 @@ class TestDivergenceMemo:
         block = f.add_block("appendix")
         IRBuilder(block).ret()
         assert cached_divergence(f) is not first
+
+    def test_memo_does_not_keep_function_alive(self):
+        # DivergenceInfo references its function; a process-level table
+        # of results (even a weak-keyed one) would pin every analysed
+        # function for the life of the process.
+        import gc
+        import weakref
+
+        f = build_diamond()
+        cached_divergence(f)
+        ref = weakref.ref(f)
+        del f
+        gc.collect()
+        assert ref() is None

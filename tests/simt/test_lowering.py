@@ -227,6 +227,32 @@ def test_invalidate_lowering_forces_relower():
     assert get_program(f, machine) is not before
 
 
+def test_program_memo_does_not_keep_function_alive():
+    # µop closures reference the function they were lowered from; a
+    # process-level table of them (even a weak-keyed one) would pin it.
+    import gc
+    import weakref
+
+    f = _simple_function()
+    get_program(f, MachineConfig())
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
+
+
+def test_clear_lowering_memo_forces_relower():
+    from repro.simt import clear_lowering_memo
+
+    f = _simple_function()
+    machine = MachineConfig()
+    before = get_program(f, machine)
+    clear_lowering_memo()
+    after = get_program(f, machine)
+    assert after is not before
+    assert get_program(f, machine) is after
+
+
 def test_program_cache_keyed_by_latency_model():
     f = _simple_function()
     default = MachineConfig()
