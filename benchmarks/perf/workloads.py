@@ -1,9 +1,9 @@
 """Micro benchmark kernels, one per µop opcode class.
 
 Each workload is a small unoptimized kernel whose inner loop is
-dominated by one executor code path (``OP_COMPUTE2`` int/float,
-``OP_SELECT``, ``OP_LOAD``/``OP_STORE`` in global or shared space,
-divergent ``TERM_CBR``, φ transfer).  The launch shape is identical
+dominated by one executor code path (an ``OP_RUN`` of integer, float or
+compare/select templates, ``OP_LOAD``/``OP_STORE`` in global or shared
+space, divergent ``TERM_CBR``, φ transfer).  The launch shape is identical
 everywhere so throughput numbers are comparable across classes.
 
 Built through the public :class:`repro.KernelBuilder` DSL; the modules

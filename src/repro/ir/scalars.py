@@ -1,14 +1,17 @@
 """Scalar evaluation semantics shared by the simulator and constant folding.
 
 Integer ops use two's-complement wraparound at the type's width; division
-semantics are C-style (truncation toward zero); shifts of >= width and
-division by zero raise :class:`EvalError` (LLVM poison/UB made loud).
+semantics are C-style (truncation toward zero); shifts of >= width,
+division by zero and ``fptosi`` of NaN/±inf raise :class:`EvalError`
+(LLVM poison/UB made loud).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict
 
+from .instructions import Opcode
 from .types import FloatType, IntType, Type
 
 
@@ -31,8 +34,6 @@ def unsigned(value: int, type_: IntType) -> int:
 
 def eval_binary(opcode: str, lhs, rhs, type_: Type):
     """Evaluate a binary opcode on Python scalars."""
-    from .instructions import Opcode
-
     if isinstance(type_, FloatType):
         if opcode == Opcode.FADD:
             return lhs + rhs
@@ -123,8 +124,6 @@ def eval_fcmp(predicate: str, lhs: float, rhs: float) -> int:
 
 
 def eval_cast(opcode: str, value, from_type: Type, to_type: Type):
-    from .instructions import Opcode
-
     if opcode == Opcode.ZEXT:
         return unsigned(value, from_type)
     if opcode == Opcode.SEXT:
@@ -134,6 +133,8 @@ def eval_cast(opcode: str, value, from_type: Type, to_type: Type):
     if opcode == Opcode.SITOFP:
         return float(value)
     if opcode == Opcode.FPTOSI:
+        if not math.isfinite(value):  # fdiv by zero yields nan/inf by design
+            raise EvalError(f"fptosi of non-finite value {value!r}")
         return wrap(int(value), to_type)
     if opcode == Opcode.BITCAST:
         return value

@@ -8,8 +8,10 @@ instead of walking IR objects:
 
 * operands live in a flat register file (``regs[slot][lane]``) instead of
   a dict keyed by SSA value;
-* each µop carries a pre-specialized per-lane closure, so per-instruction
-  dispatch is one small-int comparison instead of an ``isinstance`` chain;
+* every run of pure instructions is one µop carrying a generated
+  function (:mod:`repro.simt.lowering`, "run functions") that executes
+  the whole run in a single lane loop, so dispatch is one small-int
+  comparison per *run* instead of an ``isinstance`` chain per instruction;
 * branch targets, φ transfer plans and reconvergence points are block
   indices precomputed at lowering time.  That successor/φ/rpc metadata
   is policy-*independent* — the min-PC scheduler simply ignores the rpc
@@ -42,11 +44,8 @@ from .config import MachineConfig
 from .lowering import (
     LoweredProgram,
     OP_BARRIER,
-    OP_COMPUTE1,
-    OP_COMPUTE2,
     OP_LOAD,
-    OP_SELECT,
-    OP_SREG,
+    OP_RUN,
     OP_STORE,
     OP_TRAP,
     TERM_BR,
@@ -141,7 +140,6 @@ class FastWarp:
         sregs = self._sregs
         find_segment = self._find_segment
         metrics = self.metrics
-        record_alu = metrics.record_alu
         record_branch = metrics.record_branch
         config = self.config
         trace = self._trace
@@ -176,9 +174,15 @@ class FastWarp:
 
             for op in block.ops:
                 kind = op[0]
-                if kind == OP_COMPUTE2:
-                    op[4](regs[op[1]], regs[op[2]], regs[op[3]], mask)
-                    record_alu(len(mask), op[5])
+                if kind == OP_RUN:
+                    op[1](regs, sregs, mask, op[2], op[3])
+                    # n ALU issues charged at once: WarpTrace events only
+                    # fire at block boundaries, so no cycle stamp moves.
+                    issued = op[4]
+                    metrics.alu_issues += issued
+                    metrics.alu_active_lanes += issued * len(mask)
+                    metrics.instructions_issued += issued
+                    metrics.cycles += op[5]
                 elif kind == OP_LOAD:
                     rd = regs[op[1]]
                     rp = regs[op[2]]
@@ -227,26 +231,6 @@ class FastWarp:
                             seg.index_of(addr)  # canonical misaligned trap
                         seg_data[index] = rv[i]
                     account_memory(metrics, config, op[3], addresses, op[4])
-                elif kind == OP_SELECT:
-                    rd = regs[op[1]]
-                    rc = regs[op[2]]
-                    rt = regs[op[3]]
-                    rf = regs[op[4]]
-                    for i in mask:
-                        c = rc[i]
-                        # `select undef, a, b` is defined (either side);
-                        # propagate undef, do not trap.
-                        rd[i] = UNDEF if c is UNDEF else (rt[i] if c else rf[i])
-                    record_alu(len(mask), op[5])
-                elif kind == OP_COMPUTE1:
-                    op[3](regs[op[1]], regs[op[2]], mask)
-                    record_alu(len(mask), op[4])
-                elif kind == OP_SREG:
-                    rd = regs[op[1]]
-                    row = sregs[op[2]]
-                    for i in mask:
-                        rd[i] = row[i]
-                    record_alu(len(mask), op[3])
                 elif kind == OP_BARRIER:
                     metrics.record_barrier(op[1])
                     yield "barrier"

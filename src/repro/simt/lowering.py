@@ -11,10 +11,10 @@ time:
   arguments, constants, globals, ``undef``) gets one slot in a flat
   register file; operand access is a list index instead of a dict lookup
   through a :class:`~repro.ir.values.Value` key;
-* **per-opcode dispatch** — each instruction becomes one µop tuple whose
-  head is a small-int kind, with a *pre-specialized* per-lane evaluation
-  closure (wraparound masks, comparison predicates, GEP scale factors
-  all baked in at lowering time);
+* **one lane loop per run** — every maximal run of pure instructions
+  becomes one µop whose generated function evaluates the whole run for
+  the whole active mask (wraparound masks, comparison predicates, GEP
+  scale factors inlined; see "run functions" below);
 * **precomputed control flow** — branch targets, φ transfer plans per
   CFG edge (parallel read-then-write pairs), and IPDOM reconvergence
   points are resolved to block indices once.
@@ -31,24 +31,25 @@ fingerprint covers **operand identity**
 rewrites miss the cache instead of silently replaying stale code.
 
 Semantics are bit-identical to the reference interpreter by
-construction: the per-lane closures reuse (or inline exactly) the scalar
-semantics of :mod:`repro.ir.scalars`, undef propagation matches
-:class:`~repro.simt.warp.Warp` observation points, and trap messages
-embed the printed form of the bound function's own instruction
-(re-derived at materialization, so the symbolic form stays independent
-of SSA value naming and survives print/parse bit-identically).
+construction: the run functions inline exactly the scalar semantics of
+:mod:`repro.ir.scalars` (``tests/simt/test_run_functions.py`` is the
+oracle), undef propagation matches :class:`~repro.simt.warp.Warp`
+observation points, and trap messages embed the printed form of the
+bound function's own instruction (re-derived at materialization, so the
+symbolic form stays independent of SSA value naming and survives
+print/parse bit-identically).
 
 Lowering is split into two stages so programs can persist across
 processes (the compile cache stores them next to the optimized IR):
 
 * :func:`lower_symbolic` walks the IR once and produces a **symbolic
   program** — a pure-data (JSON-serializable) µop listing in which every
-  per-lane closure is a *descriptor* (e.g. ``["int2", "add", 32]``) and
-  arguments/globals are referenced by name;
+  computation is a *descriptor* (e.g. ``["int2", "add", ["i", 32]]``)
+  and arguments/globals are referenced by name;
 * :func:`materialize_program` turns a symbolic program back into a
-  runnable :class:`LoweredProgram` against a concrete function: closure
-  descriptors become the specialized closures, names resolve to the
-  function's live :class:`~repro.ir.values.Argument` /
+  runnable :class:`LoweredProgram` against a concrete function: pure
+  µops fuse into runs (one shared function per run *shape*), names
+  resolve to the function's live :class:`~repro.ir.values.Argument` /
   :class:`~repro.ir.function.GlobalVariable` objects.
 
 :func:`lower_function` is the composition of the two, so a program that
@@ -60,8 +61,7 @@ all five difftest oracle arms.
 
 from __future__ import annotations
 
-import json
-import operator
+import math
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.dominators import (
@@ -93,7 +93,7 @@ from repro.ir.instructions import (
     Store,
     UnaryOp,
 )
-from repro.ir.scalars import EvalError, eval_binary, eval_icmp, unsigned, wrap
+from repro.ir.scalars import EvalError
 from repro.ir.types import FloatType, IntType
 from repro.ir.values import Argument, Constant, Undef, Value
 
@@ -103,21 +103,26 @@ from .warp import SimulationError, UNDEF
 # ---------------------------------------------------------------------------
 # µop encoding
 #
-# Each non-φ, non-terminator instruction lowers to one tuple whose first
-# element is a kind tag; the executor dispatches on it with an if/elif
-# chain ordered by dynamic frequency.  Shapes:
+# In the symbolic program each non-φ, non-terminator instruction is one
+# list whose first element is a kind tag:
 #
-#   (OP_COMPUTE2, dest, src_a, src_b, loop_fn, latency)
-#   (OP_LOAD,     dest, src_ptr, address_space, latency, repr)
-#   (OP_STORE,    src_val, src_ptr, address_space, latency, repr)
-#   (OP_SELECT,   dest, src_cond, src_true, src_false, latency)
-#   (OP_COMPUTE1, dest, src_a, loop_fn, latency)
-#   (OP_SREG,     dest, sreg_tag, latency)
-#   (OP_BARRIER,  latency)
-#   (OP_TRAP,     message)
+#   [OP_COMPUTE2, dest, src_a, src_b, descriptor, latency]
+#   [OP_LOAD,     dest, src_ptr, address_space, latency, repr]
+#   [OP_STORE,    src_val, src_ptr, address_space, latency, repr]
+#   [OP_SELECT,   dest, src_cond, src_true, src_false, latency]
+#   [OP_COMPUTE1, dest, src_a, descriptor, latency]
+#   [OP_SREG,     dest, sreg_tag, latency]
+#   [OP_BARRIER,  latency]
+#   [OP_TRAP,     message]
 #
-# ``loop_fn(rd, ra[, rb], lanes)`` evaluates the whole active mask in one
-# call, so dispatch cost is paid per µop execution, not per lane.
+# Materialization keeps the memory, barrier and trap µops as tuples of
+# the same shape and fuses every maximal run of the four pure kinds into
+#
+#   (OP_RUN, run_fn, slots, consts, n_ops, latency_sum)
+#
+# (see "run functions" below), so dispatch cost is paid per run, not per
+# µop or per lane.  The executor dispatches on the kind with an if/elif
+# chain ordered by dynamic frequency.
 
 OP_COMPUTE2 = 0
 OP_LOAD = 1
@@ -127,6 +132,7 @@ OP_COMPUTE1 = 4
 OP_SREG = 5
 OP_BARRIER = 6
 OP_TRAP = 7
+OP_RUN = 8  # materialized programs only
 
 #: OP_SREG tags (index into the warp's special-register bank)
 SREG_TID, SREG_NTID, SREG_CTAID, SREG_NCTAID = 0, 1, 2, 3
@@ -183,176 +189,6 @@ class LoweredProgram:
         self.branch_latency = branch_latency
 
 
-# ---------------------------------------------------------------------------
-# per-lane evaluation closures
-#
-# Each maker returns ``run(rd, ra[, rb], lanes)`` evaluating every active
-# lane.  Undef handling matches the reference interpreter exactly: any
-# undef input yields an undef output for pure ops; traps re-raise as
-# SimulationError with the instruction's printed form.
-
-_INT_OPERATORS = {
-    Opcode.ADD: operator.add, Opcode.SUB: operator.sub,
-    Opcode.MUL: operator.mul, Opcode.AND: operator.and_,
-    Opcode.OR: operator.or_, Opcode.XOR: operator.xor,
-}
-_FLOAT_OPERATORS = {
-    Opcode.FADD: operator.add, Opcode.FSUB: operator.sub,
-    Opcode.FMUL: operator.mul,
-}
-_SIGNED_CMP_OPERATORS = {
-    "eq": operator.eq, "ne": operator.ne,
-    "slt": operator.lt, "sle": operator.le,
-    "sgt": operator.gt, "sge": operator.ge,
-}
-
-
-def _make_int2(pyop: Callable, type_: IntType) -> Callable:
-    """Wraparound integer binary op — inlines :func:`scalars.wrap`."""
-    mask_v = (1 << type_.bits) - 1
-    if type_.bits > 1:
-        sign = 1 << (type_.bits - 1)
-        mod = 1 << type_.bits
-
-        def run(rd, ra, rb, lanes):
-            for i in lanes:
-                a = ra[i]
-                b = rb[i]
-                if a is UNDEF or b is UNDEF:
-                    rd[i] = UNDEF
-                else:
-                    v = pyop(a, b) & mask_v
-                    rd[i] = v - mod if v >= sign else v
-    else:
-        def run(rd, ra, rb, lanes):
-            for i in lanes:
-                a = ra[i]
-                b = rb[i]
-                rd[i] = UNDEF if (a is UNDEF or b is UNDEF) else pyop(a, b) & mask_v
-    return run
-
-
-def _make_float2(pyop: Callable) -> Callable:
-    def run(rd, ra, rb, lanes):
-        for i in lanes:
-            a = ra[i]
-            b = rb[i]
-            rd[i] = UNDEF if (a is UNDEF or b is UNDEF) else pyop(a, b)
-    return run
-
-
-def _make_generic2(opcode: str, type_, instr_repr: str) -> Callable:
-    """Cold binary ops (div/rem/shift/fdiv): defer to ``eval_binary``."""
-    def run(rd, ra, rb, lanes):
-        for i in lanes:
-            a = ra[i]
-            b = rb[i]
-            if a is UNDEF or b is UNDEF:
-                rd[i] = UNDEF
-                continue
-            try:
-                rd[i] = eval_binary(opcode, a, b, type_)
-            except EvalError as exc:
-                raise SimulationError(f"{exc}: {instr_repr}") from exc
-    return run
-
-
-def _make_icmp(predicate: str, type_: IntType) -> Callable:
-    pyop = _SIGNED_CMP_OPERATORS.get(predicate)
-    if pyop is not None:
-        def run(rd, ra, rb, lanes):
-            for i in lanes:
-                a = ra[i]
-                b = rb[i]
-                if a is UNDEF or b is UNDEF:
-                    rd[i] = UNDEF
-                else:
-                    rd[i] = 1 if pyop(a, b) else 0
-    else:  # unsigned predicates need the width-aware reinterpretation
-        def run(rd, ra, rb, lanes):
-            for i in lanes:
-                a = ra[i]
-                b = rb[i]
-                if a is UNDEF or b is UNDEF:
-                    rd[i] = UNDEF
-                else:
-                    rd[i] = eval_icmp(predicate, a, b, type_)
-    return run
-
-
-def _make_fcmp(predicate: str) -> Callable:
-    pyop = {"oeq": operator.eq, "one": operator.ne,
-            "olt": operator.lt, "ole": operator.le,
-            "ogt": operator.gt, "oge": operator.ge}[predicate]
-
-    def run(rd, ra, rb, lanes):
-        for i in lanes:
-            a = ra[i]
-            b = rb[i]
-            if a is UNDEF or b is UNDEF:
-                rd[i] = UNDEF
-            else:
-                rd[i] = 1 if pyop(a, b) else 0
-    return run
-
-
-def _make_gep(element_size: int) -> Callable:
-    def run(rd, ra, rb, lanes):
-        for i in lanes:
-            a = ra[i]
-            b = rb[i]
-            rd[i] = UNDEF if (a is UNDEF or b is UNDEF) else a + b * element_size
-    return run
-
-
-def _make_minmax(fn: Callable) -> Callable:
-    def run(rd, ra, rb, lanes):
-        for i in lanes:
-            a = ra[i]
-            b = rb[i]
-            rd[i] = UNDEF if (a is UNDEF or b is UNDEF) else fn(a, b)
-    return run
-
-
-def _make_fneg() -> Callable:
-    def run(rd, ra, lanes):
-        for i in lanes:
-            v = ra[i]
-            rd[i] = UNDEF if v is UNDEF else -v
-    return run
-
-
-def _make_cast(opcode: str, from_type, to_type) -> Callable:
-    """Casts never trap; inline the :func:`scalars.eval_cast` arms."""
-    if opcode == Opcode.ZEXT:
-        convert = lambda v: unsigned(v, from_type)
-    elif opcode == Opcode.SEXT:
-        convert = lambda v: v
-    elif opcode == Opcode.TRUNC:
-        convert = lambda v: wrap(v, to_type)
-    elif opcode == Opcode.SITOFP:
-        convert = float
-    elif opcode == Opcode.FPTOSI:
-        convert = lambda v: wrap(int(v), to_type)
-    else:  # bitcast: pointer reinterpretation, value unchanged
-        convert = lambda v: v
-
-    def run(rd, ra, lanes):
-        for i in lanes:
-            v = ra[i]
-            rd[i] = UNDEF if v is UNDEF else convert(v)
-    return run
-
-
-# ---------------------------------------------------------------------------
-# closure descriptors
-#
-# The symbolic program form replaces every per-lane closure with a small
-# pure-data descriptor (a list, so it survives JSON unchanged); the first
-# element names the maker, the rest are its arguments.  Types embed as
-# ``["i", bits]`` / ``["f", bits]``; types a maker never reads (the
-# pointer sides of a bitcast) embed as ``["p"]``.
-
 PROGRAM_SCHEMA = "repro.simt.lowered-program/1"
 
 
@@ -362,6 +198,300 @@ class ProgramDecodeError(Exception):
     target function)."""
 
 
+# ---------------------------------------------------------------------------
+# run functions
+#
+# Materialization splits each block's µops into maximal **runs** of pure
+# µops (a load, store, barrier or trap µop ends a run); each run becomes
+# one ``OP_RUN`` whose function executes it in a single ``for i in mask:``
+# loop, intermediate values in locals.  The function is generated Python
+# source and a pure function of the run's **shape** — per µop its
+# statement template (descriptor and may-trap bit folded in), its operand
+# pattern (in-run value ``v`` / outside register ``r`` / constant ``c``,
+# in first-use numbering) and the index of its trap message — compiled
+# once per process and shared by every run of that shape; slot numbers,
+# constant values and trap-message reprs arrive as run-time arguments.
+# Descriptors come from the on-disk cache, so nothing read from one is
+# interpolated into source: opcodes and predicates index the closed
+# tables below, widths and element sizes must be ints in range.
+#
+# Fusing is exact because pure µops are lane-local and a run holds **at
+# most one** µop that can trap, so the first error a fused loop raises is
+# the one lockstep execution raises.  Any undef input of a pure op yields
+# undef (``select`` looks only at its condition), as in the reference;
+# the test is dropped for operands statically known defined (constants,
+# special registers, results computed from those).
+
+_INT2 = {Opcode.ADD: "+", Opcode.SUB: "-", Opcode.MUL: "*",
+         Opcode.AND: "&", Opcode.OR: "|", Opcode.XOR: "^"}
+_FLOAT2 = {Opcode.FADD: "+", Opcode.FSUB: "-", Opcode.FMUL: "*"}
+_SHIFTS = {Opcode.SHL: "%(a)s << {s}", Opcode.LSHR: "(%(a)s & {m}) >> {s}",
+           Opcode.ASHR: "%(a)s >> {s}"}
+_SIGNED_DIVS = {Opcode.SDIV: "q", Opcode.SREM: "%(a)s - q * %(b)s"}
+_UNSIGNED_DIVS = {Opcode.UDIV: "//", Opcode.UREM: "%%"}
+#: the ``u`` predicates compare the width-aware unsigned reinterpretation
+_ICMP = {"eq": "==", "ne": "!=", "slt": "<", "sle": "<=", "sgt": ">",
+         "sge": ">=", "ult": "<", "ule": "<=", "ugt": ">", "uge": ">="}
+_FCMP = {"oeq": "==", "one": "!=", "olt": "<", "ole": "<=", "ogt": ">",
+         "oge": ">="}
+_SELECT = "%(d)s = %(b)s if %(a)s else %(c)s"
+_DIV_TRAP = 'trap("integer division by zero", %(t)s)'
+
+#: shape -> run function, process-wide.  An entry is a pure function of
+#: its key, stored only after ``compile`` succeeded: nothing to invalidate.
+_RUN_MEMO: Dict[tuple, Callable] = {}
+
+
+def _trap(message: str, instr_repr: str):
+    raise SimulationError(f"{message}: {instr_repr}") from EvalError(message)
+
+
+def _bits(tref, kind: str = "i") -> int:
+    if (type(tref) is not list or len(tref) != 2 or tref[0] != kind
+            or type(tref[1]) is not int or not 1 <= tref[1] <= 64):
+        raise ProgramDecodeError(f"bad type reference {tref!r}")
+    return tref[1]
+
+
+def _wrapped(expr: str, bits: int) -> str:
+    """Statements assigning ``scalars.wrap(expr, i<bits>)`` to ``%(d)s``."""
+    if bits == 1:
+        return f"%(d)s = ({expr}) & 1"
+    return (f"%(d)s = ({expr}) & {(1 << bits) - 1}\n"
+            f"if %(d)s >= {1 << (bits - 1)}: %(d)s -= {1 << bits}")
+
+
+def _template(desc, rhs) -> Tuple[str, bool]:
+    """``(statements, may_trap)`` for one descriptor: the inlined
+    :mod:`repro.ir.scalars` semantics over operands ``%(a)s``/``%(b)s``,
+    result in ``%(d)s``, trap-message repr in ``%(t)s``.  ``rhs`` is the
+    right operand's value when it is a constant (else ``None``): a shift
+    amount or divisor that provably cannot trap drops its check."""
+    kind = desc[0]
+    if kind == "int2":
+        return _wrapped(f"%(a)s {_INT2[desc[1]]} %(b)s", _bits(desc[2])), False
+    if kind == "float2":
+        return f"%(d)s = %(a)s {_FLOAT2[desc[1]]} %(b)s", False
+    if kind == "icmp":
+        pyop = _ICMP[desc[1]]
+        mask = (1 << _bits(desc[2])) - 1
+        a, b = "%(a)s", "%(b)s"
+        if desc[1].startswith("u"):
+            a, b = f"({a} & {mask})", f"({b} & {mask})"
+        return f"%(d)s = 1 if {a} {pyop} {b} else 0", False
+    if kind == "fcmp":
+        return f"%(d)s = 1 if %(a)s {_FCMP[desc[1]]} %(b)s else 0", False
+    if kind == "gep":
+        if type(desc[1]) is not int or not 1 <= desc[1] <= 8:
+            raise ProgramDecodeError(f"bad element size {desc[1]!r}")
+        return f"%(d)s = %(a)s + %(b)s * {desc[1]}", False
+    if kind == "minmax":
+        pyop = {"min": "<", "max": ">"}[desc[1]]
+        return f"%(d)s = %(b)s if %(b)s {pyop} %(a)s else %(a)s", False
+    if kind == "fneg":
+        return "%(d)s = -%(a)s", False
+    if kind == "cast":
+        return _cast_template(desc[1], desc[2], desc[3])
+    if kind == "generic2":
+        return _generic2_template(desc[1], desc[2], rhs)
+    raise ProgramDecodeError(f"unknown descriptor {desc!r}")
+
+
+def _cast_template(opcode, from_tref, to_tref) -> Tuple[str, bool]:
+    if opcode == Opcode.ZEXT:
+        return f"%(d)s = %(a)s & {(1 << _bits(from_tref)) - 1}", False
+    if opcode == Opcode.TRUNC:
+        return _wrapped("%(a)s", _bits(to_tref)), False
+    if opcode == Opcode.SITOFP:
+        return "%(d)s = float(%(a)s)", False
+    if opcode == Opcode.FPTOSI:
+        return ("if not isfinite(%(a)s): "
+                'trap(f"fptosi of non-finite value {%(a)s!r}", %(t)s)\n'
+                + _wrapped("int(%(a)s)", _bits(to_tref))), True
+    if opcode in (Opcode.SEXT, Opcode.BITCAST):
+        return "%(d)s = %(a)s", False
+    raise ProgramDecodeError(f"unknown cast opcode {opcode!r}")
+
+
+def _generic2_template(opcode, tref, rhs) -> Tuple[str, bool]:
+    if opcode not in Opcode.BINARY:
+        raise ProgramDecodeError(f"unknown binary opcode {opcode!r}")
+    if tref[0] == "f":
+        _bits(tref, "f")
+        if opcode == Opcode.FDIV:
+            return ("%(d)s = %(a)s / %(b)s if %(b)s != 0.0 else "
+                    "(NAN if %(a)s == 0.0 else INF if %(a)s > 0 else -INF)",
+                    False)
+        return f'trap("bad float opcode {opcode}", %(t)s)', True
+    bits = _bits(tref)
+    mask = (1 << bits) - 1
+    rhs_int = type(rhs) is int
+    if opcode in _SHIFTS:
+        if rhs_int and 0 <= rhs < bits:
+            return _wrapped(_SHIFTS[opcode].format(s="%(b)s", m=mask),
+                            bits), False
+        return (f"s = %(b)s & {mask}\nif s >= {bits}: "
+                f'trap(f"shift amount {{s}} >= width {bits}", %(t)s)\n'
+                + _wrapped(_SHIFTS[opcode].format(s="s", m=mask), bits)), True
+    if opcode in _SIGNED_DIVS:
+        safe = rhs_int and rhs != 0
+        return (("" if safe else f"if %(b)s == 0: {_DIV_TRAP}\n")
+                + "q = abs(%(a)s) // abs(%(b)s)\n"
+                "if (%(a)s < 0) != (%(b)s < 0): q = -q\n"
+                + _wrapped(_SIGNED_DIVS[opcode], bits)), not safe
+    if opcode in _UNSIGNED_DIVS:
+        safe = rhs_int and rhs & mask != 0
+        return (f"ub = %(b)s & {mask}\n"
+                + ("" if safe else f"if ub == 0: {_DIV_TRAP}\n")
+                + _wrapped(f"(%(a)s & {mask}) {_UNSIGNED_DIVS[opcode]} ub",
+                           bits)), not safe
+    return f'trap("bad integer opcode {opcode}", %(t)s)', True
+
+
+def _compile_run(shape: tuple) -> Callable:
+    """Generate and compile ``run(regs, sregs, mask, slots, consts)`` for
+    one shape: per µop ``(template, operand refs, trap const index)``, a
+    ref being ``("v", k)`` (result of the run's k-th µop), ``("r", n)``
+    (``regs[slots[n]]``), ``("c", n)`` (``consts[n]``) or ``("s", tag)``
+    (special register); destination registers follow the outside ones in
+    ``slots``.  The source stays on the function as ``.source``."""
+    body: List[str] = []
+    loaded = set()          # outside registers already read this lane
+    defined: List[bool] = []  # per µop: result statically not UNDEF
+    n_regs = n_consts = 0
+    sreg_tags = set()
+    for k, (template, refs, trap) in enumerate(shape):
+        names: List[str] = []
+        guards: List[str] = []
+        known = True
+        for position, (kind, index) in enumerate(refs):
+            name = f"{kind}{index}"
+            if kind == "c":
+                n_consts = max(n_consts, index + 1)
+            elif kind == "s":
+                sreg_tags.add(index)
+                name += "[i]"
+            elif kind == "r":
+                n_regs = max(n_regs, index + 1)
+                name = f"a{index}"
+                if index not in loaded:
+                    loaded.add(index)
+                    body.append(f"{name} = r{index}[i]")
+            if kind == "r" or (kind == "v" and not defined[index]):
+                known = False
+                # `select undef, a, b` is the only undef a select propagates
+                if name not in guards and (position == 0
+                                           or template != _SELECT):
+                    guards.append(name)
+            names.append(name)
+        operands = dict(zip("abc", names), d=f"v{k}")
+        if trap is not None:
+            n_consts = max(n_consts, trap + 1)
+            operands["t"] = f"c{trap}"
+        lines = (template % operands).split("\n")
+        if guards:
+            test = " or ".join(f"{name} is U" for name in guards)
+            body += [f"if {test}: v{k} = U", "else:"]
+            lines = ["    " + line for line in lines]
+        body += lines
+        body.append(f"d{k}[i] = v{k}")
+        defined.append(known)
+    registers = [f"r{n}" for n in range(n_regs)] \
+        + [f"d{k}" for k in range(len(shape))]
+    prelude = [f"{', '.join(registers)}, = map(regs.__getitem__, slots)"]
+    if n_consts:
+        prelude.append(
+            f"{', '.join(f'c{n}' for n in range(n_consts))}, = consts")
+    prelude += [f"s{tag} = sregs[{tag}]" for tag in sorted(sreg_tags)]
+    source = "\n".join(
+        ["def run(regs, sregs, mask, slots, consts, U=U):"]
+        + ["    " + line for line in prelude + ["for i in mask:"]]
+        + ["        " + line for line in body]) + "\n"
+    namespace = {"U": UNDEF, "trap": _trap, "isfinite": math.isfinite,
+                 "NAN": math.nan, "INF": math.inf}
+    exec(compile(source, f"<run shape {len(_RUN_MEMO)}>", "exec"), namespace)
+    run = namespace["run"]
+    run.source = source
+    return run
+
+
+class _RunBuilder:
+    """Accumulates consecutive pure µops of one block into ``OP_RUN``s."""
+
+    def __init__(self, const_of: Dict[int, object], out: List[tuple]) -> None:
+        self.const_of = const_of
+        self.out = out
+        self._reset()
+
+    def _reset(self) -> None:
+        self.shape: List[tuple] = []
+        self.regs: Dict[int, int] = {}     # outside slot -> first-use number
+        self.dests: List[int] = []
+        self.produced: Dict[int, int] = {}  # slot -> µop of the run writing it
+        self.consts: List[object] = []
+        self.latency = 0
+        self.traps = False
+
+    def add(self, op, instr: Optional[Instruction]) -> None:
+        kind = op[0]
+        dest, latency = op[1], op[-1]
+        refs: List[tuple] = []
+        if kind == OP_COMPUTE2:
+            sources = op[2:4]
+            template, may_trap = _template(op[4], self.const_of.get(op[3]))
+        elif kind == OP_COMPUTE1:
+            sources = op[2:3]
+            template, may_trap = _template(op[3], None)
+        elif kind == OP_SELECT:
+            sources, template, may_trap = op[2:5], _SELECT, False
+        else:  # OP_SREG
+            if type(op[2]) is not int or not 0 <= op[2] <= SREG_NCTAID:
+                raise ProgramDecodeError(f"unknown special register {op[2]!r}")
+            refs.append(("s", op[2]))
+            sources, template, may_trap = (), "%(d)s = %(a)s", False
+        if may_trap and self.traps:
+            self.flush()
+        for slot in sources:
+            if slot in self.produced:
+                refs.append(("v", self.produced[slot]))
+            elif slot in self.const_of:
+                refs.append(("c", len(self.consts)))
+                self.consts.append(self.const_of[slot])
+            else:
+                refs.append(("r", self.regs.setdefault(slot, len(self.regs))))
+        trap = None
+        if may_trap:
+            self.traps = True
+            trap = len(self.consts)
+            described = op[4][3] if kind == OP_COMPUTE2 else None
+            self.consts.append(described if described is not None
+                               else repr(instr))
+        self.produced[dest] = len(self.shape)
+        self.shape.append((template, tuple(refs), trap))
+        self.dests.append(dest)
+        self.latency += latency
+
+    def flush(self) -> None:
+        if not self.shape:
+            return
+        shape = tuple(self.shape)
+        run = _RUN_MEMO.get(shape)
+        if run is None:
+            run = _RUN_MEMO[shape] = _compile_run(shape)
+        self.out.append((OP_RUN, run, tuple(self.regs) + tuple(self.dests),
+                         tuple(self.consts), len(shape), self.latency))
+        self._reset()
+
+
+# ---------------------------------------------------------------------------
+# descriptors
+#
+# The symbolic program form describes every pure computation with a small
+# pure-data descriptor (a list, so it survives JSON unchanged); the first
+# element names the template family, the rest are its parameters.  Types
+# embed as ``["i", bits]`` / ``["f", bits]``; types a template never reads
+# (the pointer sides of a bitcast) embed as ``["p"]``.
+
 def _encode_type(type_) -> list:
     if isinstance(type_, IntType):
         return ["i", type_.bits]
@@ -370,60 +500,18 @@ def _encode_type(type_) -> list:
     return ["p"]
 
 
-def _decode_type(tref):
-    kind = tref[0]
-    if kind == "i":
-        return IntType(tref[1])
-    if kind == "f":
-        return FloatType(tref[1])
-    if kind == "p":
-        return None  # only legal where the maker ignores the type
-    raise ProgramDecodeError(f"unknown type reference {tref!r}")
-
-
 def _binary_desc(instr: BinaryOp) -> list:
     # The trap-message repr slot is None in the symbolic form (value
     # names are not stable across print/parse); materialization fills it
     # from the bound function's own instruction.
     opcode = instr.opcode
     if isinstance(instr.type, FloatType):
-        if opcode in _FLOAT_OPERATORS:
+        if opcode in _FLOAT2:
             return ["float2", opcode]
         return ["generic2", opcode, _encode_type(instr.type), None]
-    if opcode in _INT_OPERATORS:
+    if opcode in _INT2:
         return ["int2", opcode, _encode_type(instr.type)]
     return ["generic2", opcode, _encode_type(instr.type), None]
-
-
-def _closure_from_desc(desc, instr: Optional[Instruction] = None) -> Callable:
-    kind = desc[0]
-    try:
-        if kind == "int2":
-            return _make_int2(_INT_OPERATORS[desc[1]], _decode_type(desc[2]))
-        if kind == "float2":
-            return _make_float2(_FLOAT_OPERATORS[desc[1]])
-        if kind == "generic2":
-            instr_repr = desc[3] if desc[3] is not None else repr(instr)
-            return _make_generic2(desc[1], _decode_type(desc[2]), instr_repr)
-        if kind == "icmp":
-            return _make_icmp(desc[1], _decode_type(desc[2]))
-        if kind == "fcmp":
-            return _make_fcmp(desc[1])
-        if kind == "gep":
-            return _make_gep(desc[1])
-        if kind == "minmax":
-            return _make_minmax(min if desc[1] == "min" else max)
-        if kind == "cast":
-            return _make_cast(desc[1], _decode_type(desc[2]),
-                              _decode_type(desc[3]))
-        if kind == "fneg":
-            return _make_fneg()
-    except ProgramDecodeError:
-        raise
-    except Exception as exc:
-        raise ProgramDecodeError(
-            f"bad closure descriptor {desc!r}: {exc}") from exc
-    raise ProgramDecodeError(f"unknown closure descriptor {desc!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -592,22 +680,29 @@ def lower_symbolic(function: Function, latency: LatencyModel) -> dict:
 # materialization (symbolic program → runnable program)
 
 
-def _materialize_op(op, instr: Optional[Instruction]) -> tuple:
-    kind = op[0]
-    if kind == OP_COMPUTE2:
-        return (OP_COMPUTE2, op[1], op[2], op[3],
-                _closure_from_desc(op[4], instr), op[5])
-    if kind == OP_COMPUTE1:
-        return (OP_COMPUTE1, op[1], op[2],
-                _closure_from_desc(op[3], instr), op[4])
-    if kind in (OP_LOAD, OP_STORE):
-        return tuple(op[:5]) + (op[5] if op[5] is not None else repr(instr),)
-    if kind == OP_TRAP:
-        message = op[1] if op[1] is not None else f"cannot evaluate {instr!r}"
-        return (OP_TRAP, message)
-    if kind in (OP_SELECT, OP_SREG, OP_BARRIER):
-        return tuple(op)
-    raise ProgramDecodeError(f"unknown µop kind {kind!r}")
+def _materialize_ops(ops, instrs, const_of: Dict[int, object]) -> tuple:
+    """One block's µops: pure µops fused into ``OP_RUN``s, the rest bound
+    to the live instructions' reprs."""
+    out: List[tuple] = []
+    run = _RunBuilder(const_of, out)
+    for op, instr in zip(ops, instrs):
+        kind = op[0]
+        if kind in (OP_COMPUTE2, OP_COMPUTE1, OP_SELECT, OP_SREG):
+            run.add(op, instr)
+            continue
+        run.flush()
+        if kind in (OP_LOAD, OP_STORE):
+            out.append(tuple(op[:5])
+                       + (op[5] if op[5] is not None else repr(instr),))
+        elif kind == OP_TRAP:
+            out.append((OP_TRAP, op[1] if op[1] is not None
+                        else f"cannot evaluate {instr!r}"))
+        elif kind == OP_BARRIER:
+            out.append(tuple(op))
+        else:
+            raise ProgramDecodeError(f"unknown µop kind {kind!r}")
+    run.flush()
+    return tuple(out)
 
 
 def _materialize_term(term, branch: Optional[Instruction]) -> tuple:
@@ -657,6 +752,7 @@ def materialize_program(data: dict, function: Function) -> LoweredProgram:
             raise ProgramDecodeError(
                 f"program has {len(data['blocks'])} blocks, "
                 f"@{function.name} has {len(function.blocks)}")
+        const_of = {index: value for index, value in data["const_slots"]}
         blocks = []
         for encoded, live in zip(data["blocks"], function.blocks):
             if encoded["name"] != live.name:
@@ -670,8 +766,7 @@ def materialize_program(data: dict, function: Function) -> LoweredProgram:
                     f"µops, live block lowers {len(simple)}")
             blocks.append(LoweredBlock(
                 encoded["name"],
-                tuple(_materialize_op(op, instr)
-                      for op, instr in zip(encoded["ops"], simple)),
+                _materialize_ops(encoded["ops"], simple, const_of),
                 _materialize_term(encoded["term"], terminator)))
         arg_by_name = {arg.name: arg for arg in function.args}
         arg_slots: List[Tuple[int, Argument]] = []
@@ -693,8 +788,7 @@ def materialize_program(data: dict, function: Function) -> LoweredProgram:
             blocks=blocks,
             entry_index=data["entry_index"],
             num_slots=data["num_slots"],
-            const_slots=[(index, value)
-                         for index, value in data["const_slots"]],
+            const_slots=list(const_of.items()),
             arg_slots=arg_slots,
             global_slots=global_slots,
             branch_latency=data["branch_latency"],
@@ -713,8 +807,9 @@ def lower_function(function: Function, latency: LatencyModel) -> LoweredProgram:
 # ---------------------------------------------------------------------------
 # memoization — same shape as analysis.function_analyses (the entries
 # live on the Function, in ``Function.memo``, so they are freed with it:
-# µop closures reference their function, and a module-level table, even
-# a weak-keyed one, would keep every launched function alive), but keyed
+# programs reference their function's arguments, and a module-level
+# table, even a weak-keyed one, would keep every launched function
+# alive — run functions, shared by shape, reference none), but keyed
 # on MachineConfig.program_token() (latencies are baked into µops, and
 # the reconvergence policy keys defensively so per-policy lowering state
 # can never alias) and fingerprinted down to operand identity (operand

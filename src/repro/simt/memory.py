@@ -50,11 +50,9 @@ class Segment:
         self.element_type = element_type
         self.element_size = sizeof(element_type)
         self.count = count
+        #: one past the last byte (``base`` and ``count`` never change)
+        self.end = base + count * self.element_size
         self.data: List = [0] * count
-
-    @property
-    def end(self) -> int:
-        return self.base + self.count * self.element_size
 
     def index_of(self, addr: int) -> int:
         offset = addr - self.base

@@ -136,11 +136,16 @@ class TestScalars:
         assert math.isnan(eval_binary("fdiv", 0.0, 0.0, F32))
 
     def test_eval_cast(self):
-        from repro.ir.scalars import eval_cast
+        from repro.ir.scalars import EvalError, eval_cast
         from repro.ir import I8, F32
 
         assert eval_cast("zext", -1, I8, I32) == 255
         assert eval_cast("sext", -1, I8, I32) == -1
         assert eval_cast("trunc", 257, I32, I8) == 1
         assert eval_cast("fptosi", -2.7, F32, I32) == -2  # trunc toward 0
+        # fdiv by zero deliberately yields nan/inf; converting those is a
+        # typed trap, not int()'s ValueError/OverflowError
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(EvalError, match="fptosi of non-finite"):
+                eval_cast("fptosi", bad, F32, I32)
         assert eval_cast("sitofp", 5, I32, F32) == 5.0

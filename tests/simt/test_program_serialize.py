@@ -35,6 +35,7 @@ from repro.simt import (
     MachineConfig,
     ProgramDecodeError,
     lower_symbolic,
+    lowering,
     materialize_program,
     seed_program,
 )
@@ -150,3 +151,44 @@ class TestDecodeErrors:
         builder, _ = self._symbolic()
         with pytest.raises(ProgramDecodeError):
             materialize_program({"schema": PROGRAM_SCHEMA}, builder.function)
+
+    @pytest.mark.parametrize("descriptor", [
+        ["gep", "4; import os"],               # strings where ints belong
+        ["int2", "add", ["i", "32"]],
+        ["int2", "add", ["i", 0]],             # widths outside 1-64
+        ["int2", "add", ["i", 65]],
+        ["icmp", "slt", ["i", True]],
+        ["gep", 4096],
+        ["int2", "__import__", ["i", 32]],     # unknown opcode / predicate
+        ["generic2", "pow", ["i", 32], None],
+        ["icmp", "lt", ["i", 32]],
+        ["fcmp", "ueq"],
+        ["cast", "ptrtoint", ["i", 32], ["i", 32]],
+        ["minmax", "mid"],
+        "int2",                                # not a list at all
+        7,
+        None,
+    ], ids=repr)
+    def test_hostile_descriptor_rejected_before_anything_compiles(
+            self, descriptor):
+        """Descriptors arrive from the on-disk cache and end up shaping
+        generated source: anything outside the closed tables must stop at
+        ProgramDecodeError with no run function compiled."""
+        builder, symbolic = self._symbolic()
+        bad = json.loads(json.dumps(symbolic))
+        op = next(op for block in bad["blocks"] for op in block["ops"]
+                  if op[0] == lowering.OP_COMPUTE2)
+        op[4] = descriptor
+        shapes = len(lowering._RUN_MEMO)
+        with pytest.raises(ProgramDecodeError):
+            materialize_program(bad, builder.function)
+        assert len(lowering._RUN_MEMO) == shapes
+
+    def test_unknown_special_register_rejected(self):
+        builder, symbolic = self._symbolic()
+        bad = json.loads(json.dumps(symbolic))
+        op = next(op for block in bad["blocks"] for op in block["ops"]
+                  if op[0] == lowering.OP_SREG)
+        op[2] = "0]; import os; sregs[0"
+        with pytest.raises(ProgramDecodeError):
+            materialize_program(bad, builder.function)

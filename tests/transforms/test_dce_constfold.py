@@ -163,3 +163,20 @@ entry:
 """)
         fold_constants(f)
         assert any(i.opcode == "sdiv" for i in f.entry)
+
+    def test_fptosi_of_non_finite_not_folded(self):
+        """``fptosi(fdiv 1.0, 0.0)`` used to kill constfold (and with it
+        ``repro.compile(..., level="O3")``) with an OverflowError."""
+        import repro
+
+        f = parse("""
+define void @k(i32 addrspace(1)* %p) {
+entry:
+  %q = fdiv float 1.0, 0.0
+  %v = fptosi float %q to i32
+  store i32 %v, i32 addrspace(1)* %p
+  ret void
+}
+""")
+        repro.compile(f, level="O3")
+        assert any(i.opcode == "fptosi" for i in f.entry)
