@@ -43,11 +43,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro._deprecation import warn_once
 from repro.core import CFMConfig, CFMStats, MeldRecord
 from repro.ir import print_module
 from repro.ir.parser import parse_module
@@ -60,8 +59,8 @@ from repro.obs import (
 from repro.obs.decisions import MeldingDecision
 from repro.obs.passes import pass_timing_events
 from repro.obs.tracer import COMPILE_PID
+from repro.analysis.validate import MeldValidation
 from repro.simt import (
-    DEFAULT_CONFIG,
     ProgramDecodeError,
     latency_token_key,
     machine_token_key,
@@ -79,20 +78,6 @@ CACHE_ENV_VAR = "REPRO_COMPILE_CACHE"
 CacheKey = Tuple[str, str]
 
 
-def _machine_from_latency(machine, latency, where: str):
-    """Fold the deprecated ``latency=`` kwarg into a machine config."""
-    if latency is None:
-        return machine
-    if machine is not None:
-        raise ValueError(
-            f"{where}: latency= duplicates MachineConfig.latency and the "
-            f"machine= config wins; spell it "
-            f"machine=MachineConfig(latency=...)")
-    warn_once(f"{where}(latency=...) is deprecated; pass "
-              f"machine=MachineConfig(latency=...)", stacklevel=4)
-    return replace(DEFAULT_CONFIG, latency=latency)
-
-
 def digest_text(*parts: str) -> str:
     """SHA-256 hex digest of ``parts`` (NUL-joined, so boundaries count)."""
     h = hashlib.sha256()
@@ -106,20 +91,15 @@ def digest_text(*parts: str) -> str:
 def cfm_pipeline_id(config: Optional[CFMConfig] = None) -> str:
     """Pipeline id of the full ``-O3 + CFM + late cleanups`` pipeline.
 
-    Every :class:`CFMConfig` knob (including the latency model feeding
-    the profitability heuristics) lands in the digest, so sweeps over
-    melding configurations never share entries.
+    The token is derived from ``dataclasses.fields(CFMConfig)`` — every
+    knob (``validate`` included, and the latency model feeding the
+    profitability heuristics) lands in the digest by construction, so
+    sweeps over melding configurations never share entries and a new
+    knob cannot be forgotten.
     """
     config = config or CFMConfig()
-    token = {
-        "profitability_threshold": config.profitability_threshold,
-        "max_iterations": config.max_iterations,
-        "unpredication": config.unpredication,
-        "split_pure_runs": config.split_pure_runs,
-        "optimal_subgraph_alignment": config.optimal_subgraph_alignment,
-        "allow_partial_melds": config.allow_partial_melds,
-        "latency": latency_token_key(config.latency),
-    }
+    token = {f.name: getattr(config, f.name) for f in fields(CFMConfig)}
+    token["latency"] = latency_token_key(config.latency)
     return "cfm:" + digest_text(json.dumps(token, sort_keys=True))[:16]
 
 
@@ -132,6 +112,7 @@ def cfm_stats_to_data(stats: CFMStats) -> Dict[str, object]:
     return {
         "melds": [asdict(m) for m in stats.melds],
         "decisions": [d.as_dict() for d in stats.decisions],
+        "validations": [asdict(v) for v in stats.validations],
         "iterations": stats.iterations,
         "regions_considered": stats.regions_considered,
         "pairs_rejected_unprofitable": stats.pairs_rejected_unprofitable,
@@ -143,6 +124,9 @@ def cfm_stats_from_data(data: Dict[str, object]) -> CFMStats:
     return CFMStats(
         melds=[MeldRecord(**m) for m in data["melds"]],
         decisions=[MeldingDecision.from_dict(d) for d in data["decisions"]],
+        # absent in entries written before validations were persisted
+        validations=[MeldValidation(**v)
+                     for v in data.get("validations", [])],
         iterations=data["iterations"],
         regions_considered=data["regions_considered"],
         pairs_rejected_unprofitable=data["pairs_rejected_unprofitable"],
@@ -317,7 +301,7 @@ class CompileCache:
     # ---- lookup / store ----------------------------------------------------
 
     def lookup(self, key: CacheKey, want_ir_stats: bool = False,
-               machine=None, *, latency=None) -> Optional[CacheHit]:
+               machine=None) -> Optional[CacheHit]:
         """Return a :class:`CacheHit`, or None (counted as a miss).
 
         ``want_ir_stats=True`` rejects entries whose timings lack IR
@@ -326,9 +310,7 @@ class CompileCache:
         ``machine`` (a :class:`~repro.simt.MachineConfig`), a stored
         program matching its program token is materialized and seeded
         into the launch memo so the first launch skips lowering.
-        ``latency=`` is the deprecated pre-PR-7 spelling.
         """
-        machine = _machine_from_latency(machine, latency, "CompileCache.lookup")
         source = "memory"
         payload = self._entries.get(key)
         if payload is None and self.disk is not None:
@@ -380,18 +362,15 @@ class CompileCache:
               ir_stats: bool = False,
               program: Optional[Dict[str, object]] = None,
               machine=None,
-              latency=None,
               cfm_seconds: float = 0.0,
               cfm_stats: Optional[CFMStats] = None) -> None:
         """Store one pipeline result (write-through to disk if attached).
 
         ``program`` is a symbolic lowered program
         (:func:`repro.simt.lower_symbolic` of the optimized function)
-        keyed by the ``machine``'s program token; ``latency=`` is the
-        deprecated pre-PR-7 spelling.  ``cfm_stats`` marks a
+        keyed by the ``machine``'s program token.  ``cfm_stats`` marks a
         full-pipeline entry.
         """
-        machine = _machine_from_latency(machine, latency, "CompileCache.store")
         payload: Dict[str, object] = {
             "optimized_ir": print_module(module),
             "seconds": seconds,

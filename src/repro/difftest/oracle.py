@@ -49,26 +49,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import repro
-from repro import (
-    BranchFusionPass,
-    CFMConfig,
-    CFMPass,
-    GPU,
-    MachineConfig,
-    PassPipeline,
-    TailMergingPass,
-    late_pipeline,
-    o3_pipeline,
-    verify_function,
-)
+from repro import CFMConfig, GPU, MachineConfig, verify_function
 from repro.analysis import MeldValidationError, validate_melds_hook
-from repro.simt import resolve_machine
 from repro.obs import MeldingDecision, Tracer, use as use_tracer
+from repro.pipeline import ARMS, compile_arm
 
 from .generator import KernelSpec, build_kernel, make_inputs
 
-#: every arm of the matrix, in reporting order
-ALL_ARMS = ("noopt", "o3", "o3-cfm", "o3-tail", "o3-bf")
+#: every arm of the matrix, in reporting order (the compile driver's)
+ALL_ARMS = ARMS
 #: arms that exercise a divergence-reduction pass on top of -O3
 MELDING_ARMS = ("o3-cfm", "o3-tail", "o3-bf")
 
@@ -193,40 +182,6 @@ class _LintDiffer:
         self.baseline = report
 
 
-def _arm_pipeline(arm: str, hook: _PassVerifier,
-                  cfm_config: Optional[CFMConfig],
-                  lint_hook: Optional[_LintDiffer] = None,
-                  validate: bool = False) -> List[PassPipeline]:
-    """The pass pipelines one arm runs, in order (empty for ``noopt``)."""
-    if arm == "noopt":
-        return []
-    o3 = o3_pipeline()
-    o3.verify_after_each = hook
-    o3.lint_after_each = lint_hook
-    if arm == "o3":
-        return [o3]
-    if arm == "o3-cfm" and validate:
-        cfm_config = dataclasses.replace(cfm_config or CFMConfig(),
-                                         validate=True)
-    reducer = {
-        "o3-cfm": lambda: CFMPass(cfm_config),
-        "o3-tail": TailMergingPass,
-        "o3-bf": BranchFusionPass,
-    }[arm]()
-    # One pipeline hosts the reducer and the late cleanups through the
-    # same Pass surface — the point of the unified pass API.  Under
-    # ``validate`` the stage also carries the translation-validation
-    # hook, so an INEQUIVALENT meld aborts the arm at the guilty pass.
-    stage2 = PassPipeline([reducer], verify_after_each=hook,
-                          lint_after_each=lint_hook,
-                          validate_melds=(validate_melds_hook
-                                          if arm == "o3-cfm" and validate
-                                          else None))
-    for late_pass in late_pipeline().passes:
-        stage2.add(late_pass)
-    return [o3, stage2]
-
-
 def _compile_arm(arm: str, spec: KernelSpec,
                  cfm_config: Optional[CFMConfig],
                  lint: bool = True, validate: bool = False) -> ArmReport:
@@ -237,14 +192,17 @@ def _compile_arm(arm: str, spec: KernelSpec,
     try:
         lint_hook = (_LintDiffer(function)
                      if lint and arm != "noopt" else None)
-        pipelines = _arm_pipeline(arm, hook, cfm_config, lint_hook,
-                                  validate=validate)
-        for index, pipeline in enumerate(pipelines):
-            if index == 0:
-                pipeline.run_to_fixpoint(function)  # the -O3 stage
-            else:
-                pipeline.run(function)
-        verify_function(function)
+        # Under ``validate`` the CFM arm compiles with translation
+        # validation on and carries the hook, so an INEQUIVALENT meld
+        # aborts the arm at the guilty pass.
+        validate = validate and arm == "o3-cfm"
+        if validate:
+            cfm_config = dataclasses.replace(cfm_config or CFMConfig(),
+                                             validate=True)
+        result = compile_arm(
+            builder, arm, cfm_config, verify_after_each=hook,
+            lint_after_each=lint_hook,
+            validate_melds=validate_melds_hook if validate else None)
     except PassVerificationError as exc:
         report.failure = Failure(arm=arm, kind="verifier", detail=str(exc),
                                  pass_name=exc.pass_name)
@@ -262,11 +220,9 @@ def _compile_arm(arm: str, spec: KernelSpec,
                                  detail=f"{type(exc).__name__}: {exc}")
         return report
     report.verified_passes = hook.count
-    if arm == "o3-cfm":
-        cfm = next(p for pl in pipelines for p in pl.passes
-                   if isinstance(p, CFMPass))
-        report.melds = len(cfm.stats.melds) if cfm.stats else 0
-        report.decisions = list(cfm.stats.decisions) if cfm.stats else []
+    if result.cfm_stats is not None:
+        report.melds = result.melds
+        report.decisions = list(result.cfm_stats.decisions)
         if lint:
             # The per-pass hook cannot see the decision log (it lives on
             # the pass object); audit meld legality once, post-compile.
@@ -343,7 +299,6 @@ def run_oracle(spec: KernelSpec,
                input_seeds: Sequence[int] = (0, 1),
                cfm_config: Optional[CFMConfig] = None,
                machine: Optional[MachineConfig] = None,
-               executor: Optional[str] = None,
                validate: bool = False) -> Verdict:
     """Compile and run ``spec`` under every arm; diff against ``noopt``.
 
@@ -352,7 +307,7 @@ def run_oracle(spec: KernelSpec,
     policy, latency model.  The executor-differential tests run the same
     compiled arms under both executors; the policy-differential contract
     is that device memory is bit-identical across reconvergence policies
-    too.  ``executor=`` is the deprecated pre-PR-7 spelling.
+    too.
 
     ``validate=True`` adds the *static* sixth oracle: the ``o3-cfm`` arm
     compiles with symbolic translation validation enabled
@@ -362,8 +317,6 @@ def run_oracle(spec: KernelSpec,
     ``"validate"`` — even when every run-and-diff input happens to mask
     the miscompile dynamically.
     """
-    machine = resolve_machine(machine, executor=executor,
-                              where="run_oracle")
     unknown = set(arms) - set(ALL_ARMS)
     if unknown:
         raise ValueError(f"unknown arms: {sorted(unknown)} "

@@ -21,18 +21,13 @@ from .parallel import (
     TaskResult,
     fold_sweep_metrics,
     run_task,
-    run_tasks,
 )
 from .progress import ProgressLine
 from .trace import (
     SWEEP_TRACE_SCHEMA,
-    SWEEP_TRACE_SCHEMA_V1,
-    SWEEP_TRACE_SCHEMA_V2,
     SweepTraceCollector,
     TRACE_EVENT_POLICIES,
     load_sweep_trace,
-    pass_trace_events,
-    write_pass_trace_jsonl,
 )
 from .experiments import (
     CapabilityRow,
@@ -67,11 +62,9 @@ __all__ = [
     "compile_baseline", "compile_cfm", "execute", "geomean",
     "ParallelRunner", "ProgressCallback", "ProgressLine",
     "SweepError", "SweepTask", "TaskResult",
-    "fold_sweep_metrics", "run_task", "run_tasks",
-    "SWEEP_TRACE_SCHEMA", "SWEEP_TRACE_SCHEMA_V1", "SWEEP_TRACE_SCHEMA_V2",
-    "SweepTraceCollector",
+    "fold_sweep_metrics", "run_task",
+    "SWEEP_TRACE_SCHEMA", "SweepTraceCollector",
     "TRACE_EVENT_POLICIES", "load_sweep_trace",
-    "pass_trace_events", "write_pass_trace_jsonl",
     "CapabilityRow", "CompileTimeRow", "CounterRow",
     "DEFAULT_GRID_DIM", "DEFAULT_SEED", "Figure8Result",
     "REAL_BLOCK_SIZES", "SYNTHETIC_BLOCK_SIZES", "SpeedupRow",

@@ -12,19 +12,12 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.divergence import compute_divergence
-from repro.baselines import fuse_branches, merge_tails
-from repro.core import CFMConfig, run_cfm
-from repro.ir import verify_function
+from repro.core import CFMConfig
 from repro.kernels import ALL_BUILDERS, REAL_WORLD_BUILDERS, SYNTHETIC_BUILDERS
 from repro.kernels.common import KernelCase
 from repro.kernels.patterns import PATTERN_BUILDERS
+from repro.pipeline import ARM_STAGES, compile_arm
 from repro.simt import MachineConfig
-from repro.transforms import (
-    eliminate_dead_code,
-    optimize,
-    simplify_cfg,
-    speculate_hammocks,
-)
 
 from repro.obs import current_registry
 
@@ -288,26 +281,9 @@ class CapabilityRow:
         return self.divergent_branches_after < self.divergent_branches_before
 
 
-TECHNIQUES: Dict[str, Callable] = {}
-
-
-def _apply_tail_merging(function) -> None:
-    merge_tails(function)
-
-
-def _apply_branch_fusion(function) -> None:
-    fuse_branches(function)
-
-
-def _apply_cfm(function) -> None:
-    run_cfm(function)
-
-
-TECHNIQUES.update({
-    "tail-merging": _apply_tail_merging,
-    "branch-fusion": _apply_branch_fusion,
-    "cfm": _apply_cfm,
-})
+#: Table I's columns, in the paper's order (arms of the compile driver;
+#: a row's technique name is the arm's reducer pass)
+TABLE1_ARMS = ("o3-tail", "o3-bf", "o3-cfm")
 
 
 def table1(seed: int = DEFAULT_SEED) -> List[CapabilityRow]:
@@ -315,24 +291,18 @@ def table1(seed: int = DEFAULT_SEED) -> List[CapabilityRow]:
     rows: List[CapabilityRow] = []
     for pattern_name, builder in PATTERN_BUILDERS.items():
         reference_case = builder()
-        optimize(reference_case.function)
+        compile_arm(reference_case, "o3")
         reference = execute(reference_case, seed=seed)
         before = len(compute_divergence(reference_case.function)
                      .divergent_branch_blocks)
-        for technique_name, technique in TECHNIQUES.items():
+        for arm in TABLE1_ARMS:
             case = builder()
-            optimize(case.function)
-            technique(case.function)
-            simplify_cfg(case.function)
-            speculate_hammocks(case.function)
-            simplify_cfg(case.function)
-            eliminate_dead_code(case.function)
-            verify_function(case.function)
+            compile_arm(case, arm)
             after = len(compute_divergence(case.function).divergent_branch_blocks)
             run = execute(case, seed=seed)
             rows.append(CapabilityRow(
                 pattern=pattern_name,
-                technique=technique_name,
+                technique=ARM_STAGES[arm][1],
                 divergent_branches_before=before,
                 divergent_branches_after=after,
                 outputs_correct=(run.outputs == reference.outputs),

@@ -54,7 +54,6 @@ from repro.obs import (
     use_registry,
 )
 from repro.scheduler import NO_RECYCLE, RecyclePolicy, Scheduler, Task
-from repro.scheduler.core import _mp_context  # noqa: F401  (back-compat)
 from repro.simt import MachineConfig
 
 from .runner import Comparison, CompileCache, compare
@@ -122,6 +121,19 @@ class TaskResult:
     @property
     def ok(self) -> bool:
         return self.comparison is not None
+
+    @classmethod
+    def from_outcome(cls, outcome, index: int, kernel: str,
+                     block_size: int) -> "TaskResult":
+        """The result a settled scheduler outcome stands for: the task's
+        own on success, a terminal-failure record otherwise."""
+        if outcome.ok:
+            return outcome.value
+        return cls(index=index, kernel=kernel, block_size=block_size,
+                   error=outcome.error, attempts=outcome.attempts,
+                   seconds=outcome.seconds,
+                   metrics_delta=outcome.metrics_delta,
+                   crashed=outcome.crashed)
 
 
 class SweepError(RuntimeError):
@@ -304,16 +316,9 @@ class ParallelRunner:
         def on_outcome(outcome) -> None:
             # Runs on the scheduler's dispatcher thread, one outcome at
             # a time — no extra synchronization needed here.
-            if outcome.ok:
-                result = outcome.value
-            else:
-                task = tasks[outcome.index]
-                result = TaskResult(
-                    index=outcome.index, kernel=task.kernel,
-                    block_size=task.block_size, error=outcome.error,
-                    attempts=outcome.attempts, seconds=outcome.seconds,
-                    metrics_delta=outcome.metrics_delta,
-                    crashed=outcome.crashed)
+            task = tasks[outcome.index]
+            result = TaskResult.from_outcome(
+                outcome, outcome.index, task.kernel, task.block_size)
             by_index[result.index] = result
             if progress is not None:
                 progress(len(by_index), total, result)
@@ -329,14 +334,3 @@ class ParallelRunner:
         results = [by_index[index] for index in range(total)]
         self._fold_metrics(results, time.perf_counter() - start)
         return results
-
-
-def run_tasks(tasks: Sequence[SweepTask], workers: int = 1,
-              timeout: Optional[float] = None,
-              retries: int = DEFAULT_RETRIES,
-              progress: Optional[ProgressCallback] = None,
-              recycle: RecyclePolicy = NO_RECYCLE) -> List[TaskResult]:
-    """Convenience wrapper: ``ParallelRunner(...).run(tasks)``."""
-    return ParallelRunner(workers=workers, timeout=timeout,
-                          retries=retries, recycle=recycle
-                          ).run(tasks, progress=progress)

@@ -7,48 +7,22 @@ cleanups, exactly as §V-A describes the modified HIPCC pipeline (and as
 §IV-G observes, the late if-conversion re-predicates what unpredication
 split, so both configurations see the same late passes).
 
-Both compile entry points accept an optional
-:class:`~repro.compile_cache.CompileCache` (re-exported here).  Keys are
-content digests of the pre-pipeline IR's printed form, so the two arms
-of one comparison — which start from identical builder output — share a
-single ``-O3`` run, and ``compile_cfm`` additionally caches the **full**
-``-O3 + CFM + late cleanups`` result under :func:`cfm_pipeline_id` — the
-stage that actually dominates compile time (see ``docs/performance.md``).
-With a disk-backed cache the whole compile replays across processes and
-sweep repeats.
+Both are named arms of the compile driver
+(:func:`repro.pipeline.compile_arm`), which owns the pipeline and the
+:class:`~repro.compile_cache.CompileCache` protocol (re-exported here).
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.compile_cache import (
-    CacheHit,
-    CompileCache,
-    _machine_from_latency,
-    cfm_pipeline_id,
-)
-from repro.core import CFMConfig, CFMStats, run_cfm
-from repro.ir import print_module, verify_function
+from repro.compile_cache import CacheHit, CompileCache, cfm_pipeline_id
+from repro.core import CFMConfig
 from repro.kernels.common import KernelCase
-from repro.obs import current_tracer, emit_pass_timing, record_pass_seconds
-from repro.simt import (
-    DEFAULT_CONFIG,
-    MachineConfig,
-    Metrics,
-    lower_symbolic,
-    resolve_machine,
-    run_kernel,
-)
-from repro.transforms import (
-    PassPipeline,
-    PassTiming,
-    late_pipeline,
-    optimize,
-)
+from repro.pipeline import CompileResult, compile_arm
+from repro.simt import DEFAULT_CONFIG, MachineConfig, Metrics, run_kernel
 
 __all__ = [
     "CompileCache", "CacheHit", "cfm_pipeline_id",
@@ -57,156 +31,26 @@ __all__ = [
 ]
 
 
-@dataclass
-class CompileResult:
-    """Timing breakdown of one kernel compilation (Table II raw data)."""
-
-    o3_seconds: float
-    cfm_seconds: float = 0.0
-    cfm_stats: Optional[CFMStats] = None
-    #: the O3 stage was replayed from a :class:`CompileCache`
-    o3_cached: bool = False
-    #: the whole O3+CFM+late pipeline was replayed in one lookup
-    cfm_cached: bool = False
-    #: per-pass executions, in order (O3 fixpoint, then CFM + late cleanups)
-    pass_timings: List[PassTiming] = field(default_factory=list)
-
-    @property
-    def total_seconds(self) -> float:
-        return self.o3_seconds + self.cfm_seconds
-
-
-def _run_o3(case: KernelCase, cache: Optional[CompileCache],
-            collect_ir_stats: bool, machine=None,
-            printed: Optional[str] = None
-            ) -> Tuple[float, bool, List[PassTiming]]:
-    """Run (or replay) the ``-O3`` pipeline on ``case``'s module in place.
-
-    Returns ``(seconds, cached, pass_timings)``.  On a cache hit the
-    case's module is swapped for an independently parsed copy of the
-    cached optimized module and the *original* run's seconds/timings are
-    reported, so aggregate compile-time numbers stay meaningful.
-    ``printed`` lets callers that already printed the pre-O3 module
-    (``compile_cfm``'s full-pipeline probe) share that one print.
-    """
-    key = None
-    if cache is not None:
-        if printed is None:
-            printed = print_module(case.module)
-        key = CompileCache.key("o3", printed)
-        hit = cache.lookup(key, want_ir_stats=collect_ir_stats,
-                           machine=machine)
-        if hit is not None:
-            case.module = hit.module
-            return hit.seconds, True, hit.timings
-    start = time.perf_counter()
-    pipeline = optimize(case.function, collect_ir_stats=collect_ir_stats)
-    seconds = time.perf_counter() - start
-    timings = list(pipeline.timings)
-    if cache is not None:
-        program = (lower_symbolic(case.function, machine.latency)
-                   if machine is not None else None)
-        cache.store(key, case.module, seconds, timings,
-                    ir_stats=collect_ir_stats, program=program,
-                    machine=machine)
-    return seconds, False, timings
-
-
-def _hit_result(hit: CacheHit) -> CompileResult:
-    return CompileResult(
-        o3_seconds=hit.seconds, cfm_seconds=hit.cfm_seconds,
-        cfm_stats=hit.cfm_stats, o3_cached=True,
-        cfm_cached=hit.cfm_stats is not None, pass_timings=hit.timings)
-
-
 def compile_baseline(case: KernelCase, verify: bool = True,
                      cache: Optional[CompileCache] = None,
                      collect_ir_stats: bool = False,
-                     machine: Optional[MachineConfig] = None,
-                     *, latency=None) -> CompileResult:
-    """``-O3`` pipeline only.
-
-    ``machine`` (a :class:`~repro.simt.MachineConfig`) makes cache
-    entries carry the lowered µop program for that machine, so a warm
-    process also skips launch-time lowering; ``latency=`` is the
-    deprecated pre-PR-7 spelling.
-    """
-    machine = _machine_from_latency(machine, latency, "compile_baseline")
-    seconds, cached, timings = _run_o3(case, cache, collect_ir_stats,
-                                       machine=machine)
-    if verify and not cached:
-        # Cached entries were verified by the run that produced them and
-        # print/parse round-trips exactly; the hot path skips the re-check
-        # (difftest/CI verify per pass instead — see docs/difftest.md).
-        verify_function(case.function)
-    return CompileResult(o3_seconds=seconds, o3_cached=cached,
-                         pass_timings=timings)
+                     machine: Optional[MachineConfig] = None
+                     ) -> CompileResult:
+    """``-O3`` pipeline only (the ``o3`` arm of
+    :func:`repro.pipeline.compile_arm`)."""
+    return compile_arm(case, "o3", cache=cache, machine=machine,
+                       collect_ir_stats=collect_ir_stats, verify=verify)
 
 
 def compile_cfm(case: KernelCase, config: Optional[CFMConfig] = None,
                 verify: bool = True,
                 cache: Optional[CompileCache] = None,
                 collect_ir_stats: bool = False,
-                machine: Optional[MachineConfig] = None,
-                *, latency=None) -> CompileResult:
-    """``-O3`` + CFM + late cleanups (§V-A pipeline).
-
-    With a cache, the **whole** pipeline result is keyed under
-    :func:`cfm_pipeline_id` — profiling shows the CFM stage, not
-    ``-O3``, dominates compile time, so a warm process replays melded IR
-    (plus its :class:`CFMStats` and lowered program) without running any
-    pass.  A full-key miss still falls through to the shared ``"o3"``
-    entry before running the pipelines.
-    """
-    machine = _machine_from_latency(machine, latency, "compile_cfm")
-    full_key = None
-    printed = None
-    if cache is not None:
-        printed = print_module(case.module)
-        full_key = CompileCache.key(cfm_pipeline_id(config), printed)
-        hit = cache.lookup(full_key, want_ir_stats=collect_ir_stats,
-                           machine=machine)
-        if hit is not None:
-            case.module = hit.module
-            return _hit_result(hit)
-    o3_seconds, cached, timings = _run_o3(case, cache, collect_ir_stats,
-                                          printed=printed)
-    timings = list(timings)
-
-    start = time.perf_counter()
-    if collect_ir_stats:
-        blocks_before, instrs_before = PassPipeline._ir_size(case.function)
-    stats = run_cfm(case.function, config)
-    cfm_timing = PassTiming("cfm", stats.seconds, stats.changed)
-    if collect_ir_stats:
-        cfm_timing.blocks_before = blocks_before
-        cfm_timing.instructions_before = instrs_before
-        cfm_timing.blocks_after, cfm_timing.instructions_after = \
-            PassPipeline._ir_size(case.function)
-    timings.append(cfm_timing)
-    tracer = current_tracer()
-    if tracer.enabled:
-        # The CFM stage runs outside a PassPipeline here, so its span is
-        # emitted by hand (the pipeline does this for every other pass).
-        emit_pass_timing(cfm_timing, tracer)
-    # Same story for the aggregate pass-seconds histogram.
-    record_pass_seconds(cfm_timing.name, cfm_timing.seconds)
-    late = late_pipeline(collect_ir_stats=collect_ir_stats)
-    late.run(case.function)
-    timings.extend(late.timings)
-    cfm_seconds = time.perf_counter() - start
-    if verify:
-        verify_function(case.function)
-    if cache is not None:
-        program = (lower_symbolic(case.function, machine.latency)
-                   if machine is not None else None)
-        cache.store(full_key, case.module, o3_seconds, timings,
-                    ir_stats=collect_ir_stats, program=program,
-                    machine=machine, cfm_seconds=cfm_seconds,
-                    cfm_stats=stats)
-    return CompileResult(o3_seconds=o3_seconds, cfm_seconds=cfm_seconds,
-                         cfm_stats=stats, o3_cached=cached,
-                         pass_timings=timings)
+                machine: Optional[MachineConfig] = None) -> CompileResult:
+    """``-O3`` + CFM + late cleanups, the §V-A pipeline (the ``o3-cfm``
+    arm of :func:`repro.pipeline.compile_arm`)."""
+    return compile_arm(case, "o3-cfm", config, cache=cache, machine=machine,
+                       collect_ir_stats=collect_ir_stats, verify=verify)
 
 
 @dataclass
@@ -220,9 +64,7 @@ class RunResult:
 def execute(case: KernelCase, seed: int = 1234,
             machine: Optional[MachineConfig] = None,
             check: bool = True,
-            trace_label: Optional[str] = None,
-            executor: Optional[str] = None) -> RunResult:
-    machine = resolve_machine(machine, executor=executor, where="execute")
+            trace_label: Optional[str] = None) -> RunResult:
     inputs = case.make_buffers(seed)
     outputs, metrics = run_kernel(
         case.module, case.kernel, case.grid_dim, case.block_dim,
@@ -250,8 +92,7 @@ class Comparison:
 
     @property
     def melds(self) -> int:
-        stats = self.cfm_compile.cfm_stats
-        return len(stats.melds) if stats else 0
+        return self.cfm_compile.melds
 
 
 def compare(
@@ -284,6 +125,9 @@ def compare(
     cfm_compile = compile_cfm(cfm_case, config, cache=cache,
                               collect_ir_stats=collect_ir_stats,
                               machine=machine)
+    # A Comparison outlives its cases and crosses the scheduler's pickle
+    # boundary: it keeps the numbers, not the IR.
+    base_compile.function = cfm_compile.function = None
 
     base_run = execute(base_case, seed=seed, machine=machine,
                        trace_label=f"o3:{label}-{block_size}")

@@ -1,33 +1,26 @@
 """Structured sweep traces: machine-readable observability for the
 evaluation harness.
 
-Two artifacts:
+One ``sweep_trace.json`` per harness run: for every ``(kernel, block
+size)`` configuration, the wall-clock cost, compile breakdown (including
+cache hits), per-pass events for both arms (the event shape lives in
+:mod:`repro.obs.passes`), and the full serialized metrics of both runs.
+Written alongside ``report.txt`` so perf regressions between PRs are
+diffable.
 
-* **pass traces** — JSON-lines of per-pass events (name, seconds,
-  changed, IR block/instruction counts before/after), produced from
-  :class:`~repro.transforms.pass_manager.PassTiming` lists (the event
-  shape lives in :mod:`repro.obs.passes`; this module re-exports it);
-* **sweep traces** — one ``sweep_trace.json`` per harness run: for every
-  ``(kernel, block size)`` configuration, the wall-clock cost, compile
-  breakdown (including cache hits), per-pass events for both arms, and
-  the full serialized metrics of both runs.  Written alongside
-  ``report.txt`` so perf regressions between PRs are diffable.
+The file also embeds a top-level ``traceEvents`` list — the merged
+Chrome trace events of every traced task (pass spans, melding decisions,
+warp divergence timelines).  Because Perfetto ignores unknown top-level
+keys, a ``sweep_trace.json`` loads directly in ``ui.perfetto.dev`` /
+``chrome://tracing`` *and* stays a structured sweep record; ``python -m
+repro.obs report sweep_trace.json`` renders its divergence heatmaps.
 
-Schema v2 additionally embeds a top-level ``traceEvents`` list — the
-merged Chrome trace events of every traced task (pass spans, melding
-decisions, warp divergence timelines).  Because Perfetto ignores unknown
-top-level keys, a v2 ``sweep_trace.json`` loads directly in
-``ui.perfetto.dev`` / ``chrome://tracing`` *and* stays a structured
-sweep record; ``python -m repro.obs report sweep_trace.json`` renders
-its divergence heatmaps.
-
-Schema v3 adds a top-level ``"metrics"`` key: the aggregate-metrics
-snapshot (:meth:`repro.obs.MetricsRegistry.snapshot`) of the whole
-harness run — compile-cache hit rates, per-pass latency histograms,
-divergence distributions, task throughput — folded across every worker
-process.  ``python -m repro.obs metrics sweep_trace.json`` renders it
-as Prometheus text or JSON.  :func:`load_sweep_trace` reads v1, v2 and
-v3 files (older files load with ``"metrics": None``).
+A top-level ``"metrics"`` key holds the aggregate-metrics snapshot
+(:meth:`repro.obs.MetricsRegistry.snapshot`) of the whole harness run —
+compile-cache hit rates, per-pass latency histograms, divergence
+distributions, task throughput — folded across every worker process.
+``python -m repro.obs metrics sweep_trace.json`` renders it as
+Prometheus text or JSON.
 """
 
 from __future__ import annotations
@@ -36,38 +29,16 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.obs import COMPILE_PID, SIM_PID_BASE
-from repro.obs import pass_timing_events as _pass_timing_events
-from repro.transforms import PassTiming
+from repro.obs import COMPILE_PID, SIM_PID_BASE, pass_timing_events
 
 from .parallel import TaskResult
 
 #: bump when the trace layout changes; consumers key off this
 SWEEP_TRACE_SCHEMA = "repro.evaluation.sweep_trace/v3"
-#: v2 layout (traceEvents but no aggregate metrics); still readable
-SWEEP_TRACE_SCHEMA_V2 = "repro.evaluation.sweep_trace/v2"
-#: v1 layout (no embedded traceEvents); still readable
-SWEEP_TRACE_SCHEMA_V1 = "repro.evaluation.sweep_trace/v1"
 
 #: task-tracing policies for sweeps: nothing, the first block size of
 #: each kernel (bounded file size), or every task
 TRACE_EVENT_POLICIES = ("off", "first", "all")
-
-
-def pass_trace_events(timings: Sequence[PassTiming]) -> List[Dict[str, object]]:
-    """Serialize pass timings as JSON-ready event dicts.
-
-    Thin alias of :func:`repro.obs.pass_timing_events`, the single
-    implementation of the event shape.
-    """
-    return _pass_timing_events(timings)
-
-
-def write_pass_trace_jsonl(timings: Sequence[PassTiming], path: str) -> None:
-    """Write one JSON object per pass execution (JSON-lines)."""
-    with open(path, "w") as handle:
-        for event in pass_trace_events(timings):
-            handle.write(json.dumps(event) + "\n")
 
 
 def task_entry(result: TaskResult) -> Dict[str, object]:
@@ -97,7 +68,7 @@ def task_entry(result: TaskResult) -> Dict[str, object]:
             "baseline": {
                 "o3_seconds": comparison.baseline_compile.o3_seconds,
                 "o3_cached": comparison.baseline_compile.o3_cached,
-                "passes": pass_trace_events(
+                "passes": pass_timing_events(
                     comparison.baseline_compile.pass_timings),
             },
             "cfm": {
@@ -105,7 +76,7 @@ def task_entry(result: TaskResult) -> Dict[str, object]:
                 "o3_cached": comparison.cfm_compile.o3_cached,
                 "cfm_cached": comparison.cfm_compile.cfm_cached,
                 "cfm_seconds": comparison.cfm_compile.cfm_seconds,
-                "passes": pass_trace_events(
+                "passes": pass_timing_events(
                     comparison.cfm_compile.pass_timings),
             },
         },
@@ -210,23 +181,12 @@ class SweepTraceCollector:
 
 
 def load_sweep_trace(path: str) -> Dict[str, object]:
-    """Read a ``sweep_trace.json`` of any known schema version.
-
-    Older files are upgraded in memory: the returned dict always carries
-    a ``traceEvents`` list (empty for v1) and a ``metrics`` key (None
-    for v1/v2), and reports the file's original schema under
-    ``"schema"``.
-    """
+    """Read a ``sweep_trace.json``; any other schema is rejected."""
     with open(path) as handle:
         data = json.load(handle)
     schema = data.get("schema")
-    if schema not in (SWEEP_TRACE_SCHEMA, SWEEP_TRACE_SCHEMA_V2,
-                      SWEEP_TRACE_SCHEMA_V1):
+    if schema != SWEEP_TRACE_SCHEMA:
         raise ValueError(
-            f"{path}: unknown sweep-trace schema {schema!r} (readable: "
-            f"{SWEEP_TRACE_SCHEMA_V1}, {SWEEP_TRACE_SCHEMA_V2}, "
-            f"{SWEEP_TRACE_SCHEMA})")
-    data.setdefault("traceEvents", [])
-    data.setdefault("sections", {})
-    data.setdefault("metrics", None)
+            f"{path}: unknown sweep-trace schema {schema!r} "
+            f"(readable: {SWEEP_TRACE_SCHEMA})")
     return data

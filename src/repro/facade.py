@@ -20,41 +20,28 @@ in place, mirroring how a real driver owns the module it compiles.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.analysis import DivergenceInfo, cached_divergence
-from repro.compile_cache import CompileCache, cfm_pipeline_id
+from repro.compile_cache import CompileCache
 from repro.core import CFMConfig, CFMPass, CFMStats
-from repro.ir import Function, Module, Type, I32, print_module, verify_function
+from repro.ir import Function, Module, Type, I32
 from repro.kernels.common import KernelCase
 from repro.kernels.dsl import KernelBuilder
-from repro.obs import current_tracer, emit_pass_timing
-from repro.simt import (
-    DEFAULT_CONFIG,
-    GPU,
-    Buffer,
-    MachineConfig,
-    Metrics,
-    lower_symbolic,
-    resolve_machine,
+from repro.pipeline import (
+    CompileResult,
+    KernelLike,
+    as_function as _as_function,
+    compile_arm,
 )
-from repro.transforms import PassTiming, late_pipeline, optimize
-
-KernelLike = Union[Function, KernelBuilder, KernelCase]
+from repro.simt import DEFAULT_CONFIG, GPU, Buffer, MachineConfig, Metrics
 
 #: recognized ``compile(level=...)`` values
 COMPILE_LEVELS = ("none", "O3")
 
-
-def _as_function(kernel: KernelLike) -> Function:
-    if isinstance(kernel, Function):
-        return kernel
-    if isinstance(kernel, (KernelBuilder, KernelCase)):
-        return kernel.function
-    raise TypeError(
-        f"expected a Function, KernelBuilder or KernelCase, got {kernel!r}")
+#: what :func:`compile` returns — the driver's one result type
+CompileReport = CompileResult
 
 
 def _as_module(module: Union[Module, KernelLike]) -> Module:
@@ -67,26 +54,6 @@ def _as_module(module: Union[Module, KernelLike]) -> Module:
             raise ValueError(f"function @{module.name} belongs to no module")
         return module.module
     raise TypeError(f"expected a Module or kernel-like object, got {module!r}")
-
-
-@dataclass
-class CompileReport:
-    """Outcome of one :func:`compile` call."""
-
-    function: Function
-    level: str
-    #: melding statistics when ``cfm`` was requested, else None
-    cfm_stats: Optional[CFMStats] = None
-    seconds: float = 0.0
-    #: per-pass executions, in order (O3 fixpoint, then CFM + late cleanups)
-    pass_timings: List[PassTiming] = field(default_factory=list)
-    #: the whole result was replayed from a compile cache; ``seconds``
-    #: and ``pass_timings`` report the original run that produced it
-    cached: bool = False
-
-    @property
-    def melds(self) -> int:
-        return len(self.cfm_stats.melds) if self.cfm_stats else 0
 
 
 def compile(kernel: KernelLike, level: str = "O3",
@@ -102,73 +69,18 @@ def compile(kernel: KernelLike, level: str = "O3",
     the CFM pass plus the §V-A late cleanups — exactly the evaluation
     harness's ``-O3 + CFM`` arm.
 
-    With a :class:`~repro.compile_cache.CompileCache` the whole pipeline
-    result is keyed on the kernel's printed IR: a hit swaps an
-    independently parsed optimized module into the builder/case (the
-    report's ``cached`` flag is set and ``seconds`` replays the original
-    run's cost), and the lowered µop program for ``machine`` (default:
-    the default machine) is pre-seeded so the first launch skips
-    lowering too.  Raw
-    :class:`~repro.ir.Function` inputs are compiled normally — the
-    in-place contract leaves nothing to swap.
+    ``cache`` and ``machine`` (default: the default machine) are the
+    compile driver's: see :func:`repro.pipeline.compile_arm` for what is
+    keyed, replayed and pre-seeded.
     """
     if level not in COMPILE_LEVELS:
         raise ValueError(
             f"unknown level {level!r}; expected one of {COMPILE_LEVELS}")
-    function = _as_function(kernel)
-    machine = machine if machine is not None else DEFAULT_CONFIG
-
-    config = cfm if isinstance(cfm, CFMConfig) else None
-    cacheable = (cache is not None and level == "O3"
-                 and isinstance(kernel, (KernelBuilder, KernelCase))
-                 and function.module is not None)
-    key = None
-    if cacheable:
-        pipeline_id = cfm_pipeline_id(config) if cfm else "o3"
-        key = CompileCache.key(pipeline_id, print_module(function.module))
-        hit = cache.lookup(key, machine=machine)
-        if hit is not None:
-            kernel.module = hit.module
-            replayed = hit.module.functions[function.name]
-            if isinstance(kernel, KernelBuilder):
-                kernel.function = replayed
-            return CompileReport(
-                function=replayed, level=level, cfm_stats=hit.cfm_stats,
-                seconds=hit.seconds + hit.cfm_seconds,
-                pass_timings=hit.timings, cached=True)
-
-    timings: List[PassTiming] = []
-    stats: Optional[CFMStats] = None
-    tracer = current_tracer()
-
-    start = time.perf_counter()
-    with tracer.span(f"compile:{function.name}", cat="compile") as span:
-        if level == "O3":
-            pipeline = optimize(function)
-            timings.extend(pipeline.timings)
-        if cfm:
-            cfm_pass = CFMPass(config)
-            stats = cfm_pass.run(function).stats
-            timing = PassTiming(cfm_pass.name, stats.seconds, stats.changed)
-            timings.append(timing)
-            if tracer.enabled:
-                emit_pass_timing(timing, tracer)
-            late = late_pipeline()
-            late.run(function)
-            timings.extend(late.timings)
-        span.set(level=level, cfm=bool(cfm),
-                 melds=len(stats.melds) if stats else 0)
-    seconds = time.perf_counter() - start
-
-    if verify:
-        verify_function(function)
-    if cacheable:
-        program = lower_symbolic(function, machine.latency)
-        cache.store(key, function.module, seconds, timings,
-                    program=program, machine=machine,
-                    cfm_stats=stats)
-    return CompileReport(function=function, level=level, cfm_stats=stats,
-                         seconds=seconds, pass_timings=timings)
+    return compile_arm(
+        kernel, (level == "O3", "cfm" if cfm else None),
+        cfm if isinstance(cfm, CFMConfig) else None, cache=cache,
+        machine=machine if machine is not None else DEFAULT_CONFIG,
+        verify=verify)
 
 
 @dataclass
@@ -185,8 +97,7 @@ def launch(module: Union[Module, KernelLike], grid: int, block: int,
            machine: Optional[MachineConfig] = None,
            element_types: Optional[Mapping[str, Type]] = None,
            gpu: Optional[GPU] = None,
-           trace_label: Optional[str] = None,
-           executor: Optional[str] = None) -> LaunchResult:
+           trace_label: Optional[str] = None) -> LaunchResult:
     """Launch a kernel over ``grid`` blocks of ``block`` threads.
 
     ``args`` maps parameter names to scalars (Python ints/floats) or
@@ -198,22 +109,18 @@ def launch(module: Union[Module, KernelLike], grid: int, block: int,
     ``machine`` (a :class:`MachineConfig`) is the whole machine
     description — executor, reconvergence policy, latency model.  An
     existing ``gpu`` already carries its machine, so combining ``gpu=``
-    with ``machine=`` (or with any kwarg that duplicates a
-    ``MachineConfig`` field, like the deprecated ``executor=``) is
-    rejected as ambiguous.
+    with ``machine=`` is rejected as ambiguous.
 
     Under ``repro.trace(...)`` the launch records per-warp divergence
     events on its own trace process, named ``trace_label`` (default
     ``launch:<kernel>``).
     """
     module = _as_module(module)
-    if gpu is not None:
-        for name, value in (("machine", machine), ("executor", executor)):
-            if value is not None:
-                raise ValueError(
-                    f"launch(gpu=..., {name}=...) is ambiguous: the GPU "
-                    f"already carries its machine, which wins; construct "
-                    f"it as GPU(module, machine) instead")
+    if gpu is not None and machine is not None:
+        raise ValueError(
+            "launch(gpu=..., machine=...) is ambiguous: the GPU already "
+            "carries its machine, which wins; construct it as "
+            "GPU(module, machine) instead")
     if kernel is None:
         names = list(module.functions)
         if len(names) != 1:
@@ -222,8 +129,7 @@ def launch(module: Union[Module, KernelLike], grid: int, block: int,
                 f"pass kernel=<name>")
         kernel = names[0]
 
-    device = gpu if gpu is not None else GPU(
-        module, resolve_machine(machine, executor=executor, where="launch"))
+    device = gpu if gpu is not None else GPU(module, machine)
     bound: Dict[str, object] = {}
     handles: Dict[str, Buffer] = {}
     for name, value in args.items():

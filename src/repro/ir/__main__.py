@@ -2,7 +2,7 @@
 
     python -m repro.ir kernel.ll                  # parse + verify + print
     python -m repro.ir kernel.ll --optimize       # run the -O3 pipeline
-    python -m repro.ir kernel.ll --cfm            # ... then control-flow meld
+    python -m repro.ir kernel.ll --cfm            # meld + the late cleanups
     python -m repro.ir kernel.ll --dot out.dot    # export the CFG
     python -m repro.ir kernel.ll --divergence     # annotate divergent branches
 
@@ -28,7 +28,7 @@ def main(argv=None) -> int:
     parser.add_argument("--optimize", action="store_true",
                         help="run the -O3 pipeline on every function")
     parser.add_argument("--cfm", action="store_true",
-                        help="run control-flow melding (implies a verify)")
+                        help="run control-flow melding and the late cleanups")
     parser.add_argument("--dot", metavar="FILE",
                         help="write a Graphviz CFG (first function)")
     parser.add_argument("--divergence", action="store_true",
@@ -51,19 +51,16 @@ def main(argv=None) -> int:
             print(f"verification failed: {exc}", file=sys.stderr)
             return 2
 
-    if args.optimize:
-        from repro.transforms import optimize
+    if args.optimize or args.cfm:
+        # Lazy: the driver imports this package.
+        from repro.pipeline import compile_arm
 
         for function in module.functions.values():
-            optimize(function)
-
-    if args.cfm:
-        from repro.core import run_cfm
-
-        for function in module.functions.values():
-            stats = run_cfm(function)
-            print(f"; @{function.name}: {len(stats.melds)} melds",
-                  file=sys.stderr)
+            result = compile_arm(
+                function, (args.optimize, "cfm" if args.cfm else None))
+            if args.cfm:
+                print(f"; @{function.name}: {result.melds} melds",
+                      file=sys.stderr)
 
     if args.divergence:
         from repro.analysis import compute_divergence

@@ -13,13 +13,14 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple, Union
 
 from repro.ir.function import Function
+from repro.pipeline import ARMS, compile_arm
 
 from .diagnostics import LintConfig, LintReport
 from .engine import LintRule, run_lint
 from . import rules as _rules  # noqa: F401  (populates the registry)
 
-#: the same opt levels the differential oracle's arms use
-LINT_LEVELS = ("noopt", "o3", "o3-cfm", "o3-tail", "o3-bf")
+#: the opt levels are the compile driver's arms
+LINT_LEVELS = ARMS
 
 
 def _as_function(kernel) -> Function:
@@ -60,35 +61,13 @@ def lint_kernel(kernel,
 
 def compile_at_level(function: Function, level: str,
                      cfm_config=None) -> Optional[list]:
-    """Run one opt level's pipelines on ``function`` in place.
+    """Run one opt level (a compile-driver arm) on ``function`` in place.
 
     Returns the CFM decision log for the ``o3-cfm`` level (None
-    otherwise).  Levels mirror the differential oracle's arm matrix.
+    otherwise).
     """
-    if level not in LINT_LEVELS:
-        raise ValueError(
-            f"unknown level {level!r}; expected one of {LINT_LEVELS}")
-    if level == "noopt":
-        return None
-    # Deep imports on purpose: the lint package must stay importable
-    # without dragging in the simulator, and the facade imports nothing
-    # from here, so there is no cycle either way.
-    from repro.transforms import late_pipeline, o3_pipeline
-
-    o3_pipeline().run_to_fixpoint(function)
-    if level == "o3":
-        return None
-    if level == "o3-cfm":
-        from repro.core import CFMPass
-        cfm = CFMPass(cfm_config)
-        cfm.run(function)
-        late_pipeline().run(function)
-        return list(cfm.stats.decisions) if cfm.stats else None
-    from repro.baselines import BranchFusionPass, TailMergingPass
-    reducer = {"o3-tail": TailMergingPass, "o3-bf": BranchFusionPass}[level]()
-    reducer.run(function)
-    late_pipeline().run(function)
-    return None
+    stats = compile_arm(function, level, cfm_config, verify=False).cfm_stats
+    return list(stats.decisions) if stats else None
 
 
 def lint_at_level(kernel, level: str,

@@ -11,7 +11,7 @@ One tracer model serves all three layers of the system (see
   (:mod:`repro.obs.runtime`), rendered by ``python -m repro.obs report``
   as a text divergence heatmap;
 * **harness side** — evaluation sweeps and the difftest oracle attach
-  these events to their own artifacts (sweep trace v2, corpus entries).
+  these events to their own artifacts (sweep trace, corpus entries).
 
 Tracing is *ambient*: instrumented code reads :func:`current_tracer`,
 which defaults to the no-op :data:`NULL_TRACER`.  Enable it for a scope

@@ -2,7 +2,7 @@
 and the evaluation harness serialize through.
 
 ``PassPipeline.trace_events()`` and
-``repro.evaluation.trace.pass_trace_events()`` used to hand-roll the
+``repro.evaluation.trace`` used to hand-roll the
 same JSON event shape independently; both are now thin aliases of
 :func:`pass_timing_events`.  The shape is duck-typed — anything with the
 :class:`~repro.transforms.pass_manager.PassTiming` attributes serializes

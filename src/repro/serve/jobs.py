@@ -10,9 +10,9 @@ pool interleaved it.
 Five built-in kinds, registered in :data:`JOB_KINDS`:
 
 ``compile``
-    one task per kernel: build + compile at an opt level from
-    :data:`repro.lint.LINT_LEVELS`; rows report block/instruction counts
-    and CFM meld decisions.
+    one task per kernel: build + compile under one arm of the compile
+    driver (:data:`repro.pipeline.ARMS`); rows report block/instruction
+    counts and the CFM meld count.
 ``launch``
     one task per kernel: compile the ``-O3`` baseline and execute it,
     reporting cycles and divergence counters.
@@ -114,11 +114,11 @@ def _sweep_fn(payload: Dict[str, Any], ctx) -> TaskResult:
 
 
 def _compile_fn(payload: Dict[str, Any], ctx) -> Dict[str, Any]:
-    from repro.lint.api import compile_at_level
+    from repro.pipeline import compile_arm
     name, level = payload["kernel"], payload["level"]
     case = _builder(name)(block_size=payload["block_size"],
                           grid_dim=payload["grid_dim"])
-    decisions = compile_at_level(case.function, level)
+    result = compile_arm(case, level, verify=False)
     function = case.function
     return {
         "kernel": name,
@@ -126,17 +126,17 @@ def _compile_fn(payload: Dict[str, Any], ctx) -> Dict[str, Any]:
         "blocks": len(list(function.blocks)),
         "instructions": sum(len(list(b.instructions))
                             for b in function.blocks),
-        "melds": sum(1 for d in (decisions or [])
-                     if getattr(d, "action", "") == "melded"),
+        "melds": result.melds,
     }
 
 
 def _launch_fn(payload: Dict[str, Any], ctx) -> Dict[str, Any]:
-    from repro.evaluation.runner import compile_baseline, execute
+    from repro.evaluation.runner import execute
+    from repro.pipeline import compile_arm
     name = payload["kernel"]
     case = _builder(name)(block_size=payload["block_size"],
                           grid_dim=payload["grid_dim"])
-    compile_baseline(case)
+    compile_arm(case, "o3")
     run = execute(case, seed=payload["seed"])
     metrics = run.metrics
     return {
@@ -299,16 +299,8 @@ class SweepJob(JobSpec):
         for position, outcome in enumerate(outcomes):
             if outcome is None:
                 continue
-            if outcome.ok:
-                results.append(outcome.value)
-            else:
-                name, size = self.pairs[position]
-                results.append(TaskResult(
-                    index=position, kernel=name, block_size=size,
-                    error=outcome.error, attempts=outcome.attempts,
-                    seconds=outcome.seconds,
-                    metrics_delta=outcome.metrics_delta,
-                    crashed=outcome.crashed))
+            results.append(TaskResult.from_outcome(
+                outcome, position, *self.pairs[position]))
         with use_registry(registry):
             fold_sweep_metrics(results, wall_seconds)
 
@@ -317,7 +309,7 @@ class CompileJob(JobSpec):
     """Compile kernels at one opt level; rows report IR shape + melds.
 
     Params: ``kernels``, ``level`` (one of
-    :data:`repro.lint.LINT_LEVELS`, default ``o3-cfm``), ``block_size``,
+    :data:`repro.pipeline.ARMS`, default ``o3-cfm``), ``block_size``,
     ``grid_dim``.
     """
 
@@ -325,12 +317,12 @@ class CompileJob(JobSpec):
 
     def __init__(self, params: Dict[str, Any]) -> None:
         super().__init__(params)
-        from repro.lint.api import LINT_LEVELS
+        from repro.pipeline import ARMS
         self.kernels = _kernel_names(params)
         self.level = _require(params, "level", str, "o3-cfm")
-        if self.level not in LINT_LEVELS:
+        if self.level not in ARMS:
             raise JobParamError(
-                f"unknown level {self.level!r}; expected one of {LINT_LEVELS}")
+                f"unknown level {self.level!r}; expected one of {ARMS}")
         self.block_size = _require(params, "block_size", int, 32)
         self.grid_dim = _require(params, "grid_dim", int, 2)
         self._check_size(len(self.kernels))

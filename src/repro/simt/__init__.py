@@ -22,7 +22,6 @@ from .config import (
     EXECUTORS,
     MachineConfig,
     machine_token_key,
-    resolve_machine,
 )
 from .fastpath import FastWarp
 from .lowering import (
@@ -52,7 +51,7 @@ from .warp import SimulationError, UNDEF, Warp
 
 __all__ = [
     "DEFAULT_CONFIG", "EXECUTORS", "MachineConfig",
-    "machine_token_key", "resolve_machine",
+    "machine_token_key",
     "RECONVERGENCE_POLICIES", "ReconvergencePolicy",
     "IPDOMPolicy", "MinPCPolicy", "get_policy",
     "GPU", "Buffer", "run_kernel",

@@ -4,9 +4,8 @@
 width, latency tables, coalescing, the warp executor *and* the
 reconvergence policy all live here, and every launch surface — ``GPU``,
 ``run_kernel``, ``repro.launch``, difftest's ``run_oracle``, the
-evaluation sweeps — accepts one uniform ``machine=`` argument.  The
-pre-PR-7 spellings (``executor=`` kwargs, ``config=``) survive as thin
-deprecated aliases for one release; see :func:`resolve_machine`.
+evaluation sweeps — accepts one uniform ``machine=`` argument (None
+means :data:`DEFAULT_CONFIG`).
 
 The defaults are Vega-flavoured (the paper's GPU): SIMD execution of one
 warp/wavefront per issue, LDS much cheaper than global memory, and
@@ -18,10 +17,8 @@ width of 64 is a one-line change and is exercised in tests/ablations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, field
 
-from repro._deprecation import warn_once
 from repro.analysis.latency import LatencyModel, latency_token
 
 from .reconvergence import RECONVERGENCE_POLICIES
@@ -108,47 +105,3 @@ def machine_token_key(machine: MachineConfig) -> str:
 
 
 DEFAULT_CONFIG = MachineConfig()
-
-
-def resolve_machine(machine: Optional[MachineConfig] = None, *,
-                    config: Optional[MachineConfig] = None,
-                    executor: Optional[str] = None,
-                    where: str = "GPU",
-                    stacklevel: int = 4) -> MachineConfig:
-    """Collapse the legacy machine kwargs into one :class:`MachineConfig`.
-
-    ``machine=`` is the canonical spelling.  The legacy kwargs —
-    ``config=`` (the old name) and ``executor=`` (the old per-call
-    override, which still overrides ``config.executor`` as it always
-    did) — keep working on their own, each emitting a
-    :class:`DeprecationWarning` once per call site.  But a legacy kwarg
-    that duplicates a ``MachineConfig`` field alongside ``machine=`` is
-    rejected with an error naming the winning spelling: the redesign's
-    whole point is that the machine description has one home.
-    """
-    if machine is not None:
-        if config is not None:
-            raise ValueError(
-                f"{where}: config= and machine= are the same parameter; "
-                f"pass machine= only")
-        if executor is not None:
-            raise ValueError(
-                f"{where}: executor= duplicates MachineConfig.executor "
-                f"and the machine= config wins; spell it "
-                f"machine=MachineConfig(executor={executor!r})")
-        return machine
-    if config is not None:
-        warn_once(f"{where}(config=...) is deprecated; "
-                  f"pass machine=<MachineConfig>", stacklevel=stacklevel)
-        machine = config
-    if executor is not None:
-        warn_once(f"{where}(executor=...) is deprecated; pass "
-                  f"machine=MachineConfig(executor=...)",
-                  stacklevel=stacklevel)
-        if executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {executor!r}; "
-                f"expected one of {EXECUTORS}")
-        machine = replace(machine if machine is not None else DEFAULT_CONFIG,
-                          executor=executor)
-    return machine if machine is not None else DEFAULT_CONFIG

@@ -28,7 +28,7 @@ from repro.obs import (
     runtime_sink,
 )
 
-from .config import MachineConfig, resolve_machine
+from .config import DEFAULT_CONFIG, MachineConfig
 from .fastpath import FastWarp
 from .lowering import get_program
 from .memory import DeviceMemory, Segment
@@ -84,18 +84,11 @@ class GPU:
             gpu.launch("kernel", grid, block, {"data": buf})
     """
 
-    def __init__(self, module: Module, machine: Optional[MachineConfig] = None,
-                 *, config: Optional[MachineConfig] = None,
-                 executor: Optional[str] = None) -> None:
+    def __init__(self, module: Module,
+                 machine: Optional[MachineConfig] = None) -> None:
         self.module = module
-        #: the machine description (the second positional argument was
-        #: named ``config`` before PR 7; ``config=``/``executor=``
-        #: keywords survive as deprecated aliases via resolve_machine)
-        self.machine = resolve_machine(machine, config=config,
-                                       executor=executor, where="GPU")
-        #: legacy aliases for pre-PR-7 call sites; same object as machine
-        self.config = self.machine
-        self.executor = self.machine.executor
+        #: the machine description
+        self.machine = machine if machine is not None else DEFAULT_CONFIG
         self.memory = DeviceMemory(module)
         #: launches since construction (reset() does not clear it)
         self.launch_count = 0
@@ -152,7 +145,7 @@ class GPU:
         # launches by fingerprint + machine program token, so the
         # per-launch cost of a cache hit is one fingerprint walk).
         program = (get_program(function, self.machine)
-                   if self.executor == "fast" else None)
+                   if self.machine.executor == "fast" else None)
         tracer = current_tracer()
         pid = 0
         if tracer.enabled:
@@ -162,8 +155,8 @@ class GPU:
         # sink per launch when the ambient registry is enabled, None —
         # and therefore zero per-site work — otherwise.
         sink = runtime_sink(current_registry(), self.machine.reconvergence,
-                            self.machine.executor, self.config.warp_size)
-        total = Metrics(warp_size=self.config.warp_size)
+                            self.machine.executor, self.machine.warp_size)
+        total = Metrics(warp_size=self.machine.warp_size)
         try:
             for block_id in range(grid_dim):
                 block_metrics = self._run_block(function, block_id, grid_dim,
@@ -198,7 +191,7 @@ class GPU:
                    tracer=None, pid: int = 0, program=None,
                    sink=None) -> Metrics:
         view = self.memory.shared_for_block(block_id)
-        warp_size = self.config.warp_size
+        warp_size = self.machine.warp_size
         tracing = tracer is not None and tracer.enabled
         obs = sink.block if sink is not None else None
         traces: List[WarpTrace] = []
@@ -211,11 +204,11 @@ class GPU:
                 traces.append(trace)
             if program is not None:
                 warps.append(FastWarp(program, lanes, block_dim, block_id,
-                                      grid_dim, args, view, self.config,
+                                      grid_dim, args, view, self.machine,
                                       trace=trace, obs=obs))
             else:
                 warps.append(Warp(function, lanes, block_dim, block_id,
-                                  grid_dim, args, view, self.config,
+                                  grid_dim, args, view, self.machine,
                                   trace=trace, obs=obs))
 
         generators = [warp.run() for warp in warps]
@@ -261,19 +254,15 @@ def run_kernel(
     element_types: Optional[Dict[str, Type]] = None,
     machine: Optional[MachineConfig] = None,
     trace_label: Optional[str] = None,
-    *,
-    config: Optional[MachineConfig] = None,
-    executor: Optional[str] = None,
 ) -> tuple:
     """One-shot convenience: allocate, launch, and read back.
 
     ``machine`` (a :class:`MachineConfig`) is the whole machine
-    description; ``config=``/``executor=`` are deprecated aliases.
+    description.
     Returns ``(outputs, metrics)`` where ``outputs`` maps each buffer name
     to its final contents.
     """
-    gpu = GPU(module, resolve_machine(machine, config=config,
-                                      executor=executor, where="run_kernel"))
+    gpu = GPU(module, machine)
     args: Dict[str, object] = dict(scalars or {})
     handles: Dict[str, Buffer] = {}
     for name, data in buffers.items():

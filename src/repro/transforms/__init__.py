@@ -59,46 +59,37 @@ __all__ = [
 ]
 
 
-def o3_pipeline(unroll: bool = True, speculate: bool = True,
-                verify: bool = False,
-                collect_ir_stats: bool = False) -> PassPipeline:
+def o3_pipeline(collect_ir_stats: bool = False) -> PassPipeline:
     """The baseline optimization pipeline (HIPCC ``-O3`` stand-in)."""
-    pipeline = PassPipeline(verify=verify, collect_ir_stats=collect_ir_stats)
-    pipeline.add("constfold", fold_constants)
-    pipeline.add("simplifycfg", simplify_cfg)
-    pipeline.add("licm", hoist_loop_invariants)
-    if unroll:
-        pipeline.add("unroll", unroll_loops)
-    if speculate:
-        pipeline.add("speculate", speculate_hammocks)
-    pipeline.add("constfold2", fold_constants)
-    pipeline.add("cse", eliminate_common_subexpressions)
-    pipeline.add("simplifycfg2", simplify_cfg)
-    pipeline.add("dce", eliminate_dead_code)
-    return pipeline
+    return PassPipeline([
+        ("constfold", fold_constants),
+        ("simplifycfg", simplify_cfg),
+        ("licm", hoist_loop_invariants),
+        ("unroll", unroll_loops),
+        ("speculate", speculate_hammocks),
+        ("constfold2", fold_constants),
+        ("cse", eliminate_common_subexpressions),
+        ("simplifycfg2", simplify_cfg),
+        ("dce", eliminate_dead_code),
+    ], collect_ir_stats=collect_ir_stats)
 
 
-def late_pipeline(collect_ir_stats: bool = False,
-                  verify: bool = False,
-                  verify_after_each=None) -> PassPipeline:
+def late_pipeline() -> PassPipeline:
     """The "rest of the compilation flow" after a divergence-reduction
     pass: late SimplifyCFG and the aggressive if-conversion that §IV-G
-    notes re-predicates pure unpredicated blocks, then DCE.  Shared by
-    the evaluation runner, the facade and the difftest oracle so every
-    client sees the identical §V-A pipeline."""
+    notes re-predicates pure unpredicated blocks, then DCE.  The compile
+    driver (:mod:`repro.pipeline`) appends these to the reducer, so
+    every client sees the identical §V-A pipeline."""
     return PassPipeline([
         ("late-simplifycfg", simplify_cfg),
         ("late-speculate", speculate_hammocks),
         ("late-simplifycfg2", simplify_cfg),
         ("late-dce", eliminate_dead_code),
-    ], verify=verify, collect_ir_stats=collect_ir_stats,
-        verify_after_each=verify_after_each)
+    ])
 
 
-def optimize(function, unroll: bool = True, speculate: bool = True,
-             verify: bool = False, collect_ir_stats: bool = False) -> "PassPipeline":
+def optimize(function) -> PassPipeline:
     """Run the O3 pipeline to a fixpoint; returns the pipeline (timings)."""
-    pipeline = o3_pipeline(unroll=unroll, speculate=speculate, verify=verify,
-                           collect_ir_stats=collect_ir_stats)
+    pipeline = o3_pipeline()
     pipeline.run_to_fixpoint(function)
     return pipeline

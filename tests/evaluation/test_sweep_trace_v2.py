@@ -1,5 +1,5 @@
-"""Sweep-trace schema v2: embedded Chrome events, pid rebasing,
-tracing policies, and v1 back-compat."""
+"""Sweep-trace embedded Chrome events, pid rebasing, tracing policies
+and schema rejection."""
 
 import json
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.evaluation import (
     SWEEP_TRACE_SCHEMA,
-    SWEEP_TRACE_SCHEMA_V1,
     TRACE_EVENT_POLICIES,
     SweepTask,
     SweepTraceCollector,
@@ -100,19 +99,6 @@ class TestLoadSweepTrace:
         data = load_sweep_trace(str(path))
         assert data["schema"] == SWEEP_TRACE_SCHEMA
         assert data["traceEvents"]
-
-    def test_v1_file_loads_with_empty_events(self, tmp_path):
-        path = tmp_path / "v1.json"
-        path.write_text(json.dumps({
-            "schema": SWEEP_TRACE_SCHEMA_V1,
-            "workers": 4,
-            "task_count": 0,
-            "sections": {"figure7": []},
-        }))
-        data = load_sweep_trace(str(path))
-        assert data["schema"] == SWEEP_TRACE_SCHEMA_V1
-        assert data["traceEvents"] == []
-        assert data["sections"] == {"figure7": []}
 
     def test_unknown_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -50,7 +50,8 @@ m:
 def launch(executor=None):
     f = parse(DIVERGENT)
     return run_kernel(f.module, "k", 4, 32, buffers={"p": [0] * 128},
-                      scalars={"n": 77}, executor=executor)
+                      scalars={"n": 77},
+                      machine=executor and MachineConfig(executor=executor))
 
 
 def count_instrumented_sites(executor=None) -> int:

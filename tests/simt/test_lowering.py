@@ -40,7 +40,7 @@ def _both(module, kernel, buffers, scalars=None, grid=2, block=8):
         outputs, metrics = run_kernel(
             module, kernel, grid, block,
             buffers={k: list(v) for k, v in buffers.items()},
-            scalars=scalars, executor=executor)
+            scalars=scalars, machine=MachineConfig(executor=executor))
         results[executor] = (outputs, metrics.as_dict())
     assert results["fast"] == results["reference"]
     return results["fast"]
@@ -131,7 +131,7 @@ b:
     for executor in EXECUTORS:
         with pytest.raises(SimulationError) as excinfo:
             run_kernel(f.module, "k", 1, 8, buffers={"p": [0] * 8},
-                       executor=executor)
+                       machine=MachineConfig(executor=executor))
         messages[executor] = str(excinfo.value)
         assert "branch on undef condition" in messages[executor]
     assert messages["fast"] == messages["reference"]
@@ -146,7 +146,8 @@ def test_generator_seed_130_all_arms_agree():
             continue
         per_executor = {}
         for executor in EXECUTORS:
-            with GPU(report.builder.module, executor=executor) as gpu:
+            with GPU(report.builder.module,
+                     MachineConfig(executor=executor)) as gpu:
                 result = repro.launch(report.builder.module, spec.grid_dim,
                                       spec.block_dim, make_inputs(spec, 0),
                                       gpu=gpu)
@@ -287,15 +288,14 @@ def test_program_cache_keyed_by_reconvergence_policy():
 def test_latency_model_changes_simulated_cycles():
     f = _simple_function()
     _, default_metrics = run_kernel(f.module, "k", 1, 8,
-                                    buffers={"p": [0] * 8}, executor="fast")
+                                    buffers={"p": [0] * 8})
     expensive = MachineConfig()
     expensive.latency = LatencyModel()
     expensive.latency.opcode_latency = dict(expensive.latency.opcode_latency)
     expensive.latency.opcode_latency[Opcode.ADD] = 400
     f2 = _simple_function()
     _, slow_metrics = run_kernel(f2.module, "k", 1, 8,
-                                 buffers={"p": [0] * 8}, config=expensive,
-                                 executor="fast")
+                                 buffers={"p": [0] * 8}, machine=expensive)
     assert slow_metrics.cycles > default_metrics.cycles
 
 

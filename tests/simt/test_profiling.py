@@ -25,7 +25,7 @@ def run(n, profile=True):
     f = parse(DIVERGENT)
     config = MachineConfig(profile_branches=profile)
     _, metrics = run_kernel(f.module, "k", 1, 8, buffers={"p": [0] * 8},
-                            scalars={"n": n}, config=config)
+                            scalars={"n": n}, machine=config)
     return metrics
 
 
@@ -53,7 +53,7 @@ class TestBranchProfile:
         config = MachineConfig(profile_branches=True)
         _, metrics = run_kernel(f.module, "k", 2, 64,
                                 buffers={"p": [0] * 128},
-                                scalars={"n": 16}, config=config)
+                                scalars={"n": 16}, machine=config)
         # 2 blocks x 2 warps = 4 warp executions of %entry; only the warp
         # containing lanes 0..31 of each block diverges at n=16.
         execs, divs = metrics.branch_profile["entry"]

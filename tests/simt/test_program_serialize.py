@@ -97,12 +97,12 @@ def test_materialized_program_executes_identically(seed):
 
         args = make_inputs(spec, 0)
         try:
-            with GPU(reparsed, executor="reference") as gpu:
+            with GPU(reparsed, MachineConfig(executor="reference")) as gpu:
                 ref = repro.launch(reparsed, spec.grid_dim, spec.block_dim,
                                    dict(args), gpu=gpu)
         except Exception:
             continue  # runtime-trap arms are test_executor_diff's concern
-        with GPU(reparsed, executor="fast") as gpu:
+        with GPU(reparsed, MachineConfig(executor="fast")) as gpu:
             fast = repro.launch(reparsed, spec.grid_dim, spec.block_dim,
                                 dict(args), gpu=gpu)
         assert fast.outputs == ref.outputs, \

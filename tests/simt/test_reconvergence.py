@@ -4,8 +4,8 @@ The corpus-wide differential (``test_executor_diff``) holds both
 executors bit-identical under every policy; this file pins down the
 scheduler mechanics themselves — min-PC path fusion, divergent loop
 exits, barriers under a partial mask — plus the policy registry and the
-:class:`~repro.simt.MachineConfig` resolution rules the redesigned
-machine API is built on.
+:class:`~repro.simt.MachineConfig` token rules the machine API is built
+on.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.simt import (
     MinPCPolicy,
     ReconvergencePolicy,
     get_policy,
-    resolve_machine,
 )
 
 from tests.support import parse
@@ -195,25 +194,6 @@ def test_machine_config_hash_and_tokens():
     reference = MachineConfig(executor="reference")
     assert a.token() != reference.token()
     assert a.program_token() == reference.program_token()
-
-
-def test_resolve_machine_rejects_duplicated_fields():
-    machine = MachineConfig()
-    with pytest.raises(ValueError, match="machine= config wins"):
-        resolve_machine(machine, executor="fast", where="launch")
-    with pytest.raises(ValueError, match="machine= only"):
-        resolve_machine(machine, config=machine, where="launch")
-
-
-def test_resolve_machine_legacy_spellings_warn():
-    custom = MachineConfig(executor="reference")
-    with pytest.warns(DeprecationWarning, match="config=.*deprecated"):
-        assert resolve_machine(config=custom, stacklevel=2) is custom
-    with pytest.warns(DeprecationWarning, match="executor=.*deprecated"):
-        resolved = resolve_machine(executor="reference", stacklevel=2)
-    assert resolved.executor == "reference"
-    with pytest.raises(ValueError, match="unknown executor"):
-        resolve_machine(executor="warp-speed", stacklevel=2)
 
 
 # ---- min-PC end-to-end corners --------------------------------------------

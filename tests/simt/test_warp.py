@@ -13,7 +13,7 @@ def run(text, buffers, block_dim=4, scalars=None, grid_dim=1, config=None):
     f = parse(text)
     # Keep the parse module: it owns any shared-array globals.
     return run_kernel(f.module, f.name, grid_dim, block_dim, buffers=buffers,
-                      scalars=scalars, config=config)
+                      scalars=scalars, machine=config)
 
 
 class TestArithmetic:

@@ -2,13 +2,11 @@
 
 import inspect
 import re
-import warnings
 from pathlib import Path
 
 import pytest
 
 import repro
-from repro._deprecation import reset_warn_registry
 from tests.support import build_diamond
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -100,9 +98,9 @@ class TestLaunch:
 
 
 class TestMachineAPI:
-    """The redesigned machine-configuration surface: one ``machine=``
-    argument everywhere, legacy spellings as warning deprecated aliases,
-    duplicated fields rejected with the winning spelling named."""
+    """The machine-configuration surface: one ``machine=`` argument
+    everywhere; the pre-PR-7 ``executor=``/``config=`` spellings are
+    gone."""
 
     ARGS = {"data": [1, 2, 3, 4], "bias": 10}
 
@@ -112,14 +110,12 @@ class TestMachineAPI:
             assert name in repro.__all__, name
 
     def test_config_first_signatures(self):
-        # ``machine=`` is the canonical parameter on every launch
-        # surface; the legacy ``executor=`` alias trails it.
-        for fn in (repro.launch, repro.run_kernel):
-            params = list(inspect.signature(fn).parameters)
+        # ``machine=`` is the one machine parameter on every launch
+        # surface.
+        for fn in (repro.launch, repro.run_kernel, repro.GPU.__init__):
+            params = inspect.signature(fn).parameters
             assert "machine" in params, fn
-            assert params.index("machine") < params.index("executor"), fn
-        gpu_params = inspect.signature(repro.GPU.__init__).parameters
-        assert "machine" in gpu_params
+            assert not {"executor", "config"} & set(params), fn
 
     def test_launch_accepts_machine(self):
         machine = repro.MachineConfig(executor="reference",
@@ -128,52 +124,20 @@ class TestMachineAPI:
                               args=dict(self.ARGS), machine=machine)
         assert result.outputs == {"data": [12, 16, 16, 22]}
 
-    def test_machine_plus_legacy_kwarg_rejected(self):
-        with pytest.raises(ValueError, match="machine= config wins"):
-            repro.launch(make_builder(), grid=1, block=4,
-                         args=dict(self.ARGS),
-                         machine=repro.MachineConfig(), executor="fast")
-
     def test_gpu_plus_machine_kwargs_rejected(self):
-        # The generalized ambiguity check: *any* kwarg duplicating a
-        # MachineConfig the GPU already carries is an error naming the
-        # winning spelling.
+        # A GPU already carries its MachineConfig: passing another is an
+        # error naming the winning spelling.
         k = make_builder()
         with repro.GPU(k.module) as gpu:
-            for kwargs in ({"machine": repro.MachineConfig()},
-                           {"executor": "fast"}):
-                with pytest.raises(ValueError,
-                                   match="GPU already carries its machine"):
-                    repro.launch(k.module, grid=1, block=4,
-                                 args=dict(self.ARGS), gpu=gpu, **kwargs)
-
-    def test_legacy_kwargs_warn_once_per_call_site(self):
-        reset_warn_registry()
-        k = make_builder()
-
-        def legacy_launch():
-            return repro.launch(k, grid=1, block=4, args=dict(self.ARGS),
-                                executor="fast")
-
-        with pytest.warns(DeprecationWarning, match="executor=.*deprecated"):
-            legacy_launch()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            legacy_launch()  # same call site: silent the second time
-        with pytest.warns(DeprecationWarning, match="executor=.*deprecated"):
-            repro.launch(k, grid=1, block=4, args=dict(self.ARGS),
-                         executor="fast")  # fresh call site warns anew
-
-    def test_legacy_spelling_still_works(self):
-        reset_warn_registry()
-        with pytest.warns(DeprecationWarning):
-            result = repro.launch(make_builder(), grid=1, block=4,
-                                  args=dict(self.ARGS), executor="reference")
-        assert result.outputs == {"data": [12, 16, 16, 22]}
+            with pytest.raises(ValueError,
+                               match="GPU already carries its machine"):
+                repro.launch(k.module, grid=1, block=4,
+                             args=dict(self.ARGS), gpu=gpu,
+                             machine=repro.MachineConfig())
 
     def test_examples_use_only_config_first_api(self):
         # examples/ are the copy-paste surface: they must not teach the
-        # deprecated spellings.
+        # removed spellings.
         legacy = re.compile(r"\b(executor|config)\s*=")
         offenders = [
             str(path.relative_to(REPO_ROOT))
@@ -237,6 +201,12 @@ class TestFacadeSurface:
     def test_all_names_resolve(self):
         for name in repro.__all__:
             assert getattr(repro, name, None) is not None, name
+
+    def test_package_metadata_agrees_on_the_version(self):
+        declared = re.search(r'^version = "([^"]+)"$',
+                             (REPO_ROOT / "pyproject.toml").read_text(),
+                             re.MULTILINE).group(1)
+        assert declared == repro.__version__
 
     def test_key_entry_points_exported(self):
         for name in ("compile", "launch", "meld", "analyze", "lint",
