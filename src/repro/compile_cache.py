@@ -63,7 +63,6 @@ from repro.analysis.validate import MeldValidation
 from repro.simt import (
     ProgramDecodeError,
     latency_token_key,
-    machine_token_key,
     materialize_program,
     seed_program,
 )
@@ -76,6 +75,14 @@ CACHE_SCHEMA = "repro.compile-cache/1"
 CACHE_ENV_VAR = "REPRO_COMPILE_CACHE"
 
 CacheKey = Tuple[str, str]
+
+
+def cache_dir_setting(value: Optional[str]) -> Optional[str]:
+    """``value`` (of :data:`CACHE_ENV_VAR` or ``--compile-cache``) as a
+    cache directory; unset, empty and ``off``/``0``/``none`` mean none."""
+    if not value or value.lower() in ("off", "0", "none"):
+        return None
+    return value
 
 
 def digest_text(*parts: str) -> str:
@@ -277,10 +284,8 @@ class CompileCache:
     def from_env(cls, default_dir: Optional[str] = None) -> "CompileCache":
         """Cache configured by :data:`CACHE_ENV_VAR` (``"off"``/``"0"``/
         empty → in-process only; otherwise the value is the cache dir)."""
-        value = os.environ.get(CACHE_ENV_VAR, default_dir)
-        if not value or value.lower() in ("off", "0", "none"):
-            return cls()
-        return cls(disk=value)
+        return cls(disk=cache_dir_setting(
+            os.environ.get(CACHE_ENV_VAR, default_dir)))
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -368,7 +373,7 @@ class CompileCache:
 
         ``program`` is a symbolic lowered program
         (:func:`repro.simt.lower_symbolic` of the optimized function)
-        keyed by the ``machine``'s program token.  ``cfm_stats`` marks a
+        keyed by the ``machine``'s latency model.  ``cfm_stats`` marks a
         full-pipeline entry.
         """
         payload: Dict[str, object] = {
@@ -379,7 +384,7 @@ class CompileCache:
         }
         if program is not None and machine is not None:
             payload["program"] = program
-            payload["machine_key"] = machine_token_key(machine)
+            payload["machine_key"] = latency_token_key(machine.latency)
         if cfm_stats is not None:
             payload["cfm"] = {"seconds": cfm_seconds,
                               "stats": cfm_stats_to_data(cfm_stats)}
@@ -395,9 +400,9 @@ class CompileCache:
         data = payload.get("program")
         if data is None or machine is None:
             return None
-        if payload.get("machine_key") != machine_token_key(machine):
-            # Program was lowered for a different machine (or the entry
-            # predates machine-keyed programs): the IR replay is still
+        if payload.get("machine_key") != latency_token_key(machine.latency):
+            # Program was lowered under a different latency model (or
+            # the entry carries an older key): the IR replay is still
             # good, the launch just re-lowers.
             return None
         try:

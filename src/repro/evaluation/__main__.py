@@ -29,17 +29,20 @@ paints a live per-sweep status line on stderr.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
-from typing import Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.compile_cache import CACHE_ENV_VAR, cache_dir_setting
 from repro.kernels import REAL_WORLD_BUILDERS, SYNTHETIC_BUILDERS
 from repro.obs import MetricsRegistry, NULL_REGISTRY, use_registry
 from repro.simt import RECONVERGENCE_POLICIES, MachineConfig
 
 from .experiments import (
     REAL_BLOCK_SIZES,
+    SpeedupRow,
     best_improvement_rows,
     counters,
     figure7,
@@ -59,14 +62,25 @@ from .reporting import (
 from .trace import SweepTraceCollector, TRACE_EVENT_POLICIES
 
 
+def _json_rows(rows: List[SpeedupRow]) -> List[Dict[str, object]]:
+    return [{"kernel": r.kernel, "block": r.block_size,
+             "speedup": r.speedup,
+             "baseline": r.comparison.baseline.as_dict(),
+             "cfm": r.comparison.melded.as_dict()} for r in rows]
+
+
 def build_report(quick: bool = False, workers: int = 1,
                  timeout: Optional[float] = None,
                  kernels: Optional[Sequence[str]] = None,
                  trace: Optional[SweepTraceCollector] = None,
                  cache_dir: Optional[str] = None,
                  reconvergence: Sequence[str] = ("ipdom",),
-                 progress: bool = False) -> str:
+                 progress: bool = False) -> Tuple[str, Dict[str, object]]:
+    """Run every table and figure once; returns the formatted report and
+    the ``--json`` view of the same rows (the first policy's Figure 7/8
+    sweeps; a figure the run skipped is absent)."""
     sections = []
+    data: Dict[str, object] = {}
     start = time.perf_counter()
 
     def progress_line(label: str) -> Optional[ProgressLine]:
@@ -108,11 +122,13 @@ def build_report(quick: bool = False, workers: int = 1,
         rows7 = []
         if synthetic:
             synthetic_sizes = [16, 32] if quick else None
-            rows7, _ = figure7(block_sizes=synthetic_sizes, workers=workers,
-                               timeout=timeout, trace=policy_trace,
-                               builders=synthetic, machine=machine,
-                               cache_dir=cache_dir,
-                               progress=progress_line(f"figure7[{policy}]"))
+            rows7, gm7 = figure7(block_sizes=synthetic_sizes, workers=workers,
+                                 timeout=timeout, trace=policy_trace,
+                                 builders=synthetic, machine=machine,
+                                 cache_dir=cache_dir,
+                                 progress=progress_line(f"figure7[{policy}]"))
+            if position == 0:
+                data["figure7"] = {"geomean": gm7, "rows": _json_rows(rows7)}
             sections.append(format_speedups(
                 rows7, f"Figure 7: synthetic benchmark speedups{suffix}"))
 
@@ -126,6 +142,10 @@ def build_report(quick: bool = False, workers: int = 1,
                            cache_dir=cache_dir,
                            progress=progress_line(f"figure8[{policy}]"))
             fig8_rows = fig8.rows
+            if position == 0:
+                data["figure8"] = {"geomean": fig8.geomean_all,
+                                   "geomean_best": fig8.geomean_best,
+                                   "rows": _json_rows(fig8_rows)}
             sections.append(format_figure8(fig8, suffix=suffix))
 
         per_policy_rows[policy] = rows7 + fig8_rows
@@ -151,7 +171,7 @@ def build_report(quick: bool = False, workers: int = 1,
         f"(regenerated in {elapsed:.1f}s with workers={workers}; see "
         "EXPERIMENTS.md for the paper-vs-measured discussion)\n"
     )
-    return header + "\n\n".join([""] + sections) + "\n"
+    return header + "\n\n".join([""] + sections) + "\n", data
 
 
 def main(argv=None) -> int:
@@ -181,7 +201,8 @@ def main(argv=None) -> int:
                              "into the sweep trace (default: first block "
                              "size of each kernel)")
     parser.add_argument("--json", metavar="FILE",
-                        help="also dump raw speedup/counter data as JSON")
+                        help="also dump the report's Figure 7/8 rows "
+                             "(speedups and raw counters) as JSON")
     parser.add_argument("--metrics", metavar="FILE",
                         help="write the run's aggregate-metrics snapshot "
                              "here as Prometheus text exposition")
@@ -202,11 +223,10 @@ def main(argv=None) -> int:
                              "REPRO_COMPILE_CACHE env var; 'off' disables "
                              "even that)")
     args = parser.parse_args(argv)
-    cache_dir = args.compile_cache
-    if cache_dir is not None and cache_dir.lower() in ("off", "0", "none"):
+    cache_dir = cache_dir_setting(args.compile_cache)
+    if args.compile_cache is not None and cache_dir is None:
         # Explicitly disabled: also mask the env var for worker processes.
-        os.environ["REPRO_COMPILE_CACHE"] = "off"
-        cache_dir = None
+        os.environ[CACHE_ENV_VAR] = "off"
 
     kernels = ([k.strip() for k in args.kernels.split(",") if k.strip()]
                if args.kernels else None)
@@ -217,45 +237,19 @@ def main(argv=None) -> int:
                                       timeout=args.timeout,
                                       policy=args.trace_events))
 
-    if args.json:
-        import json
-
-        rows7, gm7 = figure7(block_sizes=[16, 32] if args.quick else None,
-                             workers=args.workers, timeout=args.timeout)
-        fig8 = figure8(workers=args.workers, timeout=args.timeout)
-        payload = {
-            "figure7": {
-                "geomean": gm7,
-                "rows": [{"kernel": r.kernel, "block": r.block_size,
-                          "speedup": r.speedup,
-                          "baseline": r.comparison.baseline.as_dict(),
-                          "cfm": r.comparison.melded.as_dict()}
-                         for r in rows7],
-            },
-            "figure8": {
-                "geomean": fig8.geomean_all,
-                "geomean_best": fig8.geomean_best,
-                "rows": [{"kernel": r.kernel, "block": r.block_size,
-                          "speedup": r.speedup,
-                          "baseline": r.comparison.baseline.as_dict(),
-                          "cfm": r.comparison.melded.as_dict()}
-                         for r in fig8.rows],
-            },
-        }
-        with open(args.json, "w") as handle:
-            json.dump(payload, handle, indent=2)
-        print(f"wrote {args.json}")
-
     # Aggregate metrics ride along whenever there is somewhere to put
     # them: the --metrics file and/or the sweep trace's "metrics" key.
     registry = (MetricsRegistry() if args.metrics or trace is not None
                 else NULL_REGISTRY)
     with use_registry(registry):
-        report = build_report(quick=args.quick, workers=args.workers,
-                              timeout=args.timeout, kernels=kernels,
-                              trace=trace, cache_dir=cache_dir,
-                              reconvergence=reconvergence,
-                              progress=args.progress)
+        report, data = build_report(
+            quick=args.quick, workers=args.workers, timeout=args.timeout,
+            kernels=kernels, trace=trace, cache_dir=cache_dir,
+            reconvergence=reconvergence, progress=args.progress)
+    if args.json:
+        with open(args.json, "w") as handle:
+            json.dump(data, handle, indent=2)
+        print(f"wrote {args.json}")
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(report)

@@ -19,8 +19,6 @@ from repro.kernels.patterns import PATTERN_BUILDERS
 from repro.pipeline import ARM_STAGES, compile_arm
 from repro.simt import MachineConfig
 
-from repro.obs import current_registry
-
 from .parallel import (
     ParallelRunner,
     ProgressCallback,
@@ -59,6 +57,21 @@ class SpeedupRow:
     @property
     def label(self) -> str:
         return f"{self.kernel}-{self.block_size}"
+
+    @classmethod
+    def from_result(cls, result: TaskResult) -> "SpeedupRow":
+        """The row a successful sweep task stands for (the one mapper:
+        the serve ``sweep`` job's wire rows are its scalar fields)."""
+        comparison = result.comparison
+        return cls(
+            kernel=result.kernel,
+            block_size=result.block_size,
+            speedup=comparison.speedup,
+            baseline_cycles=comparison.baseline.cycles,
+            cfm_cycles=comparison.melded.cycles,
+            melds=comparison.melds,
+            comparison=comparison,
+        )
 
 
 def run_sweep(
@@ -99,13 +112,11 @@ def run_sweep(
     them into that registry.
     """
     policy = trace.policy if trace is not None else "off"
-    collect = current_registry().enabled
     tasks = [SweepTask(kernel=name, builder=builder, block_size=block_size,
                        grid_dim=grid_dim, seed=seed, config=config,
                        machine=machine, cache_dir=cache_dir,
                        trace=(policy == "all"
-                              or (policy == "first" and position == 0)),
-                       metrics=collect)
+                              or (policy == "first" and position == 0)))
              for name, builder in builders.items()
              for position, block_size in enumerate(block_sizes[name])]
     results = ParallelRunner(workers=workers, timeout=timeout).run(
@@ -115,20 +126,7 @@ def run_sweep(
     failures = [r for r in results if not r.ok]
     if failures:
         raise SweepError(failures)
-    return [_speedup_row(result) for result in results]
-
-
-def _speedup_row(result: TaskResult) -> SpeedupRow:
-    comparison = result.comparison
-    return SpeedupRow(
-        kernel=result.kernel,
-        block_size=result.block_size,
-        speedup=comparison.speedup,
-        baseline_cycles=comparison.baseline.cycles,
-        cfm_cycles=comparison.melded.cycles,
-        melds=comparison.melds,
-        comparison=comparison,
-    )
+    return [SpeedupRow.from_result(result) for result in results]
 
 
 # ---- Figure 7: synthetic speedups ---------------------------------------------

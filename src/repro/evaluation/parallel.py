@@ -25,14 +25,16 @@ queueing, retry, timeout and recycling; this layer owns what a sweep
 task *is* (:class:`SweepTask` → :func:`run_task` → :class:`TaskResult`)
 and how its telemetry folds into the ambient metrics registry.
 
+A sweep task is an ordinary scheduler task — ``Task(run_task,
+SweepTask(...))`` — whether :class:`ParallelRunner` or the
+:mod:`repro.serve` sweep job submits it (DESIGN.md, "The task path").
 ``workers <= 1`` runs tasks serially in-process (the scheduler's inline
 mode — the reference path the determinism tests compare against);
 ``workers > 1`` uses a pool of **persistent** worker processes, each
-serving many tasks, with an optional :class:`~repro.scheduler.RecyclePolicy`
-retiring workers after N tasks or M bytes RSS.  A task that fails in a
-persistent worker quarantines that worker's in-process lowering memo
-(see :func:`repro.simt.clear_lowering_memo`) before the next dispatch,
-so a crash cannot poison a later task's — or its own retry's — cache.
+serving many tasks.  A task that fails in a persistent worker
+quarantines that worker's in-process lowering memo (see
+:func:`repro.simt.clear_lowering_memo`) before the next dispatch, so a
+crash cannot poison a later task's — or its own retry's — cache.
 """
 
 from __future__ import annotations
@@ -44,22 +46,18 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.core import CFMConfig
 from repro.kernels.common import KernelCase
 from repro.obs import (
-    MetricsRegistry,
     Tracer,
     bridge_to_tracer,
     current_registry,
+    current_tracer,
     record_task_seconds,
     update_cache_hit_ratio,
     use as use_tracer,
-    use_registry,
 )
-from repro.scheduler import NO_RECYCLE, RecyclePolicy, Scheduler, Task
+from repro.scheduler import DEFAULT_RETRIES, Scheduler, Task, TaskContext
 from repro.simt import MachineConfig
 
 from .runner import Comparison, CompileCache, compare
-
-#: forcibly terminated / crashed tasks are retried this many times
-DEFAULT_RETRIES = 1
 
 #: callback invoked after each terminal task result:
 #: ``progress(done, total, result)``
@@ -86,11 +84,6 @@ class SweepTask:
     #: falls back to the REPRO_COMPILE_CACHE environment variable
     #: (unset/"off" → per-task in-process cache only)
     cache_dir: Optional[str] = None
-    #: collect an aggregate-metrics delta for this task (a fresh
-    #: repro.obs.MetricsRegistry installed for the task's duration; its
-    #: snapshot rides back on TaskResult.metrics_delta so the parent can
-    #: fold worker deltas into one sweep-level registry)
-    metrics: bool = False
 
 
 @dataclass
@@ -111,12 +104,14 @@ class TaskResult:
     compile_cache_disk: Optional[Dict[str, int]] = None
     #: Chrome trace events captured when SweepTask.trace was set
     trace_events: Optional[List[Dict[str, object]]] = None
-    #: aggregate-metrics snapshot of this task's registry (see
-    #: SweepTask.metrics); on a crashed task this still carries whatever
-    #: was flushed before the failure, so partial telemetry survives
+    #: the scheduler outcome's aggregate-metrics snapshot (Task.metrics);
+    #: on a crashed task this still carries whatever was flushed before
+    #: the failure, so partial telemetry survives
     metrics_delta: Optional[Dict[str, object]] = None
     #: the task's process raised (or died) instead of reporting cleanly
     crashed: bool = False
+    #: the final attempt was terminated at the wall-clock timeout
+    timed_out: bool = False
 
     @property
     def ok(self) -> bool:
@@ -125,15 +120,17 @@ class TaskResult:
     @classmethod
     def from_outcome(cls, outcome, index: int, kernel: str,
                      block_size: int) -> "TaskResult":
-        """The result a settled scheduler outcome stands for: the task's
-        own on success, a terminal-failure record otherwise."""
-        if outcome.ok:
-            return outcome.value
-        return cls(index=index, kernel=kernel, block_size=block_size,
-                   error=outcome.error, attempts=outcome.attempts,
-                   seconds=outcome.seconds,
-                   metrics_delta=outcome.metrics_delta,
-                   crashed=outcome.crashed)
+        """The result a settled scheduler outcome stands for — the task's
+        own on success, a terminal-failure record otherwise — at the
+        caller's position ``index`` and with the outcome's telemetry."""
+        result = outcome.value if outcome.ok else cls(
+            index=index, kernel=kernel, block_size=block_size,
+            error=outcome.error, attempts=outcome.attempts,
+            seconds=outcome.seconds, crashed=outcome.crashed,
+            timed_out=outcome.timed_out)
+        result.index = index
+        result.metrics_delta = outcome.metrics_delta
+        return result
 
 
 class SweepError(RuntimeError):
@@ -147,73 +144,38 @@ class SweepError(RuntimeError):
         super().__init__(f"{len(self.failures)} sweep task(s) failed: {detail}")
 
 
-def run_task(task: SweepTask, index: int = 0, attempts: int = 1) -> TaskResult:
-    """Execute one comparison with a per-task compile cache.
+def run_task(task: SweepTask,
+             ctx: TaskContext = TaskContext(index=0, attempt=1, worker=0)
+             ) -> TaskResult:
+    """Execute one comparison with a per-task compile cache — the
+    scheduler task function of every sweep (``Task(run_task, task)``).
 
     With ``task.trace`` set the comparison runs under a fresh
     :class:`~repro.obs.Tracer` (installed for this task only) and the
     captured events ride back on :attr:`TaskResult.trace_events`.
-
-    With ``task.metrics`` set the comparison additionally runs under a
-    fresh :class:`~repro.obs.MetricsRegistry`; its snapshot rides back
-    on :attr:`TaskResult.metrics_delta`.  If the task raises, the
-    partial snapshot is attached to the exception
-    (``exc._metrics_delta``) so crash handlers can still report it.
     """
-    if not task.metrics:
-        return _task_body(task, index, attempts)
-    registry = MetricsRegistry()
-    try:
-        with use_registry(registry):
-            result = _task_body(task, index, attempts)
-    except BaseException as exc:  # noqa: BLE001 — annotate and re-raise
-        exc._metrics_delta = registry.snapshot()
-        raise
-    result.metrics_delta = registry.snapshot()
-    return result
-
-
-def _task_body(task: SweepTask, index: int, attempts: int) -> TaskResult:
     if task.cache_dir is not None:
         cache = CompileCache(disk=task.cache_dir)
     else:
         cache = CompileCache.from_env()
     start = time.perf_counter()
-    events: Optional[List[Dict[str, object]]] = None
-    if task.trace:
-        with use_tracer(Tracer()) as tracer:
-            comparison = compare(
-                task.builder, task.block_size, grid_dim=task.grid_dim,
-                seed=task.seed, config=task.config, machine=task.machine,
-                name=task.kernel, cache=cache, collect_ir_stats=True)
-            # Counter tracks next to the task's spans in Perfetto.
-            bridge_to_tracer(current_registry(), tracer)
-        events = list(tracer.events)
-    else:
+    with use_tracer(Tracer() if task.trace else current_tracer()) as tracer:
         comparison = compare(
             task.builder, task.block_size, grid_dim=task.grid_dim,
             seed=task.seed, config=task.config, machine=task.machine,
             name=task.kernel, cache=cache, collect_ir_stats=True)
+        if task.trace:
+            # Counter tracks next to the task's spans in Perfetto.
+            bridge_to_tracer(current_registry(), tracer)
     seconds = time.perf_counter() - start
     record_task_seconds(seconds)
     return TaskResult(
-        index=index, kernel=task.kernel, block_size=task.block_size,
-        comparison=comparison, attempts=attempts, seconds=seconds,
+        index=ctx.index, kernel=task.kernel, block_size=task.block_size,
+        comparison=comparison, attempts=ctx.attempt, seconds=seconds,
         compile_cache_hits=cache.hits, compile_cache_misses=cache.misses,
         compile_cache_disk=(cache.disk.counters()
                             if cache.disk is not None else None),
-        trace_events=events)
-
-
-def _sweep_fn(task: SweepTask, ctx) -> TaskResult:
-    """Scheduler task adapter: one sweep comparison per scheduler task.
-
-    Metrics stay ``Task.metrics=False`` at the scheduler layer —
-    :func:`run_task` manages its own per-task registry (and annotates
-    exceptions with the partial snapshot), which keeps the serial and
-    pooled paths byte-identical in what they collect.
-    """
-    return run_task(task, index=ctx.index, attempts=ctx.attempt)
+        trace_events=list(tracer.events) if task.trace else None)
 
 
 def fold_sweep_metrics(results: Sequence[TaskResult], wall_seconds: float,
@@ -248,8 +210,7 @@ def fold_sweep_metrics(results: Sequence[TaskResult], wall_seconds: float,
     registry.counter(
         "repro_eval_tasks_timed_out_total",
         "Task attempts terminated at the wall-clock timeout"
-    ).inc(sum(1 for r in results
-              if r.error is not None and "timed out" in r.error))
+    ).inc(sum(1 for r in results if r.timed_out))
     registry.counter(
         "repro_eval_tasks_crashed_total",
         "Tasks whose process raised or died mid-flight"
@@ -274,29 +235,14 @@ class ParallelRunner:
 
     ``timeout`` is per task attempt, in seconds (``None`` disables it —
     only meaningful with ``workers > 1``, since the serial path cannot
-    preempt a running task).  ``recycle`` forwards a
-    :class:`~repro.scheduler.RecyclePolicy` to the worker pool
-    (irrelevant for ``workers <= 1``).
+    preempt a running task).
     """
 
     def __init__(self, workers: int = 1, timeout: Optional[float] = None,
-                 retries: int = DEFAULT_RETRIES,
-                 recycle: RecyclePolicy = NO_RECYCLE) -> None:
+                 retries: int = DEFAULT_RETRIES) -> None:
         self.workers = max(1, int(workers))
         self.timeout = timeout
         self.retries = max(0, int(retries))
-        self.recycle = recycle
-        #: concurrency-slot id -> busy seconds, rebuilt by each run()
-        self._slot_busy: Dict[int, float] = {}
-        #: repro_sched_* snapshot of the last run()'s pool (worker
-        #: lifetimes, recycling, respawns); None before the first run
-        self.scheduler_metrics: Optional[Dict[str, object]] = None
-
-    def _fold_metrics(self, results: Sequence[TaskResult],
-                      wall_seconds: float) -> None:
-        fold_sweep_metrics(results, wall_seconds, self._slot_busy)
-
-    # ---- public API -------------------------------------------------------
 
     def run(self, tasks: Sequence[SweepTask],
             progress: Optional[ProgressCallback] = None) -> List[TaskResult]:
@@ -304,33 +250,32 @@ class ParallelRunner:
 
         ``progress`` is called after each terminal result with
         ``(done, total, result)`` — completion order, not index order.
+        When the ambient :func:`~repro.obs.current_registry` is enabled,
+        every task collects a metrics delta and they fold into it.
         """
         tasks = list(tasks)
         if not tasks:
             return []
-        self._slot_busy = {}
         start = time.perf_counter()
-        total = len(tasks)
+        collect = current_registry().enabled
         by_index: Dict[int, TaskResult] = {}
 
         def on_outcome(outcome) -> None:
             # Runs on the scheduler's dispatcher thread, one outcome at
             # a time — no extra synchronization needed here.
             task = tasks[outcome.index]
-            result = TaskResult.from_outcome(
+            by_index[outcome.index] = result = TaskResult.from_outcome(
                 outcome, outcome.index, task.kernel, task.block_size)
-            by_index[result.index] = result
             if progress is not None:
-                progress(len(by_index), total, result)
+                progress(len(by_index), len(tasks), result)
 
         scheduler = Scheduler(
             workers=0 if self.workers <= 1 else self.workers,
-            timeout=self.timeout, retries=self.retries, recycle=self.recycle)
+            timeout=self.timeout, retries=self.retries)
         with scheduler:
-            scheduler.run([Task(_sweep_fn, task) for task in tasks],
-                          on_outcome=on_outcome)
-        self._slot_busy = dict(scheduler.slot_busy)
-        self.scheduler_metrics = scheduler.metrics_snapshot()
-        results = [by_index[index] for index in range(total)]
-        self._fold_metrics(results, time.perf_counter() - start)
+            scheduler.run([Task(run_task, task, metrics=collect)
+                           for task in tasks], on_outcome=on_outcome)
+        results = [by_index[index] for index in range(len(tasks))]
+        fold_sweep_metrics(results, time.perf_counter() - start,
+                           scheduler.slot_busy)
         return results

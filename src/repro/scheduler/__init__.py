@@ -5,7 +5,7 @@ The reusable process-pool layer extracted from the evaluation harness:
 long-lived forked workers with deterministic result ordering, per-attempt
 timeouts, crash-retry, and policy-driven worker recycling
 (:class:`RecyclePolicy`).  Job-specific layers sit on top:
-:class:`repro.evaluation.ParallelRunner` adapts figure-sweep tasks, and
+:class:`repro.evaluation.ParallelRunner` submits figure-sweep tasks, and
 :mod:`repro.serve` multiplexes whole job streams from network clients.
 
 Test hooks: ``repro.scheduler.worker._TEST_WORKER_CHAOS`` injects

@@ -23,9 +23,9 @@ attempt number and worker id.  Values and payloads must pickle.
 
 ``workers=0`` is **inline mode**: tasks execute synchronously in the
 calling process (the serial reference path the determinism tests compare
-against).  Inline failures report ``"Type: message"`` without a
-traceback — matching the historical serial ParallelRunner contract —
-while worker failures append the remote traceback.
+against), through the same attempt runner the workers use
+(:func:`repro.scheduler.worker.run_attempt`).  Inline failures report
+``"Type: message"``; worker failures append the remote traceback.
 
 The scheduler keeps its own self-telemetry in :attr:`Scheduler.registry`
 (``repro_sched_*`` families, deliberately namespaced apart from the
@@ -48,9 +48,9 @@ from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
-from repro.obs import MetricsRegistry, use_registry
+from repro.obs import MetricsRegistry
 
-from .worker import TaskContext, _quarantine, worker_main
+from .worker import Task, TaskContext, run_attempt, worker_main
 
 #: crashed / timed-out / corrupt task attempts are retried this many times
 DEFAULT_RETRIES = 1
@@ -82,17 +82,6 @@ class RecyclePolicy:
 NO_RECYCLE = RecyclePolicy()
 
 
-@dataclass(frozen=True)
-class Task:
-    """One unit of work: a picklable module-level callable + payload."""
-
-    fn: Callable[[Any, TaskContext], Any]
-    payload: Any = None
-    #: run under a fresh repro.obs.MetricsRegistry; its snapshot rides
-    #: back on TaskOutcome.metrics_delta (partial on failure)
-    metrics: bool = False
-
-
 @dataclass
 class TaskOutcome:
     """Terminal result of one task, after any retries."""
@@ -109,8 +98,8 @@ class TaskOutcome:
     timed_out: bool = False
     #: id of the worker that produced the terminal attempt (-1 if none)
     worker: int = -1
-    #: metrics snapshot from the task's registry (see Task.metrics), or
-    #: whatever the task attached to its exception (``_metrics_delta``)
+    #: metrics snapshot from the task's registry (see Task.metrics); on a
+    #: failure, whatever the final attempt flushed before it raised
     metrics_delta: Optional[Dict[str, object]] = None
 
 
@@ -318,37 +307,18 @@ class Scheduler:
 
     def _run_inline(self, index: int, task: Task,
                     callback: Optional[OutcomeCallback]) -> None:
-        attempt = 1
+        attempt = 0
         while True:
-            start = time.perf_counter()
-            registry = MetricsRegistry() if task.metrics else None
-            ctx = TaskContext(index=index, attempt=attempt, worker=0)
-            try:
-                if registry is not None:
-                    with use_registry(registry):
-                        value = task.fn(task.payload, ctx)
-                else:
-                    value = task.fn(task.payload, ctx)
-                outcome = TaskOutcome(
-                    index=index, ok=True, value=value, attempts=attempt,
-                    seconds=time.perf_counter() - start, worker=0,
-                    metrics_delta=(registry.snapshot()
-                                   if registry is not None else None))
+            attempt += 1
+            value, exc, delta, seconds = run_attempt(
+                task, TaskContext(index=index, attempt=attempt, worker=0))
+            if exc is None or attempt > self.retries:
                 break
-            except Exception as exc:  # noqa: BLE001
-                _quarantine()
-                if attempt > self.retries:
-                    delta = getattr(exc, "_metrics_delta", None)
-                    if delta is None and registry is not None:
-                        delta = registry.snapshot()
-                    outcome = TaskOutcome(
-                        index=index, ok=False,
-                        error=f"{type(exc).__name__}: {exc}",
-                        attempts=attempt,
-                        seconds=time.perf_counter() - start,
-                        crashed=True, worker=0, metrics_delta=delta)
-                    break
-                attempt += 1
+        outcome = TaskOutcome(
+            index=index, ok=exc is None, value=value,
+            error=None if exc is None else f"{type(exc).__name__}: {exc}",
+            attempts=attempt, seconds=seconds, crashed=exc is not None,
+            worker=0, metrics_delta=delta)
         self.slot_busy[0] = self.slot_busy.get(0, 0.0) + outcome.seconds
         self._settled(outcome, callback)
 
@@ -492,9 +462,9 @@ class Scheduler:
         if busy is None:
             return  # stray message from a worker we already timed out
         if len(message) != 9:
-            # Satellite-1 "corrupt" chaos mode lands here: the payload
-            # is unusable but the worker's message framing is intact,
-            # so keep the worker and retry the task.
+            # The payload is unusable but the worker's message framing
+            # is intact (the "corrupt" chaos mode): keep the worker and
+            # retry the task.
             self._fail_or_retry(
                 busy, "worker returned a corrupt payload", handle.id,
                 crashed=True)

@@ -42,7 +42,9 @@ import os
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
+
+from repro.obs import MetricsRegistry, current_registry, set_registry
 
 #: task index -> chaos mode, consulted on attempt 1 only.  Forked
 #: workers inherit the parent's value, so tests set it before the
@@ -62,6 +64,17 @@ class TaskContext:
     index: int
     attempt: int
     worker: int
+
+
+@dataclass(frozen=True)
+class Task:
+    """One unit of work: a picklable module-level callable + payload."""
+
+    fn: Callable[[Any, TaskContext], Any]
+    payload: Any = None
+    #: run under a fresh repro.obs.MetricsRegistry; its snapshot rides
+    #: back on TaskOutcome.metrics_delta (partial on failure)
+    metrics: bool = False
 
 
 def rss_bytes() -> Optional[int]:
@@ -96,16 +109,36 @@ def _quarantine() -> None:
     clear_lowering_memo()
 
 
-def _maybe_chaos_before(index: int, attempt: int) -> None:
-    if attempt != 1:
-        return
-    mode = _TEST_WORKER_CHAOS.get(index)
-    if mode == "exit":
-        os._exit(_CHAOS_EXIT_CODE)
-    elif mode == "raise":
-        raise RuntimeError(f"chaos: injected worker exception (task {index})")
-    elif mode == "hang":
-        time.sleep(3600)
+def run_attempt(task: Task, ctx: TaskContext, catch: type = Exception
+                ) -> Tuple[Any, Optional[BaseException],
+                           Optional[Dict[str, object]], float]:
+    """Run one attempt of ``task``.
+
+    The one attempt runner, shared by inline mode and :func:`worker_main`:
+    ``task.metrics`` installs a fresh :class:`~repro.obs.MetricsRegistry`
+    for the call, a raised ``catch`` quarantines the process.  Returns
+    ``(value, exception, metrics_delta, seconds)`` — ``exception`` is the
+    object itself (``None`` on success; formatting it is the caller's
+    business), ``metrics_delta`` the registry's snapshot, which on a
+    failure is whatever the task flushed before raising.
+    """
+    registry = MetricsRegistry() if task.metrics else current_registry()
+    value = error = None
+    start = time.perf_counter()
+    previous = set_registry(registry)
+    try:
+        value = task.fn(task.payload, ctx)
+    except catch as exc:  # noqa: BLE001 — report, never die silently
+        error = exc
+        _quarantine()
+    finally:
+        set_registry(previous)
+    delta = registry.snapshot() if task.metrics else None
+    return value, error, delta, time.perf_counter() - start
+
+
+def _chaos_raise(payload, ctx: TaskContext):
+    raise RuntimeError(f"chaos: injected worker exception (task {ctx.index})")
 
 
 def worker_main(worker_id: int, slot: int, conn, max_tasks: Optional[int],
@@ -121,8 +154,6 @@ def worker_main(worker_id: int, slot: int, conn, max_tasks: Optional[int],
     a stop; both carry the worker-lifetime metrics snapshot so recycling
     never loses telemetry.
     """
-    from repro.obs import MetricsRegistry, use_registry
-
     lifetime = MetricsRegistry()
     tasks_total = lifetime.counter(
         "repro_sched_worker_tasks_total",
@@ -149,29 +180,22 @@ def worker_main(worker_id: int, slot: int, conn, max_tasks: Optional[int],
             goodbye("goodbye")
             return
         _, index, attempt, fn, payload, metrics = message
-        start = time.perf_counter()
-        ok, value, error, delta = True, None, None, None
-        registry = MetricsRegistry() if metrics else None
-        try:
-            _maybe_chaos_before(index, attempt)
-            ctx = TaskContext(index=index, attempt=attempt, worker=worker_id)
-            if registry is not None:
-                with use_registry(registry):
-                    value = fn(payload, ctx)
-            else:
-                value = fn(payload, ctx)
-        except BaseException as exc:  # noqa: BLE001 — report, never die silently
-            ok, value = False, None
-            error = f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
-            # A task that annotated its own partial snapshot (see
-            # run_task) wins; otherwise whatever this registry caught.
-            delta = getattr(exc, "_metrics_delta", None)
-            if delta is None and registry is not None:
-                delta = registry.snapshot()
-            _quarantine()
-        if ok and registry is not None:
-            delta = registry.snapshot()
-        seconds = time.perf_counter() - start
+        mode = _TEST_WORKER_CHAOS.get(index) if attempt == 1 else None
+        if mode == "exit":
+            os._exit(_CHAOS_EXIT_CODE)
+        elif mode == "hang":
+            time.sleep(3600)
+        elif mode == "raise":
+            fn = _chaos_raise
+        value, exc, delta, seconds = run_attempt(
+            Task(fn, payload, metrics),
+            TaskContext(index=index, attempt=attempt, worker=worker_id),
+            BaseException)
+        ok, error = exc is None, None
+        if exc is not None:
+            trace = "".join(traceback.format_exception(
+                type(exc), exc, exc.__traceback__))
+            error = f"{type(exc).__name__}: {exc}\n{trace}"
         served += 1
         tasks_total.labels(slot=str(slot),
                            outcome="ok" if ok else "error").inc()
@@ -183,7 +207,6 @@ def worker_main(worker_id: int, slot: int, conn, max_tasks: Optional[int],
             max_rss_bytes is not None and rss is not None
             and rss >= max_rss_bytes)
 
-        mode = _TEST_WORKER_CHAOS.get(index) if attempt == 1 else None
         if mode == "exit-after":
             os._exit(_CHAOS_EXIT_CODE)
         try:

@@ -17,13 +17,11 @@ Five built-in kinds, registered in :data:`JOB_KINDS`:
     one task per kernel: compile the ``-O3`` baseline and execute it,
     reporting cycles and divergence counters.
 ``sweep``
-    one task per ``(kernel, block size)`` — exactly a figure sweep row
-    (:func:`repro.evaluation.run_task` underneath), reporting the same
-    speedup fields :func:`repro.evaluation.run_sweep` computes.  Rows
-    are bit-identical to a serial ``python -m repro.evaluation`` run,
-    and the job's merged metrics delta reuses
-    :func:`repro.evaluation.fold_sweep_metrics` so the snapshot matches
-    a serial collect too.
+    one task per ``(kernel, block size)`` — the very
+    ``Task(run_task, SweepTask(...))`` that
+    :func:`repro.evaluation.run_sweep` submits (DESIGN.md, "The task
+    path"), so rows and the merged metrics delta are bit-identical to a
+    serial ``python -m repro.evaluation`` run.
 ``difftest``
     one task per seed: the full differential oracle
     (:func:`repro.difftest.run_oracle`) over the generated kernel.
@@ -31,16 +29,23 @@ Five built-in kinds, registered in :data:`JOB_KINDS`:
     one task per ``(kernel, level)``: compile-then-lint
     (:func:`repro.lint.lint_at_level`), reporting diagnostics.
 
-Payloads are plain tuples/dicts and the task functions are module-level
-— both requirements of the fork/pickle boundary — and kernels cross the
-wire **by name**, resolved against :data:`repro.kernels.ALL_BUILDERS`
-inside the worker, so no closures are ever pickled.
+Payloads pickle and the task functions are module-level — both
+requirements of the fork/pickle boundary — and kernels cross the wire
+**by name**, resolved against :data:`repro.kernels.ALL_BUILDERS`, so no
+closures are ever pickled.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro.evaluation.experiments import (
+    DEFAULT_GRID_DIM,
+    DEFAULT_SEED,
+    REAL_BLOCK_SIZES,
+    SYNTHETIC_BLOCK_SIZES,
+    SpeedupRow,
+)
 from repro.evaluation.parallel import (
     SweepTask,
     TaskResult,
@@ -100,17 +105,6 @@ def _kernel_names(params: Dict[str, Any]) -> List[str]:
 def _builder(name: str) -> Callable:
     from repro.kernels import ALL_BUILDERS
     return ALL_BUILDERS[name]
-
-
-def _sweep_fn(payload: Dict[str, Any], ctx) -> TaskResult:
-    task = SweepTask(
-        kernel=payload["kernel"], builder=_builder(payload["kernel"]),
-        block_size=payload["block_size"], grid_dim=payload["grid_dim"],
-        seed=payload["seed"], cache_dir=payload.get("cache_dir"),
-        trace=payload.get("trace", False), metrics=True)
-    # position within the job, not the scheduler-wide index — rows keep
-    # job-relative numbering however many jobs share the pool
-    return run_task(task, index=payload["position"], attempts=ctx.attempt)
 
 
 def _compile_fn(payload: Dict[str, Any], ctx) -> Dict[str, Any]:
@@ -228,12 +222,6 @@ class SweepJob(JobSpec):
 
     def __init__(self, params: Dict[str, Any]) -> None:
         super().__init__(params)
-        from repro.evaluation.experiments import (
-            DEFAULT_GRID_DIM,
-            DEFAULT_SEED,
-            REAL_BLOCK_SIZES,
-            SYNTHETIC_BLOCK_SIZES,
-        )
         self.kernels = _kernel_names(params)
         self.seed = _require(params, "seed", int, DEFAULT_SEED)
         self.grid_dim = _require(params, "grid_dim", int, DEFAULT_GRID_DIM)
@@ -258,28 +246,19 @@ class SweepJob(JobSpec):
         self._check_size(len(self.pairs))
 
     def tasks(self) -> List[Task]:
-        import os
-        cache_dir = os.environ.get("REPRO_COMPILE_CACHE")
-        if cache_dir in (None, "", "off"):
-            cache_dir = None
+        # cache_dir stays None: each worker's CompileCache.from_env()
+        # reads the variable the server exported before it forked.
         return [
-            Task(_sweep_fn, {
-                "kernel": name, "block_size": size, "seed": self.seed,
-                "grid_dim": self.grid_dim, "position": position,
-                "cache_dir": cache_dir, "trace": self.trace,
-            })
-            for position, (name, size) in enumerate(self.pairs)]
+            Task(run_task, SweepTask(
+                kernel=name, builder=_builder(name), block_size=size,
+                grid_dim=self.grid_dim, seed=self.seed, trace=self.trace),
+                metrics=True)
+            for name, size in self.pairs]
 
     def row(self, value: TaskResult) -> Dict[str, Any]:
-        comparison = value.comparison
-        return {
-            "kernel": value.kernel,
-            "block_size": value.block_size,
-            "speedup": comparison.speedup,
-            "baseline_cycles": comparison.baseline.cycles,
-            "cfm_cycles": comparison.melded.cycles,
-            "melds": comparison.melds,
-        }
+        row = dict(vars(SpeedupRow.from_result(value)))
+        del row["comparison"]
+        return row
 
     def trace_events(self, outcomes: Sequence[Any]
                      ) -> List[Dict[str, Any]]:
@@ -295,12 +274,10 @@ class SweepJob(JobSpec):
         """Reuse the sweep engine's fold so a served sweep's snapshot is
         family-for-family what :class:`~repro.evaluation.ParallelRunner`
         would have produced (deterministic metrics bit-identical)."""
-        results: List[TaskResult] = []
-        for position, outcome in enumerate(outcomes):
-            if outcome is None:
-                continue
-            results.append(TaskResult.from_outcome(
-                outcome, position, *self.pairs[position]))
+        results = [
+            TaskResult.from_outcome(outcome, position, *self.pairs[position])
+            for position, outcome in enumerate(outcomes)
+            if outcome is not None]
         with use_registry(registry):
             fold_sweep_metrics(results, wall_seconds)
 

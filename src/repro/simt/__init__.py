@@ -21,7 +21,6 @@ from .config import (
     DEFAULT_CONFIG,
     EXECUTORS,
     MachineConfig,
-    machine_token_key,
 )
 from .fastpath import FastWarp
 from .lowering import (
@@ -51,7 +50,6 @@ from .warp import SimulationError, UNDEF, Warp
 
 __all__ = [
     "DEFAULT_CONFIG", "EXECUTORS", "MachineConfig",
-    "machine_token_key",
     "RECONVERGENCE_POLICIES", "ReconvergencePolicy",
     "IPDOMPolicy", "MinPCPolicy", "get_policy",
     "GPU", "Buffer", "run_kernel",

@@ -16,7 +16,6 @@ width of 64 is a one-line change and is exercised in tests/ablations.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from repro.analysis.latency import LatencyModel, latency_token
@@ -32,9 +31,10 @@ class MachineConfig:
     """Tunable parameters of the simulated GPU.
 
     Instances hash and compare by contents (:meth:`token`), so configs
-    can key caches directly — two machines with equal fields share
-    warp-level program cache entries, and machines that differ in any
-    observable knob (including :attr:`reconvergence`) can never alias.
+    can key caches directly — machines that differ in any observable
+    knob (including :attr:`reconvergence`) never alias.  A lowered µop
+    program sees only :attr:`latency`, so program caches key on that
+    alone (:func:`repro.simt.get_program`).
     """
 
     warp_size: int = 32
@@ -85,23 +85,8 @@ class MachineConfig:
                 self.max_warp_steps, self.profile_branches,
                 self.executor, self.reconvergence)
 
-    def program_token(self) -> tuple:
-        """Identity of everything warp-level *lowering state* may depend
-        on.  Includes the reconvergence policy, so per-policy entries in
-        the program memo and the persistent compile cache can never
-        alias across policies (µop programs are policy-independent
-        today, but the key is defensive by design)."""
-        return (latency_token(self.latency), self.reconvergence)
-
     def __hash__(self) -> int:
         return hash(self.token())
-
-
-def machine_token_key(machine: MachineConfig) -> str:
-    """Stable text form of :meth:`MachineConfig.program_token`, used by
-    digest-keyed caches (the persistent compile cache's program
-    payload)."""
-    return json.dumps(machine.program_token(), separators=(",", ":"))
 
 
 DEFAULT_CONFIG = MachineConfig()

@@ -15,8 +15,9 @@ instead of walking IR objects:
 * branch targets, φ transfer plans and reconvergence points are block
   indices precomputed at lowering time.  That successor/φ/rpc metadata
   is policy-*independent* — the min-PC scheduler simply ignores the rpc
-  hint — so one ``LoweredProgram`` (and one serialized compile-cache
-  entry) serves every reconvergence policy.
+  hint — so one ``LoweredProgram`` (one launch-memo entry and one
+  serialized compile-cache entry, both keyed by the latency model
+  alone) serves every reconvergence policy.
 
 Everything observable is bit-identical to the reference executor:
 device memory, every :class:`~repro.simt.metrics.Metrics` counter, the

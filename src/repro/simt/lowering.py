@@ -22,10 +22,10 @@ time:
 Programs are cached on the function itself (``Function.memo``, so they
 are freed with it) behind the same memo pattern as
 :func:`repro.analysis.cached_divergence`, with two refinements: the
-cache key is the machine's **program token**
-(:meth:`repro.simt.MachineConfig.program_token` — latency model plus
-reconvergence policy, since latencies are baked into the µops and
-per-policy lowering state must never alias) and the structural
+cache key is the machine's **latency model**
+(:func:`~repro.analysis.latency.latency_token` — latencies are baked
+into the µops, and nothing else of the machine is: one program serves
+every reconvergence policy) and the structural
 fingerprint covers **operand identity**
 (ids of operands, successors and φ incoming blocks), so in-place operand
 rewrites miss the cache instead of silently replaying stale code.
@@ -810,11 +810,10 @@ def lower_function(function: Function, latency: LatencyModel) -> LoweredProgram:
 # programs reference their function's arguments, and a module-level
 # table, even a weak-keyed one, would keep every launched function
 # alive — run functions, shared by shape, reference none), but keyed
-# on MachineConfig.program_token() (latencies are baked into µops, and
-# the reconvergence policy keys defensively so per-policy lowering state
-# can never alias) and fingerprinted down to operand identity (operand
-# rewrites must miss).  latency_token/latency_token_key now live in
-# repro.analysis.latency and are re-imported above for compatibility.
+# on latency_token(machine.latency) (latencies are baked into µops;
+# lower_symbolic sees nothing else of the machine, so every
+# reconvergence policy shares one program) and fingerprinted down to
+# operand identity (operand rewrites must miss).
 
 _MEMO_KEY = "lowering"
 
@@ -824,7 +823,7 @@ _memo_epoch = 0
 
 
 def _programs(function: Function) -> Dict[tuple, Tuple[tuple, LoweredProgram]]:
-    """``function``'s program-token → (fingerprint, program) table of the
+    """``function``'s latency-token → (fingerprint, program) table of the
     current epoch (a table left over from an earlier epoch is dropped)."""
     entry = function.memo.get(_MEMO_KEY)
     if entry is None or entry[0] != _memo_epoch:
@@ -863,12 +862,11 @@ def get_program(function: Function, machine) -> LoweredProgram:
     """Memoized :func:`lower_function` (the launch-time entry point).
 
     ``machine`` is a :class:`repro.simt.MachineConfig`; the memo is keyed
-    by its :meth:`~repro.simt.MachineConfig.program_token`, so machines
-    that differ only in fields µop programs cannot observe (warp size,
-    coalescing) share entries while latency-model or policy changes
-    always miss.
+    by its latency model, so machines that differ only in fields µop
+    programs cannot observe (warp size, coalescing, reconvergence
+    policy) share entries while latency-model changes always miss.
     """
-    token = machine.program_token()
+    token = latency_token(machine.latency)
     fingerprint = function_fingerprint(function)
     programs = _programs(function)
     hit = programs.get(token)
@@ -890,7 +888,7 @@ def seed_program(function: Function, machine,
     lowering — if the function mutates before launch, the seed simply
     misses and lowering runs normally.
     """
-    _programs(function)[machine.program_token()] = (
+    _programs(function)[latency_token(machine.latency)] = (
         function_fingerprint(function), program)
 
 

@@ -220,6 +220,27 @@ class TestWarmReplay:
         assert warm.melded.as_dict() == plain.melded.as_dict()
 
 
+    def test_entry_stored_under_ipdom_serves_a_min_pc_launch(
+            self, tmp_path, monkeypatch):
+        """A stored program's key is its latency model: the warm launch
+        under the other reconvergence policy lowers nothing."""
+        from repro.simt import MachineConfig, lowering
+        compare(build_sb1, block_size=16, grid_dim=1, seed=SEED,
+                cache=CompileCache(disk=tmp_path),
+                machine=MachineConfig(reconvergence="ipdom"))
+        lowered = []
+        real = lowering.lower_function
+        monkeypatch.setattr(
+            lowering, "lower_function",
+            lambda function, latency: (lowered.append(function.name),
+                                       real(function, latency))[1])
+        warm = compare(build_sb1, block_size=16, grid_dim=1, seed=SEED,
+                       cache=CompileCache(disk=tmp_path),
+                       machine=MachineConfig(reconvergence="min-pc"))
+        assert warm.baseline_compile.o3_cached and warm.cfm_compile.cfm_cached
+        assert lowered == []
+
+
 # ---------------------------------------------------------------------------
 # environment / observability
 

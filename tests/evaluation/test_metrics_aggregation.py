@@ -13,6 +13,7 @@ mismatched histogram buckets across deltas.
 """
 
 import json
+import time
 
 import pytest
 
@@ -22,12 +23,13 @@ from repro.evaluation.parallel import (
     run_task,
 )
 from repro.kernels import build_sb1, build_sb2
-from repro.obs import MetricsRegistry, use_registry
+from repro.obs import MetricsRegistry, current_registry, use_registry
+from repro.scheduler import Scheduler, Task
 
 TASKS = [
-    SweepTask(kernel="SB1", builder=build_sb1, block_size=64, metrics=True),
-    SweepTask(kernel="SB2", builder=build_sb2, block_size=64, metrics=True),
-    SweepTask(kernel="SB1", builder=build_sb1, block_size=32, metrics=True),
+    SweepTask(kernel="SB1", builder=build_sb1, block_size=64),
+    SweepTask(kernel="SB2", builder=build_sb2, block_size=64),
+    SweepTask(kernel="SB1", builder=build_sb1, block_size=32),
 ]
 
 #: metric-name fragments whose values depend on wall time
@@ -85,13 +87,28 @@ def _boom(**kwargs):
     raise RuntimeError("builder exploded")
 
 
+def _flush_then_boom(**kwargs):
+    current_registry().counter("test_flushed_total").inc(3)
+    raise RuntimeError("builder exploded")
+
+
+def _socket_timeout(**kwargs):
+    raise TimeoutError("upstream socket timed out")
+
+
+def _hang(**kwargs):
+    time.sleep(3600)
+
+
+def _counter(snapshot, name):
+    return sum(snapshot["counters"][name]["samples"].values())
+
+
 class TestCrashPath:
     def test_crashed_task_reports_partial_delta_and_counter(self):
         tasks = [
-            SweepTask(kernel="SB1", builder=build_sb1, block_size=32,
-                      metrics=True),
-            SweepTask(kernel="BOOM", builder=_boom, block_size=32,
-                      metrics=True),
+            SweepTask(kernel="SB1", builder=build_sb1, block_size=32),
+            SweepTask(kernel="BOOM", builder=_boom, block_size=32),
         ]
         registry = MetricsRegistry()
         with use_registry(registry):
@@ -110,8 +127,7 @@ class TestCrashPath:
         assert sum(failed["samples"].values()) == 1
 
     def test_serial_crash_path_matches(self):
-        tasks = [SweepTask(kernel="BOOM", builder=_boom, block_size=32,
-                           metrics=True)]
+        tasks = [SweepTask(kernel="BOOM", builder=_boom, block_size=32)]
         registry = MetricsRegistry()
         with use_registry(registry):
             results = ParallelRunner(workers=1, retries=0).run(tasks)
@@ -121,13 +137,46 @@ class TestCrashPath:
             "repro_eval_tasks_crashed_total"]
         assert sum(crashed["samples"].values()) == 1
 
-    def test_run_task_attaches_delta_to_exception(self):
-        task = SweepTask(kernel="BOOM", builder=_boom, block_size=32,
-                         metrics=True)
-        with pytest.raises(RuntimeError) as excinfo:
-            run_task(task)
-        delta = excinfo.value._metrics_delta
-        assert delta["schema"].startswith("repro.obs.metrics/")
+    def test_failed_outcome_holds_partial_delta(self):
+        """The attempt runner snapshots the registry it installed: what a
+        sweep task flushed before raising rides on the failed outcome."""
+        task = SweepTask(kernel="BOOM", builder=_flush_then_boom,
+                         block_size=32)
+        with Scheduler(workers=0, retries=0) as scheduler:
+            (outcome,) = scheduler.run([Task(run_task, task, metrics=True)])
+        assert not outcome.ok and outcome.crashed
+        flushed = outcome.metrics_delta["counters"]["test_flushed_total"]
+        assert sum(flushed["samples"].values()) == 3
+
+
+class TestTimedOutIsAFlag:
+    """``repro_eval_tasks_timed_out_total`` counts the scheduler's
+    ``timed_out`` flag, never the words of an error message."""
+
+    def test_task_raising_timeout_error_is_a_crash_only(self):
+        tasks = [SweepTask(kernel="NET", builder=_socket_timeout,
+                           block_size=32)]
+        for workers in (1, 2):
+            registry = MetricsRegistry()
+            with use_registry(registry):
+                (result,) = ParallelRunner(workers=workers,
+                                           retries=0).run(tasks)
+            assert "timed out" in result.error
+            snapshot = registry.snapshot()
+            assert _counter(snapshot, "repro_eval_tasks_crashed_total") == 1
+            assert _counter(snapshot, "repro_eval_tasks_timed_out_total") == 0
+            assert result.crashed and not result.timed_out
+
+    def test_task_killed_at_the_timeout_is_a_timeout_only(self):
+        tasks = [SweepTask(kernel="HANG", builder=_hang, block_size=32)]
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            (result,) = ParallelRunner(workers=2, timeout=0.5,
+                                       retries=0).run(tasks)
+        snapshot = registry.snapshot()
+        assert _counter(snapshot, "repro_eval_tasks_timed_out_total") == 1
+        assert _counter(snapshot, "repro_eval_tasks_crashed_total") == 0
+        assert result.timed_out and not result.crashed
 
 
 class TestProgressCallback:

@@ -133,7 +133,35 @@ class TestReportCLI:
     def test_quick_report_builds(self):
         from repro.evaluation.__main__ import build_report
 
-        report = build_report(quick=True)
+        report, _ = build_report(quick=True)
         for marker in ("Table I", "Figure 7", "Figure 8", "Figure 9",
                        "Figure 10", "Table II"):
             assert marker in report
+
+    def test_json_is_a_view_of_the_reports_rows(self, tmp_path, monkeypatch):
+        """``--json`` runs no sweep of its own: it holds exactly the rows
+        the report's flags selected, and each was compared once."""
+        import json
+
+        from repro.evaluation import parallel
+        from repro.evaluation.__main__ import main
+
+        compared = []
+        real = parallel.compare
+
+        def counted(builder, block_size, **kwargs):
+            compared.append((kwargs["name"], block_size))
+            return real(builder, block_size, **kwargs)
+
+        monkeypatch.setattr(parallel, "compare", counted)
+        path = tmp_path / "data.json"
+        main(["--kernels", "SB1", "--quick", "--no-trace",
+              "--out", str(tmp_path / "report.txt"), "--json", str(path)])
+        data = json.loads(path.read_text())
+        assert list(data) == ["figure7"]
+        rows = data["figure7"]["rows"]
+        assert [(r["kernel"], r["block"]) for r in rows] \
+            == [("SB1", 16), ("SB1", 32)]
+        assert sorted(rows[0]) == ["baseline", "block", "cfm", "kernel",
+                                   "speedup"]
+        assert compared == [("SB1", 16), ("SB1", 32)]

@@ -15,6 +15,7 @@ from repro.evaluation import (
 )
 from repro.kernels import build_sb1
 from repro.obs import COMPILE_PID, SIM_PID_BASE
+from repro.scheduler import TaskContext
 
 SEED = 99
 
@@ -22,7 +23,7 @@ SEED = 99
 def traced_result(index=0):
     task = SweepTask(kernel="SB1", builder=build_sb1, block_size=16,
                      grid_dim=1, seed=SEED, trace=True)
-    return run_task(task, index=index)
+    return run_task(task, TaskContext(index=index, attempt=1, worker=0))
 
 
 class TestTracedTask:

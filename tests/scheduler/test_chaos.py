@@ -150,7 +150,7 @@ class TestCrashCacheReuse:
         disk = results[1].compile_cache_disk
         assert disk is not None and disk["hits"] >= 1
         # and the replayed comparison matches a clean serial run
-        serial = run_task(tasks[0], index=0)
+        serial = run_task(tasks[0])
         assert results[1].comparison.baseline.cycles \
             == serial.comparison.baseline.cycles
         assert results[1].comparison.melded.cycles \

@@ -178,6 +178,46 @@ class TestPool:
         assert _counter_total(snap, "repro_sched_tasks_retried_total") == 1
 
 
+class TestAttemptRunnerParity:
+    """Inline mode and the workers run one attempt the same way
+    (``repro.scheduler.worker.run_attempt``): only the error's traceback
+    tail and the ``worker`` id may tell the outcomes apart."""
+
+    @staticmethod
+    def _both(task, **options):
+        outcomes = []
+        for workers in (0, 1):
+            with Scheduler(workers=workers, **options) as sched:
+                outcomes.extend(sched.run([task]))
+        return outcomes
+
+    def test_failing_task(self):
+        inline, pooled = self._both(Task(count_then_fail, 5, metrics=True))
+        for outcome in (inline, pooled):
+            assert not outcome.ok and outcome.crashed
+            assert not outcome.timed_out and outcome.value is None
+            assert outcome.attempts == 1 + DEFAULT_RETRIES
+            # the final attempt's partial snapshot, not a sum over retries
+            assert _counter_total(outcome.metrics_delta,
+                                  "test_partial_work_total") == 5
+        assert inline.error == pooled.error.splitlines()[0] \
+            == "RuntimeError: failed after partial work"
+        assert inline.metrics_delta["counters"] \
+            == pooled.metrics_delta["counters"]
+
+    def test_succeeding_task(self):
+        inline, pooled = self._both(Task(count_ok, 3, metrics=True))
+        assert inline.ok and pooled.ok
+        assert inline.value == pooled.value == 3
+        assert inline.metrics_delta == pooled.metrics_delta
+        assert _counter_total(inline.metrics_delta, "test_work_total") == 3
+
+    def test_no_delta_unless_asked(self):
+        for outcome in self._both(Task(count_ok, 3)) \
+                + self._both(Task(fail_always, 3), retries=0):
+            assert outcome.metrics_delta is None
+
+
 class TestRecycling:
     def test_workers_recycle_after_max_tasks(self):
         policy = RecyclePolicy(max_tasks=1)

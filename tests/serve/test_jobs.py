@@ -61,10 +61,16 @@ class TestSweepJob:
             make_job("sweep", {"kernels": ["SB1", "SB2"],
                                "block_sizes": {"SB1": [8]}})
 
-    def test_tasks_carry_job_relative_positions(self):
-        job = make_job("sweep", {"kernels": ["SB1"], "block_sizes": [8, 16]})
+    def test_tasks_are_the_sweep_engines_tasks_in_pair_order(self):
+        from repro.evaluation import SweepTask, run_task
+        from repro.kernels import build_sb1
+        job = make_job("sweep", {"kernels": ["SB1"], "block_sizes": [8, 16],
+                                 "grid_dim": 1, "seed": 7})
         tasks = job.tasks()
-        assert [t.payload["position"] for t in tasks] == [0, 1]
+        assert all(t.fn is run_task and t.metrics for t in tasks)
+        assert [t.payload for t in tasks] == [
+            SweepTask(kernel="SB1", builder=build_sb1, block_size=size,
+                      grid_dim=1, seed=7) for size in (8, 16)]
 
     def test_task_runs_and_row_matches_serial(self):
         from repro.evaluation import SweepTask, run_task
@@ -75,8 +81,7 @@ class TestSweepJob:
         result = task.fn(task.payload, _ctx())
         row = job.row(result)
         serial = run_task(SweepTask(kernel="SB1", builder=build_sb1,
-                                    block_size=16, grid_dim=1, seed=7),
-                          index=0)
+                                    block_size=16, grid_dim=1, seed=7))
         assert row == {
             "kernel": "SB1", "block_size": 16,
             "speedup": serial.comparison.speedup,
@@ -84,6 +89,23 @@ class TestSweepJob:
             "cfm_cycles": serial.comparison.melded.cycles,
             "melds": serial.comparison.melds,
         }
+
+
+    @pytest.mark.parametrize("value", ["0", "OFF", "none"])
+    def test_disabled_cache_env_names_no_directory(self, value, tmp_path,
+                                                   monkeypatch):
+        """The worker's ``CompileCache.from_env`` owns the "disabled"
+        spellings; the job never re-reads the variable."""
+        from repro.compile_cache import CACHE_ENV_VAR
+        monkeypatch.setenv(CACHE_ENV_VAR, value)
+        monkeypatch.chdir(tmp_path)
+        job = make_job("sweep", {"kernels": ["SB1"], "block_sizes": [16],
+                                 "grid_dim": 1, "seed": 7})
+        (task,) = job.tasks()
+        result = task.fn(task.payload, _ctx())
+        assert list(tmp_path.iterdir()) == []
+        assert result.compile_cache_disk is None
+        assert task.payload.cache_dir is None
 
 
 class TestCompileJob:

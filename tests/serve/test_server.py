@@ -56,7 +56,7 @@ def serial_sweep():
     """Serial-run reference rows + metrics snapshot (memoized)."""
     if not _SERIAL:
         tasks = [SweepTask(kernel=name, builder=ALL_BUILDERS[name],
-                           block_size=size, grid_dim=1, seed=7, metrics=True)
+                           block_size=size, grid_dim=1, seed=7)
                  for name in SWEEP_KERNELS for size in SWEEP_SIZES]
         registry = MetricsRegistry()
         with use_registry(registry):

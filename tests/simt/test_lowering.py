@@ -270,19 +270,40 @@ def test_program_cache_keyed_by_latency_model():
     assert get_program(f, custom) is program_custom
 
 
-def test_program_cache_keyed_by_reconvergence_policy():
-    # Satellite fix: per-policy lowering state can never alias — two
-    # machines identical but for the policy get separate memo entries
-    # (defensive keying; the programs themselves are policy-independent).
+def _count_lowerings(monkeypatch):
+    """Spy on ``lower_function`` — what a memo or cache miss costs."""
+    from repro.simt import lowering
+    calls = []
+    real = lowering.lower_function
+
+    def counted(function, latency):
+        calls.append(function.name)
+        return real(function, latency)
+
+    monkeypatch.setattr(lowering, "lower_function", counted)
+    return calls
+
+
+def test_program_cache_shared_across_reconvergence_policies(monkeypatch):
+    # lower_symbolic(function, latency) cannot see the policy: machines
+    # identical but for it share one memo entry.
+    calls = _count_lowerings(monkeypatch)
     f = _simple_function()
-    ipdom = MachineConfig(reconvergence="ipdom")
-    minpc = MachineConfig(reconvergence="min-pc")
-    assert ipdom.program_token() != minpc.program_token()
-    program_ipdom = get_program(f, ipdom)
-    program_minpc = get_program(f, minpc)
-    assert program_ipdom is not program_minpc
-    assert get_program(f, ipdom) is program_ipdom
-    assert get_program(f, minpc) is program_minpc
+    program = get_program(f, MachineConfig(reconvergence="ipdom"))
+    assert get_program(f, MachineConfig(reconvergence="min-pc")) is program
+    assert get_program(f, MachineConfig(executor="reference")) is program
+    assert calls == ["k"]
+
+
+def test_function_launched_under_both_policies_lowers_once(monkeypatch):
+    calls = _count_lowerings(monkeypatch)
+    f = _simple_function()
+    memories = [
+        run_kernel(f.module, "k", 1, 8, buffers={"p": [0] * 8},
+                   machine=MachineConfig(reconvergence=policy))[0]
+        for policy in ("ipdom", "min-pc")]
+    assert memories[0] == memories[1]
+    assert calls == ["k"]
 
 
 def test_latency_model_changes_simulated_cycles():

@@ -21,6 +21,7 @@ from repro.simt import (
     MinPCPolicy,
     ReconvergencePolicy,
     get_policy,
+    get_program,
 )
 
 from tests.support import parse
@@ -188,12 +189,14 @@ def test_machine_config_hash_and_tokens():
     minpc = MachineConfig(reconvergence="min-pc")
     assert a != minpc
     assert a.token() != minpc.token()
-    assert a.program_token() != minpc.program_token()
-    # The executor is an observable field but not a lowering input:
-    # both executors share one program entry per (latency, policy).
+    # Policy and executor are observable fields but not lowering inputs:
+    # all four machines share one program entry per latency model.
     reference = MachineConfig(executor="reference")
     assert a.token() != reference.token()
-    assert a.program_token() == reference.program_token()
+    function = parse("define void @k() {\nentry:\n  ret void\n}\n")
+    program = get_program(function, a)
+    assert get_program(function, minpc) is program
+    assert get_program(function, reference) is program
 
 
 # ---- min-PC end-to-end corners --------------------------------------------
