@@ -27,7 +27,9 @@ other analyses.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.ir.block import BasicBlock
@@ -118,14 +120,17 @@ def run_dataflow(function: Function, analysis: DataflowAnalysis,
     post: Dict[BasicBlock, object] = {}   # fact leaving the transfer
     visits: Dict[BasicBlock, int] = {}
 
-    worklist = list(order)
-    queued: Set[BasicBlock] = set(worklist)
+    # A heap keyed on analysis order: keeps the sweep cache-friendly and
+    # deterministic (sets alone would make iteration order vary).  Blocks
+    # outside ``order`` (unreachable predecessors of a backward problem)
+    # tie at ``len(position)``; the insertion counter visits them first
+    # come, first served, and keeps the heap from ever comparing blocks.
+    ticket = count()
+    worklist = [(position[block], next(ticket), block) for block in order]
+    queued: Set[BasicBlock] = set(order)
     total_visits = 0
     while worklist:
-        # Pop in analysis order: keeps the sweep cache-friendly and
-        # deterministic (sets alone would make iteration order vary).
-        worklist.sort(key=lambda b: position.get(b, len(position)))
-        block = worklist.pop(0)
+        block = heapq.heappop(worklist)[2]
         queued.discard(block)
         total_visits += 1
         if total_visits > max_visits:
@@ -154,7 +159,9 @@ def run_dataflow(function: Function, analysis: DataflowAnalysis,
             targets = block.succs if forward else block.preds
             for target in targets:
                 if target not in queued:
-                    worklist.append(target)
+                    heapq.heappush(worklist, (
+                        position.get(target, len(position)), next(ticket),
+                        target))
                     queued.add(target)
 
     result.iterations = total_visits
@@ -212,12 +219,13 @@ class SparseSolver:
         instrs = [i for block in function.blocks for i in block
                   if not i.type.is_void]
         position = {id(i): n for n, i in enumerate(instrs)}
-        worklist = list(instrs)
+        # A heap of program positions: the lowest queued instruction is
+        # always visited next (an ascending range is already a heap).
+        worklist = list(range(len(instrs)))
         queued = {id(i) for i in instrs}
         visits = 0
         while worklist:
-            worklist.sort(key=lambda i: position[id(i)])
-            instr = worklist.pop(0)
+            instr = instrs[heapq.heappop(worklist)]
             queued.discard(id(instr))
             visits += 1
             if visits > max_visits:
@@ -238,7 +246,7 @@ class SparseSolver:
                         and not user.type.is_void
                         and id(user) in position
                         and id(user) not in queued):
-                    worklist.append(user)
+                    heapq.heappush(worklist, position[id(user)])
                     queued.add(id(user))
 
 

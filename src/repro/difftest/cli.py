@@ -93,6 +93,19 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.seeds is None and args.budget is None:
         args.seeds = 100
+    if args.inputs < 1:
+        parser.error("--inputs must be at least 1: with no input set "
+                     "nothing is run and every arm trivially agrees")
+    arms = [a.strip() for a in args.arms.split(",") if a.strip()]
+    unknown = sorted(set(arms) - set(ALL_ARMS))
+    if unknown or not arms:
+        problem = (f"unknown arm(s) {', '.join(unknown)}" if unknown
+                   else "no arm named")
+        parser.error(f"--arms: {problem} (choose from "
+                     f"{', '.join(ALL_ARMS)})")
+    # What run_oracle compiles and runs: it always adds the reference arm.
+    args.arms = tuple(dict.fromkeys(
+        arms if "noopt" in arms else ["noopt", *arms]))
     return args
 
 
@@ -103,7 +116,7 @@ def _progress(quiet: bool, text: str) -> None:
 
 def run_campaign(argv: Optional[Sequence[str]] = None) -> int:
     args = _parse_args(argv)
-    arms = tuple(a.strip() for a in args.arms.split(",") if a.strip())
+    arms = args.arms
     input_seeds = tuple(range(args.inputs))
     deadline = (time.perf_counter() + args.budget
                 if args.budget is not None else None)
@@ -171,6 +184,7 @@ def _campaign_body(args: argparse.Namespace, arms: Sequence[str],
         seed += 1
 
     elapsed = time.perf_counter() - start
+    rate = tested / elapsed if elapsed > 0 else 0.0
     registry = current_registry()
     if registry.enabled:
         registry.counter("repro_difftest_seeds_total",
@@ -186,8 +200,7 @@ def _campaign_body(args: argparse.Namespace, arms: Sequence[str],
                 failures_by_arm.labels(arm=failure.arm).inc()
         if elapsed > 0:
             registry.gauge("repro_difftest_seeds_per_second",
-                           "Campaign fuzzing throughput"
-                           ).set(tested / elapsed)
+                           "Campaign fuzzing throughput").set(rate)
     mismatches = sum(v.mismatches for v in failing)
     verifier_failures = sum(v.verifier_failures for v in failing)
     lint_failures = sum(v.lint_failures for v in failing)
@@ -195,7 +208,7 @@ def _campaign_body(args: argparse.Namespace, arms: Sequence[str],
     crashes = sum(1 for v in failing
                   for f in v.failures if f.kind == "crash")
     print(f"difftest: {tested} kernels x {len(arms)} arms in {elapsed:.1f}s "
-          f"({verified_passes} per-pass verifications, "
+          f"({rate:.1f} seeds/s, {verified_passes} per-pass verifications, "
           f"{total_melds} melds)")
     print(f"  output mismatches:  {mismatches}")
     print(f"  verifier failures:  {verifier_failures}")

@@ -33,6 +33,7 @@ from .engine import (
     get_rule,
     register,
     resolve_rules,
+    rules_emitting,
     run_lint,
 )
 from . import rules as rules  # populates the registry on import
@@ -43,7 +44,7 @@ __all__ = [
     "Severity", "Diagnostic", "LintConfig", "DEFAULT_CONFIG", "LintReport",
     "merge_reports", "worst_severity",
     "LintContext", "LintRule", "register", "all_rules", "get_rule",
-    "resolve_rules", "run_lint", "rules",
+    "resolve_rules", "rules_emitting", "run_lint", "rules",
     "LINT_LEVELS", "compile_at_level", "lint_at_level", "lint_kernel",
     "to_sarif", "write_sarif",
 ]

@@ -16,7 +16,7 @@ each finding appeared.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.cfg import reachable_blocks
 from repro.analysis.divergence import (
@@ -199,12 +199,21 @@ class LintRule:
     Subclasses set :attr:`id`, :attr:`severity` (the default severity of
     their findings) and :attr:`description`, and implement
     :meth:`check`, yielding :class:`Diagnostic` objects (most easily via
-    :meth:`diag`).
+    :meth:`diag`).  A rule that passes ``severity=`` to :meth:`diag`
+    also lists every severity it can emit in :attr:`emits` — a caller
+    that reads only errors (the differential-lint oracle) runs only
+    :func:`rules_emitting` them.
     """
 
     id: str = "rule"
     severity: str = Severity.WARNING
+    #: every severity :meth:`check` can emit, before the run's config
+    #: overrides; None means only :attr:`severity`
+    emits: Optional[Tuple[str, ...]] = None
     description: str = ""
+
+    def can_emit(self, severity: str) -> bool:
+        return severity in (self.emits or (self.severity,))
 
     def check(self, ctx: LintContext) -> Iterable[Diagnostic]:
         raise NotImplementedError
@@ -217,6 +226,9 @@ class LintRule:
         """Build one diagnostic at the given location, applying the
         run's severity override for this rule."""
         default = severity if severity is not None else self.severity
+        if not self.can_emit(default):
+            raise ValueError(f"rule {self.id!r} emitted severity {default!r} "
+                             f"it does not declare in `emits`")
         line, column = ctx.printed_location(block, instruction)
         return Diagnostic(
             rule=self.id,
@@ -253,6 +265,13 @@ def register(rule_cls):
 def all_rules() -> List[LintRule]:
     """Every registered rule, in stable (id-sorted) order."""
     return [REGISTRY[rule_id] for rule_id in sorted(REGISTRY)]
+
+
+def rules_emitting(severity: str) -> List[LintRule]:
+    """The registered rules that can emit ``severity`` (stable order):
+    running only these yields the same diagnostics of that severity as
+    running every rule."""
+    return [rule for rule in all_rules() if rule.can_emit(severity)]
 
 
 def get_rule(rule_id: str) -> LintRule:

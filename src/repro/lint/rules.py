@@ -222,6 +222,7 @@ class UndefUseRule(LintRule):
 
     id = "undef-use"
     severity = Severity.WARNING
+    emits = (Severity.ERROR, Severity.WARNING)
     description = ("an undef value feeds control flow (error) or memory / "
                    "select data flow (warning); φ incomings are exempt — "
                    "SSA construction and unpredication create them legally")

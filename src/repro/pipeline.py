@@ -154,6 +154,10 @@ def _swap_in(kernel, module) -> Function:
     kernel.module = module
     if isinstance(kernel, KernelBuilder):
         kernel.function = module.functions[name]
+        # A finished builder emits nothing more; its emitter state points
+        # into the function just replaced and would keep it alive.
+        kernel._builder = None
+        kernel._vars = []
     return module.functions[name]
 
 

@@ -8,8 +8,10 @@ stored IR no longer parses used to fail every lookup forever, instead of
 being evicted and recompiled.
 """
 
+import gc
 import json
 import multiprocessing
+import weakref
 
 import pytest
 
@@ -22,9 +24,11 @@ from repro.compile_cache import (
     digest_text,
 )
 from repro.core import CFMConfig
+from repro.difftest.generator import build_kernel, generate_spec
 from repro.evaluation import compare, compile_baseline
 from repro.kernels import build_sb1
 from repro.obs import trace
+from repro.pipeline import compile_arm
 
 SEED = 99
 
@@ -239,6 +243,20 @@ class TestWarmReplay:
                        machine=MachineConfig(reconvergence="min-pc"))
         assert warm.baseline_compile.o3_cached and warm.cfm_compile.cfm_cached
         assert lowered == []
+
+    def test_a_hit_releases_the_function_it_replaced(self):
+        """A hit swaps a replayed module into the builder; the finished
+        builder's emitter state used to pin the un-optimised function
+        for as long as the builder lived."""
+        cache = CompileCache()
+        spec = generate_spec(3)
+        compile_arm(build_kernel(spec), "o3", cache=cache)
+        builder = build_kernel(spec)
+        replaced = weakref.ref(builder.function)
+        assert compile_arm(builder, "o3", cache=cache).cached
+        gc.collect()
+        assert replaced() is None
+        assert builder.function.module is builder.module
 
 
 # ---------------------------------------------------------------------------
