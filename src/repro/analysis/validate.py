@@ -51,24 +51,18 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.ir.block import BasicBlock
 from repro.ir.instructions import (
-    BinaryOp,
     Branch,
     Call,
     Cast,
-    FCmp,
     GetElementPtr,
-    ICmp,
     Instruction,
     Load,
-    Opcode,
     Phi,
     Ret,
     Select,
     Store,
 )
-from repro.ir.scalars import EvalError, eval_binary, eval_cast, eval_fcmp, \
-    eval_icmp
-from repro.ir.types import IntType
+from repro.ir.scalars import EvalError, eval_strict, is_strict, trap_operand
 from repro.ir.values import Constant, Undef, Value
 
 from .cfg import reachable_from
@@ -79,10 +73,6 @@ UNSUPPORTED = "UNSUPPORTED"
 VERDICTS = (EQUIVALENT, INEQUIVALENT, UNSUPPORTED)
 
 _UNDEF = ("undef",)
-
-#: trap-capable integer ops: division by zero, shift past the width
-_DIV_OPS = frozenset({Opcode.SDIV, Opcode.UDIV, Opcode.SREM, Opcode.UREM})
-_SHIFT_OPS = frozenset({Opcode.SHL, Opcode.LSHR, Opcode.ASHR})
 
 
 class SymbolTable:
@@ -136,7 +126,7 @@ class CaseSummary:
     #: ("call", name, args, n) — comparison is order-sensitive
     events: List[Tuple[object, ...]] = field(default_factory=list)
     #: trap-capable ops executed, in order, with the operand that decides
-    #: the trap: ("div"|"shift", opcode, expr)
+    #: the trap: (opcode, expr)
     traps: List[Tuple[object, ...]] = field(default_factory=list)
     #: (φ node, symbolic incoming value) at arrival in the exit block
     phi_outputs: List[Tuple[Phi, Tuple[object, ...]]] = field(
@@ -262,15 +252,17 @@ class _CaseExecutor:
             summary.events.append(
                 ("store", self.expr(instr.pointer), self.expr(instr.value)))
             return None
+        if is_strict(instr):
+            self.env[id(instr)] = self._strict(instr, summary)
+            return None
         if isinstance(instr, Call):
             if instr.is_barrier:
                 summary.events.append(("barrier",))
                 return None
-            if instr.is_pure_intrinsic:
-                args = tuple(self.expr(a) for a in instr.args)
-                self.env[id(instr)] = self._fold_intrinsic(instr, args)
-                return None
             args = tuple(self.expr(a) for a in instr.args)
+            if instr.is_pure_intrinsic:
+                self.env[id(instr)] = ("op", _op_key(instr), args)
+                return None
             event = ("call", instr.callee, args, len(summary.events))
             summary.events.append(event)
             self.env[id(instr)] = event
@@ -283,23 +275,6 @@ class _CaseExecutor:
                                    self.expr(instr.pointer),
                                    len(summary.events))
             return None
-        if isinstance(instr, BinaryOp):
-            self.env[id(instr)] = self._binary(instr, summary)
-            return None
-        if isinstance(instr, (ICmp, FCmp)):
-            a, b = self.expr(instr.lhs), self.expr(instr.rhs)
-            if _is_const(a) and _is_const(b):
-                if isinstance(instr, ICmp):
-                    value = eval_icmp(instr.predicate, a[1], b[1],
-                                      instr.lhs.type)
-                else:
-                    value = eval_fcmp(instr.predicate, a[1], b[1])
-                self.env[id(instr)] = ("const", value, "i1")
-            else:
-                kind = "icmp" if isinstance(instr, ICmp) else "fcmp"
-                self.env[id(instr)] = ("op", f"{kind}:{instr.predicate}",
-                                       (a, b))
-            return None
         if isinstance(instr, Select):
             cond = self.expr(instr.condition)
             t, f = self.expr(instr.true_value), self.expr(instr.false_value)
@@ -310,53 +285,44 @@ class _CaseExecutor:
             else:
                 self.env[id(instr)] = ("op", "select", (cond, t, f))
             return None
-        if isinstance(instr, Cast):
-            inner = self.expr(instr.value)
-            if _is_const(inner):
-                value = eval_cast(instr.opcode, inner[1], instr.value.type,
-                                  instr.type)
-                self.env[id(instr)] = ("const", value, repr(instr.type))
-            else:
-                self.env[id(instr)] = ("op", f"{instr.opcode}:{instr.type!r}",
-                                       (inner,))
-            return None
         if isinstance(instr, GetElementPtr):
             self.env[id(instr)] = ("op", "gep", (self.expr(instr.base),
                                                  self.expr(instr.index)))
             return None
         raise _Unsupported(f"unsupported opcode {instr.opcode!r}")
 
-    def _binary(self, instr: BinaryOp,
+    def _known(self, value: Value):
+        expr = self.expr(value)
+        return expr[1] if _is_const(expr) else None
+
+    def _strict(self, instr: Instruction,
                 summary: CaseSummary) -> Tuple[object, ...]:
-        a, b = self.expr(instr.lhs), self.expr(instr.rhs)
-        opcode = instr.opcode
+        """A strict pure op: folded through the semantics table when every
+        operand is constant on this path, else a symbolic node."""
+        args = tuple(self.expr(operand) for operand in instr.operands)
         # Record the trap-deciding operand of every trap-capable op the
         # path actually executes; a meld must neither add nor remove one.
-        if opcode in _DIV_OPS and not (_is_const(b) and b[1] != 0):
-            summary.traps.append(("div", opcode, b))
-        elif opcode in _SHIFT_OPS and isinstance(instr.type, IntType) \
-                and not (_is_const(b) and 0 <= b[1] < instr.type.bits):
-            summary.traps.append(("shift", opcode, b))
-        if _is_const(a) and _is_const(b):
+        decider = trap_operand(instr, self._known)
+        if decider is not None:
+            summary.traps.append((instr.opcode, self.expr(decider)))
+        if all(_is_const(a) for a in args):
             try:
-                value = eval_binary(opcode, a[1], b[1], instr.type)
+                value = eval_strict(instr, [a[1] for a in args])
             except EvalError:
-                summary.halted = opcode
+                summary.halted = instr.opcode
                 return _UNDEF
             return ("const", value, repr(instr.type))
-        return ("op", opcode, (a, b))
+        return ("op", _op_key(instr), args)
 
-    @staticmethod
-    def _fold_intrinsic(instr: Call, args) -> Tuple[object, ...]:
-        if len(args) == 2 and all(_is_const(a) for a in args):
-            from repro.ir.instructions import IntrinsicName
-            if instr.callee == IntrinsicName.MIN:
-                return ("const", min(args[0][1], args[1][1]),
-                        repr(instr.type))
-            if instr.callee == IntrinsicName.MAX:
-                return ("const", max(args[0][1], args[1][1]),
-                        repr(instr.type))
-        return ("op", f"call:{instr.callee}", tuple(args))
+
+def _op_key(instr: Instruction) -> str:
+    """What, besides its operands, identifies a pure op's value."""
+    if isinstance(instr, Call):
+        return f"call:{instr.callee}"
+    if isinstance(instr, Cast):
+        return f"{instr.opcode}:{instr.type!r}"
+    predicate = getattr(instr, "predicate", None)
+    return instr.opcode if predicate is None else f"{instr.opcode}:{predicate}"
 
 
 def _refines(pre, post) -> bool:

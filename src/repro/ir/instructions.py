@@ -138,24 +138,19 @@ class Instruction(User):
         """True if the instruction may run with a wider mask than its
         original path without changing behaviour (pure, non-trapping).
 
-        Shifts by a non-constant amount are conservatively treated as
-        non-speculatable: with garbage inputs the amount can exceed the
-        type width, which LLVM defines as silent poison but this
-        repository's simulator turns into a trap (a deliberate strictness
-        — see :mod:`repro.ir.scalars`)."""
+        Whether an op can trap is a *fact* read off the semantics table
+        (:func:`repro.ir.scalars.trap_operand`): a shift by a
+        non-constant or out-of-range amount and an ``fptosi`` may — LLVM
+        calls that silent poison, this repository's simulator traps.
+        That a division is never speculated, even by a nonzero constant,
+        is *policy* (DESIGN.md §5 has the measurement behind it)."""
         if self.opcode in (Opcode.SDIV, Opcode.UDIV, Opcode.SREM, Opcode.UREM):
-            return False  # may trap on divide-by-zero
-        if self.opcode in (Opcode.SHL, Opcode.LSHR, Opcode.ASHR):
-            from .values import Constant
-
-            amount = self.operand(1)
-            if not isinstance(amount, Constant):
-                return False  # may trap on out-of-range shift
+            return False
         if isinstance(self, (Load, Store, Phi, Branch, Ret)):
             return False
         if isinstance(self, Call):
             return self.is_pure_intrinsic
-        return True
+        return scalars.trap_operand(self) is None
 
     # ---- placement --------------------------------------------------------
 
@@ -706,3 +701,7 @@ class Ret(Instruction):
 
     def operand_signature(self) -> Tuple:
         return (self.opcode, self.num_operands)
+
+
+# At the bottom because the semantics table names the classes above.
+from . import scalars  # noqa: E402

@@ -1,18 +1,42 @@
-"""Scalar evaluation semantics shared by the simulator and constant folding.
+"""The instruction-semantics table: what a pure instruction computes and
+when it traps, spelled once.
 
 Integer ops use two's-complement wraparound at the type's width; division
 semantics are C-style (truncation toward zero); shifts of >= width,
 division by zero and ``fptosi`` of NaN/±inf raise :class:`EvalError`
 (LLVM poison/UB made loud).
+
+:func:`eval_strict` is the value of a *strict* pure instruction (one
+whose result is undefined as soon as any operand is) and
+:func:`trap_operand` the operand its trap hangs on.  The reference warp
+executor, constant folding, the unroller's trip-count evaluator and the
+meld validator all evaluate through the first; ``is_speculatable`` and
+the validator's trap recording read the second.  ``select`` (lazy in
+its arms), ``getelementptr`` (memory model) and the thread-geometry
+intrinsics (machine state) are not strict ops and stay with their
+consumers.  :mod:`repro.simt.lowering` deliberately inlines the same
+semantics into generated source: it is the independent second spelling
+the fast/reference differential checks against this table.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional, Sequence
 
-from .instructions import Opcode
+from .instructions import (
+    BinaryOp,
+    Call,
+    Cast,
+    FCmp,
+    ICmp,
+    Instruction,
+    IntrinsicName,
+    Opcode,
+    UnaryOp,
+)
 from .types import FloatType, IntType, Type
+from .values import Constant, Value
 
 
 class EvalError(Exception):
@@ -139,3 +163,68 @@ def eval_cast(opcode: str, value, from_type: Type, to_type: Type):
     if opcode == Opcode.BITCAST:
         return value
     raise EvalError(f"bad cast {opcode}")
+
+
+_MINMAX = {IntrinsicName.MIN: min, IntrinsicName.MAX: max}
+
+#: instruction class -> value from the operands' values, in operand order
+_STRICT: Dict[type, Callable] = {
+    BinaryOp: lambda i, a, b: eval_binary(i.opcode, a, b, i.type),
+    UnaryOp: lambda i, a: -a,
+    ICmp: lambda i, a, b: eval_icmp(i.predicate, a, b, i.operand(0).type),
+    FCmp: lambda i, a, b: eval_fcmp(i.predicate, a, b),
+    Cast: lambda i, a: eval_cast(i.opcode, a, i.operand(0).type, i.type),
+    Call: lambda i, a, b: _MINMAX[i.callee](a, b),
+}
+
+
+def is_strict(value: Value) -> bool:
+    """Is ``value`` an instruction :func:`eval_strict` defines?"""
+    kind = type(value)
+    return kind in _STRICT and (kind is not Call or value.callee in _MINMAX)
+
+
+def eval_strict(instr: Instruction, values: Sequence):
+    """The value of strict pure ``instr`` given its operands' concrete
+    (defined) values in operand order; :class:`EvalError` where it traps."""
+    return _STRICT[type(instr)](instr, *values)
+
+
+#: trap-capable opcode -> index of the operand whose value decides the trap
+_DECIDER = {**dict.fromkeys((Opcode.SDIV, Opcode.UDIV, Opcode.SREM,
+                             Opcode.UREM, Opcode.SHL, Opcode.LSHR,
+                             Opcode.ASHR), 1),
+            Opcode.FPTOSI: 0}
+
+
+def _literal(operand: Value):
+    return operand.value if isinstance(operand, Constant) else None
+
+
+def trap_operand(instr: Instruction,
+                 known: Callable[[Value], object] = _literal
+                 ) -> Optional[Value]:
+    """The operand whose run-time value decides whether ``instr`` traps,
+    or ``None`` when it cannot: every op but div/rem/shift/``fptosi``,
+    and those whose deciding operand is known to be safe (a nonzero
+    divisor, an in-range shift amount, a finite float).
+
+    ``known(operand)`` is the operand's value where it is statically
+    known, else ``None`` — IR literals by default; the meld validator
+    passes its symbolic environment."""
+    index = _DECIDER.get(instr.opcode)
+    if index is None:
+        return None
+    operand = instr.operand(index)
+    value = known(operand)
+    if value is None:
+        return operand
+    # The trap condition itself stays in eval_binary/eval_cast: ask them,
+    # with a benign stand-in for the operand that never decides.
+    values = [0] * instr.num_operands
+    values[index] = value
+    try:
+        eval_strict(instr, values)
+    except EvalError:
+        return operand
+    return None

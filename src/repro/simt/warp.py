@@ -34,31 +34,19 @@ from repro.analysis.dominators import (
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function, GlobalVariable
 from repro.ir.instructions import (
-    BinaryOp,
     Branch,
     Call,
-    Cast,
-    FCmp,
     GetElementPtr,
-    ICmp,
     Instruction,
     IntrinsicName,
     Load,
-    Opcode,
     Phi,
     Ret,
     Select,
     Store,
-    UnaryOp,
 )
-from repro.ir.types import AddressSpace, FloatType, IntType
-from repro.ir.scalars import (
-    EvalError,
-    eval_binary,
-    eval_cast,
-    eval_fcmp,
-    eval_icmp,
-)
+from repro.ir.types import AddressSpace
+from repro.ir.scalars import EvalError, eval_strict, is_strict
 from repro.ir.values import Argument, Constant, Undef, Value
 from repro.obs import WarpTrace
 
@@ -250,8 +238,20 @@ class Warp:
             self._record_memory(instr.address_space, addresses, latency)
             return
         # Pure per-lane computation.
-        for lane in mask:
-            self._write(instr, lane, self._evaluate(instr, lane))
+        if is_strict(instr):
+            # Through the semantics table; any undef operand of a strict
+            # op is an undef result.
+            operands = instr.operands
+            try:
+                for lane in mask:
+                    values = [self._read(operand, lane) for operand in operands]
+                    self._write(instr, lane, UNDEF if UNDEF in values
+                                else eval_strict(instr, values))
+            except EvalError as exc:
+                raise SimulationError(f"{exc}: {instr!r}") from exc
+        else:
+            for lane in mask:
+                self._write(instr, lane, self._evaluate(instr, lane))
         self.metrics.record_alu(len(mask), latency)
 
     def _record_memory(self, static_space: int, addresses: List[int], latency: int) -> None:
@@ -327,30 +327,7 @@ class Warp:
     # ---- expression evaluation --------------------------------------------------------
 
     def _evaluate(self, instr: Instruction, lane: int):
-        if isinstance(instr, BinaryOp):
-            lhs = self._read(instr.lhs, lane)
-            rhs = self._read(instr.rhs, lane)
-            if lhs is UNDEF or rhs is UNDEF:
-                return UNDEF
-            try:
-                return eval_binary(instr.opcode, lhs, rhs, instr.type)
-            except EvalError as exc:
-                raise SimulationError(f"{exc}: {instr!r}") from exc
-        if isinstance(instr, UnaryOp):
-            value = self._read(instr.operand(0), lane)
-            return UNDEF if value is UNDEF else -value
-        if isinstance(instr, ICmp):
-            lhs = self._read(instr.lhs, lane)
-            rhs = self._read(instr.rhs, lane)
-            if lhs is UNDEF or rhs is UNDEF:
-                return UNDEF
-            return eval_icmp(instr.predicate, lhs, rhs, instr.lhs.type)
-        if isinstance(instr, FCmp):
-            lhs = self._read(instr.lhs, lane)
-            rhs = self._read(instr.rhs, lane)
-            if lhs is UNDEF or rhs is UNDEF:
-                return UNDEF
-            return eval_fcmp(instr.predicate, lhs, rhs)
+        """The non-strict pure ops: what is lazy, or machine state."""
         if isinstance(instr, Select):
             cond = self._read(instr.condition, lane)
             if cond is UNDEF:
@@ -369,19 +346,11 @@ class Warp:
             if base is UNDEF or index is UNDEF:
                 return UNDEF
             return base + index * sizeof(instr.base.type.pointee)
-        if isinstance(instr, Cast):
-            value = self._read(instr.value, lane)
-            if value is UNDEF:
-                return UNDEF
-            try:
-                return eval_cast(instr.opcode, value, instr.value.type, instr.type)
-            except EvalError as exc:
-                raise SimulationError(f"{exc}: {instr!r}") from exc
         if isinstance(instr, Call):
-            return self._intrinsic(instr, lane)
+            return self._geometry(instr, lane)
         raise SimulationError(f"cannot evaluate {instr!r}")
 
-    def _intrinsic(self, call: Call, lane: int):
+    def _geometry(self, call: Call, lane: int):
         name = call.callee
         if name == IntrinsicName.TID_X:
             return self.lanes[lane]
@@ -391,10 +360,4 @@ class Warp:
             return self.block_id
         if name == IntrinsicName.NCTAID_X:
             return self.grid_dim
-        if name in (IntrinsicName.MIN, IntrinsicName.MAX):
-            lhs = self._read(call.args[0], lane)
-            rhs = self._read(call.args[1], lane)
-            if lhs is UNDEF or rhs is UNDEF:
-                return UNDEF
-            return min(lhs, rhs) if name == IntrinsicName.MIN else max(lhs, rhs)
         raise SimulationError(f"unknown intrinsic @{name}")

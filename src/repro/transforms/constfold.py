@@ -11,53 +11,17 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.ir.function import Function
-from repro.ir.instructions import (
-    BinaryOp,
-    Branch,
-    Call,
-    Cast,
-    FCmp,
-    ICmp,
-    Instruction,
-    IntrinsicName,
-    Opcode,
-    Select,
-    UnaryOp,
-)
-from repro.ir.scalars import EvalError, eval_binary, eval_cast, eval_fcmp, eval_icmp
-from repro.ir.values import Constant, Undef, Value
+from repro.ir.instructions import BinaryOp, Branch, Instruction, Opcode, Select
+from repro.ir.scalars import EvalError, eval_strict, is_strict
+from repro.ir.values import Constant, Value
 
 
 def _const(value: Value) -> Optional[Constant]:
-    return value if isinstance(value, Constant) and not isinstance(value, Undef) \
-        else None
+    return value if isinstance(value, Constant) else None
 
 
 def _fold_instruction(instr: Instruction) -> Optional[Value]:
     """The folded replacement value, or None if not foldable."""
-    if isinstance(instr, BinaryOp):
-        lhs, rhs = _const(instr.lhs), _const(instr.rhs)
-        if lhs is not None and rhs is not None:
-            try:
-                return Constant(instr.type,
-                                eval_binary(instr.opcode, lhs.value, rhs.value,
-                                            instr.type))
-            except EvalError:
-                return None
-        return _fold_algebraic(instr)
-    if isinstance(instr, ICmp):
-        lhs, rhs = _const(instr.lhs), _const(instr.rhs)
-        if lhs is not None and rhs is not None:
-            return Constant(instr.type,
-                            eval_icmp(instr.predicate, lhs.value, rhs.value,
-                                      instr.lhs.type))
-        return None
-    if isinstance(instr, FCmp):
-        lhs, rhs = _const(instr.lhs), _const(instr.rhs)
-        if lhs is not None and rhs is not None:
-            return Constant(instr.type,
-                            eval_fcmp(instr.predicate, lhs.value, rhs.value))
-        return None
     if isinstance(instr, Select):
         cond = _const(instr.condition)
         if cond is not None:
@@ -65,30 +29,18 @@ def _fold_instruction(instr: Instruction) -> Optional[Value]:
         if instr.true_value is instr.false_value:
             return instr.true_value
         return None
-    if isinstance(instr, Cast):
-        value = _const(instr.value)
-        if value is not None:
-            try:
-                return Constant(instr.type,
-                                eval_cast(instr.opcode, value.value,
-                                          instr.value.type, instr.type))
-            except EvalError:
-                return None
+    if not is_strict(instr):
         return None
-    if isinstance(instr, UnaryOp):
-        value = _const(instr.operand(0))
-        if value is not None:
-            return Constant(instr.type, -value.value)
-        return None
-    if isinstance(instr, Call) and instr.callee in (IntrinsicName.MIN,
-                                                    IntrinsicName.MAX):
-        lhs, rhs = _const(instr.args[0]), _const(instr.args[1])
-        if lhs is not None and rhs is not None:
-            value = (min if instr.callee == IntrinsicName.MIN else max)(
-                lhs.value, rhs.value)
-            return Constant(instr.type, value)
-        return None
-    return None
+    operands = instr.operands
+    for operand in operands:
+        if not isinstance(operand, Constant):
+            return _fold_algebraic(instr) if isinstance(instr, BinaryOp) \
+                else None
+    try:
+        return Constant(instr.type,
+                        eval_strict(instr, [op.value for op in operands]))
+    except EvalError:
+        return None  # leave the trap for run time
 
 
 def _fold_algebraic(instr: BinaryOp) -> Optional[Value]:

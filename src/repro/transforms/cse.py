@@ -18,17 +18,13 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.dominators import compute_dominator_tree
 from repro.ir.function import Function
-from repro.ir.instructions import Call, GetElementPtr, Instruction, Phi, Select
+from repro.ir.instructions import Instruction
 from repro.ir.values import Constant, Undef, Value
 
 
 def _expression_key(instr: Instruction) -> Optional[Tuple]:
     """Hashable identity of a pure expression, or None if not eligible."""
-    if isinstance(instr, Phi) or instr.is_terminator:
-        return None
     if not instr.is_speculatable:
-        return None
-    if isinstance(instr, Call) and not instr.is_pure_intrinsic:
         return None
     operands = []
     for operand in instr.operands:

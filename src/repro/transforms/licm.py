@@ -16,18 +16,8 @@ from typing import Set
 
 from repro.analysis.loops import Loop, compute_loop_info
 from repro.ir.function import Function
-from repro.ir.instructions import Call, Instruction, Phi
+from repro.ir.instructions import Instruction
 from repro.ir.values import Value
-
-
-def _is_hoistable(instr: Instruction) -> bool:
-    if isinstance(instr, Phi) or instr.is_terminator:
-        return False
-    if not instr.is_speculatable:
-        return False
-    if isinstance(instr, Call) and not instr.is_pure_intrinsic:
-        return False
-    return True
 
 
 def hoist_loop_invariants(function: Function) -> bool:
@@ -52,7 +42,7 @@ def _hoist_one_loop(loop: Loop) -> bool:
         progress = False
         for block in sorted(loop.blocks, key=lambda b: b.name):
             for instr in block.instructions:
-                if not _is_hoistable(instr):
+                if not instr.is_speculatable:
                     continue
                 if not all(_operand_invariant(op, loop, invariant_defs)
                            for op in instr.operands):

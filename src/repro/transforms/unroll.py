@@ -29,21 +29,9 @@ from typing import Dict, List, Optional
 from repro.analysis.loops import Loop, compute_loop_info
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
-from repro.ir.instructions import (
-    BinaryOp,
-    Branch,
-    Call,
-    Cast,
-    FCmp,
-    ICmp,
-    Instruction,
-    IntrinsicName,
-    Phi,
-    Select,
-    UnaryOp,
-)
-from repro.ir.scalars import EvalError, eval_binary, eval_cast, eval_fcmp, eval_icmp
-from repro.ir.values import Constant, Undef, Value
+from repro.ir.instructions import Branch, Instruction, Phi, Select
+from repro.ir.scalars import EvalError, eval_strict, is_strict
+from repro.ir.values import Constant, Value
 
 from .clone import clone_blocks
 from .constfold import fold_constants
@@ -75,51 +63,24 @@ class _SymbolicEvaluator:
         self._steps += 1
         if self._steps > self.limits.max_eval_steps:
             return None
-        if isinstance(value, Constant) and not isinstance(value, Undef):
+        if isinstance(value, Constant):
             return value.value
         if isinstance(value, Phi):
             return self.phi_values.get(value)
-        if isinstance(value, BinaryOp):
-            lhs, rhs = self.eval(value.lhs), self.eval(value.rhs)
-            if lhs is None or rhs is None:
-                return None
-            try:
-                return eval_binary(value.opcode, lhs, rhs, value.type)
-            except EvalError:
-                return None
-        if isinstance(value, ICmp):
-            lhs, rhs = self.eval(value.lhs), self.eval(value.rhs)
-            if lhs is None or rhs is None:
-                return None
-            return eval_icmp(value.predicate, lhs, rhs, value.lhs.type)
-        if isinstance(value, FCmp):
-            lhs, rhs = self.eval(value.lhs), self.eval(value.rhs)
-            if lhs is None or rhs is None:
-                return None
-            return eval_fcmp(value.predicate, lhs, rhs)
         if isinstance(value, Select):
             cond = self.eval(value.condition)
             if cond is None:
                 return None
             return self.eval(value.true_value if cond else value.false_value)
-        if isinstance(value, Cast):
-            inner = self.eval(value.value)
-            if inner is None:
-                return None
-            try:
-                return eval_cast(value.opcode, inner, value.value.type, value.type)
-            except EvalError:
-                return None
-        if isinstance(value, UnaryOp):
-            inner = self.eval(value.operand(0))
-            return None if inner is None else -inner
-        if isinstance(value, Call) and value.callee in (IntrinsicName.MIN,
-                                                        IntrinsicName.MAX):
-            lhs, rhs = self.eval(value.args[0]), self.eval(value.args[1])
-            if lhs is None or rhs is None:
-                return None
-            return min(lhs, rhs) if value.callee == IntrinsicName.MIN else max(lhs, rhs)
-        return None
+        if not is_strict(value):
+            return None
+        operands = [self.eval(operand) for operand in value.operands]
+        if None in operands:
+            return None
+        try:
+            return eval_strict(value, operands)
+        except EvalError:
+            return None
 
 
 def _loop_shape(loop: Loop):
@@ -161,7 +122,7 @@ def compute_trip_count(loop: Loop, limits: UnrollLimits = DEFAULT_LIMITS) -> Opt
     values: Dict[Phi, object] = {}
     for phi in phis:
         init = phi.incoming_for(preheader)
-        if not isinstance(init, Constant) or isinstance(init, Undef):
+        if not isinstance(init, Constant):
             return None
         values[phi] = init.value
 

@@ -23,12 +23,12 @@ from repro.analysis import (
     RegionCapture,
     validate_melds_hook,
 )
-from repro.ir import I32
+from repro.ir import I32, Select
 from repro.ir.values import Constant
 from repro.kernels import ALL_BUILDERS
 from repro.transforms import PassPipeline
 
-from tests.support import build_diamond
+from tests.support import build_diamond, parse
 
 
 def _capture_diamond():
@@ -63,6 +63,86 @@ class TestRegionCapture:
         validation = capture.compare_against_current()
         assert validation.verdict == UNSUPPORTED
         assert validation.ok  # soundness boundary: not a conviction
+
+
+#: both arms do ``out[tid] = <body>(in[tid])`` on their own buffers
+_FLOAT_DIAMOND = """
+define void @k(float addrspace(1)* %a, float addrspace(1)* %b, i32 addrspace(1)* %out) {{
+entry:
+  %tid = call i32 @llvm.gpu.tid.x()
+  %rem = urem i32 %tid, 2
+  %cond = icmp eq i32 %rem, 0
+  %po = getelementptr i32, i32 addrspace(1)* %out, i32 %tid
+  br i1 %cond, label %then, label %else
+then:
+  %pa = getelementptr float, float addrspace(1)* %a, i32 %tid
+  %va = load float, float addrspace(1)* %pa
+{then}
+  br label %merge
+else:
+  %pb = getelementptr float, float addrspace(1)* %b, i32 %tid
+  %vb = load float, float addrspace(1)* %pb
+{els}
+  br label %merge
+merge:
+  ret void
+}}
+"""
+
+
+def _float_diamond(then, els):
+    f = parse(_FLOAT_DIAMOND.format(then=then, els=els))
+    entry, _, _, merge = f.blocks
+    return f, RegionCapture(entry, merge, entry.terminator.condition)
+
+
+class TestEveryStrictOpIsInTheFragment:
+    """The validator folds and records traps through the semantics table
+    (``repro.ir.scalars``): no pure op is an unknown opcode, and a
+    trapping constant is a verdict, not a traceback."""
+
+    def test_melded_fneg_diamond_is_equivalent(self):
+        f, _ = _float_diamond(
+            "  %na = fneg float %va\n  store float %na, float addrspace(1)* %pa",
+            "  %nb = fneg float %vb\n  store float %nb, float addrspace(1)* %pb")
+        cfm = CFMPass(CFMConfig(validate=True))
+        cfm.run(f)
+        assert [v.verdict for v in cfm.stats.validations] == [EQUIVALENT]
+
+    def test_constant_non_finite_fptosi_is_a_verdict_not_a_traceback(self):
+        body = ("  %i{0} = fdiv float 1.0, 0.0\n"
+                "  %q{0} = fptosi float %i{0} to i32\n"
+                "  store i32 %q{0}, i32 addrspace(1)* %po")
+        f, _ = _float_diamond(body.format("a"), body.format("b"))
+        cfm = CFMPass(CFMConfig(validate=True))
+        cfm.run(f)  # used to raise EvalError
+        # Both programs halt in the same definite trap: comparable.
+        assert [v.verdict for v in cfm.stats.validations] == [EQUIVALENT]
+
+    def test_a_safe_literal_melded_into_a_select_is_still_safe(self):
+        # `sdiv %va, 5` / `sdiv %vb, 7` meld into `sdiv %v, select(C, 5, 7)`:
+        # no literal any more, but per mask case the divisor is a known
+        # nonzero constant — not a trap-capable op the meld added.
+        body = ("  %c{0} = fptosi float %v{0} to i32\n"
+                "  %q{0} = sdiv i32 %c{0}, {1}\n"
+                "  %s{0} = shl i32 %q{0}, {2}\n"
+                "  store i32 %s{0}, i32 addrspace(1)* %po")
+        f, _ = _float_diamond(body.format("a", 5, 3), body.format("b", 7, 4))
+        cfm = CFMPass(CFMConfig(validate=True))
+        cfm.run(f)
+        assert any(i.opcode == "sdiv" and isinstance(i.operand(1), Select)
+                   for i in f.instructions())
+        assert [v.verdict for v in cfm.stats.validations] == [EQUIVALENT]
+
+    def test_dropping_an_fptosi_from_one_path_is_inequivalent(self):
+        body = ("  %q{0} = fptosi float %v{0} to i32\n"
+                "  store i32 7, i32 addrspace(1)* %po")
+        f, capture = _float_diamond(body.format("a"), body.format("b"))
+        next(i for i in f.blocks[1] if i.opcode == "fptosi").erase_from_parent()
+        validation = capture.compare_against_current()
+        assert validation.verdict == INEQUIVALENT
+        assert "trap-capable operations differ" in validation.detail
+        assert "fptosi" in validation.detail
 
 
 def _compile_with_validation(function):

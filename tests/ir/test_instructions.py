@@ -115,6 +115,29 @@ class TestClassification:
         assert not BinaryOp(Opcode.SDIV, c(1), c(2)).is_speculatable
         assert not BinaryOp(Opcode.UREM, c(1), c(2)).is_speculatable
 
+    def test_division_by_a_nonzero_constant_is_policy_not_speculatable(self):
+        x = Function("f", [I32], ["x"]).args[0]
+        assert not BinaryOp(Opcode.SDIV, x, c(2)).is_speculatable
+
+    def test_what_may_trap_is_not_speculatable(self):
+        x, y = Function("f", [F32, I32], ["x", "y"]).args
+        assert not Cast(Opcode.FPTOSI, x, I32).is_speculatable
+        for opcode in (Opcode.SHL, Opcode.LSHR, Opcode.ASHR):
+            assert not BinaryOp(opcode, y, c(32)).is_speculatable
+            assert not BinaryOp(opcode, y, c(40)).is_speculatable
+            assert not BinaryOp(opcode, y, c(-1)).is_speculatable
+            assert not BinaryOp(opcode, y, y).is_speculatable
+
+    def test_what_cannot_trap_still_is(self):
+        x, y = Function("f", [F32, I32], ["x", "y"]).args
+        assert Cast(Opcode.SITOFP, y, F32).is_speculatable
+        assert Cast(Opcode.ZEXT, y, I64).is_speculatable
+        assert Cast(Opcode.TRUNC, y, I1).is_speculatable
+        assert BinaryOp(Opcode.FDIV, x, x).is_speculatable
+        for opcode in (Opcode.SHL, Opcode.LSHR, Opcode.ASHR):
+            assert BinaryOp(opcode, y, c(0)).is_speculatable
+            assert BinaryOp(opcode, y, c(31)).is_speculatable
+
     def test_alu_is_speculatable(self):
         assert BinaryOp(Opcode.ADD, c(1), c(2)).is_speculatable
         assert ICmp(ICmpPredicate.EQ, c(1), c(2)).is_speculatable

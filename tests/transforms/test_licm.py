@@ -132,6 +132,34 @@ exit:
         body = f.block_by_name("body")
         assert any(i.opcode == "sdiv" for i in body)
 
+    def test_fptosi_guarded_by_the_loop_condition_stays(self):
+        f = parse("""
+define void @k(float %x, i32 %n, i32 addrspace(1)* %p) {
+entry:
+  br label %h
+h:
+  %i = phi i32 [ 0, %entry ], [ %ni, %body ]
+  %c = icmp slt i32 %i, %n
+  br i1 %c, label %body, label %exit
+body:
+  %q = fptosi float %x to i32
+  %g = getelementptr i32, i32 addrspace(1)* %p, i32 %i
+  store i32 %q, i32 addrspace(1)* %g
+  %ni = add i32 %i, 1
+  br label %h
+exit:
+  ret void
+}
+""")
+        hoist_loop_invariants(f)
+        verify_function(f)
+        # fptosi traps on a non-finite value and the loop may run zero
+        # times: hoisted, `k(inf, 0, p)` would trap where it must not.
+        assert any(i.opcode == "fptosi" for i in f.block_by_name("body"))
+        out, _ = run_kernel(f.module, "k", 1, 1, buffers={"p": [5]},
+                            scalars={"x": float("inf"), "n": 0})
+        assert out["p"] == [5]
+
     def test_semantics_preserved(self):
         base = parse(LOOP)
         hoisted = parse(LOOP)

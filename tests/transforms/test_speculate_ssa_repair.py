@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.ir import Select, Undef, VerificationError, verify_function
-from repro.transforms import repair_ssa, speculate_hammocks
+from repro.ir import F32, I32, Select, Undef, VerificationError, verify_function
+from repro.simt import MachineConfig, run_kernel
+from repro.transforms import optimize, repair_ssa, speculate_hammocks
 
 from tests.support import parse
 
@@ -130,6 +131,56 @@ m:
         assert not m.phis
         selects = [i for i in f.instructions() if isinstance(i, Select)]
         assert len(selects) == 2
+
+
+#: ``out[tid] = guard(in[tid]) ? <guarded op> : 7`` — the guarded op traps
+#: on exactly the lanes the guard keeps away from it.
+_GUARDED = """
+define void @k({ty} addrspace(1)* %in, i32 addrspace(1)* %out) {{
+entry:
+  %tid = call i32 @llvm.gpu.tid.x()
+  %gi = getelementptr {ty}, {ty} addrspace(1)* %in, i32 %tid
+  %x = load {ty}, {ty} addrspace(1)* %gi
+  %c = {guard}
+  br i1 %c, label %a, label %m
+a:
+{body}
+  br label %m
+m:
+  %r = phi i32 [ %v, %a ], [ 7, %entry ]
+  %go = getelementptr i32, i32 addrspace(1)* %out, i32 %tid
+  store i32 %r, i32 addrspace(1)* %go
+  ret void
+}}
+"""
+
+
+class TestTrappingArmsStayGuarded:
+    """`-O3` used to hoist both of these above their guard and trap."""
+
+    @pytest.mark.parametrize("ty, etype, guard, body, data, expected", [
+        ("float", F32, "fcmp one float %x, 0.0",
+         "  %inv = fdiv float 1.0, %x\n  %v = fptosi float %inv to i32",
+         [0.0, 2.0, 0.5, 0.0], [7, 0, 2, 7]),
+        ("i32", I32, "icmp sgt i32 %x, 100", "  %v = shl i32 %x, 40",
+         [1, 2, 3, 4], [7, 7, 7, 7]),
+    ], ids=["fptosi", "shl-by-40"])
+    @pytest.mark.parametrize("executor", ["reference", "fast"])
+    def test_o3_output_equals_noopt(self, ty, etype, guard, body, data,
+                                    expected, executor):
+        def run(function):
+            out, _ = run_kernel(function.module, "k", 1, 4,
+                                buffers={"in": data, "out": [0] * 4},
+                                element_types={"in": etype},
+                                machine=MachineConfig(executor=executor))
+            return out["out"]
+
+        text = _GUARDED.format(ty=ty, guard=guard, body=body)
+        assert run(parse(text)) == expected
+        optimized = parse(text)
+        optimize(optimized)
+        verify_function(optimized)
+        assert run(optimized) == expected
 
 
 class TestSSARepair:
