@@ -1,8 +1,8 @@
 """Executor performance benchmark suite (``python -m benchmarks.perf``).
 
 Measures the fast-path µop executor against the reference tree-walking
-interpreter and emits a ``BENCH_PR<N>.json``-shaped document
-(``BENCH_local.json`` unless ``--out`` names a record to commit):
+interpreter and emits a result document (``BENCH_local.json`` unless
+``--out`` names another path):
 
 * **micro** — per-opcode-class kernels (int ALU, float ALU,
   compare+select, global/shared memory, divergent branches, φ loops)

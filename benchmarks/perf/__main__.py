@@ -2,19 +2,15 @@
 
 Runs the executor benchmark suite and writes the result document
 (executor speedups plus the cold-vs-warm compile-cache split) to
-``--out`` — by default the git-ignored ``BENCH_local.json``, so a bare
-run never overwrites a committed ``BENCH_PR<N>.json`` record; name one
-explicitly (as the CI perf-smoke job does) to produce a record.  With
-``--check`` the thresholds guard is evaluated and a miss exits 1.  ``--cache-dir`` points the
-Figure 8 cold/warm measurement at a persistent directory instead of a
-throwaway one.
+``--out`` — by default the git-ignored ``BENCH_local.json``.  With
+``--check`` the thresholds guard is evaluated and a miss exits 1.
+``--cache-dir`` points the Figure 8 cold/warm measurement at a
+persistent directory instead of a throwaway one.
 
-``--history`` skips benchmarking entirely: it loads every committed
-``BENCH_PR<N>.json``, prints the cross-PR trend table, and with
-``--check`` fails when any headline metric's newest point has decayed
-more than ``--max-regression`` below its best historical point (see
-:mod:`benchmarks.perf.history`).  No timing runs, so CI can evaluate
-the trajectory guard on any machine.
+The document is a parity check plus fast-over-*reference* ratios, read
+against the floors in ``thresholds.json``; it is not a record of how
+fast the repo is (a faster reference lowers every ratio).  Absolute
+numbers, and every before/after claim, come from ``darmbench/``.
 """
 
 from __future__ import annotations
@@ -25,7 +21,6 @@ import sys
 from pathlib import Path
 
 from .guard import check_thresholds, load_thresholds
-from .history import DEFAULT_MAX_REGRESSION, check_history, load_history, render_history
 from .suite import run_suite
 
 
@@ -37,20 +32,7 @@ def main(argv=None) -> int:
                     "document to --out.")
     parser.add_argument("--out", type=Path, default=Path("BENCH_local.json"),
                         help="output path (default: ./BENCH_local.json, "
-                             "git-ignored; pass BENCH_PR<N>.json to write "
-                             "a record for the committed series)")
-    parser.add_argument("--history", action="store_true",
-                        help="render the committed BENCH_PR*.json trend "
-                             "table instead of benchmarking; with --check, "
-                             "fail on trajectory regressions")
-    parser.add_argument("--bench-root", type=Path, default=Path("."),
-                        metavar="DIR",
-                        help="where to look for BENCH_PR*.json "
-                             "(default: current directory)")
-    parser.add_argument("--max-regression", type=float,
-                        default=DEFAULT_MAX_REGRESSION, metavar="FRAC",
-                        help="history decay tolerated by --history --check "
-                             f"(default: {DEFAULT_MAX_REGRESSION})")
+                             "git-ignored)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="persistent compile-cache directory for the "
                              "figure8 cold/warm measurement (default: a "
@@ -67,21 +49,6 @@ def main(argv=None) -> int:
                         help="fractional threshold slack for --check "
                              "(e.g. 0.3 tolerates 30%% under threshold)")
     args = parser.parse_args(argv)
-
-    if args.history:
-        history = load_history(args.bench_root)
-        print(render_history(history))
-        if args.check:
-            failures = check_history(history,
-                                     max_regression=args.max_regression)
-            if failures:
-                print("PERF HISTORY GUARD FAILED:", file=sys.stderr)
-                for failure in failures:
-                    print(f"  {failure}", file=sys.stderr)
-                return 1
-            print("perf history guard passed "
-                  f"({len(history)} BENCH files)")
-        return 0
 
     results = run_suite(repeats=args.repeats,
                         difftest_seeds=args.difftest_seeds,

@@ -1,4 +1,4 @@
-"""Threshold guard over BENCH_PR6 results.
+"""Threshold guard over a suite result document.
 
 ``thresholds.json`` records the minimum fast-over-reference speedup per
 micro workload and for the macro measurements.  ``check_thresholds``

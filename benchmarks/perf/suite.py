@@ -238,7 +238,7 @@ def bench_difftest(seeds: Sequence[int] = range(4)) -> Dict:
 def run_suite(repeats: int = 3, difftest_seeds: int = 4,
               quick: bool = False,
               cache_dir: Optional[str] = None) -> Dict:
-    """Run micro + macro benches and return the BENCH_PR6 document."""
+    """Run micro + macro benches and return the result document."""
     if quick:
         repeats = min(repeats, 1)
         difftest_seeds = min(difftest_seeds, 2)

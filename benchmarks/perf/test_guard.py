@@ -2,17 +2,20 @@
 
 A threshold guard that never fires is worse than none: it green-lights
 regressions forever.  So this suite injects a *real* slowdown into the
-fast executor's dispatch loop (the ``_TEST_DISPATCH_DELAY`` hook in
-:mod:`repro.simt.fastpath`) and asserts the guard trips on the degraded
-measurement — plus deterministic unit checks of the comparison logic on
-synthetic result documents.
+fast executor's block dispatch — from the test side, by wrapping the
+``execute`` every :class:`~repro.simt.fastpath.FastEvaluator` hands the
+warp driver; production code carries no hook — and asserts the guard
+trips on the degraded measurement, plus deterministic unit checks of the
+comparison logic on synthetic result documents.
 """
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
-import repro.simt.fastpath as fastpath
+from repro.simt.fastpath import FastEvaluator
 
 from .guard import GuardFailure, check_thresholds, load_thresholds
 from .suite import bench_micro
@@ -20,6 +23,24 @@ from .suite import bench_micro
 
 def _micro_results(rows):
     return {"micro": rows}
+
+
+def _slow_fast_dispatch(monkeypatch, seconds):
+    """Sleep ``seconds`` per block step under the fast executor only (the
+    guard reads fast-over-reference ratios), without touching semantics."""
+    real_init = FastEvaluator.__init__
+
+    def slowed_init(self, *args):
+        real_init(self, *args)
+        execute = self.execute
+
+        def slowed(block, mask, resume):
+            time.sleep(seconds)
+            return execute(block, mask, resume)
+
+        self.execute = slowed
+
+    monkeypatch.setattr(FastEvaluator, "__init__", slowed_init)
 
 
 def test_guard_passes_on_healthy_measurement():
@@ -35,10 +56,10 @@ def test_guard_passes_on_healthy_measurement():
 def test_guard_trips_on_injected_dispatch_slowdown(monkeypatch):
     # 1ms per executed block ≈ hundreds of ms over the int_alu loop —
     # far below any plausible threshold, without touching semantics.
-    monkeypatch.setattr(fastpath, "_TEST_DISPATCH_DELAY", 0.001)
+    _slow_fast_dispatch(monkeypatch, 0.001)
     rows = bench_micro(repeats=1, names=["int_alu"])
     assert rows[0]["speedup"] < 1.0, \
-        "delay hook had no effect; is the fast path still using it?"
+        "injected delay had no effect; does the driver still call execute?"
     failures = check_thresholds(_micro_results(rows), load_thresholds(),
                                 slack=0.3)
     assert any(f.startswith("micro:int_alu") for f in failures)
@@ -46,10 +67,10 @@ def test_guard_trips_on_injected_dispatch_slowdown(monkeypatch):
 
 def test_injected_slowdown_does_not_change_results(monkeypatch):
     baseline = bench_micro(repeats=1, names=["phi_loop"])[0]
-    monkeypatch.setattr(fastpath, "_TEST_DISPATCH_DELAY", 0.0005)
+    _slow_fast_dispatch(monkeypatch, 0.0005)
     slowed = bench_micro(repeats=1, names=["phi_loop"])[0]
     # bench_micro asserts output/metrics parity internally; instruction
-    # counts surviving unchanged shows the hook is timing-only.
+    # counts surviving unchanged shows the injection is timing-only.
     assert (slowed["executors"]["fast"]["instructions"]
             == baseline["executors"]["fast"]["instructions"])
 

@@ -1,6 +1,6 @@
 """Warp-level runtime tracing: divergence, reconvergence, occupancy.
 
-The SIMT interpreter is the hot path, so tracing is strictly opt-in: a
+The warp driver is the hot path, so tracing is strictly opt-in: a
 :class:`WarpTrace` sink is handed to each :class:`~repro.simt.warp.Warp`
 only when a launch runs under an enabled tracer; with tracing disabled
 the warp holds ``trace=None`` and the instrumentation is a single

@@ -20,10 +20,9 @@ price of *in-process state now outliving a task*.  Two consequences:
   cannot poison a later task's — or a retry's — cache state
   (``tests/scheduler/test_chaos.py::TestMemoQuarantine``).
 
-Fault injection: ``_TEST_WORKER_CHAOS`` (mirroring
-``repro.simt.fastpath._TEST_DISPATCH_DELAY``) maps a scheduler task
-index to a chaos mode applied on that task's **first attempt only**, so
-the retry path being exercised can actually succeed:
+Fault injection: ``_TEST_WORKER_CHAOS`` maps a scheduler task index to
+a chaos mode applied on that task's **first attempt only**, so the retry
+path being exercised can actually succeed:
 
 * ``"exit"``          — hard-kill the worker before running the task;
 * ``"exit-after"``    — run the task (side effects like disk compile

@@ -77,9 +77,18 @@ def _require(params: Dict[str, Any], key: str, kind: type,
     value = params.get(key, default)
     if value is default and default is not None:
         return default
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (
+            kind is int and isinstance(value, bool)):
         raise JobParamError(
             f"param {key!r} must be {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _positive(key: str, value: Any) -> int:
+    """Launch geometry and task counts (a zero-warp launch is no row)."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise JobParamError(
+            f"param {key!r} must be a positive integer, got {value!r}")
     return value
 
 
@@ -224,7 +233,8 @@ class SweepJob(JobSpec):
         super().__init__(params)
         self.kernels = _kernel_names(params)
         self.seed = _require(params, "seed", int, DEFAULT_SEED)
-        self.grid_dim = _require(params, "grid_dim", int, DEFAULT_GRID_DIM)
+        self.grid_dim = _positive(
+            "grid_dim", params.get("grid_dim", DEFAULT_GRID_DIM))
         self.trace = bool(params.get("trace", False))
         sizes = params.get("block_sizes")
         if sizes is None:
@@ -241,7 +251,8 @@ class SweepJob(JobSpec):
                                 for name in self.kernels}
         else:
             raise JobParamError("block_sizes must be a list or a dict")
-        self.pairs = [(name, size) for name in self.kernels
+        self.pairs = [(name, _positive("block_sizes", size))
+                      for name in self.kernels
                       for size in self.block_sizes[name]]
         self._check_size(len(self.pairs))
 
@@ -300,8 +311,8 @@ class CompileJob(JobSpec):
         if self.level not in ARMS:
             raise JobParamError(
                 f"unknown level {self.level!r}; expected one of {ARMS}")
-        self.block_size = _require(params, "block_size", int, 32)
-        self.grid_dim = _require(params, "grid_dim", int, 2)
+        self.block_size = _positive("block_size", params.get("block_size", 32))
+        self.grid_dim = _positive("grid_dim", params.get("grid_dim", 2))
         self._check_size(len(self.kernels))
 
     def tasks(self) -> List[Task]:
@@ -322,8 +333,8 @@ class LaunchJob(JobSpec):
     def __init__(self, params: Dict[str, Any]) -> None:
         super().__init__(params)
         self.kernels = _kernel_names(params)
-        self.block_size = _require(params, "block_size", int, 32)
-        self.grid_dim = _require(params, "grid_dim", int, 2)
+        self.block_size = _positive("block_size", params.get("block_size", 32))
+        self.grid_dim = _positive("grid_dim", params.get("grid_dim", 2))
         self.seed = _require(params, "seed", int, 1234)
         self._check_size(len(self.kernels))
 
@@ -352,11 +363,11 @@ class DifftestJob(JobSpec):
                 raise JobParamError("param 'seeds' must be a list of ints")
             self.seeds = seeds
         else:
-            count = _require(params, "count", int, 10)
+            count = _positive("count", params.get("count", 10))
             start = _require(params, "start", int, 0)
             self.seeds = list(range(start, start + count))
-        self.block_dim = _require(params, "block_dim", int, 16)
-        self.grid_dim = _require(params, "grid_dim", int, 2)
+        self.block_dim = _positive("block_dim", params.get("block_dim", 16))
+        self.grid_dim = _positive("grid_dim", params.get("grid_dim", 2))
         self._check_size(len(self.seeds))
 
     def tasks(self) -> List[Task]:
@@ -388,8 +399,8 @@ class LintJob(JobSpec):
             raise JobParamError(
                 f"unknown levels {unknown}; expected from {LINT_LEVELS}")
         self.levels = levels
-        self.block_size = _require(params, "block_size", int, 32)
-        self.grid_dim = _require(params, "grid_dim", int, 2)
+        self.block_size = _positive("block_size", params.get("block_size", 32))
+        self.grid_dim = _positive("grid_dim", params.get("grid_dim", 2))
         self.pairs = [(k, lv) for k in self.kernels for lv in self.levels]
         self._check_size(len(self.pairs))
 

@@ -7,14 +7,15 @@ families the paper measures.
 
 :class:`MachineConfig` is the single machine description — warp size,
 latency model, executor, reconvergence policy — accepted uniformly as
-``machine=`` by every launch surface.  Two executors share the machine
-semantics (see ``docs/performance.md``): the tree-walking **reference**
-interpreter (:class:`Warp`) and the lowered **fast** path
-(:class:`FastWarp` over a :class:`LoweredProgram`), selected via
-``MachineConfig.executor``.  Two reconvergence policies share the
-scheduling logic (:mod:`repro.simt.reconvergence`): the classic
-``"ipdom"`` stack and the stack-less ``"min-pc"`` path list, selected
-via ``MachineConfig.reconvergence``.
+``machine=`` by every launch surface.  One warp driver (:class:`Warp`:
+path scheduling, barriers, the branch protocol, tracing, the step
+guard) runs every launch; ``MachineConfig.executor`` selects the *block
+evaluator* it drives (see ``docs/simulator.md``) — the tree-walking
+**reference** interpreter (:class:`ReferenceEvaluator`, facts from the
+IR) or the lowered **fast** path (:class:`FastEvaluator` over a
+:class:`LoweredProgram`).  ``MachineConfig.reconvergence`` selects the
+driver's scheduling policy (:mod:`repro.simt.reconvergence`): the
+classic ``"ipdom"`` stack or the stack-less ``"min-pc"`` path list.
 """
 
 from .config import (
@@ -22,7 +23,7 @@ from .config import (
     EXECUTORS,
     MachineConfig,
 )
-from .fastpath import FastWarp
+from .fastpath import FastEvaluator
 from .lowering import (
     PROGRAM_SCHEMA,
     LoweredProgram,
@@ -39,6 +40,7 @@ from .lowering import (
 from .machine import GPU, Buffer, run_kernel
 from .memory import DeviceMemory, MemoryError_, sizeof
 from .metrics import Metrics
+from .reference import ReferenceEvaluator
 from .reconvergence import (
     RECONVERGENCE_POLICIES,
     IPDOMPolicy,
@@ -56,7 +58,8 @@ __all__ = [
     "DeviceMemory", "MemoryError_", "sizeof",
     "Metrics",
     "SimulationError", "UNDEF", "Warp",
-    "FastWarp", "LoweredProgram", "PROGRAM_SCHEMA", "ProgramDecodeError",
+    "FastEvaluator", "ReferenceEvaluator",
+    "LoweredProgram", "PROGRAM_SCHEMA", "ProgramDecodeError",
     "clear_lowering_memo", "get_program", "invalidate_lowering",
     "lower_function",
     "latency_token_key", "lower_symbolic", "materialize_program",

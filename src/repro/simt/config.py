@@ -48,8 +48,8 @@ class MachineConfig:
     max_warp_steps: int = 2_000_000
     #: record a per-branch divergence profile (Metrics.branch_profile)
     profile_branches: bool = False
-    #: warp executor: "fast" runs lowered µop programs (repro.simt.fastpath),
-    #: "reference" walks the IR directly (repro.simt.warp) — bit-identical
+    #: block evaluator: "fast" runs lowered µop programs (simt.fastpath),
+    #: "reference" walks the IR directly (simt.reference) — bit-identical
     #: semantics, held together by tests/simt/test_executor_diff.py
     executor: str = "fast"
     #: reconvergence policy: "ipdom" (classic post-dominator stack) or

@@ -1,10 +1,10 @@
 """Lowering: one-time translation of an :class:`ir.Function` into a flat
 µop program for the fast-path warp executor.
 
-The tree-walking interpreter in :mod:`repro.simt.warp` re-discovers the
-same facts for every instruction, every lane, every launch: which Python
-class the instruction is, where its operands live, what its latency is,
-where its branch reconverges.  Lowering hoists all of that to launch
+The tree-walking interpreter in :mod:`repro.simt.reference` re-discovers
+the same facts for every instruction, every lane, every launch: which
+Python class the instruction is, where its operands live, what its
+latency is, where its branch reconverges.  Lowering hoists all of that to launch
 time:
 
 * **dense virtual registers** — every SSA value (instruction results,
@@ -33,7 +33,7 @@ rewrites miss the cache instead of silently replaying stale code.
 Semantics are bit-identical to the reference interpreter by
 construction: the run functions inline exactly the scalar semantics of
 :mod:`repro.ir.scalars` (``tests/simt/test_run_functions.py`` is the
-oracle), undef propagation matches :class:`~repro.simt.warp.Warp`
+oracle), undef propagation matches the reference evaluator's
 observation points, and trap messages embed the printed form of the
 bound function's own instruction (re-derived at materialization, so the
 symbolic form stays independent of SSA value naming and survives
@@ -99,6 +99,7 @@ from repro.ir.values import Argument, Constant, Undef, Value
 
 from .memory import sizeof
 from .warp import SimulationError, UNDEF
+from .warp import TERM_BR, TERM_CBR, TERM_NONE, TERM_RET
 
 # ---------------------------------------------------------------------------
 # µop encoding
@@ -137,23 +138,10 @@ OP_RUN = 8  # materialized programs only
 #: OP_SREG tags (index into the warp's special-register bank)
 SREG_TID, SREG_NTID, SREG_CTAID, SREG_NCTAID = 0, 1, 2, 3
 
-# Terminator shapes:
-#   (TERM_RET,)
-#   (TERM_BR,  succ_index, transfer_pairs)
-#   (TERM_CBR, src_cond, true_index, false_index, rpc_index,
-#              true_pairs, false_pairs, repr)
-# ``rpc_index`` is -1 when the branch has no immediate post-dominator
-# (both sides run to completion and never merge).  ``*_pairs`` are
-# tuples of ``(dest_slot, src_slot)`` implementing the successor's φs
-# for that edge with parallel read-then-write semantics.
-# ``TERM_NONE`` marks a block without a terminator: the reference
-# interpreter re-executes such a block until the step guard trips, and
-# the fast path mirrors that (the verifier rejects this shape anyway).
-
-TERM_RET = 0
-TERM_BR = 1
-TERM_CBR = 2
-TERM_NONE = 3
+# Terminator records use the layout the warp driver reads (documented in
+# :mod:`repro.simt.warp`): ``cond`` is the condition's register slot and
+# an edge is a tuple of ``(dest_slot, src_slot)`` pairs implementing the
+# successor's φs for that edge with parallel read-then-write semantics.
 
 
 class LoweredBlock:
@@ -171,14 +159,13 @@ class LoweredProgram:
     """A whole function, lowered once per (function, latency model)."""
 
     __slots__ = ("function_name", "blocks", "entry_index", "num_slots",
-                 "const_slots", "arg_slots", "global_slots", "branch_latency")
+                 "const_slots", "arg_slots", "global_slots")
 
     def __init__(self, function_name: str, blocks: List[LoweredBlock],
                  entry_index: int, num_slots: int,
                  const_slots: List[Tuple[int, object]],
                  arg_slots: List[Tuple[int, Argument]],
-                 global_slots: List[Tuple[int, GlobalVariable]],
-                 branch_latency: int) -> None:
+                 global_slots: List[Tuple[int, GlobalVariable]]) -> None:
         self.function_name = function_name
         self.blocks = blocks
         self.entry_index = entry_index
@@ -186,7 +173,6 @@ class LoweredProgram:
         self.const_slots = const_slots
         self.arg_slots = arg_slots
         self.global_slots = global_slots
-        self.branch_latency = branch_latency
 
 
 PROGRAM_SCHEMA = "repro.simt.lowered-program/1"
@@ -576,6 +562,8 @@ class _Lowerer:
             "const_slots": self.const_slots,
             "arg_slots": self.arg_slots,
             "global_slots": self.global_slots,
+            # schema field; the driver charges the machine's own (equal:
+            # programs are keyed by latency model)
             "branch_latency": self.latency.branch_latency,
         }
 
@@ -791,7 +779,6 @@ def materialize_program(data: dict, function: Function) -> LoweredProgram:
             const_slots=list(const_of.items()),
             arg_slots=arg_slots,
             global_slots=global_slots,
-            branch_latency=data["branch_latency"],
         )
     except ProgramDecodeError:
         raise

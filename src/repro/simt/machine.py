@@ -15,7 +15,8 @@ doubles and melding halves back.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.ir.function import Function, Module
 from repro.ir.types import IntType, Type, I32
@@ -29,10 +30,11 @@ from repro.obs import (
 )
 
 from .config import DEFAULT_CONFIG, MachineConfig
-from .fastpath import FastWarp
+from .fastpath import FastEvaluator
 from .lowering import get_program
 from .memory import DeviceMemory, Segment
 from .metrics import Metrics
+from .reference import ReferenceEvaluator, ReferenceProgram
 from .warp import SimulationError, UNDEF, Warp
 
 
@@ -137,15 +139,24 @@ class GPU:
         ``launch:<kernel>``) and records per-warp divergence events; with
         the default no-op tracer nothing is allocated.
         """
+        if grid_dim < 1 or block_dim < 1:
+            raise ValueError(
+                f"launch geometry must be positive, got grid_dim={grid_dim} "
+                f"block_dim={block_dim}")
         function = (self.module.function(kernel)
                     if isinstance(kernel, str) else kernel)
         self.launch_count += 1
         bound = self._bind_args(function, args)
-        # Fast path: lower the function once per launch (memoized across
-        # launches by fingerprint + machine program token, so the
-        # per-launch cost of a cache hit is one fingerprint walk).
-        program = (get_program(function, self.machine)
-                   if self.machine.executor == "fast" else None)
+        # One evaluator factory per launch; each warp binds it to its own
+        # lanes.  Fast: over the lowered program (memoized across launches
+        # by fingerprint + latency token, so a hit costs one fingerprint
+        # walk).  Reference: over its own control-flow facts, from the IR.
+        if self.machine.executor == "fast":
+            bind = partial(FastEvaluator, get_program(function, self.machine),
+                           self.machine, bound)
+        else:
+            bind = partial(ReferenceEvaluator, ReferenceProgram(function),
+                           self.machine, bound)
         tracer = current_tracer()
         pid = 0
         if tracer.enabled:
@@ -160,8 +171,8 @@ class GPU:
         try:
             for block_id in range(grid_dim):
                 block_metrics = self._run_block(function, block_id, grid_dim,
-                                                block_dim, bound, tracer, pid,
-                                                program, sink)
+                                                block_dim, bind, tracer, pid,
+                                                sink)
                 total.merge(block_metrics)
         except SimulationError:
             if sink is not None:
@@ -187,29 +198,26 @@ class GPU:
         return bound
 
     def _run_block(self, function: Function, block_id: int, grid_dim: int,
-                   block_dim: int, args: Dict[Argument, object],
-                   tracer=None, pid: int = 0, program=None,
-                   sink=None) -> Metrics:
+                   block_dim: int, bind, tracer, pid: int, sink) -> Metrics:
         view = self.memory.shared_for_block(block_id)
         warp_size = self.machine.warp_size
-        tracing = tracer is not None and tracer.enabled
+        tracing = tracer.enabled
         obs = sink.block if sink is not None else None
         traces: List[WarpTrace] = []
-        warps: List[Union[Warp, FastWarp]] = []
+        warps: List[Warp] = []
         for start in range(0, block_dim, warp_size):
             lanes = list(range(start, min(start + warp_size, block_dim)))
+            n = len(lanes)
             trace = None
             if tracing:
                 trace = WarpTrace(block_id, len(warps))
                 traces.append(trace)
-            if program is not None:
-                warps.append(FastWarp(program, lanes, block_dim, block_id,
-                                      grid_dim, args, view, self.machine,
-                                      trace=trace, obs=obs))
-            else:
-                warps.append(Warp(function, lanes, block_dim, block_id,
-                                  grid_dim, args, view, self.machine,
-                                  trace=trace, obs=obs))
+            # The warp's special-register bank, one row per geometry
+            # intrinsic in SREG-tag order (tid, ntid, ctaid, nctaid).
+            sregs = (lanes, [block_dim] * n, [block_id] * n, [grid_dim] * n)
+            metrics = Metrics(warp_size=warp_size)
+            warps.append(Warp(bind(sregs, view, metrics), n, self.machine,
+                              metrics, trace, obs))
 
         generators = [warp.run() for warp in warps]
         active = list(range(len(warps)))

@@ -13,17 +13,16 @@ picks the path with the minimum PC and opportunistically *fuses* any
 paths whose PCs collide.
 
 Both mechanisms live here, once, behind the
-:class:`ReconvergencePolicy` strategy interface, and are shared by
-**both** executors (:class:`repro.simt.warp.Warp` and
-:class:`repro.simt.fastpath.FastWarp`) — so for a given policy the two
-executors remain bit-identical in memory, metrics and trace stream, and
-the scheduling logic itself can never drift between them.
+:class:`ReconvergencePolicy` strategy interface, and have one caller:
+the warp driver (:class:`repro.simt.warp.Warp`), whichever block
+evaluator it runs — so for a given policy the two executors remain
+bit-identical in memory, metrics and trace stream.
 
 A policy never touches registers or memory: φ transfers happen on edge
 *execution* (at the branch), so a path's lanes always carry correct
 register state and fusing two paths is a pure mask union.  Program
 counters are **block indices** in ``function.blocks`` order — the same
-order :mod:`repro.simt.lowering` assigns, so the reference executor
+order :mod:`repro.simt.lowering` assigns, so the reference evaluator
 (which walks IR blocks) and the fast path (which walks lowered blocks)
 agree on what "minimum PC" means.
 

@@ -1,4 +1,4 @@
-"""Lockstep warp interpreter (the reference executor).
+"""The warp driver: one lockstep control-flow mechanism for every executor.
 
 This is the execution model whose inefficiency the paper attacks: a warp
 executes one instruction at a time under an *active mask*; at a divergent
@@ -8,52 +8,65 @@ reconverge when their control paths meet again (§I, §II-A).  Because each
 are active, divergent code pays twice — exactly the cost CFM's melding
 removes.
 
-*How* paths are scheduled and where they reconverge is pluggable: the
-warp asks :attr:`MachineConfig.reconvergence` for a
-:class:`repro.simt.reconvergence.ReconvergencePolicy` and drives all
-control flow through its per-warp scheduler (the classic IPDOM stack by
-default, or the stack-less min-PC path list).  The scheduler deals in
-block *indices* (position in ``function.blocks``), the same program
-counters the fast-path executor uses, so both executors share one
-scheduling implementation.
+:class:`Warp` owns that mechanism and nothing else: pick a path, issue
+its block under the path's mask, split the mask at a divergent branch,
+reconverge.  *How* paths are scheduled is the reconvergence policy's
+business (:mod:`repro.simt.reconvergence`); *what an instruction
+computes* is the block evaluator's — the reference interpreter over IR
+objects (:mod:`repro.simt.reference`) or the µop executor
+(:mod:`repro.simt.fastpath`).  Scheduler PCs are block indices in
+``function.blocks`` order under both.
 
-φ nodes are evaluated *on edge transfer* (all reads before all writes),
-so blocks themselves only execute non-φ instructions; this is what makes
-per-lane φ resolution correct even when lanes arrive at a join from
-different predecessors at different times.
+A **block evaluator** is one warp's datapath.  The driver reads
+
+``program``
+    what the launch's warps share: ``function_name``, ``entry_index``
+    and ``blocks`` — per-block records, indexed by PC, with a ``name``
+    and a ``term`` (below); the driver never looks at a block's body;
+``execute(block, mask, resume)``
+    run the block's non-φ, non-terminator instructions for ``mask``.
+    Returns ``None`` when the body is done, or — having charged a
+    barrier — an opaque token to hand back as ``resume`` once the block
+    scheduler releases the warp (``resume`` is ``None`` on first entry);
+``condition(cond, mask)``
+    a conditional terminator's per-lane values, indexable by every lane
+    of ``mask``;
+``transfer(edge, mask)``
+    apply one CFG edge's φ moves for ``mask`` (all reads before all
+    writes).  φs are evaluated *on edge transfer*, never inside a
+    block, which is what makes per-lane φ resolution correct when lanes
+    reach a join from different predecessors at different times.
+
+Terminator records (``cond`` and the edges are the evaluator's own
+tokens, opaque here; an empty edge has no φ moves and is skipped)::
+
+    (TERM_RET,)
+    (TERM_BR,  succ_index, edge)
+    (TERM_CBR, cond, true_index, false_index, rpc_index,
+               true_edge, false_edge, branch_repr)
+
+``rpc_index`` is the immediate post-dominator's index, -1 when the two
+sides never rejoin (multiple rets); stack-less policies ignore it.
+``TERM_NONE`` marks a block without a terminator: its PC never moves
+and the step guard ends the run (the verifier rejects the shape anyway).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional
 
-from repro.analysis.dominators import (
-    compute_postdominator_tree,
-    immediate_postdominator,
-)
-from repro.ir.block import BasicBlock
-from repro.ir.function import Function, GlobalVariable
-from repro.ir.instructions import (
-    Branch,
-    Call,
-    GetElementPtr,
-    Instruction,
-    IntrinsicName,
-    Load,
-    Phi,
-    Ret,
-    Select,
-    Store,
-)
 from repro.ir.types import AddressSpace
-from repro.ir.scalars import EvalError, eval_strict, is_strict
-from repro.ir.values import Argument, Constant, Undef, Value
 from repro.obs import WarpTrace
 
 from .config import MachineConfig
-from .memory import BlockMemoryView, SHARED_BASE, sizeof
+from .memory import SHARED_BASE
 from .metrics import Metrics
 from .reconvergence import get_policy
+
+TERM_RET = 0
+TERM_BR = 1
+TERM_CBR = 2
+TERM_NONE = 3
 
 
 class SimulationError(Exception):
@@ -81,9 +94,8 @@ def account_memory(metrics: Metrics, config: MachineConfig, static_space: int,
                    addresses: List[int], latency: int) -> None:
     """Charge one memory issue: coalescing, transaction count, cycles.
 
-    Shared by both executors (:class:`Warp` and
-    :class:`repro.simt.fastpath.FastWarp`) so the cycle model cannot
-    drift between them.  FLAT instructions resolve dynamically; the
+    Shared by both block evaluators so the cycle model cannot drift
+    between them.  FLAT instructions resolve dynamically; the
     cycle/transaction model uses the space the addresses actually landed
     in, but the ISSUE is counted under its static encoding (vega
     vmem/lds/flat counters).
@@ -99,265 +111,126 @@ def account_memory(metrics: Metrics, config: MachineConfig, static_space: int,
 
 
 class Warp:
-    """One warp: ``warp_size`` lanes executing a kernel in lockstep.
+    """One warp: ``lane_count`` lanes driven through ``evaluator`` in
+    lockstep.
 
     ``run()`` is a generator that yields ``"barrier"`` each time the warp
     reaches a block-wide barrier, letting the block scheduler synchronize
-    warps; it returns when every lane has retired.
+    warps; it returns when every lane has retired.  ``metrics`` is the
+    sink the evaluator was bound to — the driver adds branch issues to
+    the ALU, memory and barrier issues the evaluator charges.
     """
 
     def __init__(
         self,
-        function: Function,
-        lane_thread_ids: Sequence[int],
-        block_dim: int,
-        block_id: int,
-        grid_dim: int,
-        args: Dict[Argument, object],
-        memory: BlockMemoryView,
+        evaluator,
+        lane_count: int,
         config: MachineConfig,
-        metrics: Optional[Metrics] = None,
+        metrics: Metrics,
         trace: Optional[WarpTrace] = None,
         obs: Optional[Callable[[int], None]] = None,
     ) -> None:
-        self.function = function
-        self.lanes = list(lane_thread_ids)
-        self.block_dim = block_dim
-        self.block_id = block_id
-        self.grid_dim = grid_dim
-        self.args = args
-        self.memory = memory
+        self.evaluator = evaluator
+        self.lane_count = lane_count
         self.config = config
-        self.metrics = metrics if metrics is not None else Metrics()
-        self.metrics.warp_size = config.warp_size
-        # Opt-in divergence tracing (repro.obs): None on every untraced
-        # launch, so the hot-path cost is one `is not None` per site.
+        self.metrics = metrics
+        # Opt-in WarpTrace and occupancy observer (repro.obs): None when
+        # off, so the hot-path cost is one `is not None` per site each.
         self._trace = trace
-        # Opt-in aggregate metrics: the launch sink's occupancy observer
-        # (None when collection is off — same cost contract as _trace).
         self._obs = obs
-        self._registers: Dict[Value, List[object]] = {}
-        self._pdt = compute_postdominator_tree(function)
-        # Scheduler PCs are block indices in function.blocks order — the
-        # same numbering lowering assigns, so both executors agree on
-        # what "minimum PC" means under stack-less policies.
-        self._blocks: List[BasicBlock] = list(function.blocks)
-        self._block_index: Dict[int, int] = {
-            id(block): index for index, block in enumerate(self._blocks)}
-        self._policy = get_policy(config.reconvergence)
-        self._steps = 0
-
-    # ---- operand access ---------------------------------------------------
-
-    def _read(self, value: Value, lane: int):
-        if isinstance(value, Constant):
-            return value.value
-        if isinstance(value, Undef):
-            return UNDEF
-        if isinstance(value, Argument):
-            return self.args[value]
-        if isinstance(value, GlobalVariable):
-            return self.memory.var_address(value)
-        regs = self._registers.get(value)
-        if regs is None:
-            raise SimulationError(f"read of unwritten value {value.ref()}")
-        return regs[lane]
-
-    def _write(self, instr: Instruction, lane: int, value) -> None:
-        regs = self._registers.get(instr)
-        if regs is None:
-            regs = [UNDEF] * self.config.warp_size
-            self._registers[instr] = regs
-        regs[lane] = value
-
-    # ---- main loop -----------------------------------------------------------
 
     def run(self) -> Iterator[str]:
-        all_lanes = tuple(range(len(self.lanes)))
-        blocks = self._blocks
-        scheduler = self._policy.scheduler(
-            self._block_index[id(self.function.entry)], all_lanes)
+        evaluator = self.evaluator
+        program = evaluator.program
+        blocks = program.blocks
+        execute = evaluator.execute
+        condition = evaluator.condition
+        transfer = evaluator.transfer
+        config = self.config
+        metrics = self.metrics
+        record_branch = metrics.record_branch
+        trace = self._trace
+        obs = self._obs
+        profile = config.profile_branches
+        branch_latency = config.latency.branch_latency
+        max_steps = config.max_warp_steps
+
+        scheduler = get_policy(config.reconvergence).scheduler(
+            program.entry_index, tuple(range(self.lane_count)))
+        scheduler_next = scheduler.next
+        steps = 0
         while True:
-            pc, mask, merges = scheduler.next()
-            if merges is not None and self._trace is not None:
+            pc, mask, merges = scheduler_next()
+            if merges is not None and trace is not None:
                 for merge_pc, active in merges:
-                    self._trace.reconverge(
-                        self.metrics.cycles, blocks[merge_pc].name, active)
+                    trace.reconverge(metrics.cycles, blocks[merge_pc].name,
+                                     active)
             if pc is None:
                 return
-            yield from self._execute_block(blocks[pc], mask, scheduler)
-            self._steps += 1
-            if self._steps > self.config.max_warp_steps:
-                raise SimulationError(
-                    f"warp exceeded {self.config.max_warp_steps} block steps; "
-                    f"likely non-termination in @{self.function.name}")
 
-    def _execute_block(self, block: BasicBlock, mask: Tuple[int, ...],
-                       scheduler) -> Iterator[str]:
-        if self._trace is not None:
-            self._trace.exec_block(self.metrics.cycles, block.name, len(mask))
-        if self._obs is not None:
-            self._obs(len(mask))
-        for instr in block.instructions:
-            if isinstance(instr, Phi):
-                continue  # applied on edge transfer
-            if isinstance(instr, Branch):
-                self._execute_branch(instr, block, mask, scheduler)
-                return
-            if isinstance(instr, Ret):
-                scheduler.retire()
-                return
-            if isinstance(instr, Call) and instr.is_barrier:
-                self.metrics.record_barrier(self.config.latency.barrier_latency)
+            block = blocks[pc]
+            if trace is not None:
+                trace.exec_block(metrics.cycles, block.name, len(mask))
+            if obs is not None:
+                obs(len(mask))
+
+            # The barrier site.  It releases per *path*: a warp split
+            # around a barrier yields once for each side that reaches it
+            # (docs/simulator.md, "Known simplifications").
+            resume = execute(block, mask, None)
+            while resume is not None:
                 yield "barrier"
-                continue
-            self._execute_simple(instr, mask)
+                resume = execute(block, mask, resume)
 
-    # ---- straight-line execution ------------------------------------------------
+            term = block.term
+            kind = term[0]
+            if kind == TERM_RET:
+                scheduler.retire()
+            elif kind != TERM_NONE:
+                divergent = False
+                if kind == TERM_BR:
+                    target, edge = term[1], term[2]
+                else:
+                    values = condition(term[1], mask)
+                    taken: List[int] = []
+                    not_taken: List[int] = []
+                    for lane in mask:
+                        cond = values[lane]
+                        if cond is UNDEF:
+                            raise SimulationError(
+                                f"branch on undef condition: {term[7]}")
+                        (taken if cond else not_taken).append(lane)
+                    if taken and not_taken:
+                        divergent = True
+                    elif taken:
+                        target, edge = term[2], term[5]
+                    else:
+                        target, edge = term[3], term[6]
+                record_branch(branch_latency, divergent=divergent,
+                              block_name=block.name, profile=profile)
+                if divergent:
+                    # The policy decides how the two sides are scheduled
+                    # and where (or whether) they reconverge.
+                    if trace is not None:
+                        trace.diverge(metrics.cycles, block.name,
+                                      len(taken), len(not_taken))
+                    taken_t = tuple(taken)
+                    not_taken_t = tuple(not_taken)
+                    scheduler.diverge(term[2], term[3], taken_t, not_taken_t,
+                                      term[4])
+                    if term[6]:
+                        transfer(term[6], not_taken_t)
+                    if term[5]:
+                        transfer(term[5], taken_t)
+                else:
+                    if trace is not None:
+                        trace.branch(metrics.cycles, block.name, len(mask))
+                    if edge:
+                        transfer(edge, mask)
+                    scheduler.advance(target)
 
-    def _execute_simple(self, instr: Instruction, mask: Tuple[int, ...]) -> None:
-        latency = self.config.latency.latency(instr)
-        if isinstance(instr, Load):
-            addresses = []
-            for lane in mask:
-                addr = self._read(instr.pointer, lane)
-                if addr is UNDEF:
-                    raise SimulationError(f"load through undef address: {instr!r}")
-                addresses.append(addr)
-                self._write(instr, lane, self.memory.load(addr))
-            self._record_memory(instr.address_space, addresses, latency)
-            return
-        if isinstance(instr, Store):
-            addresses = []
-            for lane in mask:
-                addr = self._read(instr.pointer, lane)
-                if addr is UNDEF:
-                    raise SimulationError(f"store through undef address: {instr!r}")
-                addresses.append(addr)
-                self.memory.store(addr, self._read(instr.value, lane))
-            self._record_memory(instr.address_space, addresses, latency)
-            return
-        # Pure per-lane computation.
-        if is_strict(instr):
-            # Through the semantics table; any undef operand of a strict
-            # op is an undef result.
-            operands = instr.operands
-            try:
-                for lane in mask:
-                    values = [self._read(operand, lane) for operand in operands]
-                    self._write(instr, lane, UNDEF if UNDEF in values
-                                else eval_strict(instr, values))
-            except EvalError as exc:
-                raise SimulationError(f"{exc}: {instr!r}") from exc
-        else:
-            for lane in mask:
-                self._write(instr, lane, self._evaluate(instr, lane))
-        self.metrics.record_alu(len(mask), latency)
-
-    def _record_memory(self, static_space: int, addresses: List[int], latency: int) -> None:
-        account_memory(self.metrics, self.config, static_space, addresses,
-                       latency)
-
-    # ---- control flow --------------------------------------------------------------
-
-    def _transfer(self, pred: BasicBlock, succ: BasicBlock, mask: Tuple[int, ...]) -> None:
-        """Evaluate ``succ``'s φs for ``mask`` lanes arriving from ``pred``
-        (parallel read-then-write semantics)."""
-        phis = succ.phis
-        if not phis:
-            return
-        staged: List[Tuple[Phi, List[object]]] = []
-        for phi in phis:
-            incoming = phi.incoming_for(pred)
-            staged.append((phi, [self._read(incoming, lane) for lane in mask]))
-        for phi, values in staged:
-            for lane, value in zip(mask, values):
-                self._write(phi, lane, value)
-
-    def _execute_branch(self, branch: Branch, block: BasicBlock,
-                        mask: Tuple[int, ...], scheduler) -> None:
-        latency = self.config.latency.branch_latency
-        profile = self.config.profile_branches
-        index = self._block_index
-        if not branch.is_conditional:
-            target = branch.true_successor
-            self.metrics.record_branch(latency, divergent=False,
-                                       block_name=block.name, profile=profile)
-            if self._trace is not None:
-                self._trace.branch(self.metrics.cycles, block.name, len(mask))
-            self._transfer(block, target, mask)
-            scheduler.advance(index[id(target)])
-            return
-
-        taken: List[int] = []
-        not_taken: List[int] = []
-        for lane in mask:
-            cond = self._read(branch.condition, lane)
-            if cond is UNDEF:
-                raise SimulationError(f"branch on undef condition: {branch!r}")
-            (taken if cond else not_taken).append(lane)
-
-        if not not_taken or not taken:
-            target = branch.true_successor if taken else branch.false_successor
-            self.metrics.record_branch(latency, divergent=False,
-                                       block_name=block.name, profile=profile)
-            if self._trace is not None:
-                self._trace.branch(self.metrics.cycles, block.name, len(mask))
-            self._transfer(block, target, mask)
-            scheduler.advance(index[id(target)])
-            return
-
-        # Divergence: the policy decides how the two sides are scheduled
-        # and where (or whether) they reconverge; the rpc hint is the
-        # immediate post-dominator's index, -1 when the sides never
-        # rejoin (multiple rets).
-        self.metrics.record_branch(latency, divergent=True,
-                                   block_name=block.name, profile=profile)
-        if self._trace is not None:
-            self._trace.diverge(self.metrics.cycles, block.name,
-                                len(taken), len(not_taken))
-        rpc = immediate_postdominator(self._pdt, block)
-        scheduler.diverge(index[id(branch.true_successor)],
-                          index[id(branch.false_successor)],
-                          tuple(taken), tuple(not_taken),
-                          -1 if rpc is None else index[id(rpc)])
-        self._transfer(block, branch.false_successor, tuple(not_taken))
-        self._transfer(block, branch.true_successor, tuple(taken))
-
-    # ---- expression evaluation --------------------------------------------------------
-
-    def _evaluate(self, instr: Instruction, lane: int):
-        """The non-strict pure ops: what is lazy, or machine state."""
-        if isinstance(instr, Select):
-            cond = self._read(instr.condition, lane)
-            if cond is UNDEF:
-                # Not an observation point: LLVM's `select undef, a, b` is
-                # defined (either operand), and legal speculation (late
-                # if-conversion hoisting a CFM select above its guard) can
-                # execute one on lanes that never use the result.  Propagate
-                # undef; the trap still fires if it reaches a branch, an
-                # address, or a stored value.
-                return UNDEF
-            chosen = instr.true_value if cond else instr.false_value
-            return self._read(chosen, lane)
-        if isinstance(instr, GetElementPtr):
-            base = self._read(instr.base, lane)
-            index = self._read(instr.index, lane)
-            if base is UNDEF or index is UNDEF:
-                return UNDEF
-            return base + index * sizeof(instr.base.type.pointee)
-        if isinstance(instr, Call):
-            return self._geometry(instr, lane)
-        raise SimulationError(f"cannot evaluate {instr!r}")
-
-    def _geometry(self, call: Call, lane: int):
-        name = call.callee
-        if name == IntrinsicName.TID_X:
-            return self.lanes[lane]
-        if name == IntrinsicName.NTID_X:
-            return self.block_dim
-        if name == IntrinsicName.CTAID_X:
-            return self.block_id
-        if name == IntrinsicName.NCTAID_X:
-            return self.grid_dim
-        raise SimulationError(f"unknown intrinsic @{name}")
+            steps += 1
+            if steps > max_steps:
+                raise SimulationError(
+                    f"warp exceeded {max_steps} block steps; likely "
+                    f"non-termination in @{program.function_name}")

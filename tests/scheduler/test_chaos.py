@@ -1,8 +1,8 @@
 """Fault injection for the scheduler worker pool.
 
-``repro.scheduler.worker._TEST_WORKER_CHAOS`` (mirroring the fastpath's
-``_TEST_DISPATCH_DELAY`` hook) makes a worker crash, hang past its
-timeout, or return a corrupt payload on chosen task indices.  These
+``repro.scheduler.worker._TEST_WORKER_CHAOS`` makes a worker crash,
+hang past its timeout, or return a corrupt payload on chosen task
+indices.  These
 tests assert the parent's recovery contracts: jobs complete via retry,
 partial metrics deltas merge, and a replacement worker reuses the warm
 disk compile cache.  ``TestMemoQuarantine`` covers the latent

@@ -43,6 +43,33 @@ class TestMakeJob:
         with pytest.raises(JobParamError):
             make_job("difftest", {"seeds": []})
 
+    @pytest.mark.parametrize("kind, params", [
+        ("launch", {"block_size": 0}),
+        ("launch", {"block_size": -32}),
+        ("launch", {"block_size": True}),
+        ("launch", {"grid_dim": 0}),
+        ("compile", {"block_size": 0}),
+        ("compile", {"grid_dim": False}),
+        ("lint", {"block_size": -1}),
+        ("lint", {"grid_dim": 0}),
+        ("sweep", {"grid_dim": 0}),
+        ("sweep", {"block_sizes": [16, 0]}),
+        ("sweep", {"block_sizes": {"SB1": [True]}}),
+        ("sweep", {"block_sizes": [16.0]}),
+        ("difftest", {"block_dim": 0}),
+        ("difftest", {"grid_dim": -2}),
+        ("difftest", {"count": True}),
+        ("difftest", {"count": -3}),
+    ])
+    def test_impossible_geometry_rejected_before_admission(self, kind,
+                                                           params):
+        # A zero-warp launch used to run and answer a successful row
+        # with cycles 0; a bool rode in as block size 1.
+        with pytest.raises(JobParamError) as info:
+            make_job(kind, {"kernels": ["SB1"], **params})
+        assert info.value.code == "invalid-params"
+        assert "positive integer" in str(info.value)
+
 
 class TestSweepJob:
     def test_default_block_sizes_follow_figures(self):

@@ -19,6 +19,14 @@ through every configuration:
   computes.  Cycle counts and divergence observables are per-policy and
   deliberately excluded from this comparison.
 
+A third, narrower contract backs the one *documented* asymmetry between
+the evaluators: the fast path's register file starts out wholesale
+``UNDEF``, so the reference's ``read of unwritten value`` trap has no
+counterpart there.  That is unobservable only if no verified kernel can
+reach the trap — so the verifier must reject a use its definition does
+not dominate, every arm of the corpus must be verified IR, and the
+reference must never raise that trap on it.
+
 ``REPRO_EXECUTOR_DIFF_SEEDS`` selects corpus width: tier-1 runs the
 default 10 seeds; the CI perf job sweeps 100.
 """
@@ -33,9 +41,18 @@ import repro
 from repro import GPU
 from repro.difftest.generator import generate_spec, make_inputs
 from repro.difftest.oracle import ALL_ARMS, _compile_arm
+from repro.ir import VerificationError, verify_function
 from repro.obs import Tracer, use
 from repro.obs.report import divergence_summary, render_report
-from repro.simt import RECONVERGENCE_POLICIES, MachineConfig
+from repro.simt import (
+    RECONVERGENCE_POLICIES,
+    UNDEF,
+    MachineConfig,
+    SimulationError,
+    run_kernel,
+)
+
+from tests.support import parse
 
 SEED_COUNT = int(os.environ.get("REPRO_EXECUTOR_DIFF_SEEDS", "10"))
 INPUT_SEEDS = (0, 1)
@@ -83,6 +100,8 @@ def test_executors_and_policies_agree_on_generated_kernel(seed):
         report = _compile_arm(arm, spec, None)
         if report.failure is not None or report.builder is None:
             continue  # compile-side failure: not this suite's concern
+        for function in report.builder.module.functions.values():
+            verify_function(function)
         per_policy = {}
         for policy in RECONVERGENCE_POLICIES:
             ref_machine = MachineConfig(executor="reference",
@@ -95,7 +114,10 @@ def test_executors_and_policies_agree_on_generated_kernel(seed):
             except Exception as exc:
                 # The reference arm rejects this kernel (e.g. a runtime
                 # trap); the fast path must reject it identically under
-                # the same policy.
+                # the same policy — which the one reference-only trap
+                # never could, so verified IR must not reach it.
+                assert "read of unwritten value" not in str(exc), \
+                    f"seed {seed} arm {arm} policy {policy}: {exc}"
                 with pytest.raises(type(exc)) as excinfo:
                     _run_arm_observed(report.builder, spec, fast_machine)
                 assert str(excinfo.value) == str(exc), \
@@ -133,6 +155,44 @@ def test_executors_and_policies_agree_on_generated_kernel(seed):
             assert memory == per_policy[baseline_policy], \
                 (f"seed {seed} arm {arm}: device memory differs between "
                  f"{baseline_policy} and {policy}")
+
+
+USE_NOT_DOMINATED = """
+define void @k(i32 addrspace(1)* %p, i32 %n) {
+entry:
+  %tid = call i32 @llvm.gpu.tid.x()
+  %c = icmp slt i32 %tid, %n
+  br i1 %c, label %a, label %m
+a:
+  %x = add i32 %tid, 1
+  br label %m
+m:
+  %g = getelementptr i32, i32 addrspace(1)* %p, i32 %tid
+  store i32 %x, i32 addrspace(1)* %g
+  ret void
+}
+"""
+
+
+def test_unwritten_read_takes_ir_the_verifier_rejects():
+    # With n = 0 no lane defines %x before block m reads it: the
+    # reference's dict register file has no entry (it traps), the fast
+    # path's flat file holds UNDEF (it carries on).  The verifier's
+    # dominance check is what keeps that difference out of every
+    # pipeline: this IR never gets as far as a launch.
+    f = parse(USE_NOT_DOMINATED)
+    with pytest.raises(VerificationError, match="does not dominate use"):
+        verify_function(f)
+
+    def launch(executor):
+        return run_kernel(f.module, "k", 1, 4, buffers={"p": [7] * 4},
+                          scalars={"n": 0},
+                          machine=MachineConfig(executor=executor))
+
+    with pytest.raises(SimulationError, match="read of unwritten value %x"):
+        launch("reference")
+    outputs, _ = launch("fast")
+    assert outputs["p"] == [UNDEF] * 4
 
 
 def test_seed_width_is_env_tunable():

@@ -73,6 +73,19 @@ class TestLaunch:
                    args={"src": src, "dst": dst})
         assert dst.data == [1, 2]
 
+    @pytest.mark.parametrize("grid_dim, block_dim",
+                             [(0, 4), (1, 0), (1, -32), (-1, 4)])
+    def test_impossible_geometry_rejected(self, grid_dim, block_dim):
+        # Zero warps used to "run": metrics all zero, no error.
+        gpu, _ = make_gpu()
+        src = gpu.alloc("src", I32, [1, 2, 3, 4])
+        dst = gpu.alloc("dst", I32, 4)
+        with pytest.raises(ValueError, match="geometry must be positive"):
+            gpu.launch("copy", grid_dim=grid_dim, block_dim=block_dim,
+                       args={"src": src, "dst": dst})
+        assert gpu.launch_count == 0
+        assert dst.data == [0] * 4
+
     def test_buffer_for_scalar_param_rejected(self):
         f = parse("""
 define void @k(i32 %n) {

@@ -3,8 +3,8 @@
 Covers the corners the corpus-wide differential (test_executor_diff)
 only hits probabilistically: φs that reference themselves or carry
 ``undef`` (the shapes :func:`repro.transforms.repair_ssa` produces),
-select-on-undef propagation (the generator seed 130 regression),
-barriers reached under a partial mask, and the program cache's keying —
+select-on-undef propagation (the generator seed 130 regression), and
+the program cache's keying —
 identity on re-launch, invalidation on IR mutation, separation by
 latency model and reconvergence policy.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro import GPU, GLOBAL_I32_PTR, ICmpPredicate, KernelBuilder, run_kernel
+from repro import GPU, run_kernel
 from repro.analysis.latency import LatencyModel
 from repro.difftest.generator import generate_spec, make_inputs
 from repro.difftest.oracle import ALL_ARMS, _compile_arm
@@ -157,31 +157,6 @@ def test_generator_seed_130_all_arms_agree():
             f"arm {arm} diverges on seed 130"
         ran += 1
     assert ran > 0, "seed 130 compiled under no arm; regression test is dead"
-
-
-# ---- barrier under a partial mask ----------------------------------------
-
-
-def test_barrier_under_divergent_mask():
-    k = KernelBuilder("part_barrier", params=[("data", GLOBAL_I32_PTR)])
-    tile = k.shared_array("tile", I32, 8)
-    tid = k.thread_id()
-    gtid = k.global_thread_id()
-    odd = k.icmp(ICmpPredicate.NE, k.and_(tid, k.const(1)), k.const(0))
-
-    def then_side():
-        # Only the odd lanes reach this barrier: the warp must still
-        # yield exactly once and resume with the partial mask intact.
-        k.store_at(tile, tid, k.mul(tid, k.const(5)))
-        k.barrier()
-
-    k.if_(odd, then_side)
-    k.store_at(k.param("data"), gtid, k.load_at(tile, tid))
-    k.finish()
-    outputs, _ = _both(k.module, "part_barrier", {"data": [0] * 16})
-    # Odd lanes stored tid*5 into the shared tile; even lanes read the
-    # zero-initialized slots.  Both blocks see a fresh tile window.
-    assert outputs["data"] == [0, 5, 0, 15, 0, 25, 0, 35] * 2
 
 
 # ---- program cache --------------------------------------------------------

@@ -20,6 +20,7 @@ from repro.simt import (
     MachineConfig,
     MinPCPolicy,
     ReconvergencePolicy,
+    SimulationError,
     get_policy,
     get_program,
 )
@@ -243,10 +244,17 @@ def test_divergent_loop_exit():
         per_policy["min-pc"][1]["cycles"]
 
 
-def test_barrier_under_partial_mask():
-    # Only odd lanes reach the barrier inside the branch: under min-PC
-    # the warp must still yield exactly once there and resume with the
-    # partial mask intact (same contract test_lowering pins for ipdom).
+# ---- the barrier site, under divergence -----------------------------------
+
+CELLS = [(executor, policy) for executor in EXECUTORS
+         for policy in RECONVERGENCE_POLICIES]
+
+
+@pytest.mark.parametrize("executor, policy", CELLS)
+def test_barrier_under_divergent_mask(executor, policy):
+    # Only the odd lanes reach the barrier inside the branch: the warp
+    # must still yield exactly once there and resume with the partial
+    # mask intact — in every cell of executor x policy.
     k = KernelBuilder("part_barrier", params=[("data", GLOBAL_I32_PTR)])
     tile = k.shared_array("tile", I32, 8)
     tid = k.thread_id()
@@ -260,10 +268,82 @@ def test_barrier_under_partial_mask():
     k.if_(odd, then_side)
     k.store_at(k.param("data"), gtid, k.load_at(tile, tid))
     k.finish()
-    per_policy = _run_all(k.module, "part_barrier", {"data": [0] * 16})
-    assert per_policy["min-pc"][0]["data"] == [0, 5, 0, 15, 0, 25, 0, 35] * 2
-    assert per_policy["min-pc"][1]["barriers"] == \
-        per_policy["ipdom"][1]["barriers"]
+
+    def launch(which):
+        return run_kernel(
+            k.module, "part_barrier", 2, 8, buffers={"data": [0] * 16},
+            machine=MachineConfig(executor=which, reconvergence=policy))
+
+    outputs, metrics = launch(executor)
+    # Odd lanes stored tid*5 into the shared tile; even lanes read the
+    # zero-initialized slots.  Both blocks see a fresh tile window.
+    assert outputs["data"] == [0, 5, 0, 15, 0, 25, 0, 35] * 2
+    assert metrics.barriers == 2  # one issue per single-warp block
+    assert metrics.as_dict() == launch("reference")[1].as_dict()
+
+
+#: Block 64 = two warps; warp 0 splits at ``tid < 16``, warp 1 is uniform.
+BARRIER_IN_THEN_ONLY = """
+@tile = shared [64 x i32]
+
+define void @k(i32 addrspace(1)* %p) {
+entry:
+  %tid = call i32 @llvm.gpu.tid.x()
+  %c = icmp slt i32 %tid, 16
+  br i1 %c, label %then, label %join
+then:
+  %t = getelementptr i32, i32 addrspace(3)* @tile, i32 %tid
+  store i32 %tid, i32 addrspace(3)* %t
+  call void @llvm.gpu.barrier()
+  br label %join
+join:
+  ret void
+}
+"""
+
+BARRIER_ON_BOTH_SIDES = """
+@tile = shared [64 x i32]
+
+define void @k(i32 addrspace(1)* %p) {
+entry:
+  %tid = call i32 @llvm.gpu.tid.x()
+  %t = getelementptr i32, i32 addrspace(3)* @tile, i32 %tid
+  %c = icmp slt i32 %tid, 16
+  br i1 %c, label %then, label %else
+then:
+  store i32 1, i32 addrspace(3)* %t
+  call void @llvm.gpu.barrier()
+  br label %join
+else:
+  store i32 2, i32 addrspace(3)* %t
+  call void @llvm.gpu.barrier()
+  br label %join
+join:
+  ret void
+}
+"""
+
+
+@pytest.mark.parametrize("executor, policy", CELLS)
+@pytest.mark.parametrize("text", [BARRIER_IN_THEN_ONLY, BARRIER_ON_BOTH_SIDES],
+                         ids=["then-only", "both-sides"])
+def test_barrier_on_a_divergent_path_across_warps(text, executor, policy):
+    # The one barrier site releases per *path*: a warp split around a
+    # barrier yields once for each side that reaches it.  Warp 0 (lanes
+    # < 16 vs the rest) therefore arrives a different number of times
+    # than the uniform warp 1 — once vs never in the first shape, twice
+    # vs once in the second — and the block scheduler answers with the
+    # typed non-uniform-barrier trap in every cell.  The tight step
+    # guard shows the trap is reached directly: a warp left spinning at
+    # the barrier would die of "non-termination" instead, and a hang
+    # would never return.  (docs/simulator.md, "Known simplifications".)
+    f = parse(text)
+    machine = MachineConfig(executor=executor, reconvergence=policy,
+                            max_warp_steps=8)
+    with pytest.raises(SimulationError, match=(
+            r"non-uniform barrier: warps \[0\] wait while warps \[1\] "
+            r"exited @k")):
+        run_kernel(f.module, "k", 1, 64, buffers={"p": [0]}, machine=machine)
 
 
 UNSTRUCTURED_TAIL = """

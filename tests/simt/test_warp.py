@@ -1,6 +1,8 @@
 """Tests for the lockstep warp interpreter: arithmetic semantics,
 divergence serialization, reconvergence, φ handling, and traps."""
 
+import sys
+
 import pytest
 
 from repro.ir import Module
@@ -389,3 +391,23 @@ h:
 }
 """, {"p": [0]}, block_dim=1,
                 config=MachineConfig(max_warp_steps=1000))
+
+
+class TestReferenceFacts:
+    def test_postdominators_computed_once_per_launch(self, monkeypatch):
+        # The reference evaluator's control-flow facts are per-launch
+        # state shared by every warp: a grid-2 x block-128 launch is 8
+        # warps and must still cost one post-dominator tree.
+        calls = []
+        for name, module in list(sys.modules.items()):
+            real = getattr(module, "compute_postdominator_tree", None)
+            if name.startswith("repro.simt.") and real is not None:
+                monkeypatch.setattr(
+                    module, "compute_postdominator_tree",
+                    lambda function, real=real: (calls.append(function.name),
+                                                 real(function))[1])
+        out, _ = run(TestDivergence.DIVERGENT, {"p": [0] * 128},
+                     block_dim=128, grid_dim=2, scalars={"n": 5},
+                     config=MachineConfig(executor="reference"))
+        assert out["p"] == [111] * 5 + [222] * 123
+        assert calls == ["k"]
