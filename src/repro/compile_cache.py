@@ -16,8 +16,13 @@ process:
 * **values** are the printed optimized module, the per-pass timings of
   the run that produced it, the symbolic lowered µop program
   (:func:`repro.simt.lower_symbolic`), and — for full-pipeline entries —
-  the serialized :class:`~repro.core.CFMStats`.  Consumers re-parse the
-  text on every hit, so entries are never aliased into live modules;
+  the serialized :class:`~repro.core.CFMStats`.  Every hit gets a module
+  of its own (never aliased into live modules) whose function bodies
+  stay text until something reads their blocks — a launch of the stored
+  program never does.  That is sound because the text is vouched for: an
+  entry carries the SHA-256 of its IR, checked on every lookup from
+  either tier, and a disk file the SHA-256 of all its other bytes,
+  checked before it is decoded; a mismatch is an eviction and a miss;
 * **two pipeline ids** per kernel: ``"o3"`` (the baseline arm) and
   ``cfm:<digest>`` (:func:`cfm_pipeline_id`, covering every
   :class:`~repro.core.CFMConfig` knob plus its latency model), so a
@@ -40,6 +45,7 @@ cache purely in-process.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -49,7 +55,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core import CFMConfig, CFMStats, MeldRecord
 from repro.ir import print_module
-from repro.ir.parser import parse_module
+from repro.ir.parser import parse_module_deferred
 from repro.obs import (
     current_tracer,
     emit_pass_timing,
@@ -69,7 +75,11 @@ from repro.simt import (
 from repro.transforms import PassTiming
 
 #: on-disk entry format; bump on any incompatible payload change
-CACHE_SCHEMA = "repro.compile-cache/1"
+CACHE_SCHEMA = "repro.compile-cache/2"
+
+#: how a disk entry starts: its first member is the SHA-256 of its text
+#: without that member
+_SEAL = '{"sha256": "'
 
 #: environment variable naming the cache directory ("off"/"0" disables)
 CACHE_ENV_VAR = "REPRO_COMPILE_CACHE"
@@ -166,9 +176,12 @@ class DiskCompileCache:
     Writes go to a per-process temp file and land via :func:`os.replace`
     (atomic within a directory), so two workers storing the same key
     leave one complete winner and readers never observe a torn file.
-    Anything unreadable — truncated JSON, a foreign schema version, a
-    payload missing required fields — counts as a miss and the file is
-    evicted so the next lookup doesn't re-fail on it.
+    Anything unreadable — bytes that do not hash to the digest the file
+    opens with (truncated, bit-flipped, written before digests), a
+    foreign schema version, a payload missing required fields — counts as
+    a miss and the file is evicted so the next lookup doesn't re-fail on
+    it.  A refused write (read-only directory, ``ENOSPC``) is counted in
+    ``write_errors`` and loses only the persistence.
     """
 
     REQUIRED_FIELDS = ("optimized_ir", "seconds", "timings", "ir_stats")
@@ -180,6 +193,7 @@ class DiskCompileCache:
         self.misses = 0
         self.evictions = 0
         self.writes = 0
+        self.write_errors = 0
 
     def file_for(self, key: CacheKey) -> Path:
         return self.path / (digest_text(key[0], key[1])[:40] + ".json")
@@ -188,13 +202,12 @@ class DiskCompileCache:
         file = self.file_for(key)
         try:
             text = file.read_text(encoding="utf-8")
-        except OSError:
-            self.misses += 1
-            return None
-        try:
+            digest, _, rest = text[len(_SEAL):].partition('", ')
+            if (not text.startswith(_SEAL)
+                    or digest != digest_text("{" + rest)):
+                raise ValueError("entry does not match its digest")
             payload = json.loads(text)
-            if not isinstance(payload, dict):
-                raise ValueError("payload is not an object")
+            del payload["sha256"]
             if payload.get("schema") != CACHE_SCHEMA:
                 raise ValueError(
                     f"schema {payload.get('schema')!r} != {CACHE_SCHEMA!r}")
@@ -204,7 +217,7 @@ class DiskCompileCache:
                 if name not in payload:
                     raise ValueError(f"missing field {name!r}")
         except Exception:
-            self.evict(key)
+            self.evict(key)  # (counts nothing if there was no file)
             self.misses += 1
             return None
         self.hits += 1
@@ -214,10 +227,18 @@ class DiskCompileCache:
         record = dict(payload)
         record["schema"] = CACHE_SCHEMA
         record["pipeline_id"], record["digest"] = key
+        body = json.dumps(record)
         file = self.file_for(key)
         tmp = file.with_name(f"{file.name}.tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(record), encoding="utf-8")
-        os.replace(tmp, file)
+        try:
+            tmp.write_text(f"{_SEAL}{digest_text(body)}\", {body[1:]}",
+                           encoding="utf-8")
+            os.replace(tmp, file)
+        except OSError:
+            self.write_errors += 1
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+            return
         self.writes += 1
 
     def evict(self, key: CacheKey) -> None:
@@ -229,7 +250,8 @@ class DiskCompileCache:
 
     def counters(self) -> Dict[str, int]:
         return {"hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions, "writes": self.writes}
+                "evictions": self.evictions, "writes": self.writes,
+                "write_errors": self.write_errors}
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +262,12 @@ class DiskCompileCache:
 class CacheHit:
     """One successful lookup, fully rehydrated.
 
-    ``module`` is freshly parsed (never aliased with other hits);
-    ``timings`` are the original run's, each flagged ``cached``;
-    ``program`` is the lowered µop program materialized against the
-    parsed module and pre-seeded into the launch memo (None when the
-    entry has no program for the requested latency model).
+    ``module`` is this hit's own (never aliased with other hits), its
+    function bodies parsed on first touch; ``timings`` are the original
+    run's, each flagged ``cached``; ``program`` is the lowered µop
+    program materialized against that module and pre-seeded into the
+    launch memo (None when the entry has no program for the requested
+    latency model).
     """
 
     module: object
@@ -262,12 +285,14 @@ class CompileCache:
     :class:`DiskCompileCache`) to persist entries across processes —
     memory then acts as a write-through promotion layer over disk.
 
-    Consumers re-parse the stored text on every hit, so each hit yields
-    an independent module.  Printing and parsing round-trip exactly
+    Each hit yields an independent module over the (digest-checked)
+    stored text, a function body parsed when something first reads its
+    blocks.  Printing and parsing round-trip exactly
     (``tests/ir/test_function_module.py``), so a replayed module is
     indistinguishable from a freshly optimized one; a replayed lowered
     program is bit-identical to re-lowering the replayed module
-    (``tests/simt/test_program_serialize.py``).
+    (``tests/simt/test_program_serialize.py``) and launches with the body
+    still text (``tests/evaluation/test_deferred_replay.py``).
     """
 
     def __init__(self, disk: Union[None, str, os.PathLike,
@@ -323,20 +348,23 @@ class CompileCache:
             source = "disk"
         if payload is None:
             return self._miss(key)
-        if want_ir_stats and not payload.get("ir_stats", False):
-            # Valid but not rich enough for this caller; the recompile's
-            # store() below will upgrade the entry in place.
-            return self._miss(key)
         try:
-            module = parse_module(payload["optimized_ir"])
+            text = payload["optimized_ir"]
+            if digest_text(text) != payload["ir_sha256"]:
+                raise ValueError("stored IR does not match its digest")
+            if want_ir_stats and not payload["ir_stats"]:
+                # Valid but not rich enough for this caller; the
+                # recompile's store() below will upgrade the entry in place.
+                return self._miss(key)
+            module = parse_module_deferred(text)
             timings = [_timing_from_event(e) for e in payload["timings"]]
             cfm_payload = payload.get("cfm")
             cfm_stats = (cfm_stats_from_data(cfm_payload["stats"])
                          if cfm_payload else None)
         except Exception:
-            # Poisoned entry (unparseable IR, malformed payload): evict
-            # so the next lookup recompiles instead of re-failing here,
-            # then report a plain miss.
+            # Poisoned entry (not the IR that was stored, malformed
+            # payload): evict so the next lookup recompiles instead of
+            # re-failing here, then report a plain miss.
             self._evict(key)
             return self._miss(key)
         program = self._seed(payload, module, machine)
@@ -376,8 +404,10 @@ class CompileCache:
         keyed by the ``machine``'s latency model.  ``cfm_stats`` marks a
         full-pipeline entry.
         """
+        text = print_module(module)
         payload: Dict[str, object] = {
-            "optimized_ir": print_module(module),
+            "optimized_ir": text,
+            "ir_sha256": digest_text(text),
             "seconds": seconds,
             "timings": pass_timing_events(timings),
             "ir_stats": bool(ir_stats),

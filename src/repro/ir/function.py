@@ -10,7 +10,7 @@ from global memory).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from .types import Type, PointerType, AddressSpace
 from .values import Argument, Value
@@ -51,6 +51,8 @@ class Function:
             Argument(t, n, i) for i, (t, n) in enumerate(zip(arg_types, arg_names))
         ]
         self._blocks: List[BasicBlock] = []
+        #: while deferred (:meth:`defer_body`): the parse, then reactions
+        self._pending: Optional[List[Callable[["Function"], None]]] = None
         self._name_counter = itertools.count()
         self._taken_names: Dict[str, int] = {}
         self.module: Optional["Module"] = None
@@ -60,6 +62,39 @@ class Function:
         #: key with its own staleness guard.  Held here rather than in
         #: module-level tables so they are freed with the function.
         self.memo: Dict[str, object] = {}
+
+    # ---- deferred bodies -----------------------------------------------------
+    #
+    # The parser's deferred mode leaves a body as text.  Such a function
+    # has no ``_blocks`` attribute, and every accessor of the body reads
+    # ``_blocks``, so :meth:`__getattr__` — which Python consults only
+    # for a missing attribute — is the one place a body gets parsed, at
+    # no cost to functions that have theirs.  ``copy.deepcopy`` and
+    # ``pickle`` carry the text (the steps are picklable partials).
+
+    def defer_body(self, parse: Callable[["Function"], None]) -> None:
+        """(Parser only.)  Leave the body unparsed: ``parse(self)`` fills
+        it in the first time anything reads the blocks."""
+        del self._blocks
+        self._pending = [parse]
+
+    @property
+    def deferred(self) -> bool:
+        """The body is still text; reading the blocks will parse it."""
+        return self._pending is not None
+
+    def after_body(self, callback: Callable[["Function"], None]) -> None:
+        """Run ``callback(self)`` right after the deferred body is parsed."""
+        self._pending.append(callback)
+
+    def __getattr__(self, name: str):
+        if name != "_blocks" or not self.__dict__.get("_pending"):
+            raise AttributeError(name)
+        self._blocks = []
+        pending, self._pending = self._pending, None
+        for step in pending:
+            step(self)
+        return self._blocks
 
     # ---- blocks -------------------------------------------------------------
 
@@ -74,12 +109,13 @@ class Function:
         return self._blocks[0]
 
     def add_block(self, name: str = "", after: Optional[BasicBlock] = None) -> BasicBlock:
+        blocks = self._blocks  # first: a deferred body's labels keep their names
         block = BasicBlock(self.unique_name(name or "bb"))
         block.parent = self
         if after is None:
-            self._blocks.append(block)
+            blocks.append(block)
         else:
-            self._blocks.insert(self._blocks.index(after) + 1, block)
+            blocks.insert(blocks.index(after) + 1, block)
         return block
 
     def _remove_block(self, block: BasicBlock) -> None:

@@ -13,6 +13,7 @@ values that are patched once the whole function has been read.
 from __future__ import annotations
 
 import re
+from functools import lru_cache, partial
 from typing import Dict, List, Optional, Tuple
 
 from .types import (
@@ -67,8 +68,15 @@ _GLOBAL_RE = re.compile(
 )
 _DEFINE_RE = re.compile(r"define\s+void\s+@(?P<name>[\w.]+)\((?P<args>.*)\)\s*\{")
 _LABEL_RE = re.compile(r"(?P<name>[\w.\-]+):(?:\s*;.*)?$")
+_ADDRSPACE_RE = re.compile(r"addrspace\((\d+)\)")
+_ASSIGN_RE = re.compile(r"%(?P<name>[\w.\-]+)\s*=\s*(?P<body>.*)")
+_CALL_RE = re.compile(r"(?P<type>.+?)\s+@(?P<callee>[\w.]+)\((?P<args>.*)\)")
+_INCOMING_RE = re.compile(r"\[\s*(?P<val>[^,\]]+),\s*%(?P<block>[\w.\-]+)\s*\]")
+_BR_LABEL_RE = re.compile(r"label\s+%([\w.\-]+)")
+_MODULE_NAME_RE = re.compile(r";\s*module\s+(\S+)\s*$")
 
 
+@lru_cache(maxsize=256)  # exact: types are interned (ir/types.py)
 def _parse_type(text: str) -> Type:
     text = text.strip()
     match = _TYPE_RE.fullmatch(text)
@@ -83,7 +91,7 @@ def _parse_type(text: str) -> Type:
         base_type = IntType(int(base[1:]))
     ptr = match.group("ptr")
     if ptr:
-        space_match = re.search(r"addrspace\((\d+)\)", ptr)
+        space_match = _ADDRSPACE_RE.search(ptr)
         space = int(space_match.group(1)) if space_match else AddressSpace.FLAT
         return PointerType(base_type, space)
     return base_type
@@ -164,7 +172,7 @@ class _FunctionParser:
         line = line.split(";")[0].strip()
         name: Optional[str] = None
         body = line
-        assign = re.match(r"%(?P<name>[\w.\-]+)\s*=\s*(?P<body>.*)", line)
+        assign = _ASSIGN_RE.match(line)
         if assign:
             name = assign.group("name")
             body = assign.group("body")
@@ -210,7 +218,7 @@ class _FunctionParser:
             self.define(name, self.builder.cast(opcode, self.typed_operand(value_text),
                                                 _parse_type(to_text)))
         elif opcode == Opcode.CALL:
-            match = re.match(r"(?P<type>.+?)\s+@(?P<callee>[\w.]+)\((?P<args>.*)\)", rest)
+            match = _CALL_RE.match(rest)
             if match is None:
                 raise ValueError(f"cannot parse call {rest!r}")
             type_text = match.group("type").strip()
@@ -225,13 +233,12 @@ class _FunctionParser:
             bracket = rest.index("[")
             type_ = _parse_type(rest[:bracket].strip())
             phi = self.builder.phi(type_)
-            for pair in re.finditer(r"\[\s*(?P<val>[^,\]]+),\s*%(?P<block>[\w.\-]+)\s*\]",
-                                    rest[bracket:]):
+            for pair in _INCOMING_RE.finditer(rest[bracket:]):
                 phi.add_incoming(self.operand(pair.group("val").strip(), type_),
                                  self.block_ref(pair.group("block")))
             self.define(name, phi)
         elif opcode == Opcode.BR:
-            labels = re.findall(r"label\s+%([\w.\-]+)", rest)
+            labels = _BR_LABEL_RE.findall(rest)
             if rest.startswith("label"):
                 self.builder.br(self.block_ref(labels[0]))
             else:
@@ -263,6 +270,18 @@ class _FunctionParser:
 
 def parse_module(text: str) -> Module:
     """Parse a full module (globals + functions)."""
+    return _parse_module(text, defer=False)
+
+
+def parse_module_deferred(text: str) -> Module:
+    """:func:`parse_module` for text **known to parse** (the compile cache
+    checks a digest first): globals and ``define`` headers are parsed now,
+    each body — and its errors — wait for the first read of its function's
+    blocks (:meth:`Function.defer_body`)."""
+    return _parse_module(text, defer=True)
+
+
+def _parse_module(text: str, defer: bool) -> Module:
     module = Module()
     lines = text.splitlines()
     i = 0
@@ -271,7 +290,7 @@ def parse_module(text: str) -> Module:
         if stripped.startswith(";"):
             # The printer emits the module name as a leading comment;
             # recover it so print -> parse -> print is a true fixpoint.
-            header = re.match(r";\s*module\s+(\S+)\s*$", stripped)
+            header = _MODULE_NAME_RE.match(stripped)
             if header:
                 module.name = header.group(1)
             line = ""
@@ -292,13 +311,28 @@ def parse_module(text: str) -> Module:
             continue
         dmatch = _DEFINE_RE.match(line)
         if dmatch:
-            i = _parse_function_body(module, dmatch, lines, i + 1)
+            function = _parse_function_header(module, dmatch)
+            end = next((j for j in range(i + 1, len(lines)) if "}" in lines[j]
+                        and _code(lines[j]).strip() == "}"), None)
+            if end is None:
+                raise ParseError("unterminated function body", len(lines), "")
+            body = partial(_parse_function_body, module, lines, i + 1, end)
+            if defer:
+                function.defer_body(body)
+            else:
+                body(function)
+            i = end + 1
             continue
         raise ParseError("unexpected top-level line", i + 1, lines[i])
     return module
 
 
-def _parse_function_body(module: Module, dmatch, lines: List[str], start: int) -> int:
+def _code(raw: str) -> str:
+    """``raw`` without its trailing comment (a comment line is empty)."""
+    return "" if raw.lstrip().startswith(";") else raw.split(";")[0].rstrip()
+
+
+def _parse_function_header(module: Module, dmatch) -> Function:
     arg_types: List[Type] = []
     arg_names: List[str] = []
     args_text = dmatch.group("args").strip()
@@ -307,36 +341,27 @@ def _parse_function_body(module: Module, dmatch, lines: List[str], start: int) -
             type_text, name_text = arg.strip().rsplit(None, 1)
             arg_types.append(_parse_type(type_text))
             arg_names.append(name_text.lstrip("%"))
-    function = Function(dmatch.group("name"), arg_types, arg_names)
-    module.add_function(function)
-    parser = _FunctionParser(module, function)
+    return module.add_function(
+        Function(dmatch.group("name"), arg_types, arg_names))
 
-    i = start
+
+def _parse_function_body(module: Module, lines: List[str], start: int,
+                         end: int, function: Function) -> None:
+    """Parse ``lines[start:end]``, the text between ``function``'s
+    ``define`` line and its closing brace, into it."""
+    parser = _FunctionParser(module, function)
     current: Optional[BasicBlock] = None
     label_order: List[BasicBlock] = []
-    while i < len(lines):
+    for i in range(start, end):
         raw = lines[i]
-        line = raw.split(";")[0].rstrip() if not raw.strip().startswith(";") else ""
-        stripped = line.strip()
+        stripped = _code(raw).strip()
         if not stripped:
-            i += 1
             continue
-        if stripped == "}":
-            try:
-                parser.resolve_forwards()
-            except ValueError as exc:
-                raise ParseError(str(exc), i + 1, raw) from exc
-            # Blocks may have been created out of order by forward branch
-            # references; restore textual (label) order so the entry block
-            # is first and printing round-trips.
-            function._blocks.sort(key=label_order.index)
-            return i + 1
         label = _LABEL_RE.match(stripped)
         if label and not raw.startswith("  "):
             current = parser.block_ref(label.group("name"))
             label_order.append(current)
             parser.builder.position_at_end(current)
-            i += 1
             continue
         if current is None:
             raise ParseError("instruction before first label", i + 1, raw)
@@ -344,8 +369,14 @@ def _parse_function_body(module: Module, dmatch, lines: List[str], start: int) -
             parser.parse_instruction(stripped)
         except ValueError as exc:
             raise ParseError(str(exc), i + 1, raw) from exc
-        i += 1
-    raise ParseError("unterminated function body", len(lines), "")
+    try:
+        parser.resolve_forwards()
+    except ValueError as exc:
+        raise ParseError(str(exc), end + 1, lines[end]) from exc
+    # Blocks may have been created out of order by forward branch
+    # references; restore textual (label) order so the entry block
+    # is first and printing round-trips.
+    function._blocks.sort(key=label_order.index)
 
 
 def parse_function(text: str) -> Function:

@@ -174,10 +174,10 @@ def compile_arm(kernel: KernelLike, arm: Arm,
     result is probed first (profiling shows the CFM stage, not ``-O3``,
     dominates compile time); on a miss the CFM arm falls through to the
     shared ``"o3"`` entry, so the two arms of one comparison share one
-    ``-O3`` run.  A hit swaps an independently parsed module into the
-    kernel and reports the *original* run's seconds and timings.  With a
-    ``machine``, entries carry the lowered µop program for it, so a warm
-    process also skips launch-time lowering.  Raw
+    ``-O3`` run.  A hit swaps a module of its own into the kernel (its
+    bodies parsed on first touch) and reports the *original* run's
+    seconds and timings.  With a ``machine``, entries carry the lowered
+    µop program for it, so a warm launch neither lowers nor parses.  Raw
     :class:`~repro.ir.Function` inputs stay uncached — the in-place
     contract leaves nothing to swap.
 

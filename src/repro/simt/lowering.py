@@ -62,7 +62,8 @@ all five difftest oracle arms.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.analysis.dominators import (
     compute_postdominator_tree,
@@ -418,7 +419,7 @@ class _RunBuilder:
         self.latency = 0
         self.traps = False
 
-    def add(self, op, instr: Optional[Instruction]) -> None:
+    def add(self, op, site, k: int) -> None:
         kind = op[0]
         dest, latency = op[1], op[-1]
         refs: List[tuple] = []
@@ -451,7 +452,7 @@ class _RunBuilder:
             trap = len(self.consts)
             described = op[4][3] if kind == OP_COMPUTE2 else None
             self.consts.append(described if described is not None
-                               else repr(instr))
+                               else site(k))
         self.produced[dest] = len(self.shape)
         self.shape.append((template, tuple(refs), trap))
         self.dests.append(dest)
@@ -668,23 +669,23 @@ def lower_symbolic(function: Function, latency: LatencyModel) -> dict:
 # materialization (symbolic program → runnable program)
 
 
-def _materialize_ops(ops, instrs, const_of: Dict[int, object]) -> tuple:
+def _materialize_ops(ops, site, const_of: Dict[int, object]) -> tuple:
     """One block's µops: pure µops fused into ``OP_RUN``s, the rest bound
-    to the live instructions' reprs."""
+    to ``site(k)``, the repr of the live instruction behind µop ``k``."""
     out: List[tuple] = []
     run = _RunBuilder(const_of, out)
-    for op, instr in zip(ops, instrs):
+    for k, op in enumerate(ops):
         kind = op[0]
         if kind in (OP_COMPUTE2, OP_COMPUTE1, OP_SELECT, OP_SREG):
-            run.add(op, instr)
+            run.add(op, site, k)
             continue
         run.flush()
         if kind in (OP_LOAD, OP_STORE):
             out.append(tuple(op[:5])
-                       + (op[5] if op[5] is not None else repr(instr),))
+                       + (op[5] if op[5] is not None else site(k),))
         elif kind == OP_TRAP:
             out.append((OP_TRAP, op[1] if op[1] is not None
-                        else f"cannot evaluate {instr!r}"))
+                        else f"cannot evaluate {site(k)}"))
         elif kind == OP_BARRIER:
             out.append(tuple(op))
         else:
@@ -693,34 +694,59 @@ def _materialize_ops(ops, instrs, const_of: Dict[int, object]) -> tuple:
     return tuple(out)
 
 
-def _materialize_term(term, branch: Optional[Instruction]) -> tuple:
+def _materialize_term(term, site) -> tuple:
     kind = term[0]
     if kind in (TERM_RET, TERM_NONE):
         return (kind,)
     if kind == TERM_BR:
         return (TERM_BR, term[1], tuple(tuple(p) for p in term[2]))
     if kind == TERM_CBR:
-        branch_repr = term[7] if term[7] is not None else repr(branch)
+        branch_repr = term[7] if term[7] is not None else site(-1)
         return (TERM_CBR, term[1], term[2], term[3], term[4],
                 tuple(tuple(p) for p in term[5]),
                 tuple(tuple(p) for p in term[6]), branch_repr)
     raise ProgramDecodeError(f"unknown terminator kind {kind!r}")
 
 
-def _block_schedule(block: BasicBlock):
-    """The (simple instructions, terminator) a lowering of ``block``
-    visits — the lockstep counterpart of :meth:`_Lowerer.lower`, used by
-    materialization to rebind trap-message reprs to the live IR."""
-    simple: List[Instruction] = []
-    terminator: Optional[Instruction] = None
+def _block_schedule(block: BasicBlock) -> List[Optional[Instruction]]:
+    """The simple instructions a lowering of ``block`` visits, then its
+    terminator (None if it has none) — the lockstep counterpart of
+    :meth:`_Lowerer.lower`, used by materialization to rebind
+    trap-message reprs to the live IR."""
+    schedule: List[Optional[Instruction]] = []
     for instr in block.instructions:
         if isinstance(instr, Phi):
             continue
         if isinstance(instr, (Branch, Ret)):
-            terminator = instr
-            break
-        simple.append(instr)
-    return simple, terminator
+            return schedule + [instr]
+        schedule.append(instr)
+    return schedule + [None]
+
+
+def _checked_schedules(shape: list, function: Function) -> List[list]:
+    """:func:`_block_schedule` of every block of ``function``, or
+    :class:`ProgramDecodeError` unless a program of ``shape`` — its
+    ``(block name, µop count)`` pairs — is a lowering of those blocks."""
+    schedules = [_block_schedule(block) for block in function.blocks]
+    live = [(block.name, len(schedule) - 1)
+            for block, schedule in zip(function.blocks, schedules)]
+    if shape != live:
+        raise ProgramDecodeError(f"program lowers blocks {shape}, "
+                                 f"@{function.name} has {live}")
+    return schedules
+
+
+class _SiteRepr(NamedTuple):
+    """The repr of scheduled instruction ``k`` of block ``block`` of a
+    function whose body was still text at materialization.  Formatting
+    it into a trap message is what renders it — and parses the body."""
+
+    function: Function
+    block: int
+    k: int
+
+    def __str__(self) -> str:
+        return repr(_block_schedule(self.function.blocks[self.block])[self.k])
 
 
 def materialize_program(data: dict, function: Function) -> LoweredProgram:
@@ -731,31 +757,28 @@ def materialize_program(data: dict, function: Function) -> LoweredProgram:
     (and its module), so a program cached in one process binds to the
     re-parsed IR of another.  Raises :class:`ProgramDecodeError` when the
     schema, a descriptor, or a name does not line up.
+
+    Against a :attr:`~repro.ir.function.Function.deferred` body nothing
+    here reads a block: trap sites get :class:`_SiteRepr`, and the check
+    of block names and µop counts waits for :func:`_confirm_seed`.
     """
     try:
         if data["schema"] != PROGRAM_SCHEMA:
             raise ProgramDecodeError(
                 f"program schema {data['schema']!r} != {PROGRAM_SCHEMA!r}")
-        if len(data["blocks"]) != len(function.blocks):
-            raise ProgramDecodeError(
-                f"program has {len(data['blocks'])} blocks, "
-                f"@{function.name} has {len(function.blocks)}")
         const_of = {index: value for index, value in data["const_slots"]}
+        schedules = None if function.deferred else _checked_schedules(
+            [(b["name"], len(b["ops"])) for b in data["blocks"]], function)
         blocks = []
-        for encoded, live in zip(data["blocks"], function.blocks):
-            if encoded["name"] != live.name:
-                raise ProgramDecodeError(
-                    f"program block {encoded['name']!r} != live block "
-                    f"{live.name!r} in @{function.name}")
-            simple, terminator = _block_schedule(live)
-            if len(simple) != len(encoded["ops"]):
-                raise ProgramDecodeError(
-                    f"block {live.name!r}: program has {len(encoded['ops'])} "
-                    f"µops, live block lowers {len(simple)}")
+        for index, encoded in enumerate(data["blocks"]):
+            if schedules is None:
+                site = partial(_SiteRepr, function, index)
+            else:
+                site = lambda k, schedule=schedules[index]: repr(schedule[k])
             blocks.append(LoweredBlock(
                 encoded["name"],
-                _materialize_ops(encoded["ops"], simple, const_of),
-                _materialize_term(encoded["term"], terminator)))
+                _materialize_ops(encoded["ops"], site, const_of),
+                _materialize_term(encoded["term"], site)))
         arg_by_name = {arg.name: arg for arg in function.args}
         arg_slots: List[Tuple[int, Argument]] = []
         for index, name in data["arg_slots"]:
@@ -825,8 +848,11 @@ def function_fingerprint(function: Function) -> tuple:
     operand rewrites, successor retargeting and φ incoming edits, so
     callers never need an explicit invalidation between compile and
     launch.  Cost is O(instructions) per launch — noise next to the
-    execution it guards.
+    execution it guards — and constant for a deferred body: nothing can
+    have mutated IR that is still text.
     """
+    if function.deferred:
+        return ("unparsed",)
     parts = []
     for block in function.blocks:
         row: List[int] = [id(block)]
@@ -869,14 +895,35 @@ def seed_program(function: Function, machine,
     """Pre-populate the launch memo with an already-materialized program.
 
     The compile cache calls this after a warm hit: the cached symbolic
-    program is materialized against the freshly parsed ``function`` and
-    seeded here, so the first launch skips :func:`lower_function`
-    entirely.  The entry is guarded by the same fingerprint as a memoized
-    lowering — if the function mutates before launch, the seed simply
-    misses and lowering runs normally.
+    program is materialized against the replayed ``function`` and seeded
+    here, so the first launch skips :func:`lower_function` entirely.
+    The entry is guarded by the same fingerprint as a memoized lowering
+    — if the function mutates before launch, the seed simply misses and
+    lowering runs normally (a deferred body gets its fingerprint when
+    it is parsed, see :func:`_confirm_seed`).
     """
-    _programs(function)[latency_token(machine.latency)] = (
-        function_fingerprint(function), program)
+    token = latency_token(machine.latency)
+    _programs(function)[token] = (function_fingerprint(function), program)
+    if function.deferred:
+        function.after_body(partial(_confirm_seed, token, program))
+
+
+def _confirm_seed(token: tuple, program: LoweredProgram,
+                  function: Function) -> None:
+    """``function``'s body was just parsed: give the ``program`` seeded
+    on it the real fingerprint, or drop it (the next launch re-lowers)
+    if its blocks are not the ones the text turned out to hold."""
+    programs = _programs(function)
+    if programs.get(token, (None, None))[1] is not program:
+        return  # quarantined by clear_lowering_memo
+    shape = [(block.name, sum(op[4] if op[0] == OP_RUN else 1
+                              for op in block.ops))
+             for block in program.blocks]
+    try:
+        _checked_schedules(shape, function)
+        programs[token] = (function_fingerprint(function), program)
+    except ProgramDecodeError:
+        del programs[token]
 
 
 def invalidate_lowering(function: Function) -> None:

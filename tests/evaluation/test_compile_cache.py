@@ -11,10 +11,14 @@ being evicted and recompiled.
 import gc
 import json
 import multiprocessing
+import os
+import re
 import weakref
+from pathlib import Path
 
 import pytest
 
+from repro import compile_cache
 from repro.compile_cache import (
     CACHE_ENV_VAR,
     CACHE_SCHEMA,
@@ -25,10 +29,11 @@ from repro.compile_cache import (
 )
 from repro.core import CFMConfig
 from repro.difftest.generator import build_kernel, generate_spec
-from repro.evaluation import compare, compile_baseline
+from repro.evaluation import compare, compile_baseline, compile_cfm
 from repro.kernels import build_sb1
 from repro.obs import trace
 from repro.pipeline import compile_arm
+from repro.simt import DEFAULT_CONFIG
 
 SEED = 99
 
@@ -115,18 +120,42 @@ def _store_one(tmp_path):
     return key, cache.disk.file_for(key)
 
 
+NO_TRAFFIC = {"hits": 0, "misses": 0, "evictions": 0, "writes": 0,
+              "write_errors": 0}
+
+
 class TestDiskCache:
+    """Every unreadable file is a counted eviction and a miss.  A file
+    opens with the SHA-256 of the rest of it, so the checks behind the
+    digest (schema, key, required fields) are reached only by files
+    ``store`` itself sealed — which is how the tests below make them."""
+
     def test_version_mismatch_is_miss_and_evicts(self, tmp_path):
+        """A file as the ``/1`` schema wrote it: no digest."""
         key, file = _store_one(tmp_path)
         payload = json.loads(file.read_text())
-        payload["schema"] = "repro.compile-cache/0"
+        del payload["sha256"], payload["ir_sha256"]
+        payload["schema"] = "repro.compile-cache/1"
         file.write_text(json.dumps(payload))
 
         disk = DiskCompileCache(tmp_path)
         assert disk.load(key) is None
         assert not file.exists()
-        assert disk.counters() == {"hits": 0, "misses": 1,
-                                   "evictions": 1, "writes": 0}
+        assert disk.counters() == {**NO_TRAFFIC, "misses": 1, "evictions": 1}
+
+    def test_sealed_foreign_schema_is_miss_and_evicts(self, tmp_path,
+                                                      monkeypatch):
+        assert CACHE_SCHEMA == "repro.compile-cache/2"
+        with monkeypatch.context() as patch:
+            patch.setattr(compile_cache, "CACHE_SCHEMA",
+                          "repro.compile-cache/3")
+            key, file = _store_one(tmp_path)
+        assert json.loads(file.read_text())["schema"].endswith("/3")
+
+        disk = DiskCompileCache(tmp_path)
+        assert disk.load(key) is None
+        assert not file.exists()
+        assert disk.evictions == 1
 
     def test_truncated_file_is_miss_and_evicts(self, tmp_path):
         key, file = _store_one(tmp_path)
@@ -140,29 +169,89 @@ class TestDiskCache:
 
     def test_key_mismatch_is_miss_and_evicts(self, tmp_path):
         key, file = _store_one(tmp_path)
-        payload = json.loads(file.read_text())
-        payload["digest"] = "0" * 64  # file renamed / content swapped
-        file.write_text(json.dumps(payload))
-
         disk = DiskCompileCache(tmp_path)
-        assert disk.load(key) is None
-        assert not file.exists()
+        other = ("o3", "0" * 64)  # file renamed / content swapped
+        file.rename(disk.file_for(other))
+
+        assert disk.load(other) is None
+        assert not disk.file_for(other).exists()
+        assert disk.evictions == 1
 
     def test_missing_required_field_is_miss_and_evicts(self, tmp_path):
         key, file = _store_one(tmp_path)
         payload = json.loads(file.read_text())
-        del payload["timings"]
-        file.write_text(json.dumps(payload))
-
+        del payload["sha256"], payload["timings"]
         disk = DiskCompileCache(tmp_path)
+        disk.store(key, payload)
+
         assert disk.load(key) is None
         assert not file.exists()
+        assert disk.evictions == 1
+
+    def test_non_utf8_byte_is_miss_not_a_stack_trace(self, tmp_path):
+        key, file = _store_one(tmp_path)
+        raw = bytearray(file.read_bytes())
+        raw[len(raw) // 2] = 0xFF
+        file.write_bytes(bytes(raw))
+
+        cache = CompileCache(disk=tmp_path)
+        assert not compile_baseline(_case(), cache=cache).o3_cached
+        assert cache.disk.counters() == {
+            **NO_TRAFFIC, "misses": 1, "evictions": 1, "writes": 1}
+        assert compile_baseline(_case(), cache=CompileCache(disk=tmp_path)
+                                ).o3_cached
+
+    @pytest.mark.parametrize("pattern", [
+        r'"program": \{.*?"const_slots": \[\[(\d)',  # a slot number
+        r'"stats": \{.*?"iterations": (\d)',
+        r'"optimized_ir": ".*?ashr i32 %\w+, (\d)',
+    ], ids=["program", "cfm-stats", "ir"])
+    def test_flipped_digit_is_miss_and_recompiles_the_same_row(
+            self, tmp_path, pattern):
+        """Well-formed JSON, a valid descriptor, a parseable module:
+        only the digest over the whole file can tell."""
+        cold = _cold(CompileCache(disk=tmp_path))
+        (file,) = [f for f in tmp_path.iterdir() if '"cfm": {' in f.read_text()]
+        text = file.read_text()
+        at = re.search(pattern, text).start(1)
+        flipped = text[:at] + str((int(text[at]) + 1) % 10) + text[at + 1:]
+        json.loads(flipped)
+        file.write_text(flipped)
+
+        cache = CompileCache(disk=tmp_path)
+        warm = _cold(cache)
+        assert cache.disk.evictions == 1 and cache.misses == 1
+        assert warm.baseline_compile.o3_cached
+        assert not warm.cfm_compile.cfm_cached
+        assert warm.melded.as_dict() == cold.melded.as_dict()
+        assert warm.melds == cold.melds
+
+    @pytest.mark.parametrize("target, name", [(os, "replace"),
+                                              (Path, "write_text")])
+    def test_failed_write_keeps_the_result(self, tmp_path, monkeypatch,
+                                           target, name):
+        real = getattr(target, name)
+
+        def full_disk(*args, **kwargs):
+            if name == "write_text":  # leave a torn temp file behind
+                real(args[0], args[1][:100], **kwargs)
+            raise OSError(28, "No space left on device")
+
+        cache = CompileCache(disk=tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(target, name, full_disk)
+            result = compile_cfm(_case(), cache=cache, machine=DEFAULT_CONFIG)
+        assert result.melds and not result.cached
+        assert cache.disk.counters() == {**NO_TRAFFIC, "misses": 2,
+                                         "write_errors": 2}
+        assert list(tmp_path.iterdir()) == []
+        # the memory tier kept both entries
+        assert compile_cfm(_case(), cache=cache, machine=DEFAULT_CONFIG).cached
 
     def test_absent_file_is_plain_miss(self, tmp_path):
         disk = DiskCompileCache(tmp_path)
         assert disk.load(("o3", "0" * 64)) is None
-        assert disk.counters() == {"hits": 0, "misses": 1,
-                                   "evictions": 0, "writes": 0}
+        assert disk.counters() == {**NO_TRAFFIC, "misses": 1}
 
     def test_concurrent_writers_leave_one_complete_winner(self, tmp_path):
         key = ("o3", digest_text("concurrent"))

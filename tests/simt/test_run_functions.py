@@ -49,9 +49,10 @@ KINDS = ("register", "constant", "in-run")
 INSTR_REPR = "<the instruction>"
 
 
-class _Instr:
-    def __repr__(self) -> str:
-        return INSTR_REPR
+def _site(k):
+    """The materializer's trap-site callback: repr of µop ``k``'s
+    instruction."""
+    return INSTR_REPR
 
 
 def _ints(type_):
@@ -82,13 +83,13 @@ def _run(symbolic_op, kinds, values):
             const_of[slot] = value
         elif kind == "in-run":
             builder.add([OP_COMPUTE1, slot + 10, slot,
-                         ["cast", "bitcast", ["p"], ["p"]], 1], None)
+                         ["cast", "bitcast", ["p"], ["p"]], 1], _site, 0)
     op = list(symbolic_op)
     position = op.index("SRC")
     op[position:position + 1] = [
         slot + 10 if kind == "in-run" else slot
         for slot, kind in zip(sources, kinds)]
-    builder.add(op, _Instr())
+    builder.add(op, _site, 0)
     builder.flush()
     (tag, fn, slots, consts, n_ops, latency), = out
     assert tag == OP_RUN and n_ops == 1 + kinds.count("in-run")
@@ -214,7 +215,7 @@ def test_select_and_special_register_templates():
     for tag, want in enumerate(sregs):
         out = []
         builder = lowering._RunBuilder({}, out)
-        builder.add([OP_SREG, 2, tag, 1], None)
+        builder.add([OP_SREG, 2, tag, 1], _site, 0)
         builder.flush()
         regs = [[UNDEF] for _ in range(3)]
         out[0][1](regs, tuple([v] for v in sregs), (0,), out[0][2], out[0][3])
