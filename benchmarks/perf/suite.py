@@ -6,7 +6,7 @@ wall-clock of ``repeats`` runs.  Macro: the Figure 8 sweep is replayed
 with compilation hoisted out (each arm compiles once, then both
 executors simulate the same compiled module), so the compile/simulate
 split is measured directly rather than inferred; the sweep compiles
-twice against one persistent :class:`~repro.compile_cache.DiskCompileCache`
+twice against one persistent :class:`~repro.compile_cache.CompileCache`
 (cold, then a fresh in-process cache over the same directory) so the
 warm-replay speedup is part of the document; plus difftest oracle
 throughput in seeds per second per executor.
@@ -142,8 +142,9 @@ def bench_figure8(block_sizes: Optional[Dict[str, List[int]]] = None,
     warm_ir_identical = ir_of(warm_cases) == ir_of(cases)
     assert warm_ir_identical, \
         "figure8 sweep: warm cache replay produced different IR"
-    assert warm_cache.misses == 0, \
-        f"figure8 sweep: warm compile missed {warm_cache.misses} entries"
+    warm_misses = warm_cache.counters()["misses"]
+    assert warm_misses == 0, \
+        f"figure8 sweep: warm compile missed {warm_misses} entries"
     if tmp is not None:
         tmp.cleanup()
 

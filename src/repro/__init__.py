@@ -114,11 +114,7 @@ from repro.simt import (
     SimulationError,
     run_kernel,
 )
-from repro.compile_cache import (
-    CACHE_ENV_VAR,
-    DiskCompileCache,
-    cfm_pipeline_id,
-)
+from repro.compile_cache import CACHE_ENV_VAR, cfm_pipeline_id
 from repro.scheduler import (
     NO_RECYCLE,
     RecyclePolicy,
@@ -214,7 +210,7 @@ __all__ = [
     "SimulationError", "DEFAULT_CONFIG", "EXECUTORS",
     "ReconvergencePolicy", "RECONVERGENCE_POLICIES",
     # evaluation harness
-    "CACHE_ENV_VAR", "DiskCompileCache", "cfm_pipeline_id",
+    "CACHE_ENV_VAR", "cfm_pipeline_id",
     "compare", "Comparison", "CompileCache", "compile_baseline",
     "compile_cfm", "execute", "geomean", "run_sweep",
     "table1", "table2", "figure7", "figure8", "figures9_and_10",

@@ -95,19 +95,15 @@ class LatencyModel:
 DEFAULT_LATENCY_MODEL = LatencyModel()
 
 
-def latency_token(model: LatencyModel) -> tuple:
-    """Hashable identity of a latency model's observable contents.
+def latency_token(model: LatencyModel) -> str:
+    """Stable text identity of a latency model's observable contents.
 
-    Feeds :meth:`repro.simt.MachineConfig.token` (and through it every
-    warp-level program cache and the persistent compile cache), so two
-    models with equal tables share cache entries regardless of object
-    identity.
+    The one key of everything latency-dependent: :meth:`repro.simt.
+    MachineConfig.token`, the lowered-program memo, the compile cache's
+    ``cfm:`` pipeline ids and the ``machine_key`` of stored programs — so
+    two models with equal tables share entries regardless of object
+    identity, in this process and on disk.
     """
-    return (tuple(sorted(model.opcode_latency.items())),
-            tuple(sorted(model.memory_latency.items())),
-            model.barrier_latency)
-
-
-def latency_token_key(model: LatencyModel) -> str:
-    """Stable text form of :func:`latency_token`, for digest-keyed caches."""
-    return json.dumps(latency_token(model), separators=(",", ":"))
+    return json.dumps((sorted(model.opcode_latency.items()),
+                       sorted(model.memory_latency.items()),
+                       model.barrier_latency), separators=(",", ":"))

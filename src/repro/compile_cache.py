@@ -1,37 +1,38 @@
-"""Persistent, content-addressed compile cache.
+"""Persistent, content-addressed compile cache: one object, two tiers.
 
-PR 1 introduced an in-process :class:`CompileCache` so the two arms of
-one baseline-vs-CFM comparison share a single ``-O3`` run.  Profiling
-the ``pass:<name>`` spans (see ``docs/performance.md``) showed that was
-never going to amortize the real cost: on the Figure 8 workload the CFM
-stage itself — alignment, divergence analysis, postdominator trees —
-dominates compile time by ~4× over ``-O3``, and inter-pass verification
-is noise.  So this module caches the **whole pipeline result**, and
-persists it to disk so the cost is paid once per machine, not once per
-process:
+Caching only the ``-O3`` run would never amortize the real cost: on the
+Figure 8 workload the CFM stage itself — alignment, divergence
+analysis, postdominator trees — dominates compile time by ~4× over
+``-O3`` (see ``docs/performance.md``).  So :class:`CompileCache` keeps
+the **whole pipeline result**, in memory and — given a directory — on
+disk, so the cost is paid once per machine, not once per process:
 
 * **keys** are ``(pipeline_id, digest)`` where ``digest`` is the SHA-256
   of the printed pre-pipeline IR — content addressing, so any process
   that builds the same kernel hits, regardless of object identity;
 * **values** are the printed optimized module, the per-pass timings of
   the run that produced it, the symbolic lowered µop program
-  (:func:`repro.simt.lower_symbolic`), and — for full-pipeline entries —
-  the serialized :class:`~repro.core.CFMStats`.  Every hit gets a module
-  of its own (never aliased into live modules) whose function bodies
-  stay text until something reads their blocks — a launch of the stored
-  program never does.  That is sound because the text is vouched for: an
-  entry carries the SHA-256 of its IR, checked on every lookup from
-  either tier, and a disk file the SHA-256 of all its other bytes,
-  checked before it is decoded; a mismatch is an eviction and a miss;
+  (:func:`repro.simt.lower_symbolic`) keyed by
+  :func:`~repro.analysis.latency.latency_token`, and — for
+  full-pipeline entries — the serialized :class:`~repro.core.CFMStats`.
+  Every hit gets a module of its own (never aliased into live modules)
+  whose function bodies stay text until something reads their blocks —
+  a launch of the stored program never does;
 * **two pipeline ids** per kernel: ``"o3"`` (the baseline arm) and
   ``cfm:<digest>`` (:func:`cfm_pipeline_id`, covering every
   :class:`~repro.core.CFMConfig` knob plus its latency model), so a
   warm CFM arm replays O3 + melding + late cleanups in one lookup;
-* the **disk layer** (:class:`DiskCompileCache`) writes one JSON file
-  per key via write-to-temp + :func:`os.replace`, so concurrent writers
-  race benignly (last full file wins, readers never see a torn write).
-  Files carry a versioned ``schema`` header; version mismatch,
-  truncation or corruption is treated as a miss and the file is evicted.
+* the **disk tier** is one JSON file per key, written to a temp file
+  and landed by :func:`os.replace`, so concurrent writers race benignly
+  (last full file wins, readers never see a torn write).
+
+Nothing stored is trusted: an entry carries the SHA-256 of its IR,
+checked on every lookup from either tier, and a disk file opens with
+the SHA-256 of the rest of its text, checked before it is decoded.
+:meth:`CompileCache.lookup` runs every check in one guarded region, and
+any failure is one eviction (from both tiers) plus one miss.  Every
+count goes through one method, which moves :meth:`CompileCache.counters`
+and the ``repro_compile_cache_*`` metric families together.
 
 Hits and misses are visible in ``repro.obs`` traces as
 ``compile-cache:hit`` / ``compile-cache:miss`` instants, and replayed
@@ -40,7 +41,8 @@ replay from a live run.
 
 The cache directory comes from the ``REPRO_COMPILE_CACHE`` environment
 variable (``--compile-cache`` on the CLIs); unset or ``"off"`` keeps the
-cache purely in-process.
+cache purely in-process, and a directory that cannot be created only
+loses the persistence.
 """
 
 from __future__ import annotations
@@ -56,22 +58,13 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.core import CFMConfig, CFMStats, MeldRecord
 from repro.ir import print_module
 from repro.ir.parser import parse_module_deferred
-from repro.obs import (
-    current_tracer,
-    emit_pass_timing,
-    record_cache_eviction,
-    record_cache_lookup,
-)
+from repro.obs import current_tracer, emit_pass_timing, record_cache_event
 from repro.obs.decisions import MeldingDecision
 from repro.obs.passes import pass_timing_events
 from repro.obs.tracer import COMPILE_PID
 from repro.analysis.validate import MeldValidation
-from repro.simt import (
-    ProgramDecodeError,
-    latency_token_key,
-    materialize_program,
-    seed_program,
-)
+from repro.analysis.latency import latency_token
+from repro.simt import ProgramDecodeError, materialize_program, seed_program
 from repro.transforms import PassTiming
 
 #: on-disk entry format; bump on any incompatible payload change
@@ -85,6 +78,10 @@ _SEAL = '{"sha256": "'
 CACHE_ENV_VAR = "REPRO_COMPILE_CACHE"
 
 CacheKey = Tuple[str, str]
+
+#: what :meth:`CompileCache.counters` counts
+COUNTERS = ("hits", "disk_hits", "misses", "evictions", "writes",
+            "write_errors")
 
 
 def cache_dir_setting(value: Optional[str]) -> Optional[str]:
@@ -116,7 +113,7 @@ def cfm_pipeline_id(config: Optional[CFMConfig] = None) -> str:
     """
     config = config or CFMConfig()
     token = {f.name: getattr(config, f.name) for f in fields(CFMConfig)}
-    token["latency"] = latency_token_key(config.latency)
+    token["latency"] = latency_token(config.latency)
     return "cfm:" + digest_text(json.dumps(token, sort_keys=True))[:16]
 
 
@@ -167,94 +164,6 @@ def _timing_from_event(event: Dict[str, object]) -> PassTiming:
 
 
 # ---------------------------------------------------------------------------
-# disk layer
-
-
-class DiskCompileCache:
-    """One JSON file per key under ``path``; crash- and race-safe.
-
-    Writes go to a per-process temp file and land via :func:`os.replace`
-    (atomic within a directory), so two workers storing the same key
-    leave one complete winner and readers never observe a torn file.
-    Anything unreadable — bytes that do not hash to the digest the file
-    opens with (truncated, bit-flipped, written before digests), a
-    foreign schema version, a payload missing required fields — counts as
-    a miss and the file is evicted so the next lookup doesn't re-fail on
-    it.  A refused write (read-only directory, ``ENOSPC``) is counted in
-    ``write_errors`` and loses only the persistence.
-    """
-
-    REQUIRED_FIELDS = ("optimized_ir", "seconds", "timings", "ir_stats")
-
-    def __init__(self, path: Union[str, os.PathLike]) -> None:
-        self.path = Path(path)
-        self.path.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.writes = 0
-        self.write_errors = 0
-
-    def file_for(self, key: CacheKey) -> Path:
-        return self.path / (digest_text(key[0], key[1])[:40] + ".json")
-
-    def load(self, key: CacheKey) -> Optional[Dict[str, object]]:
-        file = self.file_for(key)
-        try:
-            text = file.read_text(encoding="utf-8")
-            digest, _, rest = text[len(_SEAL):].partition('", ')
-            if (not text.startswith(_SEAL)
-                    or digest != digest_text("{" + rest)):
-                raise ValueError("entry does not match its digest")
-            payload = json.loads(text)
-            del payload["sha256"]
-            if payload.get("schema") != CACHE_SCHEMA:
-                raise ValueError(
-                    f"schema {payload.get('schema')!r} != {CACHE_SCHEMA!r}")
-            if (payload.get("pipeline_id"), payload.get("digest")) != key:
-                raise ValueError("entry key does not match its filename")
-            for name in self.REQUIRED_FIELDS:
-                if name not in payload:
-                    raise ValueError(f"missing field {name!r}")
-        except Exception:
-            self.evict(key)  # (counts nothing if there was no file)
-            self.misses += 1
-            return None
-        self.hits += 1
-        return payload
-
-    def store(self, key: CacheKey, payload: Dict[str, object]) -> None:
-        record = dict(payload)
-        record["schema"] = CACHE_SCHEMA
-        record["pipeline_id"], record["digest"] = key
-        body = json.dumps(record)
-        file = self.file_for(key)
-        tmp = file.with_name(f"{file.name}.tmp.{os.getpid()}")
-        try:
-            tmp.write_text(f"{_SEAL}{digest_text(body)}\", {body[1:]}",
-                           encoding="utf-8")
-            os.replace(tmp, file)
-        except OSError:
-            self.write_errors += 1
-            with contextlib.suppress(OSError):
-                tmp.unlink()
-            return
-        self.writes += 1
-
-    def evict(self, key: CacheKey) -> None:
-        try:
-            self.file_for(key).unlink()
-        except OSError:
-            return
-        self.evictions += 1
-
-    def counters(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions, "writes": self.writes,
-                "write_errors": self.write_errors}
-
-
-# ---------------------------------------------------------------------------
 # the cache
 
 
@@ -279,11 +188,14 @@ class CacheHit:
 
 
 class CompileCache:
-    """Content-keyed cache of compile-pipeline results.
+    """Content-keyed cache of compile-pipeline results, in two tiers.
 
-    In-process dict by default; pass ``disk=`` (a directory path or a
-    :class:`DiskCompileCache`) to persist entries across processes —
-    memory then acts as a write-through promotion layer over disk.
+    In-process dict by default; pass ``disk=`` (a directory path) to
+    persist entries across processes — memory then acts as a
+    write-through promotion layer over one JSON file per key.  A
+    directory that cannot be created, or a refused write (read-only
+    directory, ``ENOSPC``), counts a ``write_error`` and loses only the
+    persistence.
 
     Each hit yields an independent module over the (digest-checked)
     stored text, a function body parsed when something first reads its
@@ -295,15 +207,17 @@ class CompileCache:
     still text (``tests/evaluation/test_deferred_replay.py``).
     """
 
-    def __init__(self, disk: Union[None, str, os.PathLike,
-                                   DiskCompileCache] = None) -> None:
-        if disk is not None and not isinstance(disk, DiskCompileCache):
-            disk = DiskCompileCache(disk)
-        self.disk: Optional[DiskCompileCache] = disk
+    def __init__(self, disk: Union[None, str, os.PathLike] = None) -> None:
         self._entries: Dict[CacheKey, Dict[str, object]] = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        self._counts = dict.fromkeys(COUNTERS, 0)
+        self._dir: Optional[Path] = None
+        if disk is not None:
+            try:
+                Path(disk).mkdir(parents=True, exist_ok=True)
+                self._dir = Path(disk)
+            except (OSError, ValueError):
+                # e.g. the path names a file, or lies under one
+                self._count("write_errors")
 
     @classmethod
     def from_env(cls, default_dir: Optional[str] = None) -> "CompileCache":
@@ -315,18 +229,16 @@ class CompileCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    # ---- keys --------------------------------------------------------------
-
     @staticmethod
     def key(pipeline_id: str, printed_ir: str) -> CacheKey:
         """Key for ``pipeline_id`` over already-printed input IR (callers
         holding the text avoid a second ``print_module``)."""
         return (pipeline_id, digest_text(printed_ir))
 
-    @staticmethod
-    def key_for(case, pipeline_id: str = "o3") -> CacheKey:
-        """Key for a :class:`~repro.kernels.common.KernelCase`'s module."""
-        return CompileCache.key(pipeline_id, print_module(case.module))
+    def counters(self) -> Dict[str, int]:
+        """Lookup, eviction and write counts of this cache (:data:`COUNTERS`;
+        ``hits`` includes ``disk_hits``)."""
+        return dict(self._counts)
 
     # ---- lookup / store ----------------------------------------------------
 
@@ -338,39 +250,52 @@ class CompileCache:
         size stats (stored by a run that didn't collect them) — the
         entry stays valid for callers that don't need stats.  With a
         ``machine`` (a :class:`~repro.simt.MachineConfig`), a stored
-        program matching its program token is materialized and seeded
+        program matching its latency model is materialized and seeded
         into the launch memo so the first launch skips lowering.
+
+        An entry failing any check — a disk file not hashing to the
+        digest it opens with (truncated, bit-flipped, not UTF-8), a
+        foreign schema or key, IR not matching its digest, a missing or
+        malformed field — is evicted from both tiers and reported as a
+        plain miss, so the recompile's :meth:`store` replaces it.
         """
-        source = "memory"
         payload = self._entries.get(key)
-        if payload is None and self.disk is not None:
-            payload = self.disk.load(key)
-            source = "disk"
-        if payload is None:
+        raw = None if payload is not None else self._read(key)
+        if payload is None and raw is None:
             return self._miss(key)
         try:
-            text = payload["optimized_ir"]
-            if digest_text(text) != payload["ir_sha256"]:
+            if raw is not None:
+                text = raw.decode("utf-8")
+                digest, _, rest = text[len(_SEAL):].partition('", ')
+                if (not text.startswith(_SEAL)
+                        or digest != digest_text("{" + rest)):
+                    raise ValueError("entry does not match its digest")
+                payload = json.loads(text)
+                del payload["sha256"]
+                if (payload["schema"], payload["pipeline_id"],
+                        payload["digest"]) != (CACHE_SCHEMA, *key):
+                    raise ValueError("entry of another schema or key")
+            ir = payload["optimized_ir"]
+            if digest_text(ir) != payload["ir_sha256"]:
                 raise ValueError("stored IR does not match its digest")
             if want_ir_stats and not payload["ir_stats"]:
                 # Valid but not rich enough for this caller; the
-                # recompile's store() below will upgrade the entry in place.
+                # recompile's store() upgrades the entry in place.
                 return self._miss(key)
-            module = parse_module_deferred(text)
+            module = parse_module_deferred(ir)
             timings = [_timing_from_event(e) for e in payload["timings"]]
+            seconds = payload["seconds"]
             cfm_payload = payload.get("cfm")
+            cfm_seconds = cfm_payload["seconds"] if cfm_payload else 0.0
             cfm_stats = (cfm_stats_from_data(cfm_payload["stats"])
                          if cfm_payload else None)
         except Exception:
-            # Poisoned entry (not the IR that was stored, malformed
-            # payload): evict so the next lookup recompiles instead of
-            # re-failing here, then report a plain miss.
-            self._evict(key)
+            self._drop(key)
             return self._miss(key)
+        source = "memory" if raw is None else "disk"
         program = self._seed(payload, module, machine)
         self._entries[key] = payload  # promote disk hits to memory
-        self.hits += 1
-        record_cache_lookup(True, source=source)
+        self._count("hits", source)
         tracer = current_tracer()
         if tracer.enabled:
             tracer.instant("compile-cache:hit", cat="compile",
@@ -381,14 +306,9 @@ class CompileCache:
                 # Replay the original run's pass spans (flagged cached)
                 # so the Perfetto timeline agrees with pass_timings.
                 emit_pass_timing(timing, tracer)
-        return CacheHit(
-            module=module,
-            seconds=payload["seconds"],
-            timings=timings,
-            program=program,
-            cfm_seconds=cfm_payload["seconds"] if cfm_payload else 0.0,
-            cfm_stats=cfm_stats,
-        )
+        return CacheHit(module=module, seconds=seconds, timings=timings,
+                        program=program, cfm_seconds=cfm_seconds,
+                        cfm_stats=cfm_stats)
 
     def store(self, key: CacheKey, module: object, seconds: float,
               timings: List[PassTiming], *,
@@ -414,13 +334,12 @@ class CompileCache:
         }
         if program is not None and machine is not None:
             payload["program"] = program
-            payload["machine_key"] = latency_token_key(machine.latency)
+            payload["machine_key"] = latency_token(machine.latency)
         if cfm_stats is not None:
             payload["cfm"] = {"seconds": cfm_seconds,
                               "stats": cfm_stats_to_data(cfm_stats)}
         self._entries[key] = payload
-        if self.disk is not None:
-            self.disk.store(key, payload)
+        self._write(key, payload)
 
     # ---- internals ---------------------------------------------------------
 
@@ -430,7 +349,7 @@ class CompileCache:
         data = payload.get("program")
         if data is None or machine is None:
             return None
-        if payload.get("machine_key") != latency_token_key(machine.latency):
+        if payload.get("machine_key") != latency_token(machine.latency):
             # Program was lowered under a different latency model (or
             # the entry carries an older key): the IR replay is still
             # good, the launch just re-lowers.
@@ -444,9 +363,48 @@ class CompileCache:
         seed_program(function, machine, program)
         return program
 
+    def _file(self, key: CacheKey) -> Path:
+        return self._dir / (digest_text(key[0], key[1])[:40] + ".json")
+
+    def _read(self, key: CacheKey) -> Optional[bytes]:
+        """The bytes of ``key``'s file; None without a disk tier or file."""
+        if self._dir is None:
+            return None
+        try:
+            return self._file(key).read_bytes()
+        except OSError:
+            return None
+
+    def _write(self, key: CacheKey, payload: Dict[str, object]) -> None:
+        """Seal ``payload`` into ``key``'s file (a no-op without a disk
+        tier): the file opens with the SHA-256 of the rest of its text."""
+        if self._dir is None:
+            return
+        body = json.dumps(dict(payload, schema=CACHE_SCHEMA,
+                               pipeline_id=key[0], digest=key[1]))
+        file = self._file(key)
+        tmp = file.with_name(f"{file.name}.tmp.{os.getpid()}")
+        try:
+            tmp.write_text(f"{_SEAL}{digest_text(body)}\", {body[1:]}",
+                           encoding="utf-8")
+            os.replace(tmp, file)
+        except OSError:
+            self._count("write_errors")
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+            return
+        self._count("writes")
+
+    def _drop(self, key: CacheKey) -> None:
+        """Evict ``key`` from both tiers: one eviction."""
+        self._entries.pop(key, None)
+        if self._dir is not None:
+            with contextlib.suppress(OSError):
+                self._file(key).unlink()
+        self._count("evictions")
+
     def _miss(self, key: CacheKey) -> None:
-        self.misses += 1
-        record_cache_lookup(False)
+        self._count("misses")
         tracer = current_tracer()
         if tracer.enabled:
             tracer.instant("compile-cache:miss", cat="compile",
@@ -454,17 +412,12 @@ class CompileCache:
                            args={"pipeline": key[0], "digest": key[1][:12]})
         return None
 
-    def _evict(self, key: CacheKey) -> None:
-        if self._entries.pop(key, None) is not None:
-            self.evictions += 1
-            record_cache_eviction()
-        if self.disk is not None:
-            self.disk.evict(key)
-
-    def counters(self) -> Dict[str, object]:
-        """Hit/miss/eviction counts (plus the disk layer's, if any)."""
-        out: Dict[str, object] = {"hits": self.hits, "misses": self.misses,
-                                  "evictions": self.evictions}
-        if self.disk is not None:
-            out["disk"] = self.disk.counters()
-        return out
+    def _count(self, counter: str, source: str = "memory") -> None:
+        """The one place a count moves: this cache's :meth:`counters`
+        and, for hits, misses and evictions, the ambient registry's
+        ``repro_compile_cache_*`` families — so the two always agree."""
+        self._counts[counter] += 1
+        if counter == "hits" and source == "disk":
+            self._counts["disk_hits"] += 1
+        if counter in ("hits", "misses", "evictions"):
+            record_cache_event(counter, source)

@@ -27,7 +27,6 @@ out-of-tree-style client.
 from .bugs import BUGS, inject
 from .corpus import (
     CorpusEntry,
-    list_entries,
     load_entry,
     replay,
     write_entry,
@@ -67,7 +66,6 @@ __all__ = [
     "count_statements",
     "generate_spec",
     "inject",
-    "list_entries",
     "load_entry",
     "make_inputs",
     "replay",

@@ -182,16 +182,3 @@ def replay(path: Path) -> Verdict:
     arms = tuple(a for a in entry.arms if a in ALL_ARMS) or ALL_ARMS
     return run_oracle(entry.spec, arms=arms, input_seeds=entry.input_seeds,
                       validate=entry.validate)
-
-
-def list_entries(corpus_dir: Path) -> List[CorpusEntry]:
-    corpus_dir = Path(corpus_dir)
-    if not corpus_dir.is_dir():
-        return []
-    entries = []
-    for path in sorted(corpus_dir.glob("*.json")):
-        try:
-            entries.append(load_entry(path))
-        except (ValueError, KeyError):
-            continue
-    return entries

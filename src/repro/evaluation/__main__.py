@@ -14,7 +14,7 @@ compilation instead of redoing it.
 
 A machine-readable ``sweep_trace.json`` (per-config pass timings, cache
 stats, full metrics — see ``docs/evaluation.md``) is written alongside
-the report unless ``--no-trace`` is given.  Schema v3 embeds Chrome
+the report unless ``--no-trace`` is given.  It embeds Chrome
 trace events (compile-pass spans, melding decisions, per-warp divergence
 timelines) for the tasks selected by ``--trace-events`` — the file loads
 directly in Perfetto, and ``python -m repro.obs report sweep_trace.json``

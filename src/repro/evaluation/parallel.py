@@ -17,7 +17,8 @@ independent — :func:`repro.evaluation.runner.compare` builds fresh
   :attr:`SweepTask.cache_dir` (or ``REPRO_COMPILE_CACHE`` in the
   environment) the cache is disk-backed and **shared across worker
   processes and sweep repeats** — a warm sweep replays whole pipelines
-  instead of compiling.
+  instead of compiling.  Its counters ride back on
+  :attr:`TaskResult.compile_cache`.
 
 This module is the sweep-shaped job layer over the generic
 :class:`repro.scheduler.Scheduler`: the scheduler owns worker processes,
@@ -31,16 +32,17 @@ SweepTask(...))`` — whether :class:`ParallelRunner` or the
 ``workers <= 1`` runs tasks serially in-process (the scheduler's inline
 mode — the reference path the determinism tests compare against);
 ``workers > 1`` uses a pool of **persistent** worker processes, each
-serving many tasks.  A task that fails in a persistent worker
-quarantines that worker's in-process lowering memo (see
-:func:`repro.simt.clear_lowering_memo`) before the next dispatch, so a
-crash cannot poison a later task's — or its own retry's — cache.
+serving many tasks.  A task that fails — inline or in a persistent
+worker — retires every ``Function.memo`` entry of its process (analysis
+bundles and lowered programs alike, see :func:`repro.ir.retire_memos`)
+before the next dispatch, so a crash cannot poison a later task's — or
+its own retry's — state.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core import CFMConfig
@@ -97,11 +99,9 @@ class TaskResult:
     error: Optional[str] = None
     attempts: int = 1
     seconds: float = 0.0
-    compile_cache_hits: int = 0
-    compile_cache_misses: int = 0
-    #: disk-layer counters ({"hits", "misses", "evictions", "writes"})
-    #: when the task ran against a persistent cache, else None
-    compile_cache_disk: Optional[Dict[str, int]] = None
+    #: the task's ``CompileCache.counters()`` (hits, disk_hits, misses,
+    #: evictions, writes, write_errors); empty when the task failed
+    compile_cache: Dict[str, int] = field(default_factory=dict)
     #: Chrome trace events captured when SweepTask.trace was set
     trace_events: Optional[List[Dict[str, object]]] = None
     #: the scheduler outcome's aggregate-metrics snapshot (Task.metrics);
@@ -172,9 +172,7 @@ def run_task(task: SweepTask,
     return TaskResult(
         index=ctx.index, kernel=task.kernel, block_size=task.block_size,
         comparison=comparison, attempts=ctx.attempt, seconds=seconds,
-        compile_cache_hits=cache.hits, compile_cache_misses=cache.misses,
-        compile_cache_disk=(cache.disk.counters()
-                            if cache.disk is not None else None),
+        compile_cache=cache.counters(),
         trace_events=list(tracer.events) if task.trace else None)
 
 

@@ -34,7 +34,7 @@ from repro.obs import COMPILE_PID, SIM_PID_BASE, pass_timing_events
 from .parallel import TaskResult
 
 #: bump when the trace layout changes; consumers key off this
-SWEEP_TRACE_SCHEMA = "repro.evaluation.sweep_trace/v3"
+SWEEP_TRACE_SCHEMA = "repro.evaluation.sweep_trace/v4"
 
 #: task-tracing policies for sweeps: nothing, the first block size of
 #: each kernel (bounded file size), or every task
@@ -50,11 +50,8 @@ def task_entry(result: TaskResult) -> Dict[str, object]:
         "ok": result.ok,
         "attempts": result.attempts,
         "seconds": round(result.seconds, 6),
-        "compile_cache": {"hits": result.compile_cache_hits,
-                          "misses": result.compile_cache_misses},
+        "compile_cache": dict(result.compile_cache),
     }
-    if result.compile_cache_disk is not None:
-        entry["compile_cache"]["disk"] = dict(result.compile_cache_disk)
     if not result.ok:
         entry["error"] = result.error
         return entry
@@ -106,7 +103,7 @@ class SweepTraceCollector:
     sections: Dict[str, List[Dict[str, object]]] = field(default_factory=dict)
     #: merged Chrome trace events of every traced task (pid-rebased)
     events: List[Dict[str, object]] = field(default_factory=list)
-    #: aggregate-metrics snapshot of the run (schema v3); set by the
+    #: aggregate-metrics snapshot of the run (schema v3+); set by the
     #: harness after all sections are recorded, None when metrics were
     #: not collected
     metrics: Optional[Dict[str, object]] = None

@@ -47,7 +47,7 @@ from .instructions import (
     Ret,
 )
 from .block import BasicBlock
-from .function import Function, Module, GlobalVariable
+from .function import Function, Module, GlobalVariable, retire_memos
 from .builder import IRBuilder
 from .printer import print_function, print_module, format_instruction
 from .parser import parse_function, parse_module
@@ -61,7 +61,7 @@ __all__ = [
     "Opcode", "IntrinsicName", "Instruction", "BinaryOp", "UnaryOp", "ICmp",
     "FCmp", "ICmpPredicate", "FCmpPredicate", "Select", "Load", "Store",
     "GetElementPtr", "Cast", "Call", "Phi", "Branch", "Ret",
-    "BasicBlock", "Function", "Module", "GlobalVariable",
+    "BasicBlock", "Function", "Module", "GlobalVariable", "retire_memos",
     "IRBuilder",
     "print_function", "print_module", "format_instruction",
     "parse_function", "parse_module",

@@ -17,6 +17,24 @@ from .values import Argument, Value
 from .block import BasicBlock
 from .instructions import Instruction
 
+#: the memo epoch of this process; :attr:`Function.memo` shows only
+#: entries stored under the current one
+_memo_epoch = 0
+
+
+def retire_memos() -> None:
+    """Make every :attr:`Function.memo` entry in this process invisible.
+
+    The quarantine after a failed task: memo entries are guarded by
+    fingerprints of object *identities*, which cannot tell an entry a
+    crashed task planted (a half-built lowering, stale analyses) from a
+    valid one.  Memos live on the functions themselves, so retiring them
+    is an epoch bump — every function's next :attr:`~Function.memo` read
+    starts from an empty dict — and covers whatever a layer memoizes.
+    """
+    global _memo_epoch
+    _memo_epoch += 1
+
 
 class GlobalVariable(Value):
     """A module-level array, e.g. a ``__shared__`` buffer.
@@ -56,12 +74,20 @@ class Function:
         self._name_counter = itertools.count()
         self._taken_names: Dict[str, int] = {}
         self.module: Optional["Module"] = None
-        #: results derived from this function and memoized by the layer
-        #: that computes them (``repro.analysis``: the analysis bundle,
-        #: ``repro.simt.lowering``: lowered programs), each under its own
-        #: key with its own staleness guard.  Held here rather than in
-        #: module-level tables so they are freed with the function.
-        self.memo: Dict[str, object] = {}
+        self._memo: Dict[str, object] = {}
+        self._memo_epoch = _memo_epoch
+
+    @property
+    def memo(self) -> Dict[str, object]:
+        """Results derived from this function and memoized by the layer
+        that computes them (``repro.analysis``: the analysis bundle,
+        ``repro.simt.lowering``: lowered programs), each under its own
+        key with its own staleness guard.  Held here rather than in
+        module-level tables so they are freed with the function; empty
+        again after :func:`retire_memos`."""
+        if self._memo_epoch != _memo_epoch:
+            self._memo, self._memo_epoch = {}, _memo_epoch
+        return self._memo
 
     # ---- deferred bodies -----------------------------------------------------
     #

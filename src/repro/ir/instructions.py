@@ -169,12 +169,6 @@ class Instruction(User):
             self.parent = None
         self.drop_all_operands()
 
-    def move_before(self, other: "Instruction") -> None:
-        """Move this instruction immediately before ``other``."""
-        if self.parent is not None:
-            self.parent._remove_instruction(self)
-        other.parent._insert_before(other, self)
-
     # ---- misc --------------------------------------------------------------
 
     def clone(self) -> "Instruction":

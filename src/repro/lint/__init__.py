@@ -23,7 +23,6 @@ from .diagnostics import (
     LintConfig,
     LintReport,
     Severity,
-    merge_reports,
     worst_severity,
 )
 from .engine import (
@@ -42,7 +41,7 @@ from .sarif import to_sarif, write_sarif
 
 __all__ = [
     "Severity", "Diagnostic", "LintConfig", "DEFAULT_CONFIG", "LintReport",
-    "merge_reports", "worst_severity",
+    "worst_severity",
     "LintContext", "LintRule", "register", "all_rules", "get_rule",
     "resolve_rules", "rules_emitting", "run_lint", "rules",
     "LINT_LEVELS", "compile_at_level", "lint_at_level", "lint_kernel",

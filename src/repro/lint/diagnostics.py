@@ -28,7 +28,7 @@ wholesale or re-map a rule's severity (e.g. promote ``dead-store`` to
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 
 class Severity:
@@ -220,14 +220,6 @@ class LintReport:
                                                  d.rule, d.block or "")):
             lines.append("  " + diag.render().replace("\n", "\n  "))
         return "\n".join(lines)
-
-
-def merge_reports(reports: Iterable[LintReport]) -> List[Diagnostic]:
-    """Flatten many reports into one diagnostic list (CLI summary)."""
-    merged: List[Diagnostic] = []
-    for report in reports:
-        merged.extend(report.diagnostics)
-    return merged
 
 
 def worst_severity(diagnostics: Sequence[Diagnostic]) -> Optional[str]:

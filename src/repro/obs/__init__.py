@@ -69,8 +69,7 @@ from .metrics import (
     exponential_buckets,
     linear_buckets,
     occupancy_buckets,
-    record_cache_eviction,
-    record_cache_lookup,
+    record_cache_event,
     record_cfm_decisions,
     record_pass_seconds,
     record_task_seconds,
@@ -109,7 +108,7 @@ __all__ = [
     "exponential_buckets", "linear_buckets", "occupancy_buckets",
     "SECONDS_BUCKETS", "CYCLES_BUCKETS", "RATE_BUCKETS",
     "render_prometheus", "bridge_to_tracer", "runtime_sink",
-    "record_pass_seconds", "record_cache_lookup", "record_cache_eviction",
+    "record_pass_seconds", "record_cache_event",
     "record_cfm_decisions", "record_task_seconds", "record_validate_verdict",
     "update_cache_hit_ratio",
 ]

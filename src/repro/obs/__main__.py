@@ -13,7 +13,7 @@ Subcommands:
 
 ``metrics SOURCE [--format prom|json]``
     Re-render an aggregate-metrics snapshot.  ``SOURCE`` is either a
-    sweep trace (schema v3; its top-level ``"metrics"`` key) or a raw
+    sweep trace (schema v3+; its top-level ``"metrics"`` key) or a raw
     snapshot JSON written by :meth:`MetricsRegistry.snapshot`.  The
     default ``prom`` format is Prometheus text exposition v0.0.4.
 """
@@ -47,7 +47,7 @@ def _load_metrics_snapshot(path: str) -> dict:
         return metrics
     raise ValueError(
         f"{path}: no metrics snapshot found — expected a raw "
-        f"{SNAPSHOT_SCHEMA!r} document or a sweep trace (schema v3) whose "
+        f"{SNAPSHOT_SCHEMA!r} document or a sweep trace (schema v3+) whose "
         "top-level \"metrics\" key carries one (older sweep traces and "
         "metric-less runs store null there)")
 
@@ -69,7 +69,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     metrics = sub.add_parser(
         "metrics", help="re-render an aggregate-metrics snapshot")
     metrics.add_argument("source",
-                         help="sweep trace (schema v3) or raw snapshot JSON")
+                         help="sweep trace (schema v3+) or raw snapshot JSON")
     metrics.add_argument("--format", choices=("prom", "json"),
                          default="prom", dest="fmt",
                          help="output format (default: prom — Prometheus "

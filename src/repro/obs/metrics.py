@@ -33,7 +33,7 @@ Three exposition paths:
 * Prometheus text format v0.0.4 — :func:`render_prometheus`,
   :meth:`MetricsRegistry.write_prom`, and ``python -m repro.obs metrics
   FILE --format prom|json``;
-* the evaluation sweep trace — schema v3 embeds the merged snapshot
+* the evaluation sweep trace — schema v3+ embeds the merged snapshot
   under a top-level ``"metrics"`` key;
 * Chrome-trace counter tracks — :func:`bridge_to_tracer` replays a
   snapshot through :meth:`repro.obs.Tracer.counter` so Perfetto shows
@@ -655,13 +655,18 @@ def record_pass_seconds(pass_name: str, seconds: float,
                                         ).observe(seconds)
 
 
-def record_cache_lookup(hit: bool, source: str = "memory",
-                        registry=None) -> None:
-    """Compile layer: one compile-cache lookup outcome."""
+def record_cache_event(event: str, source: str = "memory",
+                       registry=None) -> None:
+    """Compile layer: one compile-cache ``"hits"`` (from the ``source``
+    tier), ``"misses"`` or ``"evictions"`` event."""
     registry = registry if registry is not None else _current
     if not registry.enabled:
         return
-    if hit:
+    if event == "evictions":
+        registry.counter(_CACHE_EVICTIONS,
+                         "Compile-cache entries evicted as unusable").inc()
+        return
+    if event == "hits":
         registry.counter(
             _CACHE_HITS,
             "Compile-cache hits, by layer the entry came from"
@@ -669,15 +674,6 @@ def record_cache_lookup(hit: bool, source: str = "memory",
     else:
         registry.counter(_CACHE_MISSES, "Compile-cache misses").inc()
     update_cache_hit_ratio(registry)
-
-
-def record_cache_eviction(registry=None) -> None:
-    """Compile layer: one poisoned/stale compile-cache entry dropped."""
-    registry = registry if registry is not None else _current
-    if not registry.enabled:
-        return
-    registry.counter(_CACHE_EVICTIONS,
-                     "Compile-cache entries evicted as unusable").inc()
 
 
 def update_cache_hit_ratio(registry=None) -> None:

@@ -12,12 +12,13 @@ price of *in-process state now outliving a task*.  Two consequences:
   retires itself (flushing its worker-lifetime metrics snapshot in the
   goodbye message) and the parent forks a fresh replacement, so slow
   memory growth can never accumulate unboundedly;
-* **quarantine** — a task that raises may have left process-global
-  caches half-written (most sharply the launch-time lowering memo,
-  whose fingerprints are keyed on object *identities* and therefore
-  cannot detect a poisoned entry).  After any task failure the worker
-  clears those memos before accepting the next task, so a crashing task
-  cannot poison a later task's — or a retry's — cache state
+* **quarantine** — a task that raises may have left memoized results
+  half-written on functions that outlive it (analysis bundles and
+  lowered programs on ``Function.memo``, whose fingerprints are keyed on
+  object *identities* and therefore cannot detect a poisoned entry).
+  After any task failure the worker retires every such entry before
+  accepting the next task, so a crashing task cannot poison a later
+  task's — or a retry's — state
   (``tests/scheduler/test_chaos.py::TestMemoQuarantine``).
 
 Fault injection: ``_TEST_WORKER_CHAOS`` maps a scheduler task index to
@@ -43,6 +44,7 @@ import traceback
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from repro.ir import retire_memos
 from repro.obs import MetricsRegistry, current_registry, set_registry
 
 #: task index -> chaos mode, consulted on attempt 1 only.  Forked
@@ -93,19 +95,14 @@ def rss_bytes() -> Optional[int]:
 
 
 def _quarantine() -> None:
-    """Reset process-global caches after a failed task.
+    """Retire every ``Function.memo`` entry after a failed task.
 
-    The lowering memo's fingerprints are identity-keyed, so a poisoned
-    entry (planted by a task that crashed mid-lowering) is
-    indistinguishable from a valid one — drop everything and re-lower.
-    Import is local so the scheduler stays usable for tasks that never
-    touch the simulator.
+    Analysis bundles and lowered programs alike are guarded by
+    identity-keyed fingerprints, so an entry planted by a task that
+    crashed mid-compile is indistinguishable from a valid one: the retry
+    recomputes everything from the IR.
     """
-    try:
-        from repro.simt import clear_lowering_memo
-    except ImportError:  # pragma: no cover - simt always present here
-        return
-    clear_lowering_memo()
+    retire_memos()
 
 
 def run_attempt(task: Task, ctx: TaskContext, catch: type = Exception

@@ -28,10 +28,7 @@ from .lowering import (
     PROGRAM_SCHEMA,
     LoweredProgram,
     ProgramDecodeError,
-    clear_lowering_memo,
     get_program,
-    invalidate_lowering,
-    latency_token_key,
     lower_function,
     lower_symbolic,
     materialize_program,
@@ -60,8 +57,6 @@ __all__ = [
     "SimulationError", "UNDEF", "Warp",
     "FastEvaluator", "ReferenceEvaluator",
     "LoweredProgram", "PROGRAM_SCHEMA", "ProgramDecodeError",
-    "clear_lowering_memo", "get_program", "invalidate_lowering",
-    "lower_function",
-    "latency_token_key", "lower_symbolic", "materialize_program",
-    "seed_program",
+    "get_program", "lower_function", "lower_symbolic",
+    "materialize_program", "seed_program",
 ]

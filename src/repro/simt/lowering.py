@@ -69,11 +69,7 @@ from repro.analysis.dominators import (
     compute_postdominator_tree,
     immediate_postdominator,
 )
-from repro.analysis.latency import (
-    LatencyModel,
-    latency_token,
-    latency_token_key,
-)
+from repro.analysis.latency import LatencyModel, latency_token
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function, GlobalVariable
 from repro.ir.instructions import (
@@ -816,29 +812,22 @@ def lower_function(function: Function, latency: LatencyModel) -> LoweredProgram:
 
 # ---------------------------------------------------------------------------
 # memoization — same shape as analysis.function_analyses (the entries
-# live on the Function, in ``Function.memo``, so they are freed with it:
-# programs reference their function's arguments, and a module-level
-# table, even a weak-keyed one, would keep every launched function
-# alive — run functions, shared by shape, reference none), but keyed
-# on latency_token(machine.latency) (latencies are baked into µops;
-# lower_symbolic sees nothing else of the machine, so every
-# reconvergence policy shares one program) and fingerprinted down to
-# operand identity (operand rewrites must miss).
+# live on the Function, in ``Function.memo``, so they are freed with it
+# and retired with every other memo by ``repro.ir.retire_memos``, the
+# quarantine after a failed task: programs reference their function's
+# arguments, and a module-level table, even a weak-keyed one, would keep
+# every launched function alive — run functions, shared by shape,
+# reference none), but keyed on latency_token(machine.latency)
+# (latencies are baked into µops; lower_symbolic sees nothing else of
+# the machine, so every reconvergence policy shares one program) and
+# fingerprinted down to operand identity (operand rewrites must miss).
 
 _MEMO_KEY = "lowering"
 
-#: bumped by :func:`clear_lowering_memo`; every entry is stamped with the
-#: epoch it was stored in and misses once the epoch has moved on
-_memo_epoch = 0
 
-
-def _programs(function: Function) -> Dict[tuple, Tuple[tuple, LoweredProgram]]:
-    """``function``'s latency-token → (fingerprint, program) table of the
-    current epoch (a table left over from an earlier epoch is dropped)."""
-    entry = function.memo.get(_MEMO_KEY)
-    if entry is None or entry[0] != _memo_epoch:
-        entry = function.memo[_MEMO_KEY] = (_memo_epoch, {})
-    return entry[1]
+def _programs(function: Function) -> Dict[str, Tuple[tuple, LoweredProgram]]:
+    """``function``'s latency-token → (fingerprint, program) table."""
+    return function.memo.setdefault(_MEMO_KEY, {})
 
 
 def function_fingerprint(function: Function) -> tuple:
@@ -908,14 +897,14 @@ def seed_program(function: Function, machine,
         function.after_body(partial(_confirm_seed, token, program))
 
 
-def _confirm_seed(token: tuple, program: LoweredProgram,
+def _confirm_seed(token: str, program: LoweredProgram,
                   function: Function) -> None:
     """``function``'s body was just parsed: give the ``program`` seeded
     on it the real fingerprint, or drop it (the next launch re-lowers)
     if its blocks are not the ones the text turned out to hold."""
     programs = _programs(function)
     if programs.get(token, (None, None))[1] is not program:
-        return  # quarantined by clear_lowering_memo
+        return  # retired by repro.ir.retire_memos
     shape = [(block.name, sum(op[4] if op[0] == OP_RUN else 1
                               for op in block.ops))
              for block in program.blocks]
@@ -924,29 +913,3 @@ def _confirm_seed(token: tuple, program: LoweredProgram,
         programs[token] = (function_fingerprint(function), program)
     except ProgramDecodeError:
         del programs[token]
-
-
-def invalidate_lowering(function: Function) -> None:
-    """Drop cached programs for ``function`` (operand-identity
-    fingerprinting makes this rarely necessary; provided for symmetry
-    with :func:`repro.analysis.invalidate_divergence`)."""
-    function.memo.pop(_MEMO_KEY, None)
-
-
-def clear_lowering_memo() -> None:
-    """Drop every memoized program in this process.
-
-    The quarantine hook for long-lived worker processes: a task that
-    crashed mid-lowering (or mid-:func:`seed_program`) may have left a
-    partially-built or deliberately corrupted entry behind for a
-    function object that outlives the task, and the fingerprint —
-    being keyed on object identities, not content — cannot tell a
-    poisoned entry from a legitimate one.  ``repro.scheduler`` workers
-    call this after any task failure so the retry (in this worker or a
-    replacement) always re-lowers from the IR instead of trusting
-    whatever the crashed attempt left in the memo.  The memo lives on
-    the functions themselves, so "drop" is an epoch bump: every entry
-    stored before it misses from now on.
-    """
-    global _memo_epoch
-    _memo_epoch += 1

@@ -36,7 +36,6 @@ from .unroll import (
     compute_trip_count,
     unroll_loop,
     unroll_loops,
-    unroll_partial,
 )
 from .speculate import speculate_hammocks
 from .licm import hoist_loop_invariants
@@ -53,7 +52,6 @@ __all__ = [
     "repair_ssa",
     "ClonedSubgraph", "clone_blocks",
     "UnrollLimits", "compute_trip_count", "unroll_loop", "unroll_loops",
-    "unroll_partial",
     "speculate_hammocks", "hoist_loop_invariants",
     "o3_pipeline", "optimize", "late_pipeline",
 ]

@@ -24,7 +24,7 @@ inner clones (e.g. bitonic's ``j = k / 2``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.analysis.loops import Loop, compute_loop_info
 from repro.ir.block import BasicBlock
@@ -263,137 +263,3 @@ def unroll_loops(function: Function, limits: UnrollLimits = DEFAULT_LIMITS) -> b
         simplify_cfg(function)
         eliminate_dead_code(function)
     return changed
-
-
-def unroll_partial(function: Function, loop: Loop, factor: int,
-                   limits: UnrollLimits = DEFAULT_LIMITS) -> bool:
-    """Runtime (partial) unrolling by ``factor`` with kept exit checks.
-
-    For header-exiting loops whose trip count is unknown at compile time,
-    the body is replicated ``factor`` times *inside* the loop, each copy
-    preceded by a clone of the header's exit check::
-
-        header: φs; cond; br body0, exit
-        body0 -> check1 -> body1 -> ... -> body{F-1} -> header
-
-    Semantics are exactly preserved for any trip count (every copy still
-    checks), at the cost of one branch per iteration copy — the classic
-    LLVM runtime-unrolling shape without prologue peeling.  Returns True
-    on success.
-    """
-    if factor < 2:
-        return False
-    shape = _loop_shape(loop)
-    if shape is None:
-        return False
-    body_entry, exit_block, latch, preheader = shape
-    header = loop.header
-    term = header.terminator
-    body_is_true = term.true_successor is body_entry
-
-    body_blocks = [b for b in function.blocks if b in loop.blocks and b is not header]
-    header_extras = [i for i in header.non_phi_instructions if not i.is_terminator]
-    body_size = sum(len(b) for b in body_blocks) + len(header_extras)
-    if factor * max(1, body_size) > limits.max_unrolled_instructions:
-        return False
-    for block in body_blocks:
-        for phi in block.phis:
-            if any(p not in loop.blocks or p is header
-                   for p in phi.incoming_blocks):
-                return False
-
-    phis = header.phis
-    latch_values: Dict[Phi, Value] = {phi: phi.incoming_for(latch) for phi in phis}
-
-    def clone_header_extras(into: BasicBlock, seed: Dict[Value, Value]) -> None:
-        for instr in header_extras:
-            clone = instr.clone()
-            clone.name = instr.name
-            for i, operand in enumerate(clone.operands):
-                mapped = seed.get(operand)
-                if mapped is not None:
-                    clone.set_operand(i, mapped)
-            into.append(clone)
-            seed[instr] = clone
-
-    # Values of each header φ at the end of the previous copy.
-    current: Dict[Phi, Value] = dict(latch_values)
-    anchor = latch
-    check_blocks: List[Tuple[BasicBlock, Dict[Value, Value]]] = []
-    copy_latches: List[BasicBlock] = []
-
-    # Clone everything first (from the still-pristine originals: the
-    # cloned latch branches must inherit the *header* target, so no edge
-    # is redirected until all copies exist), wire edges afterwards.
-    for copy in range(1, factor):
-        seed: Dict[Value, Value] = dict(current)
-        check = function.add_block(f"{header.name}.u{copy}", after=anchor)
-        clone_header_extras(check, seed)
-        cloned = clone_blocks(function, body_blocks, f"u{copy}",
-                              extra_value_map=seed, insert_after=check)
-        cond_clone = seed.get(term.condition, term.condition)
-        body_clone = cloned.block(body_entry)
-        if body_is_true:
-            check.append(Branch([body_clone, exit_block], cond_clone))
-        else:
-            check.append(Branch([exit_block, body_clone], cond_clone))
-        check_blocks.append((check, dict(seed)))
-        copy_latches.append(cloned.block(latch))
-        anchor = copy_latches[-1]
-        current = {phi: cloned.value(latch_values[phi]) for phi in phis}
-
-    previous_latch = latch
-    for (check, _seed), copy_latch in zip(check_blocks, copy_latches):
-        previous_latch.terminator.replace_successor(header, check)
-        previous_latch = copy_latch
-
-    # The final copy's latch closes the backedge; header φs now receive
-    # the last copy's values along it.
-    for phi in phis:
-        phi.set_incoming_for(latch, current[phi])
-        phi.replace_incoming_block(latch, previous_latch)
-
-    # Exit φs gain one incoming edge per new check block, carrying the
-    # value as of that copy (remapped through its seed).
-    existing_exit_phis = exit_block.phis
-    for phi in existing_exit_phis:
-        value = phi.incoming_for(header)
-        for check, seed in check_blocks:
-            phi.add_incoming(seed.get(value, value), check)
-
-    # LCSSA for direct out-of-loop uses of header definitions: the loop
-    # now exits from several program points with *different* values of
-    # each header φ (and header computation), so downstream users must
-    # read a merge φ in the exit block instead of the stale header value.
-    check_set = {check for check, _ in check_blocks}
-    for definition in list(phis) + header_extras:
-        outside_users = [
-            (user, index) for user, index in definition.uses
-            if isinstance(user, Instruction) and user.parent is not None
-            and user.parent not in loop.blocks
-            and user.parent not in check_set
-            and not (user in existing_exit_phis)
-        ]
-        if not outside_users:
-            continue
-        merge = Phi(definition.type, definition.name or "lcssa")
-        exit_block.insert_after_phis(merge)
-        for pred in exit_block.preds:
-            if pred in check_set:
-                seed = next(s for c, s in check_blocks if c is pred)
-                merge.add_incoming(seed.get(definition, definition), pred)
-            else:
-                # The header itself, or any pred already dominated by the
-                # header: the in-flight header value is correct there.
-                merge.add_incoming(definition, pred)
-        for user, index in outside_users:
-            if user is merge:
-                continue
-            user.set_operand(index, merge)
-
-    # Any residual dominance wrinkles (e.g. values threading through the
-    # cloned checks) are repaired generically.
-    from .ssa_repair import repair_ssa
-
-    repair_ssa(function)
-    return True

@@ -1,5 +1,6 @@
 """The persistent compile cache: poisoned entries, digest keys, the
-disk layer's failure matrix, and cross-"process" warm replays.
+disk tier's failure matrix, unusable directories, counter agreement,
+and cross-"process" warm replays.
 
 ``tests/evaluation/test_parallel.py`` covers the in-process hit/miss
 contract of one comparison; this file covers everything the persistence
@@ -13,6 +14,7 @@ import json
 import multiprocessing
 import os
 import re
+import time
 import weakref
 from pathlib import Path
 
@@ -22,16 +24,24 @@ from repro import compile_cache
 from repro.compile_cache import (
     CACHE_ENV_VAR,
     CACHE_SCHEMA,
+    COUNTERS,
     CompileCache,
-    DiskCompileCache,
     cfm_pipeline_id,
     digest_text,
 )
 from repro.core import CFMConfig
 from repro.difftest.generator import build_kernel, generate_spec
-from repro.evaluation import compare, compile_baseline, compile_cfm
+from repro.evaluation import (
+    SweepTask,
+    SweepTraceCollector,
+    compare,
+    compile_baseline,
+    compile_cfm,
+    run_task,
+)
+from repro.ir import print_module
 from repro.kernels import build_sb1
-from repro.obs import trace
+from repro.obs import MetricsRegistry, trace, use_registry
 from repro.pipeline import compile_arm
 from repro.simt import DEFAULT_CONFIG
 
@@ -47,19 +57,26 @@ def _cold(cache):
                    cache=cache)
 
 
+def _o3_key(case):
+    return CompileCache.key("o3", print_module(case.module))
+
+
+NO_TRAFFIC = dict.fromkeys(COUNTERS, 0)
+
+
 # ---------------------------------------------------------------------------
 # keys
 
 
 class TestKeys:
     def test_keys_are_digests_not_ir_text(self):
-        key = CompileCache.key_for(_case())
+        key = _o3_key(_case())
         assert key[0] == "o3"
         assert len(key[1]) == 64
         assert set(key[1]) <= set("0123456789abcdef")
 
     def test_same_source_same_key(self):
-        assert CompileCache.key_for(_case()) == CompileCache.key_for(_case())
+        assert _o3_key(_case()) == _o3_key(_case())
 
     def test_digest_boundaries_count(self):
         assert digest_text("ab", "c") != digest_text("a", "bc")
@@ -88,8 +105,8 @@ class TestPoisonedEntries:
         # repopulates it — the third compile hits cleanly again.
         second = compile_baseline(_case(), cache=cache)
         assert not second.o3_cached
-        assert cache.evictions == 1
-        assert cache.misses == 2  # cold + poisoned
+        assert cache.counters() == {**NO_TRAFFIC, "misses": 2,  # cold +
+                                    "evictions": 1}            # poisoned
         third = compile_baseline(_case(), cache=cache)
         assert third.o3_cached
 
@@ -97,7 +114,7 @@ class TestPoisonedEntries:
         cache = CompileCache(disk=tmp_path)
         compile_baseline(_case(), cache=cache)
         (key,) = cache._entries
-        file = cache.disk.file_for(key)
+        file = cache._file(key)
         payload = json.loads(file.read_text())
         payload["optimized_ir"] = "garbage("
         file.write_text(json.dumps(payload))
@@ -105,11 +122,12 @@ class TestPoisonedEntries:
         fresh = CompileCache(disk=tmp_path)  # cold process, warm disk
         assert fresh.lookup(key) is None
         assert not file.exists()
-        assert fresh.misses == 1
+        assert fresh.counters() == {**NO_TRAFFIC, "misses": 1,
+                                    "evictions": 1}
 
 
 # ---------------------------------------------------------------------------
-# disk layer failure matrix
+# disk tier failure matrix
 
 
 def _store_one(tmp_path):
@@ -117,18 +135,32 @@ def _store_one(tmp_path):
     cache = CompileCache(disk=tmp_path)
     compile_baseline(_case(), cache=cache)
     (key,) = cache._entries
-    return key, cache.disk.file_for(key)
+    return key, cache._file(key)
 
 
-NO_TRAFFIC = {"hits": 0, "misses": 0, "evictions": 0, "writes": 0,
-              "write_errors": 0}
+def _variants(count):
+    """One real o3 entry's key and ``count`` valid payloads for it, told
+    apart by ``seconds`` and padded so a write takes a while."""
+    cache = CompileCache()
+    compile_baseline(_case(), cache=cache)
+    ((key, payload),) = cache._entries.items()
+    return key, [dict(payload, seconds=float(i), filler="x" * 65536)
+                 for i in range(count)]
+
+
+def _miss_and_evict(tmp_path, key, file):
+    """A cold cache over ``tmp_path`` misses ``key`` and evicts its file."""
+    cache = CompileCache(disk=tmp_path)
+    assert cache.lookup(key) is None
+    assert not file.exists()
+    return cache.counters()
 
 
 class TestDiskCache:
     """Every unreadable file is a counted eviction and a miss.  A file
     opens with the SHA-256 of the rest of it, so the checks behind the
-    digest (schema, key, required fields) are reached only by files
-    ``store`` itself sealed — which is how the tests below make them."""
+    digest (schema, key, fields) are reached only by files the cache
+    itself sealed — which is how the tests below make them."""
 
     def test_version_mismatch_is_miss_and_evicts(self, tmp_path):
         """A file as the ``/1`` schema wrote it: no digest."""
@@ -138,10 +170,8 @@ class TestDiskCache:
         payload["schema"] = "repro.compile-cache/1"
         file.write_text(json.dumps(payload))
 
-        disk = DiskCompileCache(tmp_path)
-        assert disk.load(key) is None
-        assert not file.exists()
-        assert disk.counters() == {**NO_TRAFFIC, "misses": 1, "evictions": 1}
+        assert _miss_and_evict(tmp_path, key, file) == {
+            **NO_TRAFFIC, "misses": 1, "evictions": 1}
 
     def test_sealed_foreign_schema_is_miss_and_evicts(self, tmp_path,
                                                       monkeypatch):
@@ -152,41 +182,34 @@ class TestDiskCache:
             key, file = _store_one(tmp_path)
         assert json.loads(file.read_text())["schema"].endswith("/3")
 
-        disk = DiskCompileCache(tmp_path)
-        assert disk.load(key) is None
-        assert not file.exists()
-        assert disk.evictions == 1
+        assert _miss_and_evict(tmp_path, key, file) == {
+            **NO_TRAFFIC, "misses": 1, "evictions": 1}
 
     def test_truncated_file_is_miss_and_evicts(self, tmp_path):
         key, file = _store_one(tmp_path)
         text = file.read_text()
         file.write_text(text[: len(text) // 2])
 
-        disk = DiskCompileCache(tmp_path)
-        assert disk.load(key) is None
-        assert not file.exists()
-        assert disk.evictions == 1
+        assert _miss_and_evict(tmp_path, key, file) == {
+            **NO_TRAFFIC, "misses": 1, "evictions": 1}
 
     def test_key_mismatch_is_miss_and_evicts(self, tmp_path):
         key, file = _store_one(tmp_path)
-        disk = DiskCompileCache(tmp_path)
         other = ("o3", "0" * 64)  # file renamed / content swapped
-        file.rename(disk.file_for(other))
+        moved = CompileCache(disk=tmp_path)._file(other)
+        file.rename(moved)
 
-        assert disk.load(other) is None
-        assert not disk.file_for(other).exists()
-        assert disk.evictions == 1
+        assert _miss_and_evict(tmp_path, other, moved) == {
+            **NO_TRAFFIC, "misses": 1, "evictions": 1}
 
     def test_missing_required_field_is_miss_and_evicts(self, tmp_path):
         key, file = _store_one(tmp_path)
         payload = json.loads(file.read_text())
         del payload["sha256"], payload["timings"]
-        disk = DiskCompileCache(tmp_path)
-        disk.store(key, payload)
+        CompileCache(disk=tmp_path)._write(key, payload)
 
-        assert disk.load(key) is None
-        assert not file.exists()
-        assert disk.evictions == 1
+        assert _miss_and_evict(tmp_path, key, file) == {
+            **NO_TRAFFIC, "misses": 1, "evictions": 1}
 
     def test_non_utf8_byte_is_miss_not_a_stack_trace(self, tmp_path):
         key, file = _store_one(tmp_path)
@@ -196,7 +219,7 @@ class TestDiskCache:
 
         cache = CompileCache(disk=tmp_path)
         assert not compile_baseline(_case(), cache=cache).o3_cached
-        assert cache.disk.counters() == {
+        assert cache.counters() == {
             **NO_TRAFFIC, "misses": 1, "evictions": 1, "writes": 1}
         assert compile_baseline(_case(), cache=CompileCache(disk=tmp_path)
                                 ).o3_cached
@@ -220,7 +243,9 @@ class TestDiskCache:
 
         cache = CompileCache(disk=tmp_path)
         warm = _cold(cache)
-        assert cache.disk.evictions == 1 and cache.misses == 1
+        assert cache.counters() == {**NO_TRAFFIC, "hits": 2, "disk_hits": 1,
+                                    "misses": 1, "evictions": 1,
+                                    "writes": 1}
         assert warm.baseline_compile.o3_cached
         assert not warm.cfm_compile.cfm_cached
         assert warm.melded.as_dict() == cold.melded.as_dict()
@@ -242,44 +267,76 @@ class TestDiskCache:
             patch.setattr(target, name, full_disk)
             result = compile_cfm(_case(), cache=cache, machine=DEFAULT_CONFIG)
         assert result.melds and not result.cached
-        assert cache.disk.counters() == {**NO_TRAFFIC, "misses": 2,
-                                         "write_errors": 2}
+        assert cache.counters() == {**NO_TRAFFIC, "misses": 2,
+                                    "write_errors": 2}
         assert list(tmp_path.iterdir()) == []
         # the memory tier kept both entries
         assert compile_cfm(_case(), cache=cache, machine=DEFAULT_CONFIG).cached
 
     def test_absent_file_is_plain_miss(self, tmp_path):
-        disk = DiskCompileCache(tmp_path)
-        assert disk.load(("o3", "0" * 64)) is None
-        assert disk.counters() == {**NO_TRAFFIC, "misses": 1}
+        cache = CompileCache(disk=tmp_path)
+        assert cache.lookup(("o3", "0" * 64)) is None
+        assert cache.counters() == {**NO_TRAFFIC, "misses": 1}
 
     def test_concurrent_writers_leave_one_complete_winner(self, tmp_path):
-        key = ("o3", digest_text("concurrent"))
-        payloads = [{"optimized_ir": f"module {i}", "seconds": float(i),
-                     "timings": [], "ir_stats": False, "filler": "x" * 65536}
-                    for i in range(8)]
+        key, payloads = _variants(8)
 
         def writer(i):
-            DiskCompileCache(tmp_path).store(key, payloads[i])
+            CompileCache(disk=tmp_path)._write(key, payloads[i])
 
         ctx = multiprocessing.get_context("fork")
         procs = [ctx.Process(target=writer, args=(i,)) for i in range(8)]
         for p in procs:
             p.start()
         for p in procs:
-            p.join()
+            p.join(timeout=60)
         assert all(p.exitcode == 0 for p in procs)
 
-        loaded = DiskCompileCache(tmp_path).load(key)
-        assert loaded is not None  # never torn: some writer won outright
-        winner = int(loaded["optimized_ir"].split()[1])
-        stored = dict(payloads[winner])
-        stored["schema"] = CACHE_SCHEMA
-        stored["pipeline_id"], stored["digest"] = key
+        cache = CompileCache(disk=tmp_path)
+        hit = cache.lookup(key)
+        assert hit is not None  # never torn: some writer won outright
+        assert cache.counters() == {**NO_TRAFFIC, "hits": 1, "disk_hits": 1}
+        stored = dict(payloads[int(hit.seconds)], schema=CACHE_SCHEMA,
+                      pipeline_id=key[0], digest=key[1])
+        loaded = json.loads(cache._file(key).read_text())
+        del loaded["sha256"]
         assert loaded == stored
         # No temp droppings left behind.
-        assert [f.name for f in tmp_path.iterdir()] == \
-            [DiskCompileCache(tmp_path).file_for(key).name]
+        assert [f.name for f in tmp_path.iterdir()] == [cache._file(key).name]
+
+    def test_reader_racing_renames_sees_whole_entries(self, tmp_path):
+        """A reader looping ``lookup`` while writers keep ``os.replace``-ing
+        the same key: every lookup is a full hit or a counted plain miss
+        (before the first write lands) — never an exception, and never
+        an eviction, because no reader can open a torn file."""
+        key, payloads = _variants(3)
+
+        def writer(i):
+            cache = CompileCache(disk=tmp_path)
+            for _ in range(30):
+                cache._write(key, payloads[i])
+            assert cache.counters()["writes"] == 30
+
+        ctx = multiprocessing.get_context("fork")
+        procs = [ctx.Process(target=writer, args=(i,)) for i in range(3)]
+        for p in procs:
+            p.start()
+        seen = []
+        deadline = time.monotonic() + 60
+        while (any(p.is_alive() for p in procs) or not seen) \
+                and time.monotonic() < deadline:
+            cache = CompileCache(disk=tmp_path)  # no memory tier to hide in
+            hit = cache.lookup(key)
+            if hit is None:
+                assert cache.counters() == {**NO_TRAFFIC, "misses": 1}
+            else:
+                assert cache.counters() == {**NO_TRAFFIC, "hits": 1,
+                                            "disk_hits": 1}
+                seen.append(hit.seconds)
+        for p in procs:
+            p.join(timeout=60)
+        assert all(p.exitcode == 0 for p in procs)
+        assert seen and set(seen) <= {0.0, 1.0, 2.0}
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +350,8 @@ class TestWarmReplay:
         warm_cache = CompileCache(disk=tmp_path)
         warm = _cold(warm_cache)
         # Both arms replay from disk: no in-process misses at all.
-        assert warm_cache.hits == 2 and warm_cache.misses == 0
-        assert warm_cache.disk.counters()["hits"] == 2
+        assert warm_cache.counters() == {**NO_TRAFFIC, "hits": 2,
+                                         "disk_hits": 2}
         assert warm.baseline_compile.o3_cached
         assert warm.cfm_compile.cfm_cached
         assert warm.baseline.cycles == cold.baseline.cycles
@@ -352,23 +409,59 @@ class TestWarmReplay:
 # environment / observability
 
 
+def _writes(cache):
+    """How many disk files one o3 compile through ``cache`` writes."""
+    compile_baseline(_case(), cache=cache)
+    return cache.counters()["writes"]
+
+
 class TestFromEnv:
     def test_env_var_names_the_directory(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
         cache = CompileCache.from_env()
-        assert cache.disk is not None
-        assert cache.disk.path == tmp_path
+        assert _writes(cache) == 1
+        assert [f.name for f in tmp_path.iterdir()] == \
+            [cache._file(_o3_key(_case())).name]
 
     @pytest.mark.parametrize("value", ["off", "0", "none", "OFF", ""])
-    def test_off_values_disable_disk(self, value, monkeypatch):
+    def test_off_values_disable_disk(self, value, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_ENV_VAR, value)
-        assert CompileCache.from_env("ignored-default").disk is None
+        monkeypatch.chdir(tmp_path)
+        assert _writes(CompileCache.from_env("ignored-default")) == 0
+        assert list(tmp_path.iterdir()) == []
 
     def test_unset_falls_back_to_default_dir(self, tmp_path, monkeypatch):
         monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
-        assert CompileCache.from_env().disk is None
-        cache = CompileCache.from_env(str(tmp_path))
-        assert cache.disk is not None
+        assert _writes(CompileCache.from_env()) == 0
+        assert _writes(CompileCache.from_env(str(tmp_path))) == 1
+
+
+class TestUnusableDirectory:
+    """A cache directory that cannot exist is lost persistence: one
+    ``write_error`` when the cache is built, a working memory tier, and
+    the rows of an uncached run — never a failed task."""
+
+    @pytest.mark.parametrize("where", ["file", "under-a-file"])
+    def test_run_task_rows_equal_an_uncached_run(self, where, tmp_path,
+                                                 monkeypatch):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        task = SweepTask(kernel="SB1", builder=build_sb1, block_size=16,
+                         grid_dim=1, seed=SEED)
+        monkeypatch.setenv(CACHE_ENV_VAR, "off")
+        plain = run_task(task)
+        monkeypatch.setenv(CACHE_ENV_VAR, str(
+            blocker if where == "file" else blocker / "cache"))
+        result = run_task(task)
+
+        assert result.ok and result.error is None
+        for arm in ("baseline", "melded"):
+            assert getattr(result.comparison, arm).as_dict() == \
+                getattr(plain.comparison, arm).as_dict()
+        assert result.comparison.melds == plain.comparison.melds
+        assert result.compile_cache == {**NO_TRAFFIC, "hits": 1,
+                                        "misses": 2, "write_errors": 1}
+        assert blocker.read_text() == "not a directory"
 
 
 class TestObservability:
@@ -394,6 +487,32 @@ class TestObservability:
             _cold(CompileCache(disk=tmp_path))
         hits = [e for e in tracer.events if e["name"] == "compile-cache:hit"]
         assert [h["args"]["source"] for h in hits] == ["disk", "disk"]
+
+    def test_truncated_entry_is_one_eviction_everywhere(self, tmp_path):
+        """The cache's counters, the metrics registry and the sweep-trace
+        entry agree on a disk eviction."""
+        task = SweepTask(kernel="SB1", builder=build_sb1, block_size=16,
+                         grid_dim=1, seed=SEED, cache_dir=str(tmp_path))
+        run_task(task)
+        (file,) = [f for f in tmp_path.iterdir() if '"cfm": {' in f.read_text()]
+        text = file.read_text()
+        file.write_text(text[: len(text) // 2])
+
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            result = run_task(task)
+        assert result.ok
+        assert result.compile_cache == {**NO_TRAFFIC, "hits": 2,
+                                        "disk_hits": 1, "misses": 1,
+                                        "evictions": 1, "writes": 1}
+        assert registry.counter(
+            "repro_compile_cache_evictions_total").total() == 1
+        assert registry.counter(
+            "repro_compile_cache_misses_total").total() == 1
+        collector = SweepTraceCollector()
+        collector.record("sweep", [result])
+        (entry,) = collector.payload()["sections"]["sweep"]
+        assert entry["compile_cache"]["evictions"] == 1
 
     def test_replayed_pass_spans_are_flagged_cached(self, tmp_path):
         _cold(CompileCache(disk=tmp_path))

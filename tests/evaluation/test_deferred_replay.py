@@ -149,7 +149,8 @@ def test_a_warm_compare_parses_no_body_and_lowers_nothing(
     del parsed[:], lowered[:]
     cache = CompileCache(disk=tmp_path)
     warm = compare(build_sb1, block_size=16, grid_dim=1, cache=cache)
-    assert cache.hits == 2 and cache.misses == 0
+    assert cache.counters()["disk_hits"] == 2
+    assert cache.counters()["misses"] == 0
     assert (parsed, lowered) == ([], [])
     assert warm.baseline.as_dict() == cold.baseline.as_dict()
     assert warm.melded.as_dict() == cold.melded.as_dict()

@@ -51,8 +51,8 @@ class TestCompileCache:
                              seed=SEED, cache=cache)
         # Cold: baseline misses "o3" and populates it; the CFM arm
         # misses its full-pipeline key, then replays the shared O3 run.
-        assert cache.misses == 2
-        assert cache.hits == 1
+        assert cache.counters()["misses"] == 2
+        assert cache.counters()["hits"] == 1
         assert not comparison.baseline_compile.o3_cached
         assert comparison.cfm_compile.o3_cached
         assert not comparison.cfm_compile.cfm_cached
@@ -65,7 +65,8 @@ class TestCompileCache:
                        seed=SEED, cache=cache)
         # Warm: both arms replay outright — the CFM arm from the
         # full-pipeline entry, no pass runs at all.
-        assert cache.hits == 3 and cache.misses == 2
+        counters = cache.counters()
+        assert counters["hits"] == 3 and counters["misses"] == 2
         assert warm.baseline_compile.o3_cached
         assert warm.cfm_compile.cfm_cached
         assert warm.baseline.cycles == cold.baseline.cycles
@@ -177,7 +178,10 @@ class TestSweepTrace:
         assert entry["kernel"] == "SB1" and entry["block_size"] == 16
         assert entry["ok"] and entry["attempts"] == 1
         assert entry["speedup"] > 0 and entry["melds"] > 0
-        assert entry["compile_cache"] == {"hits": 1, "misses": 2}
+        # the task's CompileCache.counters(), unchanged (no disk tier)
+        assert entry["compile_cache"] == {
+            "hits": 1, "disk_hits": 0, "misses": 2, "evictions": 0,
+            "writes": 0, "write_errors": 0}
         # Per-pass events carry timing + IR size stats for both arms.
         for arm in ("baseline", "cfm"):
             passes = entry["compile"][arm]["passes"]

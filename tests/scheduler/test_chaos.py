@@ -6,9 +6,9 @@ indices.  These
 tests assert the parent's recovery contracts: jobs complete via retry,
 partial metrics deltas merge, and a replacement worker reuses the warm
 disk compile cache.  ``TestMemoQuarantine`` covers the latent
-crash-retry gap: a task that poisons the in-process lowering memo and
-then fails must not leak the poisoned entry into its own retry or any
-later task.
+crash-retry gap: a task that poisons a ``Function.memo`` entry — a
+lowered program or the analysis bundle — and then fails must not leak
+it into its own retry or any later task.
 """
 
 import os
@@ -16,7 +16,9 @@ import time
 
 import pytest
 
+from repro.core import run_cfm
 from repro.evaluation import ParallelRunner, SweepTask, run_task
+from repro.evaluation.runner import compile_baseline
 from repro.kernels import build_bitonic, build_sb1
 from repro.obs import current_registry
 from repro.scheduler import CHAOS_MODES, Scheduler, Task
@@ -147,8 +149,7 @@ class TestCrashCacheReuse:
         results = ParallelRunner(workers=2).run(list(tasks))
         assert all(r.ok for r in results)
         assert results[1].attempts == 2
-        disk = results[1].compile_cache_disk
-        assert disk is not None and disk["hits"] >= 1
+        assert results[1].compile_cache["disk_hits"] >= 1
         # and the replayed comparison matches a clean serial run
         serial = run_task(tasks[0])
         assert results[1].comparison.baseline.cycles \
@@ -157,7 +158,7 @@ class TestCrashCacheReuse:
             == serial.comparison.melded.cycles
 
 
-# ---- satellite 4: lowering-memo quarantine ---------------------------------
+# ---- memo quarantine ---------------------------------------------------------
 
 # a worker-process-lifetime kernel case, so a poisoned memo entry would
 # survive across tasks if the scheduler did not quarantine on failure
@@ -211,7 +212,7 @@ class TestMemoQuarantine:
         """Negative control: the poison this suite injects really does
         change behavior if nothing clears the memo."""
         from repro.evaluation.runner import compile_baseline
-        from repro.simt import clear_lowering_memo
+        from repro.ir import retire_memos
         case = build_sb1(block_size=16, grid_dim=1)
         compile_baseline(case)
         clean = _case_cycles(case)
@@ -221,7 +222,7 @@ class TestMemoQuarantine:
         except Exception:
             poisoned = None  # wrong program may trap outright
         assert poisoned != clean
-        clear_lowering_memo()
+        retire_memos()
         assert _case_cycles(case) == clean
 
     def test_retry_after_poisoning_failure_is_clean(self):
@@ -262,3 +263,51 @@ class TestMemoQuarantine:
             assert outcome.value == expected
         finally:
             _MEMO_STATE.clear()
+
+    def test_stale_analyses_are_observable_without_quarantine(self):
+        """Negative control for the analysis half: stale facts behind a
+        matching fingerprint really do stop CFM from melding."""
+        case = build_sb1(block_size=16, grid_dim=1)
+        compile_baseline(case)
+        plant_stale_analyses(case.function)
+        assert len(run_cfm(case.function).melds) == 0
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_retry_after_planting_stale_analyses_melds(self, workers):
+        """The retry of a task that planted stale divergence facts on a
+        worker-lifetime function and crashed analyses the function
+        afresh — inline and in a pooled worker alike."""
+        _ANALYSIS_STATE.clear()
+        try:
+            with Scheduler(workers=workers) as sched:
+                (outcome,) = sched.run([Task(plant_then_fail, None)])
+            assert outcome.ok and outcome.attempts == 2
+            assert outcome.value == 4
+        finally:
+            _ANALYSIS_STATE.clear()
+
+
+# a worker-lifetime SB1 after -O3, melded only by the attempt that
+# succeeds
+_ANALYSIS_STATE = {}
+
+
+def plant_stale_analyses(function):
+    """Memoize divergence facts under which nothing diverges, behind the
+    fingerprint of the function's current CFG (which it cannot see)."""
+    from repro.analysis import DivergenceInfo, function_analyses
+    function_analyses(function).divergence = DivergenceInfo(
+        function, set(), set())
+
+
+def plant_then_fail(payload, ctx):
+    """Attempt 1: plant stale analyses, crash.  Attempt 2 (same process):
+    run CFM — 4 melds iff the plant was retired."""
+    case = _ANALYSIS_STATE.get("case")
+    if case is None:
+        case = _ANALYSIS_STATE["case"] = build_sb1(block_size=16, grid_dim=1)
+        compile_baseline(case)
+    if ctx.attempt == 1:
+        plant_stale_analyses(case.function)
+        raise RuntimeError("crashed after planting analyses")
+    return len(run_cfm(case.function).melds)

@@ -131,7 +131,8 @@ class TestSweepJob:
         (task,) = job.tasks()
         result = task.fn(task.payload, _ctx())
         assert list(tmp_path.iterdir()) == []
-        assert result.compile_cache_disk is None
+        assert result.compile_cache["writes"] == 0
+        assert result.compile_cache["write_errors"] == 0
         assert task.payload.cache_dir is None
 
 

@@ -18,13 +18,21 @@ from repro import GPU, run_kernel
 from repro.analysis.latency import LatencyModel
 from repro.difftest.generator import generate_spec, make_inputs
 from repro.difftest.oracle import ALL_ARMS, _compile_arm
-from repro.ir import Constant, I32, Opcode, verify_function
+from repro.ir import (
+    Constant,
+    I32,
+    Opcode,
+    print_module,
+    retire_memos,
+    verify_function,
+)
+from repro.ir.parser import parse_module_deferred
 from repro.simt import (
     MachineConfig,
     SimulationError,
     get_program,
-    invalidate_lowering,
     lower_function,
+    seed_program,
 )
 from repro.transforms import repair_ssa
 
@@ -196,11 +204,19 @@ def test_program_cache_detects_in_place_rewrites():
 
 
 def test_invalidate_lowering_forces_relower():
-    f = _simple_function()
+    """A program seeded on a still-unparsed body and then retired is not
+    revived when the body is parsed: the confirmation finds a fresh memo
+    and the launch re-lowers."""
     machine = MachineConfig()
-    before = get_program(f, machine)
-    invalidate_lowering(f)
-    assert get_program(f, machine) is not before
+    f = _simple_function()
+    seeded = get_program(f, machine)
+    (replayed,) = parse_module_deferred(print_module(f.module)) \
+        .functions.values()
+    seed_program(replayed, machine, seeded)
+    retire_memos()
+    assert replayed.deferred and replayed.blocks  # parse: confirm the seed
+    assert get_program(replayed, machine) is not seeded
+    assert get_program(replayed, machine) is get_program(replayed, machine)
 
 
 def test_program_memo_does_not_keep_function_alive():
@@ -218,15 +234,19 @@ def test_program_memo_does_not_keep_function_alive():
 
 
 def test_clear_lowering_memo_forces_relower():
-    from repro.simt import clear_lowering_memo
+    """``retire_memos`` — the quarantine after a failed task — retires
+    lowered programs and the analysis bundle alike."""
+    from repro.analysis import function_analyses
 
     f = _simple_function()
     machine = MachineConfig()
     before = get_program(f, machine)
-    clear_lowering_memo()
+    analyses = function_analyses(f)
+    retire_memos()
     after = get_program(f, machine)
     assert after is not before
     assert get_program(f, machine) is after
+    assert function_analyses(f) is not analyses
 
 
 def test_program_cache_keyed_by_latency_model():
