@@ -19,8 +19,8 @@ Internal layout:
 * :mod:`repro.analysis` — dominators, regions, loops, divergence analysis;
 * :mod:`repro.transforms` — standard passes (SimplifyCFG, DCE, unrolling);
 * :mod:`repro.core` — the paper's contribution: the CFM melding pass;
-* :mod:`repro.simt` — warp-level SIMT simulator with pluggable
-  reconvergence policies (IPDOM stack, stack-less min-PC);
+* :mod:`repro.simt` — warp-level SIMT simulator with two reconvergence
+  rules over one path list (IPDOM stack, stack-less min-PC);
 * :mod:`repro.baselines` — tail merging and branch fusion comparators;
 * :mod:`repro.kernels` — the paper's benchmark kernels in a builder DSL;
 * :mod:`repro.evaluation` — harness regenerating every table and figure;
@@ -110,7 +110,6 @@ from repro.simt import (
     Buffer,
     MachineConfig,
     Metrics,
-    ReconvergencePolicy,
     SimulationError,
     run_kernel,
 )
@@ -208,7 +207,7 @@ __all__ = [
     # simulator
     "GPU", "Buffer", "run_kernel", "MachineConfig", "Metrics",
     "SimulationError", "DEFAULT_CONFIG", "EXECUTORS",
-    "ReconvergencePolicy", "RECONVERGENCE_POLICIES",
+    "RECONVERGENCE_POLICIES",
     # evaluation harness
     "CACHE_ENV_VAR", "cfm_pipeline_id",
     "compare", "Comparison", "CompileCache", "compile_baseline",

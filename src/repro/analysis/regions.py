@@ -17,10 +17,9 @@ The CFM pass only needs two operations, both provided here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import Optional, Set
 
 from repro.ir.block import BasicBlock
-from repro.ir.function import Function
 
 from .cfg import reachable_from
 from .dominators import DominatorTree, immediate_postdominator
@@ -114,17 +113,3 @@ def smallest_region_containing(
         exit_ = immediate_postdominator(pdt, exit_)
     return None
 
-
-def enclosing_simple_regions(function: Function, dt: DominatorTree,
-                             pdt: DominatorTree) -> List[Region]:
-    """Enumerate all valid regions ``(E, X)`` with ``X`` on ``E``'s IPDOM
-    chain — the region candidates CFM iterates over (Algorithm 1 walks
-    blocks and asks for their region).  Used by tests and diagnostics."""
-    regions: List[Region] = []
-    for block in function.blocks:
-        if len(block.succs) < 2:
-            continue
-        region = smallest_region_containing(block, pdt)
-        if region is not None:
-            regions.append(region)
-    return regions

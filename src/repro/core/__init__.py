@@ -14,7 +14,6 @@ from .alignment import (
     AlignedPair,
     AlignmentResult,
     needleman_wunsch,
-    smith_waterman,
 )
 from .profitability import (
     block_profitability,
@@ -52,7 +51,7 @@ from .unpredication import unpredicate
 from .pass_ import CFMConfig, CFMPass, CFMStats, MeldRecord, run_cfm
 
 __all__ = [
-    "AlignedPair", "AlignmentResult", "needleman_wunsch", "smith_waterman",
+    "AlignedPair", "AlignmentResult", "needleman_wunsch",
     "block_profitability", "estimated_selects", "instruction_profitability",
     "instructions_match", "meldable_instructions", "subgraph_profitability",
     "partial_subgraph_profitability",

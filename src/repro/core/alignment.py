@@ -1,9 +1,9 @@
-"""Generic sequence alignment: Needleman–Wunsch and Smith–Waterman.
+"""Generic sequence alignment: Needleman–Wunsch (affine gaps).
 
 CFM uses hierarchical sequence alignment twice (§IV-C): once over the
 SESE subgraph sequences of a divergent region's true/false paths, and
 once over the instruction lists of corresponding basic blocks.  Both
-callers share the implementations here.
+callers share the implementation here.
 
 Gap costs are affine (Gotoh's algorithm): the paper observes that a gap
 of unaligned instructions costs two branches *regardless of its length*,
@@ -137,42 +137,3 @@ def needleman_wunsch(
     pairs.reverse()
     return AlignmentResult(pairs, final)
 
-
-def smith_waterman(
-    seq_a: Sequence[A],
-    seq_b: Sequence[B],
-    score: ScoreFn,
-    gap_penalty: float = 1.0,
-) -> AlignmentResult:
-    """Local alignment (linear gaps).  The paper lists Smith–Waterman as
-    an alternative to NW for the subgraph alignment; provided for
-    completeness and ablations."""
-    n, m = len(seq_a), len(seq_b)
-    H = [[0.0] * (m + 1) for _ in range(n + 1)]
-    best, best_pos = 0.0, (0, 0)
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            H[i][j] = max(
-                0.0,
-                H[i - 1][j - 1] + score(seq_a[i - 1], seq_b[j - 1]),
-                H[i - 1][j] - gap_penalty,
-                H[i][j - 1] - gap_penalty,
-            )
-            if H[i][j] > best:
-                best, best_pos = H[i][j], (i, j)
-
-    pairs: List[AlignedPair] = []
-    i, j = best_pos
-    while i > 0 and j > 0 and H[i][j] > 0:
-        here = H[i][j]
-        if here == H[i - 1][j - 1] + score(seq_a[i - 1], seq_b[j - 1]):
-            pairs.append(AlignedPair(seq_a[i - 1], seq_b[j - 1]))
-            i, j = i - 1, j - 1
-        elif here == H[i - 1][j] - gap_penalty:
-            pairs.append(AlignedPair(seq_a[i - 1], None))
-            i -= 1
-        else:
-            pairs.append(AlignedPair(None, seq_b[j - 1]))
-            j -= 1
-    pairs.reverse()
-    return AlignmentResult(pairs, best)

@@ -14,7 +14,8 @@ tracer once the block finishes:
 * ``exec``        — block entry, with the active-lane count (occupancy);
 * ``branch``      — a uniform conditional/unconditional branch;
 * ``diverge``     — a mask split, with taken / not-taken lane counts;
-* ``reconverge``  — an IPDOM stack pop merging lanes back.
+* ``reconverge``  — paths merging lanes back: a path popping into its
+  holder at its ``rpc`` (``ipdom``) or colliding paths fused (``min-pc``).
 
 One Perfetto process per launch, one thread per warp
 (``block<B>/warp<W>``), plus an ``active_lanes`` counter track per warp.

@@ -241,7 +241,15 @@ class JobServer:
         })
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # Longer than the stream limit: the line's tail is
+                    # unread, so framing is lost.  Answer once, then close.
+                    await self._send(client, {
+                        "event": "error", "code": "bad-request",
+                        "error": "request line exceeds the stream limit"})
+                    break
                 if not line:
                     break
                 try:
@@ -484,7 +492,10 @@ class JobServer:
         snapshot in Prometheus text format v0.0.4."""
         try:
             while True:  # consume request head
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # a line past the stream limit
+                    return
                 if not line or line in (b"\r\n", b"\n"):
                     break
             body = self.merged_registry().render_prom().encode("utf-8")

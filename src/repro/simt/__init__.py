@@ -1,4 +1,4 @@
-"""SIMT GPU simulator: warps, pluggable reconvergence, metrics.
+"""SIMT GPU simulator: warps, two reconvergence rules, metrics.
 
 This package substitutes for the paper's AMD Vega 64 + rocprof setup: it
 executes kernels warp-by-warp in lockstep under a reconvergence policy
@@ -14,8 +14,9 @@ evaluator* it drives (see ``docs/simulator.md``) — the tree-walking
 **reference** interpreter (:class:`ReferenceEvaluator`, facts from the
 IR) or the lowered **fast** path (:class:`FastEvaluator` over a
 :class:`LoweredProgram`).  ``MachineConfig.reconvergence`` selects the
-driver's scheduling policy (:mod:`repro.simt.reconvergence`): the
-classic ``"ipdom"`` stack or the stack-less ``"min-pc"`` path list.
+selection rule of the driver's one path list
+(:mod:`repro.simt.reconvergence`): the classic ``"ipdom"`` stack order
+or the stack-less ``"min-pc"`` rule.
 """
 
 from .config import (
@@ -38,19 +39,12 @@ from .machine import GPU, Buffer, run_kernel
 from .memory import DeviceMemory, MemoryError_, sizeof
 from .metrics import Metrics
 from .reference import ReferenceEvaluator
-from .reconvergence import (
-    RECONVERGENCE_POLICIES,
-    IPDOMPolicy,
-    MinPCPolicy,
-    ReconvergencePolicy,
-    get_policy,
-)
+from .reconvergence import RECONVERGENCE_POLICIES
 from .warp import SimulationError, UNDEF, Warp
 
 __all__ = [
     "DEFAULT_CONFIG", "EXECUTORS", "MachineConfig",
-    "RECONVERGENCE_POLICIES", "ReconvergencePolicy",
-    "IPDOMPolicy", "MinPCPolicy", "get_policy",
+    "RECONVERGENCE_POLICIES",
     "GPU", "Buffer", "run_kernel",
     "DeviceMemory", "MemoryError_", "sizeof",
     "Metrics",

@@ -10,8 +10,8 @@ removes.
 
 :class:`Warp` owns that mechanism and nothing else: pick a path, issue
 its block under the path's mask, split the mask at a divergent branch,
-reconverge.  *How* paths are scheduled is the reconvergence policy's
-business (:mod:`repro.simt.reconvergence`); *what an instruction
+reconverge.  *Which* path steps next is the path scheduler's selection
+rule (:mod:`repro.simt.reconvergence`); *what an instruction
 computes* is the block evaluator's — the reference interpreter over IR
 objects (:mod:`repro.simt.reference`) or the µop executor
 (:mod:`repro.simt.fastpath`).  Scheduler PCs are block indices in
@@ -46,7 +46,7 @@ tokens, opaque here; an empty edge has no φ moves and is skipped)::
                true_edge, false_edge, branch_repr)
 
 ``rpc_index`` is the immediate post-dominator's index, -1 when the two
-sides never rejoin (multiple rets); stack-less policies ignore it.
+sides never rejoin (multiple rets); the min-PC rule ignores it.
 ``TERM_NONE`` marks a block without a terminator: its PC never moves
 and the step guard ends the run (the verifier rejects the shape anyway).
 """
@@ -61,7 +61,7 @@ from repro.obs import WarpTrace
 from .config import MachineConfig
 from .memory import SHARED_BASE
 from .metrics import Metrics
-from .reconvergence import get_policy
+from .reconvergence import PathScheduler
 
 TERM_RET = 0
 TERM_BR = 1
@@ -155,8 +155,8 @@ class Warp:
         branch_latency = config.latency.branch_latency
         max_steps = config.max_warp_steps
 
-        scheduler = get_policy(config.reconvergence).scheduler(
-            program.entry_index, tuple(range(self.lane_count)))
+        scheduler = PathScheduler(config.reconvergence, program.entry_index,
+                                  tuple(range(self.lane_count)))
         scheduler_next = scheduler.next
         steps = 0
         while True:
@@ -209,8 +209,8 @@ class Warp:
                 record_branch(branch_latency, divergent=divergent,
                               block_name=block.name, profile=profile)
                 if divergent:
-                    # The policy decides how the two sides are scheduled
-                    # and where (or whether) they reconverge.
+                    # The selection rule decides how the two sides are
+                    # scheduled and where (or whether) they reconverge.
                     if trace is not None:
                         trace.diverge(metrics.cycles, block.name,
                                       len(taken), len(not_taken))

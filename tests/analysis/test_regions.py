@@ -148,31 +148,3 @@ m:
         merge = f.blocks[-1]
         assert smallest_region_containing(merge, pdt) is None
 
-
-class TestEnclosingRegions:
-    def test_enumerates_branch_rooted_regions(self):
-        from repro.analysis import compute_dominator_tree
-        from repro.analysis.regions import enclosing_simple_regions
-
-        f = parse("""
-define void @k(i1 %c, i1 %d) {
-entry:
-  br i1 %c, label %inner, label %m
-inner:
-  br i1 %d, label %t, label %e
-t:
-  br label %im
-e:
-  br label %im
-im:
-  br label %m
-m:
-  ret void
-}
-""")
-        dt = compute_dominator_tree(f)
-        pdt = compute_postdominator_tree(f)
-        regions = enclosing_simple_regions(f, dt, pdt)
-        pairs = {(r.entry.name, r.exit.name) for r in regions}
-        assert ("entry", "m") in pairs
-        assert ("inner", "im") in pairs

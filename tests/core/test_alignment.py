@@ -5,7 +5,7 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.alignment import needleman_wunsch, smith_waterman
+from repro.core.alignment import needleman_wunsch
 
 
 def eq_score(a, b):
@@ -134,13 +134,3 @@ def test_nw_traceback_consistent_with_score(seq_a, seq_b):
             prev_gap_side = side
     assert abs(total - result.score) < 1e-9
 
-
-class TestSmithWaterman:
-    def test_local_alignment_ignores_flanks(self):
-        result = smith_waterman([9, 1, 2, 3, 8], [7, 1, 2, 3, 6], sim_score)
-        assert result.matches == [(1, 1), (2, 2), (3, 3)]
-
-    def test_no_similarity_empty_alignment(self):
-        result = smith_waterman([1, 2], [3, 4], lambda a, b: -1.0)
-        assert result.pairs == []
-        assert result.score == 0.0

@@ -15,6 +15,7 @@ server with a real worker pool) and drives it with
 """
 
 import json
+import socket
 import time
 import urllib.request
 
@@ -114,6 +115,45 @@ class TestLifecycle:
                 event = client._pump()
                 assert event["event"] == "error"
                 assert event["code"] == "bad-request"
+
+    def test_oversized_line_is_one_typed_error_then_close(self):
+        # A line past asyncio's 64 KiB stream limit, sent while a job is
+        # in flight on the same connection: exactly one bad-request, a
+        # close, and the server's books balance once the job settles.
+        thread = ServerThread(ServerConfig(workers=1))
+        address = thread.start()
+        server = thread.server
+        submitters = []  # the connection's _Client, to read its quota
+        submit = server._op_submit
+
+        async def recording_submit(client, message):
+            submitters.append(client)
+            await submit(client, message)
+
+        server._op_submit = recording_submit
+        try:
+            with ServeClient(*address) as client:
+                client.submit("difftest", {"count": 1})
+                client._sock.sendall(b"x" * (100 * 1024) + b"\n")
+                events = []
+                while line := client._file.readline():
+                    events.append(json.loads(line))
+            errors = [e for e in events if e["event"] == "error"]
+            assert [e["code"] for e in errors] == ["bad-request"]
+            with ServeClient(*address) as client:
+                assert client.ping()
+                deadline = time.monotonic() + 60
+                while server._jobs:  # the orphaned job settles
+                    assert time.monotonic() < deadline
+                    time.sleep(0.05)
+                gauges = client.metrics()["snapshot"]["gauges"]
+            assert server._admitted == 0
+            assert submitters[0].inflight == 0
+            assert sum(gauges["repro_serve_admitted_tasks"]
+                       ["samples"].values()) == 0
+            assert sum(gauges["repro_serve_clients"]["samples"].values()) == 1
+        finally:
+            thread.stop()
 
 
 class TestServedSweepIdentity:
@@ -290,6 +330,10 @@ class TestObservability:
             with ServeClient(*address) as client:
                 assert client.run_job("difftest", {"count": 1})["ok"]
             host, port = server.server.prom_address
+            # a header line past the stream limit: closed, no answer
+            with socket.create_connection((host, port), timeout=10) as sock:
+                sock.sendall(b"GET /" + b"x" * (100 * 1024) + b"\r\n")
+                assert sock.makefile("rb").read() == b""
             body = urllib.request.urlopen(
                 f"http://{host}:{port}/metrics", timeout=10).read().decode()
         finally:

@@ -1,29 +1,30 @@
-"""Unit tests for the pluggable reconvergence policies.
+"""Unit tests for the warp path scheduler and its two selection rules.
 
 The corpus-wide differential (``test_executor_diff``) holds both
-executors bit-identical under every policy; this file pins down the
+executors bit-identical under every rule; this file pins down the
 scheduler mechanics themselves — min-PC path fusion, divergent loop
-exits, barriers under a partial mask — plus the policy registry and the
+exits, barriers under a partial mask — drives :class:`PathScheduler`
+against the two schedulers it replaced, and covers the
 :class:`~repro.simt.MachineConfig` token rules the machine API is built
 on.
 """
 
 from __future__ import annotations
 
+from typing import List, Tuple
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import GLOBAL_I32_PTR, ICmpPredicate, KernelBuilder, run_kernel
 from repro.ir import I32
 from repro.simt import (
     RECONVERGENCE_POLICIES,
-    IPDOMPolicy,
     MachineConfig,
-    MinPCPolicy,
-    ReconvergencePolicy,
     SimulationError,
-    get_policy,
     get_program,
 )
+from repro.simt.reconvergence import PathScheduler
 
 from tests.support import parse
 
@@ -63,7 +64,7 @@ class TestMinPCScheduler:
         # Diamond: entry(0) -> {1, 2} -> join(3).  Both sides advance to
         # the join; the collision fuses them into one full-mask path
         # with exactly one merge notification.
-        s = MinPCPolicy().scheduler(0, (0, 1, 2, 3))
+        s = PathScheduler("min-pc", 0, (0, 1, 2, 3))
         pc, mask, merges = s.next()
         assert (pc, mask, merges) == (0, (0, 1, 2, 3), None)
         s.diverge(1, 2, (0, 1), (2, 3), 3)
@@ -85,7 +86,7 @@ class TestMinPCScheduler:
     def test_minimum_pc_path_runs_first(self):
         # After divergence the lower-PC side always steps next, no
         # matter which side was "taken".
-        s = MinPCPolicy().scheduler(0, (0, 1))
+        s = PathScheduler("min-pc", 0, (0, 1))
         s.next()
         s.diverge(5, 2, (0,), (1,), -1)  # true side has the higher PC
         pc, mask, _ = s.next()
@@ -98,7 +99,7 @@ class TestMinPCScheduler:
 
     def test_fused_mask_is_lane_ordered(self):
         # Fusion merges masks in lane order regardless of path order.
-        s = MinPCPolicy().scheduler(0, (0, 1, 2, 3))
+        s = PathScheduler("min-pc", 0, (0, 1, 2, 3))
         s.next()
         s.diverge(1, 2, (1, 3), (0, 2), 3)
         s.next()           # path (1, 3) at pc 1
@@ -112,7 +113,7 @@ class TestMinPCScheduler:
     def test_ignores_rpc(self):
         # Stack-less: the post-dominator hint changes nothing.
         for rpc in (-1, 7):
-            s = MinPCPolicy().scheduler(0, (0, 1))
+            s = PathScheduler("min-pc", 0, (0, 1))
             s.next()
             s.diverge(1, 2, (0,), (1,), rpc)
             assert s.next()[0] == 1
@@ -122,7 +123,7 @@ class TestIPDOMScheduler:
     def test_reconverges_at_rpc(self):
         # Diamond under the stack: true side runs first, each side pops
         # at the rpc, and the holder resumes with the full mask.
-        s = IPDOMPolicy().scheduler(0, (0, 1, 2, 3))
+        s = PathScheduler("ipdom", 0, (0, 1, 2, 3))
         s.next()
         s.diverge(1, 2, (0, 1), (2, 3), 3)
 
@@ -143,7 +144,7 @@ class TestIPDOMScheduler:
 
     def test_no_rpc_runs_sides_to_retirement(self):
         # rpc == -1 (both sides ret): no holder, sides never merge.
-        s = IPDOMPolicy().scheduler(0, (0, 1))
+        s = PathScheduler("ipdom", 0, (0, 1))
         s.next()
         s.diverge(1, 2, (0,), (1,), -1)
         pc, mask, _ = s.next()
@@ -155,29 +156,184 @@ class TestIPDOMScheduler:
         assert s.next()[0] is None
 
 
-# ---- policy registry ------------------------------------------------------
+# ---- the reference: the two schedulers PathScheduler replaced -------------
+
+
+class _IPDOMScheduler:
+    """The classic reconvergence stack, entries ``[pc, rpc, mask]``.
+
+    ``rpc == -1`` marks "no reconvergence point" (an entry that runs to
+    ``ret``); the true side is pushed last so it executes first, exactly
+    as the pre-policy executors did.
+    """
+
+    __slots__ = ("_stack",)
+
+    def __init__(self, entry_pc: int, mask: Tuple[int, ...]) -> None:
+        self._stack: List[list] = [[entry_pc, -1, mask]]
+
+    def next(self):
+        stack = self._stack
+        merges = None
+        while stack:
+            entry = stack[-1]
+            pc = entry[0]
+            if entry[1] >= 0 and pc == entry[1]:
+                # pc reached its reconvergence point: pop, lanes merge
+                # into the entry below (the reconvergence holder).
+                stack.pop()
+                if merges is None:
+                    merges = []
+                merges.append((pc, len(stack[-1][2]) if stack else 0))
+                continue
+            return pc, entry[2], merges
+        return None, (), merges
+
+    def advance(self, pc: int) -> None:
+        self._stack[-1][0] = pc
+
+    def retire(self) -> None:
+        self._stack.pop()
+
+    def diverge(self, true_pc: int, false_pc: int,
+                taken: Tuple[int, ...], not_taken: Tuple[int, ...],
+                rpc: int) -> None:
+        stack = self._stack
+        if rpc < 0:
+            # No common post-dominator (multiple rets): both sides run
+            # to completion independently and never merge.
+            stack.pop()
+            stack.append([false_pc, -1, not_taken])
+            stack.append([true_pc, -1, taken])
+        else:
+            stack[-1][0] = rpc  # current entry becomes the holder
+            stack.append([false_pc, rpc, not_taken])
+            stack.append([true_pc, rpc, taken])
+
+
+class _MinPCScheduler:
+    """Stack-less path list, simtx-style: ``[pc, mask]`` paths.
+
+    ``next()`` first fuses every group of paths sharing a PC (one
+    reconvergence notification per fused group, masks merged in lane
+    order), then steps the path with the minimum PC.  A divergent branch
+    simply replaces the current path with its two sides — no
+    post-dominator bookkeeping, so ``rpc`` is ignored.
+    """
+
+    __slots__ = ("_paths", "_current")
+
+    def __init__(self, entry_pc: int, mask: Tuple[int, ...]) -> None:
+        self._paths: List[list] = [[entry_pc, mask]]
+        self._current = 0
+
+    def next(self):
+        paths = self._paths
+        if not paths:
+            return None, (), None
+        merges = None
+        if len(paths) > 1:
+            by_pc = {}
+            fused = None
+            for path in paths:
+                kept = by_pc.get(path[0])
+                if kept is None:
+                    by_pc[path[0]] = path
+                else:
+                    kept[1] = kept[1] + path[1]
+                    if fused is None:
+                        fused = set()
+                    fused.add(path[0])
+            if fused is not None:
+                for pc in fused:
+                    by_pc[pc][1] = tuple(sorted(by_pc[pc][1]))
+                self._paths = paths = [by_pc[pc] for pc in sorted(by_pc)]
+                merges = [(pc, len(by_pc[pc][1])) for pc in sorted(fused)]
+        current = 0
+        lowest = paths[0][0]
+        for index in range(1, len(paths)):
+            if paths[index][0] < lowest:
+                lowest = paths[index][0]
+                current = index
+        self._current = current
+        path = paths[current]
+        return path[0], path[1], merges
+
+    def advance(self, pc: int) -> None:
+        self._paths[self._current][0] = pc
+
+    def retire(self) -> None:
+        self._paths.pop(self._current)
+
+    def diverge(self, true_pc: int, false_pc: int,
+                taken: Tuple[int, ...], not_taken: Tuple[int, ...],
+                rpc: int) -> None:
+        current = self._current
+        self._paths[current] = [true_pc, taken]
+        self._paths.insert(current + 1, [false_pc, not_taken])
+
+
+REFERENCE = {"ipdom": _IPDOMScheduler, "min-pc": _MinPCScheduler}
+
+PCS = st.integers(0, 7)
+RPCS = st.sampled_from((-1,) + tuple(range(8)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rule=st.sampled_from(RECONVERGENCE_POLICIES),
+       lanes=st.integers(1, 8), data=st.data())
+def test_path_scheduler_matches_the_schedulers_it_replaced(rule, lanes, data):
+    # One random walk of next/advance/retire/diverge drives both; every
+    # step must hand the warp driver the same (pc, mask, merges).
+    mask = tuple(range(lanes))
+    new = PathScheduler(rule, 0, mask)
+    old = REFERENCE[rule](0, mask)
+    for _ in range(60):
+        step = new.next()
+        assert step == old.next()
+        pc, mask, _ = step
+        if pc is None:
+            return
+        ops = ["advance", "retire"] + (["diverge"] if len(mask) > 1 else [])
+        op = data.draw(st.sampled_from(ops))
+        if op == "advance":
+            target = data.draw(PCS)
+            new.advance(target)
+            old.advance(target)
+        elif op == "retire":
+            new.retire()
+            old.retire()
+        else:
+            # A disjoint partition of the path's lanes, both sides
+            # non-empty and in lane order, as the warp driver builds it.
+            bits = data.draw(st.lists(st.booleans(), min_size=len(mask),
+                                      max_size=len(mask))
+                             .filter(lambda b: any(b) and not all(b)))
+            taken = tuple(lane for lane, bit in zip(mask, bits) if bit)
+            not_taken = tuple(lane for lane, bit in zip(mask, bits)
+                              if not bit)
+            args = (data.draw(PCS), data.draw(PCS), taken, not_taken,
+                    data.draw(RPCS))
+            new.diverge(*args)
+            old.diverge(*args)
+
+
+# ---- the selection rules --------------------------------------------------
 
 
 def test_policy_registry():
     assert RECONVERGENCE_POLICIES == ("ipdom", "min-pc")
     for name in RECONVERGENCE_POLICIES:
-        policy = get_policy(name)
-        assert isinstance(policy, ReconvergencePolicy)
-        assert policy.name == name
-        assert get_policy(name) is policy  # stateless singleton
-        assert name in repr(policy)
+        # Every rule name builds a scheduler that runs a warp to the end.
+        s = PathScheduler(name, 0, (0, 1))
+        assert s.next() == (0, (0, 1), None)
+        s.retire()
+        assert s.next() == (None, (), None)
 
 
 def test_unknown_policy_rejected():
-    with pytest.raises(ValueError, match="sdc"):
-        get_policy("sdc")
-    with pytest.raises(ValueError, match="reconvergence"):
+    with pytest.raises(ValueError, match="unknown reconvergence policy 'sdc'"):
         MachineConfig(reconvergence="sdc")
-
-
-def test_base_policy_is_abstract():
-    with pytest.raises(NotImplementedError):
-        ReconvergencePolicy().scheduler(0, (0,))
 
 
 # ---- MachineConfig identity & resolution ----------------------------------

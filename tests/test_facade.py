@@ -105,8 +105,7 @@ class TestMachineAPI:
     ARGS = {"data": [1, 2, 3, 4], "bias": 10}
 
     def test_facade_exports_machine_vocabulary(self):
-        for name in ("MachineConfig", "ReconvergencePolicy",
-                     "RECONVERGENCE_POLICIES", "EXECUTORS"):
+        for name in ("MachineConfig", "RECONVERGENCE_POLICIES", "EXECUTORS"):
             assert name in repro.__all__, name
 
     def test_config_first_signatures(self):

@@ -33,17 +33,21 @@ ENTRY_POINTS = {
     "figures9_and_10",
     # kept only for their tests; next in line for deletion together
     # with them (the dense dataflow engine behind live_variables, cfg.
-    # postorder, Smith-Waterman alignment and CFG edge splitting)
-    "live_variables", "smith_waterman", "split_edge",
+    # postorder, and CFG edge splitting)
+    "live_variables", "split_edge",
 }
 
 #: names an earlier spelling of the compile cache, the memo quarantine,
-#: the latency key and the dead-code audit left behind
+#: the latency key, the reconvergence policies and the dead-code audit
+#: left behind
 RETIRED = {
     "DiskCompileCache", "clear_lowering_memo", "invalidate_lowering",
     "latency_token_key", "key_for", "record_cache_lookup",
     "record_cache_eviction", "unroll_partial", "move_before",
     "list_entries", "merge_reports",
+    "ReconvergencePolicy", "IPDOMPolicy", "MinPCPolicy", "get_policy",
+    "_POLICIES", "_IPDOMScheduler", "_MinPCScheduler",
+    "smith_waterman", "enclosing_simple_regions",
 }
 
 
