@@ -42,7 +42,7 @@ def main() -> None:
     print(f"\nCFM melded {len(result.cfm_stats.melds)} subgraph pairs:")
     for record in result.cfm_stats.melds:
         print(f"  ({record.true_entry}, {record.false_entry}) "
-              f"FP_S={record.profitability:.2f} "
+              f"FP_S={record.fp_s:.2f} "
               f"melded={record.instructions_melded} "
               f"selects={record.selects_inserted}")
 

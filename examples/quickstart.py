@@ -49,7 +49,7 @@ def main() -> None:
     print("\n=== after control-flow melding ===")
     print(repro.print_function(melded.function))
     print(f"\nmelds performed: {len(stats.melds)} "
-          f"(profitability {stats.melds[0].profitability:.2f}, "
+          f"(profitability {stats.melds[0].fp_s:.2f}, "
           f"{stats.melds[0].selects_inserted} selects)")
     after = repro.launch(melded, grid=1, block=threads,
                          args={"a": list(data_a), "b": list(data_b)})

@@ -7,7 +7,6 @@ from .cfg import (
     reachable_blocks,
     reachable_from,
     reverse_postorder,
-    split_edge,
     verify_preds_consistent,
 )
 from .dominators import (
@@ -53,7 +52,7 @@ from .validate import (
 
 __all__ = [
     "postorder", "reachable_blocks", "reachable_from", "reverse_postorder",
-    "split_edge", "verify_preds_consistent",
+    "verify_preds_consistent",
     "DominatorTree", "compute_dominator_tree", "compute_postdominator_tree",
     "dominance_frontier", "immediate_postdominator", "postdominance_frontier",
     "Region", "is_region", "region_blocks", "smallest_region_containing",

@@ -1,4 +1,4 @@
-"""CFG traversal utilities: orders, reachability, and edge surgery.
+"""CFG traversal utilities: orders, reachability, and a predecessor check.
 
 These helpers operate on :class:`~repro.ir.block.BasicBlock` graphs and are
 shared by every analysis and transform in the repository.
@@ -81,25 +81,6 @@ def reachable_from(
         seen.add(block)
         work.extend(follow(block))
     return seen
-
-
-def split_edge(pred: BasicBlock, succ: BasicBlock, name: str = "split") -> BasicBlock:
-    """Insert a fresh block on the edge ``pred -> succ``.
-
-    φ nodes in ``succ`` are retargeted to the new block.  Returns the new
-    block (which ends in an unconditional branch to ``succ``).
-    """
-    function = pred.parent
-    new_block = function.add_block(name, after=pred)
-    term = pred.terminator
-    if not isinstance(term, Branch):
-        raise ValueError(f"predecessor {pred.name} has no branch terminator")
-    # A conditional branch may have two edges to succ; redirect all of them.
-    term.replace_successor(succ, new_block)
-    new_block.append(Branch([succ]))
-    for phi in succ.phis:
-        phi.replace_incoming_block(pred, new_block)
-    return new_block
 
 
 def verify_preds_consistent(function: Function) -> None:

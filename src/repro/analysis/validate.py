@@ -34,9 +34,9 @@ Verdicts:
   pre-meld program may be *refined* to any concrete post-meld value
   (the usual refinement direction), never the reverse.
 * ``INEQUIVALENT`` — some mask case provably changes an observable.
-  The :func:`validate_melds_hook` turns this into a hard
-  :class:`MeldValidationError`, symmetric to the pipeline's
-  ``verify_after_each`` / ``lint_after_each`` hooks.
+  The :func:`validate_melds_hook` pass hook turns this into a hard
+  :class:`MeldValidationError`, next to the difftest oracle's verifier
+  and lint hooks in ``PassPipeline(after_each=...)``.
 * ``UNSUPPORTED`` — the region leaves the validator's decidable
   fragment (a cycle inside the region, path or step budget blowout, an
   uncorrelatable exit φ).  This is the documented soundness boundary
@@ -624,13 +624,14 @@ class MeldValidationError(RuntimeError):
 
 
 def validate_melds_hook(pass_name: str, function, result) -> None:
-    """The standard ``PassPipeline(validate_melds=...)`` hook.
+    """A ``PassPipeline(after_each=...)`` hook failing on a bad meld.
 
     Inspects the :class:`PassResult` for CFM statistics carrying
     per-meld validations (the pass records them when its config enables
     validation) and raises :class:`MeldValidationError` on the first
-    ``INEQUIVALENT`` verdict.  ``UNSUPPORTED`` melds pass — see the
-    module docstring for the soundness boundary."""
+    ``INEQUIVALENT`` verdict; a no-op after any other pass.
+    ``UNSUPPORTED`` melds pass — see the module docstring for the
+    soundness boundary."""
     stats = getattr(result, "stats", None)
     for validation in getattr(stats, "validations", None) or []:
         if validation.verdict == INEQUIVALENT:

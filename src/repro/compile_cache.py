@@ -11,10 +11,12 @@ disk, so the cost is paid once per machine, not once per process:
   of the printed pre-pipeline IR — content addressing, so any process
   that builds the same kernel hits, regardless of object identity;
 * **values** are the printed optimized module, the per-pass timings of
-  the run that produced it, the symbolic lowered µop program
+  the run that produced it (IR sizes included — every entry carries
+  them, so any caller replays any entry), the symbolic lowered µop program
   (:func:`repro.simt.lower_symbolic`) keyed by
   :func:`~repro.analysis.latency.latency_token`, and — for
-  full-pipeline entries — the serialized :class:`~repro.core.CFMStats`.
+  full-pipeline entries — the :class:`~repro.core.CFMStats` decision
+  log, validations, iteration count and seconds.
   Every hit gets a module of its own (never aliased into live modules)
   whose function bodies stay text until something reads their blocks —
   a launch of the stored program never does;
@@ -55,7 +57,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.core import CFMConfig, CFMStats, MeldRecord
+from repro.core import CFMConfig, CFMStats
 from repro.ir import print_module
 from repro.ir.parser import parse_module_deferred
 from repro.obs import current_tracer, emit_pass_timing, record_cache_event
@@ -68,7 +70,7 @@ from repro.simt import ProgramDecodeError, materialize_program, seed_program
 from repro.transforms import PassTiming
 
 #: on-disk entry format; bump on any incompatible payload change
-CACHE_SCHEMA = "repro.compile-cache/2"
+CACHE_SCHEMA = "repro.compile-cache/3"
 
 #: how a disk entry starts: its first member is the SHA-256 of its text
 #: without that member
@@ -118,49 +120,31 @@ def cfm_pipeline_id(config: Optional[CFMConfig] = None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# CFMStats serialization (melds are plain dataclasses; decisions already
-# define the as_dict/from_dict pair for trace args and corpus entries)
+# CFMStats serialization: its four stored fields (decisions already
+# define the as_dict/from_dict pair for trace args and corpus entries;
+# everything else CFMStats reports is derived from them)
 
 
 def cfm_stats_to_data(stats: CFMStats) -> Dict[str, object]:
-    return {
-        "melds": [asdict(m) for m in stats.melds],
-        "decisions": [d.as_dict() for d in stats.decisions],
-        "validations": [asdict(v) for v in stats.validations],
-        "iterations": stats.iterations,
-        "regions_considered": stats.regions_considered,
-        "pairs_rejected_unprofitable": stats.pairs_rejected_unprofitable,
-        "seconds": stats.seconds,
-    }
+    return {"decisions": [d.as_dict() for d in stats.decisions],
+            "validations": [asdict(v) for v in stats.validations],
+            "iterations": stats.iterations, "seconds": stats.seconds}
 
 
 def cfm_stats_from_data(data: Dict[str, object]) -> CFMStats:
     return CFMStats(
-        melds=[MeldRecord(**m) for m in data["melds"]],
-        decisions=[MeldingDecision.from_dict(d) for d in data["decisions"]],
-        # absent in entries written before validations were persisted
-        validations=[MeldValidation(**v)
-                     for v in data.get("validations", [])],
-        iterations=data["iterations"],
-        regions_considered=data["regions_considered"],
-        pairs_rejected_unprofitable=data["pairs_rejected_unprofitable"],
-        seconds=data["seconds"],
-    )
+        [MeldingDecision.from_dict(d) for d in data["decisions"]],
+        [MeldValidation(**v) for v in data.get("validations", [])],
+        data["iterations"], data["seconds"])
 
 
 def _timing_from_event(event: Dict[str, object]) -> PassTiming:
     """Rebuild a :class:`PassTiming` from its serialized event form,
     flagged as a cache replay."""
-    return PassTiming(
-        name=event["pass"],
-        seconds=event["seconds"],
-        changed=event["changed"],
-        blocks_before=event.get("blocks_before"),
-        blocks_after=event.get("blocks_after"),
-        instructions_before=event.get("instructions_before"),
-        instructions_after=event.get("instructions_after"),
-        cached=True,
-    )
+    return PassTiming(event["pass"], event["seconds"], event["changed"],
+                      event["blocks_before"], event["blocks_after"],
+                      event["instructions_before"],
+                      event["instructions_after"], cached=True)
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +226,10 @@ class CompileCache:
 
     # ---- lookup / store ----------------------------------------------------
 
-    def lookup(self, key: CacheKey, want_ir_stats: bool = False,
-               machine=None) -> Optional[CacheHit]:
+    def lookup(self, key: CacheKey, machine=None) -> Optional[CacheHit]:
         """Return a :class:`CacheHit`, or None (counted as a miss).
 
-        ``want_ir_stats=True`` rejects entries whose timings lack IR
-        size stats (stored by a run that didn't collect them) — the
-        entry stays valid for callers that don't need stats.  With a
-        ``machine`` (a :class:`~repro.simt.MachineConfig`), a stored
+        With a ``machine`` (a :class:`~repro.simt.MachineConfig`), a stored
         program matching its latency model is materialized and seeded
         into the launch memo so the first launch skips lowering.
 
@@ -278,10 +258,6 @@ class CompileCache:
             ir = payload["optimized_ir"]
             if digest_text(ir) != payload["ir_sha256"]:
                 raise ValueError("stored IR does not match its digest")
-            if want_ir_stats and not payload["ir_stats"]:
-                # Valid but not rich enough for this caller; the
-                # recompile's store() upgrades the entry in place.
-                return self._miss(key)
             module = parse_module_deferred(ir)
             timings = [_timing_from_event(e) for e in payload["timings"]]
             seconds = payload["seconds"]
@@ -312,7 +288,6 @@ class CompileCache:
 
     def store(self, key: CacheKey, module: object, seconds: float,
               timings: List[PassTiming], *,
-              ir_stats: bool = False,
               program: Optional[Dict[str, object]] = None,
               machine=None,
               cfm_seconds: float = 0.0,
@@ -330,7 +305,6 @@ class CompileCache:
             "ir_sha256": digest_text(text),
             "seconds": seconds,
             "timings": pass_timing_events(timings),
-            "ir_stats": bool(ir_stats),
         }
         if program is not None and machine is not None:
             payload["program"] = program

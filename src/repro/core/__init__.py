@@ -48,7 +48,7 @@ from .instr_align import (
 )
 from .melder import MeldResult, Melder, Side
 from .unpredication import unpredicate
-from .pass_ import CFMConfig, CFMPass, CFMStats, MeldRecord, run_cfm
+from .pass_ import CFMConfig, CFMPass, CFMStats, run_cfm
 
 __all__ = [
     "AlignedPair", "AlignmentResult", "needleman_wunsch",
@@ -65,5 +65,5 @@ __all__ = [
     "alignment_saved_cycles",
     "MeldResult", "Melder", "Side",
     "unpredicate",
-    "CFMConfig", "CFMPass", "CFMStats", "MeldRecord", "run_cfm",
+    "CFMConfig", "CFMPass", "CFMStats", "run_cfm",
 ]

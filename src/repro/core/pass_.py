@@ -84,36 +84,33 @@ class CFMConfig:
 
 
 @dataclass
-class MeldRecord:
-    """One successful meld, for diagnostics and the compile-time study."""
-
-    region_entry: str
-    true_entry: str
-    false_entry: str
-    blocks_melded: int
-    profitability: float
-    partial: bool
-    selects_inserted: int
-    instructions_melded: int
-    instructions_unaligned: int
-
-
-@dataclass
 class CFMStats:
-    """Aggregate outcome of the pass."""
+    """Outcome of the pass: its decision log, and what follows from it."""
 
-    melds: List[MeldRecord] = field(default_factory=list)
     #: the structured decision log: every candidate region with its
     #: FP_B/FP_S/FP_I scores, alignment, and accept/reject reason
     decisions: List[MeldingDecision] = field(default_factory=list)
     #: per-meld translation-validation verdicts (only populated when
-    #: ``CFMConfig.validate`` is on; consumed by the
-    #: ``PassPipeline(validate_melds=...)`` hook)
+    #: ``CFMConfig.validate`` is on; read by the
+    #: :func:`~repro.analysis.validate.validate_melds_hook` pass hook)
     validations: List[MeldValidation] = field(default_factory=list)
     iterations: int = 0
-    regions_considered: int = 0
-    pairs_rejected_unprofitable: int = 0
     seconds: float = 0.0
+
+    @property
+    def melds(self) -> List[MeldingDecision]:
+        """The accepted decisions, one per meld, in meld order."""
+        return [d for d in self.decisions if d.accepted]
+
+    @property
+    def regions_considered(self) -> int:
+        # _meld_one logs exactly one decision per region it considers
+        return len(self.decisions)
+
+    @property
+    def pairs_rejected_unprofitable(self) -> int:
+        return sum(1 for d in self.decisions
+                   if d.action == "rejected-unprofitable")
 
     @property
     def changed(self) -> bool:
@@ -163,12 +160,7 @@ class CFMPass(Pass):
 
 
 def run_cfm(function: Function, config: Optional[CFMConfig] = None) -> CFMStats:
-    """Apply control-flow melding to ``function`` until fixpoint.
-
-    .. deprecated:: 1.1
-       Thin alias kept for existing callers; new code should run
-       :class:`CFMPass` (directly or inside a ``PassPipeline``).
-    """
+    """``CFMPass(config).run(function).stats``: meld to a fixpoint."""
     return CFMPass(config).run(function).stats
 
 
@@ -192,7 +184,6 @@ def _meld_one(function: Function, config: CFMConfig, stats: CFMStats) -> bool:
         region = find_meldable_region(block, divergence, pdt)
         if region is None:
             continue
-        stats.regions_considered += 1
 
         true_subs = path_subgraphs(region.true_first, region.exit, pdt)
         false_subs = path_subgraphs(region.false_first, region.exit, pdt)
@@ -230,7 +221,6 @@ def _meld_one(function: Function, config: CFMConfig, stats: CFMStats) -> bool:
         # lint meld-legality audit has an independent fact to check.
         decision.branch_divergent = divergence.has_divergent_branch(region.entry)
         if pair.profitability <= config.profitability_threshold:
-            stats.pairs_rejected_unprofitable += 1
             decision.action = "rejected-unprofitable"
             decision.reason = (
                 f"FP_S {pair.profitability:.4f} ≤ threshold "
@@ -285,18 +275,6 @@ def _meld_one(function: Function, config: CFMConfig, stats: CFMStats) -> bool:
         decision.unpredicated = unpredicated
         decision.guard_blocks = list(result.guarded_side_effect_blocks)
         stats.decisions.append(decision)
-
-        stats.melds.append(MeldRecord(
-            region_entry=region.entry.name,
-            true_entry=pair.true_subgraph.entry.name,
-            false_entry=pair.false_subgraph.entry.name,
-            blocks_melded=len(pair.mapping),
-            profitability=pair.profitability,
-            partial=pair.is_partial,
-            selects_inserted=result.selects_inserted,
-            instructions_melded=result.instructions_melded,
-            instructions_unaligned=result.instructions_unaligned,
-        ))
         return True
     return False
 

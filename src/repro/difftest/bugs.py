@@ -21,8 +21,8 @@ The bugs are semantic classics for this codebase:
     every entry φ an ``undef`` incoming value for edges arriving from
     the *other* melded path.  The bug drops that step, leaving entry φs
     whose incoming blocks no longer cover all predecessors — malformed
-    IR, caught by ``verify_function`` via the pipeline's
-    ``verify_after_each`` hook (a *verifier-class* failure attributed to
+    IR, caught by ``verify_function`` via the oracle's per-pass
+    verifier hook (a *verifier-class* failure attributed to
     the guilty pass, rather than an output mismatch).
 
 ``meld-swap-operand-under-mask``

@@ -13,10 +13,10 @@ arm             pipeline
 ==============  ============================================================
 
 — with ``verify_function`` run after every pass execution of every
-*distinct* pipeline state (the ``verify_after_each`` hook of
-:class:`~repro.transforms.PassPipeline`) and the error-capable
-:mod:`repro.lint` rules differenced at the same points (the symmetric
-``lint_after_each`` hook): a pass that *introduces* an error-severity
+*distinct* pipeline state (the first of the oracle's ``after_each``
+hooks on :class:`~repro.transforms.PassPipeline`) and the error-capable
+:mod:`repro.lint` rules differenced at the same points (the second): a
+pass that *introduces* an error-severity
 diagnostic the previous IR did not carry — a barrier moved under
 divergent control flow, a shared-memory race opened by a deleted
 barrier — fails the arm with kind ``"lint"`` and the guilty pass
@@ -35,8 +35,8 @@ first diverging buffer index.
 
 With ``validate=True`` the ``o3-cfm`` arm also runs the *static* oracle:
 symbolic translation validation of every meld
-(:mod:`repro.analysis.validate`), wired through the pipeline's
-``validate_melds`` hook.  An ``INEQUIVALENT`` meld fails the arm with
+(:mod:`repro.analysis.validate`), wired in as the third ``after_each``
+hook.  An ``INEQUIVALENT`` meld fails the arm with
 kind ``"validate"`` whether or not any input set witnesses the
 difference — the one oracle class that does not need a run.
 
@@ -155,13 +155,13 @@ class _Prefix:
 
 
 class _PassVerifier:
-    """``verify_after_each`` hook that counts and attributes failures."""
+    """Pass hook that verifies, counts and attributes failures."""
 
     def __init__(self, prefix: _Prefix) -> None:
         self.count = 0
         self.armed = not prefix.proven
 
-    def __call__(self, pass_name: str, function) -> None:
+    def __call__(self, pass_name: str, function, result) -> None:
         if not self.armed:
             if pass_name not in REDUCERS:
                 return
@@ -199,7 +199,7 @@ _ERROR_RULES = rules_emitting(Severity.ERROR)
 
 
 class _LintDiffer:
-    """``lint_after_each`` hook holding the rolling lint baseline.
+    """Pass hook holding the rolling lint baseline.
 
     The baseline starts as the input IR's own report (pre-existing
     findings are the generator's responsibility, not any pass's) and
@@ -214,7 +214,7 @@ class _LintDiffer:
         self.baseline = (prefix.baseline if prefix.proven
                          else repro.lint(function, rules=_ERROR_RULES))
 
-    def __call__(self, pass_name: str, function) -> None:
+    def __call__(self, pass_name: str, function, result) -> None:
         if pass_name in REDUCERS:
             # Reached only when every ``-O3`` pass before it was clean.
             self.prefix.baseline = self.baseline
@@ -252,10 +252,9 @@ def _compile_arm(arm: str, spec: KernelSpec,
         if validate:
             cfm_config = dataclasses.replace(cfm_config or CFMConfig(),
                                              validate=True)
-        result = compile_arm(
-            builder, arm, cfm_config, verify_after_each=hook,
-            lint_after_each=lint_hook,
-            validate_melds=validate_melds_hook if validate else None)
+        hooks = (hook, lint_hook, validate_melds_hook if validate else None)
+        result = compile_arm(builder, arm, cfm_config,
+                             after_each=[h for h in hooks if h is not None])
     except PassVerificationError as exc:
         report.failure = Failure(arm=arm, kind="verifier", detail=str(exc),
                                  pass_name=exc.pass_name)

@@ -163,7 +163,7 @@ def run_task(task: SweepTask,
         comparison = compare(
             task.builder, task.block_size, grid_dim=task.grid_dim,
             seed=task.seed, config=task.config, machine=task.machine,
-            name=task.kernel, cache=cache, collect_ir_stats=True)
+            name=task.kernel, cache=cache)
         if task.trace:
             # Counter tracks next to the task's spans in Perfetto.
             bridge_to_tracer(current_registry(), tracer)

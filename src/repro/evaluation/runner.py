@@ -33,24 +33,22 @@ __all__ = [
 
 def compile_baseline(case: KernelCase, verify: bool = True,
                      cache: Optional[CompileCache] = None,
-                     collect_ir_stats: bool = False,
                      machine: Optional[MachineConfig] = None
                      ) -> CompileResult:
     """``-O3`` pipeline only (the ``o3`` arm of
     :func:`repro.pipeline.compile_arm`)."""
     return compile_arm(case, "o3", cache=cache, machine=machine,
-                       collect_ir_stats=collect_ir_stats, verify=verify)
+                       verify=verify)
 
 
 def compile_cfm(case: KernelCase, config: Optional[CFMConfig] = None,
                 verify: bool = True,
                 cache: Optional[CompileCache] = None,
-                collect_ir_stats: bool = False,
                 machine: Optional[MachineConfig] = None) -> CompileResult:
     """``-O3`` + CFM + late cleanups, the §V-A pipeline (the ``o3-cfm``
     arm of :func:`repro.pipeline.compile_arm`)."""
     return compile_arm(case, "o3-cfm", config, cache=cache, machine=machine,
-                       collect_ir_stats=collect_ir_stats, verify=verify)
+                       verify=verify)
 
 
 @dataclass
@@ -104,7 +102,6 @@ def compare(
     machine: Optional[MachineConfig] = None,
     name: Optional[str] = None,
     cache: Optional[CompileCache] = None,
-    collect_ir_stats: bool = False,
 ) -> Comparison:
     """Build, compile and run one kernel both ways; outputs are verified
     against the kernel's reference — a CFM miscompile fails loudly.
@@ -119,12 +116,8 @@ def compare(
     label = name or base_case.name
     machine = machine if machine is not None else DEFAULT_CONFIG
 
-    base_compile = compile_baseline(base_case, cache=cache,
-                                    collect_ir_stats=collect_ir_stats,
-                                    machine=machine)
-    cfm_compile = compile_cfm(cfm_case, config, cache=cache,
-                              collect_ir_stats=collect_ir_stats,
-                              machine=machine)
+    base_compile = compile_baseline(base_case, cache=cache, machine=machine)
+    cfm_compile = compile_cfm(cfm_case, config, cache=cache, machine=machine)
     # A Comparison outlives its cases and crosses the scheduler's pickle
     # boundary: it keeps the numbers, not the IR.
     base_compile.function = cfm_compile.function = None

@@ -10,9 +10,9 @@ branch fusion).  This module owns exactly two decisions:
   for a pair: the ``-O3`` fixpoint stage and/or **one**
   :class:`~repro.transforms.PassPipeline` hosting the reducer followed
   by the late cleanups.  Hosting the reducer in a pipeline is what makes
-  its ``pass:<name>`` span, its ``repro_compile_pass_seconds`` sample
-  and its IR-size stats come for free (``pass_manager._run_once`` does
-  all three for every hosted pass);
+  its ``pass:<name>`` span, its ``repro_compile_pass_seconds`` sample,
+  its IR sizes and its ``after_each`` hooks come for free
+  (``pass_manager._run_once`` does all four for every hosted pass);
 * **the cache protocol** — :func:`compile_arm` probes the full-pipeline
   key, falls through to the shared ``"o3"`` entry for the CFM arm, runs
   what is left, verifies, lowers and stores.
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.baselines import BranchFusionPass, TailMergingPass
 from repro.compile_cache import CompileCache, cfm_pipeline_id
@@ -37,6 +37,7 @@ from repro.kernels.dsl import KernelBuilder
 from repro.obs import current_tracer
 from repro.simt import MachineConfig, lower_symbolic
 from repro.transforms import (
+    PassHook,
     PassPipeline,
     PassTiming,
     late_pipeline,
@@ -125,26 +126,20 @@ class CompileResult:
 
 def stages(o3: bool, reducer: Optional[str],
            cfm_config: Optional[CFMConfig] = None, *,
-           collect_ir_stats: bool = False, verify_after_each=None,
-           lint_after_each=None, validate_melds=None
+           after_each: Sequence[PassHook] = ()
            ) -> Tuple[Optional[PassPipeline], Optional[PassPipeline]]:
     """``(-O3 stage, reducer stage)`` of one ``(o3, reducer)`` pair; a
     stage the pair does not run is None.  The ``-O3`` stage runs to a
     fixpoint, the reducer stage (reducer, then the late cleanups) once.
-    The three hooks are :class:`~repro.transforms.PassPipeline`'s."""
+    Both stages run the same ``after_each`` hooks."""
     o3_stage = reducer_stage = None
     if o3:
-        o3_stage = o3_pipeline(collect_ir_stats=collect_ir_stats)
-        o3_stage.verify_after_each = verify_after_each
-        o3_stage.lint_after_each = lint_after_each
+        o3_stage = PassPipeline(o3_pipeline().passes, after_each)
     if reducer is not None:
         reducer_pass = (CFMPass(cfm_config) if reducer == "cfm"
                         else REDUCERS[reducer]())
         reducer_stage = PassPipeline(
-            [reducer_pass, *late_pipeline().passes],
-            collect_ir_stats=collect_ir_stats,
-            verify_after_each=verify_after_each,
-            lint_after_each=lint_after_each, validate_melds=validate_melds)
+            [reducer_pass, *late_pipeline().passes], after_each)
     return o3_stage, reducer_stage
 
 
@@ -165,8 +160,8 @@ def compile_arm(kernel: KernelLike, arm: Arm,
                 cfm_config: Optional[CFMConfig] = None, *,
                 cache: Optional[CompileCache] = None,
                 machine: Optional[MachineConfig] = None,
-                collect_ir_stats: bool = False, verify: bool = True,
-                **hooks) -> CompileResult:
+                verify: bool = True,
+                after_each: Sequence[PassHook] = ()) -> CompileResult:
     """Compile ``kernel`` in place under ``arm``.
 
     With a ``cache``, the ``o3`` and ``o3-cfm`` arms of a builder/case
@@ -183,7 +178,7 @@ def compile_arm(kernel: KernelLike, arm: Arm,
 
     Cached entries were verified by the run that produced them and
     print/parse round-trips exactly, so ``verify`` is skipped on a hit.
-    ``hooks`` are :func:`stages`' per-pass hooks.
+    ``after_each`` are :func:`stages`' per-pass hooks.
     """
     o3, reducer = resolve_arm(arm)
     function = as_function(kernel)
@@ -196,11 +191,10 @@ def compile_arm(kernel: KernelLike, arm: Arm,
             printed = print_module(function.module)
             full_key = CompileCache.key(
                 cfm_pipeline_id(cfm_config) if reducer else "o3", printed)
-            hit = full_hit = cache.lookup(
-                full_key, want_ir_stats=collect_ir_stats, machine=machine)
+            hit = full_hit = cache.lookup(full_key, machine=machine)
             if hit is None and reducer:
                 o3_key = CompileCache.key("o3", printed)
-                hit = cache.lookup(o3_key, want_ir_stats=collect_ir_stats)
+                hit = cache.lookup(o3_key)
             if hit is not None:
                 result.function = function = _swap_in(kernel, hit.module)
                 result.o3_seconds, result.o3_cached = hit.seconds, True
@@ -212,7 +206,7 @@ def compile_arm(kernel: KernelLike, arm: Arm,
         else:
             o3_stage, reducer_stage = stages(
                 o3 and not result.o3_cached, reducer, cfm_config,
-                collect_ir_stats=collect_ir_stats, **hooks)
+                after_each=after_each)
             if o3_stage is not None:
                 start = time.perf_counter()
                 o3_stage.run_to_fixpoint(function)
@@ -220,8 +214,7 @@ def compile_arm(kernel: KernelLike, arm: Arm,
                 result.pass_timings = list(o3_stage.timings)
                 if o3_key is not None:
                     cache.store(o3_key, function.module, result.o3_seconds,
-                                result.pass_timings,
-                                ir_stats=collect_ir_stats)
+                                result.pass_timings)
             if reducer_stage is not None:
                 start = time.perf_counter()
                 reducer_stage.run(function)
@@ -235,9 +228,8 @@ def compile_arm(kernel: KernelLike, arm: Arm,
                 program = (lower_symbolic(function, machine.latency)
                            if machine is not None else None)
                 cache.store(full_key, function.module, result.o3_seconds,
-                            result.pass_timings, ir_stats=collect_ir_stats,
-                            program=program, machine=machine,
-                            cfm_seconds=result.cfm_seconds,
+                            result.pass_timings, program=program,
+                            machine=machine, cfm_seconds=result.cfm_seconds,
                             cfm_stats=result.cfm_stats)
         span.set(level=result.level, cfm=reducer == "cfm",
                  melds=result.melds)

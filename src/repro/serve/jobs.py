@@ -72,13 +72,18 @@ class JobParamError(ProtocolError):
         super().__init__(message, code="invalid-params")
 
 
+def _is(value: Any, kind: type) -> bool:
+    """``isinstance`` where a bool is not an int (JSON ``true`` is no seed)."""
+    return isinstance(value, kind) and (kind is bool
+                                        or not isinstance(value, bool))
+
+
 def _require(params: Dict[str, Any], key: str, kind: type,
              default: Any = None) -> Any:
     value = params.get(key, default)
     if value is default and default is not None:
         return default
-    if not isinstance(value, kind) or (
-            kind is int and isinstance(value, bool)):
+    if not _is(value, kind):
         raise JobParamError(
             f"param {key!r} must be {kind.__name__}, got {type(value).__name__}")
     return value
@@ -235,7 +240,7 @@ class SweepJob(JobSpec):
         self.seed = _require(params, "seed", int, DEFAULT_SEED)
         self.grid_dim = _positive(
             "grid_dim", params.get("grid_dim", DEFAULT_GRID_DIM))
-        self.trace = bool(params.get("trace", False))
+        self.trace = _require(params, "trace", bool, False)
         sizes = params.get("block_sizes")
         if sizes is None:
             self.block_sizes = {
@@ -247,6 +252,9 @@ class SweepJob(JobSpec):
             missing = [n for n in self.kernels if n not in sizes]
             if missing:
                 raise JobParamError(f"block_sizes missing kernels {missing}")
+            scalar = [n for n in self.kernels if not _is(sizes[n], list)]
+            if scalar:
+                raise JobParamError(f"block_sizes of {scalar} must be lists")
             self.block_sizes = {name: list(sizes[name])
                                 for name in self.kernels}
         else:
@@ -358,13 +366,13 @@ class DifftestJob(JobSpec):
         super().__init__(params)
         seeds = params.get("seeds")
         if seeds is not None:
-            if not isinstance(seeds, list) or \
-                    not all(isinstance(s, int) for s in seeds):
+            if not _is(seeds, list) or not all(_is(s, int) for s in seeds):
                 raise JobParamError("param 'seeds' must be a list of ints")
             self.seeds = seeds
         else:
             count = _positive("count", params.get("count", 10))
             start = _require(params, "start", int, 0)
+            self._check_size(count)  # before the list exists
             self.seeds = list(range(start, start + count))
         self.block_dim = _positive("block_dim", params.get("block_dim", 16))
         self.grid_dim = _positive("grid_dim", params.get("grid_dim", 2))

@@ -7,15 +7,14 @@ of that pipeline (folding, unrolling, CFG cleanup, if-conversion) and
 """
 
 from .pass_manager import (
-    AfterPassHook,
     CallablePass,
     FixpointError,
     FunctionPass,
     Pass,
+    PassHook,
     PassPipeline,
     PassResult,
     PassTiming,
-    ValidateMeldsHook,
     as_pass,
 )
 from .dce import eliminate_dead_code
@@ -41,8 +40,8 @@ from .speculate import speculate_hammocks
 from .licm import hoist_loop_invariants
 
 __all__ = [
-    "AfterPassHook", "CallablePass", "FixpointError", "FunctionPass",
-    "Pass", "PassPipeline", "PassResult", "PassTiming", "ValidateMeldsHook",
+    "CallablePass", "FixpointError", "FunctionPass",
+    "Pass", "PassHook", "PassPipeline", "PassResult", "PassTiming",
     "as_pass",
     "eliminate_dead_code", "fold_constants",
     "eliminate_common_subexpressions",
@@ -57,7 +56,7 @@ __all__ = [
 ]
 
 
-def o3_pipeline(collect_ir_stats: bool = False) -> PassPipeline:
+def o3_pipeline() -> PassPipeline:
     """The baseline optimization pipeline (HIPCC ``-O3`` stand-in)."""
     return PassPipeline([
         ("constfold", fold_constants),
@@ -69,7 +68,7 @@ def o3_pipeline(collect_ir_stats: bool = False) -> PassPipeline:
         ("cse", eliminate_common_subexpressions),
         ("simplifycfg2", simplify_cfg),
         ("dce", eliminate_dead_code),
-    ], collect_ir_stats=collect_ir_stats)
+    ])
 
 
 def late_pipeline() -> PassPipeline:

@@ -10,57 +10,45 @@ Two pass forms share one pipeline:
   :class:`~repro.core.pass_.CFMStats`, the baselines their change flag).
 
 :class:`PassPipeline` hosts both behind the :class:`Pass` interface
-(callables are wrapped on :meth:`PassPipeline.add`), runs them in order
-(optionally to a fixpoint) and can verify the IR after each pass — the
-test suite runs every pipeline in verifying mode, which is how transform
-bugs surface as precise verifier errors rather than downstream
-miscompiles.  The ``verify_after_each`` hook generalizes this: any
-callable ``(pass_name, function) -> None`` is invoked after **every**
-pass execution, which is how the differential-testing oracle
-(:mod:`repro.difftest`) attributes a verifier failure to the exact pass
-that introduced it.  ``lint_after_each`` is the symmetric seam for
-*semantic* diagnostics: it runs right after ``verify_after_each``, and
-the oracle's differential-lint arm uses it to assert that no pass
-introduces a new error-severity :mod:`repro.lint` diagnostic.
+(callables are wrapped on :meth:`PassPipeline.add`) and runs them in
+order, optionally to a fixpoint.  This module alone decides what one
+pass execution records and who observes it.  Each execution yields one
+:class:`PassTiming` — seconds, change flag and the IR's block and
+instruction counts on both sides of the pass — and then, in order:
 
-Timings are scoped per invocation: ``timings`` holds only the pass
-executions of the most recent :meth:`PassPipeline.run` /
-:meth:`PassPipeline.run_to_fixpoint` call, while ``cumulative_timings``
-accumulates across the pipeline object's whole lifetime.  Table II's
-compile-time breakdown reads the per-invocation view (one kernel per
-invocation); the cumulative view exists for whole-session profiling.
+1. the timing joins ``timings`` (the executions of the most recent
+   :meth:`PassPipeline.run` / :meth:`PassPipeline.run_to_fixpoint`
+   call, which is what Table II and the sweep trace read);
+2. it is emitted as one compile-side span when an ambient tracer is
+   enabled (``repro.obs``) and as one ``repro_compile_pass_seconds``
+   sample;
+3. a changed pass invalidates the function's divergence memo;
+4. every ``after_each`` hook runs, in list order, as
+   ``hook(pass_name, function, result)``.
 
-With ``collect_ir_stats=True`` every :class:`PassTiming` also records the
-IR's block/instruction counts before and after the pass, which the
-evaluation harness serializes into its structured sweep trace (see
-``repro.evaluation.trace``).
+Raising from a hook aborts the pipeline at that pass.  The
+differential-testing oracle (:mod:`repro.difftest`) hooks in the
+verifier, the lint differ and the meld validator this way, which is how
+it attributes each failure to the exact pass that introduced it.
 
-When an ambient tracer is enabled (``repro.obs``), every pass execution
-is additionally emitted as one compile-side span (IR-size deltas in the
-span args, so Perfetto shows the same data the structured trace holds);
-under the default no-op tracer this costs one attribute check per pass.
+IR sizes are measured once per pass boundary: no hook mutates the IR,
+so the "after" of one execution is the "before" of the next.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.divergence import invalidate_divergence
 from repro.ir.function import Function
-from repro.ir.verifier import verify_function
-from repro.obs import current_tracer, emit_pass_timing, pass_timing_event, \
-    pass_timing_events, record_pass_seconds
+from repro.obs import current_tracer, emit_pass_timing, record_pass_seconds
 
 FunctionPass = Callable[[Function], bool]
 
-#: hook signature for ``PassPipeline(verify_after_each=...)``
-AfterPassHook = Callable[[str, Function], None]
-
-#: hook signature for ``PassPipeline(validate_melds=...)`` — also receives
-#: the :class:`PassResult`, whose stats carry per-meld validation verdicts
-ValidateMeldsHook = Callable[[str, Function, "PassResult"], None]
+#: an ``after_each`` hook: ``hook(pass_name, function, result)``
+PassHook = Callable[[str, Function, "PassResult"], None]
 
 
 @dataclass
@@ -117,27 +105,19 @@ def as_pass(pass_: Union[Pass, FunctionPass], name: Optional[str] = None) -> Pas
 
 @dataclass
 class PassTiming:
-    """One pass execution: wall-clock seconds plus optional IR size stats
-    (Table II's raw material and the sweep trace's per-pass events)."""
+    """One pass execution: wall-clock seconds and the IR's size on both
+    sides (Table II's raw material, one sweep-trace pass event)."""
 
     name: str
     seconds: float
     changed: bool
-    blocks_before: Optional[int] = None
-    blocks_after: Optional[int] = None
-    instructions_before: Optional[int] = None
-    instructions_after: Optional[int] = None
+    blocks_before: int
+    blocks_after: int
+    instructions_before: int
+    instructions_after: int
     #: this timing was replayed from a compile cache, not measured live
     #: (``seconds`` reports the original run; trace spans carry the flag)
     cached: bool = False
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-serializable event (one line of the pass trace).
-
-        Thin alias of :func:`repro.obs.pass_timing_event`, the single
-        implementation of the event shape.
-        """
-        return pass_timing_event(self)
 
 
 class FixpointError(RuntimeError):
@@ -156,16 +136,19 @@ class FixpointError(RuntimeError):
             f"changes in the final iteration: {detail}")
 
 
+def _ir_size(function: Function) -> Tuple[int, int]:
+    blocks = function.blocks
+    return len(blocks), sum(len(block) for block in blocks)
+
+
 class PassPipeline:
     """An ordered list of named function passes (:class:`Pass` objects
-    or plain callables; see module docstring)."""
+    or plain callables) and the hooks that observe each execution (see
+    module docstring)."""
 
     def __init__(self,
                  passes: Optional[Sequence[Union[Pass, Tuple[str, FunctionPass]]]] = None,
-                 verify: bool = False, collect_ir_stats: bool = False,
-                 verify_after_each: Optional[AfterPassHook] = None,
-                 lint_after_each: Optional[AfterPassHook] = None,
-                 validate_melds: Optional[ValidateMeldsHook] = None) -> None:
+                 after_each: Sequence[PassHook] = ()) -> None:
         self._passes: List[Pass] = []
         for entry in passes or []:
             if isinstance(entry, Pass):
@@ -173,23 +156,11 @@ class PassPipeline:
             else:
                 name, fn = entry
                 self._passes.append(as_pass(fn, name))
-        self.verify = verify
-        #: callable ``(pass_name, function)`` invoked after every pass
-        #: execution; raise from it to abort the pipeline with context
-        self.verify_after_each = verify_after_each
-        #: like ``verify_after_each`` but for semantic diagnostics; runs
-        #: after it, so lint sees only verifier-clean IR
-        self.lint_after_each = lint_after_each
-        #: callable ``(pass_name, function, result)`` invoked after every
-        #: pass execution, last of the three hooks; the standard hook is
-        #: :func:`repro.analysis.validate.validate_melds_hook`, which
-        #: raises on any INEQUIVALENT meld the pass recorded
-        self.validate_melds = validate_melds
-        self.collect_ir_stats = collect_ir_stats
+        #: hooks ``(pass_name, function, result)`` run after every pass
+        #: execution, in order; raise from one to abort the pipeline
+        self.after_each: Tuple[PassHook, ...] = tuple(after_each)
         #: pass executions of the most recent run()/run_to_fixpoint() call
         self.timings: List[PassTiming] = []
-        #: every pass execution over the pipeline object's lifetime
-        self.cumulative_timings: List[PassTiming] = []
 
     def add(self, pass_or_name: Union[Pass, str],
             pass_: Optional[FunctionPass] = None) -> "PassPipeline":
@@ -209,29 +180,23 @@ class PassPipeline:
         """The hosted passes, in execution order."""
         return list(self._passes)
 
-    @staticmethod
-    def _ir_size(function: Function) -> Tuple[int, int]:
-        blocks = function.blocks
-        return len(blocks), sum(len(block) for block in blocks)
-
-    def _run_once(self, function: Function) -> bool:
-        """One sweep over the pass list, appending to the current scope."""
+    def _run_once(self, function: Function,
+                  size: Tuple[int, int]) -> Tuple[bool, Tuple[int, int]]:
+        """One sweep over the pass list, appending to the current scope;
+        ``size`` is the IR's size on entry, the returned one on exit."""
         changed = False
         tracer = current_tracer()
         for pass_ in self._passes:
-            if self.collect_ir_stats or tracer.enabled:
-                blocks_before, instrs_before = self._ir_size(function)
             start = time.perf_counter()
             result = pass_.run(function)
-            timing = PassTiming(pass_.name, time.perf_counter() - start,
-                                result.changed)
-            if self.collect_ir_stats or tracer.enabled:
-                timing.blocks_before = blocks_before
-                timing.instructions_before = instrs_before
-                timing.blocks_after, timing.instructions_after = \
-                    self._ir_size(function)
+            seconds = time.perf_counter() - start
+            after = _ir_size(function)  # the next pass's "before"
+            timing = PassTiming(
+                pass_.name, seconds, result.changed,
+                blocks_before=size[0], blocks_after=after[0],
+                instructions_before=size[1], instructions_after=after[1])
+            size = after
             self.timings.append(timing)
-            self.cumulative_timings.append(timing)
             if tracer.enabled:
                 emit_pass_timing(timing, tracer)
             record_pass_seconds(timing.name, timing.seconds)
@@ -240,25 +205,14 @@ class PassPipeline:
                 # The pass may have rewritten operands in place, which
                 # the divergence memo's fingerprint cannot see.
                 invalidate_divergence(function)
-            if self.verify:
-                try:
-                    verify_function(function)
-                except Exception as exc:
-                    raise RuntimeError(
-                        f"IR verification failed after pass "
-                        f"{pass_.name!r}") from exc
-            if self.verify_after_each is not None:
-                self.verify_after_each(pass_.name, function)
-            if self.lint_after_each is not None:
-                self.lint_after_each(pass_.name, function)
-            if self.validate_melds is not None:
-                self.validate_melds(pass_.name, function, result)
-        return changed
+            for hook in self.after_each:
+                hook(pass_.name, function, result)
+        return changed, size
 
     def run(self, function: Function) -> bool:
         """Run each pass once, in order.  Returns True if any changed IR."""
         self.timings = []
-        return self._run_once(function)
+        return self._run_once(function, _ir_size(function))[0]
 
     def run_to_fixpoint(self, function: Function, max_iterations: int = 32) -> bool:
         """Repeat the whole pipeline until nothing changes.
@@ -267,30 +221,15 @@ class PassPipeline:
         ``timings`` holds every pass execution of this invocation.
         """
         self.timings = []
+        size = _ir_size(function)
         any_change = False
         iteration_start = 0
         for _ in range(max_iterations):
             iteration_start = len(self.timings)
-            if not self._run_once(function):
+            changed, size = self._run_once(function, size)
+            if not changed:
                 return any_change
             any_change = True
         unstable = sorted({t.name for t in self.timings[iteration_start:]
                            if t.changed})
         raise FixpointError(function.name, max_iterations, unstable)
-
-    @property
-    def total_seconds(self) -> float:
-        """Seconds spent in the most recent run()/run_to_fixpoint()."""
-        return sum(t.seconds for t in self.timings)
-
-    @property
-    def cumulative_seconds(self) -> float:
-        """Seconds spent across every invocation of this pipeline object."""
-        return sum(t.seconds for t in self.cumulative_timings)
-
-    def trace_events(self) -> List[Dict[str, object]]:
-        """The current scope's timings as JSON-serializable events.
-
-        Thin alias of :func:`repro.obs.pass_timing_events`.
-        """
-        return pass_timing_events(self.timings)

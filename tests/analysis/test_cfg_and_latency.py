@@ -9,7 +9,6 @@ from repro.analysis import (
     reachable_blocks,
     reachable_from,
     reverse_postorder,
-    split_edge,
     verify_preds_consistent,
 )
 from repro.ir import (
@@ -68,40 +67,21 @@ class TestReachableFrom:
 
 
 class TestSplitEdge:
-    def test_split_simple_edge(self):
-        f = build_diamond()
-        entry, then, els, merge = f.blocks
-        new = split_edge(then, merge, "mid")
-        verify_function(f)
-        assert then.single_succ is new
-        assert new.single_succ is merge
-        assert then not in merge.preds
-
-    def test_split_updates_phis(self):
-        f = parse("""
-define void @k(i1 %c) {
-entry:
-  br i1 %c, label %a, label %b
-a:
-  br label %m
-b:
-  br label %m
-m:
-  %p = phi i32 [ 1, %a ], [ 2, %b ]
-  ret void
-}
-""")
-        a, m = f.block_by_name("a"), f.block_by_name("m")
-        new = split_edge(a, m, "split")
-        verify_function(f)
-        phi = m.phis[0]
-        assert phi.incoming_for(new).value == 1
-
     def test_preds_stay_consistent(self):
+        # The diamond with its entry -> then edge split by hand: the
+        # redirected branch keeps every cached predecessor list exact,
+        # and a stale one is reported.
         f = build_diamond()
         entry, then, els, merge = f.blocks
-        split_edge(entry, then, "s")
+        split = f.add_block("s", after=entry)
+        entry.terminator.replace_successor(then, split)
+        IRBuilder(split).br(then)
+        verify_function(f)
         verify_preds_consistent(f)
+        assert then.preds == [split] and split.preds == [entry]
+        then._preds.append(entry)
+        with pytest.raises(AssertionError, match="stale predecessor list"):
+            verify_preds_consistent(f)
 
 
 class TestLatencyModel:

@@ -193,7 +193,7 @@ class TestValidateMeldsHook:
     def _run_cfm_stage(self, function):
         o3_pipeline().run_to_fixpoint(function)
         pipeline = PassPipeline([CFMPass(CFMConfig(validate=True))],
-                                validate_melds=validate_melds_hook)
+                                after_each=[validate_melds_hook])
         pipeline.run(function)
 
     def test_healthy_compile_passes_the_hook(self):

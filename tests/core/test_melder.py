@@ -140,7 +140,7 @@ m:
         stats = run_cfm(f)
         verify_function(f)
         assert len(stats.melds) == 1
-        assert stats.melds[0].blocks_melded >= 3
+        assert len(stats.melds[0].alignment) >= 3
 
     def test_complex_meld_preserves_semantics(self):
         data = {"a": [5, 200, 99, 150, 7, 101, 300, 100],

@@ -41,7 +41,7 @@ from repro.evaluation import (
 )
 from repro.ir import print_module
 from repro.kernels import build_sb1
-from repro.obs import MetricsRegistry, trace, use_registry
+from repro.obs import MetricsRegistry, pass_timing_events, trace, use_registry
 from repro.pipeline import compile_arm
 from repro.simt import DEFAULT_CONFIG
 
@@ -175,12 +175,12 @@ class TestDiskCache:
 
     def test_sealed_foreign_schema_is_miss_and_evicts(self, tmp_path,
                                                       monkeypatch):
-        assert CACHE_SCHEMA == "repro.compile-cache/2"
+        assert CACHE_SCHEMA == "repro.compile-cache/3"
         with monkeypatch.context() as patch:
             patch.setattr(compile_cache, "CACHE_SCHEMA",
-                          "repro.compile-cache/3")
+                          "repro.compile-cache/4")
             key, file = _store_one(tmp_path)
-        assert json.loads(file.read_text())["schema"].endswith("/3")
+        assert json.loads(file.read_text())["schema"].endswith("/4")
 
         assert _miss_and_evict(tmp_path, key, file) == {
             **NO_TRAFFIC, "misses": 1, "evictions": 1}
@@ -337,6 +337,39 @@ class TestDiskCache:
             p.join(timeout=60)
         assert all(p.exitcode == 0 for p in procs)
         assert seen and set(seen) <= {0.0, 1.0, 2.0}
+
+
+# ---------------------------------------------------------------------------
+# one entry shape: every entry carries IR sizes, so any caller replays it
+
+
+class TestOneEntryShape:
+    def test_sweep_task_replays_what_the_facade_and_runner_stored(
+            self, tmp_path):
+        # A sweep task used to demand entries "with IR sizes" and missed
+        # on every entry repro.compile or compile_baseline had stored.
+        import repro
+        cache = CompileCache(disk=tmp_path)
+        repro.compile(build_sb1(block_size=32), cfm=True, cache=cache)
+        compile_baseline(build_sb1(block_size=32), cache=cache,
+                         machine=DEFAULT_CONFIG)
+        result = run_task(SweepTask(kernel="SB1", builder=build_sb1,
+                                    block_size=32, cache_dir=str(tmp_path)))
+        assert result.ok and result.compile_cache["misses"] == 0
+        comparison = result.comparison
+        assert comparison.cfm_compile.cfm_cached
+        for arm in (comparison.baseline_compile, comparison.cfm_compile):
+            events = pass_timing_events(arm.pass_timings)
+            assert events and all("blocks_before" in e for e in events)
+
+    def test_a_sealed_schema_2_file_is_one_eviction_and_one_miss(
+            self, tmp_path, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(compile_cache, "CACHE_SCHEMA",
+                          "repro.compile-cache/2")
+            key, file = _store_one(tmp_path)
+        assert _miss_and_evict(tmp_path, key, file) == {
+            **NO_TRAFFIC, "misses": 1, "evictions": 1}
 
 
 # ---------------------------------------------------------------------------

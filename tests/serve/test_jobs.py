@@ -39,6 +39,37 @@ class TestMakeJob:
             make_job("difftest", {"count": MAX_TASKS_PER_JOB + 1})
         assert "cap" in str(info.value)
 
+    def test_huge_count_rejected_before_expansion(self):
+        # {"count": 5_000_000} used to build the whole seed list (7.8 s,
+        # 191 MiB) before the cap rejected it; 10**9 blocked the loop.
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            with pytest.raises(JobParamError) as info:
+                make_job("difftest", {"count": 5_000_000})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "cap" in str(info.value)
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("kind, params", [
+        ("difftest", {"count": 10**9}),
+        ("sweep", {"kernels": ["SB1"], "block_sizes": {"SB1": 32}}),
+        ("sweep", {"kernels": ["SB1"], "block_sizes": {"SB1": None}}),
+        ("difftest", {"seeds": [True, False]}),
+        ("sweep", {"kernels": ["SB1"], "trace": "no"}),
+    ], ids=["huge-count", "scalar-sizes", "null-sizes", "bool-seeds",
+            "string-trace"])
+    def test_malformed_params_are_typed(self, kind, params):
+        with pytest.raises(JobParamError) as info:
+            make_job(kind, params)
+        assert info.value.code == "invalid-params"
+
+    def test_bool_trace_still_accepted(self):
+        assert make_job("sweep", {"kernels": ["SB1"], "trace": True}).trace
+        assert not make_job("sweep", {"kernels": ["SB1"]}).trace
+
     def test_zero_tasks_rejected(self):
         with pytest.raises(JobParamError):
             make_job("difftest", {"seeds": []})

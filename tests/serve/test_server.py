@@ -228,6 +228,25 @@ class TestAdmission:
                     client.run_job("sweep", {"kernels": ["NOPE"]})
                 assert info.value.code == "invalid-params"
 
+    def test_malformed_params_each_get_one_rejection_then_pong(self):
+        # A scalar block size used to raise TypeError out of the submit
+        # and close the connection unanswered; a 10**9 count blocked
+        # the event loop building its seed list.
+        cases = [
+            ("difftest", {"count": 10**9}),
+            ("sweep", {"kernels": ["SB1"], "block_sizes": {"SB1": 32}}),
+            ("sweep", {"kernels": ["SB1"], "block_sizes": {"SB1": None}}),
+            ("difftest", {"seeds": [True, False]}),
+            ("sweep", {"kernels": ["SB1"], "trace": "no"}),
+        ]
+        with ServerThread(ServerConfig(workers=1)) as address:
+            with ServeClient(*address, timeout=30) as client:
+                for kind, params in cases:
+                    with pytest.raises(JobRejected) as info:
+                        client.run_job(kind, params)
+                    assert info.value.code == "invalid-params", kind
+                assert client.ping()
+
     def test_quota_exceeded_is_typed_not_a_stall(self):
         config = ServerConfig(workers=1, client_quota=3)
         with ServerThread(config) as address:

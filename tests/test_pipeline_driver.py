@@ -125,7 +125,8 @@ def test_oracle_arm_is_the_driver_arm(seed, arm):
 class TestCacheProtocol:
     def test_facade_entry_replays_in_the_runner(self):
         # Drift (a): the facade used to store unsplit seconds, no "o3"
-        # entry and ir_stats=False under the same key compile_cfm reads.
+        # entry, and timings without IR sizes under the key compile_cfm
+        # reads (every entry carries the sizes now).
         cache = repro.CompileCache()
         first = repro.compile(build("BIT"), cfm=True, cache=cache)
         assert len(cache) == 2  # the shared "o3" entry and the full one

@@ -32,14 +32,14 @@ ENTRY_POINTS = {
     # the paper's Figures 9 and 10 in one call
     "figures9_and_10",
     # kept only for their tests; next in line for deletion together
-    # with them (the dense dataflow engine behind live_variables, cfg.
-    # postorder, and CFG edge splitting)
-    "live_variables", "split_edge",
+    # with them (the dense dataflow engine behind live_variables, and
+    # cfg.postorder)
+    "live_variables",
 }
 
 #: names an earlier spelling of the compile cache, the memo quarantine,
-#: the latency key, the reconvergence policies and the dead-code audit
-#: left behind
+#: the latency key, the reconvergence policies, the pass hooks and
+#: timings, the meld records and the dead-code audit left behind
 RETIRED = {
     "DiskCompileCache", "clear_lowering_memo", "invalidate_lowering",
     "latency_token_key", "key_for", "record_cache_lookup",
@@ -47,7 +47,9 @@ RETIRED = {
     "list_entries", "merge_reports",
     "ReconvergencePolicy", "IPDOMPolicy", "MinPCPolicy", "get_policy",
     "_POLICIES", "_IPDOMScheduler", "_MinPCScheduler",
-    "smith_waterman", "enclosing_simple_regions",
+    "smith_waterman", "enclosing_simple_regions", "split_edge",
+    "MeldRecord", "AfterPassHook", "ValidateMeldsHook",
+    "cumulative_timings", "want_ir_stats",
 }
 
 

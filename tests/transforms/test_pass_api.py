@@ -94,7 +94,7 @@ class TestVerifyAfterEach:
         seen = []
         pipeline = PassPipeline(
             [("fold", fold_constants), ("dce", eliminate_dead_code)],
-            verify_after_each=lambda name, fn: seen.append(name))
+            after_each=[lambda name, fn, result: seen.append(name)])
         pipeline.run(make_function())
         assert seen == ["fold", "dce"]
 
@@ -102,46 +102,62 @@ class TestVerifyAfterEach:
         class Boom(Exception):
             pass
 
-        def hook(name, fn):
+        def hook(name, fn, result):
             raise Boom(name)
 
-        pipeline = PassPipeline([("fold", fold_constants)],
-                                verify_after_each=hook)
+        pipeline = PassPipeline([("fold", fold_constants)], after_each=[hook])
         with pytest.raises(Boom):
             pipeline.run(make_function())
 
     def test_hook_runs_even_when_pass_reports_no_change(self):
         seen = []
-        pipeline = PassPipeline([("noop", lambda f: False)],
-                                verify_after_each=lambda n, f: seen.append(n))
+        pipeline = PassPipeline(
+            [("noop", lambda f: False)],
+            after_each=[lambda n, f, r: seen.append((n, r.changed))])
         pipeline.run(make_function())
-        assert seen == ["noop"]
+        assert seen == [("noop", False)]
+
+    def test_hook_receives_the_pass_result(self):
+        results = []
+        pipeline = PassPipeline(
+            [CFMPass(), ("dce", eliminate_dead_code)],
+            after_each=[lambda n, f, r: results.append(r)])
+        pipeline.run(build_diamond(identical=True))
+        cfm, dce = results
+        assert cfm.changed and len(cfm.stats.melds) == 1
+        assert dce.stats is None
 
 
 class TestLintAfterEach:
     def test_hook_symmetric_with_verify(self):
-        verified, linted = [], []
+        # Hooks run in list order after every pass execution.
+        calls = []
         pipeline = PassPipeline(
             [("fold", fold_constants), ("dce", eliminate_dead_code)],
-            verify_after_each=lambda name, fn: verified.append(name),
-            lint_after_each=lambda name, fn: linted.append(name))
+            after_each=[lambda name, fn, r: calls.append(("verify", name)),
+                        lambda name, fn, r: calls.append(("lint", name))])
         pipeline.run(make_function())
-        assert linted == verified == ["fold", "dce"]
+        assert calls == [("verify", "fold"), ("lint", "fold"),
+                         ("verify", "dce"), ("lint", "dce")]
 
     def test_lint_hook_failure_propagates(self):
         class LintBoom(Exception):
             pass
 
-        def hook(name, fn):
+        def hook(name, fn, result):
             raise LintBoom(name)
 
-        pipeline = PassPipeline([("fold", fold_constants)],
-                                lint_after_each=hook)
+        seen = []
+        pipeline = PassPipeline(
+            [("fold", fold_constants)],
+            after_each=[lambda n, f, r: seen.append(n), hook,
+                        lambda n, f, r: seen.append("after boom")])
         with pytest.raises(LintBoom):
             pipeline.run(make_function())
+        assert seen == ["fold"]
 
     def test_default_is_none(self):
-        assert PassPipeline([]).lint_after_each is None
+        assert PassPipeline([]).after_each == ()
 
     def test_changed_pass_invalidates_divergence_memo(self):
         from repro.analysis import cached_divergence
@@ -151,7 +167,7 @@ class TestLintAfterEach:
         observed = []
         pipeline = PassPipeline(
             [("fold", fold_constants)],
-            lint_after_each=lambda n, f: observed.append(cached_divergence(f)))
+            after_each=[lambda n, f, r: observed.append(cached_divergence(f))])
         assert pipeline.run(function)  # fold changes the IR
         # The hook saw a FRESH analysis, not the stale pre-pass memo.
         assert observed[0] is not before

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.ir import verify_function
+from repro.obs import pass_timing_event
 from repro.transforms import PassPipeline, eliminate_dead_code, fold_constants
 
 from tests.support import parse
@@ -48,7 +50,7 @@ class TestPipeline:
         assert timing.name == "fold"
         assert timing.seconds >= 0
         assert timing.changed
-        assert pipeline.total_seconds >= timing.seconds
+        assert timing.instructions_after < timing.instructions_before == 5
 
     def test_run_to_fixpoint(self):
         f = make_function()
@@ -61,16 +63,16 @@ class TestPipeline:
 
     def test_timings_scoped_per_run(self):
         # Regression: timings used to accumulate across run() calls, so
-        # total_seconds conflated every function ever run through the
-        # same pipeline object (skewing Table II's breakdown).
+        # one pipeline object conflated every function ever run through
+        # it (skewing Table II's breakdown).
         f = make_function()
         pipeline = PassPipeline()
         pipeline.add("fold", fold_constants)
         pipeline.run(f)
         pipeline.run(make_function())
         assert len(pipeline.timings) == 1  # only the latest invocation
-        assert len(pipeline.cumulative_timings) == 2
-        assert pipeline.cumulative_seconds >= pipeline.total_seconds
+        # ...and its sizes start from the new function, not the old one
+        assert pipeline.timings[0].instructions_before == 5
 
     def test_fixpoint_timings_cover_whole_invocation(self):
         f = make_function()
@@ -78,32 +80,30 @@ class TestPipeline:
         pipeline.add("fold", fold_constants)
         pipeline.add("dce", eliminate_dead_code)
         pipeline.run_to_fixpoint(f)
-        # More than one iteration ran, all within a single timing scope.
+        # More than one iteration ran, all within a single timing scope,
+        # and each boundary is measured once: one pass's "after" is the
+        # next one's "before", across iterations too.
         assert len(pipeline.timings) > 2
         assert len(pipeline.timings) % 2 == 0
-        assert pipeline.timings == pipeline.cumulative_timings
+        for previous, timing in zip(pipeline.timings, pipeline.timings[1:]):
+            assert (timing.blocks_before, timing.instructions_before) == \
+                (previous.blocks_after, previous.instructions_after)
+        last = pipeline.timings[-1]
+        assert (last.blocks_after, last.instructions_after) == (1, len(f.entry))
 
     def test_collect_ir_stats(self):
+        # Every timing carries the IR sizes; there is no switch.
         f = make_function()
-        pipeline = PassPipeline(collect_ir_stats=True)
+        pipeline = PassPipeline()
         pipeline.add("fold", fold_constants)
         pipeline.add("dce", eliminate_dead_code)
         pipeline.run(f)
         fold, dce = pipeline.timings
         assert fold.blocks_before == fold.blocks_after == 1
         assert fold.instructions_after < fold.instructions_before
-        event = fold.as_dict()
+        event = pass_timing_event(fold)
         assert event["pass"] == "fold" and event["changed"]
         assert event["instructions_before"] > event["instructions_after"]
-
-    def test_ir_stats_off_by_default(self):
-        f = make_function()
-        pipeline = PassPipeline()
-        pipeline.add("fold", fold_constants)
-        pipeline.run(f)
-        timing = pipeline.timings[0]
-        assert timing.blocks_before is None
-        assert "blocks_before" not in timing.as_dict()
 
     def test_fixpoint_divergence_detected(self):
         f = make_function()
@@ -126,7 +126,10 @@ class TestPipeline:
         assert "stable" not in str(excinfo.value).split("passes still")[1]
 
     def test_verify_mode_catches_broken_pass(self):
+        # A verifier on the after_each seam stops the pipeline at the
+        # breaking pass, before a later pass can run (or mask it).
         f = make_function()
+        later = []
 
         def breaker(fn):
             # Remove the terminator: structurally invalid.
@@ -134,7 +137,17 @@ class TestPipeline:
             fn.entry._instructions.remove(term)
             return True
 
-        pipeline = PassPipeline(verify=True)
+        def verify(name, fn, result):
+            try:
+                verify_function(fn)
+            except Exception as exc:
+                raise RuntimeError(
+                    f"IR verification failed after pass {name!r}") from exc
+
+        pipeline = PassPipeline(after_each=[verify])
         pipeline.add("breaker", breaker)
-        with pytest.raises(RuntimeError, match="verification failed after"):
+        pipeline.add("later", lambda fn: later.append(fn) or False)
+        with pytest.raises(RuntimeError,
+                           match="verification failed after pass 'breaker'"):
             pipeline.run(f)
+        assert later == []
