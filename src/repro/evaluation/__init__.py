@@ -14,7 +14,6 @@ from .runner import (
     geomean,
 )
 from .parallel import (
-    ParallelRunner,
     ProgressCallback,
     SweepError,
     SweepTask,
@@ -60,7 +59,7 @@ __all__ = [
     "CacheHit", "Comparison", "CompileCache", "CompileResult", "RunResult",
     "cfm_pipeline_id", "compare",
     "compile_baseline", "compile_cfm", "execute", "geomean",
-    "ParallelRunner", "ProgressCallback", "ProgressLine",
+    "ProgressCallback", "ProgressLine",
     "SweepError", "SweepTask", "TaskResult",
     "fold_sweep_metrics", "run_task",
     "SWEEP_TRACE_SCHEMA", "SweepTraceCollector",

@@ -8,6 +8,7 @@ the block-size sweeps match the paper's structure.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -16,15 +17,17 @@ from repro.core import CFMConfig
 from repro.kernels import ALL_BUILDERS, REAL_WORLD_BUILDERS, SYNTHETIC_BUILDERS
 from repro.kernels.common import KernelCase
 from repro.kernels.patterns import PATTERN_BUILDERS
+from repro.obs import current_registry
 from repro.pipeline import ARM_STAGES, compile_arm
+from repro.scheduler import Scheduler, Task
 from repro.simt import MachineConfig
 
 from .parallel import (
-    ParallelRunner,
     ProgressCallback,
     SweepError,
     SweepTask,
-    TaskResult,
+    fold_sweep_metrics,
+    run_task,
 )
 from .runner import Comparison, compare, compile_baseline, compile_cfm, execute, geomean
 from .trace import SweepTraceCollector
@@ -59,13 +62,12 @@ class SpeedupRow:
         return f"{self.kernel}-{self.block_size}"
 
     @classmethod
-    def from_result(cls, result: TaskResult) -> "SpeedupRow":
+    def from_comparison(cls, comparison: Comparison) -> "SpeedupRow":
         """The row a successful sweep task stands for (the one mapper:
         the serve ``sweep`` job's wire rows are its scalar fields)."""
-        comparison = result.comparison
         return cls(
-            kernel=result.kernel,
-            block_size=result.block_size,
+            kernel=comparison.name,
+            block_size=comparison.block_size,
             speedup=comparison.speedup,
             baseline_cycles=comparison.baseline.cycles,
             cfm_cycles=comparison.melded.cycles,
@@ -88,12 +90,12 @@ def run_sweep(
     cache_dir: Optional[str] = None,
     progress: Optional[ProgressCallback] = None,
 ) -> List[SpeedupRow]:
-    """Run every (kernel, block size) comparison through the sweep engine.
+    """Run every (kernel, block size) comparison as one scheduler batch.
 
-    ``workers > 1`` fans tasks across a process pool (see
-    ``repro.evaluation.parallel``); results are ordered identically to
-    the serial run.  A failed task — after its retry — raises
-    :class:`SweepError` rather than silently dropping a figure row.
+    ``workers > 1`` fans tasks across persistent worker processes
+    (``timeout`` is per attempt and only acts there); rows are ordered
+    identically to the serial run.  A failed task — after its retry —
+    raises :class:`SweepError` rather than silently dropping a figure row.
 
     ``cache_dir`` points every task at one persistent compile cache
     (cross-process; see ``repro.compile_cache``), so repeated sweeps
@@ -106,10 +108,10 @@ def run_sweep(
     merged into the collector's Perfetto-loadable ``traceEvents``.
 
     ``progress`` (e.g. a :class:`~repro.evaluation.progress.ProgressLine`)
-    is called after each terminal task with ``(done, total, result)``.
-    When the ambient :func:`~repro.obs.current_registry` is enabled,
-    every task collects an aggregate-metrics delta and the runner folds
-    them into that registry.
+    is called after each terminal task with ``(done, total, task,
+    outcome)``.  When the ambient :func:`~repro.obs.current_registry` is
+    enabled, every task collects an aggregate-metrics delta and
+    :func:`~repro.evaluation.parallel.fold_sweep_metrics` folds them in.
     """
     policy = trace.policy if trace is not None else "off"
     tasks = [SweepTask(kernel=name, builder=builder, block_size=block_size,
@@ -119,14 +121,30 @@ def run_sweep(
                               or (policy == "first" and position == 0)))
              for name, builder in builders.items()
              for position, block_size in enumerate(block_sizes[name])]
-    results = ParallelRunner(workers=workers, timeout=timeout).run(
-        tasks, progress=progress)
+    settled = []
+
+    def on_outcome(outcome) -> None:
+        # The dispatcher thread delivers outcomes one at a time.
+        settled.append(outcome)
+        progress(len(settled), len(tasks), tasks[outcome.index], outcome)
+
+    collect = current_registry().enabled
+    start = time.perf_counter()
+    with Scheduler(workers=workers if workers > 1 else 0,
+                   timeout=timeout) as scheduler:
+        outcomes = scheduler.run(
+            [Task(run_task, task, metrics=collect) for task in tasks],
+            on_outcome=on_outcome if progress is not None else None)
+    fold_sweep_metrics(outcomes, time.perf_counter() - start,
+                       scheduler.slot_busy)
     if trace is not None:
-        trace.record(trace_section, results)
-    failures = [r for r in results if not r.ok]
+        trace.record(trace_section, tasks, outcomes)
+    failures = [(task, outcome) for task, outcome in zip(tasks, outcomes)
+                if not outcome.ok]
     if failures:
         raise SweepError(failures)
-    return [SpeedupRow.from_result(result) for result in results]
+    return [SpeedupRow.from_comparison(outcome.value.comparison)
+            for outcome in outcomes]
 
 
 # ---- Figure 7: synthetic speedups ---------------------------------------------

@@ -1,7 +1,7 @@
 """Live sweep progress reporting.
 
 :class:`ProgressLine` is a :data:`~repro.evaluation.parallel.ProgressCallback`
-that repaints one stderr status line per terminal task result::
+that repaints one stderr status line per settled sweep task::
 
     figure7  12/40 (30%)  2.1 rows/s  eta 13s  [sb2-128]
 
@@ -32,11 +32,10 @@ class ProgressLine:
     """Render sweep progress to ``stream`` as tasks complete.
 
     Pass an instance as the ``progress=`` argument of
-    :meth:`ParallelRunner.run <repro.evaluation.parallel.ParallelRunner.run>`
-    (or :func:`~repro.evaluation.experiments.run_sweep`).  The callable
-    contract is ``(done, total, result)``; the rate/ETA estimate uses
-    wall time since construction, so build the instance just before the
-    sweep starts.
+    :func:`~repro.evaluation.experiments.run_sweep`.  The callable
+    contract is ``(done, total, task, outcome)``; the rate/ETA estimate
+    uses wall time since construction, so build the instance just before
+    the sweep starts.
     """
 
     def __init__(self, label: str = "sweep",
@@ -46,7 +45,7 @@ class ProgressLine:
         self._start = time.monotonic()
         self._last_len = 0
 
-    def __call__(self, done: int, total: int, result) -> None:
+    def __call__(self, done: int, total: int, task, outcome) -> None:
         elapsed = time.monotonic() - self._start
         rate = done / elapsed if elapsed > 0 else 0.0
         pct = 100.0 * done / total if total else 100.0
@@ -55,10 +54,7 @@ class ProgressLine:
             line += f"  {rate:.1f} rows/s"
             if done < total:
                 line += f"  eta {_format_eta((total - done) / rate)}"
-        tag = f"{result.kernel}-{result.block_size}"
-        if result.error is not None:
-            tag += " FAILED"
-        line += f"  [{tag}]"
+        line += f"  [{task.label}{'' if outcome.ok else ' FAILED'}]"
         self._write(line, final=done >= total)
 
     def _write(self, line: str, final: bool) -> None:

@@ -30,8 +30,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.obs import COMPILE_PID, SIM_PID_BASE, pass_timing_events
+from repro.scheduler import TaskOutcome
 
-from .parallel import TaskResult
+from .parallel import SweepTask
 
 #: bump when the trace layout changes; consumers key off this
 SWEEP_TRACE_SCHEMA = "repro.evaluation.sweep_trace/v4"
@@ -41,21 +42,23 @@ SWEEP_TRACE_SCHEMA = "repro.evaluation.sweep_trace/v4"
 TRACE_EVENT_POLICIES = ("off", "first", "all")
 
 
-def task_entry(result: TaskResult) -> Dict[str, object]:
-    """One sweep-trace entry for a finished (or failed) task."""
+def task_entry(position: int, task: SweepTask,
+               outcome: TaskOutcome) -> Dict[str, object]:
+    """One sweep-trace entry for a settled (ok or failed) task."""
     entry: Dict[str, object] = {
-        "kernel": result.kernel,
-        "block_size": result.block_size,
-        "index": result.index,
-        "ok": result.ok,
-        "attempts": result.attempts,
-        "seconds": round(result.seconds, 6),
-        "compile_cache": dict(result.compile_cache),
+        "kernel": task.kernel,
+        "block_size": task.block_size,
+        "index": position,
+        "ok": outcome.ok,
+        "attempts": outcome.attempts,
+        "seconds": round(outcome.seconds, 6),
+        "compile_cache": (dict(outcome.value.compile_cache)
+                          if outcome.ok else {}),
     }
-    if not result.ok:
-        entry["error"] = result.error
+    if not outcome.ok:
+        entry["error"] = outcome.error
         return entry
-    comparison = result.comparison
+    comparison = outcome.value.comparison
     entry.update({
         "speedup": comparison.speedup,
         "melds": comparison.melds,
@@ -92,7 +95,8 @@ class SweepTraceCollector:
     arrive the collector rebases them onto collector-unique pids and
     prefixes every process name with ``<kernel>-<block>:`` — the merged
     ``traceEvents`` list stays one consistent Perfetto timeline no
-    matter how many tasks contributed.
+    matter how many tasks contributed.  :meth:`merge_events` is also
+    the served ``sweep`` job's trace merge.
     """
 
     workers: int = 1
@@ -115,18 +119,29 @@ class SweepTraceCollector:
                 f"unknown trace-events policy {self.policy!r}; expected "
                 f"one of {TRACE_EVENT_POLICIES}")
 
-    def record(self, section: str, results: Sequence[TaskResult]) -> None:
+    def record(self, section: str, tasks: Sequence[SweepTask],
+               outcomes: Sequence[TaskOutcome]) -> None:
+        """Add one sweep's entries and events (position order)."""
         self.sections.setdefault(section, []).extend(
-            task_entry(result) for result in results)
-        for result in results:
-            if result.trace_events:
-                self._merge_task_events(result)
+            task_entry(position, task, outcome)
+            for position, (task, outcome) in enumerate(zip(tasks, outcomes)))
+        self.merge_events(tasks, outcomes)
 
-    def _merge_task_events(self, result: TaskResult) -> None:
-        label = f"{result.kernel}-{result.block_size}"
+    def merge_events(self, tasks: Sequence[SweepTask],
+                     outcomes: Sequence[Optional[TaskOutcome]]) -> None:
+        """Append every successful traced task's events, each task on
+        fresh pids, with ``<kernel>-<block>:`` process names."""
+        for task, outcome in zip(tasks, outcomes):
+            if outcome is not None and outcome.ok \
+                    and outcome.value.trace_events:
+                self._merge_task_events(task.label,
+                                        outcome.value.trace_events)
+
+    def _merge_task_events(self, label: str,
+                           events: List[Dict[str, object]]) -> None:
         pid_map: Dict[int, int] = {}
         named: set = set()
-        for event in result.trace_events:
+        for event in events:
             pid = event.get("pid", 0)
             if pid not in pid_map:
                 pid_map[pid] = self._next_pid

@@ -20,9 +20,10 @@ allocate nor record, so the disabled path costs one ``enabled`` check
 
 Snapshots are plain JSON-able dicts (:meth:`MetricsRegistry.snapshot`)
 and merge additively (:meth:`MetricsRegistry.merge`), which is what
-makes **cross-process aggregation** work: every ParallelRunner worker
-returns its task's delta alongside the :class:`TaskResult` and the
-parent folds the deltas — in task order — into one sweep-level registry.
+makes **cross-process aggregation** work: every scheduler worker
+returns its task's delta on the task's ``TaskOutcome`` and
+``fold_sweep_metrics`` merges the deltas — in task order — into one
+sweep-level registry.
 Histogram merges reject mismatched bucket boundaries exactly the way
 :meth:`repro.simt.Metrics.merge` rejects mismatched warp widths: a side
 that has not observed anything yet adopts the other's buckets; two

@@ -5,8 +5,11 @@ The reusable process-pool layer extracted from the evaluation harness:
 long-lived forked workers with deterministic result ordering, per-attempt
 timeouts, crash-retry, and policy-driven worker recycling
 (:class:`RecyclePolicy`).  Job-specific layers sit on top:
-:class:`repro.evaluation.ParallelRunner` submits figure-sweep tasks, and
+:func:`repro.evaluation.run_sweep` runs a figure sweep as one batch, and
 :mod:`repro.serve` multiplexes whole job streams from network clients.
+Either way a task's :class:`TaskOutcome` is its one record — attempts,
+seconds, the ``crashed`` / ``timed_out`` flags, the metrics delta and
+the task function's return value.
 
 Test hooks: ``repro.scheduler.worker._TEST_WORKER_CHAOS`` injects
 crashes, hangs and corrupt payloads by task index (see that module's

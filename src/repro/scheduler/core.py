@@ -1,9 +1,8 @@
 """Parent-side generic task scheduler over a persistent worker pool.
 
-This is the reusable half of what ``evaluation/parallel.py`` used to do
-monolithically: a :class:`Scheduler` owns N long-lived worker processes
-(forked once, serving many tasks each) and a dispatcher thread, and runs
-arbitrary :class:`Task` callables with
+A :class:`Scheduler` owns N long-lived worker processes (forked once,
+serving many tasks each) and a dispatcher thread, and runs arbitrary
+:class:`Task` callables with
 
 * **deterministic ordering** — :meth:`Scheduler.run` returns outcomes in
   submission order regardless of completion order;
@@ -33,8 +32,9 @@ The scheduler keeps its own self-telemetry in :attr:`Scheduler.registry`
 evaluation metrics is unaffected); retired and stopped workers' lifetime
 snapshots are folded in as they leave, so recycling never loses
 telemetry.  Job-layer consumers live above this: see
-:class:`repro.evaluation.ParallelRunner` for sweeps and
-:mod:`repro.serve` for the long-running job service.
+:func:`repro.evaluation.run_sweep` for sweeps and :mod:`repro.serve`
+for the long-running job service; both keep each task's
+:class:`TaskOutcome` as its record rather than copying it.
 """
 
 from __future__ import annotations
@@ -84,7 +84,8 @@ NO_RECYCLE = RecyclePolicy()
 
 @dataclass
 class TaskOutcome:
-    """Terminal result of one task, after any retries."""
+    """Terminal result of one task, after any retries — the task's one
+    record; job layers read it as is."""
 
     index: int
     ok: bool

@@ -2,10 +2,9 @@
 
 A worker is a *persistent* process: it is forked once, then serves many
 tasks over a duplex pipe until the parent stops it, its recycle policy
-trips, or it dies.  Contrast with the pre-refactor ParallelRunner, which
-paid a full process spawn per task — the scheduler amortizes process
-startup, interpreter warm-up and module imports across tasks, at the
-price of *in-process state now outliving a task*.  Two consequences:
+trips, or it dies.  That amortizes process startup, interpreter warm-up
+and module imports across tasks, at the price of *in-process state
+outliving a task*.  Two consequences:
 
 * **recycling** — after ``RecyclePolicy.max_tasks`` tasks or once the
   process RSS exceeds ``RecyclePolicy.max_rss_bytes``, the worker

@@ -20,14 +20,21 @@ Five built-in kinds, registered in :data:`JOB_KINDS`:
     one task per ``(kernel, block size)`` — the very
     ``Task(run_task, SweepTask(...))`` that
     :func:`repro.evaluation.run_sweep` submits (DESIGN.md, "The task
-    path"), so rows and the merged metrics delta are bit-identical to a
-    serial ``python -m repro.evaluation`` run.
+    path").  Its outcomes go through the same metrics fold and, with
+    ``trace``, the same pid-rebasing event merge, so rows, the merged
+    metrics delta and the trace match a ``python -m repro.evaluation``
+    run.
 ``difftest``
     one task per seed: the full differential oracle
     (:func:`repro.difftest.run_oracle`) over the generated kernel.
 ``lint``
     one task per ``(kernel, level)``: compile-then-lint
     (:func:`repro.lint.lint_at_level`), reporting diagnostics.
+
+Launch geometry is bounded (``block_size``/``block_dim`` at most
+:data:`MAX_BLOCK_SIZE`, ``grid_dim`` at most :data:`MAX_GRID_DIM`) and
+a job's task count is checked against :data:`MAX_TASKS_PER_JOB` from
+its list lengths, before any task list is built.
 
 Payloads pickle and the task functions are module-level — both
 requirements of the fork/pickle boundary — and kernels cross the wire
@@ -52,6 +59,7 @@ from repro.evaluation.parallel import (
     fold_sweep_metrics,
     run_task,
 )
+from repro.evaluation.trace import SweepTraceCollector
 from repro.obs import use_registry
 from repro.scheduler import Task
 
@@ -63,6 +71,21 @@ JOB_KINDS: Dict[str, type] = {}
 #: sweeps/difftests above these sizes are rejected as invalid-params —
 #: a job is a unit of admission, and the queue cap reasons in tasks
 MAX_TASKS_PER_JOB = 512
+
+#: threads per block: the HIP/CUDA per-block limit, which every paper
+#: sweep respects
+MAX_BLOCK_SIZE = 1024
+
+#: blocks per launch.  A launch costs about a millisecond per simulated
+#: thread and the scheduler's timeout is off by default, so one
+#: unbounded launch would pin a worker for as long as it likes.
+MAX_GRID_DIM = 16
+
+#: launch-geometry params and their upper bounds
+_GEOMETRY_LIMITS = {"block_size": MAX_BLOCK_SIZE,
+                    "block_sizes": MAX_BLOCK_SIZE,
+                    "block_dim": MAX_BLOCK_SIZE,
+                    "grid_dim": MAX_GRID_DIM}
 
 
 class JobParamError(ProtocolError):
@@ -90,10 +113,15 @@ def _require(params: Dict[str, Any], key: str, kind: type,
 
 
 def _positive(key: str, value: Any) -> int:
-    """Launch geometry and task counts (a zero-warp launch is no row)."""
+    """Launch geometry and task counts (a zero-warp launch is no row);
+    geometry is also bounded above by :data:`_GEOMETRY_LIMITS`."""
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise JobParamError(
             f"param {key!r} must be a positive integer, got {value!r}")
+    limit = _GEOMETRY_LIMITS.get(key)
+    if limit is not None and value > limit:
+        raise JobParamError(
+            f"param {key!r} must be at most {limit}, got {value}")
     return value
 
 
@@ -243,11 +271,10 @@ class SweepJob(JobSpec):
         self.trace = _require(params, "trace", bool, False)
         sizes = params.get("block_sizes")
         if sizes is None:
-            self.block_sizes = {
-                name: REAL_BLOCK_SIZES.get(name, SYNTHETIC_BLOCK_SIZES)
-                for name in self.kernels}
+            sizes = {name: REAL_BLOCK_SIZES.get(name, SYNTHETIC_BLOCK_SIZES)
+                     for name in self.kernels}
         elif isinstance(sizes, list):
-            self.block_sizes = {name: list(sizes) for name in self.kernels}
+            sizes = dict.fromkeys(self.kernels, sizes)
         elif isinstance(sizes, dict):
             missing = [n for n in self.kernels if n not in sizes]
             if missing:
@@ -255,50 +282,43 @@ class SweepJob(JobSpec):
             scalar = [n for n in self.kernels if not _is(sizes[n], list)]
             if scalar:
                 raise JobParamError(f"block_sizes of {scalar} must be lists")
-            self.block_sizes = {name: list(sizes[name])
-                                for name in self.kernels}
         else:
             raise JobParamError("block_sizes must be a list or a dict")
-        self.pairs = [(name, _positive("block_sizes", size))
-                      for name in self.kernels
-                      for size in self.block_sizes[name]]
-        self._check_size(len(self.pairs))
-
-    def tasks(self) -> List[Task]:
+        # Counted from the list lengths, before any pair exists.
+        self._check_size(sum(len(sizes[name]) for name in self.kernels))
         # cache_dir stays None: each worker's CompileCache.from_env()
         # reads the variable the server exported before it forked.
-        return [
-            Task(run_task, SweepTask(
-                kernel=name, builder=_builder(name), block_size=size,
-                grid_dim=self.grid_dim, seed=self.seed, trace=self.trace),
-                metrics=True)
-            for name, size in self.pairs]
+        self.sweep_tasks = [
+            SweepTask(kernel=name, builder=_builder(name),
+                      block_size=_positive("block_sizes", size),
+                      grid_dim=self.grid_dim, seed=self.seed,
+                      trace=self.trace)
+            for name in self.kernels for size in sizes[name]]
+
+    def tasks(self) -> List[Task]:
+        return [Task(run_task, task, metrics=True)
+                for task in self.sweep_tasks]
 
     def row(self, value: TaskResult) -> Dict[str, Any]:
-        row = dict(vars(SpeedupRow.from_result(value)))
+        row = dict(vars(SpeedupRow.from_comparison(value.comparison)))
         del row["comparison"]
         return row
 
     def trace_events(self, outcomes: Sequence[Any]
                      ) -> List[Dict[str, Any]]:
-        events: List[Dict[str, Any]] = []
-        for outcome in outcomes:
-            result = getattr(outcome, "value", None)
-            if result is not None and result.trace_events:
-                events.extend(result.trace_events)
-        return events
+        """The traced tasks' events, merged the way ``run_sweep``'s
+        collector merges them: one set of pids per task."""
+        collector = SweepTraceCollector()
+        collector.merge_events(self.sweep_tasks, outcomes)
+        return collector.events
 
     def finalize(self, outcomes: Sequence[Any], registry,
                  wall_seconds: float) -> None:
         """Reuse the sweep engine's fold so a served sweep's snapshot is
-        family-for-family what :class:`~repro.evaluation.ParallelRunner`
-        would have produced (deterministic metrics bit-identical)."""
-        results = [
-            TaskResult.from_outcome(outcome, position, *self.pairs[position])
-            for position, outcome in enumerate(outcomes)
-            if outcome is not None]
+        family-for-family what :func:`~repro.evaluation.run_sweep` would
+        have produced (deterministic metrics bit-identical)."""
         with use_registry(registry):
-            fold_sweep_metrics(results, wall_seconds)
+            fold_sweep_metrics(outcomes, wall_seconds)
 
 
 class CompileJob(JobSpec):
@@ -409,14 +429,13 @@ class LintJob(JobSpec):
         self.levels = levels
         self.block_size = _positive("block_size", params.get("block_size", 32))
         self.grid_dim = _positive("grid_dim", params.get("grid_dim", 2))
-        self.pairs = [(k, lv) for k in self.kernels for lv in self.levels]
-        self._check_size(len(self.pairs))
+        self._check_size(len(self.kernels) * len(self.levels))
 
     def tasks(self) -> List[Task]:
         return [Task(_lint_fn, {
             "kernel": name, "level": level,
             "block_size": self.block_size, "grid_dim": self.grid_dim,
-        }, metrics=True) for name, level in self.pairs]
+        }, metrics=True) for name in self.kernels for level in self.levels]
 
 
 JOB_KINDS.update({

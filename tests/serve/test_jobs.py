@@ -8,7 +8,15 @@ import pytest
 
 from repro.scheduler import TaskContext
 from repro.serve import ProtocolError, make_job
-from repro.serve.jobs import MAX_TASKS_PER_JOB, JobParamError
+from repro.serve.jobs import (
+    MAX_BLOCK_SIZE,
+    MAX_GRID_DIM,
+    MAX_TASKS_PER_JOB,
+    JobParamError,
+)
+
+#: a ~40 KB submit line whose pair list would hold 16 million entries
+HUGE_PAIRS = {"kernels": ["SB1"] * 4000, "block_sizes": [1] * 4000}
 
 
 def _ctx(index=0, attempt=1):
@@ -42,16 +50,27 @@ class TestMakeJob:
     def test_huge_count_rejected_before_expansion(self):
         # {"count": 5_000_000} used to build the whole seed list (7.8 s,
         # 191 MiB) before the cap rejected it; 10**9 blocked the loop.
+        # A sweep's (kernel, block size) and a lint job's (kernel,
+        # level) pair lists were likewise built before the cap (5.8 s
+        # and ~1.1 GiB for a 4000 x 4000 sweep).
         import tracemalloc
-        tracemalloc.start()
-        try:
-            with pytest.raises(JobParamError) as info:
-                make_job("difftest", {"count": 5_000_000})
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert "cap" in str(info.value)
-        assert peak < 1 << 20
+        from repro.lint.api import LINT_LEVELS
+        cases = [
+            ("difftest", {"count": 5_000_000}),
+            ("sweep", HUGE_PAIRS),
+            ("lint", {"kernels": HUGE_PAIRS["kernels"],
+                      "levels": [LINT_LEVELS[0]] * 4000}),
+        ]
+        for kind, params in cases:
+            tracemalloc.start()
+            try:
+                with pytest.raises(JobParamError) as info:
+                    make_job(kind, params)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert "cap" in str(info.value), kind
+            assert peak < 1 << 20, kind
 
     @pytest.mark.parametrize("kind, params", [
         ("difftest", {"count": 10**9}),
@@ -59,12 +78,30 @@ class TestMakeJob:
         ("sweep", {"kernels": ["SB1"], "block_sizes": {"SB1": None}}),
         ("difftest", {"seeds": [True, False]}),
         ("sweep", {"kernels": ["SB1"], "trace": "no"}),
+        ("launch", {"kernels": ["SB1"], "block_size": 10**9,
+                    "grid_dim": 10**9}),
+        ("launch", {"kernels": ["SB1"], "block_size": MAX_BLOCK_SIZE + 1}),
+        ("launch", {"kernels": ["SB1"], "grid_dim": MAX_GRID_DIM + 1}),
+        ("compile", {"kernels": ["SB1"], "block_size": MAX_BLOCK_SIZE + 1}),
+        ("lint", {"kernels": ["SB1"], "grid_dim": MAX_GRID_DIM + 1}),
+        ("sweep", {"kernels": ["SB1"], "block_sizes": [32, 2048]}),
+        ("sweep", {"kernels": ["SB1"], "grid_dim": MAX_GRID_DIM + 1}),
+        ("difftest", {"block_dim": MAX_BLOCK_SIZE + 1}),
     ], ids=["huge-count", "scalar-sizes", "null-sizes", "bool-seeds",
-            "string-trace"])
+            "string-trace", "huge-launch", "launch-block-size",
+            "launch-grid-dim", "compile-block-size", "lint-grid-dim",
+            "sweep-block-sizes", "sweep-grid-dim", "difftest-block-dim"])
     def test_malformed_params_are_typed(self, kind, params):
         with pytest.raises(JobParamError) as info:
             make_job(kind, params)
         assert info.value.code == "invalid-params"
+
+    def test_geometry_limits_are_inclusive(self):
+        job = make_job("launch", {"kernels": ["SB1"],
+                                  "block_size": MAX_BLOCK_SIZE,
+                                  "grid_dim": MAX_GRID_DIM})
+        assert (job.block_size, job.grid_dim) == (MAX_BLOCK_SIZE,
+                                                  MAX_GRID_DIM)
 
     def test_bool_trace_still_accepted(self):
         assert make_job("sweep", {"kernels": ["SB1"], "trace": True}).trace
@@ -106,13 +143,14 @@ class TestSweepJob:
     def test_default_block_sizes_follow_figures(self):
         from repro.evaluation.experiments import REAL_BLOCK_SIZES
         job = make_job("sweep", {"kernels": ["LUD"]})
-        assert job.pairs == [("LUD", s) for s in REAL_BLOCK_SIZES["LUD"]]
+        assert [(t.kernel, t.block_size) for t in job.sweep_tasks] == [
+            ("LUD", s) for s in REAL_BLOCK_SIZES["LUD"]]
 
     def test_block_size_list_applies_to_all(self):
         job = make_job("sweep", {"kernels": ["SB1", "SB2"],
                                  "block_sizes": [8, 16]})
-        assert job.pairs == [("SB1", 8), ("SB1", 16),
-                             ("SB2", 8), ("SB2", 16)]
+        assert [(t.kernel, t.block_size) for t in job.sweep_tasks] == [
+            ("SB1", 8), ("SB1", 16), ("SB2", 8), ("SB2", 16)]
 
     def test_block_size_dict_must_cover_kernels(self):
         with pytest.raises(JobParamError):

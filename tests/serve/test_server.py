@@ -21,9 +21,9 @@ import urllib.request
 
 import pytest
 
-from repro.evaluation.parallel import ParallelRunner, SweepTask
+from repro.evaluation import SweepTraceCollector, run_sweep
 from repro.kernels import ALL_BUILDERS
-from repro.obs import MetricsRegistry, use_registry
+from repro.obs import MetricsRegistry, divergence_summary, use_registry
 from repro.scheduler import worker as scheduler_worker
 from repro.serve import (
     JobRejected,
@@ -56,20 +56,17 @@ def strip_time_dependent(snapshot):
 def serial_sweep():
     """Serial-run reference rows + metrics snapshot (memoized)."""
     if not _SERIAL:
-        tasks = [SweepTask(kernel=name, builder=ALL_BUILDERS[name],
-                           block_size=size, grid_dim=1, seed=7)
-                 for name in SWEEP_KERNELS for size in SWEEP_SIZES]
         registry = MetricsRegistry()
         with use_registry(registry):
-            results = ParallelRunner(workers=1).run(tasks)
-        assert all(r.ok for r in results)
+            rows = run_sweep({name: ALL_BUILDERS[name]
+                              for name in SWEEP_KERNELS},
+                             {name: SWEEP_SIZES for name in SWEEP_KERNELS},
+                             grid_dim=1, seed=7, workers=1)
         _SERIAL["rows"] = [{
             "kernel": r.kernel, "block_size": r.block_size,
-            "speedup": r.comparison.speedup,
-            "baseline_cycles": r.comparison.baseline.cycles,
-            "cfm_cycles": r.comparison.melded.cycles,
-            "melds": r.comparison.melds,
-        } for r in results]
+            "speedup": r.speedup, "baseline_cycles": r.baseline_cycles,
+            "cfm_cycles": r.cfm_cycles, "melds": r.melds,
+        } for r in rows]
         _SERIAL["metrics"] = registry.snapshot()
     return _SERIAL["rows"], _SERIAL["metrics"]
 
@@ -198,6 +195,43 @@ class TestServedSweepIdentity:
         assert sum(retried["samples"].values()) == 1
         serial["counters"].pop("repro_eval_tasks_retried_total")
         assert served == serial
+
+    def test_traced_sweep_matches_run_sweep_trace(self):
+        """A served traced sweep merges its tasks' events the way the
+        evaluation harness does: each task on its own pids, with
+        ``<kernel>-<block>:`` process names.  Concatenating them put
+        every launch on the same two pids (2 launches, not 4)."""
+        kernels = ["SB1", "SB2"]
+        with ServerThread(ServerConfig(workers=2)) as address:
+            with ServeClient(*address) as client:
+                done = client.run_job("sweep", {
+                    "kernels": kernels, "block_sizes": [32], "trace": True})
+        assert done["ok"]
+        launches = divergence_summary(done["trace"])
+        assert len(launches) == 4
+        assert len({launch.pid for launch in launches}) == 4
+        assert sorted(launch.name.split(":")[0] for launch in launches) \
+            == ["SB1-32", "SB1-32", "SB2-32", "SB2-32"]
+
+        # The served job always collects metrics; so does this sweep,
+        # so both traces carry the same counter tracks.
+        collector = SweepTraceCollector(policy="all")
+        with use_registry(MetricsRegistry()):
+            run_sweep({name: ALL_BUILDERS[name] for name in kernels},
+                      {name: [32] for name in kernels}, trace=collector)
+
+        def untimed(events):
+            """Events minus wall-clock values (a pass span's seconds)."""
+            stripped = []
+            for event in events:
+                event = {k: v for k, v in event.items()
+                         if k not in ("ts", "dur")}
+                event["args"] = {k: v for k, v in event.get("args", {}).items()
+                                 if k != "seconds"}
+                stripped.append(event)
+            return stripped
+
+        assert untimed(done["trace"]) == untimed(collector.events)
 
     def test_streamed_tasks_cover_all_positions(self):
         with ServerThread(ServerConfig(workers=2)) as address:

@@ -1,8 +1,10 @@
-"""Shared helpers for the test suite: compact CFG construction."""
+"""Shared helpers for the test suite: compact CFG construction, and
+sweep tasks run through the scheduler the way ``run_sweep`` runs them."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+import time
+from typing import Dict, List, Optional, Tuple
 
 from repro.ir import (
     AddressSpace,
@@ -91,3 +93,26 @@ def edges_of(function: Function) -> List[Tuple[str, str]]:
         for succ in block.succs:
             result.append((block.name, succ.name))
     return result
+
+
+def run_sweep_tasks(tasks, workers: int = 1, timeout: Optional[float] = None,
+                    retries: Optional[int] = None):
+    """Run arbitrary :class:`~repro.evaluation.SweepTask` lists the way
+    :func:`~repro.evaluation.run_sweep` runs its own: one scheduler batch
+    (inline for ``workers <= 1``), metrics deltas iff the ambient
+    registry is enabled, then :func:`~repro.evaluation.fold_sweep_metrics`.
+    Returns the position-ordered ``TaskOutcome`` list."""
+    from repro.evaluation import fold_sweep_metrics, run_task
+    from repro.obs import current_registry
+    from repro.scheduler import DEFAULT_RETRIES, Scheduler, Task
+
+    collect = current_registry().enabled
+    start = time.perf_counter()
+    with Scheduler(workers=workers if workers > 1 else 0, timeout=timeout,
+                   retries=DEFAULT_RETRIES if retries is None else retries
+                   ) as scheduler:
+        outcomes = scheduler.run(
+            [Task(run_task, task, metrics=collect) for task in tasks])
+    fold_sweep_metrics(outcomes, time.perf_counter() - start,
+                       scheduler.slot_busy)
+    return outcomes

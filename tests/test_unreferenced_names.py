@@ -39,7 +39,8 @@ ENTRY_POINTS = {
 
 #: names an earlier spelling of the compile cache, the memo quarantine,
 #: the latency key, the reconvergence policies, the pass hooks and
-#: timings, the meld records and the dead-code audit left behind
+#: timings, the meld records, the dead-code audit and the second
+#: per-task sweep record left behind
 RETIRED = {
     "DiskCompileCache", "clear_lowering_memo", "invalidate_lowering",
     "latency_token_key", "key_for", "record_cache_lookup",
@@ -50,6 +51,7 @@ RETIRED = {
     "smith_waterman", "enclosing_simple_regions", "split_edge",
     "MeldRecord", "AfterPassHook", "ValidateMeldsHook",
     "cumulative_timings", "want_ir_stats",
+    "ParallelRunner", "from_outcome", "from_result",
 }
 
 
