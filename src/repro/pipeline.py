@@ -176,8 +176,9 @@ def compile_arm(kernel: KernelLike, arm: Arm,
     :class:`~repro.ir.Function` inputs stay uncached — the in-place
     contract leaves nothing to swap.
 
-    Cached entries were verified by the run that produced them and
-    print/parse round-trips exactly, so ``verify`` is skipped on a hit.
+    A result is verified before it is stored, whatever ``verify`` says,
+    so cached entries were verified by the run that produced them; as
+    print/parse round-trips exactly, nothing is verified on a hit.
     ``after_each`` are :func:`stages`' per-pass hooks.
     """
     o3, reducer = resolve_arm(arm)
@@ -222,7 +223,7 @@ def compile_arm(kernel: KernelLike, arm: Arm,
                 result.pass_timings += reducer_stage.timings
                 result.cfm_stats = getattr(reducer_stage.passes[0],
                                            "stats", None)
-            if verify:
+            if verify or full_key is not None:
                 verify_function(function)
             if full_key is not None:
                 program = (lower_symbolic(function, machine.latency)

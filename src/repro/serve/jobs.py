@@ -12,10 +12,14 @@ Five built-in kinds, registered in :data:`JOB_KINDS`:
 ``compile``
     one task per kernel: build + compile under one arm of the compile
     driver (:data:`repro.pipeline.ARMS`); rows report block/instruction
-    counts and the CFM meld count.
+    counts and the CFM meld count.  The ``o3`` and ``o3-cfm`` arms read
+    and write the server's compile cache (below); ``noopt`` and the
+    Table I arms never touch it.
 ``launch``
     one task per kernel: compile the ``-O3`` baseline and execute it,
-    reporting cycles and divergence counters.
+    reporting cycles and divergence counters.  The compile reads and
+    writes the server's compile cache, so a warm launch replays the
+    stored lowered program: no ``-O3``, no verifier, no lowering.
 ``sweep``
     one task per ``(kernel, block size)`` — the very
     ``Task(run_task, SweepTask(...))`` that
@@ -31,6 +35,14 @@ Five built-in kinds, registered in :data:`JOB_KINDS`:
     one task per ``(kernel, level)``: compile-then-lint
     (:func:`repro.lint.lint_at_level`), reporting diagnostics.
 
+With a cache directory (``ServerConfig.cache_dir``, exported as
+``REPRO_COMPILE_CACHE`` before the pool forks), ``sweep``, ``launch``
+and ``compile`` tasks each open a per-task
+:class:`~repro.compile_cache.CompileCache` over it, so every worker
+replays what any job compiled before.  Without one, ``launch`` and
+``compile`` run uncached: a memory-only cache that dies with its task
+could never hit.  ``difftest`` and ``lint`` never use the cache.
+
 Launch geometry is bounded (``block_size``/``block_dim`` at most
 :data:`MAX_BLOCK_SIZE`, ``grid_dim`` at most :data:`MAX_GRID_DIM`) and
 a job's task count is checked against :data:`MAX_TASKS_PER_JOB` from
@@ -44,8 +56,10 @@ closures are ever pickled.
 
 from __future__ import annotations
 
+import os
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro.compile_cache import CACHE_ENV_VAR, CompileCache, cache_dir_setting
 from repro.evaluation.experiments import (
     DEFAULT_GRID_DIM,
     DEFAULT_SEED,
@@ -62,6 +76,7 @@ from repro.evaluation.parallel import (
 from repro.evaluation.trace import SweepTraceCollector
 from repro.obs import use_registry
 from repro.scheduler import Task
+from repro.simt import DEFAULT_CONFIG
 
 from .protocol import ProtocolError
 
@@ -149,12 +164,22 @@ def _builder(name: str) -> Callable:
     return ALL_BUILDERS[name]
 
 
+def _served_cache() -> Optional[CompileCache]:
+    """A per-task cache over the directory the server exported, or None
+    when it has none."""
+    directory = cache_dir_setting(os.environ.get(CACHE_ENV_VAR))
+    return None if directory is None else CompileCache(disk=directory)
+
+
 def _compile_fn(payload: Dict[str, Any], ctx) -> Dict[str, Any]:
     from repro.pipeline import compile_arm
     name, level = payload["kernel"], payload["level"]
     case = _builder(name)(block_size=payload["block_size"],
                           grid_dim=payload["grid_dim"])
-    result = compile_arm(case, level, verify=False)
+    # Entries carry the launch machine's program, so a launch that hits
+    # one lowers nothing; compile_arm verifies whatever it stores.
+    result = compile_arm(case, level, verify=False, cache=_served_cache(),
+                         machine=DEFAULT_CONFIG)
     function = case.function
     return {
         "kernel": name,
@@ -172,8 +197,8 @@ def _launch_fn(payload: Dict[str, Any], ctx) -> Dict[str, Any]:
     name = payload["kernel"]
     case = _builder(name)(block_size=payload["block_size"],
                           grid_dim=payload["grid_dim"])
-    compile_arm(case, "o3")
-    run = execute(case, seed=payload["seed"])
+    compile_arm(case, "o3", cache=_served_cache(), machine=DEFAULT_CONFIG)
+    run = execute(case, seed=payload["seed"], machine=DEFAULT_CONFIG)
     metrics = run.metrics
     return {
         "kernel": name,

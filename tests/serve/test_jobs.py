@@ -1,13 +1,23 @@
 """Job-spec tests: param validation, task expansion, row shapes.
 
-Task functions run inline here (no server, no pool) — the wire and
-pool behavior lives in ``test_server.py``.
+Task functions mostly run inline here (no server, no pool); the
+compile-cache tests at the bottom drive ``launch`` and ``compile`` jobs
+through a :class:`~repro.serve.ServerThread` with a cache directory,
+since the cache crosses jobs.  The rest of the wire and pool behavior
+lives in ``test_server.py``.
 """
 
 import pytest
 
+from repro.compile_cache import CACHE_ENV_VAR
 from repro.scheduler import TaskContext
-from repro.serve import ProtocolError, make_job
+from repro.serve import (
+    ProtocolError,
+    ServeClient,
+    ServerConfig,
+    ServerThread,
+    make_job,
+)
 from repro.serve.jobs import (
     MAX_BLOCK_SIZE,
     MAX_GRID_DIM,
@@ -192,7 +202,6 @@ class TestSweepJob:
                                                    monkeypatch):
         """The worker's ``CompileCache.from_env`` owns the "disabled"
         spellings; the job never re-reads the variable."""
-        from repro.compile_cache import CACHE_ENV_VAR
         monkeypatch.setenv(CACHE_ENV_VAR, value)
         monkeypatch.chdir(tmp_path)
         job = make_job("sweep", {"kernels": ["SB1"], "block_sizes": [16],
@@ -260,3 +269,129 @@ class TestLintJob:
         row = job.row(task.fn(task.payload, _ctx()))
         assert row["kernel"] == "SB1" and row["level"] == "o3-cfm"
         assert row["ok"] is True and row["diagnostics"] == []
+
+
+# ---------------------------------------------------------------------------
+# launch and compile jobs over the server's compile cache
+
+SB1_LAUNCH = {"kernels": ["SB1"], "block_size": 16, "grid_dim": 1,
+              "seed": 7}
+
+
+def _sb1_compile(level):
+    return {"kernels": ["SB1"], "level": level, "block_size": 16,
+            "grid_dim": 1}
+
+
+def _counter(snapshot, name):
+    family = snapshot["counters"].get(name)
+    return sum(family["samples"].values()) if family else 0
+
+
+def _cache_events(done):
+    """``(hits, misses)`` in a job's folded metrics."""
+    return (_counter(done["metrics"], "repro_compile_cache_hits_total"),
+            _counter(done["metrics"], "repro_compile_cache_misses_total"))
+
+
+def _serial_launch_row(seed):
+    from repro.evaluation.runner import compile_baseline, execute
+    from repro.kernels import build_sb1
+    case = build_sb1(block_size=16, grid_dim=1)
+    compile_baseline(case)
+    metrics = execute(case, seed=seed).metrics
+    return {"kernel": "SB1", "block_size": 16, "cycles": metrics.cycles,
+            "branches": metrics.branches,
+            "divergent_branches": metrics.divergent_branches}
+
+
+@pytest.fixture
+def cache_dir(tmp_path, monkeypatch):
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    return tmp_path / "cache"
+
+
+@pytest.fixture
+def cached_client(cache_dir):
+    """A client of a one-worker server over a fresh cache directory."""
+    config = ServerConfig(workers=1, cache_dir=str(cache_dir))
+    with ServerThread(config) as address:
+        with ServeClient(*address) as client:
+            yield client
+
+
+class TestServedLaunchCache:
+    def test_repeat_launch_hits_and_rows_match_serial(self, cached_client):
+        first = cached_client.run_job("launch", SB1_LAUNCH, metrics=True)
+        second = cached_client.run_job("launch", SB1_LAUNCH, metrics=True)
+        assert first["ok"] and second["ok"]
+        assert first["rows"] == second["rows"] == [_serial_launch_row(7)]
+        assert _cache_events(first) == (0, 1)
+        assert _cache_events(second) == (1, 0)
+
+    def test_new_seed_hits_the_same_entry(self, cached_client):
+        cached_client.run_job("launch", SB1_LAUNCH)
+        done = cached_client.run_job("launch", dict(SB1_LAUNCH, seed=11),
+                                     metrics=True)
+        assert done["rows"] == [_serial_launch_row(11)]
+        assert _cache_events(done) == (1, 0)
+
+    def test_no_cache_dir_means_no_cache(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+        monkeypatch.chdir(tmp_path)
+        with ServerThread(ServerConfig(workers=1)) as address:
+            with ServeClient(*address) as client:
+                done = [client.run_job("launch", SB1_LAUNCH, metrics=True)
+                        for _ in range(2)]
+        assert [d["rows"] for d in done] == [[_serial_launch_row(7)]] * 2
+        for d in done:
+            families = [name for kind in ("counters", "gauges")
+                        for name in d["metrics"][kind]]
+            assert not [name for name in families
+                        if name.startswith("repro_compile_cache_")]
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestServedCompileCache:
+    def test_launch_hits_a_compile_jobs_entry(self, cached_client):
+        compiled = cached_client.run_job("compile", _sb1_compile("o3"),
+                                         metrics=True)
+        assert _cache_events(compiled) == (0, 1)
+        done = cached_client.run_job("launch", SB1_LAUNCH, metrics=True)
+        assert _cache_events(done) == (1, 0)
+        assert done["rows"] == [_serial_launch_row(7)]
+
+    def test_cfm_compile_replays_a_sweeps_melds(self, cached_client):
+        sweep = cached_client.run_job("sweep", {
+            "kernels": ["SB1"], "block_sizes": [16], "grid_dim": 1})
+        done = cached_client.run_job("compile", _sb1_compile("o3-cfm"),
+                                     metrics=True)
+        assert _cache_events(done) == (1, 0)
+        assert done["rows"][0]["melds"] == sweep["rows"][0]["melds"] >= 1
+
+    def test_noopt_compile_never_looks_up(self, cached_client, cache_dir):
+        for _ in range(2):
+            done = cached_client.run_job("compile", _sb1_compile("noopt"),
+                                         metrics=True)
+            assert done["ok"] and _cache_events(done) == (0, 0)
+        assert list(cache_dir.glob("*")) == []
+
+    @pytest.mark.parametrize("level", ["o3", "o3-cfm"])
+    def test_a_store_is_verified_once_and_a_hit_never(self, level,
+                                                      cache_dir,
+                                                      monkeypatch):
+        import repro.pipeline
+        from repro.serve.jobs import _compile_fn
+        calls = []
+        verify = repro.pipeline.verify_function
+        monkeypatch.setattr(repro.pipeline, "verify_function",
+                            lambda function: calls.append(function)
+                            or verify(function))
+        monkeypatch.setenv(CACHE_ENV_VAR, str(cache_dir))
+        payload = {"kernel": "SB1", "level": level, "block_size": 16,
+                   "grid_dim": 1}
+        stored = _compile_fn(payload, _ctx())
+        assert len(calls) == 1
+        replayed = _compile_fn(payload, _ctx())
+        assert len(calls) == 1
+        assert replayed == stored

@@ -15,12 +15,14 @@ server with a real worker pool) and drives it with
 """
 
 import json
+import os
 import socket
 import time
 import urllib.request
 
 import pytest
 
+from repro.compile_cache import CACHE_ENV_VAR
 from repro.evaluation import SweepTraceCollector, run_sweep
 from repro.kernels import ALL_BUILDERS
 from repro.obs import MetricsRegistry, divergence_summary, use_registry
@@ -94,6 +96,26 @@ class TestLifecycle:
         with ServerThread(ServerConfig(workers=1)) as address:
             with ServeClient(*address) as client:
                 assert client.ping()
+
+    @pytest.mark.parametrize("host_value", [None, "host-cache"])
+    def test_cache_dir_export_ends_with_the_server(self, host_value,
+                                                   tmp_path, monkeypatch):
+        # The export used to outlive the server: every later
+        # CompileCache.from_env() in the host process wrote to the
+        # stopped server's (possibly deleted) directory.
+        if host_value is None:
+            monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(CACHE_ENV_VAR, host_value)
+        before = dict(os.environ)
+        thread = ServerThread(ServerConfig(workers=1,
+                                           cache_dir=str(tmp_path)))
+        thread.start()
+        try:
+            assert os.environ[CACHE_ENV_VAR] == str(tmp_path)
+        finally:
+            thread.stop()
+        assert dict(os.environ) == before
 
     def test_bad_line_is_typed_error_event(self):
         with ServerThread(ServerConfig(workers=1)) as address:
