@@ -135,8 +135,7 @@ def run_sweep(
         outcomes = scheduler.run(
             [Task(run_task, task, metrics=collect) for task in tasks],
             on_outcome=on_outcome if progress is not None else None)
-    fold_sweep_metrics(outcomes, time.perf_counter() - start,
-                       scheduler.slot_busy)
+    fold_sweep_metrics(outcomes, time.perf_counter() - start, scheduler)
     if trace is not None:
         trace.record(trace_section, tasks, outcomes)
     failures = [(task, outcome) for task, outcome in zip(tasks, outcomes)

@@ -23,11 +23,12 @@ recycling and the memo quarantine after a failure; this module owns:
 * :func:`fold_sweep_metrics` — the one fold of a sweep's outcomes into
   the ambient metrics registry, in position order, so a serial,
   N-worker or served sweep yields the same deterministic families.
+  It counts no task: the scheduler counts each settled task once, and
+  the fold merges that registry instead.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -38,11 +39,9 @@ from repro.obs import (
     bridge_to_tracer,
     current_registry,
     current_tracer,
-    record_task_seconds,
-    update_cache_hit_ratio,
     use as use_tracer,
 )
-from repro.scheduler import TaskContext, TaskOutcome
+from repro.scheduler import Scheduler, TaskContext, TaskOutcome
 from repro.simt import MachineConfig
 
 from .runner import Comparison, CompileCache, compare
@@ -117,7 +116,6 @@ def run_task(task: SweepTask,
         cache = CompileCache(disk=task.cache_dir)
     else:
         cache = CompileCache.from_env()
-    start = time.perf_counter()
     with use_tracer(Tracer() if task.trace else current_tracer()) as tracer:
         comparison = compare(
             task.builder, task.block_size, grid_dim=task.grid_dim,
@@ -126,7 +124,6 @@ def run_task(task: SweepTask,
         if task.trace:
             # Counter tracks next to the task's spans in Perfetto.
             bridge_to_tracer(current_registry(), tracer)
-    record_task_seconds(time.perf_counter() - start)
     return TaskResult(
         comparison=comparison, compile_cache=cache.counters(),
         trace_events=list(tracer.events) if task.trace else None)
@@ -134,14 +131,17 @@ def run_task(task: SweepTask,
 
 def fold_sweep_metrics(outcomes: Sequence[Optional[TaskOutcome]],
                        wall_seconds: float,
-                       slot_busy: Optional[Dict[int, float]] = None) -> None:
-    """Merge a sweep's task deltas and counters into the ambient registry.
+                       scheduler: Optional[Scheduler] = None) -> None:
+    """Merge a sweep's task deltas into the ambient registry.
 
     ``outcomes`` are in sweep-position order (``None`` for a task that
     never settled), the order the serial path produced them in, so an
     N-worker or served sweep's merged snapshot is bit-identical to the
     serial run's (modulo wall-clock-valued samples, nondeterministic in
-    any mode).  Counters read the outcome's flags, never error text.
+    any mode).  A sweep that owns its ``scheduler`` passes it: its
+    registry — the one count of each settled task — is merged too, and
+    its ``slot_busy`` gives the per-slot utilization.  A served sweep
+    shares the server's scheduler and passes none.
     """
     registry = current_registry()
     outcomes = [outcome for outcome in outcomes if outcome is not None]
@@ -150,37 +150,17 @@ def fold_sweep_metrics(outcomes: Sequence[Optional[TaskOutcome]],
     for outcome in outcomes:
         if outcome.metrics_delta:
             registry.merge(outcome.metrics_delta)
-    completed = sum(1 for o in outcomes if o.ok)
-    registry.counter(
-        "repro_eval_tasks_completed_total",
-        "Sweep tasks that produced a comparison"
-    ).inc(completed)
-    registry.counter(
-        "repro_eval_tasks_failed_total",
-        "Sweep tasks that failed after exhausting retries"
-    ).inc(len(outcomes) - completed)
-    registry.counter(
-        "repro_eval_tasks_retried_total",
-        "Extra attempts beyond each task's first"
-    ).inc(sum(o.attempts - 1 for o in outcomes))
-    registry.counter(
-        "repro_eval_tasks_timed_out_total",
-        "Task attempts terminated at the wall-clock timeout"
-    ).inc(sum(1 for o in outcomes if o.timed_out))
-    registry.counter(
-        "repro_eval_tasks_crashed_total",
-        "Tasks whose process raised or died mid-flight"
-    ).inc(sum(1 for o in outcomes if o.crashed))
+    if scheduler is not None:
+        registry.merge(scheduler.metrics_snapshot())
     if wall_seconds > 0:
         registry.gauge(
             "repro_eval_rows_per_second",
             "Completed sweep tasks per wall-clock second"
-        ).set(completed / wall_seconds)
+        ).set(sum(1 for o in outcomes if o.ok) / wall_seconds)
         utilization = registry.gauge(
             "repro_eval_worker_utilization",
             "Busy seconds / wall seconds, per concurrency slot")
-        for slot in sorted(slot_busy or {}):
+        slot_busy = scheduler.slot_busy if scheduler is not None else {}
+        for slot in sorted(slot_busy):
             utilization.labels(worker=str(slot)).set(
                 min(1.0, slot_busy[slot] / wall_seconds))
-    # The merged hit ratio, not the last task's.
-    update_cache_hit_ratio(registry)

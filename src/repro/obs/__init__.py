@@ -72,12 +72,10 @@ from .metrics import (
     record_cache_event,
     record_cfm_decisions,
     record_pass_seconds,
-    record_task_seconds,
     record_validate_verdict,
     render_prometheus,
     runtime_sink,
     set_registry,
-    update_cache_hit_ratio,
     use_registry,
 )
 from .passes import emit_pass_timing, pass_timing_event, pass_timing_events
@@ -109,8 +107,7 @@ __all__ = [
     "SECONDS_BUCKETS", "CYCLES_BUCKETS", "RATE_BUCKETS",
     "render_prometheus", "bridge_to_tracer", "runtime_sink",
     "record_pass_seconds", "record_cache_event",
-    "record_cfm_decisions", "record_task_seconds", "record_validate_verdict",
-    "update_cache_hit_ratio",
+    "record_cfm_decisions", "record_validate_verdict",
 ]
 
 #: the ambient tracer every instrumentation site reads

@@ -10,7 +10,10 @@ cycles, linear 0–``warp_size`` buckets for active-lane occupancy), named
 (pass wall time, compile-cache hits/misses, CFM melding decisions),
 runtime (per-policy divergence-rate and occupancy distributions from
 both executors), evaluation (task throughput and worker utilization) and
-difftest (seeds/sec, failures by oracle arm).
+difftest (seeds/sec, failures by oracle arm); the scheduler's
+``repro_sched_*`` families count settled tasks.  Each fact is stored
+once: a count a histogram already carries, or a ratio of two counters,
+is derived by the reader, never kept as a second family.
 
 Like tracing, collection is *ambient*: instrumented code reads
 :func:`current_registry`, which defaults to the no-op
@@ -637,12 +640,6 @@ def bridge_to_tracer(source, tracer, pid: int = COMPILE_PID) -> None:
 # layer instrumentation helpers (each checks `enabled` itself, so call
 # sites stay one function call when collection is off)
 
-_CACHE_HITS = "repro_compile_cache_hits_total"
-_CACHE_MISSES = "repro_compile_cache_misses_total"
-_CACHE_EVICTIONS = "repro_compile_cache_evictions_total"
-_CACHE_HIT_RATIO = "repro_compile_cache_hit_ratio"
-
-
 def record_pass_seconds(pass_name: str, seconds: float,
                         registry=None) -> None:
     """Compile layer: one wall-time observation for one pass execution."""
@@ -659,38 +656,23 @@ def record_pass_seconds(pass_name: str, seconds: float,
 def record_cache_event(event: str, source: str = "memory",
                        registry=None) -> None:
     """Compile layer: one compile-cache ``"hits"`` (from the ``source``
-    tier), ``"misses"`` or ``"evictions"`` event."""
+    tier), ``"misses"`` or ``"evictions"`` event.  No ratio is stored:
+    readers derive hits / (hits + misses) from the two counters, which
+    stay right across merges."""
     registry = registry if registry is not None else _current
     if not registry.enabled:
-        return
-    if event == "evictions":
-        registry.counter(_CACHE_EVICTIONS,
-                         "Compile-cache entries evicted as unusable").inc()
         return
     if event == "hits":
         registry.counter(
-            _CACHE_HITS,
+            "repro_compile_cache_hits_total",
             "Compile-cache hits, by layer the entry came from"
         ).labels(source=source).inc()
+    elif event == "misses":
+        registry.counter("repro_compile_cache_misses_total",
+                         "Compile-cache misses").inc()
     else:
-        registry.counter(_CACHE_MISSES, "Compile-cache misses").inc()
-    update_cache_hit_ratio(registry)
-
-
-def update_cache_hit_ratio(registry=None) -> None:
-    """Recompute the hit-ratio gauge from the (possibly merged) counters."""
-    registry = registry if registry is not None else _current
-    if not registry.enabled:
-        return
-    hits = registry.counter(
-        _CACHE_HITS,
-        "Compile-cache hits, by layer the entry came from").total()
-    misses = registry.counter(_CACHE_MISSES, "Compile-cache misses").total()
-    if hits + misses:
-        registry.gauge(
-            _CACHE_HIT_RATIO,
-            "Compile-cache hits / lookups (recomputed after merges)"
-        ).set(hits / (hits + misses))
+        registry.counter("repro_compile_cache_evictions_total",
+                         "Compile-cache entries evicted as unusable").inc()
 
 
 def record_cfm_decisions(decisions, registry=None) -> None:
@@ -721,16 +703,6 @@ def record_validate_verdict(verdict: str, seconds: float,
         buckets=SECONDS_BUCKETS).observe(seconds)
 
 
-def record_task_seconds(seconds: float, registry=None) -> None:
-    """Evaluation layer: one sweep task's wall time."""
-    registry = registry if registry is not None else _current
-    if not registry.enabled:
-        return
-    registry.histogram("repro_eval_task_seconds",
-                       "Wall time of one sweep task (compare both arms)",
-                       buckets=SECONDS_BUCKETS).observe(seconds)
-
-
 class RuntimeSink:
     """Pre-bound metric children for one kernel launch.
 
@@ -740,7 +712,7 @@ class RuntimeSink:
     untraced, un-metered launches keep their ``obs is None`` fast path.
     """
 
-    __slots__ = ("block", "_divergence", "_cycles", "_launches", "_traps",
+    __slots__ = ("block", "_divergence", "_cycles", "_traps",
                  "_branches", "_divergent", "_barriers")
 
     def __init__(self, registry: MetricsRegistry, policy: str, executor: str,
@@ -759,8 +731,6 @@ class RuntimeSink:
         self._cycles = registry.histogram(
             "repro_runtime_launch_cycles",
             "Issue cycles per launch", buckets=CYCLES_BUCKETS).labels(**labels)
-        self._launches = registry.counter(
-            "repro_runtime_launches_total", "Kernel launches").labels(**labels)
         self._traps = registry.counter(
             "repro_runtime_traps_total",
             "Launches aborted by a simulation trap").labels(**labels)
@@ -786,7 +756,6 @@ class RuntimeSink:
             self._barriers.inc(metrics.barriers)
 
     def launch_done(self, metrics) -> None:
-        self._launches.inc()
         self._cycles.observe(metrics.cycles)
 
     def trap(self) -> None:

@@ -27,11 +27,13 @@ against), through the same attempt runner the workers use
 ``"Type: message"``; worker failures append the remote traceback.
 
 The scheduler keeps its own self-telemetry in :attr:`Scheduler.registry`
-(``repro_sched_*`` families, deliberately namespaced apart from the
-``repro_eval_*`` counters so serial-vs-parallel snapshot identity over
-evaluation metrics is unaffected); retired and stopped workers' lifetime
-snapshots are folded in as they leave, so recycling never loses
-telemetry.  Job-layer consumers live above this: see
+(``repro_sched_*`` families).  Every task of every job kind settles
+through ``_settled``, which counts it once: five ``repro_sched_tasks_*``
+counters and ``repro_sched_task_seconds``.  Sweeps merge this registry
+(:func:`repro.evaluation.fold_sweep_metrics`), the job server exposes
+it; no layer above counts tasks again.  Retired and stopped workers'
+lifetime snapshots are folded in as they leave, so recycling never
+loses telemetry.  Job-layer consumers live above this: see
 :func:`repro.evaluation.run_sweep` for sweeps and :mod:`repro.serve`
 for the long-running job service; both keep each task's
 :class:`TaskOutcome` as its record rather than copying it.
@@ -146,6 +148,10 @@ class Scheduler:
         self.recycle = recycle
         #: scheduler self-telemetry + folded worker-lifetime snapshots
         self.registry = MetricsRegistry()
+        # Set once here too: an inline scheduler's queue is always empty.
+        self._queue_depth = self.registry.gauge(
+            "repro_sched_queue_depth", "Tasks admitted but not yet dispatched")
+        self._queue_depth.set(0)
         #: concurrency-slot id -> busy seconds (rebuilt per run())
         self.slot_busy: Dict[int, float] = {}
         self._ctx = _mp_context()
@@ -298,6 +304,11 @@ class Scheduler:
         if outcome.crashed:
             self._count("repro_sched_tasks_crashed_total",
                         "Tasks whose worker raised or died mid-flight")
+        if outcome.worker >= 0:  # an attempt ran
+            self.registry.histogram(
+                "repro_sched_task_seconds",
+                "Wall time of a task's terminal attempt"
+            ).observe(outcome.seconds)
         if callback is not None:
             callback(outcome)
         with self._idle_cv:
@@ -417,9 +428,7 @@ class Scheduler:
                 self._reap(idle, respawn=True)
         with self._lock:
             depth = len(self._pending)
-        self.registry.gauge("repro_sched_queue_depth",
-                            "Tasks admitted but not yet dispatched"
-                            ).set(depth)
+        self._queue_depth.set(depth)
 
     def _on_retire(self, handle: _WorkerHandle, respawn: bool) -> None:
         """Collect the retire/goodbye snapshot from a leaving worker."""

@@ -77,16 +77,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                       f"(expected {CHAOS_MODES})", file=sys.stderr)
                 return 2
             scheduler_worker._TEST_WORKER_CHAOS[int(index)] = mode
-    config = ServerConfig(
-        host=args.host, port=args.port, workers=args.workers,
-        timeout=args.timeout, retries=args.retries,
-        recycle_tasks=args.recycle_tasks,
-        recycle_rss_bytes=(int(args.recycle_rss_mb * 1024 * 1024)
-                           if args.recycle_rss_mb else None),
-        queue_limit=args.queue_limit, when_full=args.when_full,
-        client_quota=args.client_quota or None,
-        cache_dir=args.cache_dir, trace_file=args.trace_file,
-        prom_file=args.prom_file, prom_port=args.prom_port)
+    try:
+        config = ServerConfig(
+            host=args.host, port=args.port, workers=args.workers,
+            timeout=args.timeout, retries=args.retries,
+            recycle_tasks=args.recycle_tasks,
+            recycle_rss_bytes=(int(args.recycle_rss_mb * 1024 * 1024)
+                               if args.recycle_rss_mb else None),
+            queue_limit=args.queue_limit, when_full=args.when_full,
+            client_quota=args.client_quota or None,
+            cache_dir=args.cache_dir, trace_file=args.trace_file,
+            prom_file=args.prom_file, prom_port=args.prom_port)
+    except ValueError as exc:
+        print(f"serve: {exc}", file=sys.stderr)
+        return 2
     server = JobServer(config)
 
     async def main() -> None:

@@ -341,7 +341,9 @@ class SweepJob(JobSpec):
                  wall_seconds: float) -> None:
         """Reuse the sweep engine's fold so a served sweep's snapshot is
         family-for-family what :func:`~repro.evaluation.run_sweep` would
-        have produced (deterministic metrics bit-identical)."""
+        have produced (deterministic metrics bit-identical), less the
+        ``repro_sched_*`` families: the server's scheduler is shared, so
+        its task counts live in the server's ``metrics`` op only."""
         with use_registry(registry):
             fold_sweep_metrics(outcomes, wall_seconds)
 

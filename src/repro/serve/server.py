@@ -17,10 +17,11 @@ Admission control sits between the socket and the pool:
   connection, rejected with ``quota-exceeded``.
 
 Observability: the server keeps a ``repro_serve_*`` metrics registry
-(jobs, tasks, rejections, connected clients) alongside the scheduler's
-``repro_sched_*`` registry and the per-job deltas aggregated across
-jobs; the ``metrics`` op — and the optional plaintext HTTP listener on
-``prom_port`` — exposes the union in Prometheus text format.  A
+(jobs, rejections, connected clients) alongside the scheduler's
+``repro_sched_*`` registry (the one count of settled tasks) and the
+per-job deltas aggregated across jobs; the ``metrics`` op — and the
+optional plaintext HTTP listener on ``prom_port`` — exposes the union
+in Prometheus text format.  A
 :class:`repro.obs.Tracer` records job/task lifecycle instants and is
 written to ``trace_file`` at shutdown.
 
@@ -118,8 +119,13 @@ class ServerConfig:
                 f"when_full must be 'reject' or 'block', got {self.when_full!r}")
         if self.workers < 1:
             raise ValueError("JobServer needs at least one worker")
-        if self.queue_limit < 1:
-            raise ValueError("queue_limit must be positive")
+        if self.retries < 0:
+            raise ValueError(f"retries must be >= 0, got {self.retries}")
+        for name in ("queue_limit", "timeout", "client_quota",
+                     "recycle_tasks", "recycle_rss_bytes"):
+            value = getattr(self, name)  # None: that knob is off
+            if value is not None and value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass
@@ -324,6 +330,14 @@ class JobServer:
         if not isinstance(job_field, dict):
             await reject("bad-request", "submit needs a 'job' object")
             return
+        flags = {name: message.get(name, False)
+                 for name in ("stream", "metrics")}
+        for name, value in flags.items():
+            if not isinstance(value, bool):
+                await reject("bad-request",
+                             f"submit '{name}' must be true or false, "
+                             f"got {value!r}")
+                return
         try:
             spec = make_job(job_field.get("kind"), job_field.get("params"))
             tasks = spec.tasks()
@@ -363,8 +377,7 @@ class JobServer:
         job = _Job(id=f"job-{self._next_job}", client_id=client_job_id,
                    client=client, spec=spec, outcomes=[None] * count,
                    remaining=count, started=self._loop.time(),
-                   stream=bool(message.get("stream", False)),
-                   want_metrics=bool(message.get("metrics", False)))
+                   stream=flags["stream"], want_metrics=flags["metrics"])
         self._jobs[job.id] = job
         self._active_jobs += 1
         self._idle.clear()
@@ -418,9 +431,6 @@ class JobServer:
                 "Tasks admitted but not yet settled").set(self._admitted)
             self._admission.notify_all()
         ok = outcome is not None and outcome.ok
-        self.registry.counter(
-            "repro_serve_tasks_total", "Job tasks settled, by outcome"
-        ).labels(outcome="ok" if ok else "error").inc()
         if job.stream:
             event: Dict[str, Any] = {
                 "event": "task", "id": job.client_id, "job_id": job.id,

@@ -7,6 +7,11 @@ metrics (``*_seconds`` histograms, ``*_per_second`` / ``*utilization``
 gauges) are inherently nondeterministic in any mode and are stripped
 before comparison.
 
+Pool-lifecycle families (``repro_sched_worker_*``,
+``repro_sched_workers_*``) reach the sweep registry with the scheduler's
+task counts, and an inline run cannot have them: the serial-vs-worker
+comparisons skip those two prefixes and nothing else.
+
 Also covered: the worker-crash path (partial delta + ``tasks_crashed``),
 the live progress callback, and ``Metrics.merge``-style rejection of
 mismatched histogram buckets across deltas.
@@ -44,6 +49,17 @@ def strip_time_dependent(snapshot):
     return snapshot
 
 
+#: families only a worker pool has (worker lifetime, respawn, recycle)
+POOL_ONLY = ("repro_sched_worker_", "repro_sched_workers_")
+
+
+def without_pool_families(snapshot):
+    for kind in ("counters", "gauges", "histograms"):
+        snapshot[kind] = {name: data for name, data in snapshot[kind].items()
+                          if not name.startswith(POOL_ONLY)}
+    return snapshot
+
+
 def run_and_snapshot(workers, tasks=TASKS):
     registry = MetricsRegistry()
     with use_registry(registry):
@@ -57,12 +73,14 @@ class TestSerialParallelIdentity:
         parallel_outcomes, parallel = run_and_snapshot(workers=2)
         assert all(r.ok for r in serial_outcomes)
         assert all(r.ok for r in parallel_outcomes)
-        assert strip_time_dependent(serial) == strip_time_dependent(parallel)
+        assert strip_time_dependent(serial) == without_pool_families(
+            strip_time_dependent(parallel))
 
     def test_three_worker_snapshot_bit_identical_to_serial(self):
         _, serial = run_and_snapshot(workers=1)
         _, parallel = run_and_snapshot(workers=3)
-        assert strip_time_dependent(serial) == strip_time_dependent(parallel)
+        assert strip_time_dependent(serial) == without_pool_families(
+            strip_time_dependent(parallel))
 
     def test_deterministic_layers_are_nonempty(self):
         """The identity assertion must not pass vacuously."""
@@ -75,10 +93,12 @@ class TestSerialParallelIdentity:
 
     def test_task_counters_reflect_outcomes(self):
         outcomes, snapshot = run_and_snapshot(workers=2)
-        completed = snapshot["counters"]["repro_eval_tasks_completed_total"]
-        assert sum(completed["samples"].values()) == len(outcomes)
-        crashed = snapshot["counters"]["repro_eval_tasks_crashed_total"]
-        assert sum(crashed["samples"].values()) == 0
+        assert _counter(snapshot, "repro_sched_tasks_completed_total") \
+            == len(outcomes)
+        assert _counter(snapshot, "repro_sched_tasks_crashed_total") == 0
+        seconds = snapshot["histograms"]["repro_sched_task_seconds"]
+        assert sum(s["count"] for s in seconds["samples"].values()) \
+            == len(outcomes)
 
 
 def _boom(**kwargs):
@@ -99,7 +119,9 @@ def _hang(**kwargs):
 
 
 def _counter(snapshot, name):
-    return sum(snapshot["counters"][name]["samples"].values())
+    """A counter's total; a family never incremented is absent, i.e. 0."""
+    family = snapshot["counters"].get(name, {"samples": {}})
+    return sum(family["samples"].values())
 
 
 class TestCrashPath:
@@ -119,10 +141,8 @@ class TestCrashPath:
         assert outcomes[1].metrics_delta["schema"].startswith(
             "repro.obs.metrics/")
         snapshot = registry.snapshot()
-        crashed = snapshot["counters"]["repro_eval_tasks_crashed_total"]
-        assert sum(crashed["samples"].values()) == 1
-        failed = snapshot["counters"]["repro_eval_tasks_failed_total"]
-        assert sum(failed["samples"].values()) == 1
+        assert _counter(snapshot, "repro_sched_tasks_crashed_total") == 1
+        assert _counter(snapshot, "repro_sched_tasks_failed_total") == 1
 
     def test_serial_crash_path_matches(self):
         tasks = [SweepTask(kernel="BOOM", builder=_boom, block_size=32)]
@@ -131,9 +151,8 @@ class TestCrashPath:
             outcomes = run_sweep_tasks(tasks, workers=1, retries=0)
         assert outcomes[0].crashed
         assert outcomes[0].metrics_delta is not None
-        crashed = registry.snapshot()["counters"][
-            "repro_eval_tasks_crashed_total"]
-        assert sum(crashed["samples"].values()) == 1
+        assert _counter(registry.snapshot(),
+                        "repro_sched_tasks_crashed_total") == 1
 
     def test_failed_outcome_holds_partial_delta(self):
         """The attempt runner snapshots the registry it installed: what a
@@ -148,7 +167,7 @@ class TestCrashPath:
 
 
 class TestTimedOutIsAFlag:
-    """``repro_eval_tasks_timed_out_total`` counts the scheduler's
+    """``repro_sched_tasks_timed_out_total`` counts the scheduler's
     ``timed_out`` flag, never the words of an error message."""
 
     def test_task_raising_timeout_error_is_a_crash_only(self):
@@ -161,8 +180,8 @@ class TestTimedOutIsAFlag:
                                              retries=0)
             assert "timed out" in outcome.error
             snapshot = registry.snapshot()
-            assert _counter(snapshot, "repro_eval_tasks_crashed_total") == 1
-            assert _counter(snapshot, "repro_eval_tasks_timed_out_total") == 0
+            assert _counter(snapshot, "repro_sched_tasks_crashed_total") == 1
+            assert _counter(snapshot, "repro_sched_tasks_timed_out_total") == 0
             assert outcome.crashed and not outcome.timed_out
 
     def test_task_killed_at_the_timeout_is_a_timeout_only(self):
@@ -172,8 +191,8 @@ class TestTimedOutIsAFlag:
             (outcome,) = run_sweep_tasks(tasks, workers=2, timeout=0.5,
                                          retries=0)
         snapshot = registry.snapshot()
-        assert _counter(snapshot, "repro_eval_tasks_timed_out_total") == 1
-        assert _counter(snapshot, "repro_eval_tasks_crashed_total") == 0
+        assert _counter(snapshot, "repro_sched_tasks_timed_out_total") == 1
+        assert _counter(snapshot, "repro_sched_tasks_crashed_total") == 0
         assert outcome.timed_out and not outcome.crashed
 
 

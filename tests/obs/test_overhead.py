@@ -184,12 +184,13 @@ class TestRegistryParityWithTrace:
         registry = MetricsRegistry()
         with use_registry(registry):
             launch(executor)
-        launches = registry.snapshot()["counters"][
-            "repro_runtime_launches_total"]
-        (key,) = launches["samples"]
+        # A launch count is the cycles histogram's observation count.
+        cycles = registry.snapshot()["histograms"][
+            "repro_runtime_launch_cycles"]
+        (key,) = cycles["samples"]
         assert f"executor={executor or 'reference'}" in key
         assert "policy=ipdom" in key
-        assert launches["samples"][key] == 1
+        assert cycles["samples"][key]["count"] == 1
 
     def test_both_executors_produce_identical_runtime_aggregates(self):
         """Executor parity, the aggregate edition: modulo the executor

@@ -55,6 +55,27 @@ def strip_time_dependent(snapshot):
     return snapshot
 
 
+#: every metric family a settled task was once counted or timed under
+#: besides the scheduler's, and two families a reader derives instead
+RETIRED = (
+    "repro_eval_tasks_", "repro_eval_task_seconds", "repro_serve_tasks_total",
+    "repro_runtime_launches_total", "repro_compile_cache_hit_ratio")
+
+
+def without_sched(snapshot):
+    """A serial sweep's snapshot less the ``repro_sched_*`` families: a
+    served job's ``done.metrics`` has none (the pool is the server's)."""
+    for kind in ("counters", "gauges", "histograms"):
+        snapshot[kind] = {name: data for name, data in snapshot[kind].items()
+                          if not name.startswith("repro_sched_")}
+    return snapshot
+
+
+def _counter(snapshot, name):
+    family = snapshot["counters"].get(name, {"samples": {}})
+    return sum(family["samples"].values())
+
+
 def serial_sweep():
     """Serial-run reference rows + metrics snapshot (memoized)."""
     if not _SERIAL:
@@ -91,6 +112,30 @@ class TestLifecycle:
                 assert client.hello["queue_limit"] == 9
                 assert client.hello["client_quota"] == 5
                 assert client.hello["when_full"] == "block"
+
+    @pytest.mark.parametrize("field,value", [
+        ("timeout", 0), ("timeout", -1.5), ("client_quota", 0),
+        ("recycle_tasks", 0), ("recycle_rss_bytes", 0), ("retries", -1),
+        ("queue_limit", 0)])
+    def test_config_rejects_out_of_range_knobs(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ServerConfig(**{field: value})
+
+    def test_config_none_still_means_off(self):
+        ServerConfig(timeout=None, client_quota=None, recycle_tasks=None,
+                     recycle_rss_bytes=None)
+
+    def test_cli_reports_a_bad_knob_in_one_line(self, capsys, monkeypatch):
+        from repro.serve import __main__ as cli
+
+        def serve_forever(config):  # an accepted config would block here
+            pytest.fail(f"serve started with {config}")
+
+        monkeypatch.setattr(cli, "JobServer", serve_forever)
+        assert cli.main(["serve", "--timeout", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "timeout" in err
+        assert "Traceback" not in err
 
     def test_ping(self):
         with ServerThread(ServerConfig(workers=1)) as address:
@@ -191,7 +236,7 @@ class TestServedSweepIdentity:
             with ServeClient(*address) as client:
                 done = client.run_job("sweep", SWEEP_PARAMS, metrics=True)
         assert strip_time_dependent(done["metrics"]) \
-            == strip_time_dependent(serial_metrics)
+            == without_sched(strip_time_dependent(serial_metrics))
 
     def test_identity_not_vacuous(self):
         _, serial_metrics = serial_sweep()
@@ -207,16 +252,15 @@ class TestServedSweepIdentity:
         with ServerThread(ServerConfig(workers=2)) as address:
             with ServeClient(*address) as client:
                 done = client.run_job("sweep", SWEEP_PARAMS, metrics=True)
+                server_metrics = client.metrics()["snapshot"]
         assert done["ok"]
         assert done["rows"] == serial_rows
         assert sum(done["attempts"]) == len(serial_rows) + 1
-        served = strip_time_dependent(done["metrics"])
-        serial = strip_time_dependent(serial_metrics)
         # the retry itself is (correctly) visible in exactly one place
-        retried = served["counters"].pop("repro_eval_tasks_retried_total")
-        assert sum(retried["samples"].values()) == 1
-        serial["counters"].pop("repro_eval_tasks_retried_total")
-        assert served == serial
+        assert _counter(server_metrics,
+                        "repro_sched_tasks_retried_total") == 1
+        assert strip_time_dependent(done["metrics"]) \
+            == without_sched(strip_time_dependent(serial_metrics))
 
     def test_traced_sweep_matches_run_sweep_trace(self):
         """A served traced sweep merges its tasks' events the way the
@@ -302,6 +346,24 @@ class TestAdmission:
                         client.run_job(kind, params)
                     assert info.value.code == "invalid-params", kind
                 assert client.ping()
+
+    @pytest.mark.parametrize("flag", ["stream", "metrics"])
+    def test_non_bool_submit_flag_is_bad_request(self, flag):
+        # Read through bool(), "no" streamed and "false" sent metrics.
+        with ServerThread(ServerConfig(workers=1)) as address:
+            with ServeClient(*address) as client:
+                for value in ("no", 0, 1, None, []):
+                    client._write({"op": "submit", "id": "flagged",
+                                   "job": {"kind": "difftest",
+                                           "params": {"count": 1}},
+                                   flag: value})
+                    with pytest.raises(JobRejected) as info:
+                        client.wait("flagged")
+                    assert info.value.code == "bad-request", value
+                    assert flag in str(info.value)
+                assert client.ping()
+                assert client.run_job("difftest", {"count": 1},
+                                      **{flag: False})["ok"]
 
     def test_quota_exceeded_is_typed_not_a_stall(self):
         config = ServerConfig(workers=1, client_quota=3)
@@ -392,11 +454,50 @@ class TestObservability:
                 event = client.metrics()
         prom = event["prom"]
         assert "repro_serve_jobs_total" in prom
-        assert "repro_serve_tasks_total" in prom
         assert "repro_sched_tasks_completed_total" in prom
-        counters = event["snapshot"]["counters"]
-        tasks = counters["repro_serve_tasks_total"]["samples"]
-        assert sum(tasks.values()) == 2
+        assert _counter(event["snapshot"],
+                        "repro_sched_tasks_completed_total") == 2
+
+    def test_each_task_is_counted_once(self):
+        """Three job kinds, five tasks: one count and one timing each,
+        from the scheduler, and no second family saying the same."""
+        with ServerThread(ServerConfig(workers=2)) as address:
+            with ServeClient(*address) as client:
+                for kind, params in (
+                        ("sweep", {"kernels": ["SB1"], "block_sizes": [8, 16],
+                                   "grid_dim": 1}),
+                        ("launch", {"kernels": ["SB1"], "block_size": 16,
+                                    "grid_dim": 1}),
+                        ("difftest", {"count": 2})):
+                    assert client.run_job(kind, params)["ok"], kind
+                event = client.metrics()
+        snapshot = event["snapshot"]
+        assert _counter(snapshot, "repro_sched_tasks_completed_total") == 5
+        seconds = snapshot["histograms"]["repro_sched_task_seconds"]
+        assert sum(s["count"] for s in seconds["samples"].values()) == 5
+        names = [name for kind in ("counters", "gauges", "histograms")
+                 for name in snapshot[kind]]
+        for retired in RETIRED:
+            assert not [n for n in names if n.startswith(retired)], retired
+            assert retired not in event["prom"], retired
+
+    def test_cache_hit_ratio_is_derived_from_the_counters(self, tmp_path,
+                                                          monkeypatch):
+        # A ratio gauge merged last-write-wins read the last task's
+        # ratio (1.0 after the SB1 hits, then 0.0 after the SB2 miss).
+        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+        config = ServerConfig(workers=1, cache_dir=str(tmp_path / "cache"))
+        with ServerThread(config) as address:
+            with ServeClient(*address) as client:
+                for kernel in ("SB1", "SB1", "SB1", "SB2"):
+                    assert client.run_job("launch", {
+                        "kernels": [kernel], "block_size": 16,
+                        "grid_dim": 1})["ok"]
+                snapshot = client.metrics()["snapshot"]
+        assert _counter(snapshot, "repro_compile_cache_hits_total") == 2
+        assert _counter(snapshot, "repro_compile_cache_misses_total") == 2
+        assert not [name for name in snapshot["gauges"]
+                    if "ratio" in name]
 
     def test_prometheus_http_listener(self):
         server = ServerThread(ServerConfig(workers=1, prom_port=0))

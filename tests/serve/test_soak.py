@@ -104,8 +104,8 @@ def test_randomized_job_mix(seed, workers):
     counters = snapshot["counters"]
     jobs = sum(counters["repro_serve_jobs_total"]["samples"].values())
     assert jobs == 12
-    tasks = counters["repro_serve_tasks_total"]["samples"]
-    assert tasks.get('outcome="error"', 0) == 0
+    failed = counters.get("repro_sched_tasks_failed_total", {"samples": {}})
+    assert sum(failed["samples"].values()) == 0
 
 
 def test_quota_hammer_rejects_without_stalling():

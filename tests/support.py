@@ -113,6 +113,5 @@ def run_sweep_tasks(tasks, workers: int = 1, timeout: Optional[float] = None,
                    ) as scheduler:
         outcomes = scheduler.run(
             [Task(run_task, task, metrics=collect) for task in tasks])
-    fold_sweep_metrics(outcomes, time.perf_counter() - start,
-                       scheduler.slot_busy)
+    fold_sweep_metrics(outcomes, time.perf_counter() - start, scheduler)
     return outcomes

@@ -52,6 +52,7 @@ RETIRED = {
     "MeldRecord", "AfterPassHook", "ValidateMeldsHook",
     "cumulative_timings", "want_ir_stats",
     "ParallelRunner", "from_outcome", "from_result",
+    "record_task_seconds", "update_cache_hit_ratio",
 }
 
 
