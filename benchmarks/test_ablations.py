@@ -1,15 +1,12 @@
 """Ablations over CFM's design choices (DESIGN.md §6).
 
-1. **Greedy vs optimal subgraph alignment** — §IV-C argues the greedy
-   m×n scan matches the optimal NW alignment on real programs because
-   divergent regions contain few subgraphs.
-2. **Unpredication on/off for pure runs** — §IV-E/§IV-G: splitting pure
+1. **Unpredication on/off for pure runs** — §IV-E/§IV-G: splitting pure
    gap runs is later undone by if-conversion, so performance should not
    depend on it (correctness never does; side-effecting runs always
    split).
-3. **Profitability threshold** — Algorithm 1's gate: at threshold ≥ 0.5
+2. **Profitability threshold** — Algorithm 1's gate: at threshold ≥ 0.5
    nothing melds (identical profiles score exactly 0.5).
-4. **Warp width 32 vs 64** — the paper's GPU uses 64-wide wavefronts;
+3. **Warp width 32 vs 64** — the paper's GPU uses 64-wide wavefronts;
    melding wins in both configurations.
 """
 
@@ -30,30 +27,17 @@ def sweep(config=None, machine=None, block_size=32):
 
 
 @pytest.fixture(scope="module")
-def greedy():
+def default():
     return sweep()
 
 
-def test_ablation_greedy_vs_optimal_alignment(benchmark, greedy):
-    optimal = sweep(CFMConfig(optimal_subgraph_alignment=True))
-    benchmark.pedantic(lambda: None, iterations=1, rounds=1)
-    print()
-    print("Ablation: greedy vs optimal subgraph alignment")
-    for name in KERNELS:
-        g, o = greedy[name], optimal[name]
-        print(f"  {name:4s} greedy {g.speedup:.3f}x ({g.melds} melds)   "
-              f"optimal {o.speedup:.3f}x ({o.melds} melds)")
-        # §IV-C: the greedy approach "also works" — within 5% of optimal.
-        assert g.speedup >= o.speedup * 0.95
-
-
-def test_ablation_unpredication_of_pure_runs(benchmark, greedy):
+def test_ablation_unpredication_of_pure_runs(benchmark, default):
     no_split = sweep(CFMConfig(split_pure_runs=False))
     benchmark.pedantic(lambda: None, iterations=1, rounds=1)
     print()
     print("Ablation: unpredication of pure gap runs (on vs off)")
     for name in KERNELS:
-        on, off = greedy[name], no_split[name]
+        on, off = default[name], no_split[name]
         print(f"  {name:4s} split {on.speedup:.3f}x   "
               f"predicated {off.speedup:.3f}x")
         # The late if-conversion re-predicates pure runs anyway (§IV-G),
@@ -79,13 +63,13 @@ def test_ablation_profitability_threshold(benchmark):
     assert abs(rows[-1][1].speedup - 1.0) < 0.02
 
 
-def test_ablation_warp_width(benchmark, greedy):
+def test_ablation_warp_width(benchmark, default):
     vega = sweep(machine=MachineConfig(warp_size=64), block_size=64)
     benchmark.pedantic(lambda: None, iterations=1, rounds=1)
     print()
     print("Ablation: warp width 32 (default) vs 64 (Vega wavefront)")
     for name in KERNELS:
-        print(f"  {name:4s} w32 {greedy[name].speedup:.3f}x   "
+        print(f"  {name:4s} w32 {default[name].speedup:.3f}x   "
               f"w64 {vega[name].speedup:.3f}x")
         # Divergence penalties exist at both widths; melding must win.
         assert vega[name].speedup > 1.05

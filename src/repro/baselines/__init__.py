@@ -10,8 +10,6 @@ baselines through the same ``run(function) -> PassResult`` surface as
 CFM and the standard transforms.
 """
 
-from typing import Optional
-
 from repro.ir.function import Function
 from repro.transforms.pass_manager import Pass, PassResult
 
@@ -30,16 +28,12 @@ class TailMergingPass(Pass):
 
 class BranchFusionPass(Pass):
     """Branch fusion (Coutinho et al. 2011) behind the standard pass
-    surface; the profitability threshold mirrors :func:`fuse_branches`."""
+    surface."""
 
     name = "branch-fusion"
 
-    def __init__(self, profitability_threshold: float = 0.0) -> None:
-        self.profitability_threshold = profitability_threshold
-
     def run(self, function: Function) -> PassResult:
-        return PassResult(changed=fuse_branches(
-            function, profitability_threshold=self.profitability_threshold))
+        return PassResult(changed=fuse_branches(function))
 
 
 __all__ = ["merge_tails", "fuse_branches",

@@ -30,18 +30,23 @@ from repro.transforms.simplifycfg import (
 from repro.transforms.ssa_repair import repair_ssa
 
 
-def fuse_branches(function: Function, profitability_threshold: float = 0.0,
-                  max_iterations: int = 32) -> bool:
+#: a diamond fuses when its ``FP_S`` exceeds this (any positive score)
+PROFITABILITY_THRESHOLD = 0.0
+#: upper bound on fusion rounds (one diamond each)
+MAX_ITERATIONS = 32
+
+
+def fuse_branches(function: Function) -> bool:
     """Fuse divergent diamonds to a fixpoint.  Returns True if changed."""
     changed = False
-    for _ in range(max_iterations):
-        if not _fuse_one(function, profitability_threshold):
+    for _ in range(MAX_ITERATIONS):
+        if not _fuse_one(function):
             return changed
         changed = True
     return changed
 
 
-def _fuse_one(function: Function, threshold: float) -> bool:
+def _fuse_one(function: Function) -> bool:
     analyses = analyze_function(function)
     for block in function.blocks:
         region = find_meldable_region(block, analyses.divergence,
@@ -49,7 +54,7 @@ def _fuse_one(function: Function, threshold: float) -> bool:
         if region is None:
             continue
         pair = _diamond_pair(region)
-        if pair is None or pair.profitability <= threshold:
+        if pair is None or pair.profitability <= PROFITABILITY_THRESHOLD:
             continue
         result = Melder(function, region, pair,
                         align_mapping(pair.mapping)).meld()

@@ -34,12 +34,7 @@ from .meldable import (
     subgraph_isomorphism,
     subgraphs_meldable,
 )
-from .subgraph_align import (
-    SubgraphPair,
-    align_subgraphs,
-    candidate_pair,
-    most_profitable_pair,
-)
+from .subgraph_align import SubgraphPair, candidate_pair, most_profitable_pair
 from .instr_align import (
     InstructionPair,
     align_instructions,
@@ -59,8 +54,7 @@ __all__ = [
     "MeldableRegion", "PartialMapping", "contains_barrier",
     "find_meldable_region", "region_block_mapping",
     "subgraph_isomorphism", "subgraphs_meldable",
-    "SubgraphPair", "align_subgraphs", "candidate_pair",
-    "most_profitable_pair",
+    "SubgraphPair", "candidate_pair", "most_profitable_pair",
     "InstructionPair", "align_instructions", "align_mapping",
     "alignment_saved_cycles",
     "MeldResult", "Melder", "Side",

@@ -1,9 +1,10 @@
 """Generic sequence alignment: Needleman–Wunsch (affine gaps).
 
-CFM uses hierarchical sequence alignment twice (§IV-C): once over the
-SESE subgraph sequences of a divergent region's true/false paths, and
-once over the instruction lists of corresponding basic blocks.  Both
-callers share the implementation here.
+§IV-C aligns at two levels.  Over the SESE subgraph sequences of a
+divergent region's true/false paths CFM uses the paper's greedy
+``m × n`` scan (:mod:`repro.core.subgraph_align`); over the instruction
+lists of corresponding basic blocks it uses the alignment here
+(:mod:`repro.core.instr_align`).
 
 Gap costs are affine (Gotoh's algorithm): the paper observes that a gap
 of unaligned instructions costs two branches *regardless of its length*,

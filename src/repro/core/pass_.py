@@ -52,11 +52,7 @@ from .meldable import MeldableRegion, find_meldable_region
 from .melder import Melder, MeldResult
 from .profitability import block_profitability
 from .sese import path_subgraphs, simplify_path_subgraphs
-from .subgraph_align import (
-    SubgraphPair,
-    align_subgraphs,
-    most_profitable_pair,
-)
+from .subgraph_align import SubgraphPair, most_profitable_pair
 from .unpredication import unpredicate
 
 
@@ -68,14 +64,8 @@ class CFMConfig:
     profitability_threshold: float = 0.1
     #: upper bound on Algorithm-1 iterations (one meld each)
     max_iterations: int = 64
-    #: run §IV-E unpredication after each meld
-    unpredication: bool = True
     #: also unpredicate side-effect-free runs (the paper does; ablation knob)
     split_pure_runs: bool = True
-    #: use optimal NW subgraph alignment instead of the paper's greedy scan
-    optimal_subgraph_alignment: bool = False
-    #: allow case-② melds (simple region with single basic block, Def. 6)
-    allow_partial_melds: bool = True
     #: symbolically validate every accepted meld (translation validation;
     #: see :mod:`repro.analysis.validate`); off by default so evaluation
     #: sweeps pay nothing — one boolean check per meld
@@ -205,7 +195,7 @@ def _meld_one(function: Function, config: CFMConfig, stats: CFMStats) -> bool:
             # scan moves on to the next block.
             pdt = None
 
-        pair = _choose_pair(true_subs, false_subs, config)
+        pair = most_profitable_pair(true_subs, false_subs, config.latency)
         if pair is None:
             stats.decisions.append(MeldingDecision(
                 iteration=stats.iterations, region_entry=region.entry.name,
@@ -244,10 +234,7 @@ def _meld_one(function: Function, config: CFMConfig, stats: CFMStats) -> bool:
         # The meld rewired only the inside of the divergent region, so
         # only definitions inside it can have lost dominance.
         repair_ssa(function, region_blocks(region.entry, region.exit))
-        unpredicated = False
-        if config.unpredication:
-            unpredicated = unpredicate(function, result,
-                                       config.split_pure_runs)
+        unpredicated = unpredicate(function, result, config.split_pure_runs)
         if capture is not None:
             v_start = time.perf_counter()
             validation = capture.compare_against_current()
@@ -314,18 +301,6 @@ def _score_pair(iteration: int, region: MeldableRegion, pair: SubgraphPair,
         block_scores=block_scores,
         fp_i_saved_cycles=fp_i_total,
     )
-
-
-def _choose_pair(true_subs, false_subs, config: CFMConfig) -> Optional[SubgraphPair]:
-    if config.optimal_subgraph_alignment:
-        pairs = align_subgraphs(true_subs, false_subs, config.latency)
-        profitable = [p for p in pairs
-                      if p.profitability > config.profitability_threshold]
-        if not profitable:
-            return None
-        return max(profitable, key=lambda p: p.profitability)
-    return most_profitable_pair(true_subs, false_subs, config.latency,
-                                allow_partial=config.allow_partial_melds)
 
 
 def _post_optimize(function: Function) -> None:

@@ -2,12 +2,11 @@
 
 Definition 7 requires an order-preserving alignment of the true-path and
 false-path subgraph sequences in which every aligned pair is meldable.
-The paper implements (and we default to) the **greedy** variant: an
+Like the paper's implementation, we use the **greedy** variant: an
 ``m × n`` profitability scan choosing the single most profitable meldable
 pair per Algorithm-1 iteration, with the tie broken toward the pair that
 dominates the most remaining subgraphs (earliest pair), which maximizes
-how many melds later iterations can still perform.  The optimal
-Needleman–Wunsch variant is provided for ablation.
+how many melds later iterations can still perform.
 
 Pairs come in two flavours (Definition 6): fully isomorphic subgraphs
 (cases ① and ③ — every block maps) and the *partial* case ② where a
@@ -23,7 +22,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.latency import DEFAULT_LATENCY_MODEL, LatencyModel
 from repro.ir.block import BasicBlock
 
-from .alignment import needleman_wunsch
 from .meldable import PartialMapping, region_block_mapping, subgraphs_meldable
 from .profitability import partial_subgraph_profitability, subgraph_profitability
 from .sese import SESESubgraph
@@ -92,30 +90,28 @@ def _partial_pair(st: SESESubgraph, sf: SESESubgraph, i: int, j: int,
     return SubgraphPair(st, sf, mapping, profit, i, j, route=partial.route)
 
 
-def candidate_pair(st: SESESubgraph, sf: SESESubgraph, i: int = 0, j: int = 0,
-                   latency: LatencyModel = DEFAULT_LATENCY_MODEL,
-                   allow_partial: bool = True) -> Optional[SubgraphPair]:
+def candidate_pair(
+    st: SESESubgraph, sf: SESESubgraph, i: int = 0, j: int = 0,
+    latency: LatencyModel = DEFAULT_LATENCY_MODEL,
+) -> Optional[SubgraphPair]:
     """The best way to meld this particular (true, false) subgraph pair:
     full isomorphism when available, case ② otherwise."""
     pair = _full_pair(st, sf, i, j, latency)
     if pair is not None:
         return pair
-    if allow_partial:
-        return _partial_pair(st, sf, i, j, latency)
-    return None
+    return _partial_pair(st, sf, i, j, latency)
 
 
 def most_profitable_pair(
     true_path: List[SESESubgraph],
     false_path: List[SESESubgraph],
     latency: LatencyModel = DEFAULT_LATENCY_MODEL,
-    allow_partial: bool = True,
 ) -> Optional[SubgraphPair]:
     """Greedy ``MostProfitableSubgraphPair`` (Algorithm 1)."""
     best: Optional[SubgraphPair] = None
     for i, st in enumerate(true_path):
         for j, sf in enumerate(false_path):
-            candidate = candidate_pair(st, sf, i, j, latency, allow_partial)
+            candidate = candidate_pair(st, sf, i, j, latency)
             if candidate is None:
                 continue
             if best is None or candidate.profitability > best.profitability or (
@@ -124,28 +120,3 @@ def most_profitable_pair(
                 best = candidate
     return best
 
-
-def align_subgraphs(
-    true_path: List[SESESubgraph],
-    false_path: List[SESESubgraph],
-    latency: LatencyModel = DEFAULT_LATENCY_MODEL,
-) -> List[SubgraphPair]:
-    """Optimal order-preserving alignment via Needleman–Wunsch
-    (Definition 7): ablation alternative to the greedy scan.  Gap penalty
-    is zero — skipping a subgraph costs nothing, it simply is not melded."""
-    def score(st: SESESubgraph, sf: SESESubgraph) -> float:
-        candidate = candidate_pair(st, sf, latency=latency)
-        if candidate is None:
-            return float("-inf")
-        return candidate.profitability
-
-    result = needleman_wunsch(true_path, false_path, score,
-                              gap_open=0.0, gap_extend=0.0,
-                              min_match_score=1e-9)
-    pairs: List[SubgraphPair] = []
-    for st, sf in result.matches:
-        candidate = candidate_pair(st, sf, true_path.index(st),
-                                   false_path.index(sf), latency)
-        if candidate is not None:
-            pairs.append(candidate)
-    return pairs

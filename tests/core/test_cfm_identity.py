@@ -2,10 +2,12 @@
 
 ``cfm_identity.json`` holds one SHA-256 per case, taken over
 ``print_module`` plus the serialised ``stats.decisions`` after
-``optimize → CFMPass → late_pipeline``.  The fixture was generated at
-the commit *before* the pass's inner loop was made once-per-CFG-state
-(PR 12), so any rewrite of the pass or of an analysis it uses must
-reproduce every meld decision and every instruction of output exactly.
+``optimize → CFMPass → late_pipeline``, for the default configuration
+over the Fig. 8 cases, every synthetic kernel and generator seeds.  The
+fixture was generated *before* the pass's inner loop was made
+once-per-CFG-state, so any rewrite of the pass or of an analysis it
+uses must reproduce every meld decision and every instruction of output
+exactly.
 
 Regenerate (only for an intended behaviour change) with
 ``PYTHONPATH=src python -m tests.core.test_cfm_identity``.
@@ -31,12 +33,10 @@ FIXTURE = Path(__file__).with_name("cfm_identity.json")
 GENERATOR_SEEDS = 200
 TIER1_SEEDS = 50
 
-#: config variants run over the Fig. 8 set (the two knobs that change
-#: which code the inner loop executes)
+#: config variants run over the Fig. 8 set: the pass has one melding
+#: algorithm, so only its default configuration is pinned
 FIG8_CONFIGS: Dict[str, Callable[[], CFMConfig]] = {
     "default": CFMConfig,
-    "optimal": lambda: CFMConfig(optimal_subgraph_alignment=True),
-    "nounpred": lambda: CFMConfig(unpredication=False),
 }
 
 

@@ -4,7 +4,6 @@ block (Definition 6 condition 2, Figure 2 case ②)."""
 import pytest
 
 from repro.core import (
-    CFMConfig,
     candidate_pair,
     find_meldable_region,
     path_subgraphs,
@@ -98,10 +97,10 @@ class TestPartialMapping:
 
 
 class TestPartialMeldEndToEnd:
-    def run_both(self, config=None):
+    def run_both(self):
         base = parse(CASE2)
         melded = parse(CASE2)
-        stats = run_cfm(melded, config)
+        stats = run_cfm(melded)
         verify_function(melded)
 
         buffers = {"a": [5, 20, 11, 3, 40, 9, 15, 2],
@@ -117,12 +116,6 @@ class TestPartialMeldEndToEnd:
     def test_partial_meld_happens_and_is_correct(self):
         stats, out_base, out_melded = self.run_both()
         assert any(m.partial for m in stats.melds)
-        assert out_base == out_melded
-
-    def test_partial_melds_can_be_disabled(self):
-        stats, out_base, out_melded = self.run_both(
-            CFMConfig(allow_partial_melds=False))
-        assert not any(m.partial for m in stats.melds)
         assert out_base == out_melded
 
     def test_region_on_false_path(self):

@@ -61,12 +61,6 @@ def test_cfm_without_unpredication_of_pure_runs(name):
              config=CFMConfig(split_pure_runs=False))
 
 
-@pytest.mark.parametrize("name", ["BIT", "SB3", "PCM"])
-def test_cfm_with_optimal_subgraph_alignment(name):
-    run_both(name, block_size=16, grid_dim=1, seed=3,
-             config=CFMConfig(optimal_subgraph_alignment=True))
-
-
 @pytest.mark.parametrize("name", ["SB1", "SB2", "SB3", "BIT", "PCM"])
 def test_cfm_improves_divergent_kernels(name):
     base, melded = run_both(name, block_size=32, grid_dim=1, seed=9)

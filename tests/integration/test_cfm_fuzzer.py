@@ -145,12 +145,6 @@ def test_cfm_fuzzed_kernels_no_pure_unpredication(spec, seed):
 
 @given(spec=kernel_specs(), seed=st.integers(0, 2**20))
 @settings(max_examples=25, deadline=None)
-def test_cfm_fuzzed_kernels_optimal_alignment(spec, seed):
-    run_fuzz(spec, seed, CFMConfig(optimal_subgraph_alignment=True))
-
-
-@given(spec=kernel_specs(), seed=st.integers(0, 2**20))
-@settings(max_examples=25, deadline=None)
 def test_cfm_fuzzed_kernels_zero_threshold(spec, seed):
     # Meld *everything* meldable, however unprofitable: stress codegen.
     run_fuzz(spec, seed, CFMConfig(profitability_threshold=0.0))

@@ -39,8 +39,8 @@ ENTRY_POINTS = {
 
 #: names an earlier spelling of the compile cache, the memo quarantine,
 #: the latency key, the reconvergence policies, the pass hooks and
-#: timings, the meld records, the dead-code audit and the second
-#: per-task sweep record left behind
+#: timings, the meld records, the dead-code audit, the second
+#: per-task sweep record and the optimal subgraph alignment left behind
 RETIRED = {
     "DiskCompileCache", "clear_lowering_memo", "invalidate_lowering",
     "latency_token_key", "key_for", "record_cache_lookup",
@@ -53,6 +53,7 @@ RETIRED = {
     "cumulative_timings", "want_ir_stats",
     "ParallelRunner", "from_outcome", "from_result",
     "record_task_seconds", "update_cache_hit_ratio",
+    "align_subgraphs",
 }
 
 
