@@ -3,7 +3,6 @@ dataflow (worklist fixpoint engine), value ranges, and the symbolic
 meld translation validator."""
 
 from .cfg import (
-    postorder,
     reachable_blocks,
     reachable_from,
     reverse_postorder,
@@ -51,7 +50,7 @@ from .validate import (
 )
 
 __all__ = [
-    "postorder", "reachable_blocks", "reachable_from", "reverse_postorder",
+    "reachable_blocks", "reachable_from", "reverse_postorder",
     "verify_preds_consistent",
     "DominatorTree", "compute_dominator_tree", "compute_postdominator_tree",
     "dominance_frontier", "immediate_postdominator", "postdominance_frontier",

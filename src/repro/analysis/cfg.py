@@ -51,12 +51,6 @@ def reverse_postorder(function: Function) -> List[BasicBlock]:
     return order
 
 
-def postorder(function: Function) -> List[BasicBlock]:
-    order = reverse_postorder(function)
-    order.reverse()
-    return order
-
-
 def reachable_blocks(function: Function) -> Set[BasicBlock]:
     return set(reverse_postorder(function))
 

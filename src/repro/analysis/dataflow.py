@@ -37,7 +37,7 @@ from repro.ir.function import Function
 from repro.ir.instructions import Instruction
 from repro.ir.values import Value
 
-from .cfg import postorder, reverse_postorder
+from .cfg import reverse_postorder
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -104,7 +104,9 @@ def run_dataflow(function: Function, analysis: DataflowAnalysis,
     it raises rather than silently returning a non-fixpoint.
     """
     forward = analysis.direction == FORWARD
-    order = reverse_postorder(function) if forward else postorder(function)
+    order = reverse_postorder(function)
+    if not forward:
+        order.reverse()
     position = {block: i for i, block in enumerate(order)}
 
     def inputs_of(block: BasicBlock) -> List[BasicBlock]:

@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, Optional, Set
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
 from repro.ir.instructions import Instruction, Phi, Ret
-from .cfg import reverse_postorder
+from .cfg import _fast_succs, reverse_postorder
 
 
 class DominatorTree:
@@ -114,7 +114,7 @@ class DominatorTree:
             incoming_block = use_instr.incoming_blocks[use_index]
             return self.dominates(def_block, incoming_block)
         if def_block is use_block:
-            instrs = def_block.instructions
+            instrs = def_block._instructions
             return instrs.index(def_instr) < instrs.index(use_instr)
         return self.strictly_dominates(def_block, use_block)
 
@@ -124,34 +124,41 @@ def _compute_idoms(
     preds_of,
     root: BasicBlock,
 ) -> Dict[BasicBlock, BasicBlock]:
-    """Cooper–Harvey–Kennedy 'engineered' dominance algorithm."""
-    index = {b: i for i, b in enumerate(nodes)}  # reverse-postorder numbers
-    idom: Dict[BasicBlock, Optional[BasicBlock]] = {b: None for b in nodes}
-    idom[root] = root
-
-    def intersect(a: BasicBlock, b: BasicBlock) -> BasicBlock:
-        while a is not b:
-            while index[a] > index[b]:
-                a = idom[a]
-            while index[b] > index[a]:
-                b = idom[b]
-        return a
+    """Cooper–Harvey–Kennedy 'engineered' dominance algorithm, run on
+    reverse-postorder numbers: ``idom[k]`` is the number of node ``k``'s
+    immediate dominator, -1 while unknown.  Predecessors outside
+    ``nodes`` are ignored."""
+    index = {b: i for i, b in enumerate(nodes)}
+    preds = [[index[p] for p in preds_of(b) if p in index] for b in nodes]
+    top = index[root]
+    idom = [-1] * len(nodes)
+    idom[top] = top
 
     changed = True
     while changed:
         changed = False
-        for block in nodes:
-            if block is root:
+        for block, block_preds in enumerate(preds):
+            if block == top:
                 continue
-            new_idom: Optional[BasicBlock] = None
-            for pred in preds_of(block):
-                if pred not in index or idom[pred] is None:
+            new_idom = -1
+            for pred in block_preds:
+                if idom[pred] < 0:
                     continue
-                new_idom = pred if new_idom is None else intersect(pred, new_idom)
-            if new_idom is not None and idom[block] is not new_idom:
+                if new_idom < 0:
+                    new_idom = pred
+                    continue
+                # intersect(pred, new_idom)
+                a, b = pred, new_idom
+                while a != b:
+                    while a > b:
+                        a = idom[a]
+                    while b > a:
+                        b = idom[b]
+                new_idom = a
+            if new_idom >= 0 and idom[block] != new_idom:
                 idom[block] = new_idom
                 changed = True
-    return {b: d for b, d in idom.items() if d is not None}
+    return {nodes[k]: nodes[d] for k, d in enumerate(idom) if d >= 0}
 
 
 def compute_dominator_tree(function: Function,
@@ -159,7 +166,7 @@ def compute_dominator_tree(function: Function,
     """Dominator tree; ``order`` is :func:`reverse_postorder` of the
     current CFG when the caller already has it."""
     nodes = order if order is not None else reverse_postorder(function)
-    idom = _compute_idoms(nodes, lambda b: b.preds, function.entry)
+    idom = _compute_idoms(nodes, lambda b: b._preds, function.entry)
     return DominatorTree(idom, function.entry, is_post=False)
 
 
@@ -194,28 +201,22 @@ def compute_postdominator_tree(function: Function,
     # predecessors that are unreachable from the entry, and the reverse
     # DFS below must not wander into them.
     reachable_set = set(reachable)
-    succs_of = {}
-    preds_of = {}
-    for block in reachable:
-        succs_of[block] = [s for s in block.succs if s in reachable_set]
-        preds_of[block] = [p for p in block.preds if p in reachable_set]
-    if virtual is not None:
-        succs_of[virtual] = []
-        preds_of[virtual] = list(exits)
-        for block in exits:
-            succs_of[block] = succs_of[block] + [virtual]
+    exit_set = set(exits)
+
+    def preds_of(node):
+        return exits if node is virtual else node._preds
 
     # Reverse-CFG reverse postorder, starting from the exit root.
     order: List[BasicBlock] = []
     visited: Set = {root}
-    stack = [(root, iter(preds_of.get(root, [])))]
+    stack = [(root, iter(preds_of(root)))]
     while stack:
         node, preds = stack[-1]
         advanced = False
         for pred in preds:
-            if pred not in visited:
+            if pred not in visited and pred in reachable_set:
                 visited.add(pred)
-                stack.append((pred, iter(preds_of[pred])))
+                stack.append((pred, iter(preds_of(pred))))
                 advanced = True
                 break
         if not advanced:
@@ -223,7 +224,14 @@ def compute_postdominator_tree(function: Function,
             stack.pop()
     order.reverse()
 
-    idom = _compute_idoms(order, lambda b: succs_of.get(b, []), root)
+    def succs_of(node):
+        # An exit's one successor is the root: the virtual exit, or the
+        # lone exit itself, which is the root and never asked.
+        if node in exit_set:
+            return (root,)
+        return () if node is virtual else _fast_succs(node)
+
+    idom = _compute_idoms(order, succs_of, root)
     return DominatorTree(idom, root, is_post=True)
 
 

@@ -84,57 +84,64 @@ def needleman_wunsch(
     M[0][0] = 0.0
 
     # Cells default to NEG_INF, so only reachable states are written.
-    for i in range(n + 1):
+    # The O(n·m) cells inline their three-way maxima the way ``max``
+    # computes them: of two equal candidates the earlier is kept.
+    row_m, row_x, row_y = M[0], X[0], Y[0]
+    for j in range(1, m + 1):
+        row_y[j] = max(row_m[j - 1] - gap_open, row_x[j - 1] - gap_open,
+                       row_y[j - 1] - gap_extend)
+    for i in range(1, n + 1):
+        a = seq_a[i - 1]
+        up_m, up_x, up_y = row_m, row_x, row_y
         row_m, row_x, row_y = M[i], X[i], Y[i]
-        if i:
-            a = seq_a[i - 1]
-            up_m, up_x, up_y = M[i - 1], X[i - 1], Y[i - 1]
-        for j in range(m + 1):
-            if i and j:
-                pair_score = score(a, seq_b[j - 1])
-                if pair_score >= min_match_score:
-                    best_prev = max(up_m[j - 1], up_x[j - 1], up_y[j - 1])
-                    if best_prev > NEG_INF:
-                        row_m[j] = best_prev + pair_score
-            if i:
-                row_x[j] = max(up_m[j] - gap_open,
-                               up_x[j] - gap_extend,
-                               up_y[j] - gap_open)
-            if j:
-                row_y[j] = max(row_m[j - 1] - gap_open,
-                               row_x[j - 1] - gap_open,
-                               row_y[j - 1] - gap_extend)
+        row_x[0] = max(up_m[0] - gap_open, up_x[0] - gap_extend,
+                       up_y[0] - gap_open)
+        for j in range(1, m + 1):
+            pair_score = score(a, seq_b[j - 1])
+            if pair_score >= min_match_score:
+                best, x, y = up_m[j - 1], up_x[j - 1], up_y[j - 1]
+                best = x if x > best else best
+                best = y if y > best else best
+                if best > NEG_INF:
+                    row_m[j] = best + pair_score
+            best, x, y = (up_m[j] - gap_open, up_x[j] - gap_extend,
+                          up_y[j] - gap_open)
+            best = x if x > best else best
+            row_x[j] = y if y > best else best
+            best, x, y = (row_m[j - 1] - gap_open, row_x[j - 1] - gap_open,
+                          row_y[j - 1] - gap_extend)
+            best = x if x > best else best
+            row_y[j] = y if y > best else best
 
-    # Traceback.
+    # Traceback: on a tie the earlier state (M, X, Y) wins.
     pairs: List[AlignedPair] = []
     i, j = n, m
-    state = max(("M", "X", "Y"), key=lambda s: {"M": M, "X": X, "Y": Y}[s][i][j])
+    state = _best_state(M[n][m], X[n][m], Y[n][m])
     final = {"M": M, "X": X, "Y": Y}[state][n][m]
     while i > 0 or j > 0:
         if state == "M":
             pairs.append(AlignedPair(seq_a[i - 1], seq_b[j - 1]))
-            prev = max(("M", "X", "Y"),
-                       key=lambda s: {"M": M, "X": X, "Y": Y}[s][i - 1][j - 1])
             i, j = i - 1, j - 1
-            state = prev
+            state = _best_state(M[i][j], X[i][j], Y[i][j])
         elif state == "X":
             pairs.append(AlignedPair(seq_a[i - 1], None))
-            candidates = [
-                ("M", M[i - 1][j] - gap_open),
-                ("X", X[i - 1][j] - gap_extend),
-                ("Y", Y[i - 1][j] - gap_open),
-            ]
-            state = max(candidates, key=lambda c: c[1])[0]
             i -= 1
+            state = _best_state(M[i][j] - gap_open, X[i][j] - gap_extend,
+                                Y[i][j] - gap_open)
         else:
             pairs.append(AlignedPair(None, seq_b[j - 1]))
-            candidates = [
-                ("M", M[i][j - 1] - gap_open),
-                ("X", X[i][j - 1] - gap_open),
-                ("Y", Y[i][j - 1] - gap_extend),
-            ]
-            state = max(candidates, key=lambda c: c[1])[0]
             j -= 1
+            state = _best_state(M[i][j] - gap_open, X[i][j] - gap_open,
+                                Y[i][j] - gap_extend)
     pairs.reverse()
     return AlignmentResult(pairs, final)
 
+
+def _best_state(m: float, x: float, y: float) -> str:
+    """The state whose score is largest, the earliest on a tie."""
+    state, best = "M", m
+    if x > best:
+        state, best = "X", x
+    if y > best:
+        state = "Y"
+    return state

@@ -20,7 +20,6 @@ hazard for Algorithm 1).
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.latency import DEFAULT_LATENCY_MODEL, LatencyModel
@@ -65,22 +64,42 @@ def estimated_selects(a: Instruction, b: Instruction) -> int:
     return count
 
 
+#: opcode-signature → (frequency, per-instruction latency weight)
+Profile = Dict[Tuple, Tuple[int, int]]
+
+
+class BlockFacts(dict):
+    """``facts[block]`` is the block's meldable latency and signature
+    profile — all that ``FP_B`` and ``FP_S`` read of it — computed on
+    first use.  Valid while no block it has seen is rewritten, so one
+    lives for one scan (:func:`~repro.core.subgraph_align.most_profitable_pair`)."""
+
+    def __init__(self, latency: LatencyModel = DEFAULT_LATENCY_MODEL) -> None:
+        super().__init__()
+        self.latency = latency
+
+    def __missing__(self, block: BasicBlock) -> Tuple[int, Profile]:
+        instrs = meldable_instructions(block)
+        facts = self[block] = (sum(self.latency.latency(i) for i in instrs),
+                               _signature_profile(instrs, self.latency))
+        return facts
+
+
 def block_profitability(
     b1: BasicBlock,
     b2: BasicBlock,
     latency: LatencyModel = DEFAULT_LATENCY_MODEL,
 ) -> float:
     """``FP_B``: best-case saved-cycle fraction for melding two blocks."""
-    instrs1 = meldable_instructions(b1)
-    instrs2 = meldable_instructions(b2)
-    lat1 = sum(latency.latency(i) for i in instrs1)
-    lat2 = sum(latency.latency(i) for i in instrs2)
+    facts = BlockFacts(latency)
+    return _fp_b(facts[b1], facts[b2])
+
+
+def _fp_b(facts1: Tuple[int, Profile], facts2: Tuple[int, Profile]) -> float:
+    (lat1, profile1), (lat2, profile2) = facts1, facts2
     total = lat1 + lat2
     if total == 0:
         return 0.0
-
-    profile1 = _signature_profile(instrs1, latency)
-    profile2 = _signature_profile(instrs2, latency)
     saved = 0.0
     for signature, (count1, weight) in profile1.items():
         if signature in profile2:
@@ -90,9 +109,8 @@ def block_profitability(
 
 
 def _signature_profile(instrs: Iterable[Instruction],
-                       latency: LatencyModel) -> Dict[Tuple, Tuple[int, int]]:
-    """opcode-signature → (frequency, per-instruction latency weight)."""
-    profile: Dict[Tuple, Tuple[int, int]] = {}
+                       latency: LatencyModel) -> Profile:
+    profile: Profile = {}
     for instr in instrs:
         signature = instr.operand_signature()
         count, _ = profile.get(signature, (0, 0))
@@ -103,15 +121,17 @@ def _signature_profile(instrs: Iterable[Instruction],
 def subgraph_profitability(
     mapping: List[Tuple[BasicBlock, BasicBlock]],
     latency: LatencyModel = DEFAULT_LATENCY_MODEL,
+    facts: Optional[BlockFacts] = None,
 ) -> float:
     """``FP_S``: latency-weighted mean of ``FP_B`` over the block mapping
     ``O`` of two isomorphic subgraphs."""
+    facts = BlockFacts(latency) if facts is None else facts
     numerator = 0.0
     denominator = 0.0
     for b1, b2 in mapping:
-        pair_latency = (sum(latency.latency(i) for i in meldable_instructions(b1))
-                        + sum(latency.latency(i) for i in meldable_instructions(b2)))
-        numerator += block_profitability(b1, b2, latency) * pair_latency
+        facts1, facts2 = facts[b1], facts[b2]
+        pair_latency = facts1[0] + facts2[0]
+        numerator += _fp_b(facts1, facts2) * pair_latency
         denominator += pair_latency
     if denominator == 0:
         return 0.0
@@ -123,19 +143,18 @@ def partial_subgraph_profitability(
     chosen: BasicBlock,
     single: BasicBlock,
     latency: LatencyModel = DEFAULT_LATENCY_MODEL,
+    facts: Optional[BlockFacts] = None,
 ) -> float:
     """``FP_S`` for a case-② pairing: only the chosen block overlaps the
     single block; every other region block contributes latency to the
     denominator but saves nothing, so partial melds are naturally
     dominated by any available full isomorphism."""
-    def block_latency(block: BasicBlock) -> int:
-        return sum(latency.latency(i) for i in meldable_instructions(block))
-
-    pair_latency = block_latency(chosen) + block_latency(single)
-    total = sum(block_latency(b) for b in region_blocks) + block_latency(single)
+    facts = BlockFacts(latency) if facts is None else facts
+    pair_latency = facts[chosen][0] + facts[single][0]
+    total = sum(facts[b][0] for b in region_blocks) + facts[single][0]
     if total == 0:
         return 0.0
-    return block_profitability(chosen, single, latency) * pair_latency / total
+    return _fp_b(facts[chosen], facts[single]) * pair_latency / total
 
 
 def instruction_profitability(

@@ -23,7 +23,11 @@ from repro.analysis.latency import DEFAULT_LATENCY_MODEL, LatencyModel
 from repro.ir.block import BasicBlock
 
 from .meldable import PartialMapping, region_block_mapping, subgraphs_meldable
-from .profitability import partial_subgraph_profitability, subgraph_profitability
+from .profitability import (
+    BlockFacts,
+    partial_subgraph_profitability,
+    subgraph_profitability,
+)
 from .sese import SESESubgraph
 
 #: (true-side block | None, false-side block | None); None marks the
@@ -60,16 +64,16 @@ class SubgraphPair:
 
 
 def _full_pair(st: SESESubgraph, sf: SESESubgraph, i: int, j: int,
-               latency: LatencyModel) -> Optional[SubgraphPair]:
+               facts: BlockFacts) -> Optional[SubgraphPair]:
     mapping = subgraphs_meldable(st, sf)
     if mapping is None:
         return None
     return SubgraphPair(st, sf, list(mapping),
-                        subgraph_profitability(mapping, latency), i, j)
+                        subgraph_profitability(mapping, facts=facts), i, j)
 
 
 def _partial_pair(st: SESESubgraph, sf: SESESubgraph, i: int, j: int,
-                  latency: LatencyModel) -> Optional[SubgraphPair]:
+                  facts: BlockFacts) -> Optional[SubgraphPair]:
     if not st.is_single_block and sf.is_single_block:
         partial = region_block_mapping(st, sf, region_on_true_path=True)
         if partial is None:
@@ -86,20 +90,23 @@ def _partial_pair(st: SESESubgraph, sf: SESESubgraph, i: int, j: int,
         return None
     region_sub = st if single is sf.entry else sf
     profit = partial_subgraph_profitability(
-        region_sub.blocks, partial.chosen, single, latency)
+        region_sub.blocks, partial.chosen, single, facts=facts)
     return SubgraphPair(st, sf, mapping, profit, i, j, route=partial.route)
 
 
 def candidate_pair(
     st: SESESubgraph, sf: SESESubgraph, i: int = 0, j: int = 0,
     latency: LatencyModel = DEFAULT_LATENCY_MODEL,
+    facts: Optional[BlockFacts] = None,
 ) -> Optional[SubgraphPair]:
     """The best way to meld this particular (true, false) subgraph pair:
-    full isomorphism when available, case ② otherwise."""
-    pair = _full_pair(st, sf, i, j, latency)
+    full isomorphism when available, case ② otherwise.  ``facts`` is the
+    scan's :class:`BlockFacts` (of ``latency``) when the caller has one."""
+    facts = BlockFacts(latency) if facts is None else facts
+    pair = _full_pair(st, sf, i, j, facts)
     if pair is not None:
         return pair
-    return _partial_pair(st, sf, i, j, latency)
+    return _partial_pair(st, sf, i, j, facts)
 
 
 def most_profitable_pair(
@@ -107,11 +114,13 @@ def most_profitable_pair(
     false_path: List[SESESubgraph],
     latency: LatencyModel = DEFAULT_LATENCY_MODEL,
 ) -> Optional[SubgraphPair]:
-    """Greedy ``MostProfitableSubgraphPair`` (Algorithm 1)."""
+    """Greedy ``MostProfitableSubgraphPair`` (Algorithm 1).  Each block's
+    latency and profile are read once for the whole ``m × n`` scan."""
+    facts = BlockFacts(latency)
     best: Optional[SubgraphPair] = None
     for i, st in enumerate(true_path):
         for j, sf in enumerate(false_path):
-            candidate = candidate_pair(st, sf, i, j, latency)
+            candidate = candidate_pair(st, sf, i, j, facts=facts)
             if candidate is None:
                 continue
             if best is None or candidate.profitability > best.profitability or (

@@ -17,7 +17,7 @@ this after each pass.  Checks performed:
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
 
 from .block import BasicBlock
 from .function import Function, GlobalVariable
@@ -68,11 +68,14 @@ def verify_function(function: Function) -> None:
     if not problems:
         # Dominance checks only make sense on structurally valid IR.
         dt = compute_dominator_tree(function)
+        position = {instr: i for block in function.blocks
+                    for i, instr in enumerate(block)}
         for block in function.blocks:
             if block not in reachable:
                 continue
             for instr in block:
-                problems.extend(_check_operand_dominance(function, dt, instr))
+                problems.extend(
+                    _check_operand_dominance(function, dt, position, instr))
 
     if problems:
         raise VerificationError(function, problems)
@@ -145,7 +148,10 @@ def _check_phis(block: BasicBlock) -> List[str]:
     return problems
 
 
-def _check_operand_dominance(function: Function, dt, instr: Instruction) -> List[str]:
+def _check_operand_dominance(function: Function, dt,
+                             position: Dict[Instruction, int],
+                             instr: Instruction) -> List[str]:
+    """``position`` numbers every instruction within its block."""
     problems = []
     for index, operand in enumerate(instr.operands):
         if operand is None:
@@ -170,7 +176,11 @@ def _check_operand_dominance(function: Function, dt, instr: Instruction) -> List
                     f"{instr!r} uses %{operand.name} defined in unreachable block"
                 )
                 continue
-            if not dt.instruction_dominates(operand, instr, index):
+            if operand.parent is instr.parent and not isinstance(instr, Phi):
+                dominates = position[operand] < position[instr]
+            else:
+                dominates = dt.instruction_dominates(operand, instr, index)
+            if not dominates:
                 problems.append(
                     f"definition %{operand.name} (in %{operand.parent.name}) does "
                     f"not dominate use in {instr!r} (in %{instr.parent.name})"

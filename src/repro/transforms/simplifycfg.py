@@ -113,36 +113,52 @@ def remove_trivial_phis(function: Function) -> bool:
 
 def merge_straightline_blocks(function: Function) -> bool:
     """Merge ``B -> S`` when B's only successor is S and S's only
-    predecessor is B."""
+    predecessor is B, collapsing every such chain in one sweep.
+
+    The merges happen in the order a restart from the first block after
+    each merge would pick them: absorbing S changes only B's terminator
+    and which block S's successors name as their predecessor, so B is
+    the one block that can become mergeable again.  No block before it
+    can, because no predecessor count changes."""
+    changed = False
     for block in function.blocks:
-        succ = block.single_succ
-        term = block.terminator
-        if (succ is None or succ is block or succ.single_pred is not block
-                or not isinstance(term, Branch) or term.is_conditional):
-            continue
-        # φs in S have a single incoming value: forward them.
-        for phi in succ.phis:
-            phi.replace_all_uses_with(phi.incoming_for(block))
-            phi.erase_from_parent()
-        # Splice S's body into B.
-        term.erase_from_parent()
-        succ_term = succ.terminator
-        if isinstance(succ_term, Branch):
-            succ_term._unlink_successors()  # while parent is still S
-        for instr in succ.instructions:
-            succ._remove_instruction(instr)
-            if instr is succ_term and isinstance(instr, Branch):
-                block.append(instr)  # relinks edges from B
-            else:
-                instr.parent = block
-                block._instructions.append(instr)
-        # Successor φs must now name B as the incoming block.
-        for after in block.succs:
-            for phi in after.phis:
-                phi.replace_incoming_block(succ, block)
-        function._remove_block(succ)
-        return True
-    return False
+        if block.parent is not function:
+            continue  # absorbed earlier in this sweep
+        while _merge_successor(function, block):
+            changed = True
+    return changed
+
+
+def _merge_successor(function: Function, block: BasicBlock) -> bool:
+    """Splice ``block``'s successor into it if the two form a
+    straight line; False if they do not."""
+    succ = block.single_succ
+    term = block.terminator
+    if (succ is None or succ is block or succ.single_pred is not block
+            or not isinstance(term, Branch) or term.is_conditional):
+        return False
+    # φs in S have a single incoming value: forward them.
+    for phi in succ.phis:
+        phi.replace_all_uses_with(phi.incoming_for(block))
+        phi.erase_from_parent()
+    # Splice S's body into B.
+    term.erase_from_parent()
+    succ_term = succ.terminator
+    if isinstance(succ_term, Branch):
+        succ_term._unlink_successors()  # while parent is still S
+    for instr in succ.instructions:
+        succ._remove_instruction(instr)
+        if instr is succ_term and isinstance(instr, Branch):
+            block.append(instr)  # relinks edges from B
+        else:
+            instr.parent = block
+            block._instructions.append(instr)
+    # Successor φs must now name B as the incoming block.
+    for after in block.succs:
+        for phi in after.phis:
+            phi.replace_incoming_block(succ, block)
+    function._remove_block(succ)
+    return True
 
 
 def remove_forwarding_blocks(function: Function) -> bool:

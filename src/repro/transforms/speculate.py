@@ -12,11 +12,12 @@ It is also the ablation knob for studying the unpredication interaction
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
 from repro.ir.instructions import Branch, Instruction, Phi, Select
+from repro.ir.values import Constant
 
 
 #: arms larger than this stay branches (mirrors LLVM's speculation cost cap)
@@ -42,14 +43,32 @@ def _speculatable_arm(block: BasicBlock, head: BasicBlock, merge: BasicBlock,
 
 def speculate_hammocks(function: Function,
                        limit: int = DEFAULT_MAX_SPECULATED) -> bool:
+    """Flatten hammocks, first head in block order first, to a fixpoint.
+
+    After a flatten the head ends in an unconditional branch, so only a
+    block whose arm is the head — one of its predecessors — can newly
+    qualify, and the scan resumes at the earliest of them instead of
+    block 0.  The one exception restarts at block 0: a φ forwarded to a
+    literal can make a may-trap instruction in any block speculatable
+    (:func:`repro.ir.scalars.trap_operand` reads literal operands)."""
     changed = False
-    while _speculate_once(function, limit):
+    start = 0
+    while True:
+        flattened = _speculate_once(function.blocks[start:], limit)
+        if flattened is None:
+            return changed
         changed = True
-    return changed
+        head, to_literal = flattened
+        blocks = function.blocks
+        start = 0 if to_literal else min(
+            blocks.index(b) for b in (head, *head._preds))
 
 
-def _speculate_once(function: Function, limit: int) -> bool:
-    for head in function.blocks:
+def _speculate_once(blocks: List[BasicBlock], limit: int
+                    ) -> Optional[Tuple[BasicBlock, bool]]:
+    """Flatten the first speculatable hammock headed in ``blocks``;
+    returns its head and :func:`_flatten`'s answer, or ``None``."""
+    for head in blocks:
         term = head.terminator
         if not isinstance(term, Branch) or not term.is_conditional:
             continue
@@ -63,9 +82,8 @@ def _speculate_once(function: Function, limit: int) -> bool:
             true_body = _speculatable_arm(true_block, head, merge, limit)
             false_body = _speculatable_arm(false_block, head, merge, limit)
             if true_body is not None and false_body is not None:
-                _flatten(head, term, merge,
-                         true_block, true_body, false_block, false_body)
-                return True
+                return head, _flatten(head, term, merge, true_block, true_body,
+                                      false_block, false_body)
 
         # Triangle: head -> T -> merge, head -> merge.
         for arm, other, arm_is_true in ((true_block, false_block, True),
@@ -74,17 +92,20 @@ def _speculate_once(function: Function, limit: int) -> bool:
                 body = _speculatable_arm(arm, head, other, limit)
                 if body is None:
                     continue
-                _flatten(head, term, other,
-                         arm if arm_is_true else None, body if arm_is_true else [],
-                         None if arm_is_true else arm, [] if arm_is_true else body)
-                return True
-    return False
+                return head, _flatten(
+                    head, term, other,
+                    arm if arm_is_true else None, body if arm_is_true else [],
+                    None if arm_is_true else arm, [] if arm_is_true else body)
+    return None
 
 
 def _flatten(head: BasicBlock, term: Branch, merge: BasicBlock,
              true_block: Optional[BasicBlock], true_body: List[Instruction],
-             false_block: Optional[BasicBlock], false_body: List[Instruction]) -> None:
+             false_block: Optional[BasicBlock], false_body: List[Instruction]) -> bool:
+    """Hoist the arms into ``head``; True if a φ was forwarded to a
+    literal."""
     cond = term.condition
+    to_literal = False
     # Hoist both arms into the head, in order, before the terminator.
     for source, body in ((true_block, true_body), (false_block, false_body)):
         if source is None:
@@ -114,6 +135,7 @@ def _flatten(head: BasicBlock, term: Branch, merge: BasicBlock,
         else:
             phi.replace_all_uses_with(merged_value)
             phi.erase_from_parent()
+            to_literal |= isinstance(merged_value, Constant)
 
     head.replace_terminator(Branch([merge]))
     for source in (true_block, false_block):
@@ -122,3 +144,4 @@ def _flatten(head: BasicBlock, term: Branch, merge: BasicBlock,
             # remains) and unreachable.
             source.terminator.erase_from_parent()
             source.erase()
+    return to_literal

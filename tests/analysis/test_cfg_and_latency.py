@@ -5,7 +5,6 @@ import pytest
 from repro.analysis import (
     DEFAULT_LATENCY_MODEL,
     LatencyModel,
-    postorder,
     reachable_blocks,
     reachable_from,
     reverse_postorder,
@@ -42,10 +41,6 @@ class TestOrders:
                 if position[succ] > position[block] or True:
                     # in a DAG every edge goes forward in RPO
                     assert position[block] < position[succ]
-
-    def test_postorder_is_reverse_of_rpo(self):
-        f = build_diamond()
-        assert postorder(f) == list(reversed(reverse_postorder(f)))
 
     def test_unreachable_excluded(self):
         f = straightline_function(2)

@@ -21,8 +21,9 @@ def _reference_run_dataflow(function, analysis,
                             max_iterations_before_widen=32):
     """``run_dataflow`` as it was: re-sort the worklist on every pop."""
     forward = analysis.direction == FORWARD
-    order = (dataflow.reverse_postorder(function) if forward
-             else dataflow.postorder(function))
+    order = dataflow.reverse_postorder(function)
+    if not forward:
+        order.reverse()
     position = {block: i for i, block in enumerate(order)}
     pre, post, visits = {}, {}, {}
     worklist = list(order)

@@ -134,3 +134,99 @@ def test_nw_traceback_consistent_with_score(seq_a, seq_b):
             prev_gap_side = side
     assert abs(total - result.score) < 1e-9
 
+
+
+def _reference_needleman_wunsch(seq_a, seq_b, score, gap_open=0.0,
+                                gap_extend=0.0, min_match_score=0.0):
+    """The DP and traceback as first written (``max`` over the three
+    states, first state wins a tie), kept as the oracle for which of
+    several equal-score alignments comes back: meld decisions depend
+    on that choice, not only on the score."""
+    n, m = len(seq_a), len(seq_b)
+    NEG_INF = float("-inf")
+    M = [[NEG_INF] * (m + 1) for _ in range(n + 1)]
+    X = [[NEG_INF] * (m + 1) for _ in range(n + 1)]
+    Y = [[NEG_INF] * (m + 1) for _ in range(n + 1)]
+    M[0][0] = 0.0
+    for i in range(n + 1):
+        row_m, row_x, row_y = M[i], X[i], Y[i]
+        if i:
+            a = seq_a[i - 1]
+            up_m, up_x, up_y = M[i - 1], X[i - 1], Y[i - 1]
+        for j in range(m + 1):
+            if i and j:
+                pair_score = score(a, seq_b[j - 1])
+                if pair_score >= min_match_score:
+                    best_prev = max(up_m[j - 1], up_x[j - 1], up_y[j - 1])
+                    if best_prev > NEG_INF:
+                        row_m[j] = best_prev + pair_score
+            if i:
+                row_x[j] = max(up_m[j] - gap_open,
+                               up_x[j] - gap_extend,
+                               up_y[j] - gap_open)
+            if j:
+                row_y[j] = max(row_m[j - 1] - gap_open,
+                               row_x[j - 1] - gap_open,
+                               row_y[j - 1] - gap_extend)
+
+    tables = {"M": M, "X": X, "Y": Y}
+    pairs = []
+    i, j = n, m
+    state = max(("M", "X", "Y"), key=lambda s: tables[s][i][j])
+    final = tables[state][n][m]
+    while i > 0 or j > 0:
+        if state == "M":
+            pairs.append((seq_a[i - 1], seq_b[j - 1]))
+            prev = max(("M", "X", "Y"), key=lambda s: tables[s][i - 1][j - 1])
+            i, j = i - 1, j - 1
+            state = prev
+        elif state == "X":
+            pairs.append((seq_a[i - 1], None))
+            candidates = [("M", M[i - 1][j] - gap_open),
+                          ("X", X[i - 1][j] - gap_extend),
+                          ("Y", Y[i - 1][j] - gap_open)]
+            state = max(candidates, key=lambda c: c[1])[0]
+            i -= 1
+        else:
+            pairs.append((None, seq_b[j - 1]))
+            candidates = [("M", M[i][j - 1] - gap_open),
+                          ("X", X[i][j - 1] - gap_open),
+                          ("Y", Y[i][j - 1] - gap_extend)]
+            state = max(candidates, key=lambda c: c[1])[0]
+            j -= 1
+    pairs.reverse()
+    return pairs, final
+
+
+#: -1 forbids the match (below ``min_match_score`` 0)
+_tie_scores = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-1, 2))
+
+
+@given(st.lists(st.integers(0, 3), max_size=6),
+       st.lists(st.integers(0, 3), max_size=6),
+       _tie_scores, st.integers(0, 2), st.integers(1, 2))
+@settings(max_examples=300, deadline=None)
+def test_nw_tie_break_matches_reference(seq_a, seq_b, table, gap_open,
+                                        gap_extend):
+    """Small integer scores and gap costs make equal-score alignments
+    common; the same one must come back as from the reference DP."""
+    def score(a, b):
+        return float(table.get((a, b), 0))
+
+    # Indices make equal elements distinguishable in the pairs.
+    tagged_a = [(k, v) for k, v in enumerate(seq_a)]
+    tagged_b = [(k, v) for k, v in enumerate(seq_b)]
+
+    def tagged_score(a, b):
+        return score(a[1], b[1])
+
+    result = needleman_wunsch(tagged_a, tagged_b, tagged_score,
+                              gap_open=float(gap_open),
+                              gap_extend=float(gap_extend) / 2,
+                              min_match_score=0.0)
+    pairs, final = _reference_needleman_wunsch(
+        tagged_a, tagged_b, tagged_score, gap_open=float(gap_open),
+        gap_extend=float(gap_extend) / 2, min_match_score=0.0)
+    assert [(p.left, p.right) for p in result.pairs] == pairs
+    assert result.score == final

@@ -31,9 +31,8 @@ ENTRY_POINTS = {
     "replay", "load_sweep_trace", "worst_severity",
     # the paper's Figures 9 and 10 in one call
     "figures9_and_10",
-    # kept only for their tests; next in line for deletion together
-    # with them (the dense dataflow engine behind live_variables, and
-    # cfg.postorder)
+    # kept only for its tests; next in line for deletion together with
+    # them (the dense dataflow engine behind live_variables)
     "live_variables",
 }
 
@@ -53,7 +52,7 @@ RETIRED = {
     "cumulative_timings", "want_ir_stats",
     "ParallelRunner", "from_outcome", "from_result",
     "record_task_seconds", "update_cache_hit_ratio",
-    "align_subgraphs",
+    "align_subgraphs", "postorder",
 }
 
 
