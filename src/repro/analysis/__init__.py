@@ -34,7 +34,6 @@ from .dataflow import (
     DataflowResult,
     FORWARD,
     SparseSolver,
-    live_variables,
     run_dataflow,
 )
 from .ranges import Interval, ValueRanges, compute_ranges
@@ -61,7 +60,7 @@ __all__ = [
     "FunctionAnalyses", "analyze_function", "function_analyses",
     "DEFAULT_LATENCY_MODEL", "LatencyModel",
     "FORWARD", "BACKWARD", "DataflowAnalysis", "DataflowResult",
-    "SparseSolver", "run_dataflow", "live_variables",
+    "SparseSolver", "run_dataflow",
     "Interval", "ValueRanges", "compute_ranges",
     "EQUIVALENT", "INEQUIVALENT", "UNSUPPORTED", "VERDICTS",
     "MeldValidation", "MeldValidationError", "RegionCapture",

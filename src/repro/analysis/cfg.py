@@ -51,6 +51,26 @@ def reverse_postorder(function: Function) -> List[BasicBlock]:
     return order
 
 
+def reverse_postorder_from(start, follow: Callable, keep: Callable) -> List:
+    """Reverse postorder of the nodes reachable from ``start`` along
+    ``follow`` through nodes satisfying ``keep`` (``start`` always)."""
+    order: List = []
+    visited = {start}
+    stack = [(start, iter(follow(start)))]
+    while stack:
+        node, nexts = stack[-1]
+        for nxt in nexts:
+            if nxt not in visited and keep(nxt):
+                visited.add(nxt)
+                stack.append((nxt, iter(follow(nxt))))
+                break
+        else:
+            order.append(node)
+            stack.pop()
+    order.reverse()
+    return order
+
+
 def reachable_blocks(function: Function) -> Set[BasicBlock]:
     return set(reverse_postorder(function))
 

@@ -6,8 +6,7 @@ Two solver shapes cover every dataflow client in the repository:
   :class:`DataflowAnalysis` describes direction (forward/backward),
   boundary/initial states, ``join`` and a per-block ``transfer``; the
   engine seeds a worklist in the direction's natural order and iterates
-  to a fixpoint.  :func:`live_variables` is the in-repo backward client
-  (and the reference example for new analyses).
+  to a fixpoint.
 
 * :class:`SparseSolver` — the sparse SSA engine.  Lattice facts attach
   to :class:`~repro.ir.values.Value` objects and propagate along
@@ -250,49 +249,3 @@ class SparseSolver:
                         and id(user) not in queued):
                     heapq.heappush(worklist, position[id(user)])
                     queued.add(id(user))
-
-
-# ---------------------------------------------------------------------------
-# Liveness: the in-repo block-level client (and the reference example)
-
-
-class _Liveness(DataflowAnalysis):
-    direction = BACKWARD
-
-    def boundary(self, function: Function) -> frozenset:
-        return frozenset()
-
-    def initial(self) -> frozenset:
-        return frozenset()
-
-    def join(self, states: List[object]) -> frozenset:
-        out: Set[Value] = set()
-        for state in states:
-            out |= state
-        return frozenset(out)
-
-    def transfer(self, block: BasicBlock, state: object) -> frozenset:
-        live: Set[Value] = set(state)
-        for instr in reversed(block.instructions):
-            live.discard(instr)
-            for operand in instr.operands:
-                if isinstance(operand, Instruction) or _is_argument(operand):
-                    live.add(operand)
-        return frozenset(live)
-
-
-def _is_argument(value: Value) -> bool:
-    from repro.ir.values import Argument
-    return isinstance(value, Argument)
-
-
-def live_variables(function: Function) -> Dict[BasicBlock, Set[Value]]:
-    """Live-in sets per block (instructions + arguments).
-
-    φ incomings count as uses of the φ's own block — a sound
-    overapproximation (the value reads as live on every incoming edge,
-    not only the one supplying it) that keeps the analysis a pure
-    block-level dataflow.
-    """
-    result = run_dataflow(function, _Liveness())
-    return {block: set(state) for block, state in result.state_in.items()}

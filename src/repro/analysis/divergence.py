@@ -29,7 +29,7 @@ divergent branch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
@@ -39,11 +39,18 @@ from repro.ir.instructions import (
     Instruction,
     IntrinsicName,
 )
+from repro.ir.types import VoidType
 from repro.ir.values import Argument, Value
 
-from .cfg import reachable_from, reverse_postorder
+from .cfg import (
+    _fast_succs,
+    reachable_from,
+    reverse_postorder,
+    reverse_postorder_from,
+)
 from .dominators import (
     DominatorTree,
+    compute_dominator_tree,
     compute_postdominator_tree,
     immediate_postdominator,
 )
@@ -78,18 +85,167 @@ class DivergenceInfo:
         return set(self._divergent)
 
 
+class CFGFacts:
+    """The CFG analyses divergence is derived from: the post-dominator
+    tree, the loop forest, each branch's join set and — built on first
+    use — the dominator tree.
+
+    A fresh instance describes the CFG it was built on.  The CFM pass
+    keeps one for a whole run: after each structured edit it calls the
+    matching method below, which updates both trees by a local rule and
+    drops only the join sets, and the loop forest, that the edit can
+    have changed (``docs/melding.md``, "Maintained through edits")."""
+
+    def __init__(self, function: Function) -> None:
+        order = reverse_postorder(function)
+        self.function = function
+        self.postdominators = compute_postdominator_tree(function, order)
+        self._loops: Optional[LoopInfo] = compute_loop_info(function, order)
+        self._dominators: Optional[DominatorTree] = None
+        self._joins: Dict[BasicBlock, Set[BasicBlock]] = {}
+        #: per branch block, the blocks its join set was read off
+        self._spans: Dict[BasicBlock, Set[BasicBlock]] = {}
+        #: per block, the branch blocks whose span holds it; indexed on
+        #: the first edit, so an analysis nobody edits pays nothing for it
+        self._spanned_by: Optional[Dict[BasicBlock, Set[BasicBlock]]] = None
+
+    @property
+    def dominators(self) -> DominatorTree:
+        if self._dominators is None:
+            self._dominators = compute_dominator_tree(self.function)
+        return self._dominators
+
+    @property
+    def loops(self) -> LoopInfo:
+        if self._loops is None:
+            self._loops = compute_loop_info(self.function,
+                                            dominators=self.dominators)
+        return self._loops
+
+    def join_blocks(self, branch_block: BasicBlock) -> Set[BasicBlock]:
+        """:func:`_join_blocks` of ``branch_block``, computed once."""
+        joins = self._joins.get(branch_block)
+        if joins is None:
+            joins, span = _join_span(branch_block, self.postdominators)
+            self._joins[branch_block] = joins
+            self._spans[branch_block] = span
+            if self._spanned_by is not None:
+                self._index(branch_block, span)
+        return joins
+
+    def _index(self, branch_block: BasicBlock, span: Set[BasicBlock]) -> None:
+        for block in span:
+            self._spanned_by.setdefault(block, set()).add(branch_block)
+
+    # ---- structured edits ------------------------------------------------
+
+    def region_rewritten(self, entry: BasicBlock, exit_: BasicBlock,
+                         deleted: Collection[BasicBlock]) -> Set[BasicBlock]:
+        """The inside of the region ``(entry, exit_)`` was rewritten (a
+        meld) and the ``deleted`` blocks it orphaned are gone.  The region
+        is single-entry and single-exit before and after, so only its own
+        blocks and the exit's immediate dominator move.  Returns the
+        region's blocks."""
+        order = reverse_postorder_from(entry, _fast_succs,
+                                        lambda block: block is not exit_)
+        blocks = set(order)
+        self._edited(blocks.union(deleted, (exit_,)))
+        dt = self._dominators
+        if dt is not None:
+            dt.recompute(order, _preds_of)
+            if exit_ is not dt.root:
+                # A back edge into the exit comes from below it, which
+                # the region's rewrite did not move.
+                dt.relink({exit_: dt.common_dominator(
+                    p for p in exit_._preds if not dt.dominates(exit_, p))})
+            dt.remove(deleted)
+        pdt = self.postdominators
+        reverse = reverse_postorder_from(exit_, _preds_of, blocks.__contains__)
+        if pdt.contains(exit_) and len(reverse) == len(blocks) + 1:
+            pdt.recompute(reverse, _fast_succs)
+            pdt.remove(deleted)
+        else:
+            # Some block of the region cannot reach its exit (a return
+            # or an endless loop inside): post-dominance leaves it.
+            self.postdominators = compute_postdominator_tree(self.function)
+        return blocks
+
+    def collector_inserted(self, collector: BasicBlock,
+                           blocks: Collection[BasicBlock],
+                           target: BasicBlock) -> None:
+        """Every edge from ``blocks`` to ``target`` now passes through the
+        new ``collector`` (``Simplify``)."""
+        self._edited(set(blocks).union((collector, target)))
+        for tree in self._trees():
+            tree.collector(collector, blocks, target)
+
+    def block_split(self, head: BasicBlock, guarded: BasicBlock,
+                    tail: BasicBlock) -> None:
+        """``tail`` took ``head``'s terminator and ``head`` now branches to
+        ``guarded`` and ``tail`` (unpredication)."""
+        self._edited({head, guarded, tail, *_fast_succs(tail)})
+        for tree in self._trees():
+            tree.split(head, guarded, tail)
+
+    def block_forwarded(self, block: BasicBlock, succ: BasicBlock,
+                        preds: Collection[BasicBlock]) -> None:
+        """The forwarding ``block`` is gone: its ``preds`` branch to
+        ``succ`` directly."""
+        self._edited({block, succ, *preds})
+        for tree in self._trees():
+            tree.bypass(block)
+
+    def branch_folded(self, block: BasicBlock) -> None:
+        """``br c, x, x`` in ``block`` became ``br x``: the CFG's edge set
+        is unchanged."""
+        self._edited((block,), loops=False)
+
+    def _trees(self) -> List[DominatorTree]:
+        trees = [self.postdominators]
+        if self._dominators is not None:
+            trees.append(self._dominators)
+        return trees
+
+    def _edited(self, blocks: Collection[BasicBlock], loops: bool = True) -> None:
+        """Forget what an edit of ``blocks`` can have changed: the join
+        sets read off any of them, and the loop forest if one of them is
+        in a loop (a block outside every loop cannot start one)."""
+        if self._spanned_by is None:
+            self._spanned_by = {}
+            for branch, span in self._spans.items():
+                self._index(branch, span)
+        for block in blocks:
+            for branch in self._spanned_by.pop(block, ()):
+                del self._joins[branch]
+                for other in self._spans.pop(branch):
+                    if other is not block:
+                        self._spanned_by[other].discard(branch)
+        if (loops and self._loops  # None, or a forest with no loop
+                and any(self._loops.loop_for(b) is not None for b in blocks)):
+            self._loops = None
+
+
+def _preds_of(block: BasicBlock) -> List[BasicBlock]:
+    return block._preds
+
+
 @dataclass
 class FunctionAnalyses:
-    """What is known about one CFG state of a function.
-
-    The three results are computed together because divergence needs the
-    other two, and consumers that want divergence (CFM, lint) want the
-    post-dominator tree of the same CFG next: each is built exactly once
-    per CFG state."""
+    """What is known about one CFG state of a function: the divergence of
+    its values and branches, and the CFG facts it was derived from.
+    Consumers that want divergence (CFM, lint) want the post-dominator
+    tree of the same CFG next, so each is built once per CFG state."""
 
     divergence: DivergenceInfo
-    postdominators: DominatorTree
-    loops: LoopInfo
+    facts: CFGFacts
+
+    @property
+    def postdominators(self) -> DominatorTree:
+        return self.facts.postdominators
+
+    @property
+    def loops(self) -> LoopInfo:
+        return self.facts.loops
 
 
 def compute_divergence(
@@ -107,28 +263,31 @@ def compute_divergence(
 def analyze_function(
     function: Function,
     divergent_args: Optional[Iterable[Argument]] = None,
+    facts: Optional[CFGFacts] = None,
 ) -> FunctionAnalyses:
     """Divergence of ``function`` plus the CFG analyses it was derived from.
 
-    The taint fixpoint is sparse: a value is visited once, when it turns
-    divergent, and pushes only its users.  The CFG is immutable
-    meanwhile, so the post-dominator tree, the loop forest, each
-    branch's join set and each loop's live-outs are computed once.
+    ``facts`` are the current CFG's, when the caller keeps them through
+    its edits; otherwise they are built here.  The taint fixpoint is
+    sparse: a value is visited once, when it turns divergent, and pushes
+    only its users.  The CFG is immutable meanwhile, so each branch's
+    join set and each loop's live-outs are computed at most once.
     """
-    order = reverse_postorder(function)
-    pdt = compute_postdominator_tree(function, order)
-    loops = compute_loop_info(function, order)
+    if facts is None:
+        facts = CFGFacts(function)
     exited_loops: Dict[BasicBlock, List[Loop]] = {}
-    for loop in loops:
+    for loop in facts.loops:
         for block in loop.exiting_blocks:
             exited_loops.setdefault(block, []).append(loop)
 
     divergent: Set[Value] = set(divergent_args or ())
     divergent_branch_blocks: Set[BasicBlock] = set()
     # Seed: thread-id intrinsics.
-    for instr in function.instructions():
-        if isinstance(instr, Call) and instr.callee in IntrinsicName.THREAD_ID_SOURCES:
-            divergent.add(instr)
+    for block in function.blocks:
+        for instr in block:
+            if (isinstance(instr, Call)
+                    and instr.callee in IntrinsicName.THREAD_ID_SOURCES):
+                divergent.add(instr)
     work: List[Value] = list(divergent)
     temporal_headers: Set[BasicBlock] = set()
 
@@ -140,20 +299,21 @@ def analyze_function(
 
     while work:
         for user, _ in work.pop()._uses:
-            if (not isinstance(user, Instruction) or user.parent is None
-                    or user in divergent):
+            if (user in divergent or not isinstance(user, Instruction)
+                    or user.parent is None):
                 continue
             if not isinstance(user, Branch):
                 # Data dependence (a load's only operand is its address).
-                if not user.type.is_void:
-                    taint((user,))
+                if not isinstance(user.type, VoidType):
+                    divergent.add(user)
+                    work.append(user)
                 continue
             # A divergent condition: classify the branch, then taint what
             # depends on *which way* each thread went.
             block = user.parent
             divergent_branch_blocks.add(block)
             # Sync dependence: φs at the branch's join points.
-            for join in _join_blocks(block, pdt):
+            for join in facts.join_blocks(block):
                 taint(join.phis)
             # Temporal divergence: threads leave a loop at different
             # iterations, so its live-outs differ between them.
@@ -163,8 +323,7 @@ def analyze_function(
                     taint(_live_outs(loop))
 
     return FunctionAnalyses(
-        DivergenceInfo(function, divergent, divergent_branch_blocks),
-        pdt, loops)
+        DivergenceInfo(function, divergent, divergent_branch_blocks), facts)
 
 
 # ---------------------------------------------------------------------------
@@ -236,22 +395,35 @@ def _join_blocks(branch_block: BasicBlock,
     "which successor was taken" token is dead and cannot make a φ
     divergent.  In particular a *uniform* loop around the branch no
     longer sees its header φs tainted through the backedge (the old
-    over-approximation); divergent loop *exits* are still handled by
-    :func:`_mark_temporal_divergence`.
+    over-approximation); divergent loop *exits* are still handled by the
+    temporal-divergence step of :func:`analyze_function`.
     """
-    succs = branch_block.succs
-    if len(succs) < 2:
-        return set()
     if pdt is None:
         pdt = compute_postdominator_tree(branch_block.parent)
+    return _join_span(branch_block, pdt)[0]
+
+
+def _join_span(branch_block: BasicBlock, pdt: DominatorTree
+               ) -> Tuple[Set[BasicBlock], Set[BasicBlock]]:
+    """``(join set, span)`` of the branch in ``branch_block``.  The span
+    holds every block the join set was read off — the branch block, the
+    blocks reachable from a successor before the IPDOM, and the IPDOM —
+    so an edit touching none of them leaves the join set as it is."""
+    succs = branch_block.succs
+    span = {branch_block}
+    if len(succs) < 2:
+        return set(), span
     rpc = immediate_postdominator(pdt, branch_block)
     reach = [reachable_from(s, stop=rpc) | {s} for s in succs]
     joined: Set[BasicBlock] = set()
     for i in range(len(reach)):
+        span |= reach[i]
         for j in range(i + 1, len(reach)):
             for block in reach[i] & reach[j]:
                 if len(block.preds) >= 2:
                     joined.add(block)
-    if rpc is not None and len(rpc.preds) >= 2:
-        joined.add(rpc)
-    return joined
+    if rpc is not None:
+        span.add(rpc)
+        if len(rpc.preds) >= 2:
+            joined.add(rpc)
+    return joined, span

@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, Optional, Set
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
 from repro.ir.instructions import Instruction, Phi, Ret
-from .cfg import _fast_succs, reverse_postorder
+from .cfg import _fast_succs, reverse_postorder, reverse_postorder_from
 
 
 class DominatorTree:
@@ -37,17 +37,8 @@ class DominatorTree:
         for block, parent in idom.items():
             if block is not parent:
                 self._children[parent].append(block)
-        self._depth: Dict[BasicBlock, int] = {}
-        self._compute_depths()
-
-    def _compute_depths(self) -> None:
-        self._depth[self.root] = 0
-        work = [self.root]
-        while work:
-            node = work.pop()
-            for child in self._children[node]:
-                self._depth[child] = self._depth[node] + 1
-                work.append(child)
+        # Depths are taken on demand and memoised until the tree changes.
+        self._depth: Dict[BasicBlock, int] = {root: 0}
 
     # ---- queries ---------------------------------------------------------
 
@@ -63,8 +54,12 @@ class DominatorTree:
         """True if ``a`` dominates ``b`` (reflexively)."""
         if a not in self._idom or b not in self._idom:
             return False
-        while self._depth[b] > self._depth[a]:
-            b = self._idom[b]
+        steps = self.depth(b) - self.depth(a)
+        if steps < 0:
+            return False
+        idom = self._idom
+        for _ in range(steps):
+            b = idom[b]
         return a is b
 
     def strictly_dominates(self, a: BasicBlock, b: BasicBlock) -> bool:
@@ -74,19 +69,33 @@ class DominatorTree:
         return list(self._children.get(block, []))
 
     def depth(self, block: BasicBlock) -> int:
-        return self._depth[block]
+        known = self._depth
+        depth = known.get(block)
+        if depth is None:
+            path = [block]
+            node = self._idom[block]
+            while node not in known:
+                path.append(node)
+                node = self._idom[node]
+            depth = known[node]
+            for node in reversed(path):
+                depth += 1
+                known[node] = depth
+        return depth
 
     def blocks(self) -> Iterable[BasicBlock]:
         return self._idom.keys()
 
     def nearest_common_dominator(self, a: BasicBlock, b: BasicBlock) -> BasicBlock:
-        while self._depth[a] > self._depth[b]:
-            a = self._idom[a]
-        while self._depth[b] > self._depth[a]:
-            b = self._idom[b]
+        idom = self._idom
+        depth_a, depth_b = self.depth(a), self.depth(b)
+        for _ in range(depth_a - depth_b):
+            a = idom[a]
+        for _ in range(depth_b - depth_a):
+            b = idom[b]
         while a is not b:
-            a = self._idom[a]
-            b = self._idom[b]
+            a = idom[a]
+            b = idom[b]
         return a
 
     def preorder(self) -> List[BasicBlock]:
@@ -117,6 +126,106 @@ class DominatorTree:
             instrs = def_block._instructions
             return instrs.index(def_instr) < instrs.index(use_instr)
         return self.strictly_dominates(def_block, use_block)
+
+    # ---- keeping the tree current through CFG edits ---------------------
+    #
+    # CFM edits the CFG in a few structured ways; each has an exact local
+    # rule, so its pass keeps one tree per direction instead of building a
+    # new one after every edit (docs/melding.md, "Maintained through
+    # edits").  Every rule leaves the tree equal to a fresh build.
+
+    def relink(self, idoms: Dict[BasicBlock, BasicBlock]) -> None:
+        """Give each block of ``idoms`` (new blocks included) that
+        immediate dominator.  A parent that is itself new must come
+        before its children."""
+        for block, parent in idoms.items():
+            old = self._idom.get(block)
+            if old is parent:
+                continue
+            if old is None:
+                self._children[block] = []
+            else:
+                self._children[old].remove(block)
+            self._idom[block] = parent
+            self._children[parent].append(block)
+        self._depth = {self.root: 0}
+
+    def remove(self, blocks: Iterable[BasicBlock]) -> None:
+        """Drop deleted ``blocks``; their children must be among them or
+        have been relinked already."""
+        for block in blocks:
+            parent = self._idom.pop(block, None)
+            if parent is None:
+                continue
+            siblings = self._children.get(parent)
+            if siblings is not None:
+                siblings.remove(block)
+            del self._children[block]
+        self._depth = {self.root: 0}
+
+    def recompute(self, nodes: List[BasicBlock], preds_of) -> None:
+        """Recompute the immediate dominators of ``nodes[1:]`` from the
+        edges among ``nodes``, a reverse postorder from ``nodes[0]`` that
+        keeps its own.  Exact when ``nodes[0]`` is the only node with an
+        edge from outside (``preds_of`` walks the edges backwards)."""
+        idom = _compute_idoms(nodes, preds_of, nodes[0])
+        del idom[nodes[0]]
+        self.relink(idom)
+
+    def common_dominator(self, blocks: Iterable[BasicBlock]) -> BasicBlock:
+        """Nearest common dominator of the ``blocks`` in the tree."""
+        found = None
+        for block in blocks:
+            if block in self._idom:
+                found = block if found is None else \
+                    self.nearest_common_dominator(found, block)
+        return found
+
+    def bypass(self, block: BasicBlock) -> None:
+        """``block`` only forwarded its predecessors to its successor
+        and is gone: its children move up to its own parent."""
+        parent = self._idom.get(block)
+        if parent is None:
+            return
+        self.relink({child: parent for child in self._children[block]})
+        self.remove((block,))
+
+    def split(self, head: BasicBlock, guarded: BasicBlock,
+              tail: BasicBlock) -> None:
+        """``tail`` took ``head``'s terminator, and ``head`` now ends in
+        ``br c, guarded, tail`` with ``guarded`` branching to ``tail``."""
+        if head not in self._idom:
+            return
+        if self.is_post:
+            # Everything after head now passes tail first.
+            self.relink({tail: self._idom[head], head: tail, guarded: tail})
+            return
+        moved: Dict[BasicBlock, BasicBlock] = {tail: head, guarded: head}
+        for child in self._children[head]:
+            moved[child] = tail
+        self.relink(moved)
+
+    def collector(self, collector: BasicBlock, blocks: Iterable[BasicBlock],
+                  target: BasicBlock) -> None:
+        """Every edge from ``blocks`` (a set closed under successors
+        except ``target``) to ``target`` now goes through ``collector``,
+        which branches to ``target``."""
+        if self.is_post:
+            if target not in self._idom:
+                return
+            moved = {collector: target}
+            for block in blocks:
+                if self._idom.get(block) is target:
+                    moved[block] = collector
+            self.relink(moved)
+            return
+        parent = self.common_dominator(collector._preds)
+        if parent is None:
+            return
+        moved = {collector: parent}
+        if len(target._preds) == 1:
+            moved[target] = collector
+        self.relink(moved)
 
 
 def _compute_idoms(
@@ -207,22 +316,7 @@ def compute_postdominator_tree(function: Function,
         return exits if node is virtual else node._preds
 
     # Reverse-CFG reverse postorder, starting from the exit root.
-    order: List[BasicBlock] = []
-    visited: Set = {root}
-    stack = [(root, iter(preds_of(root)))]
-    while stack:
-        node, preds = stack[-1]
-        advanced = False
-        for pred in preds:
-            if pred not in visited and pred in reachable_set:
-                visited.add(pred)
-                stack.append((pred, iter(preds_of(pred))))
-                advanced = True
-                break
-        if not advanced:
-            order.append(node)
-            stack.pop()
-    order.reverse()
+    order = reverse_postorder_from(root, preds_of, reachable_set.__contains__)
 
     def succs_of(node):
         # An exit's one successor is the root: the virtual exit, or the
@@ -247,21 +341,30 @@ def immediate_postdominator(pdt: DominatorTree, block: BasicBlock) -> Optional[B
 
 
 def dominance_frontier(function: Function, dt: DominatorTree) -> Dict[BasicBlock, Set[BasicBlock]]:
-    """Classic dominance frontier (used by SSA repair and divergence
-    analysis' sync-dependence computation, via the *post*-dominance
-    frontier on the reversed CFG)."""
-    frontier: Dict[BasicBlock, Set[BasicBlock]] = {b: set() for b in function.blocks}
-    for block in function.blocks:
-        if not dt.contains(block):
+    """Classic dominance frontier: where SSA repair places φs.
+
+    Divergence analysis does not use frontiers; it reads each branch's
+    join points off :func:`repro.analysis.divergence._join_blocks`.  The
+    lint engine is the one reader of :func:`postdominance_frontier`."""
+    blocks = function.blocks
+    frontier: Dict[BasicBlock, Set[BasicBlock]] = {b: set() for b in blocks}
+    idom = dt._idom
+    for block in blocks:
+        if len(block._preds) < 2 or block not in idom:
             continue
-        preds = [p for p in block.preds if dt.contains(p)]
-        if len(preds) < 2:
-            continue
-        for pred in preds:
-            runner = pred
-            while runner is not dt.idom(block) and runner is not None:
+        stop = idom[block]
+        if stop is block:
+            stop = None  # the root: runners climb all the way up
+        for runner in block._preds:
+            if runner not in idom:
+                continue  # unreachable
+            # A lone reachable predecessor is the idom: it adds nothing.
+            while runner is not stop:
                 frontier[runner].add(block)
-                runner = dt.idom(runner)
+                parent = idom[runner]
+                if parent is runner:
+                    break
+                runner = parent
     return frontier
 
 

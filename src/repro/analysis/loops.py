@@ -15,7 +15,7 @@ from repro.ir.function import Function
 from repro.ir.instructions import Branch
 
 from .cfg import _fast_succs, reverse_postorder
-from .dominators import compute_dominator_tree
+from .dominators import DominatorTree, compute_dominator_tree
 
 
 @dataclass
@@ -108,22 +108,25 @@ class LoopInfo:
 
 
 def compute_loop_info(function: Function,
-                      order: Optional[List[BasicBlock]] = None) -> LoopInfo:
+                      order: Optional[List[BasicBlock]] = None,
+                      dominators: Optional[DominatorTree] = None) -> LoopInfo:
     """Find natural loops via back edges (``latch -> header`` with header
     dominating latch), merging loops that share a header.  ``order`` is
-    :func:`reverse_postorder` of the current CFG when the caller already
-    has it."""
-    if order is None:
-        order = reverse_postorder(function)
-    # A back edge targets a DFS ancestor, so it runs against the reverse
-    # postorder; a CFG without such an edge (the usual case after full
-    # unrolling) has no loops and needs no dominator tree.
-    position = {block: index for index, block in enumerate(order)}
-    if not any(position[succ] <= index
-               for index, block in enumerate(order)
-               for succ in _fast_succs(block)):
-        return LoopInfo([])
-    dt = compute_dominator_tree(function, order)
+    :func:`reverse_postorder` of the current CFG, and ``dominators`` its
+    dominator tree, when the caller already has them."""
+    dt = dominators
+    if dt is None:
+        if order is None:
+            order = reverse_postorder(function)
+        # A back edge targets a DFS ancestor, so it runs against the
+        # reverse postorder; a CFG without such an edge (the usual case
+        # after full unrolling) has no loops and needs no dominator tree.
+        position = {block: index for index, block in enumerate(order)}
+        if not any(position[succ] <= index
+                   for index, block in enumerate(order)
+                   for succ in _fast_succs(block)):
+            return LoopInfo([])
+        dt = compute_dominator_tree(function, order)
     back_edges: List[Tuple[BasicBlock, BasicBlock]] = []
     for block in function.blocks:
         if not dt.contains(block):

@@ -58,10 +58,10 @@ def find_meldable_region(
     pdt: DominatorTree,
 ) -> Optional[MeldableRegion]:
     """Definition 5 for the region rooted at ``block``."""
+    if not divergence.has_divergent_branch(block):
+        return None
     term = block.terminator
     if not isinstance(term, Branch) or not term.is_conditional:
-        return None
-    if not divergence.has_divergent_branch(block):
         return None
     true_succ, false_succ = term.true_successor, term.false_successor
     if true_succ is false_succ:

@@ -3,31 +3,38 @@
 Per iteration: walk the blocks of the kernel; for the first block that
 roots a meldable divergent region, simplify its path subgraphs, pick the
 most profitable meldable subgraph pair, and meld it if the profitability
-clears the threshold.  Melding invalidates every control-flow analysis,
-so the pass recomputes them and repeats until no profitable meld remains.
+clears the threshold, and repeat until no profitable meld remains.
 
-An iteration costs one meld, not one function: each analysis is built
-once per CFG state (divergence hands over the post-dominator tree it was
-computed from; the chosen pair's instruction alignment is computed once
-and shared by scoring and code generation), and SSA repair looks only at
-the blocks whose definitions the rewrite can have displaced.
+An iteration costs one meld, not one function.  The control-flow
+analyses are built once per run and follow every edit after that
+(:class:`~repro.analysis.divergence.CFGFacts`): only the divergence
+taint reruns per iteration.  The chosen pair's instruction alignment is
+computed once and shared by scoring and code generation, SSA repair
+looks only at the blocks whose definitions the rewrite can have
+displaced, and the cleanups revisit only what the previous round edited.
 
-Each meld is followed by SSA repair (``PreProcess``/Figure 4),
-unpredication (§IV-E) and the post-optimizations of §IV-F (redundant
-branch folding, trivial-φ removal, unreachable-block cleanup, DCE).
+Each meld is followed by the deletion of the melded pair's blocks, SSA
+repair (``PreProcess``/Figure 4), unpredication (§IV-E) and the
+post-optimizations of §IV-F (redundant branch folding, trivial-φ
+removal, forwarding-block removal, DCE).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Set
 
-from repro.analysis.divergence import function_analyses, invalidate_divergence
-from repro.analysis.dominators import compute_postdominator_tree
+from repro.analysis.divergence import (
+    CFGFacts,
+    FunctionAnalyses,
+    analyze_function,
+    function_analyses,
+    invalidate_divergence,
+)
 from repro.analysis.latency import DEFAULT_LATENCY_MODEL, LatencyModel
-from repro.analysis.regions import region_blocks
 from repro.analysis.validate import MeldValidation, RegionCapture
+from repro.ir.block import BasicBlock
 from repro.ir.function import Function
 from repro.obs import (
     BlockPairScore,
@@ -39,10 +46,10 @@ from repro.obs import (
 )
 from repro.transforms.dce import eliminate_dead_code
 from repro.transforms.simplifycfg import (
-    fold_redundant_branches,
-    remove_forwarding_blocks,
-    remove_trivial_phis,
-    remove_unreachable_blocks,
+    delete_blocks,
+    fold_redundant_branch,
+    forward_block,
+    remove_trivial_phis_in,
 )
 from repro.transforms.pass_manager import Pass, PassResult
 from repro.transforms.ssa_repair import repair_ssa
@@ -137,9 +144,18 @@ class CFMPass(Pass):
         stats = CFMStats()
         start = time.perf_counter()
 
+        facts = None
         for _ in range(self.config.max_iterations):
             stats.iterations += 1
-            if not _meld_one(function, self.config, stats):
+            if facts is None:
+                # Shared memo: a lint / facade analyze() of the same
+                # unchanged IR reuses this fixpoint instead of re-running it.
+                analyses = function_analyses(function)
+            else:
+                # The CFG facts follow every edit; only the taint reruns.
+                analyses = analyze_function(function, facts=facts)
+            facts = analyses.facts
+            if not _meld_one(function, self.config, stats, analyses):
                 break
 
         stats.seconds = time.perf_counter() - start
@@ -154,23 +170,20 @@ def run_cfm(function: Function, config: Optional[CFMConfig] = None) -> CFMStats:
     return CFMPass(config).run(function).stats
 
 
-def _meld_one(function: Function, config: CFMConfig, stats: CFMStats) -> bool:
+def _meld_one(function: Function, config: CFMConfig, stats: CFMStats,
+              analyses: FunctionAnalyses) -> bool:
     """One Algorithm-1 iteration: meld at most one subgraph pair.
 
     Every candidate region appends one :class:`MeldingDecision` to
     ``stats.decisions`` — the structured log of why the region melded or
-    was passed over.
+    was passed over.  ``analyses`` describe the current CFG, and its
+    facts are kept current through every edit the iteration makes.
     """
-    # Shared memo: a lint / facade analyze() of the same unchanged IR
-    # reuses this fixpoint instead of re-running it — and the fixpoint's
-    # own post-dominator tree is the one this CFG state needs.
-    analyses = function_analyses(function)
     divergence = analyses.divergence
-    pdt = analyses.postdominators
+    facts = analyses.facts
 
     for block in function.blocks:
-        if pdt is None:
-            pdt = compute_postdominator_tree(function)
+        pdt = facts.postdominators
         region = find_meldable_region(block, divergence, pdt)
         if region is None:
             continue
@@ -184,16 +197,13 @@ def _meld_one(function: Function, config: CFMConfig, stats: CFMStats) -> bool:
                 reason="a divergent path decomposes into no SESE subgraphs",
                 threshold=config.profitability_threshold))
             continue
-        changed_t = simplify_path_subgraphs(function, true_subs)
-        changed_f = simplify_path_subgraphs(function, false_subs)
-        if changed_t or changed_f:
+        simplified = (simplify_path_subgraphs(function, true_subs)
+                      + simplify_path_subgraphs(function, false_subs))
+        if simplified:
             invalidate_divergence(function)
-            # Region simplification only inserts forwarding exit blocks;
-            # the subgraph descriptors were updated in place and the
-            # melder does not consult the stale post-dominator tree.  It
-            # is rebuilt only if this region ends up not melding and the
-            # scan moves on to the next block.
-            pdt = None
+            for sub in simplified:
+                facts.collector_inserted(sub.exit, sub.blocks - {sub.exit},
+                                         sub.target)
 
         pair = most_profitable_pair(true_subs, false_subs, config.latency)
         if pair is None:
@@ -230,11 +240,15 @@ def _meld_one(function: Function, config: CFMConfig, stats: CFMStats) -> bool:
             capture_seconds = time.perf_counter() - v_start
 
         result = Melder(function, region, pair, alignments).meld()
-        remove_unreachable_blocks(function)
+        # The melded pair is all the meld disconnects.
+        orphans = pair.true_subgraph.blocks | pair.false_subgraph.blocks
+        delete_blocks(function, [b for b in function.blocks if b in orphans])
+        inside = facts.region_rewritten(region.entry, region.exit, orphans)
         # The meld rewired only the inside of the divergent region, so
         # only definitions inside it can have lost dominance.
-        repair_ssa(function, region_blocks(region.entry, region.exit))
-        unpredicated = unpredicate(function, result, config.split_pure_runs)
+        repair_ssa(function, inside, facts.dominators)
+        unpredicated = unpredicate(function, result, config.split_pure_runs,
+                                   facts)
         if capture is not None:
             v_start = time.perf_counter()
             validation = capture.compare_against_current()
@@ -249,7 +263,7 @@ def _meld_one(function: Function, config: CFMConfig, stats: CFMStats) -> bool:
                                cat="melding",
                                args={"region": validation.region_entry,
                                      "detail": validation.detail})
-        _post_optimize(function)
+        _post_optimize(function, facts)
         invalidate_divergence(function)
 
         decision.action = "melded"
@@ -303,16 +317,45 @@ def _score_pair(iteration: int, region: MeldableRegion, pair: SubgraphPair,
     )
 
 
-def _post_optimize(function: Function) -> None:
+def _post_optimize(function: Function, facts: CFGFacts) -> None:
     """§IV-F post-optimizations (kept local: full SimplifyCFG runs later
-    in the driver pipeline).  None of the three cleanups can disconnect
-    a block — they fold duplicate edges, drop φs and bypass forwarding
-    blocks — so the unreachable-block sweep right after the meld is the
-    only one an iteration needs."""
-    changed = True
-    while changed:
-        changed = False
-        changed |= fold_redundant_branches(function)
-        changed |= remove_trivial_phis(function)
-        changed |= remove_forwarding_blocks(function)
+    in the driver pipeline): rounds of branch folding, trivial-φ removal
+    and forwarding-block removal, each a sweep in block order, until a
+    round changes nothing; then DCE.  None of the three can disconnect a
+    block.
+
+    The first round sweeps every block (``docs/melding.md``, "The
+    identity gate").  Each later round visits only what the rewrites
+    since the previous round began can have made rewritable: a
+    rewritten block, a block whose φs or predecessors changed, and the
+    predecessors of both (the forwarding blocks whose φ check reads
+    them).  So the rewrites happen in the order whole-function rounds
+    make them."""
+    dirty = set(function.blocks)
+    while dirty:
+        edited: Set[BasicBlock] = set()
+
+        def touch(blocks) -> None:
+            for block in blocks:
+                for seen in (block, *block._preds):
+                    edited.add(seen)
+                    dirty.add(seen)
+
+        for block in function.blocks:
+            if block in dirty and fold_redundant_branch(block):
+                facts.branch_folded(block)
+                touch((block,))
+        for block in function.blocks:
+            if block in dirty:
+                touched = remove_trivial_phis_in(block)
+                if touched:
+                    touch(touched)
+        for block in function.blocks:
+            if block in dirty:
+                forwarded = forward_block(function, block)
+                if forwarded is not None:
+                    succ, preds = forwarded
+                    facts.block_forwarded(block, succ, preds)
+                    touch((succ,))
+        dirty = edited
     eliminate_dead_code(function)

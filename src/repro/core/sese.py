@@ -102,13 +102,14 @@ def path_subgraphs(
 def simplify_path_subgraphs(
     function: Function,
     subgraphs: List[SESESubgraph],
-) -> bool:
+) -> List[SESESubgraph]:
     """``Simplify``: give every multi-exit subgraph a unique exit block.
 
     Inserts a collector block per offending subgraph and updates the
-    subgraph descriptors in place.  Returns True if the CFG changed (the
-    caller must then recompute its analyses)."""
-    changed = False
+    subgraph descriptors in place: the collector becomes the subgraph's
+    exit.  Returns the subgraphs that got one (empty: the CFG is
+    unchanged)."""
+    simplified: List[SESESubgraph] = []
     for subgraph in subgraphs:
         # Already simple: a unique exit block whose *only* successor is the
         # target (the melder requires an unconditional single exit edge).
@@ -146,5 +147,5 @@ def simplify_path_subgraphs(
                 phi.add_incoming(value, collector)
         subgraph.blocks.add(collector)
         subgraph.exit = collector
-        changed = True
-    return changed
+        simplified.append(subgraph)
+    return simplified

@@ -19,8 +19,9 @@ shows.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
+from repro.analysis.divergence import CFGFacts
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
 from repro.ir.instructions import Branch, Instruction, Phi
@@ -31,16 +32,19 @@ from .melder import MeldResult, Side
 
 
 def unpredicate(function: Function, result: MeldResult,
-                split_pure_runs: bool = True) -> bool:
-    """Split gap runs out of the melded blocks.  Returns True if changed."""
+                split_pure_runs: bool = True,
+                facts: Optional[CFGFacts] = None) -> bool:
+    """Split gap runs out of the melded blocks.  Returns True if changed.
+    ``facts``, when the caller keeps the CFG's, are told of every split."""
     guarded: Set[BasicBlock] = set()
     for block in list(result.melded_blocks):
-        guarded.update(
-            _unpredicate_block(function, block, result, split_pure_runs))
+        guarded.update(_unpredicate_block(function, block, result,
+                                          split_pure_runs, facts))
     if guarded:
         # Only a run moved behind a guard can have stopped dominating
         # its uses; everything else still sits above its block's tail.
-        repair_ssa(function, guarded)
+        repair_ssa(function, guarded,
+                   facts.dominators if facts is not None else None)
     return bool(guarded)
 
 
@@ -68,8 +72,8 @@ def _should_split(side: Side, instrs: List[Instruction], split_pure: bool) -> bo
 
 
 def _unpredicate_block(function: Function, block: BasicBlock,
-                       result: MeldResult, split_pure: bool
-                       ) -> List[BasicBlock]:
+                       result: MeldResult, split_pure: bool,
+                       facts: Optional[CFGFacts]) -> List[BasicBlock]:
     """Split ``block``'s gap runs out; returns the guarded blocks made."""
     runs = _runs(block, result.sides)
     guarded_blocks: List[BasicBlock] = []
@@ -97,6 +101,8 @@ def _unpredicate_block(function: Function, block: BasicBlock,
             current.replace_terminator(Branch([guarded, tail], condition))
         else:
             current.replace_terminator(Branch([tail, guarded], condition))
+        if facts is not None:
+            facts.block_split(current, guarded, tail)
         result.melded_blocks.append(tail)
         current = tail
     return guarded_blocks

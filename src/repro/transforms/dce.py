@@ -26,10 +26,10 @@ def _is_trivially_dead(instr: Instruction) -> bool:
 def eliminate_dead_code(function: Function) -> bool:
     """Iteratively remove dead instructions; returns True if any removed."""
     changed = False
-    work = [i for b in function.blocks for i in b.instructions]
+    work = [i for b in function.blocks for i in b._instructions]
     while work:
         instr = work.pop()
-        if instr.parent is None or not _is_trivially_dead(instr):
+        if instr._uses or instr.parent is None or not _is_trivially_dead(instr):
             continue
         operands = [op for op in instr.operands if isinstance(op, Instruction)]
         instr.erase_from_parent()

@@ -18,7 +18,7 @@ a fixpoint.
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import List, Optional, Set, Tuple
 
 from repro.analysis.cfg import reachable_blocks
 from repro.ir.block import BasicBlock
@@ -52,9 +52,15 @@ def remove_unreachable_blocks(function: Function) -> bool:
     dead = [b for b in function.blocks if b not in reachable]
     if not dead:
         return False
+    delete_blocks(function, dead)
+    return True
+
+
+def delete_blocks(function: Function, dead: List[BasicBlock]) -> None:
+    """Delete ``dead``, blocks no live block branches to."""
     dead_set = set(dead)
-    # Reachable φs may reference dead predecessors.
-    for block in reachable:
+    # Live φs may reference dead predecessors.
+    for block in {s for b in dead for s in b.succs if s not in dead_set}:
         for phi in block.phis:
             for pred in list(phi.incoming_blocks):
                 if pred in dead_set:
@@ -76,7 +82,6 @@ def remove_unreachable_blocks(function: Function) -> bool:
             instr.parent = None
         block._instructions = []
         function._remove_block(block)
-    return True
 
 
 def fold_redundant_branches(function: Function) -> bool:
@@ -84,31 +89,54 @@ def fold_redundant_branches(function: Function) -> bool:
     with identical successors")."""
     changed = False
     for block in function.blocks:
-        term = block.terminator
-        if (isinstance(term, Branch) and term.is_conditional
-                and term.true_successor is term.false_successor):
-            target = term.true_successor
-            block.replace_terminator(Branch([target]))
-            changed = True
+        changed |= fold_redundant_branch(block)
     return changed
+
+
+def fold_redundant_branch(block: BasicBlock) -> bool:
+    """Fold ``block``'s ``br %c, %x, %x``, if it ends in one."""
+    instrs = block._instructions
+    term = instrs[-1] if instrs else None
+    if not isinstance(term, Branch):
+        return False
+    succs = term._successors  # two exactly when conditional
+    if len(succs) == 2 and succs[0] is succs[1]:
+        block.replace_terminator(Branch([succs[0]]))
+        return True
+    return False
 
 
 def remove_trivial_phis(function: Function) -> bool:
     """Drop φs whose incoming values are all identical (or self)."""
     changed = False
     for block in function.blocks:
-        for phi in block.phis:
-            unique: List[Value] = []
-            for value in phi.incoming_values:
-                if value is phi:
-                    continue
-                if all(value is not u for u in unique):
-                    unique.append(value)
-            if len(unique) == 1:
-                phi.replace_all_uses_with(unique[0])
-                phi.erase_from_parent()
-                changed = True
+        changed |= bool(remove_trivial_phis_in(block))
     return changed
+
+
+def remove_trivial_phis_in(block: BasicBlock) -> Set[BasicBlock]:
+    """Drop ``block``'s trivial φs; returns the blocks whose φs changed:
+    ``block`` and those of φs that used a dropped one (empty: none
+    dropped)."""
+    instrs = block._instructions
+    if not instrs or not isinstance(instrs[0], Phi):
+        return set()
+    touched: Set[BasicBlock] = set()
+    for phi in block.phis:
+        unique: List[Value] = []
+        for value in phi.incoming_values:
+            if value is phi:
+                continue
+            if all(value is not u for u in unique):
+                unique.append(value)
+        if len(unique) == 1:
+            touched.add(block)
+            touched.update(user.parent for user, _ in phi._uses
+                           if isinstance(user, Phi) and user is not phi
+                           and user.parent is not None)
+            phi.replace_all_uses_with(unique[0])
+            phi.erase_from_parent()
+    return touched
 
 
 def merge_straightline_blocks(function: Function) -> bool:
@@ -165,31 +193,38 @@ def remove_forwarding_blocks(function: Function) -> bool:
     """Remove every block that contains only an unconditional branch."""
     changed = False
     for block in function.blocks:
-        if block is function.entry or len(block) != 1:
-            continue
-        term = block.terminator
-        if not isinstance(term, Branch) or term.is_conditional:
-            continue
-        succ = term.true_successor
-        if succ is block or not block.preds:
-            continue
-        if not _can_forward(block, succ):
-            continue
-        preds = block.preds
-        # Rewire φs in succ: the value that arrived via `block` now arrives
-        # directly from each predecessor.
-        for phi in succ.phis:
-            value = phi.incoming_for(block)
-            phi.remove_incoming(block)
-            for pred in preds:
-                if pred not in phi.incoming_blocks:
-                    phi.add_incoming(value, pred)
-        term.erase_from_parent()
-        for pred in preds:
-            pred.terminator.replace_successor(block, succ)
-        function._remove_block(block)
-        changed = True
+        changed |= forward_block(function, block) is not None
     return changed
+
+
+def forward_block(function: Function, block: BasicBlock
+                  ) -> Optional[Tuple[BasicBlock, List[BasicBlock]]]:
+    """Remove ``block`` if it only forwards its predecessors to its
+    successor; returns ``(successor, predecessors)`` if it did."""
+    if len(block._instructions) != 1 or block is function.entry:
+        return None
+    term = block.terminator
+    if not isinstance(term, Branch) or term.is_conditional:
+        return None
+    succ = term.true_successor
+    if succ is block or not block.preds:
+        return None
+    if not _can_forward(block, succ):
+        return None
+    preds = block.preds
+    # Rewire φs in succ: the value that arrived via `block` now arrives
+    # directly from each predecessor.
+    for phi in succ.phis:
+        value = phi.incoming_for(block)
+        phi.remove_incoming(block)
+        for pred in preds:
+            if pred not in phi.incoming_blocks:
+                phi.add_incoming(value, pred)
+    term.erase_from_parent()
+    for pred in preds:
+        pred.terminator.replace_successor(block, succ)
+    function._remove_block(block)
+    return succ, preds
 
 
 def _can_forward(block: BasicBlock, succ: BasicBlock) -> bool:

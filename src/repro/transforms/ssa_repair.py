@@ -29,7 +29,8 @@ from repro.ir.values import Undef, Value
 
 
 def repair_ssa(function: Function,
-               scope: Optional[Collection[BasicBlock]] = None) -> bool:
+               scope: Optional[Collection[BasicBlock]] = None,
+               dominators: Optional[DominatorTree] = None) -> bool:
     """Fix def-use dominance violations.  Returns True if changed.
 
     ``scope`` names the blocks whose definitions may have lost dominance
@@ -39,11 +40,12 @@ def repair_ssa(function: Function,
     either dominates the region's entry — hence still everything inside
     — or reaches no use inside at all.  Definitions are visited in
     function order either way, so a scope that covers every violation
-    yields the same IR as no scope.
+    yields the same IR as no scope.  ``dominators`` is the current CFG's
+    dominator tree when the caller keeps one.
     """
     changed = False
-    # Recompute analyses once; φ insertion does not change the CFG.
-    dt = compute_dominator_tree(function)
+    # φ insertion does not change the CFG: one tree serves every repair.
+    dt = compute_dominator_tree(function) if dominators is None else dominators
     frontier = None
     for block in function.blocks:
         if scope is not None and block not in scope:

@@ -6,7 +6,6 @@ from repro.analysis import (
     FORWARD,
     DataflowAnalysis,
     SparseSolver,
-    live_variables,
     run_dataflow,
 )
 from repro.ir.instructions import BinaryOp
@@ -137,47 +136,6 @@ m:
         with pytest.raises(RuntimeError, match="did not converge"):
             run_dataflow(f, _Counter(with_widening=False),
                          max_iterations_before_widen=10_000, max_visits=50)
-
-
-class TestLiveVariables:
-    def test_values_live_across_blocks(self):
-        f = parse("""
-define void @k(i32 %a) {
-entry:
-  %x = add i32 %a, 1
-  br label %b
-b:
-  %y = add i32 %x, %a
-  ret void
-}
-""")
-        live = live_variables(f)
-        b = f.block_by_name("b")
-        names = {getattr(v, "name", None) for v in live[b]}
-        assert "x" in names          # defined in entry, used in b
-        assert "a" in names          # arguments count as live values
-        assert "y" not in names      # defined and dead within b
-
-    def test_liveness_splits_across_branch_arms(self):
-        f = parse("""
-define void @k(i1 %c, i32 %v) {
-entry:
-  %dbl = add i32 %v, %v
-  br i1 %c, label %t, label %e
-t:
-  %u = add i32 %dbl, 1
-  br label %m
-e:
-  br label %m
-m:
-  ret void
-}
-""")
-        live = live_variables(f)
-        t_names = {getattr(v, "name", None) for v in live[f.block_by_name("t")]}
-        e_names = {getattr(v, "name", None) for v in live[f.block_by_name("e")]}
-        assert "dbl" in t_names      # used down the then-arm only
-        assert "dbl" not in e_names
 
 
 # ---------------------------------------------------------------------------

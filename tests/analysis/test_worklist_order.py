@@ -8,13 +8,47 @@ import pytest
 import repro
 from repro.analysis import SparseSolver, run_dataflow
 from repro.analysis import dataflow
-from repro.analysis.dataflow import FORWARD, DataflowResult, _Liveness
+from repro.analysis.dataflow import (
+    BACKWARD,
+    FORWARD,
+    DataflowAnalysis,
+    DataflowResult,
+)
 from repro.analysis.ranges import compute_ranges
 from repro.difftest.generator import build_kernel, generate_spec
 from repro.ir.instructions import Instruction
+from repro.ir.values import Argument
 from repro.pipeline import compile_arm
 
 from tests.support import parse
+
+
+class _Liveness(DataflowAnalysis):
+    """A backward client: the instructions and arguments live into each
+    block (φ incomings count as uses in the φ's own block)."""
+
+    direction = BACKWARD
+
+    def boundary(self, function):
+        return frozenset()
+
+    def initial(self):
+        return frozenset()
+
+    def join(self, states):
+        out = set()
+        for state in states:
+            out |= state
+        return frozenset(out)
+
+    def transfer(self, block, state):
+        live = set(state)
+        for instr in reversed(block.instructions):
+            live.discard(instr)
+            for operand in instr.operands:
+                if isinstance(operand, (Instruction, Argument)):
+                    live.add(operand)
+        return frozenset(live)
 
 
 def _reference_run_dataflow(function, analysis,

@@ -31,15 +31,16 @@ ENTRY_POINTS = {
     "replay", "load_sweep_trace", "worst_severity",
     # the paper's Figures 9 and 10 in one call
     "figures9_and_10",
-    # kept only for its tests; next in line for deletion together with
-    # them (the dense dataflow engine behind live_variables)
-    "live_variables",
+    # kept only for their tests; next in line for deletion together with
+    # them (the dense dataflow engine, whose liveness client is gone)
+    "run_dataflow", "BACKWARD",
 }
 
 #: names an earlier spelling of the compile cache, the memo quarantine,
 #: the latency key, the reconvergence policies, the pass hooks and
 #: timings, the meld records, the dead-code audit, the second
-#: per-task sweep record and the optimal subgraph alignment left behind
+#: per-task sweep record, the optimal subgraph alignment and the
+#: dataflow engine's liveness client left behind
 RETIRED = {
     "DiskCompileCache", "clear_lowering_memo", "invalidate_lowering",
     "latency_token_key", "key_for", "record_cache_lookup",
@@ -52,7 +53,7 @@ RETIRED = {
     "cumulative_timings", "want_ir_stats",
     "ParallelRunner", "from_outcome", "from_result",
     "record_task_seconds", "update_cache_hit_ratio",
-    "align_subgraphs", "postorder",
+    "align_subgraphs", "postorder", "live_variables",
 }
 
 

@@ -4,17 +4,22 @@
   starts the next round over: unreachable blocks, redundant branches,
   trivial φs, and a merge scan from block 0 again.
 * :func:`speculate_hammocks` rescans from block 0 after every flatten.
+* :func:`post_optimize`, CFM's §IV-F cleanup loop, sweeps every block in
+  every round.
 
-Both drive the shipped rewrite primitives, so they differ from
-:mod:`repro.transforms` only in the order and number of scans.  They
-are the oracle for the one-sweep merge and the resuming speculation
-scan, which must apply exactly the same rewrites in the same order.
+All three drive the shipped rewrite primitives, so they differ from
+:mod:`repro.transforms` and :mod:`repro.core.pass_` only in the order
+and number of scans.  They are the oracle for the one-sweep merge, the
+resuming speculation scan and the cleanup rounds that revisit only the
+blocks the previous round edited, which must apply exactly the same
+rewrites in the same order.
 """
 
 from __future__ import annotations
 
 from repro.ir.function import Function
 from repro.transforms import simplifycfg as _cfg
+from repro.transforms.dce import eliminate_dead_code
 from repro.transforms.speculate import DEFAULT_MAX_SPECULATED, _speculate_once
 
 
@@ -49,3 +54,13 @@ def speculate_hammocks(function: Function,
     while _speculate_once(function.blocks, limit) is not None:
         changed = True
     return changed
+
+
+def post_optimize(function: Function) -> None:
+    changed = True
+    while changed:
+        changed = False
+        changed |= _cfg.fold_redundant_branches(function)
+        changed |= _cfg.remove_trivial_phis(function)
+        changed |= _cfg.remove_forwarding_blocks(function)
+    eliminate_dead_code(function)

@@ -5,7 +5,9 @@ lost dominance (the divergent region after a meld, the guarded blocks
 after unpredication).  Here every such call made while melding the
 benchmark kernels and 100 generated kernels is replayed on two re-parsed
 copies of the IR as it stood — one repaired with the scope, one without
-— and the two must print identically and verify.
+— and the two must print identically and verify.  The pass hands each
+call the dominator tree it keeps through its edits; that tree must equal
+a fresh one of the IR at the moment of the call.
 """
 
 import pytest
@@ -13,11 +15,18 @@ import pytest
 import repro.core.pass_ as pass_module
 import repro.core.unpredication as unpredication_module
 from repro import CFMPass
+from repro.analysis import compute_dominator_tree
 from repro.difftest.generator import build_kernel, generate_spec
 from repro.ir import print_module, verify_function
 from repro.ir.parser import parse_module
 from repro.kernels import ALL_BUILDERS
 from repro.transforms import optimize, repair_ssa
+
+
+def _idoms(tree):
+    """Each block's immediate dominator and depth."""
+    return {block: (tree.idom(block), tree.depth(block))
+            for block in tree.blocks()}
 
 
 @pytest.fixture
@@ -26,7 +35,8 @@ def replayed(monkeypatch):
     the list of per-call "whole-function repair changed the IR" flags."""
     outcomes = []
 
-    def checked_repair(function, scope):
+    def checked_repair(function, scope, dominators):
+        assert _idoms(dominators) == _idoms(compute_dominator_tree(function))
         text = print_module(function.module)
         whole = parse_module(text).function(function.name)
         scoped = parse_module(text).function(function.name)
@@ -35,7 +45,7 @@ def replayed(monkeypatch):
         repair_ssa(scoped, {b for b in scoped.blocks if b.name in names})
         assert print_module(scoped.module) == print_module(whole.module)
         verify_function(scoped)
-        return repair_ssa(function, scope)
+        return repair_ssa(function, scope, dominators)
 
     monkeypatch.setattr(pass_module, "repair_ssa", checked_repair)
     monkeypatch.setattr(unpredication_module, "repair_ssa", checked_repair)
