@@ -138,7 +138,6 @@ from repro.evaluation import (
     execute,
     figure7,
     figure8,
-    figures9_and_10,
     format_counters,
     format_figure8,
     format_speedups,
@@ -212,7 +211,7 @@ __all__ = [
     "CACHE_ENV_VAR", "cfm_pipeline_id",
     "compare", "Comparison", "CompileCache", "compile_baseline",
     "compile_cfm", "execute", "geomean", "run_sweep",
-    "table1", "table2", "figure7", "figure8", "figures9_and_10",
+    "table1", "table2", "figure7", "figure8",
     "counters", "best_improvement_rows",
     "format_table1", "format_table2", "format_speedups", "format_figure8",
     "format_counters",

@@ -1,5 +1,5 @@
 """CFG analyses: dominance, regions, loops, divergence, latency,
-dataflow (worklist fixpoint engine), value ranges, and the symbolic
+the sparse SSA dataflow solver, value ranges, and the symbolic
 meld translation validator."""
 
 from .cfg import (
@@ -28,14 +28,7 @@ from .divergence import (
     invalidate_divergence,
 )
 from .latency import DEFAULT_LATENCY_MODEL, LatencyModel
-from .dataflow import (
-    BACKWARD,
-    DataflowAnalysis,
-    DataflowResult,
-    FORWARD,
-    SparseSolver,
-    run_dataflow,
-)
+from .dataflow import SparseSolver
 from .ranges import Interval, ValueRanges, compute_ranges
 from .validate import (
     EQUIVALENT,
@@ -59,8 +52,7 @@ __all__ = [
     "cached_divergence", "invalidate_divergence",
     "FunctionAnalyses", "analyze_function", "function_analyses",
     "DEFAULT_LATENCY_MODEL", "LatencyModel",
-    "FORWARD", "BACKWARD", "DataflowAnalysis", "DataflowResult",
-    "SparseSolver", "run_dataflow",
+    "SparseSolver",
     "Interval", "ValueRanges", "compute_ranges",
     "EQUIVALENT", "INEQUIVALENT", "UNSUPPORTED", "VERDICTS",
     "MeldValidation", "MeldValidationError", "RegionCapture",

@@ -98,16 +98,6 @@ class DominatorTree:
             b = idom[b]
         return a
 
-    def preorder(self) -> List[BasicBlock]:
-        """Tree pre-order; dominators appear before dominated blocks."""
-        order: List[BasicBlock] = []
-        work = [self.root]
-        while work:
-            node = work.pop()
-            order.append(node)
-            work.extend(reversed(self._children[node]))
-        return order
-
     # ---- instruction-level dominance ------------------------------------
 
     def instruction_dominates(self, def_instr: Instruction, use_instr: Instruction,

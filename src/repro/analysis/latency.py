@@ -25,10 +25,8 @@ from repro.ir.types import AddressSpace
 from repro.ir.instructions import (
     Call,
     Instruction,
-    IntrinsicName,
     Load,
     Opcode,
-    Phi,
     Store,
 )
 
@@ -77,10 +75,6 @@ class LatencyModel:
                 return self.barrier_latency
             return self.opcode_latency[Opcode.CALL]
         return self.opcode_latency[instr.opcode]
-
-    def block_latency(self, block) -> int:
-        """``lat(b)``: the sum of instruction latencies in a basic block."""
-        return sum(self.latency(i) for i in block)
 
     @property
     def select_latency(self) -> int:

@@ -12,7 +12,6 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
-from repro.ir.instructions import Branch
 
 from .cfg import _fast_succs, reverse_postorder
 from .dominators import DominatorTree, compute_dominator_tree
@@ -89,16 +88,9 @@ class LoopInfo:
             for block in loop.blocks:
                 self._loop_of[block] = loop
 
-    @property
-    def top_level(self) -> List[Loop]:
-        return [l for l in self.loops if l.parent is None]
-
     def loop_for(self, block: BasicBlock) -> Optional[Loop]:
         """The innermost loop containing ``block``."""
         return self._loop_of.get(block)
-
-    def innermost_loops(self) -> List[Loop]:
-        return [l for l in self.loops if not l.children]
 
     def __iter__(self):
         return iter(self.loops)

@@ -45,13 +45,6 @@ class Region:
     def size(self) -> int:
         return len(self.blocks)
 
-    @property
-    def is_simple(self) -> bool:
-        """Exactly one entry edge and one exit edge (Definition 1)."""
-        entry_edges = [p for p in self.entry.preds if p not in self.blocks]
-        exit_edges = [p for p in self.exit.preds if p in self.blocks]
-        return len(entry_edges) == 1 and len(exit_edges) == 1
-
     def __repr__(self) -> str:
         return f"<Region ({self.entry.name}, {self.exit.name}) {self.size} blocks>"
 

@@ -36,10 +36,6 @@ class AlignedPair(Generic[A, B]):
     def is_match(self) -> bool:
         return self.left is not None and self.right is not None
 
-    @property
-    def is_gap(self) -> bool:
-        return not self.is_match
-
 
 @dataclass
 class AlignmentResult(Generic[A, B]):
@@ -49,14 +45,6 @@ class AlignmentResult(Generic[A, B]):
     @property
     def matches(self) -> List[Tuple[A, B]]:
         return [(p.left, p.right) for p in self.pairs if p.is_match]
-
-    @property
-    def num_matches(self) -> int:
-        return sum(1 for p in self.pairs if p.is_match)
-
-    @property
-    def num_gaps(self) -> int:
-        return sum(1 for p in self.pairs if p.is_gap)
 
 
 def needleman_wunsch(

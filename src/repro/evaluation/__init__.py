@@ -42,7 +42,6 @@ from .experiments import (
     counters,
     figure7,
     figure8,
-    figures9_and_10,
     run_sweep,
     table1,
     table2,
@@ -68,7 +67,7 @@ __all__ = [
     "DEFAULT_GRID_DIM", "DEFAULT_SEED", "Figure8Result",
     "REAL_BLOCK_SIZES", "SYNTHETIC_BLOCK_SIZES", "SpeedupRow",
     "best_improvement_rows", "counters", "figure7", "figure8",
-    "figures9_and_10", "run_sweep", "table1", "table2",
+    "run_sweep", "table1", "table2",
     "format_counters", "format_figure8", "format_speedups",
     "format_table1", "format_table2",
 ]

@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.divergence import compute_divergence
 from repro.core import CFMConfig
-from repro.kernels import ALL_BUILDERS, REAL_WORLD_BUILDERS, SYNTHETIC_BUILDERS
+from repro.kernels import REAL_WORLD_BUILDERS, SYNTHETIC_BUILDERS
 from repro.kernels.common import KernelCase
 from repro.kernels.patterns import PATTERN_BUILDERS
 from repro.obs import current_registry
@@ -267,16 +267,6 @@ def counters(rows: List[SpeedupRow]) -> List[CounterRow]:
                                               base.flat_memory_issues),
         ))
     return result
-
-
-def figures9_and_10(rows: Optional[List[SpeedupRow]] = None,
-                    seed: int = DEFAULT_SEED,
-                    workers: int = 1) -> List[CounterRow]:
-    if rows is None:
-        synthetic, _ = figure7(seed=seed, workers=workers)
-        real = figure8(seed=seed, workers=workers).rows
-        rows = synthetic + real
-    return counters(best_improvement_rows(rows))
 
 
 # ---- Table I: capability matrix ------------------------------------------------------

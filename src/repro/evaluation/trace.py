@@ -169,11 +169,6 @@ class SweepTraceCollector:
     def task_count(self) -> int:
         return sum(len(entries) for entries in self.sections.values())
 
-    @property
-    def traced_pid_count(self) -> int:
-        """How many task pids have been merged into :attr:`events`."""
-        return self._next_pid - SIM_PID_BASE
-
     def payload(self) -> Dict[str, object]:
         return {
             "schema": SWEEP_TRACE_SCHEMA,

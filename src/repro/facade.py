@@ -32,7 +32,7 @@ from repro.kernels.dsl import KernelBuilder
 from repro.pipeline import (
     CompileResult,
     KernelLike,
-    as_function as _as_function,
+    as_function,
     compile_arm,
 )
 from repro.simt import DEFAULT_CONFIG, GPU, Buffer, MachineConfig, Metrics
@@ -152,7 +152,7 @@ def launch(module: Union[Module, KernelLike], grid: int, block: int,
 def meld(kernel: KernelLike, config: Optional[CFMConfig] = None) -> CFMStats:
     """Run the paper's CFM pass (alone, no -O3 / late cleanups) on
     ``kernel`` in place and return its :class:`CFMStats`."""
-    return CFMPass(config).run(_as_function(kernel)).stats
+    return CFMPass(config).run(as_function(kernel)).stats
 
 
 def analyze(kernel: KernelLike) -> DivergenceInfo:
@@ -163,4 +163,4 @@ def analyze(kernel: KernelLike) -> DivergenceInfo:
     reuses their fixpoint instead of re-running it (and vice versa).
     The memo is invalidated whenever a pipeline pass changes the IR.
     """
-    return cached_divergence(_as_function(kernel))
+    return cached_divergence(as_function(kernel))

@@ -18,7 +18,6 @@ from .types import (
     LABEL,
     I1,
     I8,
-    I16,
     I32,
     I64,
     F32,
@@ -51,11 +50,11 @@ from .function import Function, Module, GlobalVariable, retire_memos
 from .builder import IRBuilder
 from .printer import print_function, print_module, format_instruction
 from .parser import parse_function, parse_module
-from .verifier import VerificationError, verify_function, is_well_formed
+from .verifier import VerificationError, verify_function
 
 __all__ = [
     "Type", "VoidType", "LabelType", "IntType", "FloatType", "PointerType",
-    "AddressSpace", "VOID", "LABEL", "I1", "I8", "I16", "I32", "I64", "F32",
+    "AddressSpace", "VOID", "LABEL", "I1", "I8", "I32", "I64", "F32",
     "F64", "pointer",
     "Value", "User", "Constant", "Undef", "Argument", "const_int", "const_bool",
     "Opcode", "IntrinsicName", "Instruction", "BinaryOp", "UnaryOp", "ICmp",
@@ -65,5 +64,5 @@ __all__ = [
     "IRBuilder",
     "print_function", "print_module", "format_instruction",
     "parse_function", "parse_module",
-    "VerificationError", "verify_function", "is_well_formed",
+    "VerificationError", "verify_function",
 ]

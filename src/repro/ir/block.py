@@ -61,12 +61,6 @@ class BasicBlock(Value):
             result.append(instr)
         return result
 
-    def first_non_phi(self) -> Optional[Instruction]:
-        for instr in self._instructions:
-            if not isinstance(instr, Phi):
-                return instr
-        return None
-
     @property
     def non_phi_instructions(self) -> List[Instruction]:
         return [i for i in self._instructions if not isinstance(i, Phi)]

@@ -39,10 +39,6 @@ class Type:
         return isinstance(self, IntType)
 
     @property
-    def is_float(self) -> bool:
-        return isinstance(self, FloatType)
-
-    @property
     def is_pointer(self) -> bool:
         return isinstance(self, PointerType)
 
@@ -109,10 +105,6 @@ class IntType(Type):
     def max_value(self) -> int:
         return (1 << (self.bits - 1)) - 1 if self.bits > 1 else 1
 
-    @property
-    def unsigned_max(self) -> int:
-        return (1 << self.bits) - 1
-
 
 class FloatType(Type):
     """An IEEE-754 floating point type, ``f32`` or ``f64``."""
@@ -178,7 +170,6 @@ VOID = VoidType()
 LABEL = LabelType()
 I1 = IntType(1)
 I8 = IntType(8)
-I16 = IntType(16)
 I32 = IntType(32)
 I64 = IntType(64)
 F32 = FloatType(32)

@@ -21,9 +21,9 @@ from typing import Dict, List
 
 from .block import BasicBlock
 from .function import Function, GlobalVariable
-from .instructions import Branch, Call, Instruction, Phi, Ret
+from .instructions import Branch, Call, Instruction, Phi
 from .types import I1
-from .values import Argument, Constant, Undef, Value
+from .values import Argument, Constant, Undef
 
 
 class VerificationError(Exception):
@@ -188,12 +188,3 @@ def _check_operand_dominance(function: Function, dt,
             continue
         problems.append(f"{instr!r} has unexpected operand kind {type(operand).__name__}")
     return problems
-
-
-def is_well_formed(function: Function) -> bool:
-    """Boolean convenience wrapper around :func:`verify_function`."""
-    try:
-        verify_function(function)
-        return True
-    except VerificationError:
-        return False

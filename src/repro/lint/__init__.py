@@ -23,7 +23,6 @@ from .diagnostics import (
     LintConfig,
     LintReport,
     Severity,
-    worst_severity,
 )
 from .engine import (
     LintContext,
@@ -41,7 +40,6 @@ from .sarif import to_sarif, write_sarif
 
 __all__ = [
     "Severity", "Diagnostic", "LintConfig", "DEFAULT_CONFIG", "LintReport",
-    "worst_severity",
     "LintContext", "LintRule", "register", "all_rules", "get_rule",
     "resolve_rules", "rules_emitting", "run_lint", "rules",
     "LINT_LEVELS", "compile_at_level", "lint_at_level", "lint_kernel",

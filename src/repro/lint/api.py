@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple, Union
 
 from repro.ir.function import Function
-from repro.pipeline import ARMS, compile_arm
+from repro.pipeline import ARMS, as_function, compile_arm
 
 from .diagnostics import LintConfig, LintReport
 from .engine import LintRule, run_lint
@@ -21,18 +21,6 @@ from . import rules as _rules  # noqa: F401  (populates the registry)
 
 #: the opt levels are the compile driver's arms
 LINT_LEVELS = ARMS
-
-
-def _as_function(kernel) -> Function:
-    """Duck-typed kernel access, mirroring the facade: a raw Function,
-    or anything carrying one (KernelBuilder, KernelCase, CompileReport)."""
-    if isinstance(kernel, Function):
-        return kernel
-    inner = getattr(kernel, "function", None)
-    if isinstance(inner, Function):
-        return inner
-    raise TypeError(
-        f"expected a Function or an object with a .function, got {kernel!r}")
 
 
 def _decisions_of(kernel) -> Optional[list]:
@@ -55,7 +43,7 @@ def lint_kernel(kernel,
     """
     if decisions is None:
         decisions = _decisions_of(kernel)
-    return run_lint(_as_function(kernel), rules=rules, config=config,
+    return run_lint(as_function(kernel), rules=rules, config=config,
                     decisions=decisions)
 
 
@@ -80,7 +68,7 @@ def lint_at_level(kernel, level: str,
     meld-legality audit.  Callers wanting several levels of one kernel
     must rebuild it per level — compilation mutates the IR.
     """
-    function = _as_function(kernel)
+    function = as_function(kernel)
     decisions = compile_at_level(function, level, cfm_config=cfm_config)
     return run_lint(function, rules=rules, config=config,
                     decisions=decisions)

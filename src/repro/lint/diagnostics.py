@@ -28,7 +28,7 @@ wholesale or re-map a rule's severity (e.g. promote ``dead-store`` to
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 
 class Severity:
@@ -179,9 +179,6 @@ class LintReport:
     def by_rule(self, rule_id: str) -> List[Diagnostic]:
         return [d for d in self.diagnostics if d.rule == rule_id]
 
-    def error_fingerprints(self) -> Set[Tuple[str, str, Optional[str]]]:
-        return {d.fingerprint() for d in self.errors}
-
     def new_errors(self, baseline: "LintReport") -> List[Diagnostic]:
         """Errors in this report absent from ``baseline``.
 
@@ -220,10 +217,3 @@ class LintReport:
                                                  d.rule, d.block or "")):
             lines.append("  " + diag.render().replace("\n", "\n  "))
         return "\n".join(lines)
-
-
-def worst_severity(diagnostics: Sequence[Diagnostic]) -> Optional[str]:
-    """The most severe severity present, or None for an empty list."""
-    if not diagnostics:
-        return None
-    return min((d.severity for d in diagnostics), key=Severity.rank)

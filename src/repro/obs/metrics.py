@@ -640,10 +640,9 @@ def bridge_to_tracer(source, tracer, pid: int = COMPILE_PID) -> None:
 # layer instrumentation helpers (each checks `enabled` itself, so call
 # sites stay one function call when collection is off)
 
-def record_pass_seconds(pass_name: str, seconds: float,
-                        registry=None) -> None:
+def record_pass_seconds(pass_name: str, seconds: float) -> None:
     """Compile layer: one wall-time observation for one pass execution."""
-    registry = registry if registry is not None else _current
+    registry = _current
     if not registry.enabled:
         return
     registry.histogram(
@@ -653,13 +652,12 @@ def record_pass_seconds(pass_name: str, seconds: float,
                                         ).observe(seconds)
 
 
-def record_cache_event(event: str, source: str = "memory",
-                       registry=None) -> None:
+def record_cache_event(event: str, source: str = "memory") -> None:
     """Compile layer: one compile-cache ``"hits"`` (from the ``source``
     tier), ``"misses"`` or ``"evictions"`` event.  No ratio is stored:
     readers derive hits / (hits + misses) from the two counters, which
     stay right across merges."""
-    registry = registry if registry is not None else _current
+    registry = _current
     if not registry.enabled:
         return
     if event == "hits":
@@ -675,9 +673,9 @@ def record_cache_event(event: str, source: str = "memory",
                          "Compile-cache entries evicted as unusable").inc()
 
 
-def record_cfm_decisions(decisions, registry=None) -> None:
+def record_cfm_decisions(decisions) -> None:
     """Compile layer: CFM melding decisions, counted by action."""
-    registry = registry if registry is not None else _current
+    registry = _current
     if not registry.enabled or not decisions:
         return
     family = registry.counter(
@@ -687,10 +685,9 @@ def record_cfm_decisions(decisions, registry=None) -> None:
         family.labels(action=decision.action).inc()
 
 
-def record_validate_verdict(verdict: str, seconds: float,
-                            registry=None) -> None:
+def record_validate_verdict(verdict: str, seconds: float) -> None:
     """Compile layer: one meld's translation-validation outcome."""
-    registry = registry if registry is not None else _current
+    registry = _current
     if not registry.enabled:
         return
     registry.counter(

@@ -220,10 +220,6 @@ class Tracer:
 
     # ---- export ----------------------------------------------------------
 
-    def chrome_events(self) -> List[Dict[str, object]]:
-        """The recorded events (shared list — copy before mutating)."""
-        return self.events
-
     def payload(self, extra: Optional[Dict[str, object]] = None) -> Dict[str, object]:
         """Chrome trace JSON object: ``{"traceEvents": [...], ...extra}``.
 

@@ -74,13 +74,14 @@ def resolve_arm(arm: Arm) -> Tuple[bool, Optional[str]]:
     return ARM_STAGES[arm]
 
 
-def as_function(kernel: KernelLike) -> Function:
+def as_function(kernel: Union[KernelLike, "CompileResult"]) -> Function:
     if isinstance(kernel, Function):
         return kernel
-    if isinstance(kernel, (KernelBuilder, KernelCase)):
+    if isinstance(kernel, (KernelBuilder, KernelCase, CompileResult)):
         return kernel.function
     raise TypeError(
-        f"expected a Function, KernelBuilder or KernelCase, got {kernel!r}")
+        f"expected a Function, KernelBuilder, KernelCase or CompileResult, "
+        f"got {kernel!r}")
 
 
 @dataclass

@@ -19,7 +19,7 @@ from functools import partial
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.ir.function import Function, Module
-from repro.ir.types import IntType, Type, I32
+from repro.ir.types import Type, I32
 from repro.ir.values import Argument
 from repro.obs import (
     WarpTrace,
@@ -35,7 +35,7 @@ from .lowering import get_program
 from .memory import DeviceMemory, Segment
 from .metrics import Metrics
 from .reference import ReferenceEvaluator, ReferenceProgram
-from .warp import SimulationError, UNDEF, Warp
+from .warp import SimulationError, Warp
 
 
 class Buffer:
@@ -63,13 +63,6 @@ class Buffer:
 
     def __len__(self) -> int:
         return self._segment.count
-
-    def assert_no_undef(self) -> None:
-        """Trap helper for tests: undef must never escape to memory a
-        host would read."""
-        for i, value in enumerate(self._segment.data):
-            if value is UNDEF:
-                raise SimulationError(f"undef leaked to buffer index {i}")
 
 
 class GPU:

@@ -16,9 +16,9 @@ are resolved dynamically (and why the paper counts them separately).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.ir.types import AddressSpace, FloatType, IntType, PointerType, Type
+from repro.ir.types import FloatType, IntType, PointerType, Type
 from repro.ir.function import GlobalVariable, Module
 
 
@@ -152,10 +152,6 @@ class BlockMemoryView:
         self.device = device
         self.shared = shared
         self._shared_segments = shared_segments
-
-    def resolve_space(self, addr: int) -> int:
-        """Which address space (for metrics) an address belongs to."""
-        return AddressSpace.SHARED if addr >= SHARED_BASE else AddressSpace.GLOBAL
 
     def load(self, addr: int):
         if addr >= SHARED_BASE:

@@ -96,13 +96,6 @@ class TestLatencyModel:
         shared_load = Load(Undef(pointer(I32, AddressSpace.SHARED)))
         assert m.latency(shared_load) > m.latency(alu)
 
-    def test_block_latency_sums(self):
-        f = straightline_function(1)
-        m = DEFAULT_LATENCY_MODEL
-        total = m.block_latency(f.entry)
-        assert total == sum(m.latency(i) for i in f.entry)
-        assert total > 0
-
     def test_custom_model(self):
         m = LatencyModel()
         m.opcode_latency[Opcode.ADD] = 99

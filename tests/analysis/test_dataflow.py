@@ -1,69 +1,45 @@
-"""Tests for the generic dataflow framework (block-level + sparse SSA)."""
+"""Tests for the sparse SSA dataflow solver."""
 
 import pytest
 
-from repro.analysis import (
-    FORWARD,
-    DataflowAnalysis,
-    SparseSolver,
-    run_dataflow,
-)
-from repro.ir.instructions import BinaryOp
+from repro.analysis import SparseSolver
+from repro.ir.instructions import BinaryOp, Phi
 from repro.ir.values import Constant
 
 from tests.support import parse
 
 
-# ---------------------------------------------------------------------------
-# block-level engine
+def _read(value, fact_of):
+    return value.value if isinstance(value, Constant) else fact_of(value)
 
 
-class _ReachedFrom(DataflowAnalysis):
-    """Forward may-analysis: the set of block names on some path here."""
-
-    direction = FORWARD
-
-    def boundary(self, function):
-        return frozenset()
-
-    def initial(self):
-        return frozenset()
-
-    def join(self, states):
-        out = frozenset()
-        for state in states:
-            out |= state
-        return out
-
-    def transfer(self, block, state):
-        return state | {block.name}
+def _const_fold_transfer(instr, fact_of):
+    """Tiny constant-folding client: int or the "top" sentinel."""
+    if isinstance(instr, BinaryOp) and instr.opcode == "add":
+        a, b = _read(instr.lhs, fact_of), _read(instr.rhs, fact_of)
+        if isinstance(a, int) and isinstance(b, int):
+            return a + b
+    return "top"
 
 
-class _Counter(DataflowAnalysis):
-    """Deliberately divergent on cycles: the per-block count grows by one
-    every visit, so only widening (or the visit cap) can stop it."""
+#: where the counter below saturates: a solver that lost its visit cap
+#: still terminates, so the cap test fails instead of hanging
+_SATURATION = 1000
 
-    direction = FORWARD
 
-    def __init__(self, with_widening):
-        self.with_widening = with_widening
+def _counter_transfer(instr, fact_of):
+    """A φ-carried counter: the φ takes the largest incoming count and
+    each ``add`` adds, so every trip round the loop raises both by one."""
+    if isinstance(instr, Phi):
+        return max(_read(value, fact_of) for value, _ in instr.incoming)
+    if isinstance(instr, BinaryOp) and instr.opcode == "add":
+        return min(_read(instr.lhs, fact_of) + _read(instr.rhs, fact_of),
+                   _SATURATION)
+    return 0
 
-    def boundary(self, function):
-        return 0.0
 
-    def initial(self):
-        return 0.0
-
-    def join(self, states):
-        return max(states) if states else 0.0
-
-    def transfer(self, block, state):
-        return state + 1.0
-
-    def widen(self, old, new):
-        if self.with_widening:
-            return float("inf")
-        return new
+def _to_infinity(old, new):
+    return new if new == old else float("inf")
 
 
 LOOP = """
@@ -79,82 +55,6 @@ x:
   ret void
 }
 """
-
-
-class TestRunDataflow:
-    def test_forward_reachability_through_a_diamond(self):
-        f = parse("""
-define void @k(i1 %c) {
-entry:
-  br i1 %c, label %t, label %e
-t:
-  br label %m
-e:
-  br label %m
-m:
-  ret void
-}
-""")
-        result = run_dataflow(f, _ReachedFrom())
-        merge = f.block_by_name("m")
-        # Facts from both arms meet at the merge.
-        assert result.state_in[merge] == {"entry", "t", "e"}
-        assert result.state_out[merge] == {"entry", "t", "e", "m"}
-
-    def test_acyclic_cfg_converges_in_one_sweep(self):
-        f = parse("""
-define void @k(i1 %c) {
-entry:
-  br i1 %c, label %t, label %e
-t:
-  br label %m
-e:
-  br label %m
-m:
-  ret void
-}
-""")
-        result = run_dataflow(f, _ReachedFrom())
-        # Reverse postorder seeding: every block transferred exactly once.
-        assert result.iterations == len(f.blocks)
-
-    def test_loop_reaches_fixpoint(self):
-        f = parse(LOOP)
-        result = run_dataflow(f, _ReachedFrom())
-        header = f.block_by_name("h")
-        # The back edge folds the header's own name into its input.
-        assert result.state_in[header] == {"entry", "h"}
-
-    def test_widening_terminates_an_infinite_lattice(self):
-        f = parse(LOOP)
-        result = run_dataflow(f, _Counter(with_widening=True),
-                              max_iterations_before_widen=3)
-        assert result.state_out[f.block_by_name("h")] == float("inf")
-
-    def test_visit_cap_raises_instead_of_returning_a_non_fixpoint(self):
-        f = parse(LOOP)
-        with pytest.raises(RuntimeError, match="did not converge"):
-            run_dataflow(f, _Counter(with_widening=False),
-                         max_iterations_before_widen=10_000, max_visits=50)
-
-
-# ---------------------------------------------------------------------------
-# sparse SSA engine
-
-
-def _const_fold_transfer(instr, fact_of):
-    """Tiny constant-folding client: int or the "top" sentinel."""
-
-    def read(value):
-        if isinstance(value, Constant):
-            return value.value
-        return fact_of(value)
-
-    if isinstance(instr, BinaryOp) and instr.opcode == "add":
-        a, b = read(instr.lhs), read(instr.rhs)
-        if isinstance(a, int) and isinstance(b, int):
-            return a + b
-    return "top"
 
 
 class TestSparseSolver:
@@ -197,3 +97,17 @@ entry:
         solver = self._solver()
         # Before solve, nothing has a fact.
         assert solver.fact_of(self._instr(f, "a")) is None
+
+    def test_widen_terminates_a_phi_carried_counter(self):
+        f = parse(LOOP)
+        solver = SparseSolver(bottom=0, join=max, transfer=_counter_transfer,
+                              widen=_to_infinity, widen_after=3)
+        solver.solve(f, max_visits=50)
+        assert solver.fact_of(self._instr(f, "i")) == float("inf")
+        assert solver.fact_of(self._instr(f, "ni")) == float("inf")
+
+    def test_visit_cap_raises_instead_of_returning_a_non_fixpoint(self):
+        f = parse(LOOP)
+        solver = SparseSolver(bottom=0, join=max, transfer=_counter_transfer)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            solver.solve(f, max_visits=50)

@@ -51,15 +51,6 @@ class TestDominatorsBasic:
         assert dt.nearest_common_dominator(then, merge) is entry
         assert dt.nearest_common_dominator(then, then) is then
 
-    def test_preorder_parents_first(self):
-        f = build_diamond()
-        dt = compute_dominator_tree(f)
-        order = dt.preorder()
-        position = {b: i for i, b in enumerate(order)}
-        for block in order:
-            parent = dt.idom(block)
-            if parent is not None:
-                assert position[parent] < position[block]
 
     def test_loop_header_dominates_body(self):
         f = parse("""

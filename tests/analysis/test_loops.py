@@ -105,20 +105,9 @@ class TestNestedLoops:
         inner = next(l for l in li if l.header.name == "ih")
         assert li.loop_for(f.block_by_name("ilatch")) is inner
 
-    def test_innermost_loops(self):
-        f = parse(NESTED_LOOPS)
-        li = compute_loop_info(f)
-        assert [l.header.name for l in li.innermost_loops()] == ["ih"]
-
-    def test_top_level(self):
-        f = parse(NESTED_LOOPS)
-        li = compute_loop_info(f)
-        assert [l.header.name for l in li.top_level] == ["oh"]
-
 
 class TestNoLoops:
     def test_diamond_has_no_loops(self):
         f = build_diamond()
         li = compute_loop_info(f)
         assert len(li) == 0
-        assert li.top_level == []

@@ -93,12 +93,6 @@ exit:
         assert region is not None
         assert f.block_by_name("latch") in region.blocks
 
-    def test_simple_region_flag(self):
-        f = build_diamond()
-        entry, then, els, merge = f.blocks
-        region = is_region(then, merge)
-        assert region.is_simple  # one entry edge, one exit edge
-
 
 class TestRegionBlocks:
     def test_blocks_exclude_exit(self):

@@ -20,7 +20,7 @@ class TestNeedlemanWunsch:
     def test_identical_sequences_fully_match(self):
         result = needleman_wunsch("abcd", "abcd", eq_score, gap_open=1.0)
         assert result.matches == list(zip("abcd", "abcd"))
-        assert result.num_gaps == 0
+        assert len(result.pairs) == 4
         assert result.score == 12.0
 
     def test_empty_sequences(self):
@@ -30,7 +30,8 @@ class TestNeedlemanWunsch:
 
     def test_one_empty_sequence_all_gaps(self):
         result = needleman_wunsch("ab", "", eq_score, gap_open=1.0, gap_extend=0.5)
-        assert result.num_gaps == 2
+        assert [(p.left, p.right) for p in result.pairs] == [
+            ("a", None), ("b", None)]
         assert result.score == -1.5  # open once, extend once
 
     def test_gap_open_zero_extension_constant_cost(self):

@@ -41,7 +41,6 @@ class TestStructure:
         p2 = builder.phi(I32, "p2")
         builder.add(c(1), c(2))
         assert a.phis == [p1, p2]
-        assert a.first_non_phi().opcode == "add"
         assert len(a.non_phi_instructions) == 1  # just the add
 
     def test_insert_before_terminator(self):

@@ -63,7 +63,6 @@ class TestIntRanges:
     def test_i32_range(self):
         assert I32.min_value == -(2**31)
         assert I32.max_value == 2**31 - 1
-        assert I32.unsigned_max == 2**32 - 1
 
     def test_i1_range(self):
         assert I1.min_value == 0

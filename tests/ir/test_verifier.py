@@ -14,7 +14,6 @@ from repro.ir import (
     VerificationError,
     const_bool,
     const_int,
-    is_well_formed,
     verify_function,
 )
 
@@ -47,7 +46,6 @@ x:
 }
 """)
         verify_function(f)
-        assert is_well_formed(f)
 
 
 class TestRejects:
@@ -191,8 +189,3 @@ m:
         term.set_operand(0, cond)  # swap in the i32 behind the builder's back
         with pytest.raises(VerificationError, match="non-i1"):
             verify_function(f)
-
-    def test_is_well_formed_false(self):
-        f = Function("f", [], [])
-        f.add_block("a")
-        assert not is_well_formed(f)

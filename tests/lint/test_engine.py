@@ -14,7 +14,6 @@ from repro.lint import (
     register,
     resolve_rules,
     run_lint,
-    worst_severity,
 )
 from repro.lint.engine import REGISTRY, LintContext
 from repro.obs import Tracer, use as use_tracer
@@ -128,11 +127,6 @@ class TestReportAlgebra:
                            diagnostics=[_diag(severity=Severity.WARNING)])
         assert later.new_errors(baseline) == []
         assert later.ok
-
-    def test_worst_severity(self):
-        assert worst_severity([]) is None
-        assert worst_severity([_diag(severity=Severity.WARNING),
-                               _diag(severity=Severity.ERROR)]) == "error"
 
     def test_render_and_dict(self):
         report = LintReport("k", diagnostics=[_diag()], rules_run=["x"])

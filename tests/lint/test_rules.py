@@ -4,8 +4,10 @@ The triggering kernels here are the same ones docs/lint.md's rule
 catalog shows — keep the two in sync.
 """
 
+import pytest
+
 import repro
-from repro.lint import run_lint
+from repro.lint import lint_kernel, run_lint
 from repro.obs import MeldingDecision
 
 from tests.support import parse
@@ -309,6 +311,14 @@ class TestMeldLegality:
         report = repro.lint(compiled)
         assert "meld-legality" in report.rules_run
         assert report.ok
+
+    def test_lint_kernel_reads_a_compile_reports_decision_log(self):
+        compiled = repro.compile(repro.ALL_BUILDERS["SB1"](), cfm=True)
+        compiled.cfm_stats.decisions.append(_decision(branch_divergent=False))
+        report = lint_kernel(compiled, rules=["meld-legality"])
+        assert len(report.by_rule("meld-legality")) == 1
+        with pytest.raises(TypeError, match="expected a Function"):
+            lint_kernel("nope")
 
 
 def _indexed_shared_kernel(index_kind: str):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ir import I32, Module
-from repro.simt import GPU, SimulationError
+from repro.simt import GPU
 
 from tests.support import parse
 
@@ -98,16 +98,3 @@ entry:
         with pytest.raises(TypeError):
             gpu.launch("k", 1, 1, args={"n": buf})
 
-    def test_assert_no_undef_clean_buffer(self):
-        gpu, _ = make_gpu()
-        buf = gpu.alloc("b", I32, 2)
-        buf.assert_no_undef()
-
-    def test_assert_no_undef_detects_leak(self):
-        from repro.simt import UNDEF
-
-        gpu, _ = make_gpu()
-        buf = gpu.alloc("b", I32, 2)
-        buf._segment.data[1] = UNDEF
-        with pytest.raises(SimulationError, match="undef leaked"):
-            buf.assert_no_undef()

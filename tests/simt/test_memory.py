@@ -95,7 +95,5 @@ class TestDeviceMemory:
         view = device.shared_for_block(0)
         sh_addr = view.var_address(device.module.globals["sh"])
         gl_addr = view.var_address(device.module.globals["gl"])
-        assert view.resolve_space(sh_addr) == AddressSpace.SHARED
-        assert view.resolve_space(gl_addr) == AddressSpace.GLOBAL
         assert sh_addr >= SHARED_BASE
         assert gl_addr < SHARED_BASE
