@@ -58,7 +58,12 @@ _DEFAULT_MEMORY_LATENCY: Dict[int, int] = {
 
 @dataclass
 class LatencyModel:
-    """``lat(i)`` of §IV-C; customizable for ablations."""
+    """``lat(i)`` of §IV-C.
+
+    Only the simulator's table is configurable
+    (:attr:`repro.simt.MachineConfig.latency`); CFM's profitability
+    metrics always score with :data:`DEFAULT_LATENCY_MODEL`.
+    """
 
     opcode_latency: Dict[str, int] = field(
         default_factory=lambda: dict(_DEFAULT_OPCODE_LATENCY))
@@ -92,9 +97,9 @@ DEFAULT_LATENCY_MODEL = LatencyModel()
 def latency_token(model: LatencyModel) -> str:
     """Stable text identity of a latency model's observable contents.
 
-    The one key of everything latency-dependent: :meth:`repro.simt.
-    MachineConfig.token`, the lowered-program memo, the compile cache's
-    ``cfm:`` pipeline ids and the ``machine_key`` of stored programs — so
+    The one key of everything latency-dependent: the lowered-program
+    memo, the compile cache's ``cfm:`` pipeline ids and the
+    ``machine_key`` of stored programs — so
     two models with equal tables share entries regardless of object
     identity, in this process and on disk.
     """

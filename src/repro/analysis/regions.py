@@ -24,6 +24,9 @@ from repro.ir.block import BasicBlock
 from .cfg import reachable_from
 from .dominators import DominatorTree, immediate_postdominator
 
+#: IPDOM-chain candidates :func:`smallest_region_containing` tries as exits
+MAX_CHAIN = 64
+
 
 @dataclass
 class Region:
@@ -87,7 +90,6 @@ def is_region(entry: BasicBlock, exit_: BasicBlock) -> Optional[Region]:
 def smallest_region_containing(
     branch_block: BasicBlock,
     pdt: DominatorTree,
-    max_chain: int = 64,
 ) -> Optional[Region]:
     """The smallest valid region whose entry is ``branch_block``.
 
@@ -97,7 +99,7 @@ def smallest_region_containing(
     chain yields a region (e.g. branches into irreducible control flow).
     """
     exit_ = immediate_postdominator(pdt, branch_block)
-    for _ in range(max_chain):
+    for _ in range(MAX_CHAIN):
         if exit_ is None:
             return None
         region = is_region(branch_block, exit_)

@@ -22,7 +22,7 @@ disk, so the cost is paid once per machine, not once per process:
   a launch of the stored program never does;
 * **two pipeline ids** per kernel: ``"o3"`` (the baseline arm) and
   ``cfm:<digest>`` (:func:`cfm_pipeline_id`, covering every
-  :class:`~repro.core.CFMConfig` knob plus its latency model), so a
+  :class:`~repro.core.CFMConfig` knob plus CFM's latency table), so a
   warm CFM arm replays O3 + melding + late cleanups in one lookup;
 * the **disk tier** is one JSON file per key, written to a temp file
   and landed by :func:`os.replace`, so concurrent writers race benignly
@@ -65,7 +65,7 @@ from repro.obs.decisions import MeldingDecision
 from repro.obs.passes import pass_timing_events
 from repro.obs.tracer import COMPILE_PID
 from repro.analysis.validate import MeldValidation
-from repro.analysis.latency import latency_token
+from repro.analysis.latency import DEFAULT_LATENCY_MODEL, latency_token
 from repro.simt import ProgramDecodeError, materialize_program, seed_program
 from repro.transforms import PassTiming
 
@@ -108,14 +108,15 @@ def cfm_pipeline_id(config: Optional[CFMConfig] = None) -> str:
     """Pipeline id of the full ``-O3 + CFM + late cleanups`` pipeline.
 
     The token is derived from ``dataclasses.fields(CFMConfig)`` — every
-    knob (``validate`` included, and the latency model feeding the
-    profitability heuristics) lands in the digest by construction, so
+    knob (``validate`` included) lands in the digest by construction, so
     sweeps over melding configurations never share entries and a new
-    knob cannot be forgotten.
+    knob cannot be forgotten.  The latency table the profitability
+    heuristics score with is in it too, so editing the table misses
+    every stored entry.
     """
     config = config or CFMConfig()
     token = {f.name: getattr(config, f.name) for f in fields(CFMConfig)}
-    token["latency"] = latency_token(config.latency)
+    token["latency"] = latency_token(DEFAULT_LATENCY_MODEL)
     return "cfm:" + digest_text(json.dumps(token, sort_keys=True))[:16]
 
 

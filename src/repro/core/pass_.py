@@ -32,7 +32,6 @@ from repro.analysis.divergence import (
     function_analyses,
     invalidate_divergence,
 )
-from repro.analysis.latency import DEFAULT_LATENCY_MODEL, LatencyModel
 from repro.analysis.validate import MeldValidation, RegionCapture
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
@@ -77,7 +76,6 @@ class CFMConfig:
     #: see :mod:`repro.analysis.validate`); off by default so evaluation
     #: sweeps pay nothing — one boolean check per meld
     validate: bool = False
-    latency: LatencyModel = field(default_factory=lambda: DEFAULT_LATENCY_MODEL)
 
 
 @dataclass
@@ -205,7 +203,7 @@ def _meld_one(function: Function, config: CFMConfig, stats: CFMStats,
                 facts.collector_inserted(sub.exit, sub.blocks - {sub.exit},
                                          sub.target)
 
-        pair = most_profitable_pair(true_subs, false_subs, config.latency)
+        pair = most_profitable_pair(true_subs, false_subs)
         if pair is None:
             stats.decisions.append(MeldingDecision(
                 iteration=stats.iterations, region_entry=region.entry.name,
@@ -214,7 +212,7 @@ def _meld_one(function: Function, config: CFMConfig, stats: CFMStats,
                        "pair exists across the two paths",
                 threshold=config.profitability_threshold))
             continue
-        alignments = align_mapping(pair.mapping, config.latency)
+        alignments = align_mapping(pair.mapping)
         decision = _score_pair(stats.iterations, region, pair, alignments,
                                config)
         # Stamped from the analysis (not from region selection), so the
@@ -297,8 +295,8 @@ def _score_pair(iteration: int, region: MeldableRegion, pair: SubgraphPair,
             continue
         block_scores.append(BlockPairScore(
             true_block=bt.name, false_block=bf.name,
-            fp_b=block_profitability(bt, bf, config.latency)))
-        fp_i_total += alignment_saved_cycles(alignment, config.latency)
+            fp_b=block_profitability(bt, bf)))
+        fp_i_total += alignment_saved_cycles(alignment)
     return MeldingDecision(
         iteration=iteration,
         region_entry=region.entry.name,

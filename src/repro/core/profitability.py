@@ -1,7 +1,9 @@
 """Melding profitability metrics ``FP_B``, ``FP_S``, ``FP_I`` (§IV-C).
 
 All three approximate the fraction (or number) of thread cycles melding
-saves, using the shared static latency model:
+saves, using the shared static latency table
+(:data:`~repro.analysis.latency.DEFAULT_LATENCY_MODEL`, the one the
+simulator charges by default):
 
 * ``FP_B(b1, b2)`` — block-level: best-case overlap of the two blocks'
   opcode-frequency profiles, weighted by latency and normalized by the
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.analysis.latency import DEFAULT_LATENCY_MODEL, LatencyModel
+from repro.analysis.latency import DEFAULT_LATENCY_MODEL
 from repro.ir.block import BasicBlock
 from repro.ir.instructions import Call, Instruction, Phi
 from repro.ir.values import Constant, Value
@@ -74,24 +76,17 @@ class BlockFacts(dict):
     first use.  Valid while no block it has seen is rewritten, so one
     lives for one scan (:func:`~repro.core.subgraph_align.most_profitable_pair`)."""
 
-    def __init__(self, latency: LatencyModel = DEFAULT_LATENCY_MODEL) -> None:
-        super().__init__()
-        self.latency = latency
-
     def __missing__(self, block: BasicBlock) -> Tuple[int, Profile]:
         instrs = meldable_instructions(block)
-        facts = self[block] = (sum(self.latency.latency(i) for i in instrs),
-                               _signature_profile(instrs, self.latency))
+        latency = DEFAULT_LATENCY_MODEL.latency
+        facts = self[block] = (sum(latency(i) for i in instrs),
+                               _signature_profile(instrs))
         return facts
 
 
-def block_profitability(
-    b1: BasicBlock,
-    b2: BasicBlock,
-    latency: LatencyModel = DEFAULT_LATENCY_MODEL,
-) -> float:
+def block_profitability(b1: BasicBlock, b2: BasicBlock) -> float:
     """``FP_B``: best-case saved-cycle fraction for melding two blocks."""
-    facts = BlockFacts(latency)
+    facts = BlockFacts()
     return _fp_b(facts[b1], facts[b2])
 
 
@@ -108,24 +103,23 @@ def _fp_b(facts1: Tuple[int, Profile], facts2: Tuple[int, Profile]) -> float:
     return saved / total
 
 
-def _signature_profile(instrs: Iterable[Instruction],
-                       latency: LatencyModel) -> Profile:
+def _signature_profile(instrs: Iterable[Instruction]) -> Profile:
+    latency = DEFAULT_LATENCY_MODEL.latency
     profile: Profile = {}
     for instr in instrs:
         signature = instr.operand_signature()
         count, _ = profile.get(signature, (0, 0))
-        profile[signature] = (count + 1, latency.latency(instr))
+        profile[signature] = (count + 1, latency(instr))
     return profile
 
 
 def subgraph_profitability(
     mapping: List[Tuple[BasicBlock, BasicBlock]],
-    latency: LatencyModel = DEFAULT_LATENCY_MODEL,
     facts: Optional[BlockFacts] = None,
 ) -> float:
     """``FP_S``: latency-weighted mean of ``FP_B`` over the block mapping
     ``O`` of two isomorphic subgraphs."""
-    facts = BlockFacts(latency) if facts is None else facts
+    facts = BlockFacts() if facts is None else facts
     numerator = 0.0
     denominator = 0.0
     for b1, b2 in mapping:
@@ -142,14 +136,13 @@ def partial_subgraph_profitability(
     region_blocks: Iterable[BasicBlock],
     chosen: BasicBlock,
     single: BasicBlock,
-    latency: LatencyModel = DEFAULT_LATENCY_MODEL,
     facts: Optional[BlockFacts] = None,
 ) -> float:
     """``FP_S`` for a case-② pairing: only the chosen block overlaps the
     single block; every other region block contributes latency to the
     denominator but saves nothing, so partial melds are naturally
     dominated by any available full isomorphism."""
-    facts = BlockFacts(latency) if facts is None else facts
+    facts = BlockFacts() if facts is None else facts
     pair_latency = facts[chosen][0] + facts[single][0]
     total = sum(facts[b][0] for b in region_blocks) + facts[single][0]
     if total == 0:
@@ -157,12 +150,9 @@ def partial_subgraph_profitability(
     return _fp_b(facts[chosen], facts[single]) * pair_latency / total
 
 
-def instruction_profitability(
-    a: Instruction,
-    b: Instruction,
-    latency: LatencyModel = DEFAULT_LATENCY_MODEL,
-) -> float:
+def instruction_profitability(a: Instruction, b: Instruction) -> float:
     """``FP_I``: cycles saved by melding ``a`` with ``b`` (0 if unmeldable)."""
     if not instructions_match(a, b):
         return 0.0
+    latency = DEFAULT_LATENCY_MODEL
     return latency.latency(a) - estimated_selects(a, b) * latency.select_latency

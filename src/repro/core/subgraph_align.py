@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.latency import DEFAULT_LATENCY_MODEL, LatencyModel
 from repro.ir.block import BasicBlock
 
 from .meldable import PartialMapping, region_block_mapping, subgraphs_meldable
@@ -96,13 +95,12 @@ def _partial_pair(st: SESESubgraph, sf: SESESubgraph, i: int, j: int,
 
 def candidate_pair(
     st: SESESubgraph, sf: SESESubgraph, i: int = 0, j: int = 0,
-    latency: LatencyModel = DEFAULT_LATENCY_MODEL,
     facts: Optional[BlockFacts] = None,
 ) -> Optional[SubgraphPair]:
     """The best way to meld this particular (true, false) subgraph pair:
     full isomorphism when available, case ② otherwise.  ``facts`` is the
-    scan's :class:`BlockFacts` (of ``latency``) when the caller has one."""
-    facts = BlockFacts(latency) if facts is None else facts
+    scan's :class:`BlockFacts` when the caller has one."""
+    facts = BlockFacts() if facts is None else facts
     pair = _full_pair(st, sf, i, j, facts)
     if pair is not None:
         return pair
@@ -112,11 +110,10 @@ def candidate_pair(
 def most_profitable_pair(
     true_path: List[SESESubgraph],
     false_path: List[SESESubgraph],
-    latency: LatencyModel = DEFAULT_LATENCY_MODEL,
 ) -> Optional[SubgraphPair]:
     """Greedy ``MostProfitableSubgraphPair`` (Algorithm 1).  Each block's
     latency and profile are read once for the whole ``m × n`` scan."""
-    facts = BlockFacts(latency)
+    facts = BlockFacts()
     best: Optional[SubgraphPair] = None
     for i, st in enumerate(true_path):
         for j, sf in enumerate(false_path):

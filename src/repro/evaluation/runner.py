@@ -31,24 +31,21 @@ __all__ = [
 ]
 
 
-def compile_baseline(case: KernelCase, verify: bool = True,
+def compile_baseline(case: KernelCase,
                      cache: Optional[CompileCache] = None,
                      machine: Optional[MachineConfig] = None
                      ) -> CompileResult:
     """``-O3`` pipeline only (the ``o3`` arm of
     :func:`repro.pipeline.compile_arm`)."""
-    return compile_arm(case, "o3", cache=cache, machine=machine,
-                       verify=verify)
+    return compile_arm(case, "o3", cache=cache, machine=machine)
 
 
 def compile_cfm(case: KernelCase, config: Optional[CFMConfig] = None,
-                verify: bool = True,
                 cache: Optional[CompileCache] = None,
                 machine: Optional[MachineConfig] = None) -> CompileResult:
     """``-O3`` + CFM + late cleanups, the §V-A pipeline (the ``o3-cfm``
     arm of :func:`repro.pipeline.compile_arm`)."""
-    return compile_arm(case, "o3-cfm", config, cache=cache, machine=machine,
-                       verify=verify)
+    return compile_arm(case, "o3-cfm", config, cache=cache, machine=machine)
 
 
 @dataclass

@@ -1,8 +1,8 @@
 """Machine model for the SIMT simulator.
 
 :class:`MachineConfig` is **the single machine description**: warp
-width, latency tables, coalescing, the warp executor *and* the
-reconvergence policy all live here, and every launch surface — ``GPU``,
+width, latency table, the warp executor *and* the reconvergence
+policy all live here, and every launch surface — ``GPU``,
 ``run_kernel``, ``repro.launch``, difftest's ``run_oracle``, the
 evaluation sweeps — accepts one uniform ``machine=`` argument (None
 means :data:`DEFAULT_CONFIG`).
@@ -18,32 +18,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.latency import LatencyModel, latency_token
+from repro.analysis.latency import LatencyModel
 
 from .reconvergence import RECONVERGENCE_POLICIES
 
 #: recognized ``MachineConfig.executor`` values
 EXECUTORS = ("fast", "reference")
 
+#: bytes per coalesced global-memory transaction
+COALESCE_SEGMENT_BYTES = 64
+#: extra cycles charged per additional memory transaction
+EXTRA_TRANSACTION_CYCLES = 32
+
 
 @dataclass
 class MachineConfig:
     """Tunable parameters of the simulated GPU.
 
-    Instances hash and compare by contents (:meth:`token`), so configs
-    can key caches directly — machines that differ in any observable
-    knob (including :attr:`reconvergence`) never alias.  A lowered µop
-    program sees only :attr:`latency`, so program caches key on that
-    alone (:func:`repro.simt.get_program`).
+    Instances compare by contents.  A lowered µop program sees only
+    :attr:`latency`, so program caches key on that alone
+    (:func:`repro.simt.get_program`).
     """
 
     warp_size: int = 32
-    #: static latency table shared with CFM's profitability heuristics
+    #: static latency table; by default equal to the one CFM's
+    #: profitability heuristics score with (DEFAULT_LATENCY_MODEL)
     latency: LatencyModel = field(default_factory=LatencyModel)
-    #: bytes per coalesced global-memory transaction
-    coalesce_segment_bytes: int = 64
-    #: extra cycles charged per additional memory transaction
-    extra_transaction_cycles: int = 32
     #: max steps per warp before the simulator assumes non-termination
     max_warp_steps: int = 2_000_000
     #: record a per-branch divergence profile (Metrics.branch_profile)
@@ -59,6 +59,10 @@ class MachineConfig:
     reconvergence: str = "ipdom"
 
     def __post_init__(self) -> None:
+        for name in ("warp_size", "max_warp_steps"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
         if self.executor not in EXECUTORS:
             raise ValueError(
                 f"unknown executor {self.executor!r}; "
@@ -73,20 +77,8 @@ class MachineConfig:
         addresses (at least 1 when any lane is active)."""
         if not addresses:
             return 0
-        seg = self.coalesce_segment_bytes
+        seg = COALESCE_SEGMENT_BYTES
         return len({addr // seg for addr in addresses})
-
-    # ---- identity ---------------------------------------------------------
-
-    def token(self) -> tuple:
-        """Hashable identity of every observable field (backs ``hash``)."""
-        return (self.warp_size, latency_token(self.latency),
-                self.coalesce_segment_bytes, self.extra_transaction_cycles,
-                self.max_warp_steps, self.profile_branches,
-                self.executor, self.reconvergence)
-
-    def __hash__(self) -> int:
-        return hash(self.token())
 
 
 DEFAULT_CONFIG = MachineConfig()

@@ -58,7 +58,7 @@ from typing import Callable, Iterator, List, Optional
 from repro.ir.types import AddressSpace
 from repro.obs import WarpTrace
 
-from .config import MachineConfig
+from .config import EXTRA_TRANSACTION_CYCLES, MachineConfig
 from .memory import SHARED_BASE
 from .metrics import Metrics
 from .reconvergence import PathScheduler
@@ -106,7 +106,7 @@ def account_memory(metrics: Metrics, config: MachineConfig, static_space: int,
         transactions = 1
     else:
         transactions = max(1, config.transactions_for(addresses))
-    extra = (transactions - 1) * config.extra_transaction_cycles
+    extra = (transactions - 1) * EXTRA_TRANSACTION_CYCLES
     metrics.record_memory(static_space, latency + extra, transactions)
 
 

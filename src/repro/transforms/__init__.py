@@ -30,12 +30,7 @@ from .simplifycfg import (
 )
 from .ssa_repair import repair_ssa
 from .clone import ClonedSubgraph, clone_blocks
-from .unroll import (
-    UnrollLimits,
-    compute_trip_count,
-    unroll_loop,
-    unroll_loops,
-)
+from .unroll import compute_trip_count, unroll_loop, unroll_loops
 from .speculate import speculate_hammocks
 from .licm import hoist_loop_invariants
 
@@ -50,7 +45,7 @@ __all__ = [
     "remove_unreachable_blocks", "simplify_cfg",
     "repair_ssa",
     "ClonedSubgraph", "clone_blocks",
-    "UnrollLimits", "compute_trip_count", "unroll_loop", "unroll_loops",
+    "compute_trip_count", "unroll_loop", "unroll_loops",
     "speculate_hammocks", "hoist_loop_invariants",
     "o3_pipeline", "optimize", "late_pipeline",
 ]

@@ -24,8 +24,8 @@ from repro.ir.values import Constant
 DEFAULT_MAX_SPECULATED = 8
 
 
-def _speculatable_arm(block: BasicBlock, head: BasicBlock, merge: BasicBlock,
-                      limit: int) -> Optional[List[Instruction]]:
+def _speculatable_arm(block: BasicBlock, head: BasicBlock, merge: BasicBlock
+                      ) -> Optional[List[Instruction]]:
     """``block`` qualifies as a hoistable arm of ``head``: single pred,
     single succ to ``merge``, all instructions speculatable."""
     if block.single_pred is not head or block.single_succ is not merge:
@@ -34,15 +34,14 @@ def _speculatable_arm(block: BasicBlock, head: BasicBlock, merge: BasicBlock,
     if not isinstance(term, Branch) or term.is_conditional:
         return None
     body = [i for i in block.instructions if i is not term]
-    if len(body) > limit:
+    if len(body) > DEFAULT_MAX_SPECULATED:
         return None
     if any(not i.is_speculatable for i in body):
         return None
     return body
 
 
-def speculate_hammocks(function: Function,
-                       limit: int = DEFAULT_MAX_SPECULATED) -> bool:
+def speculate_hammocks(function: Function) -> bool:
     """Flatten hammocks, first head in block order first, to a fixpoint.
 
     After a flatten the head ends in an unconditional branch, so only a
@@ -54,7 +53,7 @@ def speculate_hammocks(function: Function,
     changed = False
     start = 0
     while True:
-        flattened = _speculate_once(function.blocks[start:], limit)
+        flattened = _speculate_once(function.blocks[start:])
         if flattened is None:
             return changed
         changed = True
@@ -64,7 +63,7 @@ def speculate_hammocks(function: Function,
             blocks.index(b) for b in (head, *head._preds))
 
 
-def _speculate_once(blocks: List[BasicBlock], limit: int
+def _speculate_once(blocks: List[BasicBlock]
                     ) -> Optional[Tuple[BasicBlock, bool]]:
     """Flatten the first speculatable hammock headed in ``blocks``;
     returns its head and :func:`_flatten`'s answer, or ``None``."""
@@ -79,8 +78,8 @@ def _speculate_once(blocks: List[BasicBlock], limit: int
         # Diamond: head -> (T|F) -> merge.
         merge = true_block.single_succ
         if merge is not None and false_block.single_succ is merge:
-            true_body = _speculatable_arm(true_block, head, merge, limit)
-            false_body = _speculatable_arm(false_block, head, merge, limit)
+            true_body = _speculatable_arm(true_block, head, merge)
+            false_body = _speculatable_arm(false_block, head, merge)
             if true_body is not None and false_body is not None:
                 return head, _flatten(head, term, merge, true_block, true_body,
                                       false_block, false_body)
@@ -89,7 +88,7 @@ def _speculate_once(blocks: List[BasicBlock], limit: int
         for arm, other, arm_is_true in ((true_block, false_block, True),
                                         (false_block, true_block, False)):
             if arm.single_succ is other:
-                body = _speculatable_arm(arm, head, other, limit)
+                body = _speculatable_arm(arm, head, other)
                 if body is None:
                     continue
                 return head, _flatten(

@@ -23,7 +23,6 @@ inner clones (e.g. bitonic's ``j = k / 2``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.analysis.loops import Loop, compute_loop_info
@@ -39,29 +38,25 @@ from .dce import eliminate_dead_code
 from .simplifycfg import simplify_cfg
 
 
-@dataclass
-class UnrollLimits:
-    """Safety valves for code growth."""
-
-    max_trip_count: int = 128
-    max_unrolled_instructions: int = 100_000
-    max_eval_steps: int = 10_000
-
-
-DEFAULT_LIMITS = UnrollLimits()
+# Safety valves for code growth.
+#: loops running more trips than this stay loops
+MAX_TRIP_COUNT = 128
+#: trips × body size above this stays a loop
+MAX_UNROLLED_INSTRUCTIONS = 100_000
+#: symbolic evaluation steps per trip before the trip count is unknown
+MAX_EVAL_STEPS = 10_000
 
 
 class _SymbolicEvaluator:
     """Evaluates pure instruction DAGs over current φ values."""
 
-    def __init__(self, phi_values: Dict[Phi, int], limits: UnrollLimits) -> None:
+    def __init__(self, phi_values: Dict[Phi, int]) -> None:
         self.phi_values = phi_values
-        self.limits = limits
         self._steps = 0
 
     def eval(self, value: Value) -> Optional[object]:
         self._steps += 1
-        if self._steps > self.limits.max_eval_steps:
+        if self._steps > MAX_EVAL_STEPS:
             return None
         if isinstance(value, Constant):
             return value.value
@@ -107,7 +102,7 @@ def _loop_shape(loop: Loop):
     return inside[0], outside[0], latch, preheaders[0]
 
 
-def compute_trip_count(loop: Loop, limits: UnrollLimits = DEFAULT_LIMITS) -> Optional[int]:
+def compute_trip_count(loop: Loop) -> Optional[int]:
     """Trip count (number of body executions) by symbolic execution, or
     ``None`` when the loop is not a recognizable counted loop."""
     shape = _loop_shape(loop)
@@ -127,8 +122,8 @@ def compute_trip_count(loop: Loop, limits: UnrollLimits = DEFAULT_LIMITS) -> Opt
         values[phi] = init.value
 
     trips = 0
-    while trips <= limits.max_trip_count:
-        evaluator = _SymbolicEvaluator(values, limits)
+    while trips <= MAX_TRIP_COUNT:
+        evaluator = _SymbolicEvaluator(values)
         cond = evaluator.eval(term.condition)
         if cond is None:
             return None
@@ -136,7 +131,7 @@ def compute_trip_count(loop: Loop, limits: UnrollLimits = DEFAULT_LIMITS) -> Opt
         if not enters_body:
             return trips
         # Advance all φs simultaneously through the latch values.
-        evaluator = _SymbolicEvaluator(values, limits)
+        evaluator = _SymbolicEvaluator(values)
         next_values: Dict[Phi, object] = {}
         for phi in phis:
             result = evaluator.eval(phi.incoming_for(latch))
@@ -148,10 +143,9 @@ def compute_trip_count(loop: Loop, limits: UnrollLimits = DEFAULT_LIMITS) -> Opt
     return None
 
 
-def unroll_loop(function: Function, loop: Loop,
-                limits: UnrollLimits = DEFAULT_LIMITS) -> bool:
+def unroll_loop(function: Function, loop: Loop) -> bool:
     """Fully unroll one counted loop.  Returns True on success."""
-    trips = compute_trip_count(loop, limits)
+    trips = compute_trip_count(loop)
     if trips is None:
         return False
     shape = _loop_shape(loop)
@@ -162,7 +156,7 @@ def unroll_loop(function: Function, loop: Loop,
     body_blocks = [b for b in function.blocks if b in loop.blocks and b is not header]
     header_extras = [i for i in header.non_phi_instructions if not i.is_terminator]
     body_size = sum(len(b) for b in body_blocks) + len(header_extras)
-    if trips * max(1, body_size) > limits.max_unrolled_instructions:
+    if trips * max(1, body_size) > MAX_UNROLLED_INSTRUCTIONS:
         return False
     # φs inside the body must not reference the header as a predecessor
     # (clone_blocks would drop those incoming entries).
@@ -244,7 +238,7 @@ def unroll_loop(function: Function, loop: Loop,
     return True
 
 
-def unroll_loops(function: Function, limits: UnrollLimits = DEFAULT_LIMITS) -> bool:
+def unroll_loops(function: Function) -> bool:
     """Unroll all counted loops inside-out, interleaving constant folding
     so outer unrolling exposes inner trip counts."""
     changed = False
@@ -255,7 +249,7 @@ def unroll_loops(function: Function, limits: UnrollLimits = DEFAULT_LIMITS) -> b
         loop_info = compute_loop_info(function)
         # Innermost first: deepest loops have no children.
         for loop in sorted(loop_info.loops, key=lambda l: -l.depth):
-            if unroll_loop(function, loop, limits):
+            if unroll_loop(function, loop):
                 progress = changed = True
                 break  # loop structures are stale; recompute
     if changed:

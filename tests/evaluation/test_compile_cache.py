@@ -9,6 +9,7 @@ stored IR no longer parses used to fail every lookup forever, instead of
 being evicted and recompiled.
 """
 
+import dataclasses
 import gc
 import json
 import multiprocessing
@@ -29,6 +30,7 @@ from repro.compile_cache import (
     cfm_pipeline_id,
     digest_text,
 )
+from repro.analysis.latency import DEFAULT_LATENCY_MODEL
 from repro.core import CFMConfig
 from repro.difftest.generator import build_kernel, generate_spec
 from repro.evaluation import (
@@ -88,6 +90,22 @@ class TestKeys:
         assert default.startswith("cfm:")
         tuned = cfm_pipeline_id(CFMConfig(profitability_threshold=0.9))
         assert tuned != default
+
+    def test_cfm_pipeline_ids_are_pinned(self):
+        # Stored entries are addressed by these ids: a change that moves
+        # them strands every disk cache.
+        assert cfm_pipeline_id() == "cfm:24b05d4c794066e2"
+        assert cfm_pipeline_id(CFMConfig(validate=True)) \
+            == "cfm:222758b6e16b6e84"
+
+    def test_cfm_pipeline_id_covers_the_latency_table(self, monkeypatch):
+        # CFM scores with the one latency table, so an edit of the table
+        # must miss every stored entry.
+        default = cfm_pipeline_id()
+        monkeypatch.setattr(
+            compile_cache, "DEFAULT_LATENCY_MODEL",
+            dataclasses.replace(DEFAULT_LATENCY_MODEL, barrier_latency=99))
+        assert cfm_pipeline_id() != default
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from repro.ir import scalars
 from repro.ir.scalars import EvalError, eval_strict, trap_operand
 from repro.simt import MachineConfig, SimulationError, lowering, run_kernel
 from repro.transforms import fold_constants
-from repro.transforms.unroll import DEFAULT_LIMITS, _SymbolicEvaluator
+from repro.transforms.unroll import _SymbolicEvaluator
 
 from tests.test_pipeline_driver import _sites
 
@@ -153,7 +153,7 @@ def _static_consumers(make, types, values):
         else None
 
     instr = make(*constants)
-    evaluated = _SymbolicEvaluator({}, DEFAULT_LIMITS).eval(instr)
+    evaluated = _SymbolicEvaluator({}).eval(instr)
     evaluated = None if evaluated is None else repr(evaluated)
 
     executor = validate._CaseExecutor(None, validate.SymbolTable(),

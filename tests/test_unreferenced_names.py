@@ -83,6 +83,7 @@ RETIRED = {
     "num_matches", "num_gaps", "is_gap", "error_fingerprints",
     "is_simple", "assert_no_undef", "figures9_and_10", "I16",
     "is_well_formed", "worst_severity", "_as_function",
+    "UnrollLimits", "DEFAULT_LIMITS",
 }
 
 

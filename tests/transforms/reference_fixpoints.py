@@ -20,7 +20,7 @@ from __future__ import annotations
 from repro.ir.function import Function
 from repro.transforms import simplifycfg as _cfg
 from repro.transforms.dce import eliminate_dead_code
-from repro.transforms.speculate import DEFAULT_MAX_SPECULATED, _speculate_once
+from repro.transforms.speculate import _speculate_once
 
 
 def simplify_cfg(function: Function) -> bool:
@@ -48,10 +48,9 @@ def merge_first_straightline_pair(function: Function) -> bool:
     return False
 
 
-def speculate_hammocks(function: Function,
-                       limit: int = DEFAULT_MAX_SPECULATED) -> bool:
+def speculate_hammocks(function: Function) -> bool:
     changed = False
-    while _speculate_once(function.blocks, limit) is not None:
+    while _speculate_once(function.blocks) is not None:
         changed = True
     return changed
 

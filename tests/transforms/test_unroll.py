@@ -5,12 +5,12 @@ import pytest
 from repro.analysis import compute_loop_info
 from repro.ir import verify_function
 from repro.transforms import (
-    UnrollLimits,
     compute_trip_count,
     optimize,
     unroll_loop,
     unroll_loops,
 )
+from repro.transforms.unroll import MAX_TRIP_COUNT
 
 from tests.support import parse
 
@@ -151,9 +151,12 @@ class TestUnrollLoop:
         assert not any(i.opcode == "store" for i in f.instructions())
 
     def test_respects_trip_limit(self):
-        f = parse(simple_loop(50))
-        loop = compute_loop_info(f).loops[0]
-        assert not unroll_loop(f, loop, UnrollLimits(max_trip_count=10))
+        # Exactly at the limit unrolls; one trip over stays a loop.
+        for trips, unrolls in ((MAX_TRIP_COUNT, True),
+                               (MAX_TRIP_COUNT + 1, False)):
+            f = parse(simple_loop(trips))
+            loop = compute_loop_info(f).loops[0]
+            assert unroll_loop(f, loop) is unrolls
 
     def test_live_out_value(self):
         f = parse("""
