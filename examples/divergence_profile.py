@@ -1,6 +1,8 @@
 """Profile a kernel's dynamic divergence, per branch — the measurement
 that motivates CFM (§I): which branches actually serialize warps, how
-often, and what melding does about it.
+often, and what melding does about it.  The profile is the launch's
+warp trace: every branch issue is a ``branch`` or ``diverge`` event, and
+``divergence_summary`` counts them per block.
 
 Run:  python examples/divergence_profile.py [kernel] [block_size]
 """
@@ -9,27 +11,30 @@ import sys
 
 from repro import (
     ALL_BUILDERS,
-    MachineConfig,
     compile_baseline,
     compile_cfm,
+    divergence_summary,
     run_kernel,
+    trace,
 )
 
 
 def profile(case, label):
-    machine = MachineConfig(profile_branches=True)
     inputs = case.make_buffers(99)
-    _, metrics = run_kernel(case.module, case.kernel, case.grid_dim,
-                            case.block_dim,
-                            buffers={k: list(v) for k, v in inputs.items()},
-                            scalars=case.scalars, machine=machine)
+    with trace() as tracer:
+        _, metrics = run_kernel(case.module, case.kernel, case.grid_dim,
+                                case.block_dim,
+                                buffers={k: list(v) for k, v in inputs.items()},
+                                scalars=case.scalars)
+    (launch,) = divergence_summary(tracer.events)
     print(f"\n{label}: {metrics.cycles} cycles, "
           f"{metrics.divergent_branches}/{metrics.branches} branch issues divergent")
-    rows = sorted(metrics.branch_profile.items(),
-                  key=lambda kv: kv[1][1], reverse=True)
+    rows = sorted((s for s in launch.blocks.values() if s.branch_executions),
+                  key=lambda s: s.divergent_executions, reverse=True)
     print(f"  {'branch block':<28s} {'execs':>7s} {'divergent':>10s} {'rate':>6s}")
-    for name, (execs, divs) in rows[:12]:
-        print(f"  %{name:<27s} {execs:>7d} {divs:>10d} {divs/execs:>6.1%}")
+    for stat in rows[:12]:
+        print(f"  %{stat.block:<27s} {stat.branch_executions:>7d} "
+              f"{stat.divergent_executions:>10d} {stat.divergence_rate:>6.1%}")
     return metrics
 
 

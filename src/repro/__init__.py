@@ -162,12 +162,12 @@ from repro.facade import (
 from repro import lint
 from repro.obs import (
     MetricsRegistry,
-    NULL_REGISTRY,
     NullTracer,
     Tracer,
     collect_metrics,
     current_registry,
     current_tracer,
+    divergence_summary,
     trace,
     use_registry,
 )
@@ -177,8 +177,8 @@ __all__ = [
     "compile", "launch", "meld", "analyze", "lint",
     "CompileReport", "LaunchResult", "COMPILE_LEVELS",
     # observability (repro.obs)
-    "trace", "Tracer", "NullTracer", "current_tracer",
-    "MetricsRegistry", "NULL_REGISTRY", "current_registry",
+    "trace", "Tracer", "NullTracer", "current_tracer", "divergence_summary",
+    "MetricsRegistry", "current_registry",
     "use_registry", "collect_metrics",
     # IR essentials
     "Function", "Module", "I1", "I32", "ICmpPredicate",

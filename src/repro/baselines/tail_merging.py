@@ -11,12 +11,12 @@ out of reach.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
 from repro.ir.instructions import Branch, Instruction, Phi
-from repro.ir.values import Constant, Value
+from repro.ir.values import Constant
 
 
 def _identical(a: Instruction, b: Instruction,

@@ -19,7 +19,7 @@ from repro.analysis.divergence import DivergenceInfo
 from repro.analysis.dominators import DominatorTree
 from repro.analysis.regions import Region, smallest_region_containing
 from repro.ir.block import BasicBlock
-from repro.ir.instructions import Branch, Call, Instruction
+from repro.ir.instructions import Branch, Call
 
 from .sese import SESESubgraph
 

@@ -55,7 +55,7 @@ from repro.transforms.ssa_repair import repair_ssa
 
 from .instr_align import InstructionPair, align_mapping, alignment_saved_cycles
 from .meldable import MeldableRegion, find_meldable_region
-from .melder import Melder, MeldResult
+from .melder import Melder
 from .profitability import block_profitability
 from .sese import path_subgraphs, simplify_path_subgraphs
 from .subgraph_align import SubgraphPair, most_profitable_pair

@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.analysis.latency import DEFAULT_LATENCY_MODEL
 from repro.ir.block import BasicBlock
 from repro.ir.instructions import Call, Instruction, Phi
-from repro.ir.values import Constant, Value
+from repro.ir.values import Constant
 
 
 def meldable_instructions(block: BasicBlock) -> List[Instruction]:

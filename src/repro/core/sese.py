@@ -21,11 +21,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Set
 
 from repro.analysis.cfg import reachable_from
-from repro.analysis.dominators import (
-    DominatorTree,
-    compute_postdominator_tree,
-    immediate_postdominator,
-)
+from repro.analysis.dominators import DominatorTree, immediate_postdominator
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
 from repro.ir.instructions import Branch

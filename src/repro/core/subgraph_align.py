@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.ir.block import BasicBlock
 
-from .meldable import PartialMapping, region_block_mapping, subgraphs_meldable
+from .meldable import region_block_mapping, subgraphs_meldable
 from .profitability import (
     BlockFacts,
     partial_subgraph_profitability,

@@ -25,7 +25,6 @@ from repro.analysis.divergence import CFGFacts
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
 from repro.ir.instructions import Branch, Instruction, Phi
-from repro.ir.values import Value
 from repro.transforms.ssa_repair import repair_ssa
 
 from .melder import MeldResult, Side

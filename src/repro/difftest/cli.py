@@ -186,7 +186,7 @@ def _campaign_body(args: argparse.Namespace, arms: Sequence[str],
     elapsed = time.perf_counter() - start
     rate = tested / elapsed if elapsed > 0 else 0.0
     registry = current_registry()
-    if registry.enabled:
+    if registry is not None:
         registry.counter("repro_difftest_seeds_total",
                          "Generator seeds run through the oracle").inc(tested)
         registry.counter("repro_difftest_melds_total",

@@ -29,8 +29,6 @@ from .generator import KernelSpec
 from .oracle import ALL_ARMS, Verdict, run_oracle
 
 ENTRY_SCHEMA = "repro.difftest.corpus/2"
-#: previous layout (no per-arm traces); still readable
-ENTRY_SCHEMA_V1 = "repro.difftest.corpus/1"
 
 _REPRO_TEMPLATE = '''\
 #!/usr/bin/env python
@@ -92,7 +90,7 @@ class CorpusEntry:
     #: :func:`replay` re-enables it so validate-class failures reproduce
     validate: bool = False
     #: per failing arm: pass-span trace events + melding decision log
-    #: (schema /2; empty for entries recorded under /1)
+    #: (empty when the failure was recorded without them)
     traces: List[dict] = field(default_factory=list)
     path: Optional[Path] = None
 
@@ -149,11 +147,11 @@ def write_entry(corpus_dir: Path, spec: KernelSpec, verdict: Verdict,
 
 
 def load_entry(path: Path) -> CorpusEntry:
-    """Read a corpus entry of either schema version (/1 entries load
-    with an empty ``traces`` list)."""
+    """Read a corpus entry; any schema but :data:`ENTRY_SCHEMA` raises
+    :class:`ValueError`."""
     path = Path(path)
     data = json.loads(path.read_text())
-    if data.get("schema") not in (ENTRY_SCHEMA, ENTRY_SCHEMA_V1):
+    if data.get("schema") != ENTRY_SCHEMA:
         raise ValueError(f"{path}: not a corpus entry "
                          f"(schema {data.get('schema')!r})")
     return CorpusEntry(
@@ -166,7 +164,7 @@ def load_entry(path: Path) -> CorpusEntry:
         statements=data["statements"],
         injected_bug=data.get("injected_bug"),
         validate=bool(data.get("validate", False)),
-        traces=list(data.get("traces", [])),
+        traces=list(data["traces"]),
         path=path,
     )
 

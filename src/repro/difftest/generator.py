@@ -25,10 +25,9 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
-import repro
-from repro import GLOBAL_I32_PTR, SHARED_I32_PTR, I32, ICmpPredicate, KernelBuilder
+from repro import GLOBAL_I32_PTR, I32, ICmpPredicate, KernelBuilder
 
 Stmt = Dict[str, object]
 

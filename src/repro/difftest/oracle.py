@@ -50,7 +50,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import repro
 from repro import CFMConfig, GPU, MachineConfig, verify_function

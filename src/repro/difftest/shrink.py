@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Tuple
 
-from .generator import KernelSpec, Stmt, count_statements
+from .generator import KernelSpec, Stmt
 
 Predicate = Callable[[KernelSpec], bool]
 

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.compile_cache import CACHE_ENV_VAR, cache_dir_setting
 from repro.kernels import REAL_WORLD_BUILDERS, SYNTHETIC_BUILDERS
-from repro.obs import MetricsRegistry, NULL_REGISTRY, use_registry
+from repro.obs import MetricsRegistry, use_registry
 from repro.simt import RECONVERGENCE_POLICIES, MachineConfig
 
 from .experiments import (
@@ -240,7 +240,7 @@ def main(argv=None) -> int:
     # Aggregate metrics ride along whenever there is somewhere to put
     # them: the --metrics file and/or the sweep trace's "metrics" key.
     registry = (MetricsRegistry() if args.metrics or trace is not None
-                else NULL_REGISTRY)
+                else None)
     with use_registry(registry):
         report, data = build_report(
             quick=args.quick, workers=args.workers, timeout=args.timeout,
@@ -262,7 +262,7 @@ def main(argv=None) -> int:
         print(f"wrote {args.metrics}")
 
     if trace is not None:
-        if registry.enabled:
+        if registry is not None:
             trace.metrics = registry.snapshot()
         trace_path = args.trace or os.path.join(
             os.path.dirname(args.out) if args.out else ".",

@@ -29,7 +29,7 @@ from .parallel import (
     fold_sweep_metrics,
     run_task,
 )
-from .runner import Comparison, compare, compile_baseline, compile_cfm, execute, geomean
+from .runner import Comparison, compile_baseline, compile_cfm, execute, geomean
 from .trace import SweepTraceCollector
 
 #: block-size sweeps (paper §VI-A treats block size as exogenous)
@@ -109,8 +109,8 @@ def run_sweep(
 
     ``progress`` (e.g. a :class:`~repro.evaluation.progress.ProgressLine`)
     is called after each terminal task with ``(done, total, task,
-    outcome)``.  When the ambient :func:`~repro.obs.current_registry` is
-    enabled, every task collects an aggregate-metrics delta and
+    outcome)``.  When an ambient :func:`~repro.obs.current_registry` is
+    installed, every task collects an aggregate-metrics delta and
     :func:`~repro.evaluation.parallel.fold_sweep_metrics` folds them in.
     """
     policy = trace.policy if trace is not None else "off"
@@ -128,7 +128,7 @@ def run_sweep(
         settled.append(outcome)
         progress(len(settled), len(tasks), tasks[outcome.index], outcome)
 
-    collect = current_registry().enabled
+    collect = current_registry() is not None
     start = time.perf_counter()
     with Scheduler(workers=workers if workers > 1 else 0,
                    timeout=timeout) as scheduler:

@@ -145,7 +145,7 @@ def fold_sweep_metrics(outcomes: Sequence[Optional[TaskOutcome]],
     """
     registry = current_registry()
     outcomes = [outcome for outcome in outcomes if outcome is not None]
-    if not registry.enabled or not outcomes:
+    if registry is None or not outcomes:
         return
     for outcome in outcomes:
         if outcome.metrics_delta:

@@ -35,7 +35,7 @@ from repro.scheduler import TaskOutcome
 from .parallel import SweepTask
 
 #: bump when the trace layout changes; consumers key off this
-SWEEP_TRACE_SCHEMA = "repro.evaluation.sweep_trace/v4"
+SWEEP_TRACE_SCHEMA = "repro.evaluation.sweep_trace/v5"
 
 #: task-tracing policies for sweeps: nothing, the first block size of
 #: each kernel (bounded file size), or every task

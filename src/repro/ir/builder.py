@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .types import Type, IntType, FloatType, I1, I32, VOID
+from .types import Type, I32, VOID
 from .values import Constant, Undef, Value
 from .block import BasicBlock
 from .function import Function

@@ -14,7 +14,7 @@ No Graphviz binding is needed; the output is plain DOT text:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set
+from typing import Iterable, Optional, Set
 
 from .block import BasicBlock
 from .function import Function

@@ -31,16 +31,7 @@ from .values import Constant, Undef, Value
 from .block import BasicBlock
 from .builder import IRBuilder
 from .function import Function, GlobalVariable, Module
-from .instructions import (
-    Branch,
-    Call,
-    Cast,
-    FCmpPredicate,
-    ICmpPredicate,
-    Opcode,
-    Phi,
-    Ret,
-)
+from .instructions import Opcode
 
 
 class ParseError(Exception):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import List
 
-from .values import Constant, Undef, Argument, Value
+from .values import Constant, Undef, Value
 from .block import BasicBlock
 from .function import Function, GlobalVariable, Module
 from .instructions import (

@@ -13,12 +13,9 @@ collapse into a single melded instruction.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple, TYPE_CHECKING
+from typing import Iterator, List, Optional, Tuple
 
 from .types import Type, IntType, FloatType, I1
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from .block import BasicBlock
 
 
 class Value:

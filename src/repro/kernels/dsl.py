@@ -37,7 +37,6 @@ from repro.ir import (
     ICmpPredicate,
     Module,
     Phi,
-    PointerType,
     Type,
     Value,
     pointer,

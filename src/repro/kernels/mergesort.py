@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.ir import I1, I32, ICmpPredicate, const_bool
+from repro.ir import I32, ICmpPredicate, const_bool
 
 from .common import KernelCase, make_rng, random_ints
 from .dsl import GLOBAL_I32_PTR, KernelBuilder

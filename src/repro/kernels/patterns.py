@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.ir import I32, ICmpPredicate
+from repro.ir import ICmpPredicate
 
 from .common import KernelCase, make_rng, random_ints
 from .dsl import GLOBAL_I32_PTR, KernelBuilder

@@ -21,7 +21,7 @@ so tests can validate outputs independently of the simulator.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List
 
 from repro.ir import I32, ICmpPredicate
 from repro.ir.values import Value

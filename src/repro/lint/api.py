@@ -10,7 +10,7 @@ acceptance test are built on it.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Union
 
 from repro.ir.function import Function
 from repro.pipeline import ARMS, as_function, compile_arm

@@ -20,9 +20,8 @@ compilers):
   defined behaviour).
 * ``info`` — advisory findings.
 
-:class:`LintConfig` is the suppression/override surface: disable rules
-wholesale or re-map a rule's severity (e.g. promote ``dead-store`` to
-``error`` in a strict CI lane).
+:class:`LintConfig` is the suppression surface: it disables rules
+wholesale.
 """
 
 from __future__ import annotations
@@ -122,32 +121,19 @@ class Diagnostic:
 
 @dataclass
 class LintConfig:
-    """Suppression and severity-override configuration.
-
-    ``disabled`` names rules that do not run at all;
-    ``severity_overrides`` re-maps a rule's reported severity (must be a
-    member of :data:`Severity.ALL`).
-    """
+    """Suppression configuration: ``disabled`` names rules that do not
+    run at all."""
 
     disabled: Set[str] = field(default_factory=set)
-    severity_overrides: Dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.disabled = set(self.disabled)
-        for rule, severity in self.severity_overrides.items():
-            if severity not in Severity.ALL:
-                raise ValueError(
-                    f"bad severity override {severity!r} for rule {rule!r} "
-                    f"(expected one of {Severity.ALL})")
 
     def is_enabled(self, rule_id: str) -> bool:
         return rule_id not in self.disabled
 
-    def severity_for(self, rule_id: str, default: str) -> str:
-        return self.severity_overrides.get(rule_id, default)
 
-
-#: shared default configuration (nothing disabled, nothing overridden)
+#: shared default configuration (nothing disabled)
 DEFAULT_CONFIG = LintConfig()
 
 

@@ -1,9 +1,9 @@
 """Rule registry and diagnostics engine.
 
 A :class:`LintRule` inspects one function through a :class:`LintContext`
-— a per-run cache of the analyses rules share (divergence, dominators,
-post-dominance frontiers, loops, reachability), so ten rules cost one
-fixpoint, not ten.  Rules register themselves in a module-level registry
+— a per-run cache of the analyses rules share (divergence, post-dominance
+frontiers, reachability, value ranges), so ten rules cost one fixpoint,
+not ten.  Rules register themselves in a module-level registry
 (:func:`register`); :func:`run_lint` instantiates nothing — the registry
 holds singleton rule objects, and all per-run state lives on the context.
 
@@ -24,12 +24,7 @@ from repro.analysis.divergence import (
     FunctionAnalyses,
     function_analyses,
 )
-from repro.analysis.dominators import (
-    DominatorTree,
-    compute_dominator_tree,
-    postdominance_frontier,
-)
-from repro.analysis.loops import LoopInfo
+from repro.analysis.dominators import DominatorTree, postdominance_frontier
 from repro.analysis.ranges import ValueRanges, compute_ranges
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
@@ -60,7 +55,6 @@ class LintContext:
         #: meld-legality audit)
         self.decisions: List[object] = list(decisions or [])
         self._analyses: Optional[FunctionAnalyses] = None
-        self._dominators: Optional[DominatorTree] = None
         self._pdf: Optional[Dict[BasicBlock, Set[BasicBlock]]] = None
         self._reachable: Optional[Set[BasicBlock]] = None
         self._divergent_deps: Dict[BasicBlock, bool] = {}
@@ -83,12 +77,6 @@ class LintContext:
         return self.analyses.divergence
 
     @property
-    def dominators(self) -> DominatorTree:
-        if self._dominators is None:
-            self._dominators = compute_dominator_tree(self.function)
-        return self._dominators
-
-    @property
     def postdominators(self) -> DominatorTree:
         return self.analyses.postdominators
 
@@ -100,10 +88,6 @@ class LintContext:
             self._pdf = postdominance_frontier(self.function,
                                                self.postdominators)
         return self._pdf
-
-    @property
-    def loops(self) -> LoopInfo:
-        return self.analyses.loops
 
     @property
     def reachable(self) -> Set[BasicBlock]:
@@ -207,8 +191,8 @@ class LintRule:
 
     id: str = "rule"
     severity: str = Severity.WARNING
-    #: every severity :meth:`check` can emit, before the run's config
-    #: overrides; None means only :attr:`severity`
+    #: every severity :meth:`check` can emit; None means only
+    #: :attr:`severity`
     emits: Optional[Tuple[str, ...]] = None
     description: str = ""
 
@@ -223,16 +207,16 @@ class LintRule:
              instruction: Optional[Instruction] = None,
              severity: Optional[str] = None,
              **data: object) -> Diagnostic:
-        """Build one diagnostic at the given location, applying the
-        run's severity override for this rule."""
-        default = severity if severity is not None else self.severity
-        if not self.can_emit(default):
-            raise ValueError(f"rule {self.id!r} emitted severity {default!r} "
+        """Build one diagnostic at the given location."""
+        if severity is None:
+            severity = self.severity
+        if not self.can_emit(severity):
+            raise ValueError(f"rule {self.id!r} emitted severity {severity!r} "
                              f"it does not declare in `emits`")
         line, column = ctx.printed_location(block, instruction)
         return Diagnostic(
             rule=self.id,
-            severity=ctx.config.severity_for(self.id, default),
+            severity=severity,
             message=message,
             function=ctx.function.name,
             block=block.name if block is not None else None,

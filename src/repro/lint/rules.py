@@ -37,12 +37,11 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Set, Tuple
 
 from repro.ir.block import BasicBlock
-from repro.ir.function import Function, GlobalVariable
+from repro.ir.function import GlobalVariable
 from repro.ir.instructions import (
     Branch,
     Call,
     GetElementPtr,
-    Instruction,
     Load,
     Phi,
     Select,

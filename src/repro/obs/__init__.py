@@ -30,10 +30,10 @@ singleton whose operations are no-ops, and the simulator skips its
 instrumentation entirely when no tracer is enabled.
 
 The *aggregate* view lives in :mod:`repro.obs.metrics`: an ambient
-:class:`MetricsRegistry` of labeled counters/gauges/histograms with the
-same null-singleton discipline (:data:`NULL_REGISTRY`), cross-process
-snapshot/merge semantics, and Prometheus text exposition — see
-``docs/observability.md``.
+:class:`MetricsRegistry` of labeled counters/gauges/histograms (none
+installed — :func:`current_registry` is None — means metrics off),
+cross-process snapshot/merge semantics, and Prometheus text
+exposition — see ``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -58,8 +58,6 @@ from .decisions import (
 from .metrics import (
     CYCLES_BUCKETS,
     MetricsRegistry,
-    NULL_REGISTRY,
-    NullRegistry,
     RATE_BUCKETS,
     SECONDS_BUCKETS,
     SNAPSHOT_SCHEMA,
@@ -101,7 +99,7 @@ __all__ = [
     "BlockStat", "LaunchSummary", "divergence_summary",
     "load_trace_events", "render_heatmap", "render_report",
     "report_json", "summary_dict",
-    "MetricsRegistry", "NullRegistry", "NULL_REGISTRY", "SNAPSHOT_SCHEMA",
+    "MetricsRegistry", "SNAPSHOT_SCHEMA",
     "current_registry", "set_registry", "use_registry", "collect_metrics",
     "exponential_buckets", "linear_buckets", "occupancy_buckets",
     "SECONDS_BUCKETS", "CYCLES_BUCKETS", "RATE_BUCKETS",

@@ -16,9 +16,8 @@ once: a count a histogram already carries, or a ratio of two counters,
 is derived by the reader, never kept as a second family.
 
 Like tracing, collection is *ambient*: instrumented code reads
-:func:`current_registry`, which defaults to the no-op
-:data:`NULL_REGISTRY` — a shared singleton whose operations neither
-allocate nor record, so the disabled path costs one ``enabled`` check
+:func:`current_registry`, which is None — metrics off — outside a
+collection scope, so the disabled path costs one ``is None`` check
 (the same budget ``tests/obs/test_overhead.py`` holds the tracer to).
 
 Snapshots are plain JSON-able dicts (:meth:`MetricsRegistry.snapshot`)
@@ -281,8 +280,6 @@ class MetricsRegistry:
     dashboards lie.
     """
 
-    enabled = True
-
     def __init__(self) -> None:
         self._families: Dict[str, _Family] = {}
 
@@ -428,103 +425,24 @@ class MetricsRegistry:
             handle.write(self.render_prom())
 
 
-class NullRegistry:
-    """The disabled registry: a no-op twin of :class:`MetricsRegistry`.
-
-    Shared singletons all the way down (:data:`NULL_REGISTRY`, one null
-    family, one null child), so the disabled path never allocates — the
-    same contract :data:`repro.obs.NULL_TRACER` keeps.
-    """
-
-    enabled = False
-
-    def counter(self, name: str, help: str = "") -> "_NullFamily":
-        return _NULL_FAMILY
-
-    def gauge(self, name: str, help: str = "") -> "_NullFamily":
-        return _NULL_FAMILY
-
-    def histogram(self, name: str, help: str = "",
-                  buckets: Sequence[float] = SECONDS_BUCKETS
-                  ) -> "_NullFamily":
-        return _NULL_FAMILY
-
-    def families(self) -> list:
-        return []
-
-    def snapshot(self) -> Dict[str, object]:
-        return {"schema": SNAPSHOT_SCHEMA, "counters": {}, "gauges": {},
-                "histograms": {}}
-
-    def merge(self, delta) -> None:
-        pass
-
-    def render_prom(self) -> str:
-        return render_prometheus(self.snapshot())
-
-    def write_prom(self, path: str) -> None:
-        with open(path, "w") as handle:
-            handle.write(self.render_prom())
-
-
-class _NullChild:
-    __slots__ = ()
-    value = 0
-    count = 0
-    sum = 0
-    counts: tuple = ()
-
-    def inc(self, amount=1) -> None:
-        pass
-
-    def dec(self, amount=1) -> None:
-        pass
-
-    def set(self, value) -> None:
-        pass
-
-    def observe(self, value) -> None:
-        pass
-
-
-class _NullFamily(_NullChild):
-    __slots__ = ()
-    buckets: tuple = ()
-
-    def labels(self, **labels) -> _NullChild:
-        return _NULL_CHILD
-
-    def samples(self) -> dict:
-        return {}
-
-    def total(self) -> int:
-        return 0
-
-    def total_count(self) -> int:
-        return 0
-
-
-_NULL_CHILD = _NullChild()
-_NULL_FAMILY = _NullFamily()
-NULL_REGISTRY = NullRegistry()
-
-
 # ---------------------------------------------------------------------------
 # ambient registry (mirrors the tracer's current/use/set trio)
 
-_current: Union[MetricsRegistry, NullRegistry] = NULL_REGISTRY
+_current: Optional[MetricsRegistry] = None
 
 
-def current_registry() -> Union[MetricsRegistry, NullRegistry]:
-    """The ambient registry (:data:`NULL_REGISTRY` unless installed)."""
+def current_registry() -> Optional[MetricsRegistry]:
+    """The ambient registry: None — metrics off — unless one is installed."""
     return _current
 
 
-def set_registry(registry) -> object:
-    """Install ``registry`` as ambient; returns the previous one."""
+def set_registry(registry: Optional[MetricsRegistry]
+                 ) -> Optional[MetricsRegistry]:
+    """Install ``registry`` (None: metrics off) as ambient; returns the
+    previous one."""
     global _current
     previous = _current
-    _current = registry if registry is not None else NULL_REGISTRY
+    _current = registry
     return previous
 
 
@@ -621,9 +539,9 @@ def bridge_to_tracer(source, tracer, pid: int = COMPILE_PID) -> None:
 
     Every counter/gauge sample becomes one :meth:`Tracer.counter` event
     (one track per label set); histograms contribute their observation
-    counts.  No-op under a disabled tracer.
+    counts.  No-op under a disabled tracer or without a ``source``.
     """
-    if not getattr(tracer, "enabled", False):
+    if source is None or not getattr(tracer, "enabled", False):
         return
     snapshot = source.snapshot() if hasattr(source, "snapshot") else source
     for kind in ("counters", "gauges"):
@@ -637,13 +555,13 @@ def bridge_to_tracer(source, tracer, pid: int = COMPILE_PID) -> None:
 
 
 # ---------------------------------------------------------------------------
-# layer instrumentation helpers (each checks `enabled` itself, so call
-# sites stay one function call when collection is off)
+# layer instrumentation helpers (each checks for a registry itself, so
+# call sites stay one function call when collection is off)
 
 def record_pass_seconds(pass_name: str, seconds: float) -> None:
     """Compile layer: one wall-time observation for one pass execution."""
     registry = _current
-    if not registry.enabled:
+    if registry is None:
         return
     registry.histogram(
         "repro_compile_pass_seconds",
@@ -658,7 +576,7 @@ def record_cache_event(event: str, source: str = "memory") -> None:
     readers derive hits / (hits + misses) from the two counters, which
     stay right across merges."""
     registry = _current
-    if not registry.enabled:
+    if registry is None:
         return
     if event == "hits":
         registry.counter(
@@ -676,7 +594,7 @@ def record_cache_event(event: str, source: str = "memory") -> None:
 def record_cfm_decisions(decisions) -> None:
     """Compile layer: CFM melding decisions, counted by action."""
     registry = _current
-    if not registry.enabled or not decisions:
+    if registry is None or not decisions:
         return
     family = registry.counter(
         "repro_compile_cfm_decisions_total",
@@ -688,7 +606,7 @@ def record_cfm_decisions(decisions) -> None:
 def record_validate_verdict(verdict: str, seconds: float) -> None:
     """Compile layer: one meld's translation-validation outcome."""
     registry = _current
-    if not registry.enabled:
+    if registry is None:
         return
     registry.counter(
         "repro_compile_validate_total",
@@ -703,7 +621,7 @@ def record_validate_verdict(verdict: str, seconds: float) -> None:
 class RuntimeSink:
     """Pre-bound metric children for one kernel launch.
 
-    Built once per launch (only when the ambient registry is enabled),
+    Built once per launch (only when an ambient registry is installed),
     so the executors' per-block-entry cost is one bound-method call —
     :attr:`block` is the occupancy histogram's ``observe`` itself, and
     untraced, un-metered launches keep their ``obs is None`` fast path.
@@ -762,6 +680,6 @@ class RuntimeSink:
 def runtime_sink(registry, policy: str, executor: str,
                  warp_size: int) -> Optional[RuntimeSink]:
     """A :class:`RuntimeSink` for one launch, or None when disabled."""
-    if not registry.enabled:
+    if registry is None:
         return None
     return RuntimeSink(registry, policy, executor, warp_size)

@@ -46,8 +46,6 @@ class MachineConfig:
     latency: LatencyModel = field(default_factory=LatencyModel)
     #: max steps per warp before the simulator assumes non-termination
     max_warp_steps: int = 2_000_000
-    #: record a per-branch divergence profile (Metrics.branch_profile)
-    profile_branches: bool = False
     #: block evaluator: "fast" runs lowered µop programs (simt.fastpath),
     #: "reference" walks the IR directly (simt.reference) — bit-identical
     #: semantics, held together by tests/simt/test_executor_diff.py

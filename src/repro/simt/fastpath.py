@@ -22,8 +22,8 @@ objects:
   every reconvergence policy.
 
 Everything observable is bit-identical to the reference evaluator:
-device memory, every :class:`~repro.simt.metrics.Metrics` counter, the
-branch profile, and the full :class:`~repro.obs.WarpTrace` event stream
+device memory, every :class:`~repro.simt.metrics.Metrics` counter and
+the full :class:`~repro.obs.WarpTrace` event stream
 (same events, same order, same ``metrics.cycles`` timestamps).  The
 differential tests in ``tests/simt/test_executor_diff.py`` hold the two
 to that contract over the difftest generator corpus.

@@ -14,7 +14,7 @@ These mirror the ``rocprof`` counters the paper reports:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 from repro.ir.types import AddressSpace
 
@@ -34,9 +34,6 @@ class Metrics:
     barriers: int = 0
     branches: int = 0
     divergent_branches: int = 0
-    #: per-branch-block profile: name -> [executions, divergent executions]
-    #: (populated only when MachineConfig.profile_branches is set)
-    branch_profile: Dict[str, List[int]] = field(default_factory=dict)
 
     # ---- recording -------------------------------------------------------
 
@@ -52,18 +49,12 @@ class Metrics:
         self.instructions_issued += 1
         self.cycles += latency
 
-    def record_branch(self, latency: int, divergent: bool,
-                      block_name: str = "", profile: bool = False) -> None:
+    def record_branch(self, latency: int, divergent: bool) -> None:
         self.branches += 1
         if divergent:
             self.divergent_branches += 1
         self.instructions_issued += 1
         self.cycles += latency
-        if profile:
-            entry = self.branch_profile.setdefault(block_name, [0, 0])
-            entry[0] += 1
-            if divergent:
-                entry[1] += 1
 
     def record_barrier(self, latency: int) -> None:
         self.barriers += 1
@@ -99,17 +90,8 @@ class Metrics:
         self.divergent_branches += other.divergent_branches
         for space, count in other.memory_issues.items():
             self.memory_issues[space] = self.memory_issues.get(space, 0) + count
-        for name, (execs, divs) in other.branch_profile.items():
-            entry = self.branch_profile.setdefault(name, [0, 0])
-            entry[0] += execs
-            entry[1] += divs
 
     # ---- derived quantities --------------------------------------------------
-
-    def divergence_rate(self, block_name: str) -> float:
-        """Fraction of a branch's dynamic executions that diverged."""
-        execs, divs = self.branch_profile.get(block_name, (0, 0))
-        return divs / execs if execs else 0.0
 
     @property
     def alu_utilization(self) -> float:
@@ -155,7 +137,6 @@ class Metrics:
             "branches": self.branches,
             "divergent_branches": self.divergent_branches,
             "barriers": self.barriers,
-            "branch_profile": {k: list(v) for k, v in self.branch_profile.items()},
         }
 
     @classmethod
@@ -173,8 +154,6 @@ class Metrics:
             barriers=int(data.get("barriers", 0)),
             branches=int(data.get("branches", 0)),
             divergent_branches=int(data.get("divergent_branches", 0)),
-            branch_profile={name: list(entry) for name, entry
-                            in dict(data.get("branch_profile", {})).items()},
         )
 
     def summary(self) -> str:

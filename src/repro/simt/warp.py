@@ -151,7 +151,6 @@ class Warp:
         record_branch = metrics.record_branch
         trace = self._trace
         obs = self._obs
-        profile = config.profile_branches
         branch_latency = config.latency.branch_latency
         max_steps = config.max_warp_steps
 
@@ -206,8 +205,7 @@ class Warp:
                         target, edge = term[2], term[5]
                     else:
                         target, edge = term[3], term[6]
-                record_branch(branch_latency, divergent=divergent,
-                              block_name=block.name, profile=profile)
+                record_branch(branch_latency, divergent)
                 if divergent:
                     # The selection rule decides how the two sides are
                     # scheduled and where (or whether) they reconverge.

@@ -9,7 +9,7 @@ and φ incoming blocks through the map.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.dominators import compute_dominator_tree
 from repro.ir.function import Function
 from repro.ir.instructions import Instruction
-from repro.ir.values import Constant, Undef, Value
+from repro.ir.values import Constant, Undef
 
 
 def _expression_key(instr: Instruction) -> Optional[Tuple]:

@@ -9,7 +9,7 @@ side effects.  Runs to a local fixpoint so chains of dead computations
 from __future__ import annotations
 
 from repro.ir.function import Function
-from repro.ir.instructions import Instruction, Phi
+from repro.ir.instructions import Instruction
 
 
 def _is_trivially_dead(instr: Instruction) -> bool:

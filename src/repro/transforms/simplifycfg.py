@@ -23,7 +23,7 @@ from typing import List, Optional, Set, Tuple
 from repro.analysis.cfg import reachable_blocks
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
-from repro.ir.instructions import Branch, Instruction, Phi
+from repro.ir.instructions import Branch, Phi
 from repro.ir.values import Value
 
 

@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
-from repro.ir.instructions import Branch, Instruction, Phi, Select
+from repro.ir.instructions import Branch, Instruction, Select
 from repro.ir.values import Constant
 
 

@@ -1,4 +1,5 @@
-"""Corpus schema /2: per-arm traces embedded in entries, /1 back-compat."""
+"""Corpus schema /2: per-arm traces embedded in entries; no other schema
+loads."""
 
 import json
 
@@ -12,7 +13,7 @@ from repro.difftest import (
     run_oracle,
     write_entry,
 )
-from repro.difftest.corpus import ENTRY_SCHEMA, ENTRY_SCHEMA_V1
+from repro.difftest.corpus import ENTRY_SCHEMA
 
 
 def first_failing(kind="mismatch", seeds=range(30)):
@@ -68,27 +69,7 @@ class TestSchemaV2RoundTrip:
         assert entry.traces == []
 
 
-class TestSchemaV1BackCompat:
-    def test_v1_entry_loads_with_empty_traces(self, tmp_path):
-        spec = generate_spec(0)
-        entry_v1 = {
-            "schema": ENTRY_SCHEMA_V1,
-            "name": "seed000000-mismatch",
-            "spec": json.loads(spec.to_json()),
-            "arms": ["noopt", "o3-cfm"],
-            "input_seeds": [0, 1],
-            "failures": ["[o3-cfm] mismatch: buffer 'g0'[0]"],
-            "original_statements": spec.statement_count(),
-            "statements": spec.statement_count(),
-            "injected_bug": None,
-        }
-        path = tmp_path / "seed000000-mismatch.json"
-        path.write_text(json.dumps(entry_v1))
-        entry = load_entry(path)
-        assert entry.name == "seed000000-mismatch"
-        assert entry.spec == spec
-        assert entry.traces == []
-
+class TestSchema:
     def test_unknown_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"schema": "repro.difftest.corpus/99"}')

@@ -3,7 +3,8 @@
 Covers the family/child model, snapshot/merge round-trips (the
 cross-process aggregation contract), the histogram bucket-mismatch rule
 mirroring ``repro.simt.Metrics.merge``'s warp-size rule, the Prometheus
-text exposition, and the ambient NULL_REGISTRY discipline.
+text exposition, and the ambient registry's "None means metrics off"
+discipline.
 """
 
 import json
@@ -13,7 +14,6 @@ import pytest
 from repro.obs import (
     CYCLES_BUCKETS,
     MetricsRegistry,
-    NULL_REGISTRY,
     RATE_BUCKETS,
     SECONDS_BUCKETS,
     SNAPSHOT_SCHEMA,
@@ -23,7 +23,12 @@ from repro.obs import (
     exponential_buckets,
     linear_buckets,
     occupancy_buckets,
+    record_cache_event,
+    record_cfm_decisions,
+    record_pass_seconds,
+    record_validate_verdict,
     render_prometheus,
+    runtime_sink,
     set_registry,
     use_registry,
     Tracer,
@@ -248,27 +253,32 @@ class TestPrometheusExposition:
 
 class TestAmbientRegistry:
     def test_default_is_null_registry(self):
-        assert current_registry() is NULL_REGISTRY
-        assert not current_registry().enabled
+        assert current_registry() is None
 
     def test_null_registry_is_inert_and_allocation_free(self):
-        family = NULL_REGISTRY.counter("x", "h")
-        assert family is NULL_REGISTRY.histogram("y")
-        family.inc()
-        family.labels(a="b").observe(1)
-        assert NULL_REGISTRY.snapshot()["counters"] == {}
+        # With no registry installed every metrics site returns before
+        # building a family or a label set.
+        record_pass_seconds("dce", 0.1)
+        record_cache_event("hits")
+        record_cfm_decisions([object()])
+        record_validate_verdict("equivalent", 0.1)
+        assert runtime_sink(None, "ipdom", "fast", 32) is None
+        tracer = Tracer()
+        bridge_to_tracer(None, tracer)
+        assert tracer.events == []
+        assert current_registry() is None
 
     def test_use_registry_installs_and_restores(self):
         registry = MetricsRegistry()
         with use_registry(registry):
             assert current_registry() is registry
-        assert current_registry() is NULL_REGISTRY
+        assert current_registry() is None
 
     def test_set_registry_none_restores_null(self):
         previous = set_registry(MetricsRegistry())
-        assert previous is NULL_REGISTRY
+        assert previous is None
         set_registry(None)
-        assert current_registry() is NULL_REGISTRY
+        assert current_registry() is None
 
     def test_collect_metrics_writes_prom_on_exit(self, tmp_path):
         path = tmp_path / "out.prom"

@@ -13,8 +13,7 @@ def test_round_trip_synthetic_counters():
     metrics.record_alu(active_lanes=12, latency=4)
     metrics.record_memory(space=AddressSpace.SHARED, latency=20, transactions=2)
     metrics.record_memory(space=AddressSpace.GLOBAL, latency=100, transactions=4)
-    metrics.record_branch(latency=2, divergent=True, block_name="if.then",
-                          profile=True)
+    metrics.record_branch(latency=2, divergent=True)
     metrics.record_barrier(latency=8)
 
     data = json.loads(json.dumps(metrics.as_dict()))  # through real JSON
@@ -23,7 +22,7 @@ def test_round_trip_synthetic_counters():
     assert restored == metrics
     assert restored.alu_utilization == metrics.alu_utilization
     assert restored.shared_memory_issues == 1
-    assert restored.divergence_rate("if.then") == 1.0
+    assert restored.divergent_branches == 1
 
 
 def test_round_trip_real_run():

@@ -1,6 +1,13 @@
-"""Tests for the per-branch divergence profile."""
+"""Tests for the per-branch divergence profile: a traced launch's
+``branch``/``diverge`` events, folded per block by ``divergence_summary``."""
 
-from repro.simt import MachineConfig, Metrics, run_kernel
+import json
+
+import pytest
+
+import repro
+from repro.obs import BlockStat, divergence_summary
+from repro.simt import MachineConfig, run_kernel
 
 from tests.support import parse
 
@@ -21,58 +28,58 @@ m:
 """
 
 
-def run(n, profile=True):
+def launch(n, grid=1, block=8, machine=None):
     f = parse(DIVERGENT)
-    config = MachineConfig(profile_branches=profile)
-    _, metrics = run_kernel(f.module, "k", 1, 8, buffers={"p": [0] * 8},
-                            scalars={"n": n}, machine=config)
-    return metrics
+    return run_kernel(f.module, "k", grid, block,
+                      buffers={"p": [0] * (grid * block)},
+                      scalars={"n": n}, machine=machine)[1]
+
+
+def profile(n, grid=1, block=8, machine=None):
+    """``{block: [executions, divergent]}`` of one traced launch's
+    branch blocks."""
+    with repro.trace() as tracer:
+        launch(n, grid, block, machine)
+    (summary,) = divergence_summary(tracer.events)
+    return {s.block: [s.branch_executions, s.divergent_executions]
+            for s in summary.blocks.values() if s.branch_executions}
 
 
 class TestBranchProfile:
     def test_divergent_branch_recorded(self):
-        metrics = run(n=3)
-        assert metrics.branch_profile["entry"] == [1, 1]
-        assert metrics.divergence_rate("entry") == 1.0
+        assert profile(n=3)["entry"] == [1, 1]
 
     def test_uniform_branch_recorded(self):
-        metrics = run(n=100)
-        assert metrics.branch_profile["entry"] == [1, 0]
-        assert metrics.divergence_rate("entry") == 0.0
+        assert profile(n=100)["entry"] == [1, 0]
 
     def test_disabled_by_default(self):
-        metrics = run(n=3, profile=False)
-        assert metrics.branch_profile == {}
+        # Only launches inside the trace scope are profiled.
+        launch(n=3)
+        with repro.trace() as tracer:
+            launch(n=3)
+        assert len(divergence_summary(tracer.events)) == 1
 
     def test_unknown_block_rate_zero(self):
-        metrics = run(n=3)
-        assert metrics.divergence_rate("nonexistent") == 0.0
+        assert BlockStat(block="nonexistent").divergence_rate == 0.0
 
     def test_profiles_merge_across_warps(self):
-        f = parse(DIVERGENT)
-        config = MachineConfig(profile_branches=True)
-        _, metrics = run_kernel(f.module, "k", 2, 64,
-                                buffers={"p": [0] * 128},
-                                scalars={"n": 16}, machine=config)
         # 2 blocks x 2 warps = 4 warp executions of %entry; only the warp
         # containing lanes 0..31 of each block diverges at n=16.
-        execs, divs = metrics.branch_profile["entry"]
-        assert execs == 4
-        assert divs == 2
+        assert profile(n=16, grid=2, block=64)["entry"] == [4, 2]
 
-    def test_merge_accumulates_profile(self):
-        a = run(n=3)
-        b = run(n=3)
-        a.merge(b)
-        assert a.branch_profile["entry"] == [2, 2]
+    @pytest.mark.parametrize("executor", ["fast", "reference"])
+    @pytest.mark.parametrize("reconvergence", ["ipdom", "min-pc"])
+    def test_counts_independent_of_executor_and_policy(self, executor,
+                                                       reconvergence):
+        machine = MachineConfig(executor=executor,
+                                reconvergence=reconvergence)
+        assert profile(n=16, grid=2, block=64, machine=machine) == {
+            "entry": [4, 2], "a": [2, 0], "b": [4, 0]}
 
 
 class TestMetricsAsDict:
     def test_round_trips_through_json(self):
-        import json
-
-        metrics = run(n=3)
-        payload = json.loads(json.dumps(metrics.as_dict()))
+        payload = json.loads(json.dumps(launch(n=3).as_dict()))
         assert payload["divergent_branches"] == 1
-        assert payload["branch_profile"]["entry"] == [1, 1]
+        assert "branch_profile" not in payload
         assert 0.0 <= payload["alu_utilization"] <= 1.0

@@ -99,14 +99,14 @@ def run_sweep_tasks(tasks, workers: int = 1, timeout: Optional[float] = None,
                     retries: Optional[int] = None):
     """Run arbitrary :class:`~repro.evaluation.SweepTask` lists the way
     :func:`~repro.evaluation.run_sweep` runs its own: one scheduler batch
-    (inline for ``workers <= 1``), metrics deltas iff the ambient
-    registry is enabled, then :func:`~repro.evaluation.fold_sweep_metrics`.
+    (inline for ``workers <= 1``), metrics deltas iff an ambient
+    registry is installed, then :func:`~repro.evaluation.fold_sweep_metrics`.
     Returns the position-ordered ``TaskOutcome`` list."""
     from repro.evaluation import fold_sweep_metrics, run_task
     from repro.obs import current_registry
     from repro.scheduler import DEFAULT_RETRIES, Scheduler, Task
 
-    collect = current_registry().enabled
+    collect = current_registry() is not None
     start = time.perf_counter()
     with Scheduler(workers=workers if workers > 1 else 0, timeout=timeout,
                    retries=DEFAULT_RETRIES if retries is None else retries

@@ -37,8 +37,6 @@ UNSET_FIELDS = {
         "programs and key stored ones, and tests vary it",
     "MachineConfig.max_warp_steps":
         "non-termination guard; the simulator tests drive it low",
-    "LintConfig.severity_overrides":
-        "per-rule severity remapping documented in docs/lint.md",
 }
 
 

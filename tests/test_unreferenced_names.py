@@ -61,8 +61,9 @@ UNREAD_DEFINITIONS = {
 #: names an earlier spelling of the compile cache, the memo quarantine,
 #: the latency key, the reconvergence policies, the pass hooks and
 #: timings, the meld records, the dead-code audit, the second
-#: per-task sweep record, the optimal subgraph alignment and the
-#: dense dataflow engine left behind
+#: per-task sweep record, the optimal subgraph alignment, the dense
+#: dataflow engine, the opt-in branch profile, the no-op metrics
+#: registry, lint severity overrides and the corpus /1 reader left behind
 RETIRED = {
     "DiskCompileCache", "clear_lowering_memo", "invalidate_lowering",
     "latency_token_key", "key_for", "record_cache_lookup",
@@ -84,6 +85,8 @@ RETIRED = {
     "is_simple", "assert_no_undef", "figures9_and_10", "I16",
     "is_well_formed", "worst_severity", "_as_function",
     "UnrollLimits", "DEFAULT_LIMITS",
+    "profile_branches", "branch_profile", "NullRegistry", "NULL_REGISTRY",
+    "severity_overrides", "severity_for", "ENTRY_SCHEMA_V1",
 }
 
 
