@@ -6,7 +6,6 @@ from .cfg import (
     reachable_blocks,
     reachable_from,
     reverse_postorder,
-    verify_preds_consistent,
 )
 from .dominators import (
     DominatorTree,
@@ -43,7 +42,6 @@ from .validate import (
 
 __all__ = [
     "reachable_blocks", "reachable_from", "reverse_postorder",
-    "verify_preds_consistent",
     "DominatorTree", "compute_dominator_tree", "compute_postdominator_tree",
     "dominance_frontier", "immediate_postdominator", "postdominance_frontier",
     "Region", "is_region", "region_blocks", "smallest_region_containing",

@@ -1,4 +1,4 @@
-"""CFG traversal utilities: orders, reachability, and a predecessor check.
+"""CFG traversal utilities: orders and reachability.
 
 These helpers operate on :class:`~repro.ir.block.BasicBlock` graphs and are
 shared by every analysis and transform in the repository.
@@ -6,7 +6,7 @@ shared by every analysis and transform in the repository.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from typing import Callable, Iterable, List, Optional, Set
 
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
@@ -95,20 +95,3 @@ def reachable_from(
         seen.add(block)
         work.extend(follow(block))
     return seen
-
-
-def verify_preds_consistent(function: Function) -> None:
-    """Assert the cached predecessor lists match the terminator edges."""
-    expected: Dict[BasicBlock, List[BasicBlock]] = {b: [] for b in function.blocks}
-    for block in function.blocks:
-        term = block.terminator
-        if isinstance(term, Branch):
-            for succ in block.succs:
-                expected[succ].append(block)
-    for block in function.blocks:
-        if set(block.preds) != set(expected[block]):
-            raise AssertionError(
-                f"stale predecessor list on {block.name}: "
-                f"cached {[p.name for p in block.preds]} vs "
-                f"actual {[p.name for p in expected[block]]}"
-            )

@@ -13,7 +13,7 @@ which the callers treat as "not post-dominated by anything").
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
@@ -85,6 +85,24 @@ class DominatorTree:
 
     def blocks(self) -> Iterable[BasicBlock]:
         return self._idom.keys()
+
+    def intervals(self) -> Dict[BasicBlock, Tuple[int, int]]:
+        """Each block's DFS preorder number and the last number in its
+        subtree: ``a`` dominates ``b`` exactly when
+        ``first(a) <= first(b) <= last(a)``."""
+        children = self._children
+        visited: List[BasicBlock] = []
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            visited.append(node)
+            stack.extend(children[node])
+        size = dict.fromkeys(visited, 1)
+        idom = self._idom
+        for node in reversed(visited[1:]):
+            size[idom[node]] += size[node]
+        return {node: (first, first + size[node] - 1)
+                for first, node in enumerate(visited)}
 
     def nearest_common_dominator(self, a: BasicBlock, b: BasicBlock) -> BasicBlock:
         idom = self._idom

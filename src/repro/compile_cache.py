@@ -297,8 +297,10 @@ class CompileCache:
 
         ``program`` is a symbolic lowered program
         (:func:`repro.simt.lower_symbolic` of the optimized function)
-        keyed by the ``machine``'s latency model.  ``cfm_stats`` marks a
-        full-pipeline entry.
+        keyed by the ``machine``'s latency model; it also seeds the
+        launch memo of ``module``'s function, as a hit does, so the
+        first launch after a cold compile lowers nothing again.
+        ``cfm_stats`` marks a full-pipeline entry.
         """
         text = print_module(module)
         payload: Dict[str, object] = {
@@ -315,6 +317,7 @@ class CompileCache:
                               "stats": cfm_stats_to_data(cfm_stats)}
         self._entries[key] = payload
         self._write(key, payload)
+        self._seed(payload, module, machine)
 
     # ---- internals ---------------------------------------------------------
 

@@ -883,9 +883,10 @@ def seed_program(function: Function, machine,
                  program: LoweredProgram) -> None:
     """Pre-populate the launch memo with an already-materialized program.
 
-    The compile cache calls this after a warm hit: the cached symbolic
-    program is materialized against the replayed ``function`` and seeded
-    here, so the first launch skips :func:`lower_function` entirely.
+    The compile cache calls this after a warm hit and after a store: the
+    symbolic program is materialized against the replayed (or just
+    compiled) ``function`` and seeded here, so the first launch skips
+    :func:`lower_function` entirely.
     The entry is guarded by the same fingerprint as a memoized lowering
     — if the function mutates before launch, the seed simply misses and
     lowering runs normally (a deferred body gets its fingerprint when

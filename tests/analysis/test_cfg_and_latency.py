@@ -8,7 +8,6 @@ from repro.analysis import (
     reachable_blocks,
     reachable_from,
     reverse_postorder,
-    verify_preds_consistent,
 )
 from repro.ir import (
     AddressSpace,
@@ -18,6 +17,7 @@ from repro.ir import (
     Store,
     Undef,
     I32,
+    VerificationError,
     pointer,
     verify_function,
 )
@@ -72,11 +72,10 @@ class TestSplitEdge:
         entry.terminator.replace_successor(then, split)
         IRBuilder(split).br(then)
         verify_function(f)
-        verify_preds_consistent(f)
         assert then.preds == [split] and split.preds == [entry]
         then._preds.append(entry)
-        with pytest.raises(AssertionError, match="stale predecessor list"):
-            verify_preds_consistent(f)
+        with pytest.raises(VerificationError, match="stale predecessor list"):
+            verify_function(f)
 
 
 class TestLatencyModel:

@@ -442,6 +442,31 @@ class TestWarmReplay:
         assert warm.baseline_compile.o3_cached and warm.cfm_compile.cfm_cached
         assert lowered == []
 
+    def test_a_cold_compile_and_its_launch_lower_once(self, monkeypatch):
+        """The program a cold compile lowers for the cache entry seeds
+        the launch memo, as a hit's does: the launch does not lower
+        the same function again."""
+        from repro import pipeline
+        from repro.evaluation.runner import execute
+        from repro.simt import MachineConfig, lowering
+        lowered = []
+
+        def counting(real):
+            return lambda function, latency: (lowered.append(function.name),
+                                              real(function, latency))[1]
+
+        monkeypatch.setattr(pipeline, "lower_symbolic",
+                            counting(pipeline.lower_symbolic))
+        monkeypatch.setattr(lowering, "lower_symbolic",
+                            counting(lowering.lower_symbolic))
+        machine = MachineConfig()
+        case = _case()
+        result = compile_arm(case, "o3-cfm", cache=CompileCache(),
+                             machine=machine)
+        assert not result.cached and lowered == [result.function.name]
+        execute(case, SEED, machine=machine)
+        assert lowered == [result.function.name]
+
     def test_a_hit_releases_the_function_it_replaced(self):
         """A hit swaps a replayed module into the builder; the finished
         builder's emitter state used to pin the un-optimised function

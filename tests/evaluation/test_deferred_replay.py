@@ -145,7 +145,7 @@ def test_a_warm_compare_parses_no_body_and_lowers_nothing(
     cold = compare(build_sb1, block_size=16, grid_dim=1,
                    cache=CompileCache(disk=tmp_path))
     assert parsed == ["sb1"]  # the CFM arm's "o3" fall-through melds it
-    assert lowered == ["sb1", "sb1"]  # the two cold launches
+    assert lowered == []  # the cold launches run what the stores seeded
     del parsed[:], lowered[:]
     cache = CompileCache(disk=tmp_path)
     warm = compare(build_sb1, block_size=16, grid_dim=1, cache=cache)

@@ -11,6 +11,7 @@ from repro.ir import (
     Opcode,
     Phi,
     Ret,
+    Value,
     VerificationError,
     const_bool,
     const_int,
@@ -189,3 +190,157 @@ m:
         term.set_operand(0, cond)  # swap in the i32 behind the builder's back
         with pytest.raises(VerificationError, match="non-i1"):
             verify_function(f)
+
+
+# ---- malformed functions the messages above never reach ------------------
+#
+# Each builder returns a function with exactly the problems listed next
+# to it; tests/ir/test_verifier_reference.py runs them through the
+# reference verifier as well.
+
+def _stale_predecessors():
+    f = Function("f", [], [])
+    a, b = f.add_block("a"), f.add_block("b")
+    builder = IRBuilder(a)
+    builder.br(b)
+    builder.position_at_end(b)
+    builder.ret()
+    b._preds.clear()  # the a -> b edge is no longer recorded
+    return f
+
+
+def _wrong_parent():
+    f = Function("f", [], [])
+    a, b = f.add_block("a"), f.add_block("b")
+    builder = IRBuilder(a)
+    builder.add(c(1), c(2), "v").parent = b
+    builder.br(b)
+    builder.position_at_end(b)
+    builder.ret()
+    return f
+
+
+def _terminator_mid_block():
+    f = Function("f", [], [])
+    a = f.add_block("a")
+    builder = IRBuilder(a)
+    early = builder.ret()
+    a._instructions.remove(early)
+    builder.add(c(1), c(2), "v")
+    builder.ret()
+    a._instructions.insert(0, early)
+    return f
+
+
+def _missing_operand():
+    # ``ret`` is the one instruction that still prints with a None
+    # operand; any other spelling of this problem fails in repr().
+    f = Function("f", [], [])
+    IRBuilder(f.add_block("a")).ret()._operands.append(None)
+    return f
+
+
+def _detached_operand():
+    f = Function("f", [], [])
+    builder = IRBuilder(f.add_block("a"))
+    builder.add(BinaryOp(Opcode.ADD, c(1), c(2), "loose"), c(3), "v")
+    builder.ret()
+    return f
+
+
+def _foreign_operand():
+    other = Function("g", [], [])
+    theirs = IRBuilder(other.add_block("a")).add(c(1), c(2), "theirs")
+    f = Function("f", [], [])
+    builder = IRBuilder(f.add_block("a"))
+    builder.add(theirs, c(3), "v")
+    builder.ret()
+    return f
+
+
+def _use_from_unreachable_block():
+    f = Function("f", [], [])
+    entry, dead = f.add_block("entry"), f.add_block("dead")
+    builder = IRBuilder(dead)
+    x = builder.add(c(1), c(2), "x")
+    builder.ret()
+    builder.position_at_end(entry)
+    builder.add(x, c(3), "y")
+    builder.ret()
+    return f
+
+
+def _duplicate_phi_incoming():
+    f = Function("f", [], [])
+    a, m = f.add_block("a"), f.add_block("m")
+    builder = IRBuilder(a)
+    builder.br(m)
+    builder.position_at_end(m)
+    phi = builder.phi(I32, "p")
+    phi.add_incoming(c(1), a)
+    phi.add_incoming(c(2), a)
+    builder.ret()
+    return f
+
+
+def _unexpected_operand_kind():
+    f = Function("f", [], [])
+    builder = IRBuilder(f.add_block("a"))
+    v = builder.add(c(1), c(2), "v")
+    builder.ret()
+    v._operands[1] = Value(I32, "raw")  # neither constant nor definition
+    return f
+
+
+def _three_problems():
+    # One problem from each of three checks; they are reported in check
+    # order (predecessor lists, block structure, φ incoming sets), not in
+    # the order of the blocks that hold them.
+    f = Function("f", [], [])
+    a, b, m = f.add_block("a"), f.add_block("b"), f.add_block("m")
+    builder = IRBuilder(a)
+    builder.cond_br(const_bool(True), b, m)
+    builder.position_at_end(m)
+    phi = builder.phi(I32, "p")
+    phi.add_incoming(c(1), a)
+    builder.ret()
+    builder.position_at_end(b)
+    builder.add(c(1), c(2), "v")  # no terminator
+    m._preds.append(b)
+    return f
+
+
+MALFORMED = {
+    "stale-predecessors": (_stale_predecessors, [
+        "stale predecessor list on b: cached [] vs actual ['a']"]),
+    "wrong-parent": (_wrong_parent, ["instruction v in %a has wrong parent"]),
+    "terminator-mid-block": (_terminator_mid_block, [
+        "block %a has a terminator mid-block"]),
+    "missing-operand": (_missing_operand, [
+        "ret void has a missing operand #0"]),
+    "detached-operand": (_detached_operand, [
+        "%v = add i32 %loose, 3 uses detached/foreign instruction %loose"]),
+    "foreign-operand": (_foreign_operand, [
+        "%v = add i32 %theirs, 3 uses detached/foreign instruction %theirs"]),
+    "unreachable-definition": (_use_from_unreachable_block, [
+        "%y = add i32 %x, 3 uses %x defined in unreachable block"]),
+    "duplicate-phi-incoming": (_duplicate_phi_incoming, [
+        "phi %p in %m has duplicate incoming blocks"]),
+    "unexpected-operand-kind": (_unexpected_operand_kind, [
+        "%v = add i32 1, %raw has unexpected operand kind Value"]),
+    "three-problems": (_three_problems, [
+        "stale predecessor list on m: cached ['a', 'b'] vs actual ['a']",
+        "block %b does not end in a terminator",
+        "phi %p in %m incoming blocks ['a'] != preds ['a', 'b']"]),
+}
+
+
+class TestMessages:
+    """The exact problem list, in order, for each malformed function."""
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_problems(self, name):
+        build, expected = MALFORMED[name]
+        with pytest.raises(VerificationError) as info:
+            verify_function(build())
+        assert info.value.problems == expected
