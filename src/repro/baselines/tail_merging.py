@@ -16,7 +16,6 @@ from typing import List, Tuple
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
 from repro.ir.instructions import Branch, Instruction, Phi
-from repro.ir.values import Constant
 
 
 def _identical(a: Instruction, b: Instruction,
@@ -25,17 +24,9 @@ def _identical(a: Instruction, b: Instruction,
     the same value or corresponding earlier instructions of the suffix
     (the SSA rendition of 'identical code sequences' — in machine code
     the intra-suffix references are register names, which match too)."""
-    if a.operand_signature() != b.operand_signature():
-        return False
-    for op_a, op_b in zip(a.operands, b.operands):
-        if op_a is op_b:
-            continue
-        if correspondence.get(op_b) is op_a:
-            continue
-        if isinstance(op_a, Constant) and isinstance(op_b, Constant) and op_a == op_b:
-            continue
-        return False
-    return True
+    return a.operand_signature() == b.operand_signature() and all(
+        op_a is op_b or correspondence.get(op_b) is op_a
+        for op_a, op_b in zip(a.operands, b.operands))
 
 
 def _common_suffix(a: BasicBlock, b: BasicBlock) -> List[Tuple[Instruction, Instruction]]:
@@ -110,10 +101,7 @@ def _trim_for_phis(merge: BasicBlock, a: BasicBlock, b: BasicBlock,
         value_a = phi.incoming_for(a)
         value_b = phi.incoming_for(b)
         value_b = unified.get(value_b, value_b)
-        same = value_a is value_b or (
-            isinstance(value_a, Constant) and isinstance(value_b, Constant)
-            and value_a == value_b)
-        if not same:
+        if value_a is not value_b:
             return []
     return suffix
 

@@ -185,8 +185,9 @@ class CompileCache:
     Each hit yields an independent module over the (digest-checked)
     stored text, a function body parsed when something first reads its
     blocks.  Printing and parsing round-trip exactly
-    (``tests/ir/test_function_module.py``), so a replayed module is
-    indistinguishable from a freshly optimized one; a replayed lowered
+    (``tests/ir/test_function_module.py``) and literals are interned, so
+    a pass run on a replayed module decides as on the freshly optimized
+    one (``tests/evaluation/test_replay_gate.py``); a replayed lowered
     program is bit-identical to re-lowering the replayed module
     (``tests/simt/test_program_serialize.py``) and launches with the body
     still text (``tests/evaluation/test_deferred_replay.py``).

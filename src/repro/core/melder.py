@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
 from repro.ir.instructions import Branch, Instruction, Phi, Select
-from repro.ir.values import Constant, Undef, Value, const_bool
+from repro.ir.values import Undef, Value, const_bool
 
 from .instr_align import InstructionPair
 from .meldable import MeldableRegion
@@ -64,14 +64,6 @@ class MeldResult:
     #: runs (filled by :func:`repro.core.unpredication.unpredicate`; the
     #: lint meld-legality audit checks each stays behind its guard)
     guarded_side_effect_blocks: List[str] = field(default_factory=list)
-
-
-def _values_equal(a: Value, b: Value) -> bool:
-    if a is b:
-        return True
-    if isinstance(a, Constant) and isinstance(b, Constant):
-        return a == b
-    return False
 
 
 class Melder:
@@ -289,7 +281,7 @@ class Melder:
         """The value a melded operand slot takes: shared when the two
         sides agree after mapping, otherwise ``select C, vT, vF``."""
         a, b = self._resolve(value_t), self._resolve(value_f)
-        if _values_equal(a, b):
+        if a is b:
             return a
         select = Select(self.condition, a, b, "msel")
         melded.parent._insert_before(melded, select)

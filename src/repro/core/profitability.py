@@ -27,7 +27,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.analysis.latency import DEFAULT_LATENCY_MODEL
 from repro.ir.block import BasicBlock
 from repro.ir.instructions import Call, Instruction, Phi
-from repro.ir.values import Constant
 
 
 def meldable_instructions(block: BasicBlock) -> List[Instruction]:
@@ -56,14 +55,7 @@ def instructions_match(a: Instruction, b: Instruction) -> bool:
 def estimated_selects(a: Instruction, b: Instruction) -> int:
     """``N_s``: operands that would need a ``select`` if melded — the
     pre-melding approximation (operand identity before remapping)."""
-    count = 0
-    for op_a, op_b in zip(a.operands, b.operands):
-        if op_a is op_b:
-            continue
-        if isinstance(op_a, Constant) and isinstance(op_b, Constant) and op_a == op_b:
-            continue
-        count += 1
-    return count
+    return sum(op_a is not op_b for op_a, op_b in zip(a.operands, b.operands))
 
 
 #: opcode-signature → (frequency, per-instruction latency weight)

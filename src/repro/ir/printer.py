@@ -38,10 +38,14 @@ from .instructions import (
 
 def _value_ref(value: Value) -> str:
     """Typed reference to a value as an operand, e.g. ``i32 %x``."""
+    if value is None:
+        return _name_ref(value)
     return f"{value.type!r} {_name_ref(value)}"
 
 
 def _name_ref(value: Value) -> str:
+    if value is None:  # only malformed IR: the verifier names it
+        return "<missing>"
     if isinstance(value, Undef):
         return "undef"
     if isinstance(value, Constant):
@@ -64,13 +68,13 @@ def format_instruction(instr: Instruction) -> str:
         return f"{lhs}{instr.opcode} {instr.type!r} {_name_ref(instr.operand(0))}"
     if isinstance(instr, ICmp):
         return (
-            f"{lhs}icmp {instr.predicate} {instr.lhs.type!r} "
-            f"{_name_ref(instr.lhs)}, {_name_ref(instr.rhs)}"
+            f"{lhs}icmp {instr.predicate} {_value_ref(instr.lhs)}, "
+            f"{_name_ref(instr.rhs)}"
         )
     if isinstance(instr, FCmp):
         return (
-            f"{lhs}fcmp {instr.predicate} {instr.lhs.type!r} "
-            f"{_name_ref(instr.lhs)}, {_name_ref(instr.rhs)}"
+            f"{lhs}fcmp {instr.predicate} {_value_ref(instr.lhs)}, "
+            f"{_name_ref(instr.rhs)}"
         )
     if isinstance(instr, Select):
         return (
@@ -83,7 +87,7 @@ def format_instruction(instr: Instruction) -> str:
         return f"store {_value_ref(instr.value)}, {_value_ref(instr.pointer)}"
     if isinstance(instr, GetElementPtr):
         return (
-            f"{lhs}getelementptr {instr.base.type.pointee!r}, "
+            f"{lhs}getelementptr {instr.type.pointee!r}, "
             f"{_value_ref(instr.base)}, {_value_ref(instr.index)}"
         )
     if isinstance(instr, Cast):

@@ -2,8 +2,8 @@
 
 The design mirrors LLVM's ``Value``/``User`` split:
 
-* every :class:`Value` knows the set of :class:`User` objects that reference
-  it (its *uses*), and
+* every :class:`Value` but a literal (interned, see :class:`_Literal`)
+  knows the set of :class:`User` objects that reference it (its *uses*), and
 * every :class:`User` holds an ordered operand list.
 
 Use lists are what make the melding transformation practical — CFM's code
@@ -13,7 +13,8 @@ collapse into a single melded instruction.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+import struct
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .types import Type, IntType, FloatType, I1
 
@@ -123,8 +124,8 @@ class User(Value):
         for i in range(index, len(self._operands)):
             op = self._operands[i]
             if op is not None:
-                op._uses.remove((self, i + 1))
-                op._uses.append((self, i))
+                op._remove_use(self, i + 1)
+                op._add_use(self, i)
 
     def drop_all_operands(self) -> None:
         """Detach every operand (used when deleting an instruction)."""
@@ -137,18 +138,53 @@ class User(Value):
         return iter(self._operands)
 
 
-class Constant(Value):
-    """An immediate constant of integer or float type."""
+class _Literal(Value):
+    """A constant or ``undef``.  Literals are interned: one object per
+    type and value, so identity is the IR's one value equality.  That
+    object stands in every function, so it records no uses, and it
+    copies as itself."""
 
-    def __init__(self, type_: Type, value) -> None:
-        super().__init__(type_)
+    name = ""
+    _uses = ()
+    #: (class, type, key) -> literal; ``setdefault`` makes racing threads agree
+    _interned: Dict[tuple, "_Literal"] = {}
+
+    def __init__(self, *args) -> None:
+        pass  # ``__new__`` set the literal up when it was interned
+
+    @classmethod
+    def _intern(cls, type_: Type, key, **fields) -> "_Literal":
+        literal = cls._interned.get((cls, type_, key))
+        if literal is None:
+            literal = object.__new__(cls)
+            literal.__dict__.update(fields, type=type_)
+            literal = cls._interned.setdefault((cls, type_, key), literal)
+        return literal
+
+    def _add_use(self, user: "User", index: int) -> None:
+        """Literals record no uses."""
+
+    _remove_use = _add_use
+
+    def __deepcopy__(self, memo=None) -> "_Literal":
+        return self
+
+    __copy__ = __deepcopy__
+
+
+class Constant(_Literal):
+    """An immediate constant of integer or float type; floats are keyed
+    by their IEEE bit pattern, so ``0.0`` and ``-0.0`` are two constants."""
+
+    def __new__(cls, type_: Type, value) -> "Constant":
         if isinstance(type_, IntType):
-            value = _wrap_int(int(value), type_.bits)
+            value = key = _wrap_int(int(value), type_.bits)
         elif isinstance(type_, FloatType):
             value = float(value)
+            key = struct.pack("<d", value)
         else:
             raise TypeError(f"constants must be int or float typed, got {type_!r}")
-        self.value = value
+        return cls._intern(type_, key, value=value)
 
     def ref(self) -> str:
         return str(self.value)
@@ -156,18 +192,8 @@ class Constant(Value):
     def __repr__(self) -> str:
         return f"<Constant {self.type!r} {self.value}>"
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Constant)
-            and other.type is self.type
-            and other.value == self.value
-        )
 
-    def __hash__(self) -> int:
-        return hash((self.type, self.value))
-
-
-class Undef(Value):
+class Undef(_Literal):
     """LLVM-style ``undef``: a value with no defined contents.
 
     CFM's unpredication and pre-processing steps introduce ``undef``
@@ -177,17 +203,11 @@ class Undef(Value):
     doubles as a correctness check on the transformation.
     """
 
-    def __init__(self, type_: Type) -> None:
-        super().__init__(type_)
+    def __new__(cls, type_: Type) -> "Undef":
+        return cls._intern(type_, None)
 
     def ref(self) -> str:
         return "undef"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Undef) and other.type is self.type
-
-    def __hash__(self) -> int:
-        return hash((Undef, self.type))
 
 
 class Argument(Value):

@@ -8,11 +8,13 @@ this after each pass.  Checks performed:
   earlier), every instruction's parent is its block, and the entry
   block has no predecessors;
 * φ nodes appear only as a leading run in their block;
-* in a reachable block, φ incoming blocks exactly match its predecessors;
+* in a reachable block, a φ has one value per incoming block, and the
+  incoming blocks exactly match the block's predecessors;
 * every definition dominates all of its uses (φ uses are checked at the
   end of the matching incoming block);
 * operands belong to the same function (arguments, instructions, blocks);
-* cached predecessor lists agree with the terminator edges;
+* branch targets are blocks of the function, and cached predecessor
+  lists agree with the terminator edges;
 * barrier calls are void: a ``llvm.gpu.barrier`` with uses is rejected;
 * conditional branches branch on ``i1`` — nothing else.
 
@@ -65,11 +67,7 @@ _OTHER, _PHI, _CALL, _BRANCH = range(4)
 # last are also findings.
 _MISSING, _VALUE, _ARGUMENT, _INSTRUCTION, _UNEXPECTED = range(5)
 # The other operand findings, formatted only when they are reported.
-# ``_RAISE`` carries the exception that ends the operand checks: an
-# operand gone from its block's list, or a φ with more values than
-# incoming blocks.
-_FOREIGN_ARGUMENT, _DETACHED, _UNREACHABLE, _NOT_DOMINATING, _RAISE = \
-    range(5, 10)
+_FOREIGN_ARGUMENT, _DETACHED, _UNREACHABLE, _NOT_DOMINATING = range(5, 9)
 
 
 def _instruction_kind(cls: type) -> int:
@@ -201,27 +199,20 @@ def verify_function(function: Function) -> None:
                 # ``instr.parent``, the findings are never reported.
                 if kind == _PHI:
                     incoming = instr._incoming_blocks
-                    if index >= len(incoming):
-                        failure = IndexError("list index out of range")
-                        break
-                    site = dom.get(incoming[index])
-                    if site is not None and home[0] <= site[0] <= home[1]:
+                    # A value past the last block is a φ problem already.
+                    site = index < len(incoming) and dom.get(incoming[index])
+                    if site and home[0] <= site[0] <= home[1]:
                         continue
                 elif parent is block:
                     at = positions.get(operand)
-                    if at is None:
-                        failure = KeyError(operand)
-                        break
+                    if at is None:  # gone from the block's list
+                        findings.append((_DETACHED, instr, operand, index))
+                        continue
                     if at < (positions[instr] if repeats else i):
                         continue
                 elif home[0] <= number <= home[1]:
                     continue
                 findings.append((_NOT_DOMINATING, instr, operand, index))
-            else:
-                continue
-            # Checking the operands in order stops here.
-            findings.append((_RAISE, instr, failure, index))
-            span = dom = None
         if instrs[-1].opcode not in _TERMINATORS:
             problems.append(
                 f"block %{block.name} does not end in a terminator")
@@ -240,14 +231,18 @@ def verify_function(function: Function) -> None:
 
 
 def _stale_predecessors(blocks: List[BasicBlock]) -> Optional[str]:
-    """The first block whose cached predecessors differ (as a set) from
-    the blocks whose terminator branches to it, described; or None."""
+    """The first block that branches out of the function, or else the
+    first whose cached predecessors differ (as a set) from the blocks
+    whose terminator branches to it, described; or None."""
     expected: Dict[BasicBlock, List[BasicBlock]] = {b: [] for b in blocks}
     for block in blocks:
         instrs = block._instructions
         if instrs and isinstance(instrs[-1], Branch):
             succs = instrs[-1]._successors
             for k, succ in enumerate(succs):
+                if succ not in expected:
+                    return (f"block %{block.name} branches to %{succ.name} "
+                            f"outside the function")
                 if not k or succ not in succs[:k]:
                     expected[succ].append(block)
     for block in blocks:
@@ -262,6 +257,10 @@ def _stale_predecessors(blocks: List[BasicBlock]) -> Optional[str]:
 def _check_phi(block: BasicBlock, phi: Phi, preds) -> List[str]:
     problems = []
     incoming = phi._incoming_blocks
+    if len(phi._operands) != len(incoming):
+        problems.append(
+            f"phi %{phi.name} in %{block.name} has {len(phi._operands)} "
+            f"values for {len(incoming)} incoming blocks")
     incoming_set = set(incoming)
     if len(incoming_set) != len(incoming):
         problems.append(
@@ -278,8 +277,6 @@ def _check_phi(block: BasicBlock, phi: Phi, preds) -> List[str]:
 
 def _describe(finding: int, instr: Instruction, operand, index) -> str:
     """The problem an operand finding of the walk reports."""
-    if finding == _RAISE:
-        raise operand
     if finding == _MISSING:
         return f"{instr!r} has a missing operand #{index}"
     if finding == _FOREIGN_ARGUMENT:

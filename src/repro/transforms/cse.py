@@ -19,22 +19,17 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.dominators import compute_dominator_tree
 from repro.ir.function import Function
 from repro.ir.instructions import Instruction
-from repro.ir.values import Constant, Undef
+from repro.ir.values import Undef
 
 
 def _expression_key(instr: Instruction) -> Optional[Tuple]:
     """Hashable identity of a pure expression, or None if not eligible."""
     if not instr.is_speculatable:
         return None
-    operands = []
-    for operand in instr.operands:
-        if isinstance(operand, Undef):
-            return None  # undef is not a stable value
-        if isinstance(operand, Constant):
-            operands.append(("const", operand.type, operand.value))
-        else:
-            operands.append(("val", id(operand)))
-    return (instr.operand_signature(), tuple(operands))
+    operands = tuple(instr.operands)
+    if any(isinstance(operand, Undef) for operand in operands):
+        return None  # undef is not a stable value
+    return (instr.operand_signature(), operands)
 
 
 def eliminate_common_subexpressions(function: Function) -> bool:

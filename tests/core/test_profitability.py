@@ -138,6 +138,20 @@ entry:
         assert estimated_selects(b, c) == 2
         assert estimated_selects(a, d) == 0  # equal constants, same value
 
+    def test_estimated_selects_keeps_signed_zeros_apart(self):
+        f = parse("""
+define void @k(float %x) {
+entry:
+  %a = fsub float 0.0, %x
+  %b = fsub float -0.0, %x
+  %c = fsub float 0.0, %x
+  ret void
+}
+""")
+        a, b, c = f.entry.instructions[:3]
+        assert estimated_selects(a, b) == 1  # melding needs a select
+        assert estimated_selects(a, c) == 0
+
 
 class TestInstructionProfitability:
     def test_unmatched_scores_zero(self):

@@ -8,7 +8,8 @@ lists from the operand lists, asserting they match exactly.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.ir import BinaryOp, Constant, I32, Opcode, Select, const_bool, const_int
+from repro.ir import (Argument, BinaryOp, I32, Opcode, Select, const_bool,
+                      const_int)
 
 
 def check_use_lists(values):
@@ -89,7 +90,7 @@ def test_rauw_leaves_no_stale_uses(script):
 
 
 def test_drop_all_operands_is_idempotent():
-    a, b = const_int(1, I32), const_int(2, I32)
+    a, b = Argument(I32, "a", 0), Argument(I32, "b", 1)
     op = BinaryOp(Opcode.ADD, a, b)
     op.drop_all_operands()
     op.drop_all_operands()
@@ -98,7 +99,7 @@ def test_drop_all_operands_is_idempotent():
 
 def test_select_three_slot_bookkeeping():
     cond = const_bool(True)
-    a, b = const_int(1, I32), const_int(2, I32)
+    a, b = Argument(I32, "a", 0), Argument(I32, "b", 1)
     sel = Select(cond, a, b)
     sel.set_operand(1, b)
     assert (sel, 1) in b.uses and (sel, 2) in b.uses

@@ -7,6 +7,7 @@ from repro.ir import (
     Branch,
     Function,
     I32,
+    ICmpPredicate,
     IRBuilder,
     Opcode,
     Phi,
@@ -233,10 +234,52 @@ def _terminator_mid_block():
 
 
 def _missing_operand():
-    # ``ret`` is the one instruction that still prints with a None
-    # operand; any other spelling of this problem fails in repr().
+    # ``ret`` prints a None operand as ``ret void``; every other
+    # instruction prints it as ``<missing>``.
     f = Function("f", [], [])
     IRBuilder(f.add_block("a")).ret()._operands.append(None)
+    return f
+
+
+def _missing_compare_operand():
+    f = Function("f", [], [])
+    builder = IRBuilder(f.add_block("a"))
+    builder.icmp(ICmpPredicate.SLT, c(1), c(2), "lt")._operands[0] = None
+    builder.ret()
+    return f
+
+
+def _operand_gone_from_block():
+    f = Function("f", [], [])
+    a = f.add_block("a")
+    builder = IRBuilder(a)
+    x = builder.add(c(1), c(2), "x")
+    builder.add(x, c(3), "v")
+    builder.ret()
+    a._instructions.remove(x)  # ``x`` still names ``a`` as its parent
+    return f
+
+
+def _branch_out_of_function():
+    other = Function("g", [], [])
+    outside = other.add_block("out")
+    IRBuilder(outside).ret()
+    f = Function("f", [], [])
+    IRBuilder(f.add_block("a")).br(outside)
+    return f
+
+
+def _phi_value_without_block():
+    f = Function("f", [], [])
+    a, m = f.add_block("a"), f.add_block("m")
+    builder = IRBuilder(a)
+    x = builder.add(c(1), c(2), "x")
+    builder.br(m)
+    builder.position_at_end(m)
+    phi = builder.phi(I32, "p")
+    phi.add_incoming(x, a)
+    phi._operands.append(x)
+    builder.ret()
     return f
 
 
@@ -318,6 +361,14 @@ MALFORMED = {
         "block %a has a terminator mid-block"]),
     "missing-operand": (_missing_operand, [
         "ret void has a missing operand #0"]),
+    "missing-compare-operand": (_missing_compare_operand, [
+        "%lt = icmp slt <missing>, 2 has a missing operand #0"]),
+    "operand-gone-from-block": (_operand_gone_from_block, [
+        "%v = add i32 %x, 3 uses detached/foreign instruction %x"]),
+    "branch-out-of-function": (_branch_out_of_function, [
+        "block %a branches to %out outside the function"]),
+    "phi-value-without-block": (_phi_value_without_block, [
+        "phi %p in %m has 2 values for 1 incoming blocks"]),
     "detached-operand": (_detached_operand, [
         "%v = add i32 %loose, 3 uses detached/foreign instruction %loose"]),
     "foreign-operand": (_foreign_operand, [

@@ -44,6 +44,22 @@ entry:
         adds = [i for i in f.instructions() if i.opcode == "add"]
         assert len(adds) == 3  # a==b merged; c and s stay
 
+    def test_signed_zeros_kept_apart(self):
+        # At %x = 0.0 the two differ: 0.0 - 0.0 is +0.0, -0.0 - 0.0 is -0.0.
+        f = parse("""
+define void @k(float %x, float addrspace(1)* %p) {
+entry:
+  %a = fsub float 0.0, %x
+  %b = fsub float -0.0, %x
+  store float %a, float addrspace(1)* %p
+  %g = getelementptr float, float addrspace(1)* %p, i32 1
+  store float %b, float addrspace(1)* %g
+  ret void
+}
+""")
+        assert not eliminate_common_subexpressions(f)
+        assert sum(1 for i in f.instructions() if i.opcode == "fsub") == 2
+
     def test_loads_not_merged(self):
         # No alias analysis: two loads of the same address may see
         # different values if a store intervenes.
