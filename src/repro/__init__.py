@@ -61,7 +61,6 @@ from repro.analysis import (
     compute_dominator_tree,
     compute_postdominator_tree,
     immediate_postdominator,
-    invalidate_divergence,
 )
 from repro.transforms import (
     FixpointError,
@@ -187,8 +186,8 @@ __all__ = [
     "function_to_dot", "melding_stages_to_dot",
     # analyses
     "DivergenceInfo", "compute_divergence", "cached_divergence",
-    "invalidate_divergence", "compute_dominator_tree",
-    "compute_postdominator_tree", "immediate_postdominator",
+    "compute_dominator_tree", "compute_postdominator_tree",
+    "immediate_postdominator",
     # pass infrastructure & standard transforms
     "Pass", "PassResult", "PassPipeline", "PassTiming", "FixpointError",
     "optimize", "o3_pipeline", "late_pipeline",

@@ -24,7 +24,6 @@ from .divergence import (
     cached_divergence,
     compute_divergence,
     function_analyses,
-    invalidate_divergence,
 )
 from .latency import DEFAULT_LATENCY_MODEL, LatencyModel
 from .dataflow import SparseSolver
@@ -47,7 +46,7 @@ __all__ = [
     "Region", "is_region", "region_blocks", "smallest_region_containing",
     "Loop", "LoopInfo", "compute_loop_info",
     "DivergenceInfo", "compute_divergence",
-    "cached_divergence", "invalidate_divergence",
+    "cached_divergence",
     "FunctionAnalyses", "analyze_function", "function_analyses",
     "DEFAULT_LATENCY_MODEL", "LatencyModel",
     "SparseSolver",

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.ir.block import BasicBlock
-from repro.ir.function import Function
+from repro.ir.function import Function, memo_lookup, memo_store
 from repro.ir.instructions import (
     Branch,
     Call,
@@ -334,28 +334,19 @@ def analyze_function(
 # lint rules, and facade callers (``repro.analyze``).  The bundle lives
 # on the Function itself (``Function.memo``), so it dies with the
 # function — a module-level table, even a weak-keyed one, would keep
-# every analysed function alive through ``DivergenceInfo.function``.  It
-# is guarded by a cheap structural fingerprint so an *unchanged* function
-# hits while any pass that adds/removes blocks or instructions naturally
-# misses.  The fingerprint cannot see in-place operand rewrites, so
-# mutating callers (PassPipeline between passes, CFM after each meld)
-# must also call :func:`invalidate_divergence` explicitly.
+# every analysed function alive through ``DivergenceInfo.function``.
+# ``repro.ir.memo_lookup`` returns it only for the IR it was computed
+# from, so any edit misses without anyone invalidating by hand.
 
 _MEMO_KEY = "analysis"
 
 
-def _fingerprint(function: Function) -> tuple:
-    return tuple((id(block), len(block)) for block in function.blocks)
-
-
 def function_analyses(function: Function) -> FunctionAnalyses:
     """Memoized :func:`analyze_function` (default ``divergent_args``)."""
-    token = _fingerprint(function)
-    hit: Optional[Tuple[tuple, FunctionAnalyses]] = function.memo.get(_MEMO_KEY)
-    if hit is not None and hit[0] == token:
-        return hit[1]
-    analyses = analyze_function(function)
-    function.memo[_MEMO_KEY] = (token, analyses)
+    analyses = memo_lookup(function, _MEMO_KEY)
+    if analyses is None:
+        analyses = analyze_function(function)
+        memo_store(function, _MEMO_KEY, analyses)
     return analyses
 
 
@@ -367,11 +358,6 @@ def cached_divergence(function: Function) -> DivergenceInfo:
     fixpoint once, not once per consumer.
     """
     return function_analyses(function).divergence
-
-
-def invalidate_divergence(function: Function) -> None:
-    """Drop the cached analyses of ``function`` (call after mutating it)."""
-    function.memo.pop(_MEMO_KEY, None)
 
 
 def _live_outs(loop: Loop) -> List[Instruction]:

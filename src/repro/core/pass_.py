@@ -30,7 +30,6 @@ from repro.analysis.divergence import (
     FunctionAnalyses,
     analyze_function,
     function_analyses,
-    invalidate_divergence,
 )
 from repro.analysis.validate import MeldValidation, RegionCapture
 from repro.ir.block import BasicBlock
@@ -197,11 +196,9 @@ def _meld_one(function: Function, config: CFMConfig, stats: CFMStats,
             continue
         simplified = (simplify_path_subgraphs(function, true_subs)
                       + simplify_path_subgraphs(function, false_subs))
-        if simplified:
-            invalidate_divergence(function)
-            for sub in simplified:
-                facts.collector_inserted(sub.exit, sub.blocks - {sub.exit},
-                                         sub.target)
+        for sub in simplified:
+            facts.collector_inserted(sub.exit, sub.blocks - {sub.exit},
+                                     sub.target)
 
         pair = most_profitable_pair(true_subs, false_subs)
         if pair is None:
@@ -262,7 +259,6 @@ def _meld_one(function: Function, config: CFMConfig, stats: CFMStats,
                                args={"region": validation.region_entry,
                                      "detail": validation.detail})
         _post_optimize(function, facts)
-        invalidate_divergence(function)
 
         decision.action = "melded"
         decision.reason = (

@@ -161,6 +161,8 @@ def analyze(kernel: KernelLike) -> DivergenceInfo:
     The same per-function memo backs the CFM pass and the lint rules, so
     ``repro.analyze(k)`` right after ``repro.compile`` / ``repro.lint``
     reuses their fixpoint instead of re-running it (and vice versa).
-    The memo is invalidated whenever a pipeline pass changes the IR.
+    An entry is read only while the function's IR is the one it was
+    computed from (``repro.ir.fingerprint``), so any edit — a pass or
+    the caller's own — makes the next call recompute.
     """
     return cached_divergence(as_function(kernel))

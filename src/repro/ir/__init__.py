@@ -46,7 +46,8 @@ from .instructions import (
     Ret,
 )
 from .block import BasicBlock
-from .function import Function, Module, GlobalVariable, retire_memos
+from .function import (Function, Module, GlobalVariable, fingerprint,
+                       memo_lookup, memo_store, retire_memos)
 from .builder import IRBuilder
 from .printer import print_function, print_module, format_instruction
 from .parser import parse_function, parse_module
@@ -60,7 +61,8 @@ __all__ = [
     "Opcode", "IntrinsicName", "Instruction", "BinaryOp", "UnaryOp", "ICmp",
     "FCmp", "ICmpPredicate", "FCmpPredicate", "Select", "Load", "Store",
     "GetElementPtr", "Cast", "Call", "Phi", "Branch", "Ret",
-    "BasicBlock", "Function", "Module", "GlobalVariable", "retire_memos",
+    "BasicBlock", "Function", "Module", "GlobalVariable", "fingerprint",
+    "memo_lookup", "memo_store", "retire_memos",
     "IRBuilder",
     "print_function", "print_module", "format_instruction",
     "parse_function", "parse_module",

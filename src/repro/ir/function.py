@@ -15,7 +15,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence
 from .types import Type, PointerType, AddressSpace
 from .values import Argument, Value
 from .block import BasicBlock
-from .instructions import Instruction
+from .instructions import Branch, Instruction, Phi
 
 #: the memo epoch of this process; :attr:`Function.memo` shows only
 #: entries stored under the current one
@@ -34,6 +34,59 @@ def retire_memos() -> None:
     """
     global _memo_epoch
     _memo_epoch += 1
+
+
+def fingerprint(function: "Function") -> tuple:
+    """Structural + operand-identity fingerprint of a function.
+
+    The identity of every block, instruction, operand, successor and φ
+    incoming block, so in-place operand rewrites, successor retargeting
+    and φ incoming edits all change it.  O(instructions) per read, and
+    constant for a deferred body: nothing can have mutated IR that is
+    still text.
+    """
+    if function.deferred:
+        return ("unparsed",)
+    parts = []
+    for block in function.blocks:
+        row: List[int] = [id(block)]
+        append = row.append
+        for instr in block.instructions:
+            append(id(instr))
+            for op in instr._operands:
+                append(id(op))
+            if isinstance(instr, Branch):
+                for succ in instr._successors:
+                    append(id(succ))
+            elif isinstance(instr, Phi):
+                for pred in instr._incoming_blocks:
+                    append(id(pred))
+        parts.append(tuple(row))
+    return tuple(parts)
+
+
+def memo_lookup(function: "Function", key: str) -> Optional[object]:
+    """The value :func:`memo_store` left under ``key`` if the function
+    still has the :func:`fingerprint` it had then, else None."""
+    entry = function.memo.get(key)
+    if entry is not None and entry[0] == fingerprint(function):
+        return entry[1]
+    return None
+
+
+def memo_store(function: "Function", key: str, value: object) -> None:
+    """Memoize ``value`` under ``key``, stamped with the fingerprint the
+    function has *now* — call it after computing ``value``, so whatever
+    the computation did to the function (parsing a deferred body, for
+    one) is part of the stamp.  Entries stamped on another state of the
+    IR go: no lookup can return them, and they would keep the IR they
+    describe alive."""
+    stamp = fingerprint(function)
+    memo = function.memo
+    for other, (other_stamp, _) in list(memo.items()):
+        if other_stamp != stamp:
+            del memo[other]
+    memo[key] = (stamp, value)
 
 
 class GlobalVariable(Value):
@@ -82,9 +135,11 @@ class Function:
         """Results derived from this function and memoized by the layer
         that computes them (``repro.analysis``: the analysis bundle,
         ``repro.simt.lowering``: lowered programs), each under its own
-        key with its own staleness guard.  Held here rather than in
-        module-level tables so they are freed with the function; empty
-        again after :func:`retire_memos`."""
+        key, written by :func:`memo_store` and read by
+        :func:`memo_lookup`, which returns an entry only while the
+        function's :func:`fingerprint` is the one stamped on it.  Held
+        here rather than in module-level tables so they are freed with
+        the function; empty again after :func:`retire_memos`."""
         if self._memo_epoch != _memo_epoch:
             self._memo, self._memo_epoch = {}, _memo_epoch
         return self._memo

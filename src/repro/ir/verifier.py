@@ -12,7 +12,8 @@ this after each pass.  Checks performed:
   incoming blocks exactly match the block's predecessors;
 * every definition dominates all of its uses (φ uses are checked at the
   end of the matching incoming block);
-* operands belong to the same function (arguments, instructions, blocks);
+* operands belong to the same function (arguments, instructions, blocks),
+  and an instruction operand is still in its block's list;
 * branch targets are blocks of the function, and cached predecessor
   lists agree with the terminator edges;
 * barrier calls are void: a ``llvm.gpu.barrier`` with uses is rejected;
@@ -28,6 +29,7 @@ nothing on structurally broken IR.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Optional
 
 from .block import BasicBlock
@@ -115,6 +117,11 @@ def verify_function(function: Function) -> None:
         reachable = set(order)
     phi_problems: List[str] = []
     findings: List[tuple] = []
+    # Each instruction in a reachable block's list -> its (last) index
+    # there; an operand missing here was dropped from its block's list.
+    positions: Dict[Instruction, int] = {}
+    for block in dom or ():
+        positions.update(zip(block._instructions, itertools.count()))
     args = function.args
     instruction_kinds = _INSTRUCTION_KINDS
     operand_kinds = _OPERAND_KINDS
@@ -133,12 +140,9 @@ def verify_function(function: Function) -> None:
         span = dom.get(block) if dom is not None else None
         if span is not None:
             # Operands of this block are checked: ``number`` is its
-            # preorder number, ``positions`` each instruction's last
-            # index in it (``i`` itself when nothing occurs twice).
+            # preorder number.
             number = span[0]
             owned = block.parent is function
-            positions = dict(zip(instrs, range(len(instrs))))
-            repeats = len(positions) != len(instrs)
         for i, instr in enumerate(instrs):
             if instr.parent is not block:
                 problems.append(
@@ -195,6 +199,10 @@ def verify_function(function: Function) -> None:
                     if home is None:
                         findings.append((_UNREACHABLE, instr, operand, index))
                         continue
+                at = positions.get(operand)
+                if at is None:  # gone from its block's list
+                    findings.append((_DETACHED, instr, operand, index))
+                    continue
                 # Where a wrong parent makes ``block`` differ from
                 # ``instr.parent``, the findings are never reported.
                 if kind == _PHI:
@@ -204,11 +212,7 @@ def verify_function(function: Function) -> None:
                     if site and home[0] <= site[0] <= home[1]:
                         continue
                 elif parent is block:
-                    at = positions.get(operand)
-                    if at is None:  # gone from the block's list
-                        findings.append((_DETACHED, instr, operand, index))
-                        continue
-                    if at < (positions[instr] if repeats else i):
+                    if at < positions[instr]:
                         continue
                 elif home[0] <= number <= home[1]:
                     continue

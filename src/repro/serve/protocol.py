@@ -86,6 +86,8 @@ def decode(line: bytes) -> Dict[str, Any]:
         message = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProtocolError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:  # a few thousand ``[`` suffice
+        raise ProtocolError("invalid JSON: nested too deeply") from exc
     if not isinstance(message, dict):
         raise ProtocolError("message must be a JSON object")
     return message

@@ -20,15 +20,15 @@ time:
   points are resolved to block indices once.
 
 Programs are cached on the function itself (``Function.memo``, so they
-are freed with it) behind the same memo pattern as
-:func:`repro.analysis.cached_divergence`, with two refinements: the
-cache key is the machine's **latency model**
+are freed with it) through the same ``repro.ir.memo_lookup`` /
+``memo_store`` pair as :func:`repro.analysis.cached_divergence`, keyed
+by the machine's **latency model**
 (:func:`~repro.analysis.latency.latency_token` — latencies are baked
 into the µops, and nothing else of the machine is: one program serves
-every reconvergence policy) and the structural
-fingerprint covers **operand identity**
-(ids of operands, successors and φ incoming blocks), so in-place operand
-rewrites miss the cache instead of silently replaying stale code.
+every reconvergence policy).  The pair's fingerprint covers operand
+identity (ids of operands, successors and φ incoming blocks), so
+in-place operand rewrites miss the cache instead of silently replaying
+stale code.
 
 Semantics are bit-identical to the reference interpreter by
 construction: the run functions inline exactly the scalar semantics of
@@ -71,7 +71,7 @@ from repro.analysis.dominators import (
 )
 from repro.analysis.latency import LatencyModel, latency_token
 from repro.ir.block import BasicBlock
-from repro.ir.function import Function, GlobalVariable
+from repro.ir.function import Function, GlobalVariable, memo_lookup, memo_store
 from repro.ir.instructions import (
     BinaryOp,
     Branch,
@@ -811,53 +811,11 @@ def lower_function(function: Function, latency: LatencyModel) -> LoweredProgram:
 
 
 # ---------------------------------------------------------------------------
-# memoization — same shape as analysis.function_analyses (the entries
-# live on the Function, in ``Function.memo``, so they are freed with it
-# and retired with every other memo by ``repro.ir.retire_memos``, the
-# quarantine after a failed task: programs reference their function's
-# arguments, and a module-level table, even a weak-keyed one, would keep
-# every launched function alive — run functions, shared by shape,
-# reference none), but keyed on latency_token(machine.latency)
-# (latencies are baked into µops; lower_symbolic sees nothing else of
-# the machine, so every reconvergence policy shares one program) and
-# fingerprinted down to operand identity (operand rewrites must miss).
-
-_MEMO_KEY = "lowering"
-
-
-def _programs(function: Function) -> Dict[str, Tuple[tuple, LoweredProgram]]:
-    """``function``'s latency-token → (fingerprint, program) table."""
-    return function.memo.setdefault(_MEMO_KEY, {})
-
-
-def function_fingerprint(function: Function) -> tuple:
-    """Structural + operand-identity fingerprint of a function.
-
-    Unlike :func:`analysis.divergence._fingerprint`, this sees in-place
-    operand rewrites, successor retargeting and φ incoming edits, so
-    callers never need an explicit invalidation between compile and
-    launch.  Cost is O(instructions) per launch — noise next to the
-    execution it guards — and constant for a deferred body: nothing can
-    have mutated IR that is still text.
-    """
-    if function.deferred:
-        return ("unparsed",)
-    parts = []
-    for block in function.blocks:
-        row: List[int] = [id(block)]
-        append = row.append
-        for instr in block.instructions:
-            append(id(instr))
-            for op in instr._operands:
-                append(id(op))
-            if isinstance(instr, Branch):
-                for succ in instr._successors:
-                    append(id(succ))
-            elif isinstance(instr, Phi):
-                for pred in instr._incoming_blocks:
-                    append(id(pred))
-        parts.append(tuple(row))
-    return tuple(parts)
+# memoization — through repro.ir.memo_lookup / memo_store, like the
+# analysis bundle.  The key is latency_token(machine.latency) itself:
+# latencies are baked into µops and lower_symbolic sees nothing else of
+# the machine, so every reconvergence policy shares one program; being
+# JSON text, the token cannot equal another layer's memo key.
 
 
 def get_program(function: Function, machine) -> LoweredProgram:
@@ -869,13 +827,10 @@ def get_program(function: Function, machine) -> LoweredProgram:
     policy) share entries while latency-model changes always miss.
     """
     token = latency_token(machine.latency)
-    fingerprint = function_fingerprint(function)
-    programs = _programs(function)
-    hit = programs.get(token)
-    if hit is not None and hit[0] == fingerprint:
-        return hit[1]
-    program = lower_function(function, machine.latency)
-    programs[token] = (fingerprint, program)
+    program = memo_lookup(function, token)
+    if program is None:
+        program = lower_function(function, machine.latency)
+        memo_store(function, token, program)
     return program
 
 
@@ -887,30 +842,32 @@ def seed_program(function: Function, machine,
     symbolic program is materialized against the replayed (or just
     compiled) ``function`` and seeded here, so the first launch skips
     :func:`lower_function` entirely.
-    The entry is guarded by the same fingerprint as a memoized lowering
-    — if the function mutates before launch, the seed simply misses and
-    lowering runs normally (a deferred body gets its fingerprint when
-    it is parsed, see :func:`_confirm_seed`).
+    The entry is stamped like a memoized lowering — if the function
+    mutates before launch, the seed simply misses and lowering runs
+    normally.  A deferred body's stamp is the constant of an unparsed
+    body, so launching never parses it; the parse re-stamps the entry or
+    drops it (:func:`_confirm_seed`).
     """
     token = latency_token(machine.latency)
-    _programs(function)[token] = (function_fingerprint(function), program)
+    memo_store(function, token, program)
     if function.deferred:
         function.after_body(partial(_confirm_seed, token, program))
 
 
 def _confirm_seed(token: str, program: LoweredProgram,
                   function: Function) -> None:
-    """``function``'s body was just parsed: give the ``program`` seeded
-    on it the real fingerprint, or drop it (the next launch re-lowers)
-    if its blocks are not the ones the text turned out to hold."""
-    programs = _programs(function)
-    if programs.get(token, (None, None))[1] is not program:
-        return  # retired by repro.ir.retire_memos
+    """``function``'s body was just parsed: store the ``program`` seeded
+    on it again, now stamped with the body's fingerprint, or drop it
+    (the next launch re-lowers) if its blocks are not the ones the text
+    turned out to hold."""
+    if function.memo.get(token, (None, None))[1] is not program:
+        return  # retired by repro.ir.retire_memos, or replaced
     shape = [(block.name, sum(op[4] if op[0] == OP_RUN else 1
                               for op in block.ops))
              for block in program.blocks]
     try:
         _checked_schedules(shape, function)
-        programs[token] = (function_fingerprint(function), program)
     except ProgramDecodeError:
-        del programs[token]
+        del function.memo[token]
+    else:
+        memo_store(function, token, program)

@@ -41,7 +41,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.divergence import invalidate_divergence
 from repro.ir.function import Function
 from repro.obs import current_tracer, emit_pass_timing, record_pass_seconds
 
@@ -201,10 +200,6 @@ class PassPipeline:
                 emit_pass_timing(timing, tracer)
             record_pass_seconds(timing.name, timing.seconds)
             changed |= result.changed
-            if result.changed:
-                # The pass may have rewritten operands in place, which
-                # the divergence memo's fingerprint cannot see.
-                invalidate_divergence(function)
             for hook in self.after_each:
                 hook(pass_.name, function, result)
         return changed, size

@@ -1,13 +1,10 @@
 """Tests for the GPU divergence analysis."""
 
-from repro.analysis import (
-    cached_divergence,
-    compute_divergence,
-    invalidate_divergence,
-)
+import repro
+from repro.analysis import cached_divergence, compute_divergence
 from repro.analysis import compute_loop_info
 from repro.analysis.divergence import _join_blocks, _live_outs
-from repro.ir import Call, IntrinsicName, Load
+from repro.ir import I32, Call, Constant, IntrinsicName, Load
 
 from tests.support import build_diamond, parse
 
@@ -360,11 +357,20 @@ class TestDivergenceMemo:
         f = build_diamond()
         assert cached_divergence(f) is cached_divergence(f)
 
-    def test_invalidate_forces_recompute(self):
-        f = build_diamond()
-        first = cached_divergence(f)
-        invalidate_divergence(f)
-        assert cached_divergence(f) is not first
+    def test_in_place_operand_rewrite_misses(self):
+        # Replacing every use of SB1's ``tid`` by a constant changes no
+        # block and no block length, only operands: the memo must see
+        # it without being told.
+        case = repro.ALL_BUILDERS["SB1"](block_size=32)
+        f = case.function
+        assert repro.analyze(f).divergent_branch_blocks
+        tid = next(i for i in f.instructions()
+                   if isinstance(i, Call) and i.callee == IntrinsicName.TID_X)
+        tid.replace_all_uses_with(Constant(I32, 0))
+        cached, fresh = repro.analyze(f), compute_divergence(f)
+        assert cached.divergent_branch_blocks == fresh.divergent_branch_blocks
+        assert cached.divergent_values == fresh.divergent_values
+        assert not fresh.divergent_branch_blocks
 
     def test_structural_change_misses_automatically(self):
         from repro.ir import IRBuilder

@@ -1,5 +1,7 @@
-"""The IR verifier as it was before its one-walk rewrite, kept verbatim
-as the differential reference for :func:`repro.ir.verify_function`.
+"""The IR verifier as it was before its one-walk rewrite, kept as the
+differential reference for :func:`repro.ir.verify_function`.  One check
+was added since: an operand whose instruction is gone from its block's
+list is detached, wherever its user is.
 
 It checks a function phase by phase: the cached predecessor lists, then
 every block's structure and instruction semantics, the entry block, the
@@ -159,6 +161,11 @@ def _check_operand_dominance(function: Function, dt,
             if not dt.contains(operand.parent):
                 problems.append(
                     f"{instr!r} uses %{operand.name} defined in unreachable block"
+                )
+                continue
+            if operand not in position:  # dropped from its block's list
+                problems.append(
+                    f"{instr!r} uses detached/foreign instruction %{operand.name}"
                 )
                 continue
             if operand.parent is instr.parent and not isinstance(instr, Phi):

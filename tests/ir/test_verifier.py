@@ -260,6 +260,19 @@ def _operand_gone_from_block():
     return f
 
 
+def _operand_gone_from_other_block():
+    f = Function("f", [], [])
+    a, b = f.add_block("a"), f.add_block("b")
+    builder = IRBuilder(a)
+    x = builder.add(c(1), c(2), "x")
+    builder.br(b)
+    builder.position_at_end(b)
+    builder.add(x, c(3), "y")
+    builder.ret()
+    a._instructions.remove(x)  # ``x`` still names ``a`` as its parent
+    return f
+
+
 def _branch_out_of_function():
     other = Function("g", [], [])
     outside = other.add_block("out")
@@ -365,6 +378,8 @@ MALFORMED = {
         "%lt = icmp slt <missing>, 2 has a missing operand #0"]),
     "operand-gone-from-block": (_operand_gone_from_block, [
         "%v = add i32 %x, 3 uses detached/foreign instruction %x"]),
+    "operand-gone-from-other-block": (_operand_gone_from_other_block, [
+        "%y = add i32 %x, 3 uses detached/foreign instruction %x"]),
     "branch-out-of-function": (_branch_out_of_function, [
         "block %a branches to %out outside the function"]),
     "phi-value-without-block": (_phi_value_without_block, [

@@ -38,6 +38,11 @@ class TestDecode:
             decode(b"{nope\n")
         assert info.value.code == "bad-request"
 
+    def test_rejects_deep_nesting(self):
+        with pytest.raises(ProtocolError) as info:
+            decode(b"[" * 5000 + b"\n")
+        assert info.value.code == "bad-request"
+
     def test_rejects_non_object(self):
         with pytest.raises(ProtocolError):
             decode(b"[1, 2]\n")

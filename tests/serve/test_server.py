@@ -172,6 +172,22 @@ class TestLifecycle:
                 # connection survives a bad line
                 assert client.ping()
 
+    def test_deep_json_is_typed_error_event(self):
+        # 5 000 bytes, well inside the stream limit, but nested past the
+        # JSON decoder's recursion limit.
+        thread = ServerThread(ServerConfig(workers=1))
+        address = thread.start()
+        try:
+            with ServeClient(*address) as client:
+                client._sock.sendall(b"[" * 5000 + b"\n")
+                event = client._pump()
+                assert event["event"] == "error"
+                assert event["code"] == "bad-request"
+                assert client.ping()  # the connection survives
+            assert thread.server._admitted == 0
+        finally:
+            thread.stop()
+
     def test_unknown_op_is_typed_error_event(self):
         with ServerThread(ServerConfig(workers=1)) as address:
             with ServeClient(*address) as client:

@@ -290,6 +290,19 @@ def test_program_cache_shared_across_reconvergence_policies(monkeypatch):
     assert calls == ["k"]
 
 
+def test_unseeded_deferred_body_lowers_once(monkeypatch):
+    """Lowering parses a deferred body; the program is stamped with the
+    parsed body's fingerprint, so the second launch hits."""
+    calls = _count_lowerings(monkeypatch)
+    machine = MachineConfig()
+    text = print_module(_simple_function().module)
+    (replayed,) = parse_module_deferred(text).functions.values()
+    assert replayed.deferred
+    first = get_program(replayed, machine)
+    assert get_program(replayed, machine) is first
+    assert calls == ["k"]
+
+
 def test_function_launched_under_both_policies_lowers_once(monkeypatch):
     calls = _count_lowerings(monkeypatch)
     f = _simple_function()

@@ -87,7 +87,7 @@ RETIRED = {
     "UnrollLimits", "DEFAULT_LIMITS",
     "profile_branches", "branch_profile", "NullRegistry", "NULL_REGISTRY",
     "severity_overrides", "severity_for", "ENTRY_SCHEMA_V1",
-    "verify_preds_consistent",
+    "verify_preds_consistent", "invalidate_divergence", "function_fingerprint",
 }
 
 
