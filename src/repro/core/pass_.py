@@ -29,7 +29,6 @@ from repro.analysis.divergence import (
     CFGFacts,
     FunctionAnalyses,
     analyze_function,
-    function_analyses,
 )
 from repro.analysis.validate import MeldValidation, RegionCapture
 from repro.ir.block import BasicBlock
@@ -141,16 +140,13 @@ class CFMPass(Pass):
         stats = CFMStats()
         start = time.perf_counter()
 
+        # The pass's own bundle, not the Function.memo one: its CFG facts
+        # follow every edit, and a memoized value must stay what it was
+        # when it was stamped.  Only the taint reruns per iteration.
         facts = None
         for _ in range(self.config.max_iterations):
             stats.iterations += 1
-            if facts is None:
-                # Shared memo: a lint / facade analyze() of the same
-                # unchanged IR reuses this fixpoint instead of re-running it.
-                analyses = function_analyses(function)
-            else:
-                # The CFG facts follow every edit; only the taint reruns.
-                analyses = analyze_function(function, facts=facts)
+            analyses = analyze_function(function, facts=facts)
             facts = analyses.facts
             if not _meld_one(function, self.config, stats, analyses):
                 break

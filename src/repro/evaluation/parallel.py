@@ -21,8 +21,10 @@ recycling and the memo quarantine after a failure; this module owns:
   processes and sweep repeats**.  Its counters ride back on
   :attr:`TaskResult.compile_cache`;
 * :func:`fold_sweep_metrics` — the one fold of a sweep's outcomes into
-  the ambient metrics registry, in position order, so a serial,
-  N-worker or served sweep yields the same deterministic families.
+  the ambient metrics registry, in position order
+  (:func:`merge_deltas`, which every served job's fold shares), so a
+  serial, N-worker or served sweep yields the same deterministic
+  families.
   It counts no task: the scheduler counts each settled task once, and
   the fold merges that registry instead.
 """
@@ -129,6 +131,16 @@ def run_task(task: SweepTask,
         trace_events=list(tracer.events) if task.trace else None)
 
 
+def merge_deltas(registry, outcomes: Sequence[Optional[TaskOutcome]]
+                 ) -> None:
+    """Merge each outcome's metrics delta into ``registry`` in position
+    order (``None`` for a task that never settled): the order a serial
+    run emits them, so gauges end at the same value in every mode."""
+    for outcome in outcomes:
+        if outcome is not None and outcome.metrics_delta:
+            registry.merge(outcome.metrics_delta)
+
+
 def fold_sweep_metrics(outcomes: Sequence[Optional[TaskOutcome]],
                        wall_seconds: float,
                        scheduler: Optional[Scheduler] = None) -> None:
@@ -147,11 +159,9 @@ def fold_sweep_metrics(outcomes: Sequence[Optional[TaskOutcome]],
     outcomes = [outcome for outcome in outcomes if outcome is not None]
     if registry is None or not outcomes:
         return
-    for outcome in outcomes:
-        if outcome.metrics_delta:
-            registry.merge(outcome.metrics_delta)
+    merge_deltas(registry, outcomes)
     if scheduler is not None:
-        registry.merge(scheduler.metrics_snapshot())
+        registry.merge(scheduler.registry)
     if wall_seconds > 0:
         registry.gauge(
             "repro_eval_rows_per_second",

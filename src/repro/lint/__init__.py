@@ -17,13 +17,7 @@ from __future__ import annotations
 import sys
 from types import ModuleType
 
-from .diagnostics import (
-    DEFAULT_CONFIG,
-    Diagnostic,
-    LintConfig,
-    LintReport,
-    Severity,
-)
+from .diagnostics import Diagnostic, LintReport, Severity
 from .engine import (
     LintContext,
     LintRule,
@@ -39,7 +33,7 @@ from .api import LINT_LEVELS, compile_at_level, lint_at_level, lint_kernel
 from .sarif import to_sarif, write_sarif
 
 __all__ = [
-    "Severity", "Diagnostic", "LintConfig", "DEFAULT_CONFIG", "LintReport",
+    "Severity", "Diagnostic", "LintReport",
     "LintContext", "LintRule", "register", "all_rules", "get_rule",
     "resolve_rules", "rules_emitting", "run_lint", "rules",
     "LINT_LEVELS", "compile_at_level", "lint_at_level", "lint_kernel",

@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Union
 from repro.ir.function import Function
 from repro.pipeline import ARMS, as_function, compile_arm
 
-from .diagnostics import LintConfig, LintReport
+from .diagnostics import LintReport
 from .engine import LintRule, run_lint
 from . import rules as _rules  # noqa: F401  (populates the registry)
 
@@ -33,7 +33,6 @@ def _decisions_of(kernel) -> Optional[list]:
 
 def lint_kernel(kernel,
                 rules: Optional[Sequence[Union[str, LintRule]]] = None,
-                config: Optional[LintConfig] = None,
                 decisions: Optional[Sequence[object]] = None) -> LintReport:
     """Lint a kernel-like object as-is (no compilation).
 
@@ -43,8 +42,7 @@ def lint_kernel(kernel,
     """
     if decisions is None:
         decisions = _decisions_of(kernel)
-    return run_lint(as_function(kernel), rules=rules, config=config,
-                    decisions=decisions)
+    return run_lint(as_function(kernel), rules=rules, decisions=decisions)
 
 
 def compile_at_level(function: Function, level: str,
@@ -60,7 +58,6 @@ def compile_at_level(function: Function, level: str,
 
 def lint_at_level(kernel, level: str,
                   rules: Optional[Sequence[Union[str, LintRule]]] = None,
-                  config: Optional[LintConfig] = None,
                   cfm_config=None) -> LintReport:
     """Compile ``kernel`` in place at ``level``, then lint it.
 
@@ -70,5 +67,4 @@ def lint_at_level(kernel, level: str,
     """
     function = as_function(kernel)
     decisions = compile_at_level(function, level, cfm_config=cfm_config)
-    return run_lint(function, rules=rules, config=config,
-                    decisions=decisions)
+    return run_lint(function, rules=rules, decisions=decisions)

@@ -23,8 +23,8 @@ import sys
 from typing import Dict, List, Tuple
 
 from .api import LINT_LEVELS, compile_at_level
-from .diagnostics import LintConfig, LintReport, Severity
-from .engine import run_lint
+from .diagnostics import LintReport, Severity
+from .engine import all_rules, get_rule, run_lint
 from .sarif import write_sarif
 
 
@@ -98,8 +98,9 @@ def run(argv=None) -> int:
 
     kernels = _select(args.kernels, ALL_BUILDERS, "kernels")
     levels = _select(args.levels, LINT_LEVELS, "levels")
-    config = LintConfig(disabled={r.strip() for r in args.disable.split(",")
-                                  if r.strip()})
+    disabled = {get_rule(r.strip()).id for r in args.disable.split(",")
+                if r.strip()}
+    rules = [rule for rule in all_rules() if rule.id not in disabled]
     cfm_config = None
     if args.validate_melds:
         from repro.core import CFMConfig
@@ -113,7 +114,7 @@ def run(argv=None) -> int:
             function = case.function
             decisions = compile_at_level(function, level,
                                          cfm_config=cfm_config)
-            report = run_lint(function, config=config, decisions=decisions)
+            report = run_lint(function, rules=rules, decisions=decisions)
             reports.append((name, level, report))
             for decision in decisions or []:
                 verdict = getattr(decision, "validation", None)

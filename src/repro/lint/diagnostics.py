@@ -20,14 +20,14 @@ compilers):
   defined behaviour).
 * ``info`` — advisory findings.
 
-:class:`LintConfig` is the suppression surface: it disables rules
-wholesale.
+Rules are chosen, and so suppressed, by the ``rules=`` selection of
+:func:`repro.lint.run_lint`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
 class Severity:
@@ -117,24 +117,6 @@ class Diagnostic:
         if self.instruction:
             line += f"\n    {self.instruction}"
         return line
-
-
-@dataclass
-class LintConfig:
-    """Suppression configuration: ``disabled`` names rules that do not
-    run at all."""
-
-    disabled: Set[str] = field(default_factory=set)
-
-    def __post_init__(self) -> None:
-        self.disabled = set(self.disabled)
-
-    def is_enabled(self, rule_id: str) -> bool:
-        return rule_id not in self.disabled
-
-
-#: shared default configuration (nothing disabled)
-DEFAULT_CONFIG = LintConfig()
 
 
 @dataclass

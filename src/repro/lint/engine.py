@@ -32,24 +32,16 @@ from repro.ir.instructions import Instruction
 from repro.ir.printer import format_instruction
 from repro.obs import COMPILE_PID, current_tracer
 
-from .diagnostics import (
-    DEFAULT_CONFIG,
-    Diagnostic,
-    LintConfig,
-    LintReport,
-    Severity,
-)
+from .diagnostics import Diagnostic, LintReport, Severity
 
 
 class LintContext:
-    """Shared state of one lint run: the function, the configuration,
-    and lazily computed, memoized analyses."""
+    """Shared state of one lint run: the function and lazily computed,
+    memoized analyses."""
 
     def __init__(self, function: Function,
-                 config: LintConfig = DEFAULT_CONFIG,
                  decisions: Optional[Sequence[object]] = None) -> None:
         self.function = function
-        self.config = config
         #: the CFM pass's melding decision log, when the caller has one
         #: (:class:`repro.obs.MeldingDecision` records; consumed by the
         #: meld-legality audit)
@@ -280,7 +272,6 @@ def resolve_rules(rules: Optional[Sequence[Union[str, LintRule]]]
 
 def run_lint(function: Function,
              rules: Optional[Sequence[Union[str, LintRule]]] = None,
-             config: Optional[LintConfig] = None,
              decisions: Optional[Sequence[object]] = None) -> LintReport:
     """Run the (selected) rules over ``function`` and report.
 
@@ -291,13 +282,10 @@ def run_lint(function: Function,
     Under an ambient :mod:`repro.obs` tracer each diagnostic is emitted
     as a ``lint:<rule>`` instant event with the diagnostic as args.
     """
-    config = config if config is not None else DEFAULT_CONFIG
-    ctx = LintContext(function, config=config, decisions=decisions)
+    ctx = LintContext(function, decisions=decisions)
     report = LintReport(function=function.name)
     tracer = current_tracer()
     for rule in resolve_rules(rules):
-        if not config.is_enabled(rule.id):
-            continue
         report.rules_run.append(rule.id)
         for diagnostic in rule.check(ctx):
             report.diagnostics.append(diagnostic)

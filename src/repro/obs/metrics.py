@@ -20,18 +20,23 @@ Like tracing, collection is *ambient*: instrumented code reads
 collection scope, so the disabled path costs one ``is None`` check
 (the same budget ``tests/obs/test_overhead.py`` holds the tracer to).
 
+There is one family type, :class:`Family`, held in its snapshot layout:
+a kind (counter, gauge or histogram), a help text, the histogram
+buckets, and one child per flat ``k=v,k2=v2`` sample key.  A child is a
+:class:`Value` (a counter's only goes up) or a :class:`Histogram`.
+
 Snapshots are plain JSON-able dicts (:meth:`MetricsRegistry.snapshot`)
-and merge additively (:meth:`MetricsRegistry.merge`), which is what
-makes **cross-process aggregation** work: every scheduler worker
-returns its task's delta on the task's ``TaskOutcome`` and
-``fold_sweep_metrics`` merges the deltas — in task order — into one
-sweep-level registry.
+and merge additively (:meth:`MetricsRegistry.merge`: each family folds
+its entry in by sample key), which is what makes **cross-process
+aggregation** work: every scheduler worker returns its task's delta on
+the task's ``TaskOutcome`` and ``merge_deltas`` merges the deltas — in
+task order — into one registry.
 Histogram merges reject mismatched bucket boundaries exactly the way
 :meth:`repro.simt.Metrics.merge` rejects mismatched warp widths: a side
 that has not observed anything yet adopts the other's buckets; two
 counted sides with different buckets raise :class:`ValueError`.
 
-Three exposition paths:
+Three exposition paths, each a walk over one snapshot:
 
 * Prometheus text format v0.0.4 — :func:`render_prometheus`,
   :meth:`MetricsRegistry.write_prom`, and ``python -m repro.obs metrics
@@ -116,50 +121,52 @@ def _parse_label_key(key: str) -> List[Tuple[str, str]]:
     return [tuple(part.split("=", 1)) for part in key.split(",")]
 
 
-def _check_labels(labels: Dict[str, object]) -> None:
-    for name, value in labels.items():
-        text = str(value)
-        for bad in _FORBIDDEN_IN_LABELS:
-            if bad in name or bad in text:
-                raise ValueError(
-                    f"label {name}={text!r} contains {bad!r}; metric label "
-                    f"names/values must avoid {_FORBIDDEN_IN_LABELS}")
+def _check_key(key: str) -> None:
+    """Reject a sample key whose label names or values would corrupt it:
+    every ``k=v`` part must split on exactly one ``=``."""
+    for part in key.split(",") if key else ():
+        _, sep, value = part.partition("=")
+        if not sep or "=" in value or '"' in part or "\n" in part:
+            raise ValueError(
+                f"label key {key!r} is malformed; metric label "
+                f"names/values must avoid {_FORBIDDEN_IN_LABELS}")
 
 
 # ---------------------------------------------------------------------------
 # children (the things instrumentation sites actually touch)
 
 
-class Counter:
-    """A monotonically-increasing sample."""
+class Value:
+    """A counter or gauge sample.  A counter only goes up; a gauge is
+    last-write-wins, also across merges."""
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "counter")
 
-    def __init__(self) -> None:
+    def __init__(self, counter: bool) -> None:
         self.value = 0
+        self.counter = counter
 
     def inc(self, amount: Union[int, float] = 1) -> None:
-        if amount < 0:
+        if amount < 0 and self.counter:
             raise ValueError("counters only go up")
         self.value += amount
 
-
-class Gauge:
-    """A point-in-time sample (last write wins, also across merges)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
+    def dec(self, amount: Union[int, float] = 1) -> None:
+        self.inc(-amount)
 
     def set(self, value: Union[int, float]) -> None:
+        if self.counter:
+            raise ValueError("counters only go up")
         self.value = value
 
-    def inc(self, amount: Union[int, float] = 1) -> None:
-        self.value += amount
+    def sample(self) -> Union[int, float]:
+        return self.value
 
-    def dec(self, amount: Union[int, float] = 1) -> None:
-        self.value -= amount
+    def fold(self, sample: Union[int, float]) -> None:
+        if self.counter:
+            self.value += sample
+        else:
+            self.value = sample
 
 
 class Histogram:
@@ -180,91 +187,112 @@ class Histogram:
         self.sum += value
         self.count += 1
 
+    def sample(self) -> Dict[str, object]:
+        return {"counts": list(self.counts), "sum": self.sum,
+                "count": self.count}
+
+    def fold(self, sample: Dict[str, object]) -> None:
+        counts = sample.get("counts", [])
+        if len(counts) != len(self.counts):
+            raise ValueError(
+                f"histogram sample has {len(counts)} buckets, expected "
+                f"{len(self.counts)}")
+        for i, count in enumerate(counts):
+            self.counts[i] += count
+        self.sum += sample.get("sum", 0)
+        self.count += sample.get("count", 0)
+
 
 # ---------------------------------------------------------------------------
-# families (name + help + labeled children)
+# the family (name + help + one child per sample key)
+
+#: family kind -> its snapshot section, in snapshot order
+_SECTIONS = {"counter": "counters", "gauge": "gauges",
+             "histogram": "histograms"}
 
 
-class _Family:
-    kind = "untyped"
+class Family:
+    """One metric family, held in its snapshot layout: a ``kind``, a
+    help text, the histogram ``buckets`` (None for a counter or gauge)
+    and one child per flat sample key."""
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, kind: str, name: str, help: str = "",
+                 buckets: Optional[Sequence[float]] = None) -> None:
+        self.kind = kind
         self.name = name
         self.help = help
-        self._children: Dict[str, object] = {}
+        self.buckets: Optional[Tuple[float, ...]] = None
+        if kind == "histogram":
+            self.buckets = tuple(buckets or ())
+            if not self.buckets:
+                raise ValueError(f"histogram {name}: needs at least one bucket")
+            if list(self.buckets) != sorted(set(self.buckets)):
+                raise ValueError(
+                    f"histogram {name}: bucket bounds must be strictly "
+                    f"increasing, got {self.buckets}")
+        self._children: Dict[str, Union[Value, Histogram]] = {}
 
-    def _new_child(self):  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def labels(self, **labels):
-        """The child for this label set (created on first use)."""
-        key = _label_key(labels)
+    def _child(self, key: str) -> Union[Value, Histogram]:
+        """The child for sample key ``key`` (created on first use)."""
         child = self._children.get(key)
         if child is None:
-            _check_labels(labels)
-            child = self._new_child()
+            _check_key(key)
+            child = (Histogram(self.buckets) if self.buckets is not None
+                     else Value(self.kind == "counter"))
             self._children[key] = child
         return child
 
-    def samples(self) -> Dict[str, object]:
-        """``label key -> child``, sorted (snapshot order)."""
-        return {key: self._children[key] for key in sorted(self._children)}
-
-
-class CounterFamily(_Family):
-    kind = "counter"
-
-    def _new_child(self) -> Counter:
-        return Counter()
+    def labels(self, **labels) -> Union[Value, Histogram]:
+        """The child for this label set (created on first use)."""
+        return self._child(_label_key(labels))
 
     def inc(self, amount: Union[int, float] = 1) -> None:
         self.labels().inc(amount)
 
-    def total(self) -> Union[int, float]:
-        """Sum over every label set (the un-labeled view of the family)."""
-        return sum(child.value for child in self._children.values())
-
-
-class GaugeFamily(_Family):
-    kind = "gauge"
-
-    def _new_child(self) -> Gauge:
-        return Gauge()
-
     def set(self, value: Union[int, float]) -> None:
         self.labels().set(value)
-
-
-class HistogramFamily(_Family):
-    kind = "histogram"
-
-    def __init__(self, name: str, help: str = "",
-                 buckets: Sequence[float] = SECONDS_BUCKETS) -> None:
-        super().__init__(name, help)
-        self.buckets: Tuple[float, ...] = tuple(buckets)
-        if not self.buckets:
-            raise ValueError(f"histogram {name}: needs at least one bucket")
-        if list(self.buckets) != sorted(set(self.buckets)):
-            raise ValueError(
-                f"histogram {name}: bucket bounds must be strictly "
-                f"increasing, got {self.buckets}")
-
-    def _new_child(self) -> Histogram:
-        return Histogram(self.buckets)
 
     def observe(self, value: Union[int, float]) -> None:
         self.labels().observe(value)
 
-    def total_count(self) -> int:
+    def total(self) -> Union[int, float]:
+        """Sum over every label set (the un-labeled view of the family):
+        the values of a counter or gauge, a histogram's observations."""
+        if self.buckets is None:
+            return sum(child.value for child in self._children.values())
         return sum(child.count for child in self._children.values())
 
-    def _rebucket(self, buckets: Sequence[float]) -> None:
-        """Adopt new bounds; only legal while nothing has been observed
-        (existing children are re-created empty at the new width)."""
-        assert self.total_count() == 0
-        self.buckets = tuple(buckets)
-        self._children = {key: Histogram(self.buckets)
-                          for key in self._children}
+    def entry(self) -> Dict[str, object]:
+        """The family's snapshot entry, samples in key order."""
+        entry: Dict[str, object] = {"help": self.help}
+        if self.buckets is not None:
+            entry["buckets"] = list(self.buckets)
+        entry["samples"] = {key: self._children[key].sample()
+                            for key in sorted(self._children)}
+        return entry
+
+    def fold(self, entry: Dict[str, object]) -> None:
+        """Fold a snapshot entry of this family in, by sample key.
+
+        Histogram bucket-boundary mismatches follow
+        :meth:`repro.simt.Metrics.merge`'s warp-size rule: an empty side
+        adopts the other's buckets, two counted sides raise."""
+        samples = entry.get("samples", {})
+        bounds = tuple(entry.get("buckets", ()))
+        if self.buckets is not None and self.buckets != bounds:
+            if self.total() == 0:
+                self.buckets = bounds
+                self._children = {key: Histogram(bounds)
+                                  for key in self._children}
+            elif any(sample.get("count", 0) for sample in samples.values()):
+                raise ValueError(
+                    f"cannot merge histogram {self.name} with buckets "
+                    f"{bounds} into buckets {self.buckets}: bucket sums "
+                    f"would be meaningless")
+            else:
+                return  # nothing observed on the incoming side
+        for key, sample in samples.items():
+            self._child(key).fold(sample)
 
 
 # ---------------------------------------------------------------------------
@@ -281,20 +309,21 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self._families: Dict[str, _Family] = {}
+        self._families: Dict[str, Family] = {}
 
     # ---- registration ----------------------------------------------------
 
-    def _family(self, cls, name: str, help: str, **kwargs) -> _Family:
+    def _family(self, kind: str, name: str, help: str,
+                buckets: Optional[Sequence[float]] = None) -> Family:
         family = self._families.get(name)
         if family is None:
-            family = cls(name, help, **kwargs)
+            family = Family(kind, name, help, buckets)
             self._families[name] = family
             return family
-        if not isinstance(family, cls):
+        if family.kind != kind:
             raise ValueError(
                 f"metric {name} already registered as {family.kind}, "
-                f"not {cls.kind}")
+                f"not {kind}")
         if help and not family.help:
             # A family can be touched help-less first (e.g. reading a
             # counter's total before anything incremented it); the first
@@ -302,56 +331,31 @@ class MetricsRegistry:
             family.help = help
         return family
 
-    def counter(self, name: str, help: str = "") -> CounterFamily:
-        return self._family(CounterFamily, name, help)
+    def counter(self, name: str, help: str = "") -> Family:
+        return self._family("counter", name, help)
 
-    def gauge(self, name: str, help: str = "") -> GaugeFamily:
-        return self._family(GaugeFamily, name, help)
+    def gauge(self, name: str, help: str = "") -> Family:
+        return self._family("gauge", name, help)
 
     def histogram(self, name: str, help: str = "",
-                  buckets: Sequence[float] = SECONDS_BUCKETS
-                  ) -> HistogramFamily:
-        family = self._family(HistogramFamily, name, help, buckets=buckets)
+                  buckets: Sequence[float] = SECONDS_BUCKETS) -> Family:
+        family = self._family("histogram", name, help, buckets)
         if family.buckets != tuple(buckets):
             raise ValueError(
                 f"histogram {name} already registered with buckets "
                 f"{family.buckets}, not {tuple(buckets)}")
         return family
 
-    def families(self) -> List[_Family]:
-        return [self._families[name] for name in sorted(self._families)]
-
     # ---- snapshot / merge ------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
         """JSON-serializable state: deterministic key order, loss-free."""
-        counters: Dict[str, object] = {}
-        gauges: Dict[str, object] = {}
-        histograms: Dict[str, object] = {}
-        for family in self.families():
-            if isinstance(family, CounterFamily):
-                counters[family.name] = {
-                    "help": family.help,
-                    "samples": {key: child.value
-                                for key, child in family.samples().items()},
-                }
-            elif isinstance(family, GaugeFamily):
-                gauges[family.name] = {
-                    "help": family.help,
-                    "samples": {key: child.value
-                                for key, child in family.samples().items()},
-                }
-            else:
-                histograms[family.name] = {
-                    "help": family.help,
-                    "buckets": list(family.buckets),
-                    "samples": {
-                        key: {"counts": list(child.counts),
-                              "sum": child.sum, "count": child.count}
-                        for key, child in family.samples().items()},
-                }
-        return {"schema": SNAPSHOT_SCHEMA, "counters": counters,
-                "gauges": gauges, "histograms": histograms}
+        snapshot: Dict[str, object] = {"schema": SNAPSHOT_SCHEMA}
+        snapshot.update((section, {}) for section in _SECTIONS.values())
+        for name in sorted(self._families):
+            family = self._families[name]
+            snapshot[_SECTIONS[family.kind]][name] = family.entry()
+        return snapshot
 
     def merge(self, delta: Union[Dict[str, object], "MetricsRegistry"]
               ) -> None:
@@ -359,9 +363,7 @@ class MetricsRegistry:
 
         Counters and histogram buckets add; gauges take the delta's
         value (last write wins, so merge deltas in a deterministic
-        order).  Histogram bucket-boundary mismatches follow
-        :meth:`repro.simt.Metrics.merge`'s warp-size rule: an empty side
-        adopts the other's buckets, two counted sides raise.
+        order); histogram buckets follow :meth:`Family.fold`'s rule.
         """
         if isinstance(delta, MetricsRegistry):
             delta = delta.snapshot()
@@ -370,59 +372,17 @@ class MetricsRegistry:
             raise ValueError(
                 f"cannot merge metrics snapshot with schema {schema!r} "
                 f"(expected {SNAPSHOT_SCHEMA!r})")
-        for name, data in delta.get("counters", {}).items():
-            family = self.counter(name, data.get("help", ""))
-            for key, value in data.get("samples", {}).items():
-                family.labels(**dict(_parse_label_key(key))).value += value
-        for name, data in delta.get("gauges", {}).items():
-            family = self.gauge(name, data.get("help", ""))
-            for key, value in data.get("samples", {}).items():
-                family.labels(**dict(_parse_label_key(key))).value = value
-        for name, data in delta.get("histograms", {}).items():
-            bounds = tuple(data.get("buckets", ()))
-            samples = data.get("samples", {})
-            incoming = sum(s.get("count", 0) for s in samples.values())
-            family = self._families.get(name)
-            if family is None:
-                family = self.histogram(name, data.get("help", ""),
-                                        buckets=bounds)
-            elif not isinstance(family, HistogramFamily):
-                raise ValueError(
-                    f"metric {name} already registered as {family.kind}, "
-                    f"not histogram")
-            elif family.buckets != bounds:
-                if family.total_count() == 0:
-                    family._rebucket(bounds)
-                elif incoming != 0:
-                    raise ValueError(
-                        f"cannot merge histogram {name} with buckets "
-                        f"{bounds} into buckets {family.buckets}: bucket "
-                        f"sums would be meaningless")
-                else:
-                    continue  # nothing observed on the incoming side
-            if data.get("help") and not family.help:
-                family.help = data["help"]
-            for key, sample in samples.items():
-                child = family.labels(**dict(_parse_label_key(key)))
-                counts = sample.get("counts", [])
-                if len(counts) != len(child.counts):
-                    raise ValueError(
-                        f"histogram {name}: sample has {len(counts)} "
-                        f"buckets, expected {len(child.counts)}")
-                for i, count in enumerate(counts):
-                    child.counts[i] += count
-                child.sum += sample.get("sum", 0)
-                child.count += sample.get("count", 0)
+        for kind, section in _SECTIONS.items():
+            for name, entry in delta.get(section, {}).items():
+                self._family(kind, name, entry.get("help", ""),
+                             entry.get("buckets")).fold(entry)
 
     # ---- exposition ------------------------------------------------------
-
-    def render_prom(self) -> str:
-        return render_prometheus(self.snapshot())
 
     def write_prom(self, path: str) -> None:
         """Write the current snapshot as Prometheus text format v0.0.4."""
         with open(path, "w") as handle:
-            handle.write(self.render_prom())
+            handle.write(render_prometheus(self.snapshot()))
 
 
 # ---------------------------------------------------------------------------
@@ -500,37 +460,31 @@ def _prom_labels(pairs: Sequence[Tuple[str, str]]) -> str:
 def render_prometheus(snapshot: Dict[str, object]) -> str:
     """Render a snapshot dict as Prometheus text format v0.0.4."""
     lines: List[str] = []
-
-    def header(name: str, kind: str, help: str) -> None:
-        if help:
-            lines.append(f"# HELP {name} {_escape_help(help)}")
-        lines.append(f"# TYPE {name} {kind}")
-
-    for kind in ("counters", "gauges"):
-        prom_kind = "counter" if kind == "counters" else "gauge"
-        for name, data in snapshot.get(kind, {}).items():
-            header(name, prom_kind, data.get("help", ""))
-            for key, value in data.get("samples", {}).items():
-                lines.append(f"{name}{_prom_labels(_parse_label_key(key))} "
-                             f"{_format_value(value)}")
-    for name, data in snapshot.get("histograms", {}).items():
-        header(name, "histogram", data.get("help", ""))
-        bounds = list(data.get("buckets", []))
-        for key, sample in data.get("samples", {}).items():
-            pairs = _parse_label_key(key)
-            cumulative = 0
-            counts = sample.get("counts", [])
-            for bound, count in zip(bounds, counts):
-                cumulative += count
-                le = pairs + [("le", _format_value(bound))]
-                lines.append(f"{name}_bucket{_prom_labels(le)} {cumulative}")
-            le = pairs + [("le", "+Inf")]
-            lines.append(f"{name}_bucket{_prom_labels(le)} "
-                         f"{sample.get('count', 0)}")
-            lines.append(f"{name}_sum{_prom_labels(pairs)} "
-                         f"{_format_value(sample.get('sum', 0))}")
-            lines.append(f"{name}_count{_prom_labels(pairs)} "
-                         f"{sample.get('count', 0)}")
+    for kind, section in _SECTIONS.items():
+        for name, entry in snapshot.get(section, {}).items():
+            if entry.get("help"):
+                lines.append(f"# HELP {name} {_escape_help(entry['help'])}")
+            lines.append(f"# TYPE {name} {kind}")
+            bounds = (entry.get("buckets", ()) if kind == "histogram"
+                      else None)
+            for key, sample in entry.get("samples", {}).items():
+                pairs = _parse_label_key(key)
+                if bounds is None:
+                    lines.append(f"{name}{_prom_labels(pairs)} "
+                                 f"{_format_value(sample)}")
+                    continue
+                cumulative = 0
+                for bound, count in zip(bounds, sample.get("counts", [])):
+                    cumulative += count
+                    le = pairs + [("le", _format_value(bound))]
+                    lines.append(
+                        f"{name}_bucket{_prom_labels(le)} {cumulative}")
+                count = sample.get("count", 0)
+                le = pairs + [("le", "+Inf")]
+                lines.append(f"{name}_bucket{_prom_labels(le)} {count}")
+                lines.append(f"{name}_sum{_prom_labels(pairs)} "
+                             f"{_format_value(sample.get('sum', 0))}")
+                lines.append(f"{name}_count{_prom_labels(pairs)} {count}")
     return "\n".join(lines) + "\n" if lines else ""
 
 
@@ -544,14 +498,15 @@ def bridge_to_tracer(source, tracer, pid: int = COMPILE_PID) -> None:
     if source is None or not getattr(tracer, "enabled", False):
         return
     snapshot = source.snapshot() if hasattr(source, "snapshot") else source
-    for kind in ("counters", "gauges"):
-        for name, data in snapshot.get(kind, {}).items():
-            for key, value in data.get("samples", {}).items():
-                tracer.counter(name, {key or "value": value}, pid=pid)
-    for name, data in snapshot.get("histograms", {}).items():
-        for key, sample in data.get("samples", {}).items():
-            tracer.counter(f"{name}:count",
-                           {key or "value": sample.get("count", 0)}, pid=pid)
+    for kind, section in _SECTIONS.items():
+        for name, entry in snapshot.get(section, {}).items():
+            for key, sample in entry.get("samples", {}).items():
+                if kind == "histogram":
+                    tracer.counter(f"{name}:count",
+                                   {key or "value": sample.get("count", 0)},
+                                   pid=pid)
+                else:
+                    tracer.counter(name, {key or "value": sample}, pid=pid)
 
 
 # ---------------------------------------------------------------------------

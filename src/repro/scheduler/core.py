@@ -279,10 +279,6 @@ class Scheduler:
 
     # ---- telemetry --------------------------------------------------------
 
-    def metrics_snapshot(self) -> Dict[str, object]:
-        """The scheduler's ``repro_sched_*`` registry, as a snapshot."""
-        return self.registry.snapshot()
-
     def _count(self, name: str, help: str, amount: int = 1) -> None:
         self.registry.counter(name, help).inc(amount)
 

@@ -71,6 +71,7 @@ from repro.evaluation.parallel import (
     SweepTask,
     TaskResult,
     fold_sweep_metrics,
+    merge_deltas,
     run_task,
 )
 from repro.evaluation.trace import SweepTraceCollector
@@ -260,14 +261,9 @@ class JobSpec:
 
     def finalize(self, outcomes: Sequence[Any], registry,
                  wall_seconds: float) -> None:
-        """Fold the job's telemetry into its registry.
-
-        Default: merge each outcome's metrics delta in position order
-        (deterministic — the same order a serial run would emit them).
-        """
-        for outcome in outcomes:
-            if outcome is not None and outcome.metrics_delta:
-                registry.merge(outcome.metrics_delta)
+        """Fold the job's telemetry into its registry (default: each
+        outcome's metrics delta, in position order)."""
+        merge_deltas(registry, outcomes)
 
     def _check_size(self, count: int) -> None:
         if count > MAX_TASKS_PER_JOB:

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro.compile_cache import CACHE_ENV_VAR
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry, Tracer, render_prometheus
 from repro.scheduler import (
     DEFAULT_RETRIES,
     RecyclePolicy,
@@ -236,7 +236,7 @@ class JobServer:
         """Server + scheduler + aggregated job metrics, one registry."""
         merged = MetricsRegistry()
         merged.merge(self.registry)
-        merged.merge(self.scheduler.metrics_snapshot())
+        merged.merge(self.scheduler.registry)
         merged.merge(self.job_metrics)
         return merged
 
@@ -295,11 +295,10 @@ class JobServer:
                 elif op == "ping":
                     await self._send(client, {"event": "pong"})
                 elif op == "metrics":
-                    merged = self.merged_registry()
+                    snapshot = self.merged_registry().snapshot()
                     await self._send(client, {
-                        "event": "metrics",
-                        "snapshot": merged.snapshot(),
-                        "prom": merged.render_prom()})
+                        "event": "metrics", "snapshot": snapshot,
+                        "prom": render_prometheus(snapshot)})
                 elif op == "shutdown":
                     await self._op_shutdown(client, message)
         finally:
@@ -532,7 +531,8 @@ class JobServer:
                     return
                 if not line or line in (b"\r\n", b"\n"):
                     break
-            body = self.merged_registry().render_prom().encode("utf-8")
+            body = render_prometheus(
+                self.merged_registry().snapshot()).encode("utf-8")
             writer.write(
                 b"HTTP/1.0 200 OK\r\n"
                 b"Content-Type: text/plain; version=0.0.4\r\n"

@@ -22,14 +22,16 @@ instruction counts on both sides of the pass — and then, in order:
 2. it is emitted as one compile-side span when an ambient tracer is
    enabled (``repro.obs``) and as one ``repro_compile_pass_seconds``
    sample;
-3. a changed pass invalidates the function's divergence memo;
-4. every ``after_each`` hook runs, in list order, as
+3. every ``after_each`` hook runs, in list order, as
    ``hook(pass_name, function, result)``.
 
 Raising from a hook aborts the pipeline at that pass.  The
 differential-testing oracle (:mod:`repro.difftest`) hooks in the
 verifier, the lint differ and the meld validator this way, which is how
 it attributes each failure to the exact pass that introduced it.
+
+No step invalidates a memo: every ``Function.memo`` entry is read
+against the IR's one fingerprint (``repro.ir.memo_lookup``).
 
 IR sizes are measured once per pass boundary: no hook mutates the IR,
 so the "after" of one execution is the "before" of the next.

@@ -242,4 +242,4 @@ class TestDeltaBucketMismatch:
         registry.merge(wide.snapshot())
         family = registry.histogram("repro_runtime_active_lanes",
                                     buckets=(8.0, 16.0))
-        assert family.total_count() == 1
+        assert family.total() == 1

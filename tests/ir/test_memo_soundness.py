@@ -14,16 +14,21 @@ entries stamped on another state of the IR, so a compiled kernel keeps
 no memo of the IR it was compiled from.
 """
 
+import gc
+import weakref
+
 import pytest
 
 import repro
 from repro.analysis import cached_divergence, compute_divergence
+from repro.core import CFMPass
 from repro.compile_cache import CompileCache
 from repro.difftest import build_kernel, generate_spec
-from repro.ir import IRBuilder, memo_lookup, memo_store
+from repro.ir import IRBuilder, fingerprint, memo_lookup, memo_store
 from repro.pipeline import ARMS, compile_arm
 from repro.simt import DEFAULT_CONFIG, get_program, lower_function
 from repro.simt.lowering import OP_RUN
+from repro.transforms import optimize
 
 from tests.support import build_diamond
 
@@ -117,10 +122,26 @@ def test_store_drops_entries_of_another_ir_state():
 
 @pytest.mark.parametrize("name", sorted(repro.ALL_BUILDERS))
 def test_launched_kernel_memoizes_only_its_program(name):
-    """The CFM pass reads the analysis memo of the IR it then melds;
-    once the compiled kernel is lowered, that stale bundle (and the
-    pre-meld IR it references) is gone."""
+    """Once the compiled kernel is lowered, no analysis bundle of an
+    earlier IR state (nor the IR it references) is left."""
     case = repro.ALL_BUILDERS[name]()
     function = compile_arm(case, "o3-cfm").function
     program = get_program(function, DEFAULT_CONFIG)
     assert [entry[1] for entry in function.memo.values()] == [program]
+
+
+@pytest.mark.parametrize("name", ["SB1", "LUD"])
+def test_cfm_pass_edits_no_memoized_value(name):
+    """The pass keeps its own analysis bundle through its edits: after a
+    run that melds, no memo entry is stamped on another IR state, and
+    the blocks the meld deleted are freed."""
+    function = repro.ALL_BUILDERS[name]().function
+    optimize(function)
+    before = [weakref.ref(block) for block in function.blocks]
+    assert CFMPass().run(function).stats.melds
+    stamp = fingerprint(function)
+    assert all(entry[0] == stamp for entry in function.memo.values())
+    gc.collect()
+    alive = [ref() for ref in before if ref() is not None]
+    assert len(alive) < len(before)
+    assert all(block in function.blocks for block in alive)

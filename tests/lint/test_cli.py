@@ -44,6 +44,11 @@ class TestFlags:
                     "--disable", "dead-store,undef-use"])
         assert code == 0
 
+    def test_unknown_disabled_rule_raises(self):
+        with pytest.raises(ValueError, match="unknown lint rule"):
+            run(["--kernels", "SB1", "--levels", "noopt",
+                 "--disable", "dead-store,no-such-rule"])
+
     def test_fail_on_severity_is_validated(self):
         with pytest.raises(SystemExit):
             run(["--fail-on", "catastrophic"])

@@ -1,11 +1,10 @@
-"""Registry, context, configuration, report algebra, obs integration."""
+"""Registry, context, rule selection, report algebra, obs integration."""
 
 import pytest
 
 import repro
 from repro.lint import (
     Diagnostic,
-    LintConfig,
     LintReport,
     LintRule,
     Severity,
@@ -82,7 +81,8 @@ orphan:
   ret void
 }
 """)
-        report = run_lint(f, config=LintConfig(disabled={"unreachable-block"}))
+        rules = [r for r in all_rules() if r.id != "unreachable-block"]
+        report = run_lint(f, rules=rules)
         assert "unreachable-block" not in report.rules_run
         assert report.by_rule("unreachable-block") == []
 

@@ -74,6 +74,13 @@ class TestCountersAndGauges:
         with pytest.raises(ValueError):
             MetricsRegistry().counter("c").inc(-1)
 
+    def test_counters_cannot_be_set_or_decremented(self):
+        child = MetricsRegistry().counter("c").labels()
+        with pytest.raises(ValueError, match="only go up"):
+            child.set(0)
+        with pytest.raises(ValueError, match="only go up"):
+            child.dec()
+
     def test_gauge_last_write_wins(self):
         registry = MetricsRegistry()
         gauge = registry.gauge("repro_test_ratio")
@@ -175,6 +182,13 @@ class TestSnapshotMerge:
         with pytest.raises(ValueError, match="schema"):
             MetricsRegistry().merge({"schema": "repro.obs.metrics/99"})
 
+    def test_merge_rejects_malformed_sample_keys(self):
+        for key in ("a=b=c", "a", 'a="b"', "a=1,,b=2"):
+            delta = {"schema": SNAPSHOT_SCHEMA,
+                     "counters": {"c": {"help": "", "samples": {key: 1}}}}
+            with pytest.raises(ValueError, match="must avoid"):
+                MetricsRegistry().merge(delta)
+
     def test_merge_kind_conflict_raises(self):
         registry = MetricsRegistry()
         registry.gauge("repro_c_total")
@@ -189,7 +203,7 @@ class TestSnapshotMerge:
         registry.merge(self._loaded_registry().snapshot())
         family = registry.histogram("repro_h_seconds", buckets=(1.0, 2.0))
         assert family.buckets == (1.0, 2.0)
-        assert family.total_count() == 1
+        assert family.total() == 1
 
     def test_two_counted_sides_with_different_buckets_raise(self):
         registry = MetricsRegistry()
@@ -204,7 +218,7 @@ class TestSnapshotMerge:
         other.histogram("repro_h_seconds", buckets=(9.0, 99.0))
         registry.merge(other.snapshot())
         assert registry.histogram("repro_h_seconds",
-                                  buckets=(1.0, 2.0)).total_count() == 1
+                                  buckets=(1.0, 2.0)).total() == 1
 
 
 class TestPrometheusExposition:
@@ -215,7 +229,7 @@ class TestPrometheusExposition:
         registry.gauge("repro_g", "a ratio").set(0.5)
         registry.histogram("repro_h", "a histogram",
                            buckets=(1.0, 2.0)).observe(1.5)
-        text = registry.render_prom()
+        text = render_prometheus(registry.snapshot())
         assert "# HELP repro_c_total counts things" in text
         assert "# TYPE repro_c_total counter" in text
         assert 'repro_c_total{arm="o3"} 2' in text
@@ -233,15 +247,17 @@ class TestPrometheusExposition:
         hist = registry.histogram("h", buckets=(1.0, 2.0, 3.0))
         for value in (0.5, 1.5, 2.5):
             hist.observe(value)
-        text = registry.render_prom()
+        text = render_prometheus(registry.snapshot())
         assert 'h_bucket{le="1"} 1' in text
         assert 'h_bucket{le="2"} 2' in text
         assert 'h_bucket{le="3"} 3' in text
 
-    def test_render_from_raw_snapshot_matches_registry_render(self):
+    def test_render_from_raw_snapshot_matches_registry_render(self, tmp_path):
         registry = MetricsRegistry()
         registry.counter("c").inc()
-        assert render_prometheus(registry.snapshot()) == registry.render_prom()
+        path = tmp_path / "metrics.prom"
+        registry.write_prom(str(path))
+        assert render_prometheus(registry.snapshot()) == path.read_text()
 
     def test_write_prom(self, tmp_path):
         registry = MetricsRegistry()

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.core import run_cfm
+from repro.analysis import cached_divergence
 from repro.evaluation import SweepTask, run_task
 from repro.evaluation.runner import compile_baseline
 from repro.kernels import build_bitonic, build_sb1
@@ -62,7 +62,7 @@ class TestChaosModes:
         _arm(0, "exit")
         with Scheduler(workers=1) as sched:
             outcomes = sched.run([Task(describe, i) for i in range(3)])
-            snap = sched.metrics_snapshot()
+            snap = sched.registry.snapshot()
         assert all(o.ok for o in outcomes)
         assert outcomes[0].attempts == 2
         assert outcomes[1].attempts == 1 and outcomes[2].attempts == 1
@@ -268,14 +268,15 @@ class TestMemoQuarantine:
 
     def test_stale_analyses_are_observable_without_quarantine(self):
         """Negative control for the analysis half: stale facts behind a
-        matching fingerprint really do stop CFM from melding."""
+        matching fingerprint really do reach the memo's readers
+        (``repro.analyze``, lint)."""
         case = build_sb1(block_size=16, grid_dim=1)
         compile_baseline(case)
         plant_stale_analyses(case.function)
-        assert len(run_cfm(case.function).melds) == 0
+        assert not cached_divergence(case.function).divergent_branch_blocks
 
     @pytest.mark.parametrize("workers", [0, 1])
-    def test_retry_after_planting_stale_analyses_melds(self, workers):
+    def test_retry_after_planting_stale_analyses_is_clean(self, workers):
         """The retry of a task that planted stale divergence facts on a
         worker-lifetime function and crashed analyses the function
         afresh — inline and in a pooled worker alike."""
@@ -289,7 +290,7 @@ class TestMemoQuarantine:
             _ANALYSIS_STATE.clear()
 
 
-# a worker-lifetime SB1 after -O3, melded only by the attempt that
+# a worker-lifetime SB1 after -O3, analysed by the attempt that
 # succeeds
 _ANALYSIS_STATE = {}
 
@@ -304,7 +305,7 @@ def plant_stale_analyses(function):
 
 def plant_then_fail(payload, ctx):
     """Attempt 1: plant stale analyses, crash.  Attempt 2 (same process):
-    run CFM — 4 melds iff the plant was retired."""
+    read the memo — 4 divergent branches iff the plant was retired."""
     case = _ANALYSIS_STATE.get("case")
     if case is None:
         case = _ANALYSIS_STATE["case"] = build_sb1(block_size=16, grid_dim=1)
@@ -312,4 +313,4 @@ def plant_then_fail(payload, ctx):
     if ctx.attempt == 1:
         plant_stale_analyses(case.function)
         raise RuntimeError("crashed after planting analyses")
-    return len(run_cfm(case.function).melds)
+    return len(cached_divergence(case.function).divergent_branch_blocks)

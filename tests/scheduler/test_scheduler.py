@@ -172,7 +172,7 @@ class TestPool:
         with Scheduler(workers=2) as sched:
             sched.run([Task(double, i) for i in range(4)]
                       + [Task(fail_always, 0)])
-            snap = sched.metrics_snapshot()
+            snap = sched.registry.snapshot()
         assert _counter_total(snap, "repro_sched_tasks_completed_total") == 4
         assert _counter_total(snap, "repro_sched_tasks_failed_total") == 1
         assert _counter_total(snap, "repro_sched_tasks_retried_total") == 1
@@ -223,7 +223,7 @@ class TestRecycling:
         policy = RecyclePolicy(max_tasks=1)
         with Scheduler(workers=1, recycle=policy) as sched:
             outcomes = sched.run([Task(describe, None) for _ in range(3)])
-            snap = sched.metrics_snapshot()
+            snap = sched.registry.snapshot()
         pids = [o.value["pid"] for o in outcomes]
         assert len(set(pids)) == 3, "each task should see a fresh worker"
         assert _counter_total(snap, "repro_sched_workers_recycled_total") >= 2
@@ -235,7 +235,7 @@ class TestRecycling:
         with Scheduler(workers=1, recycle=policy) as sched:
             sched.run([Task(double, i) for i in range(2)])
         # final worker's goodbye lands during graceful close
-        snap = sched.metrics_snapshot()
+        snap = sched.registry.snapshot()
         assert _counter_total(snap, "repro_sched_worker_tasks_total") >= 2
 
     def test_rss_recycle_policy_probe(self):
@@ -258,7 +258,7 @@ class TestShutdown:
         sched.start()
         sched.run([Task(double, i) for i in range(4)])
         sched.close(graceful=True)
-        snap = sched.metrics_snapshot()
+        snap = sched.registry.snapshot()
         # worker lifetime counters only arrive via retire/goodbye
         assert _counter_total(snap, "repro_sched_worker_tasks_total") == 4
 

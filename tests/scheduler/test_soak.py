@@ -70,7 +70,7 @@ def test_random_mix_properties(seed):
 
     with Scheduler(workers=workers, recycle=recycle) as sched:
         outcomes = sched.run([Task(soak_fn, payload) for payload in mix])
-        snap = sched.metrics_snapshot()
+        snap = sched.registry.snapshot()
 
     # no lost or duplicated tasks, submission order preserved
     assert [o.index for o in outcomes] == list(range(len(mix)))
@@ -119,7 +119,7 @@ def test_sustained_load_with_aggressive_recycling():
     mix = [("ok", i) for i in range(30)]
     with Scheduler(workers=3, recycle=RecyclePolicy(max_tasks=1)) as sched:
         outcomes = sched.run([Task(soak_fn, p) for p in mix])
-    snap = sched.metrics_snapshot()
+    snap = sched.registry.snapshot()
     assert all(o.ok for o in outcomes)
     assert [o.value for o in outcomes] == [i * 3 for i in range(30)]
     assert _counter_total(snap, "repro_sched_worker_tasks_total") == 30

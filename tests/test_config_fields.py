@@ -16,7 +16,6 @@ from pathlib import Path
 
 import repro
 from repro.core import CFMConfig
-from repro.lint import LintConfig
 from repro.scheduler import RecyclePolicy
 from repro.serve import ServerConfig
 from repro.simt import MachineConfig
@@ -24,8 +23,7 @@ from repro.simt import MachineConfig
 REPO = Path(repro.__file__).parents[2]
 SETTERS = tuple(REPO / d for d in ("src", "examples", "darmbench",
                                    "benchmarks"))
-CONFIGS = (CFMConfig, MachineConfig, ServerConfig, LintConfig,
-           RecyclePolicy)
+CONFIGS = (CFMConfig, MachineConfig, ServerConfig, RecyclePolicy)
 
 #: fields nothing in the project sets, on purpose
 UNSET_FIELDS = {

@@ -88,6 +88,9 @@ RETIRED = {
     "profile_branches", "branch_profile", "NullRegistry", "NULL_REGISTRY",
     "severity_overrides", "severity_for", "ENTRY_SCHEMA_V1",
     "verify_preds_consistent", "invalidate_divergence", "function_fingerprint",
+    "Counter", "Gauge", "_Family", "CounterFamily", "GaugeFamily",
+    "HistogramFamily", "total_count", "_rebucket", "_check_labels",
+    "render_prom", "metrics_snapshot", "LintConfig",
 }
 
 
