@@ -41,10 +41,10 @@ Hits and misses are visible in ``repro.obs`` traces as
 pass spans carry ``"cached": true`` so Perfetto timelines distinguish a
 replay from a live run.
 
-The cache directory comes from the ``REPRO_COMPILE_CACHE`` environment
-variable (``--compile-cache`` on the CLIs); unset or ``"off"`` keeps the
+The cache directory is an argument (``disk=``); ``None`` keeps the
 cache purely in-process, and a directory that cannot be created only
-loses the persistence.
+loses the persistence.  ``REPRO_COMPILE_CACHE`` is only the CLIs'
+default for their cache flag (:func:`cache_dir_setting`).
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ CACHE_SCHEMA = "repro.compile-cache/3"
 #: without that member
 _SEAL = '{"sha256": "'
 
-#: environment variable naming the cache directory ("off"/"0" disables)
+#: environment variable the CLIs default their cache flag to
 CACHE_ENV_VAR = "REPRO_COMPILE_CACHE"
 
 CacheKey = Tuple[str, str]
@@ -87,7 +87,7 @@ COUNTERS = ("hits", "disk_hits", "misses", "evictions", "writes",
 
 
 def cache_dir_setting(value: Optional[str]) -> Optional[str]:
-    """``value`` (of :data:`CACHE_ENV_VAR` or ``--compile-cache``) as a
+    """``value`` of a CLI cache flag (default :data:`CACHE_ENV_VAR`) as a
     cache directory; unset, empty and ``off``/``0``/``none`` mean none."""
     if not value or value.lower() in ("off", "0", "none"):
         return None
@@ -204,13 +204,6 @@ class CompileCache:
             except (OSError, ValueError):
                 # e.g. the path names a file, or lies under one
                 self._count("write_errors")
-
-    @classmethod
-    def from_env(cls, default_dir: Optional[str] = None) -> "CompileCache":
-        """Cache configured by :data:`CACHE_ENV_VAR` (``"off"``/``"0"``/
-        empty → in-process only; otherwise the value is the cache dir)."""
-        return cls(disk=cache_dir_setting(
-            os.environ.get(CACHE_ENV_VAR, default_dir)))
 
     def __len__(self) -> int:
         return len(self._entries)

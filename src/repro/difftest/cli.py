@@ -21,6 +21,7 @@ Exit status: 0 when every kernel agrees across every arm, 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 from pathlib import Path
@@ -93,6 +94,12 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.seeds is None and args.budget is None:
         args.seeds = 100
+    if args.seeds is not None and args.seeds < 1:
+        parser.error("--seeds must be at least 1: with no seed nothing "
+                     "is run and every arm trivially agrees")
+    if args.budget is not None and args.budget <= 0:
+        parser.error("--budget must be positive: a spent budget runs no "
+                     "seed and every arm trivially agrees")
     if args.inputs < 1:
         parser.error("--inputs must be at least 1: with no input set "
                      "nothing is run and every arm trivially agrees")
@@ -121,31 +128,31 @@ def run_campaign(argv: Optional[Sequence[str]] = None) -> int:
     deadline = (time.perf_counter() + args.budget
                 if args.budget is not None else None)
 
-    bug_scope = inject(args.inject_bug) if args.inject_bug else None
-    if bug_scope is not None:
-        bug_scope.__enter__()
-    tracer = Tracer() if args.trace is not None else None
-    registry = MetricsRegistry() if args.metrics is not None else None
-    try:
-        if tracer is not None and registry is not None:
-            with use_tracer(tracer), use_registry(registry):
-                return _campaign_body(args, arms, input_seeds, deadline)
-        if tracer is not None:
-            with use_tracer(tracer):
-                return _campaign_body(args, arms, input_seeds, deadline)
-        if registry is not None:
-            with use_registry(registry):
-                return _campaign_body(args, arms, input_seeds, deadline)
+    # Exits run last-in first-out: the tracer and registry scopes close,
+    # then the trace is written, then the metrics, then the bug is undone.
+    with contextlib.ExitStack() as stack:
+        if args.inject_bug:
+            stack.enter_context(inject(args.inject_bug))
+        if args.metrics is not None:
+            registry = MetricsRegistry()
+            stack.callback(_write_metrics, registry, args.metrics)
+        if args.trace is not None:
+            tracer = Tracer()
+            stack.callback(_write_trace, tracer, args.trace)
+            stack.enter_context(use_tracer(tracer))
+        if args.metrics is not None:
+            stack.enter_context(use_registry(registry))
         return _campaign_body(args, arms, input_seeds, deadline)
-    finally:
-        if tracer is not None:
-            tracer.write(str(args.trace))
-            print(f"wrote {args.trace} ({len(tracer.events)} trace events)")
-        if registry is not None:
-            registry.write_prom(str(args.metrics))
-            print(f"wrote {args.metrics}")
-        if bug_scope is not None:
-            bug_scope.__exit__(None, None, None)
+
+
+def _write_trace(tracer: Tracer, path: Path) -> None:
+    tracer.write(str(path))
+    print(f"wrote {path} ({len(tracer.events)} trace events)")
+
+
+def _write_metrics(registry: MetricsRegistry, path: Path) -> None:
+    registry.write_prom(str(path))
+    print(f"wrote {path}")
 
 
 def _campaign_body(args: argparse.Namespace, arms: Sequence[str],

@@ -217,16 +217,22 @@ def main(argv=None) -> int:
                              "ipdom).  More than one policy adds per-policy "
                              "Figure 7/8 sections plus a side-by-side "
                              "sensitivity table")
-    parser.add_argument("--compile-cache", metavar="DIR", default=None,
+    parser.add_argument("--compile-cache", metavar="DIR",
+                        default=os.environ.get(CACHE_ENV_VAR),
                         help="persistent compile-cache directory shared by "
                              "all workers and repeat runs (default: the "
                              "REPRO_COMPILE_CACHE env var; 'off' disables "
                              "even that)")
     args = parser.parse_args(argv)
+    problem = None
+    if args.workers < 1:
+        problem = f"--workers must be at least 1, got {args.workers}"
+    elif args.timeout is not None and args.timeout <= 0:
+        problem = f"--timeout must be positive, got {args.timeout}"
+    if problem is not None:
+        print(f"{parser.prog}: {problem}", file=sys.stderr)
+        return 2
     cache_dir = cache_dir_setting(args.compile_cache)
-    if args.compile_cache is not None and cache_dir is None:
-        # Explicitly disabled: also mask the env var for worker processes.
-        os.environ[CACHE_ENV_VAR] = "off"
 
     kernels = ([k.strip() for k in args.kernels.split(",") if k.strip()]
                if args.kernels else None)

@@ -99,8 +99,8 @@ def run_sweep(
 
     ``cache_dir`` points every task at one persistent compile cache
     (cross-process; see ``repro.compile_cache``), so repeated sweeps
-    replay compilation instead of re-running it.  ``None`` defers to the
-    ``REPRO_COMPILE_CACHE`` environment variable.
+    replay compilation instead of re-running it.  ``None`` gives each
+    task an in-process cache only; the environment is never read.
 
     When a ``trace`` collector is attached, its ``policy`` selects which
     tasks additionally capture Chrome trace events ("first" = the first

@@ -16,9 +16,9 @@ recycling and the memo quarantine after a failure; this module owns:
   and nowhere else;
 * **compile caching** — every task uses a :class:`CompileCache`, so the
   ``-O3`` stage runs once per comparison instead of once per arm; with
-  :attr:`SweepTask.cache_dir` (or ``REPRO_COMPILE_CACHE`` in the
-  environment) the cache is disk-backed and **shared across worker
-  processes and sweep repeats**.  Its counters ride back on
+  :attr:`SweepTask.cache_dir` the cache is disk-backed and **shared
+  across worker processes and sweep repeats** (the directory travels
+  in the task, never the environment).  Its counters ride back on
   :attr:`TaskResult.compile_cache`;
 * :func:`fold_sweep_metrics` — the one fold of a sweep's outcomes into
   the ambient metrics registry, in position order
@@ -70,8 +70,7 @@ class SweepTask:
     #: decisions, warp divergence events) into TaskResult.trace_events
     trace: bool = False
     #: directory of the persistent cross-process compile cache; None
-    #: falls back to the REPRO_COMPILE_CACHE environment variable
-    #: (unset/"off" → per-task in-process cache only)
+    #: keeps the task's cache in-process only
     cache_dir: Optional[str] = None
 
     @property
@@ -106,18 +105,15 @@ class SweepError(RuntimeError):
 
 def run_task(task: SweepTask,
              ctx: Optional[TaskContext] = None) -> TaskResult:
-    """Execute one comparison with a per-task compile cache — the
-    scheduler task function of every sweep (``Task(run_task, task)``;
-    ``ctx`` is the scheduler's, unused).
+    """Execute one comparison with a per-task compile cache over
+    ``task.cache_dir`` — the scheduler task function of every sweep
+    (``Task(run_task, task)``; ``ctx`` is the scheduler's, unused).
 
     With ``task.trace`` set the comparison runs under a fresh
     :class:`~repro.obs.Tracer` (installed for this task only) and the
     captured events ride back on :attr:`TaskResult.trace_events`.
     """
-    if task.cache_dir is not None:
-        cache = CompileCache(disk=task.cache_dir)
-    else:
-        cache = CompileCache.from_env()
+    cache = CompileCache(disk=task.cache_dir)
     with use_tracer(Tracer() if task.trace else current_tracer()) as tracer:
         comparison = compare(
             task.builder, task.block_size, grid_dim=task.grid_dim,

@@ -18,8 +18,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
+
+from repro.compile_cache import CACHE_ENV_VAR, cache_dir_setting
 
 from .client import JobRejected, ServeClient
 from .jobs import JOB_KINDS
@@ -44,8 +47,10 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
                    default="reject")
     p.add_argument("--client-quota", type=int, default=128,
                    help="max in-flight tasks per connection (0 = unlimited)")
-    p.add_argument("--cache-dir", default=None,
-                   help="disk compile cache shared by all workers")
+    p.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV_VAR),
+                   help="disk compile cache shared by all workers "
+                        "(default: the REPRO_COMPILE_CACHE env var; 'off' "
+                        "disables even that)")
     p.add_argument("--trace-file", default=None,
                    help="write the server Chrome trace here at shutdown")
     p.add_argument("--prom-file", default=None,
@@ -86,7 +91,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                                if args.recycle_rss_mb else None),
             queue_limit=args.queue_limit, when_full=args.when_full,
             client_quota=args.client_quota or None,
-            cache_dir=args.cache_dir, trace_file=args.trace_file,
+            cache_dir=cache_dir_setting(args.cache_dir),
+            trace_file=args.trace_file,
             prom_file=args.prom_file, prom_port=args.prom_port)
     except ValueError as exc:
         print(f"serve: {exc}", file=sys.stderr)

@@ -35,13 +35,14 @@ Five built-in kinds, registered in :data:`JOB_KINDS`:
     one task per ``(kernel, level)``: compile-then-lint
     (:func:`repro.lint.lint_at_level`), reporting diagnostics.
 
-With a cache directory (``ServerConfig.cache_dir``, exported as
-``REPRO_COMPILE_CACHE`` before the pool forks), ``sweep``, ``launch``
-and ``compile`` tasks each open a per-task
-:class:`~repro.compile_cache.CompileCache` over it, so every worker
-replays what any job compiled before.  Without one, ``launch`` and
-``compile`` run uncached: a memory-only cache that dies with its task
-could never hit.  ``difftest`` and ``lint`` never use the cache.
+With a cache directory (``ServerConfig.cache_dir``, passed to
+:func:`make_job`, never a client param), ``sweep``, ``launch`` and
+``compile`` tasks each carry it (``SweepTask.cache_dir`` or the
+payload) and open a per-task :class:`~repro.compile_cache.CompileCache`
+over it, so every worker — a replacement included — replays what any
+job compiled before.  Without one, ``launch`` and ``compile`` run
+uncached: a memory-only cache that dies with its task could never hit.
+``difftest`` and ``lint`` never use the cache.
 
 Launch geometry is bounded (``block_size``/``block_dim`` at most
 :data:`MAX_BLOCK_SIZE`, ``grid_dim`` at most :data:`MAX_GRID_DIM`) and
@@ -56,10 +57,9 @@ closures are ever pickled.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.compile_cache import CACHE_ENV_VAR, CompileCache, cache_dir_setting
+from repro.compile_cache import CompileCache
 from repro.evaluation.experiments import (
     DEFAULT_GRID_DIM,
     DEFAULT_SEED,
@@ -165,10 +165,10 @@ def _builder(name: str) -> Callable:
     return ALL_BUILDERS[name]
 
 
-def _served_cache() -> Optional[CompileCache]:
-    """A per-task cache over the directory the server exported, or None
-    when it has none."""
-    directory = cache_dir_setting(os.environ.get(CACHE_ENV_VAR))
+def _served_cache(payload: Dict[str, Any]) -> Optional[CompileCache]:
+    """A per-task cache over the server's directory in ``payload``, or
+    None when it has none."""
+    directory = payload["cache_dir"]
     return None if directory is None else CompileCache(disk=directory)
 
 
@@ -179,8 +179,8 @@ def _compile_fn(payload: Dict[str, Any], ctx) -> Dict[str, Any]:
                           grid_dim=payload["grid_dim"])
     # Entries carry the launch machine's program, so a launch that hits
     # one lowers nothing; compile_arm verifies whatever it stores.
-    result = compile_arm(case, level, verify=False, cache=_served_cache(),
-                         machine=DEFAULT_CONFIG)
+    result = compile_arm(case, level, verify=False,
+                         cache=_served_cache(payload), machine=DEFAULT_CONFIG)
     function = case.function
     return {
         "kernel": name,
@@ -198,7 +198,8 @@ def _launch_fn(payload: Dict[str, Any], ctx) -> Dict[str, Any]:
     name = payload["kernel"]
     case = _builder(name)(block_size=payload["block_size"],
                           grid_dim=payload["grid_dim"])
-    compile_arm(case, "o3", cache=_served_cache(), machine=DEFAULT_CONFIG)
+    compile_arm(case, "o3", cache=_served_cache(payload),
+                machine=DEFAULT_CONFIG)
     run = execute(case, seed=payload["seed"], machine=DEFAULT_CONFIG)
     metrics = run.metrics
     return {
@@ -248,8 +249,10 @@ class JobSpec:
 
     kind = "abstract"
 
-    def __init__(self, params: Dict[str, Any]) -> None:
-        self.params = params
+    def __init__(self, params: Dict[str, Any],
+                 cache_dir: Optional[str] = None) -> None:
+        #: the server's compile-cache directory (None: no disk cache)
+        self.cache_dir = cache_dir
 
     def tasks(self) -> List[Task]:
         """Scheduler tasks, in job-position order."""
@@ -283,8 +286,9 @@ class SweepJob(JobSpec):
 
     kind = "sweep"
 
-    def __init__(self, params: Dict[str, Any]) -> None:
-        super().__init__(params)
+    def __init__(self, params: Dict[str, Any],
+                 cache_dir: Optional[str] = None) -> None:
+        super().__init__(params, cache_dir)
         self.kernels = _kernel_names(params)
         self.seed = _require(params, "seed", int, DEFAULT_SEED)
         self.grid_dim = _positive(
@@ -307,13 +311,11 @@ class SweepJob(JobSpec):
             raise JobParamError("block_sizes must be a list or a dict")
         # Counted from the list lengths, before any pair exists.
         self._check_size(sum(len(sizes[name]) for name in self.kernels))
-        # cache_dir stays None: each worker's CompileCache.from_env()
-        # reads the variable the server exported before it forked.
         self.sweep_tasks = [
             SweepTask(kernel=name, builder=_builder(name),
                       block_size=_positive("block_sizes", size),
                       grid_dim=self.grid_dim, seed=self.seed,
-                      trace=self.trace)
+                      trace=self.trace, cache_dir=self.cache_dir)
             for name in self.kernels for size in sizes[name]]
 
     def tasks(self) -> List[Task]:
@@ -354,8 +356,9 @@ class CompileJob(JobSpec):
 
     kind = "compile"
 
-    def __init__(self, params: Dict[str, Any]) -> None:
-        super().__init__(params)
+    def __init__(self, params: Dict[str, Any],
+                 cache_dir: Optional[str] = None) -> None:
+        super().__init__(params, cache_dir)
         from repro.pipeline import ARMS
         self.kernels = _kernel_names(params)
         self.level = _require(params, "level", str, "o3-cfm")
@@ -370,6 +373,7 @@ class CompileJob(JobSpec):
         return [Task(_compile_fn, {
             "kernel": name, "level": self.level,
             "block_size": self.block_size, "grid_dim": self.grid_dim,
+            "cache_dir": self.cache_dir,
         }, metrics=True) for name in self.kernels]
 
 
@@ -381,8 +385,9 @@ class LaunchJob(JobSpec):
 
     kind = "launch"
 
-    def __init__(self, params: Dict[str, Any]) -> None:
-        super().__init__(params)
+    def __init__(self, params: Dict[str, Any],
+                 cache_dir: Optional[str] = None) -> None:
+        super().__init__(params, cache_dir)
         self.kernels = _kernel_names(params)
         self.block_size = _positive("block_size", params.get("block_size", 32))
         self.grid_dim = _positive("grid_dim", params.get("grid_dim", 2))
@@ -393,6 +398,7 @@ class LaunchJob(JobSpec):
         return [Task(_launch_fn, {
             "kernel": name, "block_size": self.block_size,
             "grid_dim": self.grid_dim, "seed": self.seed,
+            "cache_dir": self.cache_dir,
         }, metrics=True) for name in self.kernels]
 
 
@@ -405,8 +411,9 @@ class DifftestJob(JobSpec):
 
     kind = "difftest"
 
-    def __init__(self, params: Dict[str, Any]) -> None:
-        super().__init__(params)
+    def __init__(self, params: Dict[str, Any],
+                 cache_dir: Optional[str] = None) -> None:
+        super().__init__(params, cache_dir)
         seeds = params.get("seeds")
         if seeds is not None:
             if not _is(seeds, list) or not all(_is(s, int) for s in seeds):
@@ -437,8 +444,9 @@ class LintJob(JobSpec):
 
     kind = "lint"
 
-    def __init__(self, params: Dict[str, Any]) -> None:
-        super().__init__(params)
+    def __init__(self, params: Dict[str, Any],
+                 cache_dir: Optional[str] = None) -> None:
+        super().__init__(params, cache_dir)
         from repro.lint.api import LINT_LEVELS
         self.kernels = _kernel_names(params)
         levels = params.get("levels", list(LINT_LEVELS))
@@ -467,9 +475,11 @@ JOB_KINDS.update({
 })
 
 
-def make_job(kind: Any, params: Optional[Dict[str, Any]]) -> JobSpec:
-    """Instantiate a registered job spec; raises :class:`ProtocolError`
-    with the right wire code for unknown kinds / bad params."""
+def make_job(kind: Any, params: Optional[Dict[str, Any]],
+             cache_dir: Optional[str] = None) -> JobSpec:
+    """Instantiate a registered job spec over the server's ``cache_dir``;
+    raises :class:`ProtocolError` with the right wire code for unknown
+    kinds / bad params."""
     if not isinstance(kind, str) or kind not in JOB_KINDS:
         raise ProtocolError(
             f"unknown job kind {kind!r}; known: {sorted(JOB_KINDS)}",
@@ -478,4 +488,4 @@ def make_job(kind: Any, params: Optional[Dict[str, Any]]) -> JobSpec:
         params = {}
     if not isinstance(params, dict):
         raise JobParamError("job params must be an object")
-    return JOB_KINDS[kind](params)
+    return JOB_KINDS[kind](params, cache_dir)

@@ -26,21 +26,17 @@ in Prometheus text format.  A
 written to ``trace_file`` at shutdown.
 
 The disk compile cache is shared across all workers: ``cache_dir``
-exports ``REPRO_COMPILE_CACHE`` *before* the pool forks, so every worker
-— including replacements forked after a crash — inherits the same warm
-cache.  The export lasts as long as :meth:`JobServer.run`; the host
-process gets its own value back when the server stops.
+rides in every task (:func:`~repro.serve.jobs.make_job`), so every
+worker — including replacements forked after a crash — opens the same
+warm cache, and servers in one process keep separate caches.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
-import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
-from repro.compile_cache import CACHE_ENV_VAR
 from repro.obs import MetricsRegistry, Tracer, render_prometheus
 from repro.scheduler import (
     DEFAULT_RETRIES,
@@ -61,25 +57,6 @@ from .protocol import (
 
 #: Chrome-trace pid lane for server lifecycle events
 _SERVE_PID = 7
-
-
-@contextlib.contextmanager
-def _exported_cache_dir(cache_dir: Optional[str]) -> Iterator[None]:
-    """Export ``cache_dir`` as :data:`CACHE_ENV_VAR` for the body, then
-    put back the host process's value, or its absence (None: leave the
-    environment alone)."""
-    if cache_dir is None:
-        yield
-        return
-    saved = os.environ.get(CACHE_ENV_VAR)
-    os.environ[CACHE_ENV_VAR] = cache_dir
-    try:
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop(CACHE_ENV_VAR, None)
-        else:
-            os.environ[CACHE_ENV_VAR] = saved
 
 
 @dataclass
@@ -103,8 +80,7 @@ class ServerConfig:
     when_full: str = "reject"
     #: per-connection cap on in-flight tasks (None = unlimited)
     client_quota: Optional[int] = 128
-    #: disk compile cache shared by all workers (exports
-    #: REPRO_COMPILE_CACHE before the pool forks, until the server stops)
+    #: disk compile cache shared by all workers (each task carries it)
     cache_dir: Optional[str] = None
     #: write the server's Chrome trace here at shutdown
     trace_file: Optional[str] = None
@@ -190,12 +166,6 @@ class JobServer:
 
         ``ready`` (if given) is set once :attr:`address` is bound.
         """
-        # Before the pool forks: every worker — and every replacement
-        # forked later — inherits the same persistent compile cache.
-        with _exported_cache_dir(self.config.cache_dir):
-            await self._serve(ready)
-
-    async def _serve(self, ready: Optional[asyncio.Event]) -> None:
         self._loop = asyncio.get_running_loop()
         self._admission = asyncio.Condition()
         self._stopping = asyncio.Event()
@@ -338,7 +308,8 @@ class JobServer:
                              f"got {value!r}")
                 return
         try:
-            spec = make_job(job_field.get("kind"), job_field.get("params"))
+            spec = make_job(job_field.get("kind"), job_field.get("params"),
+                            self.config.cache_dir)
             tasks = spec.tasks()
         except ProtocolError as exc:
             await reject(exc.code, str(exc))

@@ -24,6 +24,15 @@ class TestRejectedCampaigns:
         assert "--inputs" in _usage_error(
             capsys, "--seeds", "1", "--inputs", inputs)
 
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_a_campaign_needs_a_seed(self, capsys, seeds):
+        # Zero seeds used to "agree bit-for-bit" over no kernel.
+        assert "--seeds" in _usage_error(capsys, "--seeds", seeds)
+
+    @pytest.mark.parametrize("budget", ["0", "-1.5"])
+    def test_a_campaign_needs_a_budget(self, capsys, budget):
+        assert "--budget" in _usage_error(capsys, "--budget", budget)
+
     def test_unknown_arm_is_a_usage_error_naming_the_arms(self, capsys):
         # Used to surface as a ValueError traceback out of run_oracle.
         err = _usage_error(capsys, "--seeds", "1", "--arms", "o3,bogus")

@@ -27,6 +27,7 @@ from repro.compile_cache import (
     CACHE_SCHEMA,
     COUNTERS,
     CompileCache,
+    cache_dir_setting,
     cfm_pipeline_id,
     digest_text,
 )
@@ -483,7 +484,7 @@ class TestWarmReplay:
 
 
 # ---------------------------------------------------------------------------
-# environment / observability
+# the cache directory setting / observability
 
 
 def _writes(cache):
@@ -492,10 +493,27 @@ def _writes(cache):
     return cache.counters()["writes"]
 
 
+def _cli_cache_dir(monkeypatch, *argv):
+    """The ``cache_dir`` ``python -m repro.evaluation *argv`` sweeps with."""
+    from repro.evaluation import __main__ as cli
+    seen = []
+    monkeypatch.setattr(cli, "build_report", lambda **kwargs: (
+        seen.append(kwargs["cache_dir"]) or ("", {})))
+    assert cli.main(["--no-trace", *argv]) == 0
+    (cache_dir,) = seen
+    return cache_dir
+
+
 class TestFromEnv:
+    """The cache directory from the environment: ``REPRO_COMPILE_CACHE``
+    is the default of the CLI flag, parsed by ``cache_dir_setting``;
+    below the CLI a directory is an argument and nothing reads the
+    variable."""
+
     def test_env_var_names_the_directory(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
-        cache = CompileCache.from_env()
+        assert _cli_cache_dir(monkeypatch) == str(tmp_path)
+        cache = CompileCache(disk=cache_dir_setting(str(tmp_path)))
         assert _writes(cache) == 1
         assert [f.name for f in tmp_path.iterdir()] == \
             [cache._file(_o3_key(_case())).name]
@@ -504,13 +522,30 @@ class TestFromEnv:
     def test_off_values_disable_disk(self, value, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_ENV_VAR, value)
         monkeypatch.chdir(tmp_path)
-        assert _writes(CompileCache.from_env("ignored-default")) == 0
+        assert cache_dir_setting(value) is None
+        assert _cli_cache_dir(monkeypatch) is None
+        monkeypatch.setenv(CACHE_ENV_VAR, "env-dir")
+        assert _cli_cache_dir(monkeypatch, "--compile-cache", value) is None
+        assert _writes(CompileCache(disk=cache_dir_setting(value))) == 0
         assert list(tmp_path.iterdir()) == []
 
-    def test_unset_falls_back_to_default_dir(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
-        assert _writes(CompileCache.from_env()) == 0
-        assert _writes(CompileCache.from_env(str(tmp_path))) == 1
+    def test_the_flag_wins_over_the_env_var(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(CACHE_ENV_VAR, "env-dir")
+        assert _cli_cache_dir(monkeypatch, "--compile-cache",
+                              str(tmp_path)) == str(tmp_path)
+        monkeypatch.delenv(CACHE_ENV_VAR)
+        assert _cli_cache_dir(monkeypatch) is None
+        assert cache_dir_setting(None) is None
+
+    def test_run_task_never_reads_the_env_var(self, tmp_path, monkeypatch):
+        # run_task used to fall back to the variable when the task named
+        # no directory.
+        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
+        task = SweepTask(kernel="SB1", builder=build_sb1, block_size=16,
+                         grid_dim=1, seed=SEED)
+        result = run_task(task)
+        assert result.compile_cache["writes"] == 0
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestUnusableDirectory:
@@ -519,17 +554,14 @@ class TestUnusableDirectory:
     the rows of an uncached run — never a failed task."""
 
     @pytest.mark.parametrize("where", ["file", "under-a-file"])
-    def test_run_task_rows_equal_an_uncached_run(self, where, tmp_path,
-                                                 monkeypatch):
+    def test_run_task_rows_equal_an_uncached_run(self, where, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")
         task = SweepTask(kernel="SB1", builder=build_sb1, block_size=16,
                          grid_dim=1, seed=SEED)
-        monkeypatch.setenv(CACHE_ENV_VAR, "off")
         plain = run_task(task)
-        monkeypatch.setenv(CACHE_ENV_VAR, str(
-            blocker if where == "file" else blocker / "cache"))
-        result = run_task(task)
+        result = run_task(dataclasses.replace(task, cache_dir=str(
+            blocker if where == "file" else blocker / "cache")))
 
         for arm in ("baseline", "melded"):
             assert getattr(result.comparison, arm).as_dict() == \

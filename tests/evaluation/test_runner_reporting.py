@@ -165,3 +165,23 @@ class TestReportCLI:
         assert sorted(rows[0]) == ["baseline", "block", "cfm", "kernel",
                                    "speedup"]
         assert compared == [("SB1", 16), ("SB1", 32)]
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--workers", "-2"], "--workers"),
+        (["--workers", "0"], "--workers"),
+        (["--timeout", "0"], "--timeout"),
+        (["--timeout", "-1.5"], "--timeout"),
+    ])
+    def test_bad_worker_or_timeout_is_a_one_line_usage_error(
+            self, argv, flag, capsys, monkeypatch):
+        # --workers -2 used to run serially under a "workers=-2" header.
+        from repro.evaluation import __main__ as cli
+
+        def build_report(**kwargs):
+            pytest.fail(f"a sweep ran with {kwargs}")
+
+        monkeypatch.setattr(cli, "build_report", build_report)
+        assert cli.main(["--kernels", "SB1", "--quick", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and flag in err
+        assert "Traceback" not in err

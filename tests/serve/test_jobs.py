@@ -29,6 +29,26 @@ from repro.serve.jobs import (
 HUGE_PAIRS = {"kernels": ["SB1"] * 4000, "block_sizes": [1] * 4000}
 
 
+def _served_configs(monkeypatch, argv):
+    """The :class:`ServerConfig` ``python -m repro.serve serve *argv``
+    builds, without serving."""
+    from repro.serve import __main__ as cli
+    configs = []
+
+    class Recorder:
+        address = prom_address = None
+
+        def __init__(self, config):
+            configs.append(config)
+
+        async def run(self, ready=None):
+            pass
+
+    monkeypatch.setattr(cli, "JobServer", Recorder)
+    assert cli.main(["serve", *argv]) == 0
+    return configs
+
+
 def _ctx(index=0, attempt=1):
     return TaskContext(index=index, attempt=attempt, worker=0)
 
@@ -197,21 +217,43 @@ class TestSweepJob:
         }
 
 
-    @pytest.mark.parametrize("value", ["0", "OFF", "none"])
+    @pytest.mark.parametrize("value", ["off", "0", "OFF", "none", ""])
     def test_disabled_cache_env_names_no_directory(self, value, tmp_path,
                                                    monkeypatch):
-        """The worker's ``CompileCache.from_env`` owns the "disabled"
-        spellings; the job never re-reads the variable."""
+        """The serve CLI's ``--cache-dir`` default owns the "disabled"
+        spellings of the variable; the job and its task get None."""
         monkeypatch.setenv(CACHE_ENV_VAR, value)
         monkeypatch.chdir(tmp_path)
+        (config,) = _served_configs(monkeypatch, [])
+        assert config.cache_dir is None
         job = make_job("sweep", {"kernels": ["SB1"], "block_sizes": [16],
-                                 "grid_dim": 1, "seed": 7})
+                                 "grid_dim": 1, "seed": 7}, config.cache_dir)
         (task,) = job.tasks()
         result = task.fn(task.payload, _ctx())
         assert list(tmp_path.iterdir()) == []
         assert result.compile_cache["writes"] == 0
         assert result.compile_cache["write_errors"] == 0
         assert task.payload.cache_dir is None
+
+    def test_the_cache_dir_rides_in_every_task(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "env"))
+        (config,) = _served_configs(monkeypatch, [])
+        assert config.cache_dir == str(tmp_path / "env")
+        (config,) = _served_configs(
+            monkeypatch, ["--cache-dir", str(tmp_path / "flag")])
+        assert config.cache_dir == str(tmp_path / "flag")
+        params = {"kernels": ["SB1", "SB2"], "block_sizes": [16]}
+        for kind in ("sweep", "launch", "compile"):
+            tasks = make_job(kind, params, config.cache_dir).tasks()
+            directories = [task.payload.cache_dir if kind == "sweep"
+                           else task.payload["cache_dir"] for task in tasks]
+            assert directories == [config.cache_dir] * 2, kind
+
+    def test_clients_cannot_name_a_cache_dir(self, tmp_path):
+        params = {"kernels": ["SB1"], "cache_dir": str(tmp_path)}
+        for kind in ("launch", "compile"):
+            (task,) = make_job(kind, params).tasks()
+            assert task.payload["cache_dir"] is None
 
 
 class TestCompileJob:
@@ -306,8 +348,7 @@ def _serial_launch_row(seed):
 
 
 @pytest.fixture
-def cache_dir(tmp_path, monkeypatch):
-    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+def cache_dir(tmp_path):
     return tmp_path / "cache"
 
 
@@ -337,7 +378,8 @@ class TestServedLaunchCache:
         assert _cache_events(done) == (1, 0)
 
     def test_no_cache_dir_means_no_cache(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+        # The variable is a CLI default only: the server never reads it.
+        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "env-cache"))
         monkeypatch.chdir(tmp_path)
         with ServerThread(ServerConfig(workers=1)) as address:
             with ServeClient(*address) as client:
@@ -387,9 +429,8 @@ class TestServedCompileCache:
         monkeypatch.setattr(repro.pipeline, "verify_function",
                             lambda function: calls.append(function)
                             or verify(function))
-        monkeypatch.setenv(CACHE_ENV_VAR, str(cache_dir))
         payload = {"kernel": "SB1", "level": level, "block_size": 16,
-                   "grid_dim": 1}
+                   "grid_dim": 1, "cache_dir": str(cache_dir)}
         stored = _compile_fn(payload, _ctx())
         assert len(calls) == 1
         replayed = _compile_fn(payload, _ctx())

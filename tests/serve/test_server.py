@@ -46,6 +46,18 @@ SWEEP_PARAMS = {"kernels": SWEEP_KERNELS, "block_sizes": SWEEP_SIZES,
 _SERIAL = {}
 
 
+def _launch(kernel):
+    return {"kernels": [kernel], "block_size": 16, "grid_dim": 1}
+
+
+LAUNCH = _launch("SB1")
+
+
+def _entries(directory):
+    """Names of the compile-cache entry files in ``directory``."""
+    return sorted(path.name for path in directory.glob("*.json"))
+
+
 def strip_time_dependent(snapshot):
     snapshot = json.loads(json.dumps(snapshot))
     for kind in ("counters", "gauges", "histograms"):
@@ -143,24 +155,23 @@ class TestLifecycle:
                 assert client.ping()
 
     @pytest.mark.parametrize("host_value", [None, "host-cache"])
-    def test_cache_dir_export_ends_with_the_server(self, host_value,
+    def test_a_server_leaves_the_environment_alone(self, host_value,
                                                    tmp_path, monkeypatch):
-        # The export used to outlive the server: every later
-        # CompileCache.from_env() in the host process wrote to the
-        # stopped server's (possibly deleted) directory.
+        # The server used to export its cache_dir as REPRO_COMPILE_CACHE
+        # for as long as it ran, so every other server and sweep in the
+        # process read (and wrote into) its directory.
         if host_value is None:
             monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
         else:
             monkeypatch.setenv(CACHE_ENV_VAR, host_value)
         before = dict(os.environ)
-        thread = ServerThread(ServerConfig(workers=1,
-                                           cache_dir=str(tmp_path)))
-        thread.start()
-        try:
-            assert os.environ[CACHE_ENV_VAR] == str(tmp_path)
-        finally:
-            thread.stop()
+        with ServerThread(ServerConfig(
+                workers=1, cache_dir=str(tmp_path / "cache"))) as address:
+            with ServeClient(*address) as client:
+                assert client.run_job("launch", LAUNCH)["ok"]
+            assert dict(os.environ) == before
         assert dict(os.environ) == before
+        assert len(_entries(tmp_path / "cache")) == 1
 
     def test_bad_line_is_typed_error_event(self):
         with ServerThread(ServerConfig(workers=1)) as address:
@@ -234,6 +245,54 @@ class TestLifecycle:
             assert sum(gauges["repro_serve_clients"]["samples"].values()) == 1
         finally:
             thread.stop()
+
+
+class TestCacheDirPerServer:
+    """Each task carries its own server's ``cache_dir``, so a worker
+    forked while another server runs, or after it stopped, stores into
+    its own server's directory."""
+
+    @staticmethod
+    def _config(directory):
+        # A worker retires after every task: each job after the first
+        # runs on a worker forked after the other server started (or
+        # stopped).
+        return ServerConfig(workers=1, recycle_tasks=1,
+                            cache_dir=str(directory))
+
+    def test_two_servers_write_only_their_own_directories(self, tmp_path):
+        # Used to: the second server's export reached the first one's
+        # replacement worker, so its SB2 entry landed in ``b``.
+        a, b = tmp_path / "a", tmp_path / "b"
+        with ServerThread(self._config(a)) as address_a, \
+                ServerThread(self._config(b)) as address_b:
+            with ServeClient(*address_a) as client:
+                for kernel in ("SB1", "SB2"):
+                    assert client.run_job("launch", _launch(kernel))["ok"]
+            with ServeClient(*address_b) as client:
+                assert client.run_job("launch", _launch("SB3"))["ok"]
+        assert len(_entries(a)) == 2
+        assert len(_entries(b)) == 1
+        assert not set(_entries(a)) & set(_entries(b))
+
+    def test_a_stopped_server_leaves_the_other_its_directory(self,
+                                                             tmp_path):
+        # Used to: stopping the first server unset the variable, so the
+        # second server's next replacement worker ran uncached.
+        a, b = tmp_path / "a", tmp_path / "b"
+        first = ServerThread(self._config(a))
+        first.start()
+        try:
+            with ServerThread(self._config(b)) as address:
+                first.stop()
+                with ServeClient(*address) as client:
+                    for kernel in ("SB1", "SB2"):
+                        assert client.run_job(
+                            "launch", _launch(kernel))["ok"]
+        finally:
+            first.stop()
+        assert len(_entries(b)) == 2
+        assert _entries(a) == []
 
 
 class TestServedSweepIdentity:
@@ -497,11 +556,9 @@ class TestObservability:
             assert not [n for n in names if n.startswith(retired)], retired
             assert retired not in event["prom"], retired
 
-    def test_cache_hit_ratio_is_derived_from_the_counters(self, tmp_path,
-                                                          monkeypatch):
+    def test_cache_hit_ratio_is_derived_from_the_counters(self, tmp_path):
         # A ratio gauge merged last-write-wins read the last task's
         # ratio (1.0 after the SB1 hits, then 0.0 after the SB2 miss).
-        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
         config = ServerConfig(workers=1, cache_dir=str(tmp_path / "cache"))
         with ServerThread(config) as address:
             with ServeClient(*address) as client:

@@ -91,6 +91,7 @@ RETIRED = {
     "Counter", "Gauge", "_Family", "CounterFamily", "GaugeFamily",
     "HistogramFamily", "total_count", "_rebucket", "_check_labels",
     "render_prom", "metrics_snapshot", "LintConfig",
+    "from_env", "_exported_cache_dir",
 }
 
 
