@@ -23,6 +23,7 @@ import sys
 from typing import List, Optional
 
 from repro.compile_cache import CACHE_ENV_VAR, cache_dir_setting
+from repro.obs import render_prometheus
 
 from .client import JobRejected, ServeClient
 from .jobs import JOB_KINDS
@@ -55,8 +56,6 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
                    help="write the server Chrome trace here at shutdown")
     p.add_argument("--prom-file", default=None,
                    help="write the final Prometheus snapshot here at shutdown")
-    p.add_argument("--prom-port", type=int, default=None,
-                   help="HTTP /metrics listener port")
     p.add_argument("--ready-file", default=None,
                    help="write 'host port' here once listening")
     p.add_argument("--chaos", action="append", default=[],
@@ -93,7 +92,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             client_quota=args.client_quota or None,
             cache_dir=cache_dir_setting(args.cache_dir),
             trace_file=args.trace_file,
-            prom_file=args.prom_file, prom_port=args.prom_port)
+            prom_file=args.prom_file)
     except ValueError as exc:
         print(f"serve: {exc}", file=sys.stderr)
         return 2
@@ -106,9 +105,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             await ready.wait()
             host, port = server.address
             print(f"listening on {host}:{port}", flush=True)
-            if server.prom_address is not None:
-                print(f"metrics on http://{server.prom_address[0]}:"
-                      f"{server.prom_address[1]}/metrics", flush=True)
             if args.ready_file:
                 with open(args.ready_file, "w") as handle:
                     handle.write(f"{host} {port}\n")
@@ -151,11 +147,11 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     with ServeClient(args.host, args.port) as client:
-        event = client.metrics()
+        snapshot = client.metrics()["snapshot"]
     if args.format == "prom":
-        sys.stdout.write(event.get("prom", ""))
+        sys.stdout.write(render_prometheus(snapshot))
     else:
-        print(json.dumps(event.get("snapshot", {}), indent=2, sort_keys=True))
+        print(json.dumps(snapshot, indent=2, sort_keys=True))
     return 0
 
 

@@ -127,7 +127,8 @@ class ServeClient:
                 return True
 
     def metrics(self) -> Dict[str, Any]:
-        """Server-wide metrics: ``{"snapshot": ..., "prom": ...}``."""
+        """Server-wide metrics: ``{"event": "metrics", "snapshot": ...}``;
+        :func:`repro.obs.render_prometheus` renders the snapshot."""
         self._write({"op": "metrics"})
         while True:
             event = self._pump()

@@ -36,7 +36,8 @@ Five built-in kinds, registered in :data:`JOB_KINDS`:
     (:func:`repro.lint.lint_at_level`), reporting diagnostics.
 
 With a cache directory (``ServerConfig.cache_dir``, passed to
-:func:`make_job`, never a client param), ``sweep``, ``launch`` and
+:func:`make_job`; a client's ``cache_dir`` param is refused like any
+param its kind does not read), ``sweep``, ``launch`` and
 ``compile`` tasks each carry it (``SweepTask.cache_dir`` or the
 payload) and open a per-task :class:`~repro.compile_cache.CompileCache`
 over it, so every worker — a replacement included — replays what any
@@ -109,6 +110,19 @@ class JobParamError(ProtocolError):
 
     def __init__(self, message: str) -> None:
         super().__init__(message, code="invalid-params")
+
+
+class _ReadParams(dict):
+    """Job params that record which keys their spec reads (specs read
+    params with ``get`` only), so :func:`make_job` can refuse the rest."""
+
+    def __init__(self, params: Dict[str, Any]) -> None:
+        super().__init__(params)
+        self.read: set = set()
+
+    def get(self, key: str, default: Any = None) -> Any:
+        self.read.add(key)
+        return super().get(key, default)
 
 
 def _is(value: Any, kind: type) -> bool:
@@ -479,7 +493,8 @@ def make_job(kind: Any, params: Optional[Dict[str, Any]],
              cache_dir: Optional[str] = None) -> JobSpec:
     """Instantiate a registered job spec over the server's ``cache_dir``;
     raises :class:`ProtocolError` with the right wire code for unknown
-    kinds / bad params."""
+    kinds / bad params.  A param the spec does not read (a typo, another
+    kind's spelling, ``count`` beside ``seeds``) is bad params too."""
     if not isinstance(kind, str) or kind not in JOB_KINDS:
         raise ProtocolError(
             f"unknown job kind {kind!r}; known: {sorted(JOB_KINDS)}",
@@ -488,4 +503,12 @@ def make_job(kind: Any, params: Optional[Dict[str, Any]],
         params = {}
     if not isinstance(params, dict):
         raise JobParamError("job params must be an object")
-    return JOB_KINDS[kind](params, cache_dir)
+    read = _ReadParams(params)
+    spec = JOB_KINDS[kind](read, cache_dir)
+    # After the spec's own checks, so each of their messages stands.
+    unread = sorted(set(params) - read.read)
+    if unread:
+        raise JobParamError(
+            f"{kind} job does not read params {unread}; "
+            f"it reads {sorted(read.read)}")
+    return spec

@@ -18,7 +18,7 @@ Client → server operations (``"op"`` key):
     liveness probe; answered with ``pong``.
 ``metrics``
     server-wide metrics; answered with a ``metrics`` event carrying the
-    JSON snapshot and the Prometheus text rendering.
+    merged JSON ``snapshot``.
 ``shutdown``
     ``{"op": "shutdown", "mode": "graceful"|"now"}`` — graceful drains
     in-flight jobs first; ``now`` cancels them.
@@ -36,7 +36,7 @@ import json
 from typing import Any, Dict
 
 #: protocol identifier sent in the hello event; bump on breaking change
-PROTOCOL = "repro.serve/1"
+PROTOCOL = "repro.serve/2"
 
 #: machine-readable rejection/error codes
 ERROR_CODES = (

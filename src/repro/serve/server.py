@@ -19,11 +19,12 @@ Admission control sits between the socket and the pool:
 Observability: the server keeps a ``repro_serve_*`` metrics registry
 (jobs, rejections, connected clients) alongside the scheduler's
 ``repro_sched_*`` registry (the one count of settled tasks) and the
-per-job deltas aggregated across jobs; the ``metrics`` op — and the
-optional plaintext HTTP listener on ``prom_port`` — exposes the union
-in Prometheus text format.  A
-:class:`repro.obs.Tracer` records job/task lifecycle instants and is
-written to ``trace_file`` at shutdown.
+per-job deltas aggregated across jobs.  The ``metrics`` op answers
+with the union as one JSON snapshot (clients render it with
+:func:`repro.obs.render_prometheus`), and ``prom_file`` receives its
+Prometheus text once more at shutdown, after the workers' goodbye
+metrics are in.  A :class:`repro.obs.Tracer` records job/task lifecycle
+instants and is written to ``trace_file`` at shutdown.
 
 The disk compile cache is shared across all workers: ``cache_dir``
 rides in every task (:func:`~repro.serve.jobs.make_job`), so every
@@ -37,7 +38,7 @@ import asyncio
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.obs import MetricsRegistry, Tracer, render_prometheus
+from repro.obs import MetricsRegistry, Tracer
 from repro.scheduler import (
     DEFAULT_RETRIES,
     RecyclePolicy,
@@ -86,8 +87,6 @@ class ServerConfig:
     trace_file: Optional[str] = None
     #: write the final merged Prometheus snapshot here at shutdown
     prom_file: Optional[str] = None
-    #: plaintext HTTP /metrics listener (None = disabled)
-    prom_port: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.when_full not in ("reject", "block"):
@@ -144,10 +143,8 @@ class JobServer:
         self.tracer = Tracer()
         #: (host, port) once listening
         self.address: Optional[tuple] = None
-        self.prom_address: Optional[tuple] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.base_events.Server] = None
-        self._prom_server: Optional[asyncio.base_events.Server] = None
         self._admission: Optional[asyncio.Condition] = None
         self._admitted = 0
         self._accepting = True
@@ -175,10 +172,6 @@ class JobServer:
         self._server = await asyncio.start_server(
             self._handle_client, self.config.host, self.config.port)
         self.address = self._server.sockets[0].getsockname()[:2]
-        if self.config.prom_port is not None:
-            self._prom_server = await asyncio.start_server(
-                self._handle_prom, self.config.host, self.config.prom_port)
-            self.prom_address = self._prom_server.sockets[0].getsockname()[:2]
         self.tracer.instant("serve:listening", cat="serve", pid=_SERVE_PID,
                             args={"address": list(self.address)})
         if ready is not None:
@@ -188,9 +181,6 @@ class JobServer:
         finally:
             self._server.close()
             await self._server.wait_closed()
-            if self._prom_server is not None:
-                self._prom_server.close()
-                await self._prom_server.wait_closed()
             # Blocking close off the loop thread: graceful collects each
             # worker's goodbye metrics snapshot into scheduler.registry.
             graceful = self._graceful
@@ -265,10 +255,9 @@ class JobServer:
                 elif op == "ping":
                     await self._send(client, {"event": "pong"})
                 elif op == "metrics":
-                    snapshot = self.merged_registry().snapshot()
                     await self._send(client, {
-                        "event": "metrics", "snapshot": snapshot,
-                        "prom": render_prometheus(snapshot)})
+                        "event": "metrics",
+                        "snapshot": self.merged_registry().snapshot()})
                 elif op == "shutdown":
                     await self._op_shutdown(client, message)
         finally:
@@ -487,36 +476,6 @@ class JobServer:
                 None, lambda: self.scheduler.close(False))
         await self._idle.wait()
         self._stopping.set()
-
-    # ---- Prometheus HTTP listener -----------------------------------------
-
-    async def _handle_prom(self, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter) -> None:
-        """Minimal plaintext HTTP: any request gets the current merged
-        snapshot in Prometheus text format v0.0.4."""
-        try:
-            while True:  # consume request head
-                try:
-                    line = await reader.readline()
-                except ValueError:  # a line past the stream limit
-                    return
-                if not line or line in (b"\r\n", b"\n"):
-                    break
-            body = render_prometheus(
-                self.merged_registry().snapshot()).encode("utf-8")
-            writer.write(
-                b"HTTP/1.0 200 OK\r\n"
-                b"Content-Type: text/plain; version=0.0.4\r\n"
-                b"Content-Length: " + str(len(body)).encode() + b"\r\n"
-                b"\r\n" + body)
-            await writer.drain()
-        except ConnectionError:
-            pass
-        finally:
-            try:
-                writer.close()
-            except Exception:
-                pass
 
 
 class _Cancelled:

@@ -36,7 +36,7 @@ def _served_configs(monkeypatch, argv):
     configs = []
 
     class Recorder:
-        address = prom_address = None
+        address = None
 
         def __init__(self, config):
             configs.append(config)
@@ -117,10 +117,17 @@ class TestMakeJob:
         ("sweep", {"kernels": ["SB1"], "block_sizes": [32, 2048]}),
         ("sweep", {"kernels": ["SB1"], "grid_dim": MAX_GRID_DIM + 1}),
         ("difftest", {"block_dim": MAX_BLOCK_SIZE + 1}),
+        ("sweep", {"kernels": ["SB1"], "block_size": [16]}),
+        ("compile", {"kernels": ["SB1"], "levels": ["o3"]}),
+        ("launch", {"kernels": ["SB1"], "blocksize": 16, "grid": 1}),
+        ("difftest", {"seeds": [1, 2], "count": 5}),
+        ("lint", {"kernels": ["SB1"], "level": "o3"}),
     ], ids=["huge-count", "scalar-sizes", "null-sizes", "bool-seeds",
             "string-trace", "huge-launch", "launch-block-size",
             "launch-grid-dim", "compile-block-size", "lint-grid-dim",
-            "sweep-block-sizes", "sweep-grid-dim", "difftest-block-dim"])
+            "sweep-block-sizes", "sweep-grid-dim", "difftest-block-dim",
+            "sweep-unread", "compile-unread", "launch-unread",
+            "difftest-unread", "lint-unread"])
     def test_malformed_params_are_typed(self, kind, params):
         with pytest.raises(JobParamError) as info:
             make_job(kind, params)
@@ -242,8 +249,11 @@ class TestSweepJob:
         (config,) = _served_configs(
             monkeypatch, ["--cache-dir", str(tmp_path / "flag")])
         assert config.cache_dir == str(tmp_path / "flag")
-        params = {"kernels": ["SB1", "SB2"], "block_sizes": [16]}
-        for kind in ("sweep", "launch", "compile"):
+        kernels = ["SB1", "SB2"]
+        for kind, params in (
+                ("sweep", {"kernels": kernels, "block_sizes": [16]}),
+                ("launch", {"kernels": kernels, "block_size": 16}),
+                ("compile", {"kernels": kernels, "block_size": 16})):
             tasks = make_job(kind, params, config.cache_dir).tasks()
             directories = [task.payload.cache_dir if kind == "sweep"
                            else task.payload["cache_dir"] for task in tasks]
@@ -251,9 +261,10 @@ class TestSweepJob:
 
     def test_clients_cannot_name_a_cache_dir(self, tmp_path):
         params = {"kernels": ["SB1"], "cache_dir": str(tmp_path)}
-        for kind in ("launch", "compile"):
-            (task,) = make_job(kind, params).tasks()
-            assert task.payload["cache_dir"] is None
+        for kind in ("sweep", "launch", "compile"):
+            with pytest.raises(JobParamError) as info:
+                make_job(kind, params)
+            assert "['cache_dir']" in str(info.value), kind
 
 
 class TestCompileJob:

@@ -69,7 +69,7 @@ class TestCheckOp:
 
 class TestShapes:
     def test_protocol_version_string(self):
-        assert PROTOCOL == "repro.serve/1"
+        assert PROTOCOL == "repro.serve/2"
 
     def test_error_codes_closed_set(self):
         assert "quota-exceeded" in ERROR_CODES

@@ -16,16 +16,19 @@ server with a real worker pool) and drives it with
 
 import json
 import os
-import socket
 import time
-import urllib.request
 
 import pytest
 
 from repro.compile_cache import CACHE_ENV_VAR
 from repro.evaluation import SweepTraceCollector, run_sweep
 from repro.kernels import ALL_BUILDERS
-from repro.obs import MetricsRegistry, divergence_summary, use_registry
+from repro.obs import (
+    MetricsRegistry,
+    divergence_summary,
+    render_prometheus,
+    use_registry,
+)
 from repro.scheduler import worker as scheduler_worker
 from repro.serve import (
     JobRejected,
@@ -119,7 +122,7 @@ class TestLifecycle:
                               when_full="block")
         with ServerThread(config) as address:
             with ServeClient(*address) as client:
-                assert client.hello["protocol"] == "repro.serve/1"
+                assert client.hello["protocol"] == "repro.serve/2"
                 assert client.hello["workers"] == 1
                 assert client.hello["queue_limit"] == 9
                 assert client.hello["client_quota"] == 5
@@ -406,13 +409,19 @@ class TestAdmission:
     def test_malformed_params_each_get_one_rejection_then_pong(self):
         # A scalar block size used to raise TypeError out of the submit
         # and close the connection unanswered; a 10**9 count blocked
-        # the event loop building its seed list.
+        # the event loop building its seed list.  The last five ran
+        # with their unread param silently dropped.
         cases = [
             ("difftest", {"count": 10**9}),
             ("sweep", {"kernels": ["SB1"], "block_sizes": {"SB1": 32}}),
             ("sweep", {"kernels": ["SB1"], "block_sizes": {"SB1": None}}),
             ("difftest", {"seeds": [True, False]}),
             ("sweep", {"kernels": ["SB1"], "trace": "no"}),
+            ("sweep", {"kernels": ["SB1"], "block_size": [16]}),
+            ("compile", {"kernels": ["SB1"], "levels": ["o3"]}),
+            ("difftest", {"seeds": [1], "count": 5}),
+            ("launch", {"kernels": ["SB1"], "blocksize": 16, "grid": 1}),
+            ("launch", {"kernels": ["SB1"], "cache_dir": "/elsewhere"}),
         ]
         with ServerThread(ServerConfig(workers=1)) as address:
             with ServeClient(*address, timeout=30) as client:
@@ -527,7 +536,7 @@ class TestObservability:
             with ServeClient(*address) as client:
                 assert client.run_job("difftest", {"count": 2})["ok"]
                 event = client.metrics()
-        prom = event["prom"]
+        prom = render_prometheus(event["snapshot"])
         assert "repro_serve_jobs_total" in prom
         assert "repro_sched_tasks_completed_total" in prom
         assert _counter(event["snapshot"],
@@ -552,9 +561,10 @@ class TestObservability:
         assert sum(s["count"] for s in seconds["samples"].values()) == 5
         names = [name for kind in ("counters", "gauges", "histograms")
                  for name in snapshot[kind]]
+        prom = render_prometheus(snapshot)
         for retired in RETIRED:
             assert not [n for n in names if n.startswith(retired)], retired
-            assert retired not in event["prom"], retired
+            assert retired not in prom, retired
 
     def test_cache_hit_ratio_is_derived_from_the_counters(self, tmp_path):
         # A ratio gauge merged last-write-wins read the last task's
@@ -572,20 +582,27 @@ class TestObservability:
         assert not [name for name in snapshot["gauges"]
                     if "ratio" in name]
 
-    def test_prometheus_http_listener(self):
-        server = ServerThread(ServerConfig(workers=1, prom_port=0))
-        address = server.start()
-        try:
+    @pytest.mark.parametrize("fmt", ["prom", "json"])
+    def test_metrics_cli_prints_the_ops_snapshot(self, fmt, capsys,
+                                                 monkeypatch):
+        """``python -m repro.serve metrics`` renders the one snapshot
+        the op carries, with the renderer ``python -m repro.obs`` uses."""
+        from repro.serve import __main__ as cli
+        events = []
+        fetch = ServeClient.metrics
+        monkeypatch.setattr(ServeClient, "metrics",
+                            lambda self: events.append(fetch(self))
+                            or events[-1])
+        with ServerThread(ServerConfig(workers=1)) as address:
             with ServeClient(*address) as client:
                 assert client.run_job("difftest", {"count": 1})["ok"]
-            host, port = server.server.prom_address
-            # a header line past the stream limit: closed, no answer
-            with socket.create_connection((host, port), timeout=10) as sock:
-                sock.sendall(b"GET /" + b"x" * (100 * 1024) + b"\r\n")
-                assert sock.makefile("rb").read() == b""
-            body = urllib.request.urlopen(
-                f"http://{host}:{port}/metrics", timeout=10).read().decode()
-        finally:
-            server.stop()
-        assert "repro_serve_jobs_total" in body
-        assert body.startswith("# ") or "repro_" in body.splitlines()[0]
+            assert cli.main(["metrics", "--host", address[0], "--port",
+                             str(address[1]), "--format", fmt]) == 0
+        (event,) = events
+        assert set(event) == {"event", "snapshot"}
+        out = capsys.readouterr().out
+        if fmt == "prom":
+            assert out == render_prometheus(event["snapshot"])
+            assert 'repro_serve_jobs_total{kind="difftest"} 1' in out
+        else:
+            assert json.loads(out) == event["snapshot"]

@@ -29,7 +29,8 @@ CONFIGS = (CFMConfig, MachineConfig, ServerConfig, RecyclePolicy)
 UNSET_FIELDS = {
     "CFMConfig.max_iterations":
         "Algorithm 1's iteration bound; stopping after meld k is the "
-        "profitability study of ROADMAP item 6, and tests drive it",
+        "profitability study of the ROADMAP item 'Does the profitability "
+        "model predict the machine?', and tests drive it",
     "MachineConfig.latency":
         "the simulator's latency table; darmbench reads it to lower "
         "programs and key stored ones, and tests vary it",

@@ -92,6 +92,7 @@ RETIRED = {
     "HistogramFamily", "total_count", "_rebucket", "_check_labels",
     "render_prom", "metrics_snapshot", "LintConfig",
     "from_env", "_exported_cache_dir",
+    "prom_port", "prom_address", "_handle_prom",
 }
 
 
