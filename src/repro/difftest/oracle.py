@@ -12,19 +12,19 @@ arm             pipeline
 ``o3-bf``       -O3, then branch fusion + late cleanups
 ==============  ============================================================
 
-— with ``verify_function`` run after every pass execution of every
-*distinct* pipeline state (the first of the oracle's ``after_each``
-hooks on :class:`~repro.transforms.PassPipeline`) and the error-capable
-:mod:`repro.lint` rules differenced at the same points (the second): a
-pass that *introduces* an error-severity
+— with ``verify_function`` run after every pass execution that leaves
+a *distinct* IR state (the oracle's check hook, an ``after_each`` hook
+on :class:`~repro.transforms.PassPipeline`) and the error-capable
+:mod:`repro.lint` rules differenced at the same points: a pass that
+*introduces* an error-severity
 diagnostic the previous IR did not carry — a barrier moved under
 divergent control flow, a shared-memory race opened by a deleted
 barrier — fails the arm with kind ``"lint"`` and the guilty pass
 attached, even when the simulator cannot observe the hazard (a one-warp
-block makes a dropped barrier semantically invisible).  The four ``o3*``
-arms start with the same deterministic ``-O3`` fixpoint over the same
-freshly built kernel, so within one :func:`run_oracle` call that prefix
-is checked once, by the first such arm (:class:`_Prefix`).  After
+block makes a dropped barrier semantically invisible).  Within one
+:func:`run_oracle` call the kernel is built once and the ``-O3``
+fixpoint runs once, on a clone of the build; each reducer arm compiles
+its own clone of the post-``-O3`` module (:class:`_Prefix`).  After
 compilation the ``o3-cfm`` arm additionally runs the meld-legality
 audit over the pass's decision log.  The kernels are then launched on
 the SIMT machine over several deterministic input sets.  Device memory
@@ -35,7 +35,7 @@ first diverging buffer index.
 
 With ``validate=True`` the ``o3-cfm`` arm also runs the *static* oracle:
 symbolic translation validation of every meld
-(:mod:`repro.analysis.validate`), wired in as the third ``after_each``
+(:mod:`repro.analysis.validate`), wired in as a second ``after_each``
 hook.  An ``INEQUIVALENT`` meld fails the arm with
 kind ``"validate"`` whether or not any input set witnesses the
 difference — the one oracle class that does not need a run.
@@ -50,14 +50,16 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import repro
 from repro import CFMConfig, GPU, MachineConfig, verify_function
 from repro.analysis import MeldValidationError, validate_melds_hook
+from repro.ir import Function, Module, fingerprint
 from repro.lint import LintReport, Severity, rules_emitting
 from repro.obs import MeldingDecision, Tracer, use as use_tracer
-from repro.pipeline import ARMS, REDUCERS, compile_arm
+from repro.pipeline import ARM_STAGES, ARMS, Arm, compile_arm
+from repro.transforms import clone_module
 
 from .generator import KernelSpec, build_kernel, make_inputs
 
@@ -91,12 +93,14 @@ class ArmReport:
     """Compile + run outcome of one arm on one kernel."""
 
     arm: str
+    #: distinct IR states the arm's check hook verified and lint-diffed
     verified_passes: int = 0
     melds: int = 0
     outputs: Optional[List[Dict[str, List[int]]]] = None
     failure: Optional[Failure] = None
-    #: the compiled kernel (present when compilation succeeded)
-    builder: Optional[object] = field(default=None, repr=False)
+    #: the compiled kernel's ``module`` and ``function`` (present when
+    #: compilation succeeded)
+    builder: Optional[_Kernel] = field(default=None, repr=False)
     #: the CFM pass's melding decision log (``o3-cfm`` arm only)
     decisions: List[MeldingDecision] = field(default_factory=list, repr=False)
 
@@ -131,46 +135,49 @@ class Verdict:
         return sum(1 for f in self.failures if f.kind == "validate")
 
 
-@dataclass
-class _Prefix:
-    """The ``-O3`` prefix the arms of one :func:`run_oracle` call share.
+class _PassChecker:
+    """Pass hook: verify each distinct IR state, and lint-diff it.
 
-    Verify and lint are pure functions of the IR and the ``-O3`` passes
-    are deterministic functions of their input, so once one ``o3*`` arm
-    has run its ``-O3`` stage clean under both hooks, re-checking the
-    same ``(IR state, pass)`` pairs in the next arm would recompute the
-    same results.  Later arms therefore re-run the (cheap) passes with
-    their hooks *disarmed* until the reducer reports, then arm with the
-    baseline left here.  A prefix that did not end clean leaves nothing,
-    and every arm rediscovers the failure under its own name.
+    :func:`~repro.ir.fingerprint` is read once per pass execution, and a
+    state equal to the one checked last is skipped: ``verify_function``
+    and ``repro.lint`` are pure functions of the IR, so they would
+    return what they returned for it.  (Not the pass's own ``changed``
+    flag: that is output of the code under test.)  The blocks and
+    instructions of the checked state are held, so no id in its
+    fingerprint can be reused by a new object while it is the state
+    compared against.  What the fingerprint cannot see is an instruction
+    rewritten in place — opcode, predicate, callee or type;
+    ``tests/ir/test_fingerprint_blind_spot.py`` pins that no pass does
+    that.
+
+    The lint baseline starts as the input IR's own report (pre-existing
+    findings are the generator's responsibility, not any pass's) and
+    advances after each checked state, so a new error-severity
+    diagnostic is attributed to exactly the pass that introduced it.
     """
 
-    #: the differ's rolling baseline where the first clean ``-O3`` stage
-    #: ended; None until one has
-    baseline: Optional[LintReport] = None
-
-    @property
-    def proven(self) -> bool:
-        return self.baseline is not None
-
-
-class _PassVerifier:
-    """Pass hook that verifies, counts and attributes failures."""
-
-    def __init__(self, prefix: _Prefix) -> None:
+    def __init__(self, baseline: LintReport) -> None:
+        self.baseline = baseline
+        #: distinct states checked
         self.count = 0
-        self.armed = not prefix.proven
+        self._checked: Optional[tuple] = None
+        self._held: List[list] = []
 
     def __call__(self, pass_name: str, function, result) -> None:
-        if not self.armed:
-            if pass_name not in REDUCERS:
-                return
-            self.armed = True
-        self.count += 1
+        state = fingerprint(function)
+        if state == self._checked:
+            return
         try:
             verify_function(function)
         except Exception as exc:
             raise PassVerificationError(pass_name, exc) from exc
+        report = repro.lint(function, rules=_ERROR_RULES)
+        new = report.new_errors(self.baseline)
+        if new:
+            raise PassLintError(pass_name, new)
+        self.baseline, self._checked = report, state
+        self._held = [function.blocks, list(function.instructions())]
+        self.count += 1
 
 
 class PassVerificationError(Exception):
@@ -198,84 +205,51 @@ class PassLintError(Exception):
 _ERROR_RULES = rules_emitting(Severity.ERROR)
 
 
-class _LintDiffer:
-    """Pass hook holding the rolling lint baseline.
+class _Kernel(NamedTuple):
+    """A compiled arm's module and kernel function."""
 
-    The baseline starts as the input IR's own report (pre-existing
-    findings are the generator's responsibility, not any pass's) and
-    advances after each clean pass, so a regression is attributed to
-    exactly the pass that introduced it.  Over a proven ``prefix`` it
-    starts disarmed, from the prefix's baseline.
-    """
-
-    def __init__(self, function, prefix: _Prefix) -> None:
-        self.prefix = prefix
-        self.armed = not prefix.proven
-        self.baseline = (prefix.baseline if prefix.proven
-                         else repro.lint(function, rules=_ERROR_RULES))
-
-    def __call__(self, pass_name: str, function, result) -> None:
-        if pass_name in REDUCERS:
-            # Reached only when every ``-O3`` pass before it was clean.
-            self.prefix.baseline = self.baseline
-            self.armed = True
-        if not self.armed:
-            return
-        report = repro.lint(function, rules=_ERROR_RULES)
-        new = report.new_errors(self.baseline)
-        if new:
-            raise PassLintError(pass_name, new)
-        self.baseline = report
+    module: Module
+    function: Function
 
 
-def _compile_arm(arm: str, spec: KernelSpec,
-                 cfm_config: Optional[CFMConfig],
-                 validate: bool = False,
-                 prefix: Optional[_Prefix] = None) -> ArmReport:
-    """Build ``spec`` afresh and compile it under ``arm``, hooks on.
-
-    ``prefix`` is :func:`run_oracle`'s; a standalone call is the first
-    (fully hooked) arm of its own.
-    """
-    report = ArmReport(arm=arm)
-    prefix = prefix or _Prefix()
-    hook = _PassVerifier(prefix)
-    builder = build_kernel(spec)
-    function = builder.function
+def _compile(report: ArmReport, function: Function, stages: Arm,
+             checker: Optional[_PassChecker],
+             cfm_config: Optional[CFMConfig],
+             validate: bool) -> ArmReport:
+    """``compile_arm(function, stages)`` with ``checker`` hooked; the
+    outcome, or the first failure, lands in ``report``."""
+    # Under ``validate`` the CFM arm compiles with translation validation
+    # on and carries the hook, so an INEQUIVALENT meld aborts the arm at
+    # the guilty pass.
+    validate = validate and report.arm == "o3-cfm"
+    if validate:
+        cfm_config = dataclasses.replace(cfm_config or CFMConfig(),
+                                         validate=True)
+    hooks = [h for h in (checker, validate_melds_hook if validate else None)
+             if h is not None]
     try:
-        lint_hook = (_LintDiffer(function, prefix)
-                     if arm != "noopt" else None)
-        # Under ``validate`` the CFM arm compiles with translation
-        # validation on and carries the hook, so an INEQUIVALENT meld
-        # aborts the arm at the guilty pass.
-        validate = validate and arm == "o3-cfm"
-        if validate:
-            cfm_config = dataclasses.replace(cfm_config or CFMConfig(),
-                                             validate=True)
-        hooks = (hook, lint_hook, validate_melds_hook if validate else None)
-        result = compile_arm(builder, arm, cfm_config,
-                             after_each=[h for h in hooks if h is not None])
+        # A checked compile needs no final verify: its last state is the
+        # one the checker checked last, or equal to it.
+        result = compile_arm(function, stages, cfm_config,
+                             verify=checker is None, after_each=hooks)
     except PassVerificationError as exc:
-        report.failure = Failure(arm=arm, kind="verifier", detail=str(exc),
-                                 pass_name=exc.pass_name)
+        report.failure = Failure(arm=report.arm, kind="verifier",
+                                 detail=str(exc), pass_name=exc.pass_name)
         return report
     except PassLintError as exc:
-        report.failure = Failure(arm=arm, kind="lint", detail=str(exc),
+        report.failure = Failure(arm=report.arm, kind="lint", detail=str(exc),
                                  pass_name=exc.pass_name)
         return report
     except MeldValidationError as exc:
-        report.failure = Failure(arm=arm, kind="validate", detail=str(exc),
-                                 pass_name=exc.pass_name)
+        report.failure = Failure(arm=report.arm, kind="validate",
+                                 detail=str(exc), pass_name=exc.pass_name)
         return report
     except Exception as exc:
-        report.failure = Failure(arm=arm, kind="crash",
+        report.failure = Failure(arm=report.arm, kind="crash",
                                  detail=f"{type(exc).__name__}: {exc}")
         return report
-    if arm == "o3":
-        # No reducer marks the end of this arm's ``-O3`` stage: the
-        # clean compile does.
-        prefix.baseline = lint_hook.baseline
-    report.verified_passes = hook.count
+    if checker is not None:
+        report.verified_passes += checker.count
     if result.cfm_stats is not None:
         report.melds = result.melds
         report.decisions = list(result.cfm_stats.decisions)
@@ -285,12 +259,79 @@ def _compile_arm(arm: str, spec: KernelSpec,
                            decisions=report.decisions)
         if not audit.ok:
             report.failure = Failure(
-                arm=arm, kind="lint", pass_name="cfm",
+                arm=report.arm, kind="lint", pass_name="cfm",
                 detail="; ".join(d.render().split("\n")[0]
                                  for d in audit.errors))
             return report
-    report.builder = builder
+    report.builder = _Kernel(function.module, function)
     return report
+
+
+def _compile_arm(arm: str, spec: KernelSpec,
+                 cfm_config: Optional[CFMConfig],
+                 validate: bool = False) -> ArmReport:
+    """Build ``spec`` and compile it under ``arm`` in one fully hooked
+    ``compile_arm`` call — the standalone compile every arm of
+    :func:`run_oracle` equals."""
+    function = build_kernel(spec).function
+    checker = (None if arm == "noopt"
+               else _PassChecker(repro.lint(function, rules=_ERROR_RULES)))
+    return _compile(ArmReport(arm=arm), function, arm, checker, cfm_config,
+                    validate)
+
+
+class _Prefix:
+    """The build and the ``-O3`` prefix the arms of one
+    :func:`run_oracle` call share.
+
+    The kernel is built once, and the ``noopt`` arm compiles that build.
+    The ``-O3`` fixpoint runs once, fully hooked, on a clone of it taken
+    before anything else reads it: that compile is the ``o3`` arm.  Each
+    reducer arm compiles its own clone of the post-``-O3`` module with
+    the reducer stage alone, its checker starting from the lint baseline
+    where ``-O3`` ended.  :func:`~repro.transforms.clone_module` copies
+    exactly, so every arm's IR, melds, decision log and failure are its
+    standalone compile's (:func:`_compile_arm`).  A prefix that failed
+    fails every ``o3*`` arm with its failure, under the arm's own name.
+    """
+
+    def __init__(self, spec: KernelSpec, cfm_config: Optional[CFMConfig],
+                 validate: bool) -> None:
+        self.cfm_config, self.validate = cfm_config, validate
+        self.build = build_kernel(spec)
+        name = self.build.function.name
+        #: what the ``-O3`` stage compiles in place; cloned first, as
+        #: printing the build would name its values
+        self._o3_function = clone_module(self.build.module).functions[name]
+        self._o3: Optional[ArmReport] = None
+        #: the lint baseline where ``-O3`` ended
+        self._baseline: Optional[LintReport] = None
+
+    def compile(self, arm: str) -> ArmReport:
+        report = ArmReport(arm=arm)
+        if arm == "noopt":
+            return _compile(report, self.build.function, arm, None,
+                            self.cfm_config, self.validate)
+        if self._o3 is None:
+            function = self._o3_function
+            checker = _PassChecker(repro.lint(function, rules=_ERROR_RULES))
+            self._o3 = _compile(ArmReport(arm="o3"), function, "o3", checker,
+                                self.cfm_config, self.validate)
+            self._baseline = checker.baseline
+            # The arm that ran the prefix reports its checks.
+            report.verified_passes = self._o3.verified_passes
+        o3 = self._o3
+        if o3.failure is not None:
+            report.failure = dataclasses.replace(o3.failure, arm=arm)
+        elif arm == "o3":
+            report.builder = o3.builder
+        else:
+            function = clone_module(o3.builder.module).functions[
+                o3.builder.function.name]
+            _compile(report, function, (False, ARM_STAGES[arm][1]),
+                     _PassChecker(self._baseline), self.cfm_config,
+                     self.validate)
+        return report
 
 
 def arm_trace(spec: KernelSpec, arm: str,
@@ -382,10 +423,9 @@ def run_oracle(spec: KernelSpec,
     if "noopt" not in arm_list:
         arm_list.insert(0, "noopt")
 
-    prefix = _Prefix()
+    prefix = _Prefix(spec, cfm_config, validate)
     for arm in arm_list:
-        report = _compile_arm(arm, spec, cfm_config, validate=validate,
-                              prefix=prefix)
+        report = prefix.compile(arm)
         if report.failure is None:
             _run_arm(report, spec, input_seeds, machine=machine)
         verdict.arms[arm] = report

@@ -124,7 +124,6 @@ class Function:
         self._blocks: List[BasicBlock] = []
         #: while deferred (:meth:`defer_body`): the parse, then reactions
         self._pending: Optional[List[Callable[["Function"], None]]] = None
-        self._name_counter = itertools.count()
         self._taken_names: Dict[str, int] = {}
         self.module: Optional["Module"] = None
         self._memo: Dict[str, object] = {}
@@ -176,6 +175,19 @@ class Function:
         for step in pending:
             step(self)
         return self._blocks
+
+    def _replica(self, args: List[Argument],
+                 blocks: List[BasicBlock]) -> "Function":
+        """(``clone_module`` only.)  This function with ``args`` and
+        ``blocks`` — copies the caller made — in place of its own: the
+        same name and :meth:`unique_name` state, an empty memo, no
+        module yet."""
+        twin = object.__new__(Function)
+        twin.__dict__.update(self.__dict__)
+        twin.args, twin._blocks = args, blocks
+        twin._taken_names = dict(self._taken_names)
+        twin._memo, twin.module = {}, None
+        return twin
 
     # ---- blocks -------------------------------------------------------------
 

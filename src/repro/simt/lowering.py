@@ -719,23 +719,22 @@ def _block_schedule(block: BasicBlock) -> List[Optional[Instruction]]:
     return schedule + [None]
 
 
-def _checked_schedules(shape: list, function: Function) -> List[list]:
-    """:func:`_block_schedule` of every block of ``function``, or
-    :class:`ProgramDecodeError` unless a program of ``shape`` — its
-    ``(block name, µop count)`` pairs — is a lowering of those blocks."""
-    schedules = [_block_schedule(block) for block in function.blocks]
-    live = [(block.name, len(schedule) - 1)
-            for block, schedule in zip(function.blocks, schedules)]
+def _check_shape(shape: list, function: Function) -> None:
+    """:class:`ProgramDecodeError` unless a program of ``shape`` — its
+    ``(block name, µop count)`` pairs — is a lowering of the blocks of
+    ``function``."""
+    live = [(block.name, len(_block_schedule(block)) - 1)
+            for block in function.blocks]
     if shape != live:
         raise ProgramDecodeError(f"program lowers blocks {shape}, "
                                  f"@{function.name} has {live}")
-    return schedules
 
 
 class _SiteRepr(NamedTuple):
     """The repr of scheduled instruction ``k`` of block ``block`` of a
-    function whose body was still text at materialization.  Formatting
-    it into a trap message is what renders it — and parses the body."""
+    function.  Formatting it into a trap message is what renders it —
+    and, for a body still text at materialization, parses the body — so
+    a program that never traps formats no instruction."""
 
     function: Function
     block: int
@@ -754,23 +753,23 @@ def materialize_program(data: dict, function: Function) -> LoweredProgram:
     re-parsed IR of another.  Raises :class:`ProgramDecodeError` when the
     schema, a descriptor, or a name does not line up.
 
-    Against a :attr:`~repro.ir.function.Function.deferred` body nothing
-    here reads a block: trap sites get :class:`_SiteRepr`, and the check
-    of block names and µop counts waits for :func:`_confirm_seed`.
+    Trap sites get :class:`_SiteRepr`, rendered only if a trap message
+    is formatted.  Against a
+    :attr:`~repro.ir.function.Function.deferred` body nothing here reads
+    a block: the check of block names and µop counts waits for
+    :func:`_confirm_seed`.
     """
     try:
         if data["schema"] != PROGRAM_SCHEMA:
             raise ProgramDecodeError(
                 f"program schema {data['schema']!r} != {PROGRAM_SCHEMA!r}")
         const_of = {index: value for index, value in data["const_slots"]}
-        schedules = None if function.deferred else _checked_schedules(
-            [(b["name"], len(b["ops"])) for b in data["blocks"]], function)
+        if not function.deferred:
+            _check_shape([(b["name"], len(b["ops"])) for b in data["blocks"]],
+                         function)
         blocks = []
         for index, encoded in enumerate(data["blocks"]):
-            if schedules is None:
-                site = partial(_SiteRepr, function, index)
-            else:
-                site = lambda k, schedule=schedules[index]: repr(schedule[k])
+            site = partial(_SiteRepr, function, index)
             blocks.append(LoweredBlock(
                 encoded["name"],
                 _materialize_ops(encoded["ops"], site, const_of),
@@ -866,7 +865,7 @@ def _confirm_seed(token: str, program: LoweredProgram,
                               for op in block.ops))
              for block in program.blocks]
     try:
-        _checked_schedules(shape, function)
+        _check_shape(shape, function)
     except ProgramDecodeError:
         del function.memo[token]
     else:

@@ -29,7 +29,7 @@ from .simplifycfg import (
     simplify_cfg,
 )
 from .ssa_repair import repair_ssa
-from .clone import ClonedSubgraph, clone_blocks
+from .clone import ClonedSubgraph, clone_blocks, clone_module
 from .unroll import compute_trip_count, unroll_loop, unroll_loops
 from .speculate import speculate_hammocks
 from .licm import hoist_loop_invariants
@@ -44,7 +44,7 @@ __all__ = [
     "remove_forwarding_blocks", "remove_trivial_phis",
     "remove_unreachable_blocks", "simplify_cfg",
     "repair_ssa",
-    "ClonedSubgraph", "clone_blocks",
+    "ClonedSubgraph", "clone_blocks", "clone_module",
     "compute_trip_count", "unroll_loop", "unroll_loops",
     "speculate_hammocks", "hoist_loop_invariants",
     "o3_pipeline", "optimize", "late_pipeline",

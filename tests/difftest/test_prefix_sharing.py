@@ -1,17 +1,25 @@
-"""One proven ``-O3`` prefix per ``run_oracle`` call.
+"""One build and one ``-O3`` prefix per ``run_oracle`` call.
 
-The first ``o3*`` arm runs fully hooked; later arms keep their per-pass
-hooks disarmed until the reducer reports.  The contract: every arm's
-IR, melds, decision log and failure are what a standalone, fully hooked
-compile of that arm produces — with and without an injected bug — and
-every distinct pipeline state is still checked exactly once.
+The kernel is built once; the ``-O3`` fixpoint runs once, fully hooked,
+on a clone of the build; each reducer arm compiles its own clone of the
+post-``-O3`` module with the reducer stage alone.  The contract: every
+arm's IR, melds, decision log and failure are what a standalone, fully
+hooked compile of that arm produces — with and without an injected bug
+— and every distinct pipeline state is still checked: the one check
+hook skips only a state equal to the one it checked last.
 """
 
 import pytest
 
 import repro
 from repro import pipeline
-from repro.difftest import generate_spec, inject, oracle, run_oracle
+from repro.difftest import (
+    build_kernel,
+    generate_spec,
+    inject,
+    oracle,
+    run_oracle,
+)
 from repro.difftest.bugs import BUGS
 from repro.difftest.oracle import ALL_ARMS, MELDING_ARMS, _compile_arm
 
@@ -35,17 +43,20 @@ def _failures(verdict):
             for f in verdict.failures]
 
 
-class _NeverProven(oracle._Prefix):
-    """A prefix that forgets: every arm is a standalone, fully hooked
+class _Standalone(oracle._Prefix):
+    """Shares nothing: every arm is a standalone, fully hooked
     ``_compile_arm`` call, then run and diffed as usual."""
 
-    def __setattr__(self, name, value):
-        pass
+    def __init__(self, spec, cfm_config, validate):
+        self.spec, self.cfm_config, self.validate = spec, cfm_config, validate
+
+    def compile(self, arm):
+        return _compile_arm(arm, self.spec, self.cfm_config, self.validate)
 
 
 def _run_every_arm_alone(monkeypatch, spec, **kwargs):
     with monkeypatch.context() as patch:
-        patch.setattr(oracle, "_Prefix", _NeverProven)
+        patch.setattr(oracle, "_Prefix", _Standalone)
         return run_oracle(spec, **kwargs)
 
 
@@ -63,10 +74,16 @@ class TestHealthyCompiler:
         assert verdict.arms["o3"].verified_passes \
             == alone["o3"].verified_passes > 0
         for arm in MELDING_ARMS:
-            # ...the others check what is theirs alone.
-            assert verdict.arms[arm].verified_passes == REDUCER_STAGE_PASSES
-            assert alone[arm].verified_passes \
-                == alone["o3"].verified_passes + REDUCER_STAGE_PASSES
+            # ...the others check what is theirs alone: the states the
+            # standalone compile checked after -O3, plus at most the
+            # post--O3 state, which a fresh hook checks when the reducer
+            # leaves it as it was.
+            after_o3 = (alone[arm].verified_passes
+                        - alone["o3"].verified_passes)
+            assert 0 <= after_o3 <= REDUCER_STAGE_PASSES
+            assert after_o3 <= verdict.arms[arm].verified_passes \
+                <= after_o3 + 1
+            assert verdict.arms[arm].verified_passes >= 1
 
     @pytest.mark.parametrize("seed", range(0, 50, 5))
     def test_a_reducer_arm_can_go_first(self, seed):
@@ -77,18 +94,21 @@ class TestHealthyCompiler:
         for arm in swapped.arms:
             assert _facts(swapped.arms[arm]) == _facts(default.arms[arm])
         assert swapped.ok == default.ok
-        # The prefix was proven by the CFM arm this time.
+        # The prefix was checked by the CFM arm this time.
         fixpoint = default.arms["o3"].verified_passes
         assert swapped.arms["o3-cfm"].verified_passes \
-            == fixpoint + REDUCER_STAGE_PASSES
+            == fixpoint + default.arms["o3-cfm"].verified_passes
         assert swapped.arms["o3"].verified_passes == 0
 
     def test_each_state_is_checked_once_and_nothing_less(self, monkeypatch):
         spec = generate_spec(4)
-        fixpoint = _compile_arm("o3", spec, None).verified_passes
+        fixpoint = len(pipeline.compile_arm(build_kernel(spec),
+                                            "o3").pass_timings)
         hooked, final, diffs, audits, validated = [], [], [], [], []
+        states = []
         verify = oracle.verify_function
         validate = oracle.validate_melds_hook
+        stamp = oracle.fingerprint
         lint = type(repro.lint).__call__
 
         def recording_lint(module, kernel, rules=None, **kwargs):
@@ -103,6 +123,8 @@ class TestHealthyCompiler:
                             lambda f: (hooked.append(f), verify(f))[1])
         monkeypatch.setattr(pipeline, "verify_function",
                             lambda f: (final.append(f), verify(f))[1])
+        monkeypatch.setattr(oracle, "fingerprint",
+                            lambda f: (states.append(stamp(f)), states[-1])[1])
         monkeypatch.setattr(type(repro.lint), "__call__", recording_lint)
         monkeypatch.setattr(oracle, "validate_melds_hook", recording_validate)
         with repro.trace() as tracer:
@@ -110,25 +132,37 @@ class TestHealthyCompiler:
         assert verdict.ok
         executed = [e["name"] for e in tracer.events
                     if e["name"].startswith("pass:")]
-        # Four arms re-run the fixpoint; one of them is checked...
-        assert len(executed) == 4 * fixpoint + 3 * REDUCER_STAGE_PASSES
-        checks = fixpoint + 3 * REDUCER_STAGE_PASSES
+        # One fixpoint, then each reducer stage on its own clone...
+        assert len(executed) == fixpoint + 3 * REDUCER_STAGE_PASSES
+        # ...one state read per pass execution; each hook (one for the
+        # prefix, one per reducer arm) checks its first state and every
+        # state that differs from the one before it...
+        assert len(states) == len(executed)
+        segments = [states[:fixpoint]] + [
+            states[fixpoint + i * REDUCER_STAGE_PASSES:][
+                :REDUCER_STAGE_PASSES] for i in range(3)]
+        checks = sum(1 + sum(a != b for a, b in zip(seg, seg[1:]))
+                     for seg in segments)
+        assert checks < len(executed)
         assert len(hooked) == checks
         assert sum(r.verified_passes for r in verdict.arms.values()) == checks
         # ...by the verifier and by the lint diff (plus the one baseline
         # over the input IR), and the CFM arm's audit still runs.
         assert len(diffs) == checks + 1
         assert audits == [["meld-legality"]]
-        # compile_arm's own final verify: once per arm, noopt included.
-        assert len(final) == len(ALL_ARMS)
+        # compile_arm's own final verify runs for noopt alone: a hooked
+        # compile's last state is the one its hook checked last.
+        assert len(final) == 1
         assert "cfm" in validated
 
 
 def test_the_reference_runs_every_arm_fully_hooked(monkeypatch):
-    alone = _run_every_arm_alone(monkeypatch, generate_spec(4))
+    spec = generate_spec(4)
+    alone = _run_every_arm_alone(monkeypatch, spec)
     for arm in MELDING_ARMS:
         assert alone.arms[arm].verified_passes \
-            == alone.arms["o3"].verified_passes + REDUCER_STAGE_PASSES
+            == _compile_arm(arm, spec, None).verified_passes \
+            >= alone.arms["o3"].verified_passes
 
 
 def _hunted_specs(bug):

@@ -23,6 +23,7 @@ from repro.ir import (
     I32,
     Opcode,
     print_module,
+    printer,
     retire_memos,
     verify_function,
 )
@@ -165,6 +166,24 @@ def test_generator_seed_130_all_arms_agree():
             f"arm {arm} diverges on seed 130"
         ran += 1
     assert ran > 0, "seed 130 compiled under no arm; regression test is dead"
+
+
+def test_materializing_a_live_function_formats_no_instruction(monkeypatch):
+    """Trap-site reprs are rendered when a trap message is formatted,
+    not when a live body is lowered (every oracle arm lowers its own)."""
+    formatted = []
+    monkeypatch.setattr(printer, "format_instruction",
+                        lambda instr: formatted.append(instr) or "")
+    functions = [repro.ALL_BUILDERS[name]().function
+                 for name in sorted(repro.ALL_BUILDERS)]
+    for seed in range(10):
+        for arm in ALL_ARMS:
+            report = _compile_arm(arm, generate_spec(seed), None)
+            functions.append(report.builder.function)
+    for function in functions:
+        assert not function.deferred
+        lower_function(function, LatencyModel())
+    assert formatted == []
 
 
 # ---- program cache --------------------------------------------------------
