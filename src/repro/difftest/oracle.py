@@ -27,7 +27,8 @@ fixpoint runs once, on a clone of the build; each reducer arm compiles
 its own clone of the post-``-O3`` module (:class:`_Prefix`).  After
 compilation the ``o3-cfm`` arm additionally runs the meld-legality
 audit over the pass's decision log.  The kernels are then launched on
-the SIMT machine over several deterministic input sets.  Device memory
+the SIMT machine over several deterministic input sets, each distinct
+µop program once (:func:`_run_arm`).  Device memory
 is compared bit-for-bit against the ``noopt`` arm; any difference,
 verifier error, lint regression or simulator trap becomes a
 :class:`Failure` carrying the arm, the guilty pass (when known) and the
@@ -40,17 +41,19 @@ hook.  An ``INEQUIVALENT`` meld fails the arm with
 kind ``"validate"`` whether or not any input set witnesses the
 difference — the one oracle class that does not need a run.
 
-One :class:`~repro.simt.GPU` per arm is reused across all input sets via
-``GPU.reset()``, so a long fuzzing run touches the device-state
-lifecycle the same way a real host application would.
+One :class:`~repro.simt.GPU` per launched program is reused across all
+input sets via ``GPU.reset()``, so a long fuzzing run touches the
+device-state lifecycle the same way a real host application would.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
+import struct
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import repro
 from repro import CFMConfig, GPU, MachineConfig, verify_function
@@ -59,6 +62,12 @@ from repro.ir import Function, Module, fingerprint
 from repro.lint import LintReport, Severity, rules_emitting
 from repro.obs import MeldingDecision, Tracer, use as use_tracer
 from repro.pipeline import ARM_STAGES, ARMS, Arm, compile_arm
+from repro.simt import (
+    DEFAULT_CONFIG,
+    lower_symbolic,
+    materialize_program,
+    seed_program,
+)
 from repro.transforms import clone_module
 
 from .generator import KernelSpec, build_kernel, make_inputs
@@ -93,7 +102,9 @@ class ArmReport:
     """Compile + run outcome of one arm on one kernel."""
 
     arm: str
-    #: distinct IR states the arm's check hook verified and lint-diffed
+    #: distinct IR states the arm's check hook verified and lint-diffed:
+    #: the prefix's for the arm that ran ``-O3``, and for a reducer arm
+    #: those its reducer stage made (0 if it left the IR as it was)
     verified_passes: int = 0
     melds: int = 0
     outputs: Optional[List[Dict[str, List[int]]]] = None
@@ -154,14 +165,25 @@ class _PassChecker:
     findings are the generator's responsibility, not any pass's) and
     advances after each checked state, so a new error-severity
     diagnostic is attributed to exactly the pass that introduced it.
+
+    ``start`` is a function whose IR state counts as checked already,
+    with ``baseline`` its report: a reducer arm's clone of the
+    post-``-O3`` module, a state the prefix's hook checked last.
     """
 
-    def __init__(self, baseline: LintReport) -> None:
+    def __init__(self, baseline: LintReport,
+                 start: Optional[Function] = None) -> None:
         self.baseline = baseline
         #: distinct states checked
         self.count = 0
         self._checked: Optional[tuple] = None
         self._held: List[list] = []
+        if start is not None:
+            self._hold(fingerprint(start), start)
+
+    def _hold(self, state: tuple, function: Function) -> None:
+        self._checked = state
+        self._held = [function.blocks, list(function.instructions())]
 
     def __call__(self, pass_name: str, function, result) -> None:
         state = fingerprint(function)
@@ -175,8 +197,8 @@ class _PassChecker:
         new = report.new_errors(self.baseline)
         if new:
             raise PassLintError(pass_name, new)
-        self.baseline, self._checked = report, state
-        self._held = [function.blocks, list(function.instructions())]
+        self.baseline = report
+        self._hold(state, function)
         self.count += 1
 
 
@@ -228,10 +250,11 @@ def _compile(report: ArmReport, function: Function, stages: Arm,
     hooks = [h for h in (checker, validate_melds_hook if validate else None)
              if h is not None]
     try:
-        # A checked compile needs no final verify: its last state is the
-        # one the checker checked last, or equal to it.
-        result = compile_arm(function, stages, cfm_config,
-                             verify=checker is None, after_each=hooks)
+        # No final verify: a checked compile's last state is the one its
+        # checker checked last, or equal to it, and the unchecked
+        # ``noopt`` build was verified by ``KernelBuilder.finish``.
+        result = compile_arm(function, stages, cfm_config, verify=False,
+                             after_each=hooks)
     except PassVerificationError as exc:
         report.failure = Failure(arm=report.arm, kind="verifier",
                                  detail=str(exc), pass_name=exc.pass_name)
@@ -288,8 +311,9 @@ class _Prefix:
     The ``-O3`` fixpoint runs once, fully hooked, on a clone of it taken
     before anything else reads it: that compile is the ``o3`` arm.  Each
     reducer arm compiles its own clone of the post-``-O3`` module with
-    the reducer stage alone, its checker starting from the lint baseline
-    where ``-O3`` ended.  :func:`~repro.transforms.clone_module` copies
+    the reducer stage alone, its checker starting where the prefix's
+    ended: the clone's state counts as checked, with the lint baseline
+    ``-O3`` ended on.  :func:`~repro.transforms.clone_module` copies
     exactly, so every arm's IR, melds, decision log and failure are its
     standalone compile's (:func:`_compile_arm`).  A prefix that failed
     fails every ``o3*`` arm with its failure, under the arm's own name.
@@ -329,7 +353,7 @@ class _Prefix:
             function = clone_module(o3.builder.module).functions[
                 o3.builder.function.name]
             _compile(report, function, (False, ARM_STAGES[arm][1]),
-                     _PassChecker(self._baseline), self.cfm_config,
+                     _PassChecker(self._baseline, function), self.cfm_config,
                      self.validate)
         return report
 
@@ -355,26 +379,67 @@ def arm_trace(spec: KernelSpec, arm: str,
     }
 
 
+#: what one launch of a program over every input set gave: the outputs
+#: of each input set, or the first launch failure
+_Launched = Tuple[Optional[List[Dict[str, List[int]]]], Optional[Failure]]
+
+
+def _launch_key(symbolic: dict, module: Module) -> tuple:
+    """What a launch's outcome is a function of, beyond the inputs: the
+    µop program and the layout of the module's globals.  The program is
+    compared as JSON text, which tells ``0.0`` from ``-0.0`` and ``1``
+    from ``1.0``; its constants' bit patterns tell NaN payloads apart."""
+    constants = tuple(struct.pack("<d", value)
+                      for _, value in symbolic["const_slots"]
+                      if isinstance(value, float))
+    layout = tuple((var.name, var.type, var.element_count)
+                   for var in module.globals.values())
+    return json.dumps(symbolic), constants, layout
+
+
 def _run_arm(report: ArmReport, spec: KernelSpec,
-             input_seeds: Sequence[int],
-             machine: Optional[MachineConfig] = None) -> None:
-    """Launch one compiled arm over every input set, reusing one GPU."""
+             inputs: Sequence[Tuple[int, Dict[str, object]]],
+             machine: MachineConfig,
+             launched: Dict[tuple, _Launched]) -> None:
+    """Launch one compiled arm over every input set, reusing one GPU —
+    unless an arm launched before it in ``launched`` lowered to the same
+    program over the same globals: the simulator is deterministic, so
+    the arm takes that launch's outputs, and its failure renamed.
+
+    The arm is lowered once.  A launching arm's program is seeded on its
+    function, so neither its launches nor a later launch of its builder
+    lower it again.
+    """
     builder = report.builder
+    symbolic = lower_symbolic(builder.function, machine.latency)
+    key = _launch_key(symbolic, builder.module)
+    if key not in launched:
+        seed_program(builder.function, machine,
+                     materialize_program(symbolic, builder.function))
+        launched[key] = _launch(report.arm, builder.module, spec, inputs,
+                                machine)
+    outputs, failure = launched[key]
+    report.outputs = outputs
+    if failure is not None:
+        report.failure = dataclasses.replace(failure, arm=report.arm)
+
+
+def _launch(arm: str, module: Module, spec: KernelSpec,
+            inputs: Sequence[Tuple[int, Dict[str, object]]],
+            machine: MachineConfig) -> _Launched:
     outputs: List[Dict[str, List[int]]] = []
-    with GPU(builder.module, machine) as gpu:
-        for input_seed in input_seeds:
-            args = make_inputs(spec, input_seed)
+    with GPU(module, machine) as gpu:
+        for input_seed, args in inputs:
             try:
-                result = repro.launch(builder.module, spec.grid_dim,
-                                      spec.block_dim, args, gpu=gpu)
+                result = repro.launch(module, spec.grid_dim, spec.block_dim,
+                                      args, gpu=gpu)
             except Exception as exc:
-                report.failure = Failure(
-                    arm=report.arm, kind="crash", input_seed=input_seed,
-                    detail=f"{type(exc).__name__}: {exc}")
-                return
+                return None, Failure(arm=arm, kind="crash",
+                                     input_seed=input_seed,
+                                     detail=f"{type(exc).__name__}: {exc}")
             outputs.append(result.outputs)
             gpu.reset()
-    report.outputs = outputs
+    return outputs, None
 
 
 def _first_difference(reference: Dict[str, List[int]],
@@ -424,10 +489,15 @@ def run_oracle(spec: KernelSpec,
         arm_list.insert(0, "noopt")
 
     prefix = _Prefix(spec, cfm_config, validate)
+    # Launches copy their arguments, so every arm reads one set of inputs.
+    inputs = [(input_seed, make_inputs(spec, input_seed))
+              for input_seed in input_seeds]
+    launched: Dict[tuple, _Launched] = {}
     for arm in arm_list:
         report = prefix.compile(arm)
         if report.failure is None:
-            _run_arm(report, spec, input_seeds, machine=machine)
+            _run_arm(report, spec, inputs, machine or DEFAULT_CONFIG,
+                     launched)
         verdict.arms[arm] = report
         if report.failure is not None:
             verdict.failures.append(report.failure)

@@ -191,7 +191,8 @@ class SharedMemoryRaceRule(LintRule):
                    "before it is written")
 
     def check(self, ctx: LintContext) -> Iterable[Diagnostic]:
-        divergence = ctx.divergence
+        # Divergence is computed at the first shared store with a GEP
+        # index, so a kernel without one pays no fixpoint.
         for block in ctx.function.blocks:
             if block not in ctx.reachable:
                 continue
@@ -202,7 +203,7 @@ class SharedMemoryRaceRule(LintRule):
                 if base is None:
                     continue
                 index = _gep_index(instr.pointer)
-                if index is None or divergence.is_uniform(index):
+                if index is None or ctx.divergence.is_uniform(index):
                     continue
                 load = _RaceScan(ctx, instr, base).conflicting_load()
                 if load is not None:

@@ -152,6 +152,8 @@ class JobServer:
         self._stopping: Optional[asyncio.Event] = None
         self._idle: Optional[asyncio.Event] = None
         self._jobs: Dict[str, _Job] = {}
+        #: each open connection's handler task and its writer
+        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._active_jobs = 0
         self._next_client = 0
         self._next_job = 0
@@ -180,6 +182,13 @@ class JobServer:
             await self._stopping.wait()
         finally:
             self._server.close()
+            # Close every open connection and wait for its handler to
+            # return: a handler still parked in readline() when run()
+            # returns is cancelled by loop teardown, which logs it.
+            handlers = list(self._connections)
+            for writer in self._connections.values():
+                writer.close()
+            await asyncio.gather(*handlers, return_exceptions=True)
             await self._server.wait_closed()
             # Blocking close off the loop thread: graceful collects each
             # worker's goodbye metrics snapshot into scheduler.registry.
@@ -222,14 +231,16 @@ class JobServer:
         clients.inc()
         self.registry.counter("repro_serve_clients_total",
                               "Client connections accepted").inc()
-        await self._send(client, {
-            "event": "hello", "protocol": PROTOCOL,
-            "workers": self.config.workers,
-            "queue_limit": self.config.queue_limit,
-            "when_full": self.config.when_full,
-            "client_quota": self.config.client_quota,
-        })
+        handler = asyncio.current_task()
+        self._connections[handler] = writer
         try:
+            await self._send(client, {
+                "event": "hello", "protocol": PROTOCOL,
+                "workers": self.config.workers,
+                "queue_limit": self.config.queue_limit,
+                "when_full": self.config.when_full,
+                "client_quota": self.config.client_quota,
+            })
             while True:
                 try:
                     line = await reader.readline()
@@ -261,6 +272,7 @@ class JobServer:
                 elif op == "shutdown":
                     await self._op_shutdown(client, message)
         finally:
+            del self._connections[handler]
             client.closed = True
             clients.dec()
             try:

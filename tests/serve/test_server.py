@@ -15,6 +15,7 @@ server with a real worker pool) and drives it with
 """
 
 import json
+import logging
 import os
 import time
 
@@ -497,6 +498,20 @@ class TestShutdown:
                 done = client.wait(job)
         assert done["ok"]
         assert [r["seed"] for r in done["rows"]] == [0, 1, 2, 3]
+
+    def test_an_idle_client_left_connected_logs_no_error(self, caplog):
+        # The server closes each open connection and awaits its handler
+        # before run() returns; a handler left parked in readline() is
+        # cancelled by loop teardown, which asyncio logs as an error.
+        server = ServerThread(ServerConfig(workers=1))
+        address = server.start()
+        with ServeClient(*address):
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                server.stop()
+        errors = [record.getMessage() for record in caplog.records
+                  if record.name == "asyncio"
+                  and record.levelno >= logging.ERROR]
+        assert errors == []
 
     def test_artifacts_written_at_shutdown(self, tmp_path):
         trace_file = str(tmp_path / "serve.trace.json")

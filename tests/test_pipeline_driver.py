@@ -311,8 +311,11 @@ class TestReplacedNotForked:
             and isinstance(node.func.value, ast.Name)
             and node.func.value.id == "cache"}
         assert cache_calls == {("pipeline.py", "compile_arm")}
+        # The oracle lowers each compiled arm once, for its launch key,
+        # and seeds the program it launches (no cache involved).
         assert _sites({"lower_symbolic"}) == {
             "pipeline.py": {"compile_arm"},
+            "difftest/oracle.py": {"_run_arm"},
             "simt/lowering.py": {"lower_function"}}
 
     def test_pass_bookkeeping_lives_in_the_pass_manager(self):
