@@ -31,9 +31,8 @@ def default():
     return sweep()
 
 
-def test_ablation_unpredication_of_pure_runs(benchmark, default):
+def test_ablation_unpredication_of_pure_runs(default):
     no_split = sweep(CFMConfig(split_pure_runs=False))
-    benchmark.pedantic(lambda: None, iterations=1, rounds=1)
     print()
     print("Ablation: unpredication of pure gap runs (on vs off)")
     for name in KERNELS:
@@ -45,8 +44,7 @@ def test_ablation_unpredication_of_pure_runs(benchmark, default):
         assert abs(on.speedup - off.speedup) < 0.15
 
 
-def test_ablation_profitability_threshold(benchmark):
-    benchmark.pedantic(lambda: None, iterations=1, rounds=1)
+def test_ablation_profitability_threshold():
     print()
     print("Ablation: profitability threshold")
     rows = []
@@ -63,9 +61,8 @@ def test_ablation_profitability_threshold(benchmark):
     assert abs(rows[-1][1].speedup - 1.0) < 0.02
 
 
-def test_ablation_warp_width(benchmark, default):
+def test_ablation_warp_width(default):
     vega = sweep(machine=MachineConfig(warp_size=64), block_size=64)
-    benchmark.pedantic(lambda: None, iterations=1, rounds=1)
     print()
     print("Ablation: warp width 32 (default) vs 64 (Vega wavefront)")
     for name in KERNELS:

@@ -4,18 +4,15 @@ Paper: CFM gives a 1.32× geomean speedup over the block-size sweep; the
 -R variants improve less than their exact counterparts; SB3/SB3-R improve
 the most because multiple subgraph pairs meld.
 
-Run with ``pytest benchmarks/test_fig7_synthetic.py --benchmark-only -s``
-to see the regenerated figure data.
+Run with ``pytest benchmarks/test_fig7_synthetic.py -s`` to see the
+regenerated figure data.
 """
-
-import pytest
 
 from repro import format_speedups, geomean
 
 
-def test_figure7_regenerates(benchmark, fig7_data):
+def test_figure7_regenerates(fig7_data):
     rows, gm = fig7_data
-    benchmark.pedantic(lambda: None, iterations=1, rounds=1)
     print()
     print(format_speedups(rows, "Figure 7: synthetic benchmark speedups"))
 

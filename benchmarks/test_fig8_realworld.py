@@ -7,13 +7,10 @@ most; LUD improves only at the block sizes where it is divergent; the
 GM-best ≥ GM.
 """
 
-import pytest
-
 from repro import format_figure8, geomean
 
 
-def test_figure8_regenerates(benchmark, fig8_data):
-    benchmark.pedantic(lambda: None, iterations=1, rounds=1)
+def test_figure8_regenerates(fig8_data):
     print()
     print(format_figure8(fig8_data))
 

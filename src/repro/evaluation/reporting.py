@@ -1,5 +1,5 @@
 """Plain-text formatting of experiment results, mirroring the paper's
-tables/figures so `pytest benchmarks/ --benchmark-only -s` output can be
+tables/figures so `pytest benchmarks/ -s` output can be
 compared to the paper side by side."""
 
 from __future__ import annotations
@@ -120,5 +120,5 @@ def format_table2(rows: List[CompileTimeRow]) -> str:
     body = [[r.kernel, f"{r.o3_seconds:.4f}", f"{r.cfm_seconds:.4f}",
              f"{r.normalized:.4f}"]
             for r in rows]
-    return ("Table II: average compile time in seconds\n"
+    return ("Table II: compile time in seconds\n"
             + _table(["kernel", "O3", "CFM", "normalized"], body))

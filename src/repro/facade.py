@@ -21,12 +21,12 @@ in place, mirroring how a real driver owns the module it compiles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Union
 
 from repro.analysis import DivergenceInfo, cached_divergence
 from repro.compile_cache import CompileCache
 from repro.core import CFMConfig, CFMPass, CFMStats
-from repro.ir import Function, Module, Type, I32
+from repro.ir import Function, Module, Type
 from repro.kernels.common import KernelCase
 from repro.kernels.dsl import KernelBuilder
 from repro.pipeline import (
@@ -35,7 +35,7 @@ from repro.pipeline import (
     as_function,
     compile_arm,
 )
-from repro.simt import DEFAULT_CONFIG, GPU, Buffer, MachineConfig, Metrics
+from repro.simt import DEFAULT_CONFIG, GPU, MachineConfig, Metrics
 
 #: recognized ``compile(level=...)`` values
 COMPILE_LEVELS = ("none", "O3")
@@ -130,22 +130,8 @@ def launch(module: Union[Module, KernelLike], grid: int, block: int,
         kernel = names[0]
 
     device = gpu if gpu is not None else GPU(module, machine)
-    bound: Dict[str, object] = {}
-    handles: Dict[str, Buffer] = {}
-    for name, value in args.items():
-        if isinstance(value, Buffer):
-            bound[name] = value
-        elif isinstance(value, (str, bytes)):
-            raise TypeError(f"argument {name!r} must be a scalar or sequence")
-        elif isinstance(value, Sequence):
-            etype = (element_types or {}).get(name, I32)
-            handles[name] = device.alloc(name, etype, list(value))
-            bound[name] = handles[name]
-        else:
-            bound[name] = value
-    metrics = device.launch(kernel, grid, block, bound,
-                            trace_label=trace_label)
-    outputs = {name: handle.data for name, handle in handles.items()}
+    outputs, metrics = device.run(kernel, grid, block, args, element_types,
+                                  trace_label)
     return LaunchResult(outputs=outputs, metrics=metrics)
 
 

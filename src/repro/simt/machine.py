@@ -16,7 +16,7 @@ doubles and melding halves back.
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.ir.function import Function, Module
 from repro.ir.types import Type, I32
@@ -175,6 +175,28 @@ class GPU:
             sink.launch_done(total)
         return total
 
+    def run(self, kernel: Union[str, Function], grid_dim: int,
+            block_dim: int, args: Mapping[str, object],
+            element_types: Optional[Mapping[str, Type]] = None,
+            trace_label: Optional[str] = None) -> tuple:
+        """Launch with host-side ``args``: each sequence is copied into a
+        fresh buffer (``I32`` unless ``element_types`` says otherwise),
+        in ``args`` order, and read back into the returned ``(outputs,
+        metrics)``; scalars and :class:`Buffer` handles pass through."""
+        bound: Dict[str, object] = {}
+        handles: Dict[str, Buffer] = {}
+        for name, value in args.items():
+            if isinstance(value, (str, bytes)):
+                raise TypeError(
+                    f"argument {name!r} must be a scalar or sequence")
+            if isinstance(value, Sequence):
+                value = handles[name] = self.alloc(
+                    name, (element_types or {}).get(name, I32), value)
+            bound[name] = value
+        metrics = self.launch(kernel, grid_dim, block_dim, bound,
+                              trace_label=trace_label)
+        return {name: handle.data for name, handle in handles.items()}, metrics
+
     def _bind_args(self, function: Function, args: Dict[str, object]) -> Dict[Argument, object]:
         bound: Dict[Argument, object] = {}
         missing = [a.name for a in function.args if a.name not in args]
@@ -263,14 +285,6 @@ def run_kernel(
     Returns ``(outputs, metrics)`` where ``outputs`` maps each buffer name
     to its final contents.
     """
-    gpu = GPU(module, machine)
-    args: Dict[str, object] = dict(scalars or {})
-    handles: Dict[str, Buffer] = {}
-    for name, data in buffers.items():
-        etype = (element_types or {}).get(name, I32)
-        handles[name] = gpu.alloc(name, etype, list(data))
-        args[name] = handles[name]
-    metrics = gpu.launch(kernel, grid_dim, block_dim, args,
-                         trace_label=trace_label)
-    outputs = {name: handle.data for name, handle in handles.items()}
-    return outputs, metrics
+    return GPU(module, machine).run(kernel, grid_dim, block_dim,
+                                    {**(scalars or {}), **buffers},
+                                    element_types, trace_label)
