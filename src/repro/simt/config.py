@@ -27,6 +27,9 @@ EXECUTORS = ("fast", "reference")
 
 #: bytes per coalesced global-memory transaction
 COALESCE_SEGMENT_BYTES = 64
+#: log2 of COALESCE_SEGMENT_BYTES: ``addr >> shift`` is ``addr // bytes``
+_COALESCE_SHIFT = COALESCE_SEGMENT_BYTES.bit_length() - 1
+assert 1 << _COALESCE_SHIFT == COALESCE_SEGMENT_BYTES
 #: extra cycles charged per additional memory transaction
 EXTRA_TRANSACTION_CYCLES = 32
 
@@ -72,11 +75,20 @@ class MachineConfig:
 
     def transactions_for(self, addresses) -> int:
         """Number of coalescing segments touched by the given byte
-        addresses (at least 1 when any lane is active)."""
+        addresses (at least 1 when any lane is active).
+
+        ``addresses`` is a list, or a ``range`` as a dense warp access
+        gives.  A range whose positive step is at most one segment leaves
+        no segment between its first and last address untouched, so its
+        count is arithmetic.
+        """
         if not addresses:
             return 0
-        seg = COALESCE_SEGMENT_BYTES
-        return len({addr // seg for addr in addresses})
+        shift = _COALESCE_SHIFT
+        if (type(addresses) is range
+                and 0 < addresses.step <= COALESCE_SEGMENT_BYTES):
+            return (addresses[-1] >> shift) - (addresses[0] >> shift) + 1
+        return len({addr >> shift for addr in addresses})
 
 
 DEFAULT_CONFIG = MachineConfig()

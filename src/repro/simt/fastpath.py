@@ -19,7 +19,19 @@ objects:
   — the min-PC scheduler simply ignores the rpc hint — so one
   ``LoweredProgram`` (one launch-memo entry and one serialized
   compile-cache entry, both keyed by the latency model alone) serves
-  every reconvergence policy.
+  every reconvergence policy;
+* memory µops index by shift and mask where the element size is a power
+  of two and keep the last two segments they touched, and a whole warp
+  takes row-level shortcuts: a φ transfer copies whole rows, and an
+  access to ``n`` consecutive elements of one segment is one list slice.
+
+The whole-warp shortcuts rest on one invariant of
+:class:`~repro.simt.reconvergence.PathScheduler`: every mask it hands
+out is a strictly ascending subset of ``range(n)`` for a warp of ``n``
+lanes (``tests/simt/test_reconvergence.py`` checks it under both
+policies).  So ``len(mask) == n`` means "every lane, in lane order", and
+a shortcut is taken only where the per-lane loop would not trap; every
+other case runs that loop, which is the exact path.
 
 Everything observable is bit-identical to the reference evaluator:
 device memory, every :class:`~repro.simt.metrics.Metrics` counter and
@@ -113,53 +125,93 @@ class FastEvaluator:
                     metrics.alu_active_lanes += issued * len(mask)
                     metrics.instructions_issued += issued
                     metrics.cycles += op[5]
-                elif kind == OP_LOAD:
-                    rd = regs[op[1]]
-                    rp = regs[op[2]]
-                    addresses = []
-                    # Inlined address resolution with a one-entry segment
-                    # cache: warp accesses overwhelmingly stay in one
-                    # segment, so the linear segment scan runs once per
-                    # µop instead of once per lane.
-                    seg_base = seg_end = 0
-                    for i in mask:
-                        addr = rp[i]
-                        if addr is UNDEF:
-                            raise SimulationError(
-                                f"load through undef address: {op[5]}")
-                        addresses.append(addr)
-                        if not seg_base <= addr < seg_end:
-                            seg = find_segment(addr)
-                            seg_base = seg.base
-                            seg_end = seg.end
-                            seg_data = seg.data
-                            seg_size = seg.element_size
-                        index, rem = divmod(addr - seg_base, seg_size)
-                        if rem:
-                            seg.index_of(addr)  # canonical misaligned trap
-                        rd[i] = seg_data[index]
-                    account_memory(metrics, config, op[3], addresses, op[4])
-                elif kind == OP_STORE:
+                elif kind == OP_LOAD or kind == OP_STORE:
                     rv = regs[op[1]]
                     rp = regs[op[2]]
+                    a0 = rp[mask[0]]
+                    # A two-entry segment cache of ``Segment.cache_entry``
+                    # tuples: entry 0 holds the latest miss, entry 1 the
+                    # one before it.  The mask's first lane is the first
+                    # lane the per-lane loop resolves, so looking its
+                    # segment up here raises that loop's wild-access trap.
+                    b1 = e1 = 0
+                    if a0 is UNDEF:
+                        b0 = e0 = 0  # the loop traps on its first lane
+                    else:
+                        seg = find_segment(a0)
+                        if len(mask) == n and seg.shift >= 0:
+                            offset = a0 - seg.base
+                            size = seg.element_size
+                            end = a0 + n * size
+                            if (not offset & (size - 1)
+                                    and end <= seg.end and rp[-1] == end - size
+                                    and rp == list(addresses := range(
+                                        a0, end, size))):
+                                # The whole warp on ``n`` consecutive
+                                # elements: one slice.
+                                lo = offset >> seg.shift
+                                if kind == OP_LOAD:
+                                    rv[:] = seg.data[lo:lo + n]
+                                else:
+                                    seg.data[lo:lo + n] = rv
+                                account_memory(metrics, config, op[3],
+                                               addresses, op[4])
+                                continue
+                        b0, e0, d0, s0, m0 = seg.cache_entry
+                    # The per-lane loops, the exact path for every other
+                    # access.  A power-of-two element size indexes by
+                    # ``offset >> shift`` and checks alignment with
+                    # ``offset & (size - 1)``; any other size never enters
+                    # the cache and keeps ``divmod`` (``Segment.index_of``).
                     addresses = []
-                    seg_base = seg_end = 0
-                    for i in mask:
-                        addr = rp[i]
-                        if addr is UNDEF:
-                            raise SimulationError(
-                                f"store through undef address: {op[5]}")
-                        addresses.append(addr)
-                        if not seg_base <= addr < seg_end:
-                            seg = find_segment(addr)
-                            seg_base = seg.base
-                            seg_end = seg.end
-                            seg_data = seg.data
-                            seg_size = seg.element_size
-                        index, rem = divmod(addr - seg_base, seg_size)
-                        if rem:
-                            seg.index_of(addr)  # canonical misaligned trap
-                        seg_data[index] = rv[i]
+                    if kind == OP_LOAD:
+                        for i in mask:
+                            addr = rp[i]
+                            if addr is UNDEF:
+                                raise SimulationError(
+                                    f"load through undef address: {op[5]}")
+                            addresses.append(addr)
+                            if not b0 <= addr < e0:
+                                if b1 <= addr < e1:
+                                    offset = addr - b1
+                                    if offset & m1:
+                                        find_segment(addr).index_of(addr)
+                                    rv[i] = d1[offset >> s1]
+                                    continue
+                                seg = find_segment(addr)
+                                if seg.shift < 0:
+                                    rv[i] = seg.data[seg.index_of(addr)]
+                                    continue
+                                b1, e1, d1, s1, m1 = b0, e0, d0, s0, m0
+                                b0, e0, d0, s0, m0 = seg.cache_entry
+                            offset = addr - b0
+                            if offset & m0:
+                                find_segment(addr).index_of(addr)  # misaligned
+                            rv[i] = d0[offset >> s0]
+                    else:
+                        for i in mask:
+                            addr = rp[i]
+                            if addr is UNDEF:
+                                raise SimulationError(
+                                    f"store through undef address: {op[5]}")
+                            addresses.append(addr)
+                            if not b0 <= addr < e0:
+                                if b1 <= addr < e1:
+                                    offset = addr - b1
+                                    if offset & m1:
+                                        find_segment(addr).index_of(addr)
+                                    d1[offset >> s1] = rv[i]
+                                    continue
+                                seg = find_segment(addr)
+                                if seg.shift < 0:
+                                    seg.data[seg.index_of(addr)] = rv[i]
+                                    continue
+                                b1, e1, d1, s1, m1 = b0, e0, d0, s0, m0
+                                b0, e0, d0, s0, m0 = seg.cache_entry
+                            offset = addr - b0
+                            if offset & m0:
+                                find_segment(addr).index_of(addr)  # misaligned
+                            d0[offset >> s0] = rv[i]
                     account_memory(metrics, config, op[3], addresses, op[4])
                 elif kind == OP_BARRIER:
                     metrics.record_barrier(op[1])
@@ -169,6 +221,13 @@ class FastEvaluator:
             return None
 
         def transfer(pairs, mask) -> None:
+            # All reads before all writes, so a φ swap stays correct.
+            if len(mask) == n:
+                # The whole warp in lane order: copy whole rows.
+                staged = [(dest, regs[src][:]) for dest, src in pairs]
+                for dest, row in staged:
+                    regs[dest] = row
+                return
             staged = [(dest, [regs[src][i] for i in mask])
                       for dest, src in pairs]
             for dest, values in staged:

@@ -49,10 +49,20 @@ class Segment:
         self.base = base
         self.element_type = element_type
         self.element_size = sizeof(element_type)
+        #: log2 of ``element_size`` when it is a power of two, else -1:
+        #: the fast executor indexes by ``offset >> shift`` where it can
+        #: and keeps ``divmod`` where it cannot (e.g. an ``i24`` buffer)
+        size = self.element_size
+        self.shift = size.bit_length() - 1 if not size & (size - 1) else -1
         self.count = count
         #: one past the last byte (``base`` and ``count`` never change)
         self.end = base + count * self.element_size
         self.data: List = [0] * count
+        #: the fast executor's segment-cache entry, ``(base, end, data,
+        #: shift, size - 1)``; a range no address falls in when the size
+        #: is not a power of two (``data`` is never rebound)
+        self.cache_entry = ((base, self.end, self.data, self.shift, size - 1)
+                            if self.shift >= 0 else (0, 0, None, None, None))
 
     def index_of(self, addr: int) -> int:
         offset = addr - self.base

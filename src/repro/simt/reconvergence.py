@@ -39,6 +39,12 @@ notifications to trace *before* the block runs; ``pc is None`` once every
 lane has retired.  The current path then either ``advance(pc)``\\ s on a
 uniform transfer, ``retire()``\\ s at ``ret``, or ``diverge(...)``\\ s.
 
+Every ``mask`` is a strictly ascending subset of the entry mask, which
+the warp driver passes as ``range(lane_count)``: sides are split in lane
+order, a holder keeps its mask and a fusion sorts.  So a mask as long as
+the entry mask is every lane in lane order; the fast evaluator's
+whole-warp shortcuts rest on this.
+
 Device memory is bit-identical across the rules for race-free kernels
 (each lane executes its own program-order instruction sequence however
 paths interleave); cycle counts, divergence counters and trace streams

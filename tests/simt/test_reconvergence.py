@@ -11,19 +11,30 @@ on.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro import GLOBAL_I32_PTR, ICmpPredicate, KernelBuilder, run_kernel
+from repro.difftest.generator import generate_spec, make_inputs
+from repro.difftest.oracle import ALL_ARMS, _compile_arm
+from repro.evaluation.experiments import (
+    DEFAULT_GRID_DIM,
+    SYNTHETIC_BLOCK_SIZES,
+)
+from repro.evaluation.runner import compile_baseline, compile_cfm
 from repro.ir import I32
+from repro.kernels import SYNTHETIC_BUILDERS
 from repro.simt import (
     RECONVERGENCE_POLICIES,
     MachineConfig,
     SimulationError,
     get_program,
 )
+from repro.simt.memory import MemoryError_
 from repro.simt.reconvergence import PathScheduler
 
 from tests.support import parse
@@ -316,6 +327,86 @@ def test_path_scheduler_matches_the_schedulers_it_replaced(rule, lanes, data):
                     data.draw(RPCS))
             new.diverge(*args)
             old.diverge(*args)
+
+
+# ---- the mask-order invariant ---------------------------------------------
+
+
+class _OrderCheckedScheduler(PathScheduler):
+    """A :class:`PathScheduler` that records every mask ``next()`` hands
+    out which is not a strictly ascending subset of the warp's lanes."""
+
+    __slots__ = ("lanes", "violations", "partial")
+
+    #: every instance, in construction order
+    seen: List["_OrderCheckedScheduler"] = []
+
+    def __init__(self, rule: str, entry_pc: int,
+                 mask: Tuple[int, ...]) -> None:
+        super().__init__(rule, entry_pc, mask)
+        self.lanes = len(mask)
+        self.violations = [] if mask == tuple(range(len(mask))) else [mask]
+        self.partial = 0
+        self.seen.append(self)
+
+    def next(self):
+        pc, mask, merges = super().next()
+        if pc is not None:
+            if not (all(a < b for a, b in zip(mask, mask[1:]))
+                    and mask and 0 <= mask[0] and mask[-1] < self.lanes):
+                self.violations.append(mask)
+            self.partial += len(mask) < self.lanes
+        return pc, mask, merges
+
+
+def _assert_masks_ascend(monkeypatch, launches):
+    """Run ``launches`` (callables taking ``machine=``) under both
+    policies with every warp's scheduler order-checked; return the
+    schedulers."""
+    monkeypatch.setattr("repro.simt.warp.PathScheduler",
+                        _OrderCheckedScheduler)
+    monkeypatch.setattr(_OrderCheckedScheduler, "seen", [])
+    for policy in RECONVERGENCE_POLICIES:
+        for launch in launches:
+            try:
+                launch(machine=MachineConfig(reconvergence=policy))
+            except (SimulationError, MemoryError_):
+                pass  # a trap ends the run; its masks still count
+    schedulers = _OrderCheckedScheduler.seen
+    assert schedulers, "no warp ran through the checked scheduler"
+    bad = [s.violations for s in schedulers if s.violations]
+    assert not bad, f"masks out of lane order: {bad[:3]}"
+    return schedulers
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_masks_ascend_on_generated_kernels(monkeypatch, seed):
+    # ``len(mask) == lane_count`` then means "every lane, in lane
+    # order": the fast executor's whole-row shortcuts rest on it.
+    spec = generate_spec(seed)
+    launches = []
+    for arm in ALL_ARMS:
+        report = _compile_arm(arm, spec, None)
+        if report.failure is None and report.builder is not None:
+            launches.append(partial(
+                repro.launch, report.builder.module, spec.grid_dim,
+                spec.block_dim, make_inputs(spec, 0)))
+    assert launches
+    _assert_masks_ascend(monkeypatch, launches)
+
+
+def test_masks_ascend_on_fig7_kernels(monkeypatch):
+    launches = []
+    for builder in SYNTHETIC_BUILDERS.values():
+        for compile_arm in (compile_baseline, compile_cfm):
+            case = builder(block_size=SYNTHETIC_BLOCK_SIZES[0],
+                           grid_dim=DEFAULT_GRID_DIM)
+            compile_arm(case)
+            launches.append(partial(
+                run_kernel, case.module, case.kernel, case.grid_dim,
+                case.block_dim, case.make_buffers(0), case.scalars))
+    schedulers = _assert_masks_ascend(monkeypatch, launches)
+    assert any(s.partial for s in schedulers), "no warp ever diverged"
 
 
 # ---- the selection rules --------------------------------------------------
